@@ -17,6 +17,16 @@ from . import harness
 from .errors import BridgeLabError
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgelab",
@@ -30,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--iterations", type=int, default=None, help="override config iterations")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel experiments")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel experiments (capped at the configs and CPUs)")
         p.add_argument("--plot", choices=("on", "off"), default=None)
 
     for name, help_text in (
@@ -107,8 +118,9 @@ def _dispatch_run(args, command: str) -> int:
         if expected is not None and config.regime != expected:
             raise BridgeLabError(f"{command} requires a {expected} config, got {config.regime}")
     tasks = [(config, command == "rates") for config in configs]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_execute, tasks))
     else:
         reports = [_execute(task) for task in tasks]

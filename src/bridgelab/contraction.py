@@ -4,6 +4,14 @@ Dobrushin coefficients and weighted Kantorovich-Lipschitz operator norms are
 computed exactly (finite sups over state pairs); drift and minorization
 conditions are verified entrywise; a grid search over the weight-mixing
 parameter realizes a contraction certificate when one exists.
+
+Every sup over state pairs goes through one primitive, :func:`_pair_chunks`,
+which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks of at
+most ``_PAIR_CHUNK_ELEMENTS`` floats (64 KB), so memory stays bounded at any
+kernel size.  The certificate search builds each kernel's differences once
+and scores every grid point against them.  The grid, the arithmetic per pair
+and the tie rule (first strict minimum: the earliest of equal-rho grid points)
+are those of a plain per-pair loop, and the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -15,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import PhiFunction, phi_entropy
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 KERNEL_TOL = 1e-9
 DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
+# Float64 entries per pair-difference temporary: 8192 * 8 bytes = 64 KB.
+_PAIR_CHUNK_ELEMENTS = 8192
 
 
 def _as_kernel(k, name: str = "kernel") -> np.ndarray:
@@ -41,14 +51,51 @@ def _as_kernel_list(kernels, name: str) -> list[np.ndarray]:
     return [_as_kernel(kernels, name)]
 
 
+def _as_weights(w, name: str) -> np.ndarray:
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"{name} must be finite")
+    return w
+
+
+def _as_positive_weights(w, name: str) -> np.ndarray:
+    w = _as_weights(w, name)
+    if np.any(w <= 0):
+        raise DomainError(f"{name} must be strictly positive")
+    return w
+
+
+def _pair_chunks(k: np.ndarray):
+    """Yield ``(|k[i] - k[j]|, i, j)`` over the row pairs i < j of ``k``.
+
+    Pairs come in ``np.triu_indices`` (row-major) order, at most
+    ``_PAIR_CHUNK_ELEMENTS // n_cols`` pairs (and at least one) per chunk.
+    """
+    rows, cols = np.triu_indices(k.shape[0], 1)
+    step = max(1, _PAIR_CHUNK_ELEMENTS // max(1, k.shape[1]))
+    for start in range(0, rows.size, step):
+        i = rows[start:start + step]
+        j = cols[start:start + step]
+        yield np.abs(k[i] - k[j]), i, j
+
+
+def _lip_norms(k: np.ndarray, weights) -> np.ndarray:
+    """``lip_norm(k, s, t)`` for every ``(s, t)`` in ``weights``, in one pass."""
+    worst = np.zeros(len(weights))
+    for diff, i, j in _pair_chunks(k):
+        ratios = [(np.sum(t * diff, axis=1) / (s[i] + s[j])).max() for s, t in weights]
+        np.maximum(worst, ratios, out=worst)
+    if np.isnan(worst).any():
+        raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
+    return worst
+
+
 def dobrushin(kernel) -> float:
     """Worst-case total variation distance between two rows of the kernel."""
     k = _as_kernel(kernel)
     worst = 0.0
-    for i in range(k.shape[0]):
-        diff = np.abs(k[i + 1:] - k[i]).sum(axis=1)
-        if diff.size:
-            worst = max(worst, 0.5 * float(diff.max()))
+    for diff, _, _ in _pair_chunks(k):
+        worst = max(worst, 0.5 * float(diff.sum(axis=1).max()))
     return min(worst, 1.0)
 
 
@@ -102,18 +149,11 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     rows divided by the source weight sum g(x1) + g(x2).
     """
     k = _as_kernel(kernel)
-    g = np.asarray(source_weight, dtype=float).reshape(-1)
-    h = np.asarray(target_weight, dtype=float).reshape(-1)
+    g = _as_positive_weights(source_weight, "source_weight")
+    h = _as_positive_weights(target_weight, "target_weight")
     if g.size != k.shape[0] or h.size != k.shape[1]:
         raise DomainError("weight dimensions do not match the kernel")
-    if np.any(g <= 0) or np.any(h <= 0):
-        raise DomainError("weights must be strictly positive")
-    worst = 0.0
-    for i in range(k.shape[0]):
-        for j in range(i + 1, k.shape[0]):
-            num = float(np.sum(h * np.abs(k[i] - k[j])))
-            worst = max(worst, num / (g[i] + g[j]))
-    return worst
+    return float(_lip_norms(k, [(g, h)])[0])
 
 
 @dataclass(frozen=True)
@@ -125,12 +165,10 @@ class WeightPair:
     a: float
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=float).reshape(-1)
-        h = np.asarray(self.h, dtype=float).reshape(-1)
-        if np.any(g <= 0) or np.any(h <= 0):
-            raise DomainError("weights must be strictly positive")
-        if not self.a > 0:
-            raise DomainError("mixing level a must be positive")
+        g = _as_positive_weights(self.g, "g")
+        h = _as_positive_weights(self.h, "h")
+        if not 0 < self.a < math.inf:
+            raise DomainError("mixing level a must be positive and finite")
         g.flags.writeable = False
         h.flags.writeable = False
         object.__setattr__(self, "g", g)
@@ -162,8 +200,8 @@ def drift_check(kernel_k, kernel_l, g, h, epsilon: float, c: float) -> DriftRepo
         raise DomainError("c must be positive")
     k = _as_kernel(kernel_k, "kernel_k")
     l = _as_kernel(kernel_l, "kernel_l")
-    g = np.asarray(g, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    g = _as_weights(g, "g")
+    h = _as_weights(h, "h")
     slack_k = k @ h - (epsilon * g + c)
     slack_l = l @ g - (epsilon * h + c)
     worst = max(float(slack_k.max()), float(slack_l.max()))
@@ -284,6 +322,25 @@ def _drift_constants(kernels_k, kernels_l, g, h, epsilon: float = 0.5):
     return epsilon, max(worst, 1e-12)
 
 
+def _rhos(kernels_k, kernels_l, g, h, grid) -> np.ndarray:
+    """Worst Lipschitz norm over all kernels at each mixing level of ``grid``.
+
+    Each kernel's pair differences are built once and scored against every
+    level; K kernels take source weight g_a and target weight h_a, L kernels
+    the reverse.
+    """
+    forward = [(p.g_a, p.h_a) for p in (WeightPair(g=g, h=h, a=a) for a in grid)]
+    backward = [(t, s) for s, t in forward]
+    rho = np.zeros(len(forward))
+    for kernels, shape, weights in ((kernels_k, (g.size, h.size), forward),
+                                    (kernels_l, (h.size, g.size), backward)):
+        for k in kernels:
+            if k.shape != shape:
+                raise DomainError("weight dimensions do not match the kernel")
+            np.maximum(rho, _lip_norms(k, weights), out=rho)
+    return rho
+
+
 def lyapunov_search(kernel_k, kernel_l, g, h, grid=None,
                     levels=None) -> ContractionCertificate | SearchFailure:
     """Scan mixing levels for a weighted-norm contraction certificate.
@@ -291,22 +348,17 @@ def lyapunov_search(kernel_k, kernel_l, g, h, grid=None,
     ``kernel_k`` / ``kernel_l`` may be single kernels or sequences; with
     sequences the certificate bounds every pair, which is what time-varying
     iterations need.  Returns the best (a, rho) with rho < 1, ties broken
-    toward smaller a, or a :class:`SearchFailure` when no grid point contracts.
+    toward the earliest grid point, or a :class:`SearchFailure` when no grid
+    point contracts.
     """
     ks = _as_kernel_list(kernel_k, "kernel_k")
     ls = _as_kernel_list(kernel_l, "kernel_l")
-    g = np.asarray(g, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    g = _as_positive_weights(g, "g")
+    h = _as_positive_weights(h, "h")
     grid = DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
     best_a = math.nan
     best_rho = math.inf
-    for a in grid:
-        pair = WeightPair(g=g, h=h, a=a)
-        rho = 0.0
-        for k in ks:
-            rho = max(rho, lip_norm(k, pair.g_a, pair.h_a))
-        for l_mat in ls:
-            rho = max(rho, lip_norm(l_mat, pair.h_a, pair.g_a))
+    for a, rho in zip(grid, _rhos(ks, ls, g, h, grid)):
         if rho < best_rho:
             best_rho, best_a = rho, a
     if not best_rho < 1.0:
@@ -326,12 +378,8 @@ def reverify(cert: ContractionCertificate, kernel_k, kernel_l, g, h) -> bool:
     """Re-check every inequality a certificate asserts."""
     ks = _as_kernel_list(kernel_k, "kernel_k")
     ls = _as_kernel_list(kernel_l, "kernel_l")
-    pair = WeightPair(g=np.asarray(g, float), h=np.asarray(h, float), a=cert.a)
-    for k in ks:
-        if lip_norm(k, pair.g_a, pair.h_a) > cert.rho + 1e-12:
-            return False
-    for l_mat in ls:
-        if lip_norm(l_mat, pair.h_a, pair.g_a) > cert.rho + 1e-12:
-            return False
-    report = drift_check(ks[0], ls[0], pair.g, pair.h, cert.epsilon, cert.c)
-    return report.passed
+    g = _as_positive_weights(g, "g")
+    h = _as_positive_weights(h, "h")
+    if _rhos(ks, ls, g, h, [cert.a])[0] > cert.rho + 1e-12:
+        return False
+    return drift_check(ks[0], ls[0], g, h, cert.epsilon, cert.c).passed

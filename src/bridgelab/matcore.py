@@ -38,16 +38,6 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def smallest_eigenvalue(a) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(a))[0])
-
-
-def spd_tolerance(a) -> float:
-    """Positivity threshold for ``a``: SPD_RTOL relative to its spectral norm."""
-    w = np.linalg.eigvalsh(symmetrize(a))
-    return SPD_RTOL * float(np.max(np.abs(w), initial=0.0))
-
-
 def assert_spd(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is symmetric positive definite; return it symmetrized."""
     s = symmetrize(a, name)
@@ -58,14 +48,6 @@ def assert_spd(a, name: str = "matrix") -> np.ndarray:
             f"{name} is not positive definite: smallest eigenvalue {w[0]:.6e}"
         )
     return s
-
-
-def is_spd(a) -> bool:
-    try:
-        assert_spd(a)
-    except DomainError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,50 @@ def test_jobs_fanout(bounded_config, golden_config, tmp_path):
     assert (tmp_path / "golden-out" / "verdicts.json").exists()
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (64, 8, [3]),     # capped by the number of configs
+    (64, 2, [2]),     # capped by the CPU count
+    (2, 8, [2]),
+    (1, 8, []),       # one job: no pool
+    (64, 1, []),
+    (64, None, []),   # cpu_count() unknown counts as one CPU
+])
+def test_jobs_are_clamped(golden_config, monkeypatch, jobs, cpus, expected):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code = cli.parse_and_dispatch(
+        ["verify"] + ["--config", golden_config] * 3 + ["--jobs", str(jobs)]
+    )
+    assert code == 0
+    assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_rejected(golden_config, capsys, jobs):
+    code = cli.parse_and_dispatch(["verify", "--config", golden_config, "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_failing_verdict_exits_one(golden_config, monkeypatch):
     from bridgelab import harness
 

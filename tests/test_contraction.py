@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab import contraction, discrete
 from bridgelab.divergences import KL, TOTAL_VARIATION, weighted_tv
-from bridgelab.errors import DomainError
+from bridgelab.errors import DomainError, NumericalError
 
 
 def random_kernel(rng, n, m):
@@ -241,3 +243,203 @@ class TestLyapunovSearch:
         assert clone.a == cert.a
         assert clone.rho == cert.rho
         assert clone.iota_table == cert.iota_table
+
+
+class TestNonFiniteWeights:
+    """NaN or inf weights must raise, never yield a (false) certificate."""
+
+    k = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+    l = np.array([[0.3, 0.3, 0.4], [0.1, 0.6, 0.3]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lip_norm(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            contraction.lip_norm(self.k, [bad, 1.0, 1.0], np.ones(2))
+        with pytest.raises(DomainError, match="finite"):
+            contraction.lip_norm(self.k, np.ones(3), [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_weight_pair(self, bad):
+        with pytest.raises(DomainError):
+            contraction.WeightPair(g=np.array([bad, 1.0]), h=np.ones(2), a=1.0)
+        with pytest.raises(DomainError):
+            contraction.WeightPair(g=np.ones(2), h=np.ones(2), a=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lyapunov_search(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            contraction.lyapunov_search(self.k, self.l, [bad, 1.0, 1.0], np.ones(2))
+        with pytest.raises(DomainError, match="finite"):
+            contraction.lyapunov_search(self.k, self.l, np.ones(3), [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_drift_check(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            contraction.drift_check(self.k, self.l, [bad, 1.0, 1.0], np.ones(2), 0.5, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_raise_numerical_error(self):
+        huge = np.full(2, 1e308)
+        with pytest.raises(NumericalError):
+            contraction.lip_norm(np.eye(2), huge, huge)
+
+
+# --------------------------------------------------------------------------
+# Oracle: the per-pair loops that the chunked pair primitive replaced.  The
+# chunked code must agree with them exactly (==, not approx).
+# --------------------------------------------------------------------------
+
+
+def loop_dobrushin(k):
+    worst = 0.0
+    for i in range(k.shape[0]):
+        diff = np.abs(k[i + 1:] - k[i]).sum(axis=1)
+        if diff.size:
+            worst = max(worst, 0.5 * float(diff.max()))
+    return min(worst, 1.0)
+
+
+def loop_lip_norm(k, g, h):
+    worst = 0.0
+    for i in range(k.shape[0]):
+        for j in range(i + 1, k.shape[0]):
+            num = float(np.sum(h * np.abs(k[i] - k[j])))
+            worst = max(worst, num / (g[i] + g[j]))
+    return worst
+
+
+def loop_search(ks, ls, g, h, grid):
+    """(best_a, best_rho) of the per-grid-point, per-pair search."""
+    best_a = float("nan")
+    best_rho = float("inf")
+    for a in grid:
+        g_a = 0.5 + a * g
+        h_a = 0.5 + a * h
+        rho = 0.0
+        for k in ks:
+            rho = max(rho, loop_lip_norm(k, g_a, h_a))
+        for l_mat in ls:
+            rho = max(rho, loop_lip_norm(l_mat, h_a, g_a))
+        if rho < best_rho:
+            best_rho, best_a = rho, a
+    return best_a, best_rho
+
+
+def assert_search_matches_loop(ks, ls, g, h, grid=None):
+    result = contraction.lyapunov_search(ks, ls, g, h, grid=grid)
+    ks = [ks] if isinstance(ks, np.ndarray) else list(ks)
+    ls = [ls] if isinstance(ls, np.ndarray) else list(ls)
+    loop_grid = contraction.DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
+    best_a, best_rho = loop_search(ks, ls, g, h, loop_grid)
+    if best_rho < 1.0:
+        assert isinstance(result, contraction.ContractionCertificate)
+        assert (result.a, result.rho) == (float(best_a), float(best_rho))
+    else:
+        assert isinstance(result, contraction.SearchFailure)
+        assert (result.best_a, result.best_rho) == (best_a, best_rho)
+        assert result.reason == "no grid point produced rho < 1"
+
+
+@st.composite
+def weighted_kernels(draw):
+    """Kernel lists K (n x m) and L (m x n) with weights g (n) and h (m)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 3))
+    style = draw(st.sampled_from(["dense", "sparse", "repeated-rows"]))
+
+    def kernel(rows, cols):
+        k = rng.dirichlet(np.ones(cols), size=rows)
+        if style == "sparse":
+            k[rng.random(k.shape) < 0.5] = 0.0
+            k[np.arange(rows), rng.integers(0, cols, size=rows)] += 1.0
+            k /= k.sum(axis=1, keepdims=True)
+        elif style == "repeated-rows":
+            k = k[rng.integers(0, rows, size=rows)]
+        return k
+
+    ks = [kernel(n, m) for _ in range(count)]
+    ls = [kernel(m, n) for _ in range(count)]
+    g = np.exp(rng.uniform(-3.0, 3.0, size=n))
+    h = np.exp(rng.uniform(-3.0, 3.0, size=m))
+    return ks, ls, g, h
+
+
+# A few fixed levels so that drawn grids contain ties.
+GRID_LEVELS = (1e-4, 0.01, 0.5, 1.0, 3.0, 1e4)
+grids = st.none() | st.lists(
+    st.sampled_from(GRID_LEVELS) | st.floats(1e-5, 1e5), min_size=1, max_size=8,
+)
+# 8192 is the default; the small sizes put chunk boundaries inside every kernel.
+chunk_sizes = st.sampled_from([1, 5, 16, 8192])
+
+
+class TestChunkedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=weighted_kernels(), chunk=chunk_sizes)
+    def test_dobrushin_and_lip_norm_equal_loop(self, data, chunk):
+        ks, ls, g, h = data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contraction, "_PAIR_CHUNK_ELEMENTS", chunk)
+            for k in ks + ls:
+                assert contraction.dobrushin(k) == loop_dobrushin(k)
+            for k in ks:
+                assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
+            for l_mat in ls:
+                assert contraction.lip_norm(l_mat, h, g) == loop_lip_norm(l_mat, h, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=weighted_kernels(), grid=grids, chunk=chunk_sizes,
+           as_single=st.booleans())
+    def test_lyapunov_search_equals_loop(self, data, grid, chunk, as_single):
+        ks, ls, g, h = data
+        if as_single:
+            ks, ls = ks[0], ls[0]
+        else:
+            ks, ls = tuple(ks), list(ls)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contraction, "_PAIR_CHUNK_ELEMENTS", chunk)
+            assert_search_matches_loop(ks, ls, g, h, grid)
+
+    def test_one_row_kernel_has_no_pairs(self):
+        k = np.array([[0.25, 0.25, 0.5]])
+        l = np.ones((3, 1))
+        assert contraction.dobrushin(k) == 0.0
+        assert contraction.lip_norm(k, np.ones(1), np.ones(3)) == 0.0
+        assert_search_matches_loop(k, l, np.ones(1), np.array([1.0, 2.0, 3.0]))
+
+    def test_pair_count_across_default_chunks(self):
+        # 40 x 40: 780 pairs in 4 default-size chunks; 40 x 500: 49 chunks.
+        rng = np.random.default_rng(15)
+        k = random_kernel(rng, 40, 40)
+        l = random_kernel(rng, 40, 40)
+        g = rng.uniform(0.5, 5.0, size=40)
+        h = rng.uniform(0.5, 5.0, size=40)
+        assert contraction.dobrushin(k) == loop_dobrushin(k)
+        assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
+        assert_search_matches_loop(k, l, g, h)
+        wide = random_kernel(rng, 40, 500)
+        h_wide = rng.uniform(0.5, 5.0, size=500)
+        assert contraction.dobrushin(wide) == loop_dobrushin(wide)
+        assert contraction.lip_norm(wide, g, h_wide) == loop_lip_norm(wide, g, h_wide)
+
+    def test_chunks_are_bounded_and_in_triu_order(self):
+        k = random_kernel(np.random.default_rng(16), 40, 500)
+        chunks = list(contraction._pair_chunks(k))
+        assert len(chunks) == 49
+        assert all(diff.size <= contraction._PAIR_CHUNK_ELEMENTS for diff, _, _ in chunks)
+        rows, cols = np.triu_indices(40, 1)
+        assert np.array_equal(np.concatenate([i for _, i, _ in chunks]), rows)
+        assert np.array_equal(np.concatenate([j for _, _, j in chunks]), cols)
+
+    def test_mismatched_weight_length_raises(self):
+        rng = np.random.default_rng(17)
+        k = random_kernel(rng, 4, 3)
+        l = random_kernel(rng, 3, 4)
+        with pytest.raises(DomainError):
+            contraction.lip_norm(k, np.ones(3), np.ones(3))
+        with pytest.raises(DomainError):
+            contraction.lyapunov_search(k, l, np.ones(4), np.ones(4))
+        with pytest.raises(DomainError):
+            contraction.lyapunov_search(k, random_kernel(rng, 4, 4), np.ones(4), np.ones(3))
