@@ -7,6 +7,7 @@ configuration error.  Outputs are byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -74,15 +75,7 @@ def _load_config(path: str, args) -> harness.ExperimentConfig:
         overrides["plot"] = args.plot == "on"
     output = args.out or config.output or os.environ.get("BRIDGELAB_OUT")
     if overrides or output != config.output:
-        config = harness.ExperimentConfig(
-            regime=config.regime,
-            instance=config.instance,
-            iterations=overrides.get("iterations", config.iterations),
-            seed=overrides.get("seed", config.seed),
-            checks=config.checks,
-            output=output,
-            plot=overrides.get("plot", config.plot),
-        )
+        config = dataclasses.replace(config, output=output, **overrides)
     return config
 
 

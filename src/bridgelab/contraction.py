@@ -24,6 +24,7 @@ import numpy as np
 
 from .divergences import PhiFunction, phi_entropy
 from .errors import DomainError, NumericalError
+from .matcore import _frozen
 
 KERNEL_TOL = 1e-9
 DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
@@ -63,6 +64,18 @@ def _as_positive_weights(w, name: str) -> np.ndarray:
     if np.any(w <= 0):
         raise DomainError(f"{name} must be strictly positive")
     return w
+
+
+def _check_pair_shapes(k: np.ndarray, l_mat: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+    """Raise naming the first of g, h, kernel_l whose size does not fit kernel_k."""
+    if g.size != k.shape[0]:
+        raise DomainError(f"g has {g.size} entries but kernel_k has {k.shape[0]} rows")
+    if h.size != k.shape[1]:
+        raise DomainError(f"h has {h.size} entries but kernel_k has {k.shape[1]} columns")
+    if l_mat.shape != (h.size, g.size):
+        raise DomainError(
+            f"kernel_l has shape {l_mat.shape}, expected {(h.size, g.size)} from h and g"
+        )
 
 
 def _pair_chunks(k: np.ndarray):
@@ -169,10 +182,8 @@ class WeightPair:
         h = _as_positive_weights(self.h, "h")
         if not 0 < self.a < math.inf:
             raise DomainError("mixing level a must be positive and finite")
-        g.flags.writeable = False
-        h.flags.writeable = False
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", _frozen(g))
+        object.__setattr__(self, "h", _frozen(h))
 
     @property
     def g_a(self) -> np.ndarray:
@@ -202,6 +213,7 @@ def drift_check(kernel_k, kernel_l, g, h, epsilon: float, c: float) -> DriftRepo
     l = _as_kernel(kernel_l, "kernel_l")
     g = _as_weights(g, "g")
     h = _as_weights(h, "h")
+    _check_pair_shapes(k, l, g, h)
     slack_k = k @ h - (epsilon * g + c)
     slack_l = l @ g - (epsilon * h + c)
     worst = max(float(slack_k.max()), float(slack_l.max()))
@@ -245,8 +257,9 @@ def minorization_table(kernel_k, kernel_l, g, h, levels) -> tuple[MinorizationRo
     """
     k = _as_kernel(kernel_k, "kernel_k")
     l_mat = _as_kernel(kernel_l, "kernel_l")
-    g = np.asarray(g, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    g = _as_weights(g, "g")
+    h = _as_weights(h, "h")
+    _check_pair_shapes(k, l_mat, g, h)
     rows: list[MinorizationRow] = []
     for level in levels:
         src_k = g <= level
@@ -275,10 +288,6 @@ class ContractionCertificate:
     epsilon: float
     c: float
     iota_table: tuple[MinorizationRow, ...]
-
-    @property
-    def product_bound(self) -> float:
-        return self.rho ** 2
 
     def to_json(self) -> str:
         return json.dumps({
@@ -362,7 +371,7 @@ def lyapunov_search(kernel_k, kernel_l, g, h, grid=None,
         if rho < best_rho:
             best_rho, best_a = rho, a
     if not best_rho < 1.0:
-        return SearchFailure(best_a=best_a, best_rho=best_rho,
+        return SearchFailure(best_a=float(best_a), best_rho=float(best_rho),
                              reason="no grid point produced rho < 1")
     epsilon, c = _drift_constants(ks, ls, g, h)
     if levels is None:

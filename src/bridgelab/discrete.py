@@ -17,6 +17,7 @@ import numpy as np
 from . import fitting
 from .divergences import HELLINGER_SQ, KL, TOTAL_VARIATION, phi_entropy, relative_entropy
 from .errors import DomainError, NumericalError
+from .matcore import _frozen
 
 IDENTITY_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -29,12 +30,6 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     if axis is None:
         return out.reshape(())
     return np.squeeze(out, axis=axis)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -200,13 +195,18 @@ class SinkhornIterate:
     joint_odd: np.ndarray    # P_{2n+1} on X x Y
 
 
+def _even_kernel(model: DiscreteModel, v: np.ndarray) -> np.ndarray:
+    """The row-stochastic kernel K_{2n}(x, y) proportional to K(x, y) nu(y) exp(-v(y))."""
+    log_even = model.log_k + (model.log_nu - v)[None, :]
+    log_even = log_even - _logsumexp(log_even, axis=1)[:, None]
+    return np.exp(log_even)
+
+
 def materialize(model: DiscreteModel, potentials: SinkhornPotentials) -> SinkhornIterate:
     """Exponentiate the potentials at an even step into kernels and marginals."""
     if potentials.step % 2 != 0:
         raise DomainError("materialize requires potentials at an even step")
-    log_even = model.log_k + (model.log_nu - potentials.v)[None, :]
-    log_even = log_even - _logsumexp(log_even, axis=1)[:, None]
-    kernel_even = np.exp(log_even)
+    kernel_even = _even_kernel(model, potentials.v)
     log_odd = model.log_k.T + (model.log_lambda - potentials.u)[None, :]
     log_odd = log_odd - _logsumexp(log_odd, axis=1)[:, None]
     kernel_odd = np.exp(log_odd)
@@ -343,12 +343,6 @@ def system_residual(model: DiscreteModel, u: np.ndarray, v: np.ndarray) -> float
     return max(float(np.max(np.abs(u_fix))), float(np.max(np.abs(v_fix))))
 
 
-def _bridge_matrix(model: DiscreteModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    log_even = model.log_k + (model.log_nu - v)[None, :]
-    log_even = log_even - _logsumexp(log_even, axis=1)[:, None]
-    return model.mu[:, None] * np.exp(log_even)
-
-
 def solve_bridge(model: DiscreteModel, stop: StoppingRule | None = None) -> BridgeSolution:
     """Iterate sweeps until the potential change (hence the system) converges.
 
@@ -357,33 +351,23 @@ def solve_bridge(model: DiscreteModel, stop: StoppingRule | None = None) -> Brid
     """
     stop = stop or StoppingRule()
     potentials = initial_potentials(model)
-    if system_residual(model, potentials.u, potentials.v) <= stop.potential_tol:
-        return BridgeSolution(
-            u=potentials.u,
-            v=potentials.v,
-            bridge=_frozen(_bridge_matrix(model, potentials.u, potentials.v)),
-            iterations_used=0,
-            residual=system_residual(model, potentials.u, potentials.v),
-            converged=True,
-        )
-    converged = False
+    converged = system_residual(model, potentials.u, potentials.v) <= stop.potential_tol
     sweeps = 0
-    for sweeps in range(1, stop.max_sweeps + 1):
+    while not converged and sweeps < stop.max_sweeps:
+        sweeps += 1
         nxt = sweep(model, potentials)
         delta = max(
             float(np.max(np.abs(nxt.u - potentials.u))),
             float(np.max(np.abs(nxt.v - potentials.v))),
         )
         potentials = nxt
-        if delta <= stop.potential_tol or (
+        converged = delta <= stop.potential_tol or (
             system_residual(model, potentials.u, potentials.v) <= stop.potential_tol
-        ):
-            converged = True
-            break
+        )
     return BridgeSolution(
         u=potentials.u,
         v=potentials.v,
-        bridge=_frozen(_bridge_matrix(model, potentials.u, potentials.v)),
+        bridge=_frozen(model.mu[:, None] * _even_kernel(model, potentials.v)),
         iterations_used=sweeps,
         residual=system_residual(model, potentials.u, potentials.v),
         converged=converged,
@@ -475,14 +459,10 @@ def _half_bridge_rows(name: str, index: int, reference: np.ndarray, candidate: n
             continue
 
         def forward(t, p=p):
-            pos = t > 0
-            return float(np.sum(t[pos] * np.log(t[pos] / p[pos])))
+            return relative_entropy(t, p)
 
         def reverse(t, p=p):
-            if np.any((p > 0) & (t <= 0)):
-                return math.inf
-            pos = p > 0
-            return float(np.sum(p[pos] * np.log(p[pos] / t[pos])))
+            return relative_entropy(p, t)
 
         t_fwd, best_fwd = _simplex_descent(forward, dim, mass)
         t_rev, best_rev = _simplex_descent(reverse, dim, mass)

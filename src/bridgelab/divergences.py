@@ -37,9 +37,7 @@ class DiscreteMeasure:
         total = float(w.sum())
         if total <= 0:
             raise DomainError("measure weights must have positive total mass")
-        w = w / total
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", matcore._frozen(w / total))
 
     @property
     def support_size(self) -> int:
@@ -160,10 +158,8 @@ class Gaussian:
             raise DomainError(
                 f"mean dimension {m.size} does not match covariance {c.shape}"
             )
-        m.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", c)
+        object.__setattr__(self, "mean", matcore._frozen(m))
+        object.__setattr__(self, "covariance", matcore._frozen(c))
 
     @property
     def dim(self) -> int:

@@ -17,14 +17,9 @@ import numpy as np
 from . import fitting, matcore
 from .divergences import Gaussian, burg_divergence, gaussian_kl, gaussian_w2
 from .errors import DomainError, NumericalError
+from .matcore import _frozen
 
 GAIN_TOL = 1e-10
-
-
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -155,10 +150,8 @@ class GaussianSinkhornState:
     rescaled_cov: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", _frozen(self.mean))
-        object.__setattr__(self, "gain", _frozen(self.gain))
-        object.__setattr__(self, "cov", _frozen(self.cov))
-        object.__setattr__(self, "rescaled_cov", _frozen(self.rescaled_cov))
+        for name in ("mean", "gain", "cov", "rescaled_cov"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def initial_state(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel) -> GaussianSinkhornState:
@@ -175,24 +168,19 @@ def initial_state(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel) -> 
 
 def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
                   kernel: LinearGaussianKernel) -> GaussianSinkhornState:
-    """One conjugate Bayes half step of the mean/gain/covariance recursion."""
-    chi = kernel.chi
+    """One conjugate Bayes half step of the mean/gain/covariance recursion.
+
+    An odd step is the even step with mu and eta swapped and chi transposed.
+    """
     n = state.step
+    source, target, chi = (mu, eta, kernel.chi) if n % 2 == 0 else (eta, mu, kernel.chi.T)
     try:
-        if n % 2 == 0:
-            cov_next = matcore.spd_inverse(
-                matcore.spd_inverse(mu.covariance) + chi.T @ state.cov @ chi
-            )
-            gain_next = cov_next @ chi.T
-            mean_next = mu.mean + gain_next @ (eta.mean - state.mean)
-            scale = matcore.inv_sqrt(mu.covariance)
-        else:
-            cov_next = matcore.spd_inverse(
-                matcore.spd_inverse(eta.covariance) + chi @ state.cov @ chi.T
-            )
-            gain_next = cov_next @ chi
-            mean_next = eta.mean + gain_next @ (mu.mean - state.mean)
-            scale = matcore.inv_sqrt(eta.covariance)
+        cov_next = matcore.spd_inverse(
+            matcore.spd_inverse(source.covariance) + chi.T @ state.cov @ chi
+        )
+        gain_next = cov_next @ chi.T
+        mean_next = source.mean + gain_next @ (target.mean - state.mean)
+        scale = matcore.inv_sqrt(source.covariance)
     except DomainError as exc:
         raise NumericalError(f"covariance lost positivity at step {n + 1}: {exc}") from exc
     return GaussianSinkhornState(
@@ -338,10 +326,8 @@ class GaussianBridge:
     intercept: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed_point", _frozen(self.fixed_point))
-        object.__setattr__(self, "noise_cov", _frozen(self.noise_cov))
-        object.__setattr__(self, "gain", _frozen(self.gain))
-        object.__setattr__(self, "intercept", _frozen(self.intercept))
+        for name in ("fixed_point", "noise_cov", "gain", "intercept"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def as_kernel(self) -> LinearGaussianKernel:
         return LinearGaussianKernel(alpha=self.intercept, beta=self.gain, tau=self.noise_cov)
@@ -577,12 +563,9 @@ def envelope_report(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
 
     for state, g_now, g_prev in zip(trajectory[1:], marginals[1:], marginals):
         m = state.step
-        if m % 2 == 0:
-            lhs = gaussian_w2(g_now, eta)
-            rhs = kappa * rho_bar * gaussian_w2(g_prev, mu)
-        else:
-            lhs = gaussian_w2(g_now, mu)
-            rhs = kappa * rho * gaussian_w2(g_prev, eta)
+        target, source, spread = (eta, mu, rho_bar) if m % 2 == 0 else (mu, eta, rho)
+        lhs = gaussian_w2(g_now, target)
+        rhs = kappa * spread * gaussian_w2(g_prev, source)
         w2_rows.append(W2Row(n=m, value=lhs, bound=rhs, within=w2_within(lhs, rhs)))
     gate = kappa * math.sqrt(rho * rho_bar) < 1.0
     if gate:
@@ -642,12 +625,11 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     upper = [kernel.tau.copy()]
     lower = [kernel.tau.copy()]
     for n in range(n_max):
-        if n % 2 == 0:
-            up = matcore.spd_inverse(inv_s + chi.T @ lower[-1] @ chi)
-            low = matcore.spd_inverse(inv_s_minus + chi.T @ upper[-1] @ chi)
-        else:
-            up = matcore.spd_inverse(inv_sb + chi @ lower[-1] @ chi.T)
-            low = matcore.spd_inverse(inv_sb_minus + chi @ upper[-1] @ chi.T)
+        # Odd steps are even steps with the sigma_bar pair and chi transposed.
+        even = n % 2 == 0
+        inv, inv_minus, c = (inv_s, inv_s_minus, chi) if even else (inv_sb, inv_sb_minus, chi.T)
+        up = matcore.spd_inverse(inv + c.T @ lower[-1] @ c)
+        low = matcore.spd_inverse(inv_minus + c.T @ upper[-1] @ c)
         upper.append(up)
         lower.append(low)
 

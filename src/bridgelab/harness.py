@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,22 +22,6 @@ from .divergences import Gaussian
 from .errors import DomainError
 from .fitting import RateFit, fit_rate  # noqa: F401  (fit_rate is part of this module's API)
 
-DISCRETE_CHECKS = (
-    "ladder",
-    "linear-decay",
-    "geometric-rate",
-    "identities",
-    "bridge-feasibility",
-    "lyapunov",
-)
-GAUSSIAN_CHECKS = (
-    "riccati-equivalence",
-    "golden-fixed-point",
-    "bridge-transport",
-    "entropy-formula",
-    "riccati-rate",
-    "envelope",
-)
 MAX_DISCRETE_SIDE = 64
 MAX_GAUSSIAN_DIM = 16
 
@@ -116,11 +101,9 @@ class ExperimentConfig:
     plot: bool = False
 
     def __post_init__(self) -> None:
-        if self.regime not in ("discrete", "gaussian"):
-            raise DomainError(f"unknown regime {self.regime!r}")
+        known = _regime(self.regime).checks
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
-        known = DISCRETE_CHECKS if self.regime == "discrete" else GAUSSIAN_CHECKS
         unknown = [c for c in self.checks if c not in known]
         if unknown:
             raise DomainError(f"unknown check identifiers {unknown} for regime {self.regime}")
@@ -130,11 +113,9 @@ class ExperimentConfig:
         if isinstance(payload, str):
             payload = json.loads(payload)
         regime = payload.get("regime")
-        if regime not in ("discrete", "gaussian"):
-            raise DomainError(f"config regime must be discrete or gaussian, got {regime!r}")
         checks = payload.get("checks")
         if checks is None:
-            checks = list(DISCRETE_CHECKS if regime == "discrete" else GAUSSIAN_CHECKS)
+            checks = _regime(regime).checks
         return cls(
             regime=regime,
             instance=dict(payload.get("instance") or {}),
@@ -199,25 +180,21 @@ class ExperimentReport:
 
 
 def _load_instance(config: ExperimentConfig):
+    regime = REGIMES[config.regime]
     spec = config.instance
     if "path" in spec:
-        payload = json.loads(Path(spec["path"]).read_text())
-        if config.regime == "discrete":
-            return discrete.model_from_json(payload)
-        return gaussian.instance_from_json(payload)
+        return regime.decode(json.loads(Path(spec["path"]).read_text()))
     if "profile" in spec:
         extra = {k: v for k, v in spec.items() if k not in ("profile", "size", "seed")}
         return generate_instance(
             config.regime,
-            spec.get("size", 5 if config.regime == "discrete" else 2),
+            spec.get("size", regime.default_size),
             int(spec.get("seed", config.seed)),
             spec["profile"],
             **extra,
         )
     if "inline" in spec:
-        if config.regime == "discrete":
-            return discrete.model_from_json(spec["inline"])
-        return gaussian.instance_from_json(spec["inline"])
+        return regime.decode(spec["inline"])
     raise DomainError("instance must provide one of: path, profile, inline")
 
 
@@ -330,26 +307,6 @@ def _check_lyapunov(model, iterates, solution):
     return rows, Verdict("lyapunov", ok and result.rho < 1.0, worst)
 
 
-def _run_discrete(config: ExperimentConfig, model) -> ExperimentReport:
-    iterates = discrete.run_sinkhorn(model, config.iterations)
-    solution = discrete.solve_bridge(model)
-    registry = {
-        "ladder": _check_ladder,
-        "linear-decay": _check_linear_decay,
-        "geometric-rate": _check_geometric,
-        "identities": _check_identities,
-        "bridge-feasibility": _check_bridge_feasibility,
-        "lyapunov": _check_lyapunov,
-    }
-    rows: list[tuple[int, str, float]] = []
-    verdicts: list[Verdict] = []
-    for name in config.checks:
-        check_rows, verdict = registry[name](model, iterates, solution)
-        rows.extend(check_rows)
-        verdicts.append(verdict)
-    return ExperimentReport(rows=tuple(rows), verdicts=tuple(verdicts))
-
-
 def _check_riccati_equivalence(instance, trajectory, bridge):
     problem = gaussian.RiccatiProblem.from_instance(instance.mu, instance.eta, instance.kernel)
     rows = []
@@ -455,38 +412,73 @@ def _check_envelope(instance, trajectory, bridge):
     return rows, Verdict("envelope", passed, max(worst, 0.0))
 
 
-def _run_gaussian(config: ExperimentConfig, instance) -> ExperimentReport:
-    trajectory = gaussian.run_sinkhorn(
-        instance.mu, instance.eta, instance.kernel, 2 * config.iterations
-    )
-    bridge = gaussian.schrodinger_bridge_gaussian(instance.mu, instance.eta, instance.kernel)
-    registry = {
-        "riccati-equivalence": _check_riccati_equivalence,
-        "golden-fixed-point": _check_golden,
-        "bridge-transport": _check_transport,
-        "entropy-formula": _check_entropy_formula,
-        "riccati-rate": _check_riccati_rate,
-        "envelope": _check_envelope,
-    }
-    rows: list[tuple[int, str, float]] = []
-    verdicts: list[Verdict] = []
-    for name in config.checks:
-        check_rows, verdict = registry[name](instance, trajectory, bridge)
-        rows.extend(check_rows)
-        verdicts.append(verdict)
-    return ExperimentReport(rows=tuple(rows), verdicts=tuple(verdicts))
+@dataclass(frozen=True)
+class _Regime:
+    run: Callable  # (instance, iterations) -> (trajectory, bridge)
+    checks: dict[str, Callable]  # id -> (instance, trajectory, bridge) -> (rows, Verdict)
+    decode: Callable  # JSON payload -> instance
+    default_size: object  # profile size when the config gives none
+
+
+# Engine calls look the function up on its module at call time, so anything
+# that rebinds module functions (a profiler, a span tracer) sees them.
+REGIMES = {
+    "discrete": _Regime(
+        run=lambda model, iterations: (
+            discrete.run_sinkhorn(model, iterations), discrete.solve_bridge(model)
+        ),
+        checks={
+            "ladder": _check_ladder,
+            "linear-decay": _check_linear_decay,
+            "geometric-rate": _check_geometric,
+            "identities": _check_identities,
+            "bridge-feasibility": _check_bridge_feasibility,
+            "lyapunov": _check_lyapunov,
+        },
+        decode=lambda payload: discrete.model_from_json(payload),
+        default_size=5,
+    ),
+    "gaussian": _Regime(
+        run=lambda inst, iterations: (
+            gaussian.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * iterations),
+            gaussian.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+        ),
+        checks={
+            "riccati-equivalence": _check_riccati_equivalence,
+            "golden-fixed-point": _check_golden,
+            "bridge-transport": _check_transport,
+            "entropy-formula": _check_entropy_formula,
+            "riccati-rate": _check_riccati_rate,
+            "envelope": _check_envelope,
+        },
+        decode=lambda payload: gaussian.instance_from_json(payload),
+        default_size=2,
+    ),
+}
+DISCRETE_CHECKS = tuple(REGIMES["discrete"].checks)
+GAUSSIAN_CHECKS = tuple(REGIMES["gaussian"].checks)
+
+
+def _regime(name) -> _Regime:
+    if not isinstance(name, str) or name not in REGIMES:
+        raise DomainError(f"unknown regime {name!r}, expected one of {sorted(REGIMES)}")
+    return REGIMES[name]
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
     """Run the configured loop, evaluate the checks, persist report + verdicts."""
+    regime = REGIMES[config.regime]
     instance = _load_instance(config)
-    if config.regime == "discrete":
-        report = _run_discrete(config, instance)
-    else:
-        report = _run_gaussian(config, instance)
+    trajectory, bridge = regime.run(instance, config.iterations)
+    rows: list[tuple[int, str, float]] = []
+    verdicts: list[Verdict] = []
+    for name in config.checks:
+        check_rows, verdict = regime.checks[name](instance, trajectory, bridge)
+        rows.extend(check_rows)
+        verdicts.append(verdict)
     report = ExperimentReport(
-        rows=report.rows,
-        verdicts=report.verdicts,
+        rows=tuple(rows),
+        verdicts=tuple(verdicts),
         provenance={"config_sha256": config.digest(), "seed": config.seed},
     )
     target = out_dir or config.output

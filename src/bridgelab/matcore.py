@@ -23,6 +23,13 @@ SQRT_CLAMP = -1e-12
 SQRT_TOL = 1e-10
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float array."""
+    a = np.asarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,9 +64,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        s = symmetrize(self.entries)
-        s.flags.writeable = False
-        object.__setattr__(self, "entries", s)
+        object.__setattr__(self, "entries", _frozen(symmetrize(self.entries)))
 
     @property
     def dim(self) -> int:
@@ -74,9 +79,7 @@ class SpdMatrix(SymMatrix):
     """A validated symmetric positive definite matrix."""
 
     def __post_init__(self) -> None:
-        s = assert_spd(self.entries)
-        s.flags.writeable = False
-        object.__setattr__(self, "entries", s)
+        object.__setattr__(self, "entries", _frozen(assert_spd(self.entries)))
 
 
 def principal_sqrt(v) -> np.ndarray:

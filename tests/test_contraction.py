@@ -246,7 +246,8 @@ class TestLyapunovSearch:
 
 
 class TestNonFiniteWeights:
-    """NaN or inf weights must raise, never yield a (false) certificate."""
+    """NaN, inf or wrongly sized weights must raise a DomainError, never yield a
+    (false) certificate or a bare numpy broadcasting error."""
 
     k = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
     l = np.array([[0.3, 0.3, 0.4], [0.1, 0.6, 0.3]])
@@ -276,6 +277,26 @@ class TestNonFiniteWeights:
     def test_drift_check(self, bad):
         with pytest.raises(DomainError, match="finite"):
             contraction.drift_check(self.k, self.l, [bad, 1.0, 1.0], np.ones(2), 0.5, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_minorization_table(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            contraction.minorization_table(self.k, self.l, [bad, 1.0, 1.0], np.ones(2), [1.0])
+        with pytest.raises(DomainError, match="finite"):
+            contraction.minorization_table(self.k, self.l, np.ones(3), [1.0, bad], [1.0])
+
+    @pytest.mark.parametrize("g_len, h_len, l_shape, name", [
+        (2, 2, (2, 3), "g"),
+        (3, 3, (2, 3), "h"),
+        (3, 2, (3, 2), "kernel_l"),
+    ])
+    def test_mismatched_lengths_name_the_argument(self, g_len, h_len, l_shape, name):
+        l_mat = np.full(l_shape, 1.0 / l_shape[1])
+        g, h = np.ones(g_len), np.ones(h_len)
+        with pytest.raises(DomainError, match=f"^{name} "):
+            contraction.drift_check(self.k, l_mat, g, h, 0.5, 1.0)
+        with pytest.raises(DomainError, match=f"^{name} "):
+            contraction.minorization_table(self.k, l_mat, g, h, [1.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weights_raise_numerical_error(self):

@@ -303,9 +303,10 @@ class TestSolveBridge:
     def test_iteration_cap_flags_nonconvergence(self):
         rng = np.random.default_rng(19)
         model = random_model(rng, 6, 6, osc=8.0)
-        solution = discrete.solve_bridge(model, discrete.StoppingRule(max_sweeps=2))
-        assert not solution.converged
-        assert solution.iterations_used == 2
+        for cap in (2, 0):
+            solution = discrete.solve_bridge(model, discrete.StoppingRule(max_sweeps=cap))
+            assert not solution.converged
+            assert solution.iterations_used == cap
 
 
 class TestIdentitySuite:

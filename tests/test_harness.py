@@ -64,6 +64,36 @@ class TestConfig:
         )
         assert config.checks == harness.GAUSSIAN_CHECKS
 
+    @pytest.mark.parametrize("regime", ["continuous", "Discrete", None, ["discrete"]])
+    def test_unknown_regime_rejected(self, regime):
+        with pytest.raises(DomainError, match="unknown regime"):
+            harness.ExperimentConfig(
+                regime=regime, instance={}, iterations=5, seed=1, checks=(),
+            )
+        with pytest.raises(DomainError, match="unknown regime"):
+            harness.ExperimentConfig.from_json({"regime": regime, "instance": {}})
+
+    def test_check_from_other_regime_rejected(self):
+        with pytest.raises(DomainError, match="envelope"):
+            harness.ExperimentConfig(
+                regime="discrete", instance={}, iterations=5, seed=1, checks=("envelope",),
+            )
+        with pytest.raises(DomainError, match="lyapunov"):
+            harness.ExperimentConfig.from_json(
+                {"regime": "gaussian", "instance": {}, "checks": ["lyapunov"]}
+            )
+
+    @pytest.mark.parametrize("regime, expected", [
+        ("discrete", ("ladder", "linear-decay", "geometric-rate", "identities",
+                      "bridge-feasibility", "lyapunov")),
+        ("gaussian", ("riccati-equivalence", "golden-fixed-point", "bridge-transport",
+                      "entropy-formula", "riccati-rate", "envelope")),
+    ])
+    def test_default_checks_in_registry_order(self, regime, expected):
+        config = harness.ExperimentConfig.from_json({"regime": regime, "instance": {}})
+        assert config.checks == expected
+        assert tuple(harness.REGIMES[regime].checks) == expected
+
     def test_digest_stable(self):
         payload = {"regime": "discrete", "instance": {"profile": "bounded", "size": [4, 4]},
                    "iterations": 9, "seed": 5}
@@ -163,6 +193,20 @@ class TestRunExperiment:
         ladder_rows = [v for s, m, v in report.rows if m == "ladder_residual"]
         verdict = report.verdicts[0]
         assert verdict.worst_residual == pytest.approx(max(ladder_rows), abs=0.0)
+
+    def test_failing_lyapunov_writes_plain_numbers(self, tmp_path):
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete",
+            "instance": {"profile": "quadratic-grid", "size": [5, 7], "t": 0.01},
+            "seed": 0, "iterations": 12, "checks": ["lyapunov"],
+        })
+        report = harness.run_experiment(config, tmp_path)
+        assert not report.all_passed
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "step,metric,value"
+        assert [line.split(",")[1] for line in lines[1:]] == ["lyapunov_best_rho"]
+        for line in lines[1:]:
+            float(line.split(",")[2])
 
     def test_plots_written(self, tmp_path):
         config = harness.ExperimentConfig(

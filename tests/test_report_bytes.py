@@ -1,0 +1,60 @@
+"""Byte-identity of experiment reports.
+
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for four small
+configs that pass every check of their regime.  A refactor of the engines or
+the harness must keep every float, and so every byte, of these reports.  The
+digests were recorded under numpy 2.4.6; other numpy versions may round
+differently in their BLAS or ufunc loops, so the test skips there.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bridgelab import harness
+
+RECORDED_NUMPY = "2.4.6"
+
+CASES = {
+    "discrete-bounded-5x7": (
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
+         "seed": 0, "iterations": 12},
+        "cff4faadb45c05706613a3e0bb446f8aae2e90c8f4c3733e9a8db37b0c72d46c",
+        "5d6fb77b380a4e501227a8308a726b490c5e3037206af342b360ccca296e6180",
+    ),
+    "discrete-bounded-16x16": (
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
+         "seed": 1, "iterations": 12},
+        "ca5dd3903e34ea5805275b02f42ce2bb5f3e2142d140fa45ce39ab487b890862",
+        "945b3bc52756b949224b6c3869724f958393db21a61635013c5b660c4c155b82",
+    ),
+    "gaussian-d2": (
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
+         "seed": 0, "iterations": 12},
+        "e9f493f288ffe34632941316f2439bf1496629b5d01a976e3c0b7b8c6663f4b3",
+        "23f7406ff0b92f280dca1a6bfe0483008a46ff1f6c974198a746c9bf3cac3c3d",
+    ),
+    "gaussian-d8": (
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 8},
+         "seed": 1, "iterations": 12},
+        "cd0b5ca1122c9efa8b8ec6b75fe2487116246d901fca6c732cdbac04c3e71fb7",
+        "4d4c5494ab6b282934932818a96406f0fe682ecec843bc3be1a4790c60cf0f64",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"report digests were recorded under numpy {RECORDED_NUMPY}",
+)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_pinned(name, tmp_path):
+    payload, report_sha, verdicts_sha = CASES[name]
+    config = harness.ExperimentConfig.from_json(payload)
+    assert config.checks == tuple(harness.REGIMES[payload["regime"]].checks)
+    report = harness.run_experiment(config, tmp_path)
+    assert report.all_passed, [v for v in report.verdicts if not v.passed]
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert digest("report.csv") == report_sha
+    assert digest("verdicts.json") == verdicts_sha
