@@ -583,10 +583,10 @@ def geometric_rate_report(model: DiscreteModel, iterates) -> DiscreteRateReport:
     eps_w = model.eps_w
     bound = (1.0 - eps_w) ** 2
     ratio_rows: list[RatioRow] = []
-    for it, nxt in zip(iterates, iterates[1:]):
-        for phi in RATE_PHIS:
-            value = phi_entropy(phi, it.pi_even, model.eta)
-            value_next = phi_entropy(phi, nxt.pi_even, model.eta)
+    # H_phi(pi_2n, eta) once per iterate and phi; consecutive iterates pair up.
+    values = [[phi_entropy(phi, it.pi_even, model.eta) for phi in RATE_PHIS] for it in iterates]
+    for it, row, row_next in zip(iterates, values, values[1:]):
+        for phi, value, value_next in zip(RATE_PHIS, row, row_next):
             saturated = value < SATURATION_GUARD
             ratio = math.nan if saturated else value_next / value
             within = True if saturated else ratio <= bound + 1e-10

@@ -8,6 +8,7 @@ Kantorovich semi-distances solved by an in-house transportation simplex.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -212,17 +213,17 @@ class TransportPlan:
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns (allocation, basis cells)."""
+    """Initial basic feasible solution; returns (allocation, basis mask)."""
     nx, ny = a.size, b.size
     plan = np.zeros((nx, ny))
-    basis: list[tuple[int, int]] = []
+    in_basis = np.zeros((nx, ny), dtype=bool)
     supply = a.copy()
     demand = b.copy()
     i = j = 0
     while True:
         move = min(supply[i], demand[j])
         plan[i, j] = move
-        basis.append((i, j))
+        in_basis[i, j] = True
         supply[i] -= move
         demand[j] -= move
         if i == nx - 1 and j == ny - 1:
@@ -234,69 +235,47 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
             i += 1
         else:
             j += 1
-    return plan, basis
+    return plan, in_basis
 
 
-def _tree_adjacency(basis, nx: int, ny: int):
-    # Nodes 0..nx-1 are rows, nx..nx+ny-1 are columns.
-    adj: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(nx + ny)]
-    for cell in basis:
-        i, j = cell
-        adj[i].append((nx + j, cell))
-        adj[nx + j].append((i, cell))
-    return adj
+def _hang(adj: list[set[int]], cost: list[float], u: list[float], v: list[float],
+          link: list, depth: list[int], edges) -> None:
+    """Walk the basis tree down from each ``(parent, child)`` edge in ``edges``.
 
-
-def _compute_duals(basis, cost, nx: int, ny: int):
-    adj = _tree_adjacency(basis, nx, ny)
-    u = np.zeros(nx)
-    v = np.zeros(ny)
-    seen = np.zeros(nx + ny, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other, (i, j) in adj[node]:
-            if seen[other]:
-                continue
-            if other >= nx:
-                v[other - nx] = cost[i, j] - u[i]
-            else:
-                u[other] = cost[i, j] - v[j]
-            seen[other] = True
-            stack.append(other)
-    if not seen.all():
-        raise NumericalError("transport basis is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(basis, entering, nx: int, ny: int):
-    """Path in the basis tree from the entering cell's row to its column."""
-    adj = _tree_adjacency(basis, nx, ny)
-    start, goal = entering[0], nx + entering[1]
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (start, entering)}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for other, cell in adj[node]:
-            if other not in parent:
-                parent[other] = (node, cell)
-                stack.append(other)
-    path_cells = []
-    node = goal
-    while node != start:
-        node, cell = parent[node]
-        path_cells.append(cell)
-    return [entering] + path_cells[::-1]
+    Nodes are rows 0..nx-1 and columns nx..; cells are row-major flat indices.
+    Each child gets its dual (u + v = cost on basis cells), its (parent, cell)
+    link and its depth from its parent's, so a dual is the same chain of
+    subtractions from row 0 whichever walk reaches it.  A walk that finds
+    nx + ny nodes below row 0 went round a cycle.
+    """
+    nx, ny = len(u), len(v)
+    stack = list(edges)
+    for _ in range(nx + ny):
+        if not stack:
+            return
+        parent, node = stack.pop()
+        if node >= nx:
+            cell = parent * ny + node - nx
+            v[node - nx] = cost[cell] - u[parent]
+        else:
+            cell = node * ny + parent - nx
+            u[node] = cost[cell] - v[parent - nx]
+        link[node] = (parent, cell)
+        depth[node] = depth[parent] + 1
+        for other in adj[node]:
+            if other != parent:
+                stack.append((node, other))
+    raise NumericalError("transport basis is not a spanning tree")
 
 
 def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> TransportPlan:
     """Exact Kantorovich semi-distance on finite supports.
 
     Solves ``min_{Q in Pi(mu1, mu2)} sum cost * Q`` with a transportation
-    simplex (Bland's entering rule, deterministic tie-breaking).  Intended for
+    simplex (Bland's entering rule, deterministic tie-breaking).  The basis
+    tree keeps each node's dual, parent and depth; the parent pointers give
+    the pivot cycle, and a pivot re-derives these only on the subtree it
+    moves.  ``max_pivots`` bounds the number of pivots.  Intended for
     desk-scale supports (<= 64 x 64).
     """
     cost = np.asarray(cost, dtype=float)
@@ -312,36 +291,65 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     if abs(a.sum() - b.sum()) > 1e-9:
         raise DomainError("marginals must carry equal total mass")
 
-    plan, basis = _northwest_corner(a, b)
-    basis_set = set(basis)
+    plan, in_basis = _northwest_corner(a, b)
     scale = 1.0 + float(np.abs(cost).max(initial=0.0))
     tol = 1e-13 * scale
     if max_pivots is None:
         max_pivots = 200 * (nx + ny) * max(nx, ny)
 
-    for _ in range(max_pivots):
-        u, v = _compute_duals(basis, cost, nx, ny)
-        reduced = cost - u[:, None] - v[None, :]
-        entering = None
+    # The basis tree hangs from row 0.  The pivots work on Python floats in
+    # row-major flat lists, which round exactly as the arrays would.
+    adj: list[set[int]] = [set() for _ in range(nx + ny)]
+    rows, cols = np.nonzero(in_basis)
+    for i, col in zip(rows.tolist(), (cols + nx).tolist()):
+        adj[i].add(col)
+        adj[col].add(i)
+    outside = ~in_basis.reshape(-1)
+    flat_cost, flat_plan = cost.reshape(-1).tolist(), plan.reshape(-1).tolist()
+    u, v = [0.0] * nx, [0.0] * ny
+    link: list[tuple[int, int] | None] = [None] * (nx + ny)
+    depth = [0] + [-1] * (nx + ny - 1)
+    _hang(adj, flat_cost, u, v, link, depth, [(0, other) for other in adj[0]])
+    if min(depth) < 0:
+        raise NumericalError("transport basis is not a spanning tree")
+
+    for pivots in itertools.count():
+        reduced = cost - np.array(u)[:, None] - np.array(v)[None, :]
         # Bland's rule: first (row-major) cell with negative reduced cost.
-        for i in range(nx):
-            for j in range(ny):
-                if (i, j) not in basis_set and reduced[i, j] < -tol:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
-            value = float(np.sum(plan * cost))
-            return TransportPlan(value=value, plan=plan)
-        cycle = _find_cycle(basis, entering, nx, ny)
+        candidates = (reduced.reshape(-1) < -tol) & outside
+        entering = int(candidates.argmax())
+        if not candidates[entering]:
+            plan = np.array(flat_plan).reshape(nx, ny)
+            return TransportPlan(value=float(np.sum(plan * cost)), plan=plan)
+        if pivots >= max_pivots:
+            raise NumericalError("transportation simplex did not terminate")
+        # The cycle closes the tree path from the entering row to the entering
+        # column: climb from both ends until they meet.
+        row, col = entering // ny, nx + entering % ny
+        up, down = [], []
+        x, y = row, col
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, cell = link[x]
+                up.append(cell)
+            else:
+                y, cell = link[y]
+                down.append(cell)
+        cycle = [entering] + up + down[::-1]
         minus = cycle[1::2]
-        theta = min(plan[c] for c in minus)
-        leaving = min(c for c in minus if plan[c] <= theta)
+        theta = min(flat_plan[c] for c in minus)
+        leaving = min(c for c in minus if flat_plan[c] <= theta)
         for k, cell in enumerate(cycle):
-            plan[cell] += theta if k % 2 == 0 else -theta
-        plan[leaving] = 0.0
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis = [entering if c == leaving else c for c in basis]
-    raise NumericalError("transportation simplex did not terminate")
+            flat_plan[cell] += theta if k % 2 == 0 else -theta
+        flat_plan[leaving] = 0.0
+        outside[leaving] = True
+        outside[entering] = False
+        cut_row, cut_col = leaving // ny, nx + leaving % ny
+        adj[cut_row].discard(cut_col)
+        adj[cut_col].discard(cut_row)
+        adj[row].add(col)
+        adj[col].add(row)
+        # The leaving cell cuts off the entering row's end of the cycle or the
+        # entering column's; that end now hangs from the other.
+        cut_off = [(col, row)] if leaving in up else [(row, col)]
+        _hang(adj, flat_cost, u, v, link, depth, cut_off)

@@ -8,6 +8,7 @@ gives the bridge in closed form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -48,10 +49,10 @@ class LinearGaussianKernel:
     def dim(self) -> int:
         return self.alpha.size
 
-    @property
+    @functools.cached_property
     def chi(self) -> np.ndarray:
-        """tau^{-1} beta, the kernel's Fisher-Lipschitz matrix."""
-        return matcore.spd_inverse(self.tau) @ self.beta
+        """tau^{-1} beta, the kernel's Fisher-Lipschitz matrix (computed once)."""
+        return _frozen(matcore.spd_inverse(self.tau) @ self.beta)
 
 
 def kernel_to_json(kernel: LinearGaussianKernel) -> dict:

@@ -38,16 +38,24 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
             nx = ny = size
         else:
             nx, ny = (int(s) for s in size)
+        if nx < 1 or ny < 1:
+            raise DomainError(f"size must be >= 1 on each side, got {(nx, ny)}")
         if nx > MAX_DISCRETE_SIDE or ny > MAX_DISCRETE_SIDE:
             raise DomainError(f"discrete supports are capped at {MAX_DISCRETE_SIDE}")
         if profile == "bounded":
             osc_cap = float(params.pop("osc_cap", math.log(2.0)))
+            if not 0.0 <= osc_cap < math.inf:
+                raise DomainError(f"osc_cap must be finite and >= 0, got {osc_cap}")
+            if nx * ny < 2:
+                raise DomainError("size must have at least 2 cells for the bounded profile, got 1x1")
             cost = rng.uniform(0.0, 1.0, size=(nx, ny))
             lo, hi = float(cost.min()), float(cost.max())
             # Affine rescale so osc(W) equals the cap exactly.
             cost = (cost - lo) / (hi - lo) * osc_cap
         elif profile == "quadratic-grid":
             t = float(params.pop("t", 0.25))
+            if not t > 0.0:
+                raise DomainError(f"t must be > 0, got {t}")
             xs = np.linspace(0.0, 1.0, nx)
             ys = np.linspace(0.0, 1.0, ny)
             cost = (xs[:, None] - ys[None, :]) ** 2 / (2.0 * t)
@@ -62,6 +70,8 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
         return discrete.build_model(cost, lam, nu, u, v)
     if regime == "gaussian":
         d = int(size)
+        if d < 1:
+            raise DomainError(f"size must be >= 1, got {d}")
         if d > MAX_GAUSSIAN_DIM:
             raise DomainError(f"gaussian dimension is capped at {MAX_GAUSSIAN_DIM}")
         if profile != "gaussian-random-spd":
@@ -116,6 +126,8 @@ class ExperimentConfig:
         checks = payload.get("checks")
         if checks is None:
             checks = _regime(regime).checks
+        elif isinstance(checks, str):
+            raise DomainError(f"checks must be a list of check identifiers, got {checks!r}")
         return cls(
             regime=regime,
             instance=dict(payload.get("instance") or {}),

@@ -367,6 +367,27 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, discrete.run_sinkhorn(model, 10))
         assert report.sandwich_ok
 
+    def test_each_iterate_scored_once_per_phi(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        model = random_model(rng, 4, 6)
+        iterates = discrete.run_sinkhorn(model, 8)
+        calls = []
+        original = discrete.phi_entropy
+
+        def counting(phi, mu, eta):
+            calls.append(phi.name)
+            return original(phi, mu, eta)
+
+        monkeypatch.setattr(discrete, "phi_entropy", counting)
+        report = discrete.geometric_rate_report(model, iterates)
+        assert len(calls) == len(iterates) * len(discrete.RATE_PHIS)
+        expected = [
+            (it.step, phi.name, original(phi, it.pi_even, model.eta),
+             original(phi, nxt.pi_even, model.eta))
+            for it, nxt in zip(iterates, iterates[1:]) for phi in discrete.RATE_PHIS
+        ]
+        assert [(r.n, r.phi_name, r.value, r.value_next) for r in report.ratio_rows] == expected
+
 
 class TestConvergenceSeries:
     def test_potential_convergence_rate_and_series_expansion(self):

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab import divergences as dv
-from bridgelab.errors import DomainError
+from bridgelab import harness
+from bridgelab.errors import DomainError, NumericalError
 
 
 def random_measure(rng, n):
@@ -276,6 +279,218 @@ class TestKantorovich:
         cost = np.ones((4, 4)) - np.eye(4)
         result = dv.kantorovich_discrete(cost, m, m)
         assert result.value == pytest.approx(0.0, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
+# Oracle: the list-basis transportation simplex (a list plus a set for the
+# basis, two adjacency builds and two DFS walks per pivot, and a Python double
+# loop for Bland's rule).  The mask-and-subtree-walk solver must return the
+# same plan bytes and the same value (==, not approx).
+# --------------------------------------------------------------------------
+
+
+def _reference_adjacency(basis, nx, ny):
+    adj = [[] for _ in range(nx + ny)]
+    for cell in basis:
+        i, j = cell
+        adj[i].append((nx + j, cell))
+        adj[nx + j].append((i, cell))
+    return adj
+
+
+def _reference_duals(basis, cost, nx, ny):
+    adj = _reference_adjacency(basis, nx, ny)
+    u = np.zeros(nx)
+    v = np.zeros(ny)
+    seen = np.zeros(nx + ny, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        node = stack.pop()
+        for other, (i, j) in adj[node]:
+            if seen[other]:
+                continue
+            if other >= nx:
+                v[other - nx] = cost[i, j] - u[i]
+            else:
+                u[other] = cost[i, j] - v[j]
+            seen[other] = True
+            stack.append(other)
+    assert seen.all()
+    return u, v
+
+
+def _reference_cycle(basis, entering, nx, ny):
+    adj = _reference_adjacency(basis, nx, ny)
+    start, goal = entering[0], nx + entering[1]
+    parent = {start: (start, entering)}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        for other, cell in adj[node]:
+            if other not in parent:
+                parent[other] = (node, cell)
+                stack.append(other)
+    path_cells = []
+    node = goal
+    while node != start:
+        node, cell = parent[node]
+        path_cells.append(cell)
+    return [entering] + path_cells[::-1]
+
+
+def reference_kantorovich(cost, mu1, mu2):
+    """(plan, value, pivots) of the list-basis simplex with a Python Bland scan."""
+    cost = np.asarray(cost, dtype=float)
+    a, b = dv.as_measure(mu1).weights.copy(), dv.as_measure(mu2).weights.copy()
+    nx, ny = a.size, b.size
+    plan = np.zeros((nx, ny))
+    basis = []
+    supply, demand = a.copy(), b.copy()
+    i = j = 0
+    while True:
+        move = min(supply[i], demand[j])
+        plan[i, j] = move
+        basis.append((i, j))
+        supply[i] -= move
+        demand[j] -= move
+        if i == nx - 1 and j == ny - 1:
+            break
+        if j == ny - 1 or (supply[i] <= demand[j] and i < nx - 1):
+            i += 1
+        else:
+            j += 1
+    basis_set = set(basis)
+    tol = 1e-13 * (1.0 + float(np.abs(cost).max(initial=0.0)))
+    pivots = 0
+    while True:
+        u, v = _reference_duals(basis, cost, nx, ny)
+        reduced = cost - u[:, None] - v[None, :]
+        entering = None
+        for i in range(nx):
+            for j in range(ny):
+                if (i, j) not in basis_set and reduced[i, j] < -tol:
+                    entering = (i, j)
+                    break
+            if entering is not None:
+                break
+        if entering is None:
+            return plan, float(np.sum(plan * cost)), pivots
+        cycle = _reference_cycle(basis, entering, nx, ny)
+        minus = cycle[1::2]
+        theta = min(plan[c] for c in minus)
+        leaving = min(c for c in minus if plan[c] <= theta)
+        for k, cell in enumerate(cycle):
+            plan[cell] += theta if k % 2 == 0 else -theta
+        plan[leaving] = 0.0
+        basis_set.remove(leaving)
+        basis_set.add(entering)
+        basis = [entering if c == leaving else c for c in basis]
+        pivots += 1
+
+
+def assert_matches_reference(cost, mu1, mu2):
+    result = dv.kantorovich_discrete(cost, mu1, mu2)
+    plan, value, _ = reference_kantorovich(cost, mu1, mu2)
+    assert result.plan.tobytes() == plan.tobytes()
+    assert result.value == value
+
+
+@st.composite
+def transport_problems(draw):
+    """(cost, a, b) on 1-12 x 1-12 supports, possibly tied and zero-mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    style = draw(st.sampled_from(["uniform", "tied", "zero-mass"]))
+    if style == "uniform":
+        a, b = rng.uniform(0.1, 1.0, size=nx), rng.uniform(0.1, 1.0, size=ny)
+        cost = rng.uniform(0.0, 3.0, size=(nx, ny))
+    else:
+        low = 0 if style == "zero-mass" else 1
+        a = rng.integers(low, 4, size=nx).astype(float)
+        b = rng.integers(low, 4, size=ny).astype(float)
+        a[rng.integers(nx)] += 1.0
+        b[rng.integers(ny)] += 1.0
+        cost = rng.integers(0, 3, size=(nx, ny)).astype(float)
+    return cost, a, b
+
+
+class TestSimplexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=transport_problems())
+    def test_equals_list_basis_simplex(self, problem):
+        assert_matches_reference(*problem)
+
+    @pytest.mark.parametrize("side", [16, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bounded_instances_equal_list_basis_simplex(self, side, seed):
+        model = harness.generate_instance("discrete", (side, side), seed, "bounded")
+        assert_matches_reference(model.cost, model.mu, model.eta)
+
+    @pytest.mark.parametrize("side", [16, 32, 48])
+    def test_matches_linprog(self, side):
+        optimize = pytest.importorskip("scipy.optimize")
+        model = harness.generate_instance("discrete", (side, side), side, "bounded")
+        a, b = dv.as_measure(model.mu).weights, dv.as_measure(model.eta).weights
+        result = dv.kantorovich_discrete(model.cost, a, b)
+        row_sums = np.kron(np.eye(side), np.ones(side))
+        col_sums = np.kron(np.ones(side), np.eye(side))
+        lp = optimize.linprog(
+            model.cost.ravel(), A_eq=np.vstack([row_sums, col_sums]),
+            b_eq=np.concatenate([a, b]), bounds=(0.0, None), method="highs",
+        )
+        assert lp.status == 0
+        assert result.value == pytest.approx(lp.fun, abs=1e-12)
+
+    def test_zero_pivots_raises_when_corner_not_optimal(self):
+        model = harness.generate_instance("discrete", (6, 6), 0, "bounded")
+        assert reference_kantorovich(model.cost, model.mu, model.eta)[2] > 0
+        with pytest.raises(NumericalError, match="did not terminate"):
+            dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
+
+    def test_zero_pivots_returns_optimal_corner(self):
+        model = harness.generate_instance("discrete", (8, 8), 0, "quadratic-grid")
+        plan, value, pivots = reference_kantorovich(model.cost, model.mu, model.eta)
+        assert pivots == 0
+        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
+        assert result.plan.tobytes() == plan.tobytes()
+        assert result.value == value
+
+    def test_max_pivots_bounds_pivot_count(self):
+        model = harness.generate_instance("discrete", (7, 9), 3, "bounded")
+        plan, value, pivots = reference_kantorovich(model.cost, model.mu, model.eta)
+        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=pivots)
+        assert result.plan.tobytes() == plan.tobytes()
+        assert result.value == value
+        with pytest.raises(NumericalError, match="did not terminate"):
+            dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=pivots - 1)
+
+    def test_pivots_keep_row_zero_as_root(self, monkeypatch):
+        # Each pivot re-walks only the subtree the leaving cell cuts off, so
+        # row 0 keeps u[0] = 0 and depth 0, and every dual stays the chain of
+        # subtractions from row 0 that the reference computes.
+        after = []
+        hang = dv._hang
+
+        def recording(adj, cost, u, v, link, depth, edges):
+            hang(adj, cost, u, v, link, depth, edges)
+            after.append((u[0], depth[0]))
+
+        monkeypatch.setattr(dv, "_hang", recording)
+        model = harness.generate_instance("discrete", (16, 16), 0, "bounded")
+        dv.kantorovich_discrete(model.cost, model.mu, model.eta)
+        assert len(after) > 10
+        assert set(after) == {(0.0, 0)}
+
+    def test_walk_round_a_cycle_raises(self):
+        # Rows 0, 1 and columns 0, 1 (nodes 2, 3) joined by all four cells.
+        adj = [{2, 3}, {2, 3}, {0, 1}, {0, 1}]
+        u, v = [0.0, 0.0], [0.0, 0.0]
+        link, depth = [None] * 4, [0, -1, -1, -1]
+        with pytest.raises(NumericalError, match="not a spanning tree"):
+            dv._hang(adj, [1.0] * 4, u, v, link, depth, [(0, 2), (0, 3)])
 
 
 def test_grid_discretized_gaussian_kl_smoke():

@@ -67,6 +67,23 @@ class TestPushForward:
             gs.push_forward(mu, kernel)
 
 
+class TestKernelChi:
+    def test_computed_once_and_read_only(self, monkeypatch):
+        kernel = random_instance(np.random.default_rng(3), 3).kernel
+        calls = []
+        original = matcore.spd_inverse
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(matcore, "spd_inverse", counting)
+        chi = kernel.chi
+        assert kernel.chi is chi and len(calls) == 1
+        assert not chi.flags.writeable
+        assert chi.tobytes() == (original(kernel.tau) @ kernel.beta).tobytes()
+
+
 class TestConjugateKernel:
     def test_unit_parameters(self):
         inst = scalar_instance()

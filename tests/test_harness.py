@@ -48,6 +48,33 @@ class TestGenerateInstance:
             harness.generate_instance("discrete", (65, 4), 1, "bounded")
         with pytest.raises(DomainError):
             harness.generate_instance("gaussian", 17, 1, "gaussian-random-spd")
+        for regime, size, profile in [
+            ("discrete", 0, "bounded"),
+            ("discrete", (3, 0), "quadratic-grid"),
+            ("discrete", (-1, 4), "bounded"),
+            ("gaussian", 0, "gaussian-random-spd"),
+            ("gaussian", -2, "gaussian-random-spd"),
+        ]:
+            with pytest.raises(DomainError, match="^size must be >= 1"):
+                harness.generate_instance(regime, size, 1, profile)
+        with pytest.raises(DomainError, match="^size must have at least 2 cells"):
+            harness.generate_instance("discrete", 1, 1, "bounded")
+        assert harness.generate_instance("discrete", (1, 2), 1, "bounded").eps_w == (
+            pytest.approx(0.25)
+        )
+
+    @pytest.mark.parametrize("profile, params, name", [
+        ("bounded", {"osc_cap": -1.0}, "osc_cap"),
+        ("bounded", {"osc_cap": -1e-9}, "osc_cap"),
+        ("bounded", {"osc_cap": math.inf}, "osc_cap"),
+        ("bounded", {"osc_cap": math.nan}, "osc_cap"),
+        ("quadratic-grid", {"t": 0.0}, "t"),
+        ("quadratic-grid", {"t": -0.5}, "t"),
+        ("quadratic-grid", {"t": math.nan}, "t"),
+    ])
+    def test_bad_profile_parameter_rejected(self, profile, params, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            harness.generate_instance("discrete", (3, 4), 1, profile, **params)
 
 
 class TestConfig:
@@ -56,6 +83,10 @@ class TestConfig:
             harness.ExperimentConfig(
                 regime="discrete", instance={}, iterations=5, seed=1,
                 checks=("no-such-check",),
+            )
+        with pytest.raises(DomainError, match="^checks must be a list"):
+            harness.ExperimentConfig.from_json(
+                {"regime": "discrete", "instance": {}, "checks": "ladder"}
             )
 
     def test_from_json_defaults_full_suite(self):
