@@ -195,21 +195,23 @@ class SinkhornIterate:
     joint_odd: np.ndarray    # P_{2n+1} on X x Y
 
 
-def _even_kernel(model: DiscreteModel, v: np.ndarray) -> np.ndarray:
-    """The row-stochastic kernel K_{2n}(x, y) proportional to K(x, y) nu(y) exp(-v(y))."""
-    log_even = model.log_k + (model.log_nu - v)[None, :]
-    log_even = log_even - _logsumexp(log_even, axis=1)[:, None]
-    return np.exp(log_even)
+def _stochastic(log_k: np.ndarray, log_w: np.ndarray, pot: np.ndarray) -> np.ndarray:
+    """The row-stochastic kernel proportional to exp(log_k(x, y)) w(y) exp(-pot(y)).
+
+    ``(model.log_k, model.log_nu, v)`` gives K_{2n} and
+    ``(model.log_k.T, model.log_lambda, u)`` gives K_{2n+1}.
+    """
+    log_p = log_k + (log_w - pot)[None, :]
+    log_p = log_p - _logsumexp(log_p, axis=1)[:, None]
+    return np.exp(log_p)
 
 
 def materialize(model: DiscreteModel, potentials: SinkhornPotentials) -> SinkhornIterate:
     """Exponentiate the potentials at an even step into kernels and marginals."""
     if potentials.step % 2 != 0:
         raise DomainError("materialize requires potentials at an even step")
-    kernel_even = _even_kernel(model, potentials.v)
-    log_odd = model.log_k.T + (model.log_lambda - potentials.u)[None, :]
-    log_odd = log_odd - _logsumexp(log_odd, axis=1)[:, None]
-    kernel_odd = np.exp(log_odd)
+    kernel_even = _stochastic(model.log_k, model.log_nu, potentials.v)
+    kernel_odd = _stochastic(model.log_k.T, model.log_lambda, potentials.u)
     pi_even = model.mu @ kernel_even
     pi_odd = model.eta @ kernel_odd
     joint_even = model.mu[:, None] * kernel_even
@@ -367,7 +369,7 @@ def solve_bridge(model: DiscreteModel, stop: StoppingRule | None = None) -> Brid
     return BridgeSolution(
         u=potentials.u,
         v=potentials.v,
-        bridge=_frozen(model.mu[:, None] * _even_kernel(model, potentials.v)),
+        bridge=_frozen(model.mu[:, None] * _stochastic(model.log_k, model.log_nu, potentials.v)),
         iterations_used=sweeps,
         residual=system_residual(model, potentials.u, potentials.v),
         converged=converged,

@@ -125,8 +125,8 @@ def conjugate_kernel(mu: Gaussian, kernel: LinearGaussianKernel) -> LinearGaussi
     return LinearGaussianKernel(alpha=alpha, beta=gain, tau=noise)
 
 
-def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
-    """Joint law of (x, a + b x + noise) as a 2d-dimensional Gaussian."""
+def _affine_blocks(mu: Gaussian, intercept, gain, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (x, a + b x + noise) for x ~ mu."""
     intercept = np.asarray(intercept, dtype=float).reshape(-1)
     gain = np.asarray(gain, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -137,7 +137,12 @@ def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
     cov[:d, d:] = mu.covariance @ gain.T
     cov[d:, :d] = gain @ mu.covariance
     cov[d:, d:] = gain @ mu.covariance @ gain.T + noise
-    return Gaussian(mean, cov)
+    return mean, cov
+
+
+def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
+    """Joint law of (x, a + b x + noise) as a 2d-dimensional Gaussian."""
+    return Gaussian(*_affine_blocks(mu, intercept, gain, noise))
 
 
 @dataclass(frozen=True)
@@ -214,9 +219,10 @@ def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) ->
     d = mu.dim
     if state.step % 2 == 0:
         return affine_joint(mu, state.mean - state.gain @ mu.mean, state.gain, state.cov)
-    flipped = affine_joint(eta, state.mean - state.gain @ eta.mean, state.gain, state.cov)
+    # The odd kernel runs y -> x: build (y, x) and swap the blocks to (x, y).
+    mean, cov = _affine_blocks(eta, state.mean - state.gain @ eta.mean, state.gain, state.cov)
     perm = np.concatenate([np.arange(d, 2 * d), np.arange(d)])
-    return Gaussian(flipped.mean[perm], flipped.covariance[np.ix_(perm, perm)])
+    return Gaussian(mean[perm], cov[np.ix_(perm, perm)])
 
 
 # --------------------------------------------------------------------------
@@ -319,12 +325,16 @@ def riccati_fixed_point(problem: RiccatiProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianBridge:
-    """Parameters of the limiting bridge kernel y = intercept + gain x + noise."""
+    """Parameters of the limiting bridge kernel y = intercept + gain x + noise.
+
+    ``problem`` is the Riccati problem whose fixed point the bridge is built on.
+    """
 
     fixed_point: np.ndarray
     noise_cov: np.ndarray
     gain: np.ndarray
     intercept: np.ndarray
+    problem: RiccatiProblem
 
     def __post_init__(self) -> None:
         for name in ("fixed_point", "noise_cov", "gain", "intercept"):
@@ -353,6 +363,7 @@ def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
         noise_cov=noise,
         gain=gain,
         intercept=eta.mean - gain @ mu.mean,
+        problem=problem,
     )
 
 
@@ -404,14 +415,13 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     if len(even) < 10:
         raise DomainError("rate_report needs at least 10 even-index states")
     by_step = {s.step: s for s in trajectory}
-    problem = RiccatiProblem.from_instance(mu, eta, kernel)
     root_bar = matcore.principal_sqrt(eta.covariance)
     isq_bar = matcore.inv_sqrt(eta.covariance)
     noise_root = matcore.principal_sqrt(bridge.noise_cov)
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
-    inv_gap = matcore.spd_inverse(np.eye(d) + problem.varpi)
+    inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
 
     rows: list[GaussianRateRow] = []
     product = np.eye(d)
@@ -456,7 +466,7 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
             loop_gain_residual=loop_residual,
         ))
     r = bridge.fixed_point
-    rate_base = 1.0 + float(np.linalg.eigvalsh(matcore.symmetrize(r + problem.varpi))[0])
+    rate_base = 1.0 + float(np.linalg.eigvalsh(matcore.symmetrize(r + bridge.problem.varpi))[0])
     theoretical_slope = -2.0 * math.log(rate_base)
     fit = fitting.fit_rate([(row.n, row.cov_error) for row in rows if row.n >= 1])
     slope_within = None
@@ -553,7 +563,10 @@ def envelope_report(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
             refined_bound=refined_bound, refined_within=refined_within,
         ))
 
-    marginals = [marginal(s, mu, eta) for s in trajectory]
+    # dist[m] = W2(pi_m, eta) at even m and W2(pi_m, mu) at odd m: the
+    # distance of each marginal to the target its half step matches.
+    dist = [gaussian_w2(marginal(s, mu, eta), eta if s.step % 2 == 0 else mu)
+            for s in trajectory]
     w2_rows: list[W2Row] = []
     chained: list[W2Row] = []
 
@@ -562,19 +575,16 @@ def envelope_report(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
         # arithmetic, so compare at squared scale once values saturate.
         return lhs <= rhs + 1e-12 or lhs ** 2 <= rhs ** 2 + 1e-14
 
-    for state, g_now, g_prev in zip(trajectory[1:], marginals[1:], marginals):
+    for state, lhs, prev in zip(trajectory[1:], dist[1:], dist):
         m = state.step
-        target, source, spread = (eta, mu, rho_bar) if m % 2 == 0 else (mu, eta, rho)
-        lhs = gaussian_w2(g_now, target)
-        rhs = kappa * spread * gaussian_w2(g_prev, source)
+        spread = rho_bar if m % 2 == 0 else rho
+        rhs = kappa * spread * prev
         w2_rows.append(W2Row(n=m, value=lhs, bound=rhs, within=w2_within(lhs, rhs)))
     gate = kappa * math.sqrt(rho * rho_bar) < 1.0
     if gate:
-        w2_pi0_eta = gaussian_w2(marginals[0], eta)
-        for state, g_now in zip(trajectory, marginals):
+        for state, lhs in zip(trajectory, dist):
             if state.step % 2 == 0 and state.step > 0:
-                bound = eps ** (state.step // 2) * w2_pi0_eta
-                lhs = gaussian_w2(g_now, eta)
+                bound = eps ** (state.step // 2) * dist[0]
                 chained.append(W2Row(n=state.step, value=lhs, bound=bound,
                                      within=w2_within(lhs, bound)))
     return EnvelopeReport(

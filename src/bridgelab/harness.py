@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -34,10 +35,11 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
     """Deterministic desk-scale instance for (seed, profile)."""
     rng = _rng(seed)
     if regime == "discrete":
-        if isinstance(size, int):
-            nx = ny = size
-        else:
-            nx, ny = (int(s) for s in size)
+        sides = (size, size) if isinstance(size, numbers.Integral) else size
+        if not (isinstance(sides, (list, tuple)) and len(sides) == 2
+                and all(isinstance(s, numbers.Integral) for s in sides)):
+            raise DomainError(f"size must be an int or a pair of ints, got {size!r}")
+        nx, ny = (int(s) for s in sides)
         if nx < 1 or ny < 1:
             raise DomainError(f"size must be >= 1 on each side, got {(nx, ny)}")
         if nx > MAX_DISCRETE_SIDE or ny > MAX_DISCRETE_SIDE:
@@ -69,6 +71,8 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
         v = rng.uniform(0.0, 1.0, size=ny)
         return discrete.build_model(cost, lam, nu, u, v)
     if regime == "gaussian":
+        if not isinstance(size, numbers.Integral):
+            raise DomainError(f"size must be an int, got {size!r}")
         d = int(size)
         if d < 1:
             raise DomainError(f"size must be >= 1, got {d}")
@@ -114,6 +118,9 @@ class ExperimentConfig:
         known = _regime(self.regime).checks
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
+        if isinstance(self.checks, str):
+            raise DomainError(f"checks must be a list of check identifiers, got {self.checks!r}")
+        object.__setattr__(self, "checks", tuple(self.checks))
         unknown = [c for c in self.checks if c not in known]
         if unknown:
             raise DomainError(f"unknown check identifiers {unknown} for regime {self.regime}")
@@ -124,16 +131,12 @@ class ExperimentConfig:
             payload = json.loads(payload)
         regime = payload.get("regime")
         checks = payload.get("checks")
-        if checks is None:
-            checks = _regime(regime).checks
-        elif isinstance(checks, str):
-            raise DomainError(f"checks must be a list of check identifiers, got {checks!r}")
         return cls(
             regime=regime,
             instance=dict(payload.get("instance") or {}),
             iterations=int(payload.get("iterations", 20)),
             seed=int(payload.get("seed", 0)),
-            checks=tuple(checks),
+            checks=_regime(regime).checks if checks is None else checks,
             output=payload.get("output"),
             plot=bool(payload.get("plot", False)),
         )
@@ -320,7 +323,6 @@ def _check_lyapunov(model, iterates, solution):
 
 
 def _check_riccati_equivalence(instance, trajectory, bridge):
-    problem = gaussian.RiccatiProblem.from_instance(instance.mu, instance.eta, instance.kernel)
     rows = []
     worst = 0.0
     current = trajectory[0].rescaled_cov
@@ -328,7 +330,7 @@ def _check_riccati_equivalence(instance, trajectory, bridge):
         if state.step % 2 != 0:
             continue
         if state.step > 0:
-            current = gaussian.riccati_apply(problem, current)
+            current = gaussian.riccati_apply(bridge.problem, current)
         diff = float(np.max(np.abs(state.rescaled_cov - current)))
         rows.append((state.step // 2, "riccati_equiv_error", diff))
         worst = max(worst, diff)
@@ -336,9 +338,8 @@ def _check_riccati_equivalence(instance, trajectory, bridge):
 
 
 def _check_golden(instance, trajectory, bridge):
-    problem = gaussian.RiccatiProblem.from_instance(instance.mu, instance.eta, instance.kernel)
     r = bridge.fixed_point
-    eig_varpi = np.linalg.eigvalsh(problem.varpi)
+    eig_varpi = np.linalg.eigvalsh(bridge.problem.varpi)
     eig_r = np.linalg.eigvalsh(r)
     scalar = (-eig_varpi + np.sqrt(eig_varpi ** 2 + 4.0 * eig_varpi)) / 2.0
     worst = float(np.max(np.abs(np.sort(eig_r) - np.sort(scalar))))

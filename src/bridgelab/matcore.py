@@ -1,14 +1,12 @@
 """Dense symmetric / positive-definite matrix utilities.
 
-Everything here works on plain ``numpy`` arrays; :class:`SymMatrix` and
-:class:`SpdMatrix` are thin validating wrappers used where a caller wants the
-invariant enforced at construction time.  All decompositions go through the
+Everything here works on plain ``numpy`` arrays: validation
+(:func:`symmetrize`, :func:`assert_spd`), principal roots and inverses, the
+Loewner order and the spectral norm.  All decompositions go through the
 symmetric eigensolver so results stay exactly symmetric.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +53,6 @@ def assert_spd(a, name: str = "matrix") -> np.ndarray:
             f"{name} is not positive definite: smallest eigenvalue {w[0]:.6e}"
         )
     return s
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """A validated symmetric matrix (symmetrized on construction)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _frozen(symmetrize(self.entries)))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class SpdMatrix(SymMatrix):
-    """A validated symmetric positive definite matrix."""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _frozen(assert_spd(self.entries)))
 
 
 def principal_sqrt(v) -> np.ndarray:
@@ -129,23 +102,11 @@ def loewner_leq(a, b, tol: float = 0.0) -> bool:
     return float(np.linalg.eigvalsh(b - a)[0]) >= -tol
 
 
-@dataclass(frozen=True)
-class MatrixNorms:
-    frobenius: float
-    spectral: float
-
-
-def matrix_norms(v) -> MatrixNorms:
-    """Frobenius and spectral norms of a (possibly rectangular) matrix."""
+def spectral_norm(v) -> float:
+    """Spectral norm of a (possibly rectangular) matrix; a vector is one column."""
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
     if not np.all(np.isfinite(v)):
         raise DomainError("matrix has non-finite entries")
-    fro = float(np.sqrt(np.trace(v.T @ v)))
-    spec = float(np.sqrt(max(np.linalg.eigvalsh(v.T @ v)[-1], 0.0)))
-    return MatrixNorms(frobenius=fro, spectral=spec)
-
-
-def spectral_norm(v) -> float:
-    return matrix_norms(v).spectral
+    return float(np.sqrt(max(np.linalg.eigvalsh(v.T @ v)[-1], 0.0)))

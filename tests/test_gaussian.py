@@ -6,7 +6,7 @@ import pytest
 
 from bridgelab import gaussian as gs
 from bridgelab import matcore
-from bridgelab.divergences import Gaussian, gaussian_kl
+from bridgelab.divergences import Gaussian, gaussian_kl, gaussian_w2
 from bridgelab.errors import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -291,6 +291,15 @@ class TestBridge:
             np.testing.assert_allclose(pushed.mean, inst.eta.mean, atol=1e-10)
             np.testing.assert_allclose(pushed.covariance, inst.eta.covariance, atol=1e-10)
 
+    def test_carries_the_riccati_problem_it_solved(self):
+        rng = np.random.default_rng(25)
+        inst = random_instance(rng, 3)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
+        np.testing.assert_array_equal(bridge.problem.varpi, problem.varpi)
+        np.testing.assert_array_equal(bridge.problem.gamma, problem.gamma)
+        np.testing.assert_array_equal(gs.riccati_fixed_point(bridge.problem), bridge.fixed_point)
+
     def test_flow_converges_to_bridge(self):
         rng = np.random.default_rng(14)
         inst = random_instance(rng, 2)
@@ -401,6 +410,27 @@ class TestEnvelopes:
         assert report.gate_contractive
         assert report.all_within
         assert len(report.chained_w2_rows) > 0
+
+    def test_one_w2_distance_per_state(self, monkeypatch):
+        calls = []
+
+        def counted(p, q):
+            calls.append(q)
+            return gaussian_w2(p, q)
+
+        monkeypatch.setattr(gs, "gaussian_w2", counted)
+        # The scalar instance is gate-contractive, so its chained rows count too.
+        contractive = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9,
+                                      beta=1.0, tau=2.0)
+        rng = np.random.default_rng(27)
+        for inst in (contractive, random_instance(rng, 3)):
+            calls.clear()
+            states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
+            gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+            assert len(calls) == len(states)
+            # each marginal is measured against the target its half step matches
+            for state, target in zip(states, calls):
+                assert target is (inst.eta if state.step % 2 == 0 else inst.mu)
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)

@@ -62,6 +62,15 @@ class TestGenerateInstance:
         assert harness.generate_instance("discrete", (1, 2), 1, "bounded").eps_w == (
             pytest.approx(0.25)
         )
+        for regime, size, profile in [
+            ("gaussian", [2], "gaussian-random-spd"),
+            ("gaussian", 2.5, "gaussian-random-spd"),
+            ("discrete", (2, 3, 4), "bounded"),
+            ("discrete", 2.5, "bounded"),
+            ("discrete", (2, 3.5), "quadratic-grid"),
+        ]:
+            with pytest.raises(DomainError, match="^size must be an int"):
+                harness.generate_instance(regime, size, 1, profile)
 
     @pytest.mark.parametrize("profile, params, name", [
         ("bounded", {"osc_cap": -1.0}, "osc_cap"),
@@ -87,6 +96,10 @@ class TestConfig:
         with pytest.raises(DomainError, match="^checks must be a list"):
             harness.ExperimentConfig.from_json(
                 {"regime": "discrete", "instance": {}, "checks": "ladder"}
+            )
+        with pytest.raises(DomainError, match="^checks must be a list"):
+            harness.ExperimentConfig(
+                regime="discrete", instance={}, iterations=5, seed=1, checks="ladder",
             )
 
     def test_from_json_defaults_full_suite(self):

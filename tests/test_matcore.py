@@ -75,26 +75,23 @@ class TestLoewner:
 class TestNorms:
     def test_identity(self):
         for d in (1, 3, 6):
-            norms = matcore.matrix_norms(np.eye(d))
-            assert norms.frobenius == pytest.approx(np.sqrt(d))
-            assert norms.spectral == pytest.approx(1.0)
+            assert matcore.spectral_norm(np.eye(d)) == pytest.approx(1.0)
 
     def test_column_vector(self):
         x = np.array([3.0, 4.0])
-        norms = matcore.matrix_norms(x)
-        assert norms.frobenius == pytest.approx(5.0)
-        assert norms.spectral == pytest.approx(5.0)
+        assert matcore.spectral_norm(x) == pytest.approx(5.0)
+        assert matcore.spectral_norm(x) == matcore.spectral_norm(x[:, None])
 
     def test_spectral_below_frobenius(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             v = rng.normal(size=(3, 3))
-            norms = matcore.matrix_norms(v)
-            assert norms.spectral <= norms.frobenius + 1e-12
+            assert matcore.spectral_norm(v) <= np.linalg.norm(v, "fro") + 1e-12
+            assert matcore.spectral_norm(v) == pytest.approx(np.linalg.norm(v, 2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            matcore.matrix_norms(np.array([[1.0, np.inf], [0.0, 1.0]]))
+            matcore.spectral_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_ando_hemmen_inequality():
@@ -108,22 +105,20 @@ def test_ando_hemmen_inequality():
             np.sqrt(np.linalg.eigvalsh(u)[0]) + np.sqrt(np.linalg.eigvalsh(v)[0])
         )
         assert matcore.spectral_norm(ru - rv) <= factor * matcore.spectral_norm(u - v) + 1e-12
-        assert matcore.matrix_norms(ru - rv).frobenius <= (
-            factor * matcore.matrix_norms(u - v).frobenius + 1e-12
-        )
+        assert np.linalg.norm(ru - rv, "fro") <= factor * np.linalg.norm(u - v, "fro") + 1e-12
 
 
-def test_sym_matrix_symmetrizes():
-    m = matcore.SymMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(m.entries, [[1.0, 1.0], [1.0, 1.0]])
-    assert m.dim == 2
-    assert not m.entries.flags.writeable
+def test_symmetrize_returns_symmetric_part():
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(matcore.symmetrize(a), [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(DomainError, match="must be square"):
+        matcore.symmetrize(np.ones((2, 3)))
 
 
-def test_spd_matrix_validates():
-    matcore.SpdMatrix(np.eye(2))
-    with pytest.raises(DomainError):
-        matcore.SpdMatrix(np.diag([1.0, -1.0]))
+def test_assert_spd_rejects_indefinite():
+    np.testing.assert_array_equal(matcore.assert_spd(np.eye(2)), np.eye(2))
+    with pytest.raises(DomainError, match="^m is not positive definite"):
+        matcore.assert_spd(np.diag([1.0, -1.0]), "m")
 
 
 def test_spd_inverse_and_inv_sqrt():

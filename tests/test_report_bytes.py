@@ -1,6 +1,6 @@
 """Byte-identity of experiment reports.
 
-Pins the sha256 of ``report.csv`` and ``verdicts.json`` for four small
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for five small
 configs that pass every check of their regime.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
@@ -40,6 +40,14 @@ CASES = {
          "seed": 1, "iterations": 12},
         "cd0b5ca1122c9efa8b8ec6b75fe2487116246d901fca6c732cdbac04c3e71fb7",
         "4d4c5494ab6b282934932818a96406f0fe682ecec843bc3be1a4790c60cf0f64",
+    ),
+    # gate-contractive: the only case whose envelope check writes the 12
+    # chained W2 rows.
+    "gaussian-d1": (
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 1},
+         "seed": 1, "iterations": 12},
+        "1b4a7f98c0ad2262131a1bec9de2bc00711431400dc8d5d27bc2c69f12014ed1",
+        "58acc52c403740bf89dff1777854b6c20cd89301a53022c310cdcfad7437607d",
     ),
 }
 
