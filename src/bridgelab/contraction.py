@@ -45,8 +45,6 @@ def _as_kernel(k, name: str = "kernel") -> np.ndarray:
 
 
 def _as_kernel_list(kernels, name: str) -> list[np.ndarray]:
-    if isinstance(kernels, np.ndarray) and kernels.ndim == 2:
-        return [_as_kernel(kernels, name)]
     if isinstance(kernels, (list, tuple)):
         return [_as_kernel(k, f"{name}[{i}]") for i, k in enumerate(kernels)]
     return [_as_kernel(kernels, name)]
@@ -106,10 +104,8 @@ def _lip_norms(k: np.ndarray, weights) -> np.ndarray:
 def dobrushin(kernel) -> float:
     """Worst-case total variation distance between two rows of the kernel."""
     k = _as_kernel(kernel)
-    worst = 0.0
-    for diff, _, _ in _pair_chunks(k):
-        worst = max(worst, 0.5 * float(diff.sum(axis=1).max()))
-    return min(worst, 1.0)
+    ones_x, ones_y = np.ones(k.shape[0]), np.ones(k.shape[1])
+    return min(float(_lip_norms(k, [(ones_x, ones_y)])[0]), 1.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ Kantorovich semi-distances solved by an in-house transportation simplex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,6 +167,30 @@ class Gaussian:
     def dim(self) -> int:
         return self.mean.size
 
+    @functools.cached_property
+    def precision(self) -> np.ndarray:
+        """covariance^{-1} (computed once)."""
+        return matcore._frozen(matcore.spd_inverse(self.covariance))
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """covariance^{1/2}, the principal square root (computed once)."""
+        return matcore._frozen(matcore.principal_sqrt(self.covariance))
+
+    @functools.cached_property
+    def inv_root(self) -> np.ndarray:
+        """covariance^{-1/2} (computed once)."""
+        return matcore._frozen(matcore.inv_sqrt(self.covariance))
+
+
+def _burg(s: np.ndarray, sb: np.ndarray) -> float:
+    """Burg divergence of two SPD matrices of one shape, already validated."""
+    ratio = np.linalg.solve(sb, s)
+    sign, logdet = np.linalg.slogdet(ratio)
+    if sign <= 0:
+        raise NumericalError("log-det of an SPD ratio came out non-positive")
+    return float(np.trace(ratio) - s.shape[0] - logdet)
+
 
 def burg_divergence(sigma, sigma_bar) -> float:
     """Log-det divergence ``Tr(sigma sigma_bar^{-1} - I) - log det(sigma sigma_bar^{-1})``."""
@@ -173,12 +198,7 @@ def burg_divergence(sigma, sigma_bar) -> float:
     sb = matcore.assert_spd(sigma_bar, "sigma_bar")
     if s.shape != sb.shape:
         raise DomainError("dimension mismatch in burg_divergence")
-    ratio = np.linalg.solve(sb, s)
-    sign, logdet = np.linalg.slogdet(ratio)
-    if sign <= 0:
-        raise NumericalError("log-det of an SPD ratio came out non-positive")
-    d = s.shape[0]
-    return float(np.trace(ratio) - d - logdet)
+    return _burg(s, sb)
 
 
 def gaussian_kl(p: Gaussian, q: Gaussian) -> float:
@@ -187,15 +207,14 @@ def gaussian_kl(p: Gaussian, q: Gaussian) -> float:
         raise DomainError("dimension mismatch in gaussian_kl")
     diff = p.mean - q.mean
     quad = float(diff @ np.linalg.solve(q.covariance, diff))
-    return 0.5 * (burg_divergence(p.covariance, q.covariance) + quad)
+    return 0.5 * (_burg(p.covariance, q.covariance) + quad)
 
 
 def gaussian_w2(p: Gaussian, q: Gaussian) -> float:
     """2-Wasserstein distance between Gaussians (Bures closed form)."""
     if p.dim != q.dim:
         raise DomainError("dimension mismatch in gaussian_w2")
-    root_p = matcore.principal_sqrt(p.covariance)
-    cross = matcore.principal_sqrt(root_p @ q.covariance @ root_p)
+    cross = matcore.principal_sqrt(p.root @ q.covariance @ p.root)
     bures = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
     mean_sq = float(np.sum((p.mean - q.mean) ** 2))
     return math.sqrt(max(mean_sq + bures, 0.0))

@@ -111,11 +111,9 @@ def conjugate_kernel(mu: Gaussian, kernel: LinearGaussianKernel) -> LinearGaussi
     if mu.dim != kernel.dim:
         raise DomainError("dimension mismatch in conjugate_kernel")
     pushed = push_forward(mu, kernel)
+    gain = mu.covariance @ kernel.beta.T @ pushed.precision
     try:
-        gain = mu.covariance @ kernel.beta.T @ matcore.spd_inverse(pushed.covariance)
-        noise = matcore.spd_inverse(
-            matcore.spd_inverse(mu.covariance) + kernel.beta.T @ kernel.chi
-        )
+        noise = matcore.spd_inverse(mu.precision + kernel.beta.T @ kernel.chi)
     except DomainError as exc:
         raise NumericalError(f"conjugate update lost positivity: {exc}") from exc
     alt = noise @ kernel.beta.T @ matcore.spd_inverse(kernel.tau)
@@ -162,13 +160,12 @@ class GaussianSinkhornState:
 
 def initial_state(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel) -> GaussianSinkhornState:
     """Step 0 state: the reference kernel itself, rescaled by the target covariance."""
-    isq_bar = matcore.inv_sqrt(eta.covariance)
     return GaussianSinkhornState(
         step=0,
         mean=kernel.alpha + kernel.beta @ mu.mean,
         gain=kernel.beta.copy(),
         cov=kernel.tau.copy(),
-        rescaled_cov=isq_bar @ kernel.tau @ isq_bar,
+        rescaled_cov=eta.inv_root @ kernel.tau @ eta.inv_root,
     )
 
 
@@ -181,20 +178,16 @@ def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
     n = state.step
     source, target, chi = (mu, eta, kernel.chi) if n % 2 == 0 else (eta, mu, kernel.chi.T)
     try:
-        cov_next = matcore.spd_inverse(
-            matcore.spd_inverse(source.covariance) + chi.T @ state.cov @ chi
-        )
-        gain_next = cov_next @ chi.T
-        mean_next = source.mean + gain_next @ (target.mean - state.mean)
-        scale = matcore.inv_sqrt(source.covariance)
+        cov_next = matcore.spd_inverse(source.precision + chi.T @ state.cov @ chi)
     except DomainError as exc:
         raise NumericalError(f"covariance lost positivity at step {n + 1}: {exc}") from exc
+    gain_next = cov_next @ chi.T
     return GaussianSinkhornState(
         step=n + 1,
-        mean=mean_next,
+        mean=source.mean + gain_next @ (target.mean - state.mean),
         gain=gain_next,
         cov=cov_next,
-        rescaled_cov=scale @ cov_next @ scale,
+        rescaled_cov=source.inv_root @ cov_next @ source.inv_root,
     )
 
 
@@ -254,12 +247,7 @@ class RiccatiProblem:
     @classmethod
     def from_instance(cls, mu: Gaussian, eta: Gaussian,
                       kernel: LinearGaussianKernel) -> "RiccatiProblem":
-        gamma = (
-            matcore.principal_sqrt(eta.covariance)
-            @ kernel.chi
-            @ matcore.principal_sqrt(mu.covariance)
-        )
-        return cls.from_gamma(gamma)
+        return cls.from_gamma(eta.root @ kernel.chi @ mu.root)
 
     @property
     def flipped(self) -> "RiccatiProblem":
@@ -351,8 +339,7 @@ def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
         raise DomainError("dimension mismatch in schrodinger_bridge_gaussian")
     problem = RiccatiProblem.from_instance(mu, eta, kernel)
     r = riccati_fixed_point(problem)
-    root_bar = matcore.principal_sqrt(eta.covariance)
-    noise = matcore.symmetrize(root_bar @ r @ root_bar)
+    noise = matcore.symmetrize(eta.root @ r @ eta.root)
     gain = noise @ kernel.chi
     transport = gain @ mu.covariance @ gain.T + noise
     scale = max(1.0, float(np.max(np.abs(eta.covariance))))
@@ -379,7 +366,7 @@ def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     isq = matcore.inv_sqrt(bridge.noise_cov)
     mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
-    cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ matcore.principal_sqrt(mu.covariance)
+    cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ mu.root
     cross_term = float(np.sum(cross ** 2))
     return 0.5 * (burg_divergence(state.cov, bridge.noise_cov) + mean_term + cross_term)
 
@@ -415,8 +402,6 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     if len(even) < 10:
         raise DomainError("rate_report needs at least 10 even-index states")
     by_step = {s.step: s for s in trajectory}
-    root_bar = matcore.principal_sqrt(eta.covariance)
-    isq_bar = matcore.inv_sqrt(eta.covariance)
     noise_root = matcore.principal_sqrt(bridge.noise_cov)
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
@@ -440,7 +425,7 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                 raise DomainError("rate_report needs a trajectory of consecutive half steps")
             loop_gain = state.gain @ prev_odd.gain
             product = loop_gain @ product
-            rescaled_loop = isq_bar @ loop_gain @ root_bar
+            rescaled_loop = eta.inv_root @ loop_gain @ eta.root
             loop_residual = float(np.max(np.abs(
                 rescaled_loop - (np.eye(d) - state.rescaled_cov)
             )))
@@ -461,7 +446,7 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
             cov_error=cov_error,
             sqrt_error=sqrt_error,
             mean_error=mean_error,
-            product_norm=matcore.spectral_norm(isq_bar @ product @ root_bar) if n >= 1 else 1.0,
+            product_norm=matcore.spectral_norm(eta.inv_root @ product @ eta.root) if n >= 1 else 1.0,
             directed_residual=directed_residual,
             loop_gain_residual=loop_residual,
         ))
@@ -692,23 +677,21 @@ def potential_hessian(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
     if state.step % 2 != 0:
         raise DomainError("potential_hessian expects an even-index state")
     chi = kernel.chi
-    inv_s = matcore.spd_inverse(mu.covariance)
-    inv_sb = matcore.spd_inverse(eta.covariance)
     odd = sinkhorn_step(state, mu, eta, kernel)
     even_next = sinkhorn_step(odd, mu, eta, kernel)
-    hess_u = inv_s - chi.T @ kernel.beta + chi.T @ state.cov @ chi
-    hess_v = inv_sb - matcore.spd_inverse(kernel.tau) + chi @ odd.cov @ chi.T
+    hess_u = mu.precision - chi.T @ kernel.beta + chi.T @ state.cov @ chi
+    hess_v = eta.precision - matcore.spd_inverse(kernel.tau) + chi @ odd.cov @ chi.T
     # The second-coordinate Hessians of the running transition potentials must
     # match the next covariance inverses, and dominate the marginal curvatures.
-    w_odd = inv_s + chi.T @ state.cov @ chi
-    w_even = inv_sb + chi @ odd.cov @ chi.T
+    w_odd = mu.precision + chi.T @ state.cov @ chi
+    w_even = eta.precision + chi @ odd.cov @ chi.T
     residual = max(
         float(np.max(np.abs(w_odd - matcore.spd_inverse(odd.cov)))),
         float(np.max(np.abs(w_even - matcore.spd_inverse(even_next.cov)))),
     )
     curvature_ok = (
-        matcore.loewner_leq(inv_s, w_odd, 1e-10)
-        and matcore.loewner_leq(inv_sb, w_even, 1e-10)
+        matcore.loewner_leq(mu.precision, w_odd, 1e-10)
+        and matcore.loewner_leq(eta.precision, w_even, 1e-10)
     )
     return PotentialHessians(
         hess_u=_frozen(matcore.symmetrize(hess_u)),

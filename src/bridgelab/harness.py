@@ -116,11 +116,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         known = _regime(self.regime).checks
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
-        if isinstance(self.checks, str):
+        if not isinstance(self.instance, dict):
+            raise DomainError(f"instance must be an object, got {self.instance!r}")
+        object.__setattr__(self, "instance", dict(self.instance))
+        if not isinstance(self.checks, (list, tuple)):
             raise DomainError(f"checks must be a list of check identifiers, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
+        if self.output is not None and not isinstance(self.output, str):
+            raise DomainError(f"output must be a path, got {self.output!r}")
+        if not isinstance(self.plot, bool):
+            raise DomainError(f"plot must be true or false, got {self.plot!r}")
         unknown = [c for c in self.checks if c not in known]
         if unknown:
             raise DomainError(f"unknown check identifiers {unknown} for regime {self.regime}")
@@ -129,16 +141,18 @@ class ExperimentConfig:
     def from_json(cls, payload: dict | str) -> "ExperimentConfig":
         if isinstance(payload, str):
             payload = json.loads(payload)
+        if not isinstance(payload, dict):
+            raise DomainError(f"config must be an object, got {payload!r}")
         regime = payload.get("regime")
         checks = payload.get("checks")
         return cls(
             regime=regime,
-            instance=dict(payload.get("instance") or {}),
-            iterations=int(payload.get("iterations", 20)),
-            seed=int(payload.get("seed", 0)),
-            checks=_regime(regime).checks if checks is None else checks,
+            instance=payload.get("instance", {}),
+            iterations=payload.get("iterations", 20),
+            seed=payload.get("seed", 0),
+            checks=tuple(_regime(regime).checks) if checks is None else checks,
             output=payload.get("output"),
-            plot=bool(payload.get("plot", False)),
+            plot=payload.get("plot", False),
         )
 
     def canonical_json(self) -> str:

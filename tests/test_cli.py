@@ -53,6 +53,13 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_malformed_config_field_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path / "bad.json", {"regime": "gaussian", "instance": {},
+                                                 "checks": 5})
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert "checks must be a list" in capsys.readouterr().err
+
+
 def test_verify_golden(golden_config, tmp_path, capsys):
     assert cli.parse_and_dispatch(["verify", "--config", golden_config]) == 0
     out = capsys.readouterr().out

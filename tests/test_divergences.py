@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab import divergences as dv
-from bridgelab import harness
+from bridgelab import harness, matcore
 from bridgelab.errors import DomainError, NumericalError
 
 
@@ -165,6 +165,71 @@ class TestGaussianDivergences:
             a, b, c = gs
             assert dv.gaussian_w2(a, b) == pytest.approx(dv.gaussian_w2(b, a), abs=1e-9)
             assert dv.gaussian_w2(a, c) <= dv.gaussian_w2(a, b) + dv.gaussian_w2(b, c) + 1e-9
+
+
+class TestGaussianFactors:
+    @staticmethod
+    def gaussian(d=3, seed=4):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return dv.Gaussian(rng.normal(size=d), (q * rng.uniform(0.2, 2.0, d)) @ q.T)
+
+    @pytest.mark.parametrize("factor, routine", [
+        ("precision", "spd_inverse"), ("root", "principal_sqrt"), ("inv_root", "inv_sqrt"),
+    ])
+    def test_computed_once_and_read_only(self, monkeypatch, factor, routine):
+        g = self.gaussian()
+        calls = []
+        original = getattr(matcore, routine)
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(matcore, routine, counting)
+        value = getattr(g, factor)
+        assert getattr(g, factor) is value and len(calls) == 1
+        assert not value.flags.writeable
+        assert value.tobytes() == original(g.covariance).tobytes()
+
+    def test_kl_trusts_validated_covariances(self, monkeypatch):
+        p, q = self.gaussian(seed=5), self.gaussian(seed=6)
+        expected = 0.5 * (
+            dv.burg_divergence(p.covariance, q.covariance)
+            + float((p.mean - q.mean) @ np.linalg.solve(q.covariance, p.mean - q.mean))
+        )
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert dv.gaussian_kl(p, q) == expected
+        assert calls == []
+
+    def test_burg_validates_both_arguments(self):
+        indefinite = np.diag([1.0, -1.0])
+        with pytest.raises(DomainError, match="^sigma_bar is not positive definite"):
+            dv.burg_divergence(np.eye(2), indefinite)
+        with pytest.raises(DomainError, match="^sigma is not positive definite"):
+            dv.burg_divergence(indefinite, np.eye(2))
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            dv.burg_divergence(np.eye(2), np.eye(3))
+
+    def test_near_singular_boundary(self):
+        # Smallest eigenvalue half of, then twice, the SPD_RTOL floor.
+        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+        floor = matcore.SPD_RTOL * 2.0
+        below = (q * [2.0, 1.0, 0.5 * floor]) @ q.T
+        above = (q * [2.0, 1.0, 2.0 * floor]) @ q.T
+        with pytest.raises(DomainError, match="^covariance is not positive definite"):
+            dv.Gaussian(np.zeros(3), below)
+        g = dv.Gaussian(np.zeros(3), above)
+        assert np.all(np.isfinite(g.precision))
+        np.testing.assert_allclose(g.precision @ g.covariance, np.eye(3), atol=1e-5)
+        assert np.linalg.eigvalsh(g.precision)[-1] == pytest.approx(1.0 / (2.0 * floor), rel=1e-5)
 
 
 # --- exact OT against a basic-solution enumeration oracle ---------------------

@@ -166,6 +166,24 @@ class TestSinkhornFlow:
             np.testing.assert_allclose(fwd.mean, inst.eta.mean, atol=1e-10)
             np.testing.assert_allclose(fwd.covariance, inst.eta.covariance, atol=1e-10)
 
+    def test_one_factorization_pair_per_step_from_the_third(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(8), 4)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
+        calls = []
+
+        def counting(name, original):
+            def wrapper(a):
+                calls.append(name)
+                return original(a)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for _ in range(5):
+            calls.clear()
+            states.append(gs.sinkhorn_step(states[-1], inst.mu, inst.eta, inst.kernel))
+            assert sorted(calls) == ["eigh", "eigvalsh"]
+
     def test_uniform_covariance_sandwich(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, 3)

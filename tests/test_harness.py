@@ -102,6 +102,22 @@ class TestConfig:
                 regime="discrete", instance={}, iterations=5, seed=1, checks="ladder",
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("checks", 5), ("seed", [1]), ("instance", 3), ("iterations", "ten"),
+        ("iterations", 2.5), ("output", 5), ("plot", "off"),
+    ])
+    def test_malformed_field_rejected(self, field, value):
+        payload = {"regime": "gaussian", "instance": {}, "iterations": 5, "seed": 1,
+                   "checks": ["envelope"], field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            harness.ExperimentConfig.from_json(payload)
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            harness.ExperimentConfig(**payload)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(DomainError, match="^config must be an object"):
+            harness.ExperimentConfig.from_json("[1]")
+
     def test_from_json_defaults_full_suite(self):
         config = harness.ExperimentConfig.from_json(
             {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2}}

@@ -1,6 +1,6 @@
 """Byte-identity of experiment reports.
 
-Pins the sha256 of ``report.csv`` and ``verdicts.json`` for five small
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for six
 configs that pass every check of their regime.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
@@ -48,6 +48,13 @@ CASES = {
          "seed": 1, "iterations": 12},
         "1b4a7f98c0ad2262131a1bec9de2bc00711431400dc8d5d27bc2c69f12014ed1",
         "58acc52c403740bf89dff1777854b6c20cd89301a53022c310cdcfad7437607d",
+    ),
+    # The gaussian-riccati benchmark's large dimension.
+    "gaussian-d16": (
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
+         "seed": 0, "iterations": 12},
+        "e20813959b4ad4e6fbf61313e5c2a34f82d823fd4515a6a546d0a733385f7639",
+        "2bf83a563794e20219c95f75688da3058f28fa20adfbe9e2b6529891b570cef4",
     ),
 }
 
