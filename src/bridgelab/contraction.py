@@ -16,7 +16,6 @@ are those of a plain per-pair loop, and the results are bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -284,30 +283,6 @@ class ContractionCertificate:
     epsilon: float
     c: float
     iota_table: tuple[MinorizationRow, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "a": self.a,
-            "rho": self.rho,
-            "epsilon": self.epsilon,
-            "c": self.c,
-            "iota_table": [
-                {"level": r.level, "iota_k": r.iota_k, "iota_l": r.iota_l,
-                 "iota": r.iota, "skipped": r.skipped}
-                for r in self.iota_table
-            ],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ContractionCertificate":
-        data = json.loads(payload)
-        table = tuple(
-            MinorizationRow(level=r["level"], iota_k=r["iota_k"], iota_l=r["iota_l"],
-                            iota=r["iota"], skipped=r["skipped"])
-            for r in data["iota_table"]
-        )
-        return cls(a=data["a"], rho=data["rho"], epsilon=data["epsilon"],
-                   c=data["c"], iota_table=table)
 
 
 @dataclass(frozen=True)

@@ -607,12 +607,12 @@ def geometric_rate_report(model: DiscreteModel, iterates) -> DiscreteRateReport:
     sandwich_residual = 0.0
     for it in iterates[1:]:
         low = eps_w * model.eta - it.pi_even
-        high = it.pi_even - model.eta / eps_w
-        sandwich_residual = max(
-            sandwich_residual,
-            float(np.max(low, initial=0.0)),
-            float(np.max(high, initial=0.0)),
-        )
+        sandwich_residual = max(sandwich_residual, float(np.max(low, initial=0.0)))
+        # eps_w underflows to 0 for a large cost oscillation, and then the
+        # upper sandwich pi <= eta / eps_w holds vacuously.
+        if eps_w > 0.0:
+            high = it.pi_even - model.eta / eps_w
+            sandwich_residual = max(sandwich_residual, float(np.max(high, initial=0.0)))
     return DiscreteRateReport(
         eps_w=eps_w,
         bound=bound,

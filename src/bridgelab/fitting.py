@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 # Below this magnitude double-precision noise dominates, so fit windows stop.
 SATURATION_FLOOR = 1e-14
 MIN_POINTS = 5
@@ -20,7 +18,7 @@ class RateFit:
     n_points: int
 
 
-def fit_rate(series, window: tuple[int, int] | None = None) -> RateFit | None:
+def fit_rate(series) -> RateFit | None:
     """Least-squares slope of log(value) against the step index.
 
     ``series`` is an iterable of ``(n, value)`` pairs.  Points at or below the
@@ -29,9 +27,6 @@ def fit_rate(series, window: tuple[int, int] | None = None) -> RateFit | None:
     when fewer than MIN_POINTS usable points remain.
     """
     pts = [(int(n), float(v)) for n, v in series]
-    if window is not None:
-        lo, hi = window
-        pts = [(n, v) for n, v in pts if lo <= n <= hi]
     pts.sort(key=lambda t: t[0])
     usable: list[tuple[int, float]] = []
     for n, v in pts:
@@ -48,10 +43,3 @@ def fit_rate(series, window: tuple[int, int] | None = None) -> RateFit | None:
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return RateFit(slope=float(slope), r2=r2, n_points=len(usable))
-
-
-def require_fit(series, window: tuple[int, int] | None = None) -> RateFit:
-    fit = fit_rate(series, window)
-    if fit is None:
-        raise DomainError("rate fit unavailable: fewer than 5 points above the saturation floor")
-    return fit

@@ -21,6 +21,8 @@ from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
 GAIN_TOL = 1e-10
+# rate_report needs the even states n = 0..MIN_RATE_PAIRS: this many Sinkhorn pairs.
+MIN_RATE_PAIRS = 9
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,14 @@ class LinearGaussianKernel:
         return self.alpha.size
 
     @functools.cached_property
+    def noise(self) -> Gaussian:
+        """The transition noise N(0, tau), which carries tau's cached factors."""
+        return Gaussian(np.zeros(self.dim), self.tau)
+
+    @functools.cached_property
     def chi(self) -> np.ndarray:
         """tau^{-1} beta, the kernel's Fisher-Lipschitz matrix (computed once)."""
-        return _frozen(matcore.spd_inverse(self.tau) @ self.beta)
+        return _frozen(self.noise.precision @ self.beta)
 
 
 def kernel_to_json(kernel: LinearGaussianKernel) -> dict:
@@ -116,7 +123,7 @@ def conjugate_kernel(mu: Gaussian, kernel: LinearGaussianKernel) -> LinearGaussi
         noise = matcore.spd_inverse(mu.precision + kernel.beta.T @ kernel.chi)
     except DomainError as exc:
         raise NumericalError(f"conjugate update lost positivity: {exc}") from exc
-    alt = noise @ kernel.beta.T @ matcore.spd_inverse(kernel.tau)
+    alt = noise @ kernel.beta.T @ kernel.noise.precision
     if float(np.max(np.abs(gain - alt))) > GAIN_TOL * max(1.0, float(np.max(np.abs(gain)))):
         raise NumericalError("conjugate gain identity beta1 = tau1 beta' tau^{-1} failed")
     alpha = mu.mean - gain @ pushed.mean
@@ -328,7 +335,9 @@ class GaussianBridge:
         for name in ("fixed_point", "noise_cov", "gain", "intercept"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    def as_kernel(self) -> LinearGaussianKernel:
+    @functools.cached_property
+    def kernel(self) -> LinearGaussianKernel:
+        """The bridge as a transition kernel (built and validated once)."""
         return LinearGaussianKernel(alpha=self.intercept, beta=self.gain, tau=self.noise_cov)
 
 
@@ -364,7 +373,7 @@ def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
     if state.step % 2 != 0:
         raise DomainError("bridge_entropy expects an even-index state")
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
-    isq = matcore.inv_sqrt(bridge.noise_cov)
+    isq = bridge.kernel.noise.inv_root
     mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
     cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ mu.root
     cross_term = float(np.sum(cross ** 2))
@@ -399,10 +408,10 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                 kernel: LinearGaussianKernel) -> GaussianRateReport:
     """Convergence table of the even-index flow against the closed-form bridge."""
     even = [s for s in trajectory if s.step % 2 == 0]
-    if len(even) < 10:
-        raise DomainError("rate_report needs at least 10 even-index states")
+    if len(even) <= MIN_RATE_PAIRS:
+        raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even-index states")
     by_step = {s.step: s for s in trajectory}
-    noise_root = matcore.principal_sqrt(bridge.noise_cov)
+    noise_root = bridge.kernel.noise.root
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
@@ -509,8 +518,8 @@ class EnvelopeReport:
         return ok and all(r.within for r in self.chained_w2_rows)
 
 
-def envelope_report(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
-                    trajectory) -> EnvelopeReport:
+def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
+                    kernel: LinearGaussianKernel) -> EnvelopeReport:
     """Entropy and 2-Wasserstein decay envelopes from the transport inequalities.
 
     The log-Sobolev constants are exact here: the marginal potentials have
@@ -524,7 +533,6 @@ def envelope_report(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
     rho_bar = matcore.spectral_norm(eta.covariance)
     eps = kappa ** 2 * rho * rho_bar
     vacuous = not (math.isfinite(eps) and eps > 0)
-    bridge = schrodinger_bridge_gaussian(mu, eta, kernel)
     b_joint = bridge_joint(mu, bridge)
     values = [gaussian_kl(b_joint, sinkhorn_joint(s, mu, eta)) for s in trajectory]
     h0 = values[0]
@@ -680,7 +688,7 @@ def potential_hessian(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
     odd = sinkhorn_step(state, mu, eta, kernel)
     even_next = sinkhorn_step(odd, mu, eta, kernel)
     hess_u = mu.precision - chi.T @ kernel.beta + chi.T @ state.cov @ chi
-    hess_v = eta.precision - matcore.spd_inverse(kernel.tau) + chi @ odd.cov @ chi.T
+    hess_v = eta.precision - kernel.noise.precision + chi @ odd.cov @ chi.T
     # The second-coordinate Hessians of the running transition potentials must
     # match the next covariance inverses, and dominate the marginal curvatures.
     w_odd = mu.precision + chi.T @ state.cov @ chi

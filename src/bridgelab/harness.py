@@ -21,14 +21,17 @@ import numpy as np
 from . import contraction, discrete, gaussian
 from .divergences import Gaussian
 from .errors import DomainError
-from .fitting import RateFit, fit_rate  # noqa: F401  (fit_rate is part of this module's API)
+from .fitting import fit_rate  # noqa: F401  (fit_rate is part of this module's API)
 
 MAX_DISCRETE_SIDE = 64
 MAX_GAUSSIAN_DIM = 16
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise DomainError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def generate_instance(regime: str, size, seed: int, profile: str, **params):
@@ -80,14 +83,12 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
             raise DomainError(f"gaussian dimension is capped at {MAX_GAUSSIAN_DIM}")
         if profile != "gaussian-random-spd":
             raise DomainError(f"unknown gaussian profile {profile!r}")
-        lam_min = float(params.pop("lambda_min", 0.1))
-        lam_max = float(params.pop("lambda_max", 1.2))
         if params:
             raise DomainError(f"unknown profile parameters {sorted(params)}")
 
         def random_spd() -> np.ndarray:
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            vals = rng.uniform(lam_min, lam_max, size=d)
+            vals = rng.uniform(0.1, 1.2, size=d)
             return (q * vals) @ q.T
 
         def random_invertible() -> np.ndarray:
@@ -136,6 +137,9 @@ class ExperimentConfig:
         unknown = [c for c in self.checks if c not in known]
         if unknown:
             raise DomainError(f"unknown check identifiers {unknown} for regime {self.regime}")
+        if "riccati-rate" in self.checks and self.iterations < gaussian.MIN_RATE_PAIRS:
+            raise DomainError(f"iterations must be >= {gaussian.MIN_RATE_PAIRS} for the "
+                              f"riccati-rate check, got {self.iterations}")
 
     @classmethod
     def from_json(cls, payload: dict | str) -> "ExperimentConfig":
@@ -364,7 +368,7 @@ def _check_golden(instance, trajectory, bridge):
 
 
 def _check_transport(instance, trajectory, bridge):
-    pushed = gaussian.push_forward(instance.mu, bridge.as_kernel())
+    pushed = gaussian.push_forward(instance.mu, bridge.kernel)
     mean_err = float(np.linalg.norm(pushed.mean - instance.eta.mean))
     cov_err = float(np.linalg.norm(pushed.covariance - instance.eta.covariance))
     rows = [(0, "transport_mean_error", mean_err), (0, "transport_cov_error", cov_err)]
@@ -416,7 +420,8 @@ def _check_riccati_rate(instance, trajectory, bridge):
 
 
 def _check_envelope(instance, trajectory, bridge):
-    report = gaussian.envelope_report(instance.mu, instance.eta, instance.kernel, trajectory)
+    report = gaussian.envelope_report(trajectory, bridge, instance.mu, instance.eta,
+                                      instance.kernel)
     rows = [
         (0, "kappa", report.kappa),
         (0, "eps", report.eps),

@@ -152,7 +152,7 @@ def test_criterion_06_bridge_transport():
     for d, seed in seeds:
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        pushed = gs.push_forward(inst.mu, bridge.as_kernel())
+        pushed = gs.push_forward(inst.mu, bridge.kernel)
         worst_mean = max(worst_mean, float(np.linalg.norm(pushed.mean - inst.eta.mean)))
         worst_cov = max(
             worst_cov, float(np.linalg.norm(pushed.covariance - inst.eta.covariance))
@@ -185,7 +185,9 @@ def test_criterion_08_envelope_domination():
     for d, seed in cases:
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
-        report = gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+        report = gs.envelope_report(
+            states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+            inst.mu, inst.eta, inst.kernel)
         assert math.isfinite(report.eps)
         for row in report.entropy_rows:
             worst = max(worst, row.value - row.bound)
@@ -200,7 +202,9 @@ def test_criterion_08_envelope_domination():
         kernel=gs.LinearGaussianKernel(np.array([0.0]), np.array([[1.0]]), np.array([[2.0]])),
     )
     states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
-    report = gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+    report = gs.envelope_report(
+        states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+        inst.mu, inst.eta, inst.kernel)
     assert report.gate_contractive
     gates += 1
     for row in report.entropy_rows:

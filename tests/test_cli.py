@@ -60,6 +60,21 @@ def test_malformed_config_field_exits_two(tmp_path, capsys):
     assert "checks must be a list" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path / "neg.json", {
+        "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
+        "seed": -1, "checks": ["golden-fixed-point"],
+    })
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert "seed must be in" in capsys.readouterr().err
+    assert cli.parse_and_dispatch([
+        "gen", "--regime", "gaussian", "--profile", "gaussian-random-spd", "--size", "2",
+        "--seed", "-1", "--out", str(tmp_path / "inst.json"),
+    ]) == 2
+    assert "seed must be in" in capsys.readouterr().err
+    assert not (tmp_path / "inst.json").exists()
+
+
 def test_verify_golden(golden_config, tmp_path, capsys):
     assert cli.parse_and_dispatch(["verify", "--config", golden_config]) == 0
     out = capsys.readouterr().out

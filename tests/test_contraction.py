@@ -236,14 +236,6 @@ class TestLyapunovSearch:
                     cert.rho ** (2 * n) * base + 1e-10
                 )
 
-    def test_certificate_json_round_trip(self):
-        k = np.tile(np.array([0.3, 0.7]), (2, 1))
-        cert = contraction.lyapunov_search(k, k, np.ones(2), np.ones(2))
-        clone = contraction.ContractionCertificate.from_json(cert.to_json())
-        assert clone.a == cert.a
-        assert clone.rho == cert.rho
-        assert clone.iota_table == cert.iota_table
-
 
 class TestNonFiniteWeights:
     """NaN, inf or wrongly sized weights must raise a DomainError, never yield a

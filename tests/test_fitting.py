@@ -1,10 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from bridgelab.errors import DomainError
-from bridgelab.fitting import fit_rate, require_fit
+from bridgelab.fitting import fit_rate
 
 
 def test_exact_geometric_series():
@@ -30,14 +28,3 @@ def test_saturated_tail_trimmed():
 def test_all_saturated_unavailable():
     series = [(n, 1e-16) for n in range(10)]
     assert fit_rate(series) is None
-    with pytest.raises(DomainError):
-        require_fit(series)
-
-
-def test_window_restriction():
-    rng = np.random.default_rng(0)
-    series = [(n, math.exp(-0.5 * n) * (1 + 1e-3 * rng.standard_normal())) for n in range(40)]
-    fit = fit_rate(series, window=(5, 25))
-    assert fit is not None
-    assert fit.n_points == 21
-    assert fit.slope == pytest.approx(-0.5, abs=1e-3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -82,6 +83,16 @@ class TestKernelChi:
         assert kernel.chi is chi and len(calls) == 1
         assert not chi.flags.writeable
         assert chi.tobytes() == (original(kernel.tau) @ kernel.beta).tobytes()
+
+    def test_noise_is_built_once_and_read_only(self):
+        kernel = random_instance(np.random.default_rng(4), 3).kernel
+        noise = kernel.noise
+        assert kernel.noise is noise
+        assert noise.mean.tobytes() == np.zeros(3).tobytes()
+        assert noise.covariance.tobytes() == kernel.tau.tobytes()
+        assert not noise.covariance.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.noise = noise
 
 
 class TestConjugateKernel:
@@ -289,7 +300,7 @@ class TestBridge:
         rng = np.random.default_rng(12)
         inst = self_bridged_instance(rng, 3)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        kernel = bridge.as_kernel()
+        kernel = bridge.kernel
         np.testing.assert_allclose(kernel.alpha, inst.kernel.alpha, atol=1e-10)
         np.testing.assert_allclose(kernel.beta, inst.kernel.beta, atol=1e-10)
         np.testing.assert_allclose(kernel.tau, inst.kernel.tau, atol=1e-10)
@@ -305,9 +316,24 @@ class TestBridge:
         for d in (1, 2, 3, 8):
             inst = random_instance(rng, d)
             bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-            pushed = gs.push_forward(inst.mu, bridge.as_kernel())
+            pushed = gs.push_forward(inst.mu, bridge.kernel)
             np.testing.assert_allclose(pushed.mean, inst.eta.mean, atol=1e-10)
             np.testing.assert_allclose(pushed.covariance, inst.eta.covariance, atol=1e-10)
+
+    def test_kernel_is_built_once_and_read_only(self):
+        inst = random_instance(np.random.default_rng(26), 3)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        kernel = bridge.kernel
+        assert bridge.kernel is kernel
+        assert kernel.alpha.tobytes() == bridge.intercept.tobytes()
+        assert kernel.beta.tobytes() == bridge.gain.tobytes()
+        assert kernel.tau.tobytes() == bridge.noise_cov.tobytes()
+        assert not kernel.tau.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bridge.kernel = kernel
+        # the noise factors are the ones matcore derives from noise_cov
+        assert kernel.noise.root.tobytes() == matcore.principal_sqrt(bridge.noise_cov).tobytes()
+        assert kernel.noise.inv_root.tobytes() == matcore.inv_sqrt(bridge.noise_cov).tobytes()
 
     def test_carries_the_riccati_problem_it_solved(self):
         rng = np.random.default_rng(25)
@@ -360,6 +386,24 @@ class TestBridgeEntropy:
                 formula = gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
                 oracle = gaussian_kl(gs.sinkhorn_joint(state, inst.mu, inst.eta), b_joint)
                 assert formula == pytest.approx(oracle, abs=1e-9)
+
+    def test_no_factorization_after_the_first_call(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(28), 3)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        first = gs.bridge_entropy(states[0], bridge, inst.mu, inst.kernel)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert gs.bridge_entropy(states[0], bridge, inst.mu, inst.kernel) == first
+        for state in states[2::2]:
+            gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
+        assert calls == []
 
     def test_monotone_decay(self):
         rng = np.random.default_rng(17)
@@ -417,13 +461,17 @@ class TestEnvelopes:
         rng = np.random.default_rng(21)
         inst = self_bridged_instance(rng, 2)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
-        report = gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+        report = gs.envelope_report(
+            states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+            inst.mu, inst.eta, inst.kernel)
         assert report.all_within
 
     def test_scalar_contractive_instance(self):
         inst = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9, beta=1.0, tau=2.0)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-        report = gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+        report = gs.envelope_report(
+            states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+            inst.mu, inst.eta, inst.kernel)
         assert report.kappa == pytest.approx(0.5)
         assert report.gate_contractive
         assert report.all_within
@@ -444,7 +492,9 @@ class TestEnvelopes:
         for inst in (contractive, random_instance(rng, 3)):
             calls.clear()
             states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
-            gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+            gs.envelope_report(
+                states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+                inst.mu, inst.eta, inst.kernel)
             assert len(calls) == len(states)
             # each marginal is measured against the target its half step matches
             for state, target in zip(states, calls):
@@ -455,7 +505,9 @@ class TestEnvelopes:
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
             states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
-            report = gs.envelope_report(inst.mu, inst.eta, inst.kernel, states)
+            report = gs.envelope_report(
+                states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+                inst.mu, inst.eta, inst.kernel)
             for row in report.entropy_rows:
                 assert row.value <= row.bound + 1e-10
                 if row.refined_bound is not None:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ class TestGenerateInstance:
             harness.generate_instance("discrete", (3, 3), 1, "mystery")
         with pytest.raises(DomainError):
             harness.generate_instance("gaussian", 3, 1, "bounded")
+        for name in ("lambda_min", "lambda_max"):
+            with pytest.raises(DomainError, match="^unknown profile parameters"):
+                harness.generate_instance("gaussian", 3, 1, "gaussian-random-spd",
+                                          **{name: 0.5})
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_out_of_range_rejected(self, seed):
+        for regime, size, profile in [("discrete", (3, 4), "bounded"),
+                                      ("gaussian", 2, "gaussian-random-spd")]:
+            with pytest.raises(DomainError, match=r"^seed must be in \[0, 2\*\*128\)"):
+                harness.generate_instance(regime, size, seed, profile)
+        assert harness.generate_instance("discrete", (3, 4), 2 ** 128 - 1, "bounded").eps_w > 0
 
     def test_size_caps(self):
         with pytest.raises(DomainError):
@@ -113,6 +126,19 @@ class TestConfig:
             harness.ExperimentConfig.from_json(payload)
         with pytest.raises(DomainError, match=f"^{field} must be"):
             harness.ExperimentConfig(**payload)
+
+    def test_riccati_rate_needs_enough_iterations(self):
+        payload = {"regime": "gaussian", "seed": 0,
+                   "instance": {"profile": "gaussian-random-spd", "size": 2}}
+        with pytest.raises(DomainError, match="^iterations must be >= 9 for the riccati-rate"):
+            harness.ExperimentConfig.from_json({**payload, "iterations": 8})
+        config = harness.ExperimentConfig.from_json({**payload, "iterations": 9})
+        assert "riccati-rate" in config.checks
+        harness.run_experiment(config)
+        others = [c for c in harness.GAUSSIAN_CHECKS if c != "riccati-rate"]
+        harness.run_experiment(
+            harness.ExperimentConfig.from_json({**payload, "iterations": 6, "checks": others})
+        )
 
     def test_config_must_be_an_object(self):
         with pytest.raises(DomainError, match="^config must be an object"):
@@ -246,6 +272,41 @@ class TestRunExperiment:
             (tmp_path / "a" / "out" / "verdicts.json").read_bytes()
             == (tmp_path / "b" / "out" / "verdicts.json").read_bytes()
         )
+
+    def test_negative_seed_named(self):
+        config = harness.ExperimentConfig.from_json({
+            "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
+            "seed": -1, "checks": ["golden-fixed-point"],
+        })
+        with pytest.raises(DomainError, match="^seed must be in"):
+            harness.run_experiment(config)
+
+    def test_one_bridge_solve_per_gaussian_run(self, monkeypatch):
+        calls = []
+        original = gaussian.schrodinger_bridge_gaussian
+
+        def counting(mu, eta, kernel):
+            calls.append(kernel)
+            return original(mu, eta, kernel)
+
+        monkeypatch.setattr(gaussian, "schrodinger_bridge_gaussian", counting)
+        config = harness.ExperimentConfig.from_json({
+            "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
+            "iterations": 12, "seed": 3,
+        })
+        harness.run_experiment(config)
+        assert config.checks == harness.GAUSSIAN_CHECKS
+        assert len(calls) == 1
+
+    def test_underflowed_eps_w_warns_nothing(self, tmp_path):
+        config = _discrete_config(tmp_path, ["geometric-rate"], iterations=20, seed=0,
+                                  size=[8, 8], osc_cap=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = harness.run_experiment(config)
+        assert (0, "eps_w", 0.0) in report.rows
+        # the verdict the check gave before the vacuous upper sandwich was skipped
+        assert report.verdicts == (harness.Verdict("geometric-rate", True, 0.0),)
 
     def test_verdicts_recomputable_from_rows(self, tmp_path):
         config = _discrete_config(tmp_path, ["ladder"])
