@@ -6,10 +6,12 @@ conditions are verified entrywise; a grid search over the weight-mixing
 parameter realizes a contraction certificate when one exists.
 
 Every sup over state pairs goes through one primitive, :func:`_pair_chunks`,
-which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks of at
-most ``_PAIR_CHUNK_ELEMENTS`` floats (64 KB), so memory stays bounded at any
-kernel size.  The certificate search builds each kernel's differences once
-and scores every grid point against them.  The grid, the arithmetic per pair
+which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks small
+enough that each per-chunk table holds at most ``_PAIR_CHUNK_ELEMENTS`` floats
+(64 KB), so memory stays bounded at any kernel size.  :func:`_lip_norms`
+scores a chunk against a whole matrix of weights at once: one matrix product
+screens every (pair, weight) ratio, and the exact per-pair sum runs only where
+the screen says the maximum can be.  The grid, the exact arithmetic per pair
 and the tie rule (first strict minimum: the earliest of equal-rho grid points)
 are those of a plain per-pair loop, and the results are bit-identical to it.
 """
@@ -29,6 +31,10 @@ KERNEL_TOL = 1e-9
 DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
 # Float64 entries per pair-difference temporary: 8192 * 8 bytes = 64 KB.
 _PAIR_CHUNK_ELEMENTS = 8192
+# Relative margin of the pair screen in _lip_norms; far above its rounding error.
+_SCREEN_MARGIN = 1e-9
+_FMAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_kernel(k, name: str = "kernel") -> np.ndarray:
@@ -75,26 +81,60 @@ def _check_pair_shapes(k: np.ndarray, l_mat: np.ndarray, g: np.ndarray, h: np.nd
         )
 
 
-def _pair_chunks(k: np.ndarray):
+def _pair_chunks(k: np.ndarray, width: int = 1):
     """Yield ``(|k[i] - k[j]|, i, j)`` over the row pairs i < j of ``k``.
 
     Pairs come in ``np.triu_indices`` (row-major) order, at most
-    ``_PAIR_CHUNK_ELEMENTS // n_cols`` pairs (and at least one) per chunk.
+    ``_PAIR_CHUNK_ELEMENTS // max(n_cols, width)`` pairs (and at least one) per
+    chunk, so both the differences and a pairs x ``width`` table fit the bound.
     """
     rows, cols = np.triu_indices(k.shape[0], 1)
-    step = max(1, _PAIR_CHUNK_ELEMENTS // max(1, k.shape[1]))
+    step = max(1, _PAIR_CHUNK_ELEMENTS // max(1, k.shape[1], width))
     for start in range(0, rows.size, step):
         i = rows[start:start + step]
         j = cols[start:start + step]
         yield np.abs(k[i] - k[j]), i, j
 
 
-def _lip_norms(k: np.ndarray, weights) -> np.ndarray:
-    """``lip_norm(k, s, t)`` for every ``(s, t)`` in ``weights``, in one pass."""
-    worst = np.zeros(len(weights))
-    for diff, i, j in _pair_chunks(k):
-        ratios = [(np.sum(t * diff, axis=1) / (s[i] + s[j])).max() for s, t in weights]
-        np.maximum(worst, ratios, out=worst)
+def _lip_norms(k: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """``lip_norm(k, src[w], tgt[w])`` for every row w of the weight matrices.
+
+    ``src`` is (W, n_rows) and ``tgt`` is (W, n_cols).  Per chunk of pairs, one
+    matrix product gives a screen ``(diff @ tgt.T) / den`` of every ratio.  The
+    exact ratio ``np.sum(diff[p] * tgt[w]) / den[p, w]`` (the arithmetic of a
+    per-pair loop) is computed only for the (p, w) whose screen is not below
+
+        bar[w] = max(max_p screen[p, w], worst[w]) * (1 - _SCREEN_MARGIN) - slack.
+
+    All terms are nonnegative, so the screen and the exact ratio each lie
+    within ``(n_cols + 4) * eps`` (relative) of the same real number, plus an
+    absolute underflow error below ``slack`` (``tiny``, divided by the smallest
+    denominator when that is below 1).  A dropped ratio is therefore strictly
+    below a kept one or below ``worst``, so the max is the loop's max bit for
+    bit (while ``n_cols`` is far below ``_SCREEN_MARGIN / eps``, ~10^6).
+    Weights large enough that a sum could overflow make ``slack`` infinite,
+    and every pair is scored exactly.  NaN screens are kept, so a NaN ratio
+    still reaches ``worst`` and raises.  Kept ratios are scored in slices of
+    at most ``_PAIR_CHUNK_ELEMENTS // n_cols`` rows, so memory stays bounded
+    even when every pair ties.
+    """
+    worst = np.zeros(src.shape[0])
+    slice_rows = max(1, _PAIR_CHUNK_ELEMENTS // max(1, tgt.shape[1]))
+    # Row differences sum to at most 2, so below _FMAX / 4 no sum overflows.
+    if max(src.max(initial=0.0), tgt.max(initial=0.0)) < _FMAX / 4:
+        slack = _TINY / min(1.0, 2.0 * src.min(initial=np.inf))
+    else:
+        slack = np.inf
+    for diff, i, j in _pair_chunks(k, src.shape[0]):
+        den = (src[:, i] + src[:, j]).T
+        screen = (diff @ tgt.T) / den
+        bar = np.maximum(screen.max(axis=0), worst) * (1.0 - _SCREEN_MARGIN) - slack
+        p, w = np.nonzero(~(screen < bar))
+        for start in range(0, p.size, slice_rows):
+            ps = p[start:start + slice_rows]
+            ws = w[start:start + slice_rows]
+            ratio = np.sum(diff[ps] * tgt[ws], axis=1) / den[ps, ws]
+            np.maximum.at(worst, ws, ratio)
     if np.isnan(worst).any():
         raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
     return worst
@@ -103,8 +143,8 @@ def _lip_norms(k: np.ndarray, weights) -> np.ndarray:
 def dobrushin(kernel) -> float:
     """Worst-case total variation distance between two rows of the kernel."""
     k = _as_kernel(kernel)
-    ones_x, ones_y = np.ones(k.shape[0]), np.ones(k.shape[1])
-    return min(float(_lip_norms(k, [(ones_x, ones_y)])[0]), 1.0)
+    ones_x, ones_y = np.ones((1, k.shape[0])), np.ones((1, k.shape[1]))
+    return min(float(_lip_norms(k, ones_x, ones_y)[0]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -161,7 +201,7 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     h = _as_positive_weights(target_weight, "target_weight")
     if g.size != k.shape[0] or h.size != k.shape[1]:
         raise DomainError("weight dimensions do not match the kernel")
-    return float(_lip_norms(k, [(g, h)])[0])
+    return float(_lip_norms(k, g[None], h[None])[0])
 
 
 @dataclass(frozen=True)
@@ -305,19 +345,24 @@ def _drift_constants(kernels_k, kernels_l, g, h, epsilon: float = 0.5):
 def _rhos(kernels_k, kernels_l, g, h, grid) -> np.ndarray:
     """Worst Lipschitz norm over all kernels at each mixing level of ``grid``.
 
-    Each kernel's pair differences are built once and scored against every
-    level; K kernels take source weight g_a and target weight h_a, L kernels
-    the reverse.
+    The weights of every level are built at once, row w being
+    ``g_a = 0.5 + a[w] * g`` and ``h_a = 0.5 + a[w] * h`` (the arithmetic of
+    :class:`WeightPair`).  Each kernel's pair differences are built once and
+    scored against every level; K kernels take source weight g_a and target
+    weight h_a, L kernels the reverse.
     """
-    forward = [(p.g_a, p.h_a) for p in (WeightPair(g=g, h=h, a=a) for a in grid)]
-    backward = [(t, s) for s, t in forward]
-    rho = np.zeros(len(forward))
-    for kernels, shape, weights in ((kernels_k, (g.size, h.size), forward),
-                                    (kernels_l, (h.size, g.size), backward)):
+    a = np.asarray(grid, dtype=float)
+    if not np.all((a > 0) & (a < math.inf)):
+        raise DomainError("mixing level a must be positive and finite")
+    g_a = 0.5 + a[:, None] * g
+    h_a = 0.5 + a[:, None] * h
+    rho = np.zeros(a.size)
+    for kernels, shape, src, tgt in ((kernels_k, (g.size, h.size), g_a, h_a),
+                                     (kernels_l, (h.size, g.size), h_a, g_a)):
         for k in kernels:
             if k.shape != shape:
                 raise DomainError("weight dimensions do not match the kernel")
-            np.maximum(rho, _lip_norms(k, weights), out=rho)
+            np.maximum(rho, _lip_norms(k, src, tgt), out=rho)
     return rho
 
 

@@ -236,7 +236,18 @@ def _load_instance(config: ExperimentConfig):
 # --------------------------------------------------------------------------
 
 
+def _marginal_errors(model, bridge) -> tuple[float, float]:
+    """Worst absolute error of the bridge's row sums against mu and column sums against eta."""
+    return (float(np.max(np.abs(bridge.sum(axis=1) - model.mu))),
+            float(np.max(np.abs(bridge.sum(axis=0) - model.eta))))
+
+
 def _check_ladder(model, iterates, solution):
+    # The ladder decomposes H(Q | P) for a coupling Q of (mu, eta); a bridge
+    # solve that stalled short of its marginals fails the check instead.
+    err = max(_marginal_errors(model, solution.bridge))
+    if err > discrete.MARGINAL_TOL:
+        return [(0, "ladder_bridge_marginal_error", err)], Verdict("ladder", False, err)
     report = discrete.entropy_ladder(model, iterates, solution.bridge)
     rows = []
     worst = 0.0
@@ -294,8 +305,7 @@ def _check_identities(model, iterates, solution):
 
 
 def _check_bridge_feasibility(model, iterates, solution):
-    marg_x = float(np.max(np.abs(solution.bridge.sum(axis=1) - model.mu)))
-    marg_y = float(np.max(np.abs(solution.bridge.sum(axis=0) - model.eta)))
+    marg_x, marg_y = _marginal_errors(model, solution.bridge)
     worst = max(solution.residual, marg_x, marg_y)
     rows = [
         (0, "bridge_residual", solution.residual),

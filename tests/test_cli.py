@@ -219,6 +219,19 @@ def test_failing_verdict_exits_one(golden_config, monkeypatch):
     assert cli.parse_and_dispatch(["verify", "--config", golden_config]) == 1
 
 
+def test_stalled_bridge_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path / "stalled.json", {
+        "regime": "discrete",
+        "instance": {"profile": "bounded", "size": [16, 16], "osc_cap": 400.0},
+        "seed": 0,
+        "checks": ["ladder", "bridge-feasibility"],
+    })
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL ladder" in out
+    assert "FAIL bridge-feasibility" in out
+
+
 def test_plot_flag(bounded_config, tmp_path):
     assert cli.parse_and_dispatch([
         "verify", "--config", bounded_config, "--plot", "on",

@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab import contraction, discrete
+from bridgelab import contraction, discrete, harness
 from bridgelab.divergences import KL, TOTAL_VARIATION, weighted_tv
 from bridgelab.errors import DomainError, NumericalError
 
@@ -290,6 +293,11 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError, match=f"^{name} "):
             contraction.minorization_table(self.k, l_mat, g, h, [1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_grid_levels(self, bad):
+        with pytest.raises(DomainError, match="mixing level"):
+            contraction.lyapunov_search(self.k, self.l, np.ones(3), np.ones(2), grid=[1.0, bad])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weights_raise_numerical_error(self):
         huge = np.full(2, 1e308)
@@ -355,12 +363,20 @@ def assert_search_matches_loop(ks, ls, g, h, grid=None):
 
 @st.composite
 def weighted_kernels(draw):
-    """Kernel lists K (n x m) and L (m x n) with weights g (n) and h (m)."""
+    """Kernel lists K (n x m) and L (m x n) with weights g (n) and h (m).
+
+    Beside generic kernels, the styles put many (pair, weight) ratios at or
+    next to the maximum: rows equal to within 1e-13, permutation rows (every
+    pair at total variation 1), and with spread 0 unit weights.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 8))
+    style = draw(st.sampled_from(
+        ["dense", "sparse", "repeated-rows", "near-ties", "permutation"]))
+    n = draw(st.integers(1, 24))
+    # Permutation rows are pairwise distinct on both sides only when square.
+    m = n if style == "permutation" else draw(st.integers(1, 24))
     count = draw(st.integers(1, 3))
-    style = draw(st.sampled_from(["dense", "sparse", "repeated-rows"]))
+    spread = draw(st.sampled_from([0.0, 3.0, 30.0]))
 
     def kernel(rows, cols):
         k = rng.dirichlet(np.ones(cols), size=rows)
@@ -370,12 +386,18 @@ def weighted_kernels(draw):
             k /= k.sum(axis=1, keepdims=True)
         elif style == "repeated-rows":
             k = k[rng.integers(0, rows, size=rows)]
+        elif style == "near-ties":
+            k = k[rng.integers(0, min(rows, 2), size=rows)]
+            k += rng.uniform(0.0, 1e-13, size=k.shape)
+            k /= k.sum(axis=1, keepdims=True)
+        elif style == "permutation":
+            k = np.eye(cols)[rng.permutation(rows)]
         return k
 
     ks = [kernel(n, m) for _ in range(count)]
     ls = [kernel(m, n) for _ in range(count)]
-    g = np.exp(rng.uniform(-3.0, 3.0, size=n))
-    h = np.exp(rng.uniform(-3.0, 3.0, size=m))
+    g = np.exp(rng.uniform(-spread, spread, size=n))
+    h = np.exp(rng.uniform(-spread, spread, size=m))
     return ks, ls, g, h
 
 
@@ -414,6 +436,19 @@ class TestChunkedOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(contraction, "_PAIR_CHUNK_ELEMENTS", chunk)
             assert_search_matches_loop(ks, ls, g, h, grid)
+
+    def test_last_bit_ties_equal_loop(self):
+        # Rows from two bases plus noise in the last bits: pairs across the
+        # bases tie to within an ulp, and the matrix product of the screen and
+        # the per-pair sum often round them in opposite orders.
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            n, m = int(rng.integers(3, 7)), int(rng.integers(9, 40))
+            bases = rng.dirichlet(np.ones(m), size=2)
+            k = bases[rng.integers(0, 2, size=n)] + rng.uniform(0.0, 1e-16, size=(n, m))
+            k /= k.sum(axis=1, keepdims=True)
+            g, h = np.ones(n), np.ones(m)
+            assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
 
     def test_one_row_kernel_has_no_pairs(self):
         k = np.array([[0.25, 0.25, 0.5]])
@@ -456,3 +491,33 @@ class TestChunkedOracle:
             contraction.lyapunov_search(k, l, np.ones(4), np.ones(4))
         with pytest.raises(DomainError):
             contraction.lyapunov_search(k, random_kernel(rng, 4, 4), np.ones(4), np.ones(3))
+
+
+class TestScreenResources:
+    def test_all_ties_memory_is_bounded(self):
+        # Every pair of a permutation kernel ties at every level under unit
+        # weights, so the screen keeps all 2016 x 50 ratios of each kernel.
+        rng = np.random.default_rng(19)
+        perms = [np.eye(64)[rng.permutation(64)] for _ in range(2)]
+        ones = np.ones(64)
+        tracemalloc.start()
+        try:
+            result = contraction.lyapunov_search(perms, perms, ones, ones)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(result, contraction.SearchFailure)
+        assert result.best_rho == 1.0
+        assert peak <= 1 << 20
+
+    def test_bounded_64x64_search_warns_nothing(self):
+        model = harness.generate_instance("discrete", (64, 64), 0, "bounded")
+        iterates = discrete.run_sinkhorn(model, 5)
+        g = np.exp(0.25 * model.u_potential)
+        h = np.exp(0.25 * model.v_potential)
+        evens = [it.kernel_even for it in iterates[1:]]
+        odds = [it.kernel_odd for it in iterates[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = contraction.lyapunov_search(evens, odds, g, h)
+        assert isinstance(cert, contraction.ContractionCertificate)

@@ -308,6 +308,23 @@ class TestRunExperiment:
         # the verdict the check gave before the vacuous upper sandwich was skipped
         assert report.verdicts == (harness.Verdict("geometric-rate", True, 0.0),)
 
+    def test_stalled_bridge_fails_ladder_instead_of_raising(self):
+        # solve_bridge stops short of the marginals here (residual ~1e-4).
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete",
+            "instance": {"profile": "bounded", "size": [16, 16], "osc_cap": 400.0},
+            "seed": 0,
+        })
+        report = harness.run_experiment(config)
+        verdicts = {v.check: v for v in report.verdicts}
+        assert not verdicts["bridge-feasibility"].passed
+        ladder = verdicts["ladder"]
+        assert not ladder.passed
+        assert ladder.worst_residual > discrete.MARGINAL_TOL
+        assert [row for row in report.rows if row[1].startswith("ladder")] == [
+            (0, "ladder_bridge_marginal_error", ladder.worst_residual)
+        ]
+
     def test_verdicts_recomputable_from_rows(self, tmp_path):
         config = _discrete_config(tmp_path, ["ladder"])
         report = harness.run_experiment(config)
