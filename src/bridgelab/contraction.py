@@ -7,8 +7,8 @@ parameter realizes a contraction certificate when one exists.
 
 Every sup over state pairs goes through one primitive, :func:`_pair_chunks`,
 which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks small
-enough that each per-chunk table holds at most ``_PAIR_CHUNK_ELEMENTS`` floats
-(64 KB), so memory stays bounded at any kernel size.  :func:`_lip_norms`
+enough that each per-chunk table holds at most ``matcore.CHUNK_ELEMENTS``
+floats (64 KB), so memory stays bounded at any kernel size.  :func:`_lip_norms`
 scores a chunk against a whole matrix of weights at once: one matrix product
 screens every (pair, weight) ratio, and the exact per-pair sum runs only where
 the screen says the maximum can be.  The grid, the exact arithmetic per pair
@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from .divergences import PhiFunction, phi_entropy
 from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
 KERNEL_TOL = 1e-9
 DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
-# Float64 entries per pair-difference temporary: 8192 * 8 bytes = 64 KB.
-_PAIR_CHUNK_ELEMENTS = 8192
 # Relative margin of the pair screen in _lip_norms; far above its rounding error.
 _SCREEN_MARGIN = 1e-9
 _FMAX = float(np.finfo(float).max)
@@ -85,11 +84,11 @@ def _pair_chunks(k: np.ndarray, width: int = 1):
     """Yield ``(|k[i] - k[j]|, i, j)`` over the row pairs i < j of ``k``.
 
     Pairs come in ``np.triu_indices`` (row-major) order, at most
-    ``_PAIR_CHUNK_ELEMENTS // max(n_cols, width)`` pairs (and at least one) per
+    ``matcore.CHUNK_ELEMENTS // max(n_cols, width)`` pairs (and at least one) per
     chunk, so both the differences and a pairs x ``width`` table fit the bound.
     """
     rows, cols = np.triu_indices(k.shape[0], 1)
-    step = max(1, _PAIR_CHUNK_ELEMENTS // max(1, k.shape[1], width))
+    step = max(1, matcore.CHUNK_ELEMENTS // max(1, k.shape[1], width))
     for start in range(0, rows.size, step):
         i = rows[start:start + step]
         j = cols[start:start + step]
@@ -115,11 +114,11 @@ def _lip_norms(k: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     Weights large enough that a sum could overflow make ``slack`` infinite,
     and every pair is scored exactly.  NaN screens are kept, so a NaN ratio
     still reaches ``worst`` and raises.  Kept ratios are scored in slices of
-    at most ``_PAIR_CHUNK_ELEMENTS // n_cols`` rows, so memory stays bounded
+    at most ``matcore.CHUNK_ELEMENTS // n_cols`` rows, so memory stays bounded
     even when every pair ties.
     """
     worst = np.zeros(src.shape[0])
-    slice_rows = max(1, _PAIR_CHUNK_ELEMENTS // max(1, tgt.shape[1]))
+    slice_rows = max(1, matcore.CHUNK_ELEMENTS // max(1, tgt.shape[1]))
     # Row differences sum to at most 2, so below _FMAX / 4 no sum overflows.
     if max(src.max(initial=0.0), tgt.max(initial=0.0)) < _FMAX / 4:
         slack = _TINY / min(1.0, 2.0 * src.min(initial=np.inf))

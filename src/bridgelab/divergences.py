@@ -4,6 +4,13 @@ Covers entropies built from 1-homogeneous convex integrands on finite spaces,
 plain and weighted total variation, Gaussian relative entropy (Burg form),
 the closed-form Gaussian 2-Wasserstein distance, and exact discrete
 Kantorovich semi-distances solved by an in-house transportation simplex.
+
+The Gaussian KL and W2 arithmetic lives in private kernels
+(``_gaussian_kl``, ``_gaussian_w2``) that take means and covariances stacked
+along broadcast leading axes; :func:`burg_divergence` takes stacks too.
+:func:`gaussian_kl` and :func:`gaussian_w2` call the kernels with one pair,
+and the Gaussian diagnostics call them once per chunk of states.  A stacked
+value equals the one-pair value bit for bit (see :mod:`bridgelab.matcore`).
 """
 
 from __future__ import annotations
@@ -183,41 +190,58 @@ class Gaussian:
         return matcore._frozen(matcore.inv_sqrt(self.covariance))
 
 
-def _burg(s: np.ndarray, sb: np.ndarray) -> float:
-    """Burg divergence of two SPD matrices of one shape, already validated."""
+def _burg(s: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Burg divergences of validated SPD matrices, stacked along broadcast leading axes."""
+    s, sb = np.broadcast_arrays(s, sb)
     ratio = np.linalg.solve(sb, s)
     sign, logdet = np.linalg.slogdet(ratio)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise NumericalError("log-det of an SPD ratio came out non-positive")
-    return float(np.trace(ratio) - s.shape[0] - logdet)
+    return np.trace(ratio, axis1=-2, axis2=-1) - s.shape[-1] - logdet
 
 
-def burg_divergence(sigma, sigma_bar) -> float:
-    """Log-det divergence ``Tr(sigma sigma_bar^{-1} - I) - log det(sigma sigma_bar^{-1})``."""
+def burg_divergence(sigma, sigma_bar):
+    """Log-det divergence ``Tr(sigma sigma_bar^{-1} - I) - log det(sigma sigma_bar^{-1})``.
+
+    Either argument may be an ``(..., d, d)`` stack; the result is then an
+    array over the broadcast stack, and a float otherwise.
+    """
     s = matcore.assert_spd(sigma, "sigma")
     sb = matcore.assert_spd(sigma_bar, "sigma_bar")
-    if s.shape != sb.shape:
+    if s.shape[-1] != sb.shape[-1]:
         raise DomainError("dimension mismatch in burg_divergence")
-    return _burg(s, sb)
+    out = _burg(s, sb)
+    return float(out) if out.ndim == 0 else out
+
+
+def _gaussian_kl(p_mean, p_cov, q_mean, q_cov) -> np.ndarray:
+    """H(p | q) from validated means and covariances, stacked along broadcast leading axes."""
+    diff = p_mean - q_mean
+    quad = (diff[..., None, :] @ np.linalg.solve(q_cov, diff[..., None]))[..., 0, 0]
+    return 0.5 * (_burg(p_cov, q_cov) + quad)
 
 
 def gaussian_kl(p: Gaussian, q: Gaussian) -> float:
     """Relative entropy H(p | q) between two Gaussians."""
     if p.dim != q.dim:
         raise DomainError("dimension mismatch in gaussian_kl")
-    diff = p.mean - q.mean
-    quad = float(diff @ np.linalg.solve(q.covariance, diff))
-    return 0.5 * (_burg(p.covariance, q.covariance) + quad)
+    return float(_gaussian_kl(p.mean, p.covariance, q.mean, q.covariance))
+
+
+def _gaussian_w2(p_mean, p_cov, p_root, q_mean, q_cov) -> np.ndarray:
+    """W2(p, q) from validated parameters and ``p_root = p_cov^{1/2}``, stacked (broadcasting)."""
+    cross = matcore.principal_sqrt(p_root @ q_cov @ p_root)
+    trace = functools.partial(np.trace, axis1=-2, axis2=-1)
+    bures = trace(p_cov) + trace(q_cov) - 2.0 * trace(cross)
+    mean_sq = np.sum((p_mean - q_mean) ** 2, axis=-1)
+    return np.sqrt(np.maximum(mean_sq + bures, 0.0))
 
 
 def gaussian_w2(p: Gaussian, q: Gaussian) -> float:
     """2-Wasserstein distance between Gaussians (Bures closed form)."""
     if p.dim != q.dim:
         raise DomainError("dimension mismatch in gaussian_w2")
-    cross = matcore.principal_sqrt(p.root @ q.covariance @ p.root)
-    bures = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
-    mean_sq = float(np.sum((p.mean - q.mean) ** 2))
-    return math.sqrt(max(mean_sq + bures, 0.0))
+    return float(_gaussian_w2(p.mean, p.covariance, p.root, q.mean, q.covariance))
 
 
 # --------------------------------------------------------------------------

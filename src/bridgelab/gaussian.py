@@ -4,6 +4,17 @@ The iteration state is the affine-map parameterization of the current kernel
 (mean anchor, gain, noise covariance); covariances evolve by conjugate Bayes
 updates, equivalently by a rescaled Riccati matrix flow whose fixed point
 gives the bridge in closed form.
+
+The per-state diagnostics (:func:`envelope_report`, :func:`rate_report` and
+:func:`entropy_formula_table`) run on stacked chunks of the trajectory: each
+chunk holds states of one parity, at most ``matcore.CHUNK_ELEMENTS //
+(2d)^2`` of them (8 at d = 16, a whole 100-iteration run at d = 2), and makes
+one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity.  One
+builder, ``_iterate_blocks``, gives the joints P_n and marginals pi_n of a
+chunk, and :func:`sinkhorn_joint` and :func:`marginal` pass it one state.
+Every value equals the per-state arithmetic bit for bit (the rules are in
+:mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
+stay per-state: each step needs the one before.
 """
 
 from __future__ import annotations
@@ -16,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting, matcore
-from .divergences import Gaussian, burg_divergence, gaussian_kl, gaussian_w2
+from .divergences import Gaussian, _gaussian_kl, _gaussian_w2, burg_divergence
+from .divergences import gaussian_kl, gaussian_w2  # noqa: F401  (part of this module's API)
 from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
@@ -130,24 +142,36 @@ def conjugate_kernel(mu: Gaussian, kernel: LinearGaussianKernel) -> LinearGaussi
     return LinearGaussianKernel(alpha=alpha, beta=gain, tau=noise)
 
 
-def _affine_blocks(mu: Gaussian, intercept, gain, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of (x, a + b x + noise) for x ~ mu."""
-    intercept = np.asarray(intercept, dtype=float).reshape(-1)
-    gain = np.asarray(gain, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    d = mu.dim
-    mean = np.concatenate([mu.mean, intercept + gain @ mu.mean])
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = mu.covariance
-    cov[:d, d:] = mu.covariance @ gain.T
-    cov[d:, :d] = gain @ mu.covariance
-    cov[d:, d:] = gain @ mu.covariance @ gain.T + noise
+def _affine_blocks(source: Gaussian, intercept, gain, noise,
+                   swap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (x, a + b x + noise) for x ~ source, unvalidated.
+
+    ``intercept``, ``gain`` and ``noise`` may carry leading stack axes, and the
+    results then carry them too.  With ``swap`` the coordinates come in the
+    order (a + b x + noise, x).  The image block is ``b sigma b' + noise``,
+    the covariance of the pushed marginal.
+    """
+    d = source.dim
+    x, y = (slice(d, None), slice(None, d)) if swap else (slice(None, d), slice(d, None))
+    lead = gain.shape[:-2]
+    gain_t = np.swapaxes(gain, -1, -2)
+    gs = gain @ source.covariance
+    mean = np.empty(lead + (2 * d,))
+    mean[..., x] = source.mean
+    mean[..., y] = intercept + gain @ source.mean
+    cov = np.empty(lead + (2 * d, 2 * d))
+    cov[..., x, x] = source.covariance
+    cov[..., x, y] = source.covariance @ gain_t
+    cov[..., y, x] = gs
+    cov[..., y, y] = gs @ gain_t + noise
     return mean, cov
 
 
 def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
     """Joint law of (x, a + b x + noise) as a 2d-dimensional Gaussian."""
-    return Gaussian(*_affine_blocks(mu, intercept, gain, noise))
+    return Gaussian(*_affine_blocks(mu, np.asarray(intercept, dtype=float).reshape(-1),
+                                    np.asarray(gain, dtype=float),
+                                    np.asarray(noise, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -207,22 +231,56 @@ def run_sinkhorn(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
     return states
 
 
+def _image(d: int, odd: bool) -> slice:
+    """The block of the coordinate the n-th kernel maps to: y at even n, x at odd n."""
+    return slice(None, d) if odd else slice(d, None)
+
+
+def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
+                    eta: Gaussian) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated mean and covariance of the bridge iterates P_n on (x, y).
+
+    ``mean``, ``gain`` and ``cov`` are the state fields of one half step, or
+    stacks of them from half steps of one parity (``odd``).  With ``image =
+    _image(d, odd)``, ``cov[..., image, image]`` is the covariance of the
+    marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
+    """
+    source = eta if odd else mu
+    return _affine_blocks(source, mean - gain @ source.mean, gain, cov, swap=odd)
+
+
 def marginal(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) -> Gaussian:
     """The Sinkhorn marginal pi_n as a Gaussian."""
-    source = mu if state.step % 2 == 0 else eta
-    cov = state.gain @ source.covariance @ state.gain.T + state.cov
-    return Gaussian(state.mean, cov)
+    odd = state.step % 2 == 1
+    _, cov = _iterate_blocks(state.mean, state.gain, state.cov, odd, mu, eta)
+    image = _image(mu.dim, odd)
+    return Gaussian(state.mean, cov[image, image])
 
 
 def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) -> Gaussian:
     """The bridge iterate P_n as a 2d-dimensional Gaussian on (x, y)."""
-    d = mu.dim
-    if state.step % 2 == 0:
-        return affine_joint(mu, state.mean - state.gain @ mu.mean, state.gain, state.cov)
-    # The odd kernel runs y -> x: build (y, x) and swap the blocks to (x, y).
-    mean, cov = _affine_blocks(eta, state.mean - state.gain @ eta.mean, state.gain, state.cov)
-    perm = np.concatenate([np.arange(d, 2 * d), np.arange(d)])
-    return Gaussian(mean[perm], cov[np.ix_(perm, perm)])
+    return Gaussian(*_iterate_blocks(state.mean, state.gain, state.cov, state.step % 2 == 1,
+                                     mu, eta))
+
+
+def _chunks(states, d: int):
+    """Yield ``(positions, odd, run)`` over ``states`` in runs of one parity.
+
+    Each run holds at most ``CHUNK_ELEMENTS // (2d)^2`` states (and at least
+    one), so a stack of their 2d x 2d joint covariances stays within the chunk
+    budget.  Even runs come first; ``positions`` index ``states``.
+    """
+    size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
+    for odd in (False, True):
+        positions = [i for i, s in enumerate(states) if s.step % 2 == odd]
+        for start in range(0, len(positions), size):
+            index = positions[start:start + size]
+            yield index, odd, [states[i] for i in index]
+
+
+def _stack(run, *fields: str) -> tuple[np.ndarray, ...]:
+    """The named state fields of ``run``, each stacked along a new leading axis."""
+    return tuple(np.stack([getattr(s, f) for s in run]) for f in fields)
 
 
 # --------------------------------------------------------------------------
@@ -367,17 +425,45 @@ def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
     return affine_joint(mu, bridge.intercept, bridge.gain, bridge.noise_cov)
 
 
+def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
+                      kernel: LinearGaussianKernel) -> np.ndarray:
+    """Closed-form H(P_{2n} | bridge) from even-state means and covariances (or stacks)."""
+    eta_mean = bridge.intercept + bridge.gain @ mu.mean
+    isq = bridge.kernel.noise.inv_root
+    shift = isq @ (mean - eta_mean)[..., None]
+    mean_term = np.sum(shift ** 2, axis=(-2, -1))
+    cross = isq @ (cov - bridge.noise_cov) @ kernel.chi @ mu.root
+    cross_term = np.sum(cross ** 2, axis=(-2, -1))
+    return 0.5 * (burg_divergence(cov, bridge.noise_cov) + mean_term + cross_term)
+
+
 def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
                    mu: Gaussian, kernel: LinearGaussianKernel) -> float:
     """Closed-form H(P_{2n} | bridge) from means, covariances and gains."""
     if state.step % 2 != 0:
         raise DomainError("bridge_entropy expects an even-index state")
-    eta_mean = bridge.intercept + bridge.gain @ mu.mean
-    isq = bridge.kernel.noise.inv_root
-    mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
-    cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ mu.root
-    cross_term = float(np.sum(cross ** 2))
-    return 0.5 * (burg_divergence(state.cov, bridge.noise_cov) + mean_term + cross_term)
+    return float(_bridge_entropies(state.mean, state.cov, bridge, mu, kernel))
+
+
+def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
+                          kernel: LinearGaussianKernel) -> list[tuple[int, float, float]]:
+    """``(n, formula, oracle)`` for each even state P_{2n} of the trajectory.
+
+    ``formula`` is :func:`bridge_entropy` and ``oracle`` is the same
+    H(P_{2n} | bridge) as a Gaussian KL between the 2d-dimensional joints.
+    Both are evaluated on stacked chunks of states.
+    """
+    even = [s for s in trajectory if s.step % 2 == 0]
+    b_joint = bridge_joint(mu, bridge)
+    formula = np.empty(len(even))
+    oracle = np.empty(len(even))
+    for index, _, run in _chunks(even, mu.dim):
+        mean, gain, cov = _stack(run, "mean", "gain", "cov")
+        formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
+        j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
+        oracle[index] = _gaussian_kl(j_mean, matcore.assert_spd(j_cov, "covariance"),
+                                     b_joint.mean, b_joint.covariance)
+    return [(s.step // 2, f, o) for s, f, o in zip(even, formula.tolist(), oracle.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -411,51 +497,61 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     if len(even) <= MIN_RATE_PAIRS:
         raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even-index states")
     by_step = {s.step: s for s in trajectory}
+    # The loop rows n >= 1 close the pair (odd 2n - 1, even 2n).
+    looped = [s for s in even if s.step >= 2]
+    prev_odd = [by_step.get(s.step - 1) for s in looped]
+    if any(s is None for s in prev_odd):
+        raise DomainError("rate_report needs a trajectory of consecutive half steps")
     noise_root = bridge.kernel.noise.root
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
     inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
 
-    rows: list[GaussianRateRow] = []
-    product = np.eye(d)
-    for state in even:
-        n = state.step // 2
-        cov_error = matcore.spectral_norm(state.cov - bridge.noise_cov)
-        sqrt_error = matcore.spectral_norm(
-            matcore.principal_sqrt(state.cov) - noise_root
+    errors = np.empty((3, len(even)))
+    for index, _, run in _chunks(even, d):
+        mean, cov = _stack(run, "mean", "cov")
+        errors[:, index] = (
+            matcore.spectral_norm(cov - bridge.noise_cov),
+            matcore.spectral_norm(matcore.principal_sqrt(cov) - noise_root),
+            matcore.vector_norm(mean - eta_mean),
         )
-        mean_error = float(np.linalg.norm(state.mean - eta_mean))
+    loops = np.empty((5, len(looped)))
+    product = np.eye(d)
+    for index, _, run in _chunks(looped, d):
+        gain, cov, rescaled = _stack(run, "gain", "cov", "rescaled_cov")
+        loop_gain = gain @ np.stack([prev_odd[i].gain for i in index])
+        products = np.empty_like(loop_gain)
+        for k, step_gain in enumerate(loop_gain):
+            product = step_gain @ product
+            products[k] = product
+        gap = np.eye(d) - rescaled
+        sigma_2n = gain @ mu.covariance @ np.swapaxes(gain, 1, 2) + cov
+        predicted = products @ (sigma0 - eta.covariance) @ np.swapaxes(products, 1, 2)
+        loops[:, index] = (
+            np.max(np.abs(eta.inv_root @ loop_gain @ eta.root - gap), axis=(1, 2)),
+            np.linalg.eigvalsh(matcore.symmetrize(gap))[:, 0],
+            np.linalg.eigvalsh(matcore.symmetrize(gap - inv_gap))[:, -1],
+            np.max(np.abs((sigma_2n - eta.covariance) - predicted), axis=(1, 2)),
+            matcore.spectral_norm(eta.inv_root @ products @ eta.root),
+        )
+
+    rows: list[GaussianRateRow] = []
+    loop_rows = iter(loops.T.tolist())
+    for state, (cov_error, sqrt_error, mean_error) in zip(even, errors.T.tolist()):
+        n = state.step // 2
         directed_residual = 0.0
         loop_residual = 0.0
+        product_norm = 1.0
         if n >= 1:
-            prev_odd = by_step.get(state.step - 1)
-            if prev_odd is None:
-                raise DomainError("rate_report needs a trajectory of consecutive half steps")
-            loop_gain = state.gain @ prev_odd.gain
-            product = loop_gain @ product
-            rescaled_loop = eta.inv_root @ loop_gain @ eta.root
-            loop_residual = float(np.max(np.abs(
-                rescaled_loop - (np.eye(d) - state.rescaled_cov)
-            )))
-            loop_residual = max(
-                loop_residual,
-                max(0.0, -float(np.linalg.eigvalsh(
-                    matcore.symmetrize(np.eye(d) - state.rescaled_cov))[0])),
-                max(0.0, float(np.linalg.eigvalsh(matcore.symmetrize(
-                    (np.eye(d) - state.rescaled_cov) - inv_gap))[-1])),
-            )
-            sigma_2n = state.gain @ mu.covariance @ state.gain.T + state.cov
-            predicted = product @ (sigma0 - eta.covariance) @ product.T
-            directed_residual = float(np.max(np.abs(
-                (sigma_2n - eta.covariance) - predicted
-            )))
+            loop_residual, lowest, highest, directed_residual, product_norm = next(loop_rows)
+            loop_residual = max(loop_residual, max(0.0, -lowest), max(0.0, highest))
         rows.append(GaussianRateRow(
             n=n,
             cov_error=cov_error,
             sqrt_error=sqrt_error,
             mean_error=mean_error,
-            product_norm=matcore.spectral_norm(eta.inv_root @ product @ eta.root) if n >= 1 else 1.0,
+            product_norm=product_norm,
             directed_residual=directed_residual,
             loop_gain_residual=loop_residual,
         ))
@@ -533,8 +629,24 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
     rho_bar = matcore.spectral_norm(eta.covariance)
     eps = kappa ** 2 * rho * rho_bar
     vacuous = not (math.isfinite(eps) and eps > 0)
+    # values[m] = H(bridge | P_m); dist[m] = W2(pi_m, eta) at even m and
+    # W2(pi_m, mu) at odd m: the distance of each marginal to the target its
+    # half step matches.
     b_joint = bridge_joint(mu, bridge)
-    values = [gaussian_kl(b_joint, sinkhorn_joint(s, mu, eta)) for s in trajectory]
+    values = np.empty(len(trajectory))
+    dist = np.empty(len(trajectory))
+    for index, odd, run in _chunks(trajectory, mu.dim):
+        mean, gain, cov = _stack(run, "mean", "gain", "cov")
+        j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
+        values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
+                                     j_mean, matcore.assert_spd(j_cov, "covariance"))
+        image = _image(mu.dim, odd)
+        marg = matcore.assert_spd(j_cov[:, image, image], "covariance")
+        target = mu if odd else eta
+        dist[index] = _gaussian_w2(mean, marg, matcore.principal_sqrt(marg),
+                                   target.mean, target.covariance)
+    values = values.tolist()
+    dist = dist.tolist()
     h0 = values[0]
     tol = 1e-12 * max(1.0, h0 if math.isfinite(h0) else 1.0)
     base = 1.0 + 1.0 / eps if not vacuous else 1.0
@@ -556,10 +668,6 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
             refined_bound=refined_bound, refined_within=refined_within,
         ))
 
-    # dist[m] = W2(pi_m, eta) at even m and W2(pi_m, mu) at odd m: the
-    # distance of each marginal to the target its half step matches.
-    dist = [gaussian_w2(marginal(s, mu, eta), eta if s.step % 2 == 0 else mu)
-            for s in trajectory]
     w2_rows: list[W2Row] = []
     chained: list[W2Row] = []
 
@@ -659,51 +767,4 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
         varpi_minus=_frozen(problem_minus.varpi),
         sandwich_residuals=sandwich,
         rescaled_residuals=tuple(rescaled_residuals),
-    )
-
-
-# --------------------------------------------------------------------------
-# Potential Hessians.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PotentialHessians:
-    hess_u: np.ndarray            # Hessian of U_{2n}
-    hess_v: np.ndarray            # Hessian of V_{2n+1}
-    decomposition_residual: float
-    curvature_ok: bool
-
-
-def potential_hessian(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
-                      kernel: LinearGaussianKernel) -> PotentialHessians:
-    """Constant Hessians of the running potentials and their kernel decompositions.
-
-    In the Gaussian case the conditional covariance of the n-th kernel is its
-    noise covariance, so the Hessian formulas close over the state alone.
-    """
-    if state.step % 2 != 0:
-        raise DomainError("potential_hessian expects an even-index state")
-    chi = kernel.chi
-    odd = sinkhorn_step(state, mu, eta, kernel)
-    even_next = sinkhorn_step(odd, mu, eta, kernel)
-    hess_u = mu.precision - chi.T @ kernel.beta + chi.T @ state.cov @ chi
-    hess_v = eta.precision - kernel.noise.precision + chi @ odd.cov @ chi.T
-    # The second-coordinate Hessians of the running transition potentials must
-    # match the next covariance inverses, and dominate the marginal curvatures.
-    w_odd = mu.precision + chi.T @ state.cov @ chi
-    w_even = eta.precision + chi @ odd.cov @ chi.T
-    residual = max(
-        float(np.max(np.abs(w_odd - matcore.spd_inverse(odd.cov)))),
-        float(np.max(np.abs(w_even - matcore.spd_inverse(even_next.cov)))),
-    )
-    curvature_ok = (
-        matcore.loewner_leq(mu.precision, w_odd, 1e-10)
-        and matcore.loewner_leq(eta.precision, w_even, 1e-10)
-    )
-    return PotentialHessians(
-        hess_u=_frozen(matcore.symmetrize(hess_u)),
-        hess_v=_frozen(matcore.symmetrize(hess_v)),
-        decomposition_residual=residual,
-        curvature_ok=curvature_ok,
     )

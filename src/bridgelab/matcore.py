@@ -2,8 +2,30 @@
 
 Everything here works on plain ``numpy`` arrays: validation
 (:func:`symmetrize`, :func:`assert_spd`), principal roots and inverses, the
-Loewner order and the spectral norm.  All decompositions go through the
-symmetric eigensolver so results stay exactly symmetric.
+Loewner order, the spectral norm and the Euclidean norm.  All
+decompositions go through the symmetric eigensolver so results stay
+exactly symmetric.
+
+Stacks.  :func:`symmetrize`, :func:`assert_spd`, :func:`principal_sqrt`,
+:func:`spectral_norm` and :func:`vector_norm` also take an ``(..., d, d)``
+(or ``(..., k)``) stack and make one ``eigvalsh``/``eigh`` call for all of
+it; an error names the first failing index.  A 2-D input keeps its single
+call and its messages.  :func:`spd_inverse`, :func:`inv_sqrt` and
+:func:`loewner_leq` take single matrices only.
+
+Bit-identity.  A stacked result equals a loop of 2-D calls bit for bit,
+because every operation used on a stack rounds each matrix exactly as it
+rounds one matrix: stacked ``eigvalsh``, ``eigh``, ``solve`` (a broadcast
+left side included), ``slogdet`` and ``@`` (``A @ A.T``, and the dot
+``(N, 1, k) @ (N, k, 1)``), ``np.trace`` and ``np.sum`` over the trailing
+axes, and elementwise arithmetic.  Products keep the left-to-right order of
+the 2-D code.  ``np.einsum`` dots round differently from ``@`` for d >= 2,
+so no path that feeds a report uses them.
+
+Chunk budget.  Code that stacks a sequence (the Gaussian diagnostics over
+a trajectory, the contraction toolkit over state pairs) keeps each
+temporary within :data:`CHUNK_ELEMENTS` floats, so memory stays bounded at
+any length.
 """
 
 from __future__ import annotations
@@ -19,6 +41,8 @@ SPD_RTOL = 1e-10
 # anything smaller is an error.
 SQRT_CLAMP = -1e-12
 SQRT_TOL = 1e-10
+# Float64 entries per chunked temporary: 8192 * 8 bytes = 64 KB.
+CHUNK_ELEMENTS = 8192
 
 
 def _frozen(a) -> np.ndarray:
@@ -28,35 +52,71 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
+    """Index of the first True entry of ``bad`` and ``name`` labelled with it.
+
+    A 0-d ``bad`` (one matrix) gives the empty index and ``name`` itself.
+    """
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    if not index:
+        return index, name
+    return index, f"{name}[{', '.join(map(str, index))}]"
+
+
+def _dots(v: np.ndarray) -> np.ndarray:
+    """``v @ v`` along the last axis, as one BLAS dot per vector."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix, as the one dot ``np.linalg.norm`` takes of it."""
+    return np.sqrt(_dots(m.reshape(m.shape[:-2] + (-1,))))
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """Reject non-finite entries, naming the first bad matrix of a stack."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        raise DomainError(f"{_first(~finite, name)[1]} has non-finite entries")
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} has non-finite entries")
+    _check_finite(a, name)
+    return a
+
+
+def _one_matrix(a, name: str) -> np.ndarray:
+    """``a`` as a float array, rejected unless it is a single 2-D matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DomainError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
 def symmetrize(a, name: str = "matrix") -> np.ndarray:
-    """Return the symmetric part (a + a') / 2 of a square matrix."""
+    """Return the symmetric part (a + a') / 2 of a square matrix or stack."""
     a = _as_square(a, name)
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def assert_spd(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is symmetric positive definite; return it symmetrized."""
+    """Validate that ``a`` (or each matrix of a stack) is SPD; return it symmetrized."""
     s = symmetrize(a, name)
     w = np.linalg.eigvalsh(s)
-    floor = SPD_RTOL * float(np.max(np.abs(w), initial=0.0))
-    if w[0] <= floor:
+    bad = w[..., 0] <= SPD_RTOL * np.abs(w).max(axis=-1, initial=0.0)
+    if bad.any():
+        index, label = _first(bad, name)
         raise DomainError(
-            f"{name} is not positive definite: smallest eigenvalue {w[0]:.6e}"
+            f"{label} is not positive definite: smallest eigenvalue {w[index][0]:.6e}"
         )
     return s
 
 
 def principal_sqrt(v) -> np.ndarray:
-    """Principal symmetric square root of an SPD (or PSD) matrix.
+    """Principal symmetric square root of an SPD (or PSD) matrix or stack.
 
     Computed by symmetric eigendecomposition.  Tiny negative eigenvalues above
     ``SQRT_CLAMP`` are clamped to zero so positive semi-definite inputs are
@@ -64,22 +124,29 @@ def principal_sqrt(v) -> np.ndarray:
     """
     s = symmetrize(v)
     w, q = np.linalg.eigh(s)
-    if w[0] < SQRT_CLAMP:
+    bad = w[..., 0] < SQRT_CLAMP
+    if bad.any():
+        index, label = _first(bad, "matrix")
         raise DomainError(
-            f"matrix is not positive semi-definite: eigenvalue {w[0]:.6e}"
+            f"{label} is not positive semi-definite: eigenvalue {w[index][0]:.6e}"
         )
     w = np.clip(w, 0.0, None)
-    root = (q * np.sqrt(w)) @ q.T
-    root = (root + root.T) / 2.0
-    err = float(np.linalg.norm(root @ root - s))
-    if err > SQRT_TOL * max(1.0, float(np.linalg.norm(s))):
-        raise NumericalError(f"square root residual {err:.3e} exceeds tolerance")
+    root = (q * np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
+    root = (root + root.swapaxes(-1, -2)) / 2.0
+    err = _frobenius(root @ root - s)
+    bad = err > SQRT_TOL * np.maximum(1.0, _frobenius(s))
+    if bad.any():
+        index, label = _first(bad, "matrix")
+        where = f" for {label}" if index else ""
+        raise NumericalError(
+            f"square root residual {err[index]:.3e} exceeds tolerance{where}"
+        )
     return root
 
 
 def spd_inverse(v, name: str = "matrix") -> np.ndarray:
     """Inverse of an SPD matrix via symmetric eigendecomposition."""
-    s = assert_spd(v, name)
+    s = assert_spd(_one_matrix(v, name), name)
     w, q = np.linalg.eigh(s)
     inv = (q / w) @ q.T
     return (inv + inv.T) / 2.0
@@ -87,7 +154,7 @@ def spd_inverse(v, name: str = "matrix") -> np.ndarray:
 
 def inv_sqrt(v, name: str = "matrix") -> np.ndarray:
     """Inverse principal square root of an SPD matrix."""
-    s = assert_spd(v, name)
+    s = assert_spd(_one_matrix(v, name), name)
     w, q = np.linalg.eigh(s)
     r = (q / np.sqrt(w)) @ q.T
     return (r + r.T) / 2.0
@@ -95,18 +162,31 @@ def inv_sqrt(v, name: str = "matrix") -> np.ndarray:
 
 def loewner_leq(a, b, tol: float = 0.0) -> bool:
     """True iff ``a <= b`` in the Loewner order, up to ``-tol`` on the smallest eigenvalue."""
-    a = symmetrize(a, "a")
-    b = symmetrize(b, "b")
+    a = symmetrize(_one_matrix(a, "a"), "a")
+    b = symmetrize(_one_matrix(b, "b"), "b")
     if a.shape != b.shape:
         raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.eigvalsh(b - a)[0]) >= -tol
 
 
-def spectral_norm(v) -> float:
-    """Spectral norm of a (possibly rectangular) matrix; a vector is one column."""
+def vector_norm(v):
+    """Euclidean norm of a vector, or of each vector along the last axis of a stack.
+
+    Rounds as ``np.linalg.norm`` does on one vector: one BLAS dot each.
+    """
+    norms = np.sqrt(_dots(np.asarray(v, dtype=float)))
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def spectral_norm(v):
+    """Spectral norm of a (possibly rectangular) matrix; a vector is one column.
+
+    A 2-D input gives a float; an ``(..., m, n)`` stack gives an array of the
+    norm of each matrix.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    if not np.all(np.isfinite(v)):
-        raise DomainError("matrix has non-finite entries")
-    return float(np.sqrt(max(np.linalg.eigvalsh(v.T @ v)[-1], 0.0)))
+    _check_finite(v, "matrix")
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(v.swapaxes(-1, -2) @ v)[..., -1], 0.0))
+    return float(norms) if norms.ndim == 0 else norms

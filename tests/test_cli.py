@@ -75,6 +75,13 @@ def test_negative_seed_exits_two(tmp_path, capsys):
     assert not (tmp_path / "inst.json").exists()
 
 
+def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
+    argv = ["verify", "--config", golden_config, "--out", str(tmp_path / "out")]
+    assert cli.parse_and_dispatch(argv + ["--iterations", "100000000"]) == 2
+    assert "iterations must be <=" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_golden(golden_config, tmp_path, capsys):
     assert cli.parse_and_dispatch(["verify", "--config", golden_config]) == 0
     out = capsys.readouterr().out

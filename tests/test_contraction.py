@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab import contraction, discrete, harness
+from bridgelab import contraction, discrete, harness, matcore
 from bridgelab.divergences import KL, TOTAL_VARIATION, weighted_tv
 from bridgelab.errors import DomainError, NumericalError
 
@@ -416,7 +416,7 @@ class TestChunkedOracle:
     def test_dobrushin_and_lip_norm_equal_loop(self, data, chunk):
         ks, ls, g, h = data
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contraction, "_PAIR_CHUNK_ELEMENTS", chunk)
+            mp.setattr(matcore, "CHUNK_ELEMENTS", chunk)
             for k in ks + ls:
                 assert contraction.dobrushin(k) == loop_dobrushin(k)
             for k in ks:
@@ -434,7 +434,7 @@ class TestChunkedOracle:
         else:
             ks, ls = tuple(ks), list(ls)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(contraction, "_PAIR_CHUNK_ELEMENTS", chunk)
+            mp.setattr(matcore, "CHUNK_ELEMENTS", chunk)
             assert_search_matches_loop(ks, ls, g, h, grid)
 
     def test_last_bit_ties_equal_loop(self):
@@ -476,7 +476,7 @@ class TestChunkedOracle:
         k = random_kernel(np.random.default_rng(16), 40, 500)
         chunks = list(contraction._pair_chunks(k))
         assert len(chunks) == 49
-        assert all(diff.size <= contraction._PAIR_CHUNK_ELEMENTS for diff, _, _ in chunks)
+        assert all(diff.size <= matcore.CHUNK_ELEMENTS for diff, _, _ in chunks)
         rows, cols = np.triu_indices(40, 1)
         assert np.array_equal(np.concatenate([i for _, i, _ in chunks]), rows)
         assert np.array_equal(np.concatenate([j for _, _, j in chunks]), cols)

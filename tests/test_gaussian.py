@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab import gaussian as gs
 from bridgelab import matcore
-from bridgelab.divergences import Gaussian, gaussian_kl, gaussian_w2
+from bridgelab.divergences import Gaussian, _gaussian_w2, gaussian_kl
 from bridgelab.errors import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -480,11 +482,11 @@ class TestEnvelopes:
     def test_one_w2_distance_per_state(self, monkeypatch):
         calls = []
 
-        def counted(p, q):
-            calls.append(q)
-            return gaussian_w2(p, q)
+        def counted(p_mean, p_cov, p_root, q_mean, q_cov):
+            calls.extend((mean, q_mean, q_cov) for mean in p_mean)
+            return _gaussian_w2(p_mean, p_cov, p_root, q_mean, q_cov)
 
-        monkeypatch.setattr(gs, "gaussian_w2", counted)
+        monkeypatch.setattr(gs, "_gaussian_w2", counted)
         # The scalar instance is gate-contractive, so its chained rows count too.
         contractive = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9,
                                       beta=1.0, tau=2.0)
@@ -496,9 +498,15 @@ class TestEnvelopes:
                 states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
                 inst.mu, inst.eta, inst.kernel)
             assert len(calls) == len(states)
-            # each marginal is measured against the target its half step matches
-            for state, target in zip(states, calls):
-                assert target is (inst.eta if state.step % 2 == 0 else inst.mu)
+            # each marginal (its mean is the state's) is measured against the
+            # target its half step matches, once, in trajectory order per parity
+            for parity, target in ((0, inst.eta), (1, inst.mu)):
+                measured = [(mean, q_mean) for mean, q_mean, q_cov in calls
+                            if q_cov is target.covariance]
+                assert all(q_mean is target.mean for _, q_mean in measured)
+                means = [s.mean for s in states if s.step % 2 == parity]
+                assert len(measured) == len(means)
+                assert all(np.array_equal(a, b) for (a, _), b in zip(measured, means))
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
@@ -514,6 +522,171 @@ class TestEnvelopes:
                     assert row.value <= row.refined_bound + 1e-10
             for row in report.w2_rows:
                 assert row.within
+
+
+# --------------------------------------------------------------------------
+# The stacked chunks against per-state loops.  The ref_* functions are the
+# per-state arithmetic that the chunked diagnostics replaced; every stacked
+# value must equal theirs bit for bit.
+# --------------------------------------------------------------------------
+
+
+def ref_blocks(source, intercept, gain, noise):
+    d = source.dim
+    mean = np.concatenate([source.mean, intercept + gain @ source.mean])
+    cov = np.zeros((2 * d, 2 * d))
+    cov[:d, :d] = source.covariance
+    cov[:d, d:] = source.covariance @ gain.T
+    cov[d:, :d] = gain @ source.covariance
+    cov[d:, d:] = gain @ source.covariance @ gain.T + noise
+    return mean, cov
+
+
+def ref_joint(state, mu, eta):
+    d = mu.dim
+    if state.step % 2 == 0:
+        return Gaussian(*ref_blocks(mu, state.mean - state.gain @ mu.mean, state.gain, state.cov))
+    mean, cov = ref_blocks(eta, state.mean - state.gain @ eta.mean, state.gain, state.cov)
+    perm = np.concatenate([np.arange(d, 2 * d), np.arange(d)])
+    return Gaussian(mean[perm], cov[np.ix_(perm, perm)])
+
+
+def ref_marginal(state, mu, eta):
+    source = mu if state.step % 2 == 0 else eta
+    return Gaussian(state.mean, state.gain @ source.covariance @ state.gain.T + state.cov)
+
+
+def ref_burg(s, sb):
+    ratio = np.linalg.solve(sb, s)
+    sign, logdet = np.linalg.slogdet(ratio)
+    assert sign > 0
+    return float(np.trace(ratio) - s.shape[0] - logdet)
+
+
+def ref_kl(p, q):
+    diff = p.mean - q.mean
+    quad = float(diff @ np.linalg.solve(q.covariance, diff))
+    return 0.5 * (ref_burg(p.covariance, q.covariance) + quad)
+
+
+def ref_w2(p, q):
+    cross = matcore.principal_sqrt(p.root @ q.covariance @ p.root)
+    bures = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
+    mean_sq = float(np.sum((p.mean - q.mean) ** 2))
+    return math.sqrt(max(mean_sq + bures, 0.0))
+
+
+def ref_bridge_entropy(state, bridge, mu, kernel):
+    eta_mean = bridge.intercept + bridge.gain @ mu.mean
+    isq = bridge.kernel.noise.inv_root
+    mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
+    cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ mu.root
+    cross_term = float(np.sum(cross ** 2))
+    burg = ref_burg(matcore.assert_spd(state.cov), matcore.assert_spd(bridge.noise_cov))
+    return 0.5 * (burg + mean_term + cross_term)
+
+
+def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
+    even = [s for s in trajectory if s.step % 2 == 0]
+    by_step = {s.step: s for s in trajectory}
+    noise_root = bridge.kernel.noise.root
+    eta_mean = bridge.intercept + bridge.gain @ mu.mean
+    sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
+    d = mu.dim
+    inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
+    rows = []
+    product = np.eye(d)
+    for state in even:
+        n = state.step // 2
+        cov_error = matcore.spectral_norm(state.cov - bridge.noise_cov)
+        sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(state.cov) - noise_root)
+        mean_error = float(np.linalg.norm(state.mean - eta_mean))
+        directed_residual = 0.0
+        loop_residual = 0.0
+        if n >= 1:
+            loop_gain = state.gain @ by_step[state.step - 1].gain
+            product = loop_gain @ product
+            rescaled_loop = eta.inv_root @ loop_gain @ eta.root
+            loop_residual = float(np.max(np.abs(rescaled_loop - (np.eye(d) - state.rescaled_cov))))
+            loop_residual = max(
+                loop_residual,
+                max(0.0, -float(np.linalg.eigvalsh(
+                    matcore.symmetrize(np.eye(d) - state.rescaled_cov))[0])),
+                max(0.0, float(np.linalg.eigvalsh(matcore.symmetrize(
+                    (np.eye(d) - state.rescaled_cov) - inv_gap))[-1])),
+            )
+            sigma_2n = state.gain @ mu.covariance @ state.gain.T + state.cov
+            predicted = product @ (sigma0 - eta.covariance) @ product.T
+            directed_residual = float(np.max(np.abs((sigma_2n - eta.covariance) - predicted)))
+        rows.append(gs.GaussianRateRow(
+            n=n, cov_error=cov_error, sqrt_error=sqrt_error, mean_error=mean_error,
+            product_norm=matcore.spectral_norm(eta.inv_root @ product @ eta.root)
+            if n >= 1 else 1.0,
+            directed_residual=directed_residual, loop_gain_residual=loop_residual,
+        ))
+    return rows
+
+
+def assert_chunks_equal_loops(inst, half_steps):
+    mu, eta, kernel = inst.mu, inst.eta, inst.kernel
+    states = gs.run_sinkhorn(mu, eta, kernel, half_steps)
+    bridge = gs.schrodinger_bridge_gaussian(mu, eta, kernel)
+    b_joint = gs.bridge_joint(mu, bridge)
+    report = gs.envelope_report(states, bridge, mu, eta, kernel)
+    assert [r.value for r in report.entropy_rows] == [
+        ref_kl(b_joint, ref_joint(s, mu, eta)) for s in states]
+    dist = [ref_w2(ref_marginal(s, mu, eta), eta if s.step % 2 == 0 else mu) for s in states]
+    assert [r.value for r in report.w2_rows] == dist[1:]
+    even = states[::2]
+    assert gs.entropy_formula_table(states, bridge, mu, eta, kernel) == [
+        (s.step // 2, ref_bridge_entropy(s, bridge, mu, kernel),
+         ref_kl(ref_joint(s, mu, eta), b_joint)) for s in even]
+    for s in states[:3]:
+        joint, pi = gs.sinkhorn_joint(s, mu, eta), gs.marginal(s, mu, eta)
+        ref, ref_pi = ref_joint(s, mu, eta), ref_marginal(s, mu, eta)
+        assert joint.mean.tobytes() == ref.mean.tobytes()
+        assert joint.covariance.tobytes() == ref.covariance.tobytes()
+        assert pi.covariance.tobytes() == ref_pi.covariance.tobytes()
+    if len(even) > gs.MIN_RATE_PAIRS:
+        rows = gs.rate_report(states, bridge, mu, eta, kernel).rows
+        assert list(rows) == ref_rate_rows(states, bridge, mu, eta, kernel)
+
+
+def chunk_states(d):
+    """States per chunk of one parity under the current chunk budget."""
+    return max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("evens", [1, 7, 8, 9, 17])
+    def test_default_budget_at_d16(self, evens):
+        # 8 states per chunk at d = 16; both parities cross the boundary.
+        assert chunk_states(16) == 8
+        inst = random_instance(np.random.default_rng(40 + evens), 16)
+        for half_steps in (2 * evens - 2, 2 * evens - 1):
+            if half_steps >= 0:
+                assert_chunks_equal_loops(inst, half_steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1), per_chunk=st.integers(1, 6),
+           offset=st.sampled_from([-1, 0, 1, None]), odd_tail=st.booleans())
+    def test_small_budgets_equal_loops(self, d, seed, per_chunk, offset, odd_tail):
+        # Even-state counts 1, k - 1, k, k + 1 and 2k + 1 around the chunk size k.
+        evens = 2 * per_chunk + 1 if offset is None else max(1, per_chunk + offset)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * (2 * d) ** 2)
+            assert chunk_states(d) == per_chunk
+            inst = random_instance(np.random.default_rng(seed), d)
+            assert_chunks_equal_loops(inst, max(0, 2 * evens - 2 + odd_tail))
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1), per_chunk=st.integers(1, 12),
+           evens=st.integers(gs.MIN_RATE_PAIRS + 1, 26))
+    def test_rate_rows_equal_loop(self, d, seed, per_chunk, evens):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * (2 * d) ** 2)
+            assert_chunks_equal_loops(random_instance(np.random.default_rng(seed), d),
+                                      2 * evens - 2)
 
 
 class TestCovarianceEnvelope:
@@ -567,69 +740,6 @@ class TestCovarianceEnvelope:
                 inst.eta.covariance, inst.eta.covariance,
                 inst.kernel, 4,
             )
-
-
-class TestPotentialHessian:
-    def test_reference_step_uses_tau(self):
-        rng = np.random.default_rng(27)
-        inst = random_instance(rng, 2)
-        state = gs.initial_state(inst.mu, inst.eta, inst.kernel)
-        result = gs.potential_hessian(state, inst.mu, inst.eta, inst.kernel)
-        chi = inst.kernel.chi
-        expected = (
-            matcore.spd_inverse(inst.mu.covariance)
-            - chi.T @ inst.kernel.beta
-            + chi.T @ inst.kernel.tau @ chi
-        )
-        np.testing.assert_allclose(result.hess_u, (expected + expected.T) / 2, atol=1e-12)
-        assert result.decomposition_residual <= 1e-10
-        assert result.curvature_ok
-
-    def test_scalar_quadrature_finite_difference_oracle(self):
-        # Assemble the running potentials by numerical quadrature and compare
-        # finite differences of them against the closed-form Hessians.
-        m, sigma = 0.2, 1.3
-        m_bar, sigma_bar = -0.5, 0.8
-        alpha, beta, tau = 0.1, 0.9, 1.1
-        inst = scalar_instance(m=m, sigma=sigma, m_bar=m_bar, sigma_bar=sigma_bar,
-                               alpha=alpha, beta=beta, tau=tau)
-        grid = np.linspace(-30.0, 30.0, 3001)
-        dx = grid[1] - grid[0]
-
-        def u_pot(x):
-            return 0.5 * (x - m) ** 2 / sigma + 0.5 * math.log(2 * math.pi * sigma)
-
-        def v_pot(y):
-            return 0.5 * (y - m_bar) ** 2 / sigma_bar + 0.5 * math.log(2 * math.pi * sigma_bar)
-
-        def w_pot(x, y):
-            return 0.5 * (y - alpha - beta * x) ** 2 / tau + 0.5 * math.log(2 * math.pi * tau)
-
-        w_grid = w_pot(grid[:, None], grid[None, :])
-        v1_grid = v_pot(grid) + np.log(
-            np.trapezoid(np.exp(-w_grid - u_pot(grid)[:, None]), dx=dx, axis=0)
-        )
-        u2_grid = u_pot(grid) + np.log(
-            np.trapezoid(np.exp(-w_grid - v1_grid[None, :]), dx=dx, axis=1)
-        )
-
-        def u2(x):
-            vals = np.exp(-w_pot(x, grid) - v1_grid)
-            return u_pot(x) + math.log(float(np.trapezoid(vals, dx=dx)))
-
-        def v3(y):
-            vals = np.exp(-w_pot(grid, y) - u2_grid)
-            return v_pot(y) + math.log(float(np.trapezoid(vals, dx=dx)))
-
-        h = 1e-3
-        x0, y0 = 0.3, -0.2
-        fd_u2 = (u2(x0 + h) - 2 * u2(x0) + u2(x0 - h)) / h ** 2
-        fd_v3 = (v3(y0 + h) - 2 * v3(y0) + v3(y0 - h)) / h ** 2
-
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
-        result = gs.potential_hessian(states[2], inst.mu, inst.eta, inst.kernel)
-        assert result.hess_u[0, 0] == pytest.approx(fd_u2, rel=1e-4)
-        assert result.hess_v[0, 0] == pytest.approx(fd_v3, rel=1e-4)
 
 
 class TestInstanceJson:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,15 @@ class TestConfig:
         harness.run_experiment(
             harness.ExperimentConfig.from_json({**payload, "iterations": 6, "checks": others})
         )
+
+    def test_iterations_are_capped(self):
+        payload = {"regime": "gaussian", "seed": 0, "checks": ["golden-fixed-point"],
+                   "instance": {"profile": "gaussian-random-spd", "size": 2}}
+        cap = harness.MAX_ITERATIONS
+        assert harness.ExperimentConfig.from_json({**payload, "iterations": cap}).iterations == cap
+        for iterations in (cap + 1, 10 ** 8):
+            with pytest.raises(DomainError, match=f"^iterations must be <= {cap}, got"):
+                harness.ExperimentConfig.from_json({**payload, "iterations": iterations})
 
     def test_config_must_be_an_object(self):
         with pytest.raises(DomainError, match="^config must be an object"):
@@ -360,3 +370,21 @@ class TestRunExperiment:
         plots = list((tmp_path / "plotted" / "plots").glob("*.svg"))
         assert plots
         assert plots[0].read_text().startswith("<svg")
+
+    def test_gaussian_d16_run_memory_is_bounded(self):
+        # The diagnostics stack at most a chunk of states at a time.  The run's
+        # 201 states hold about 1.4 MB; the peak is about 1.8 MB chunked and
+        # 4.6 MB with the whole trajectory in one stack.
+        config = harness.ExperimentConfig.from_json({
+            "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
+            "seed": 0, "iterations": 100,
+        })
+        assert config.checks == harness.GAUSSIAN_CHECKS
+        harness.run_experiment(config)
+        tracemalloc.start()
+        try:
+            harness.run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab import matcore
 from bridgelab.errors import DomainError
@@ -127,3 +129,118 @@ def test_spd_inverse_and_inv_sqrt():
     np.testing.assert_allclose(matcore.spd_inverse(v) @ v, np.eye(4), atol=1e-10)
     isq = matcore.inv_sqrt(v)
     np.testing.assert_allclose(isq @ v @ isq, np.eye(4), atol=1e-10)
+
+
+def test_single_matrix_routines_reject_stacks():
+    stack = np.stack([np.eye(2)] * 2)
+    for call in (matcore.spd_inverse, matcore.inv_sqrt,
+                 lambda m: matcore.loewner_leq(m, m)):
+        with pytest.raises(DomainError, match="must be square"):
+            call(stack)
+
+
+# --------------------------------------------------------------------------
+# Stacks against loops of 2-D calls.  The ref_* functions are the 2-D
+# routines as they were before stacks were accepted; every stacked result
+# must equal the loop of them bit for bit.
+# --------------------------------------------------------------------------
+
+
+def ref_assert_spd(a, name="matrix"):
+    a = np.asarray(a, dtype=float)
+    s = (a + a.T) / 2.0
+    w = np.linalg.eigvalsh(s)
+    floor = matcore.SPD_RTOL * float(np.max(np.abs(w), initial=0.0))
+    if w[0] <= floor:
+        raise DomainError(f"{name} is not positive definite: smallest eigenvalue {w[0]:.6e}")
+    return s
+
+
+def ref_principal_sqrt(v):
+    v = np.asarray(v, dtype=float)
+    s = (v + v.T) / 2.0
+    w, q = np.linalg.eigh(s)
+    if w[0] < matcore.SQRT_CLAMP:
+        raise DomainError(f"matrix is not positive semi-definite: eigenvalue {w[0]:.6e}")
+    w = np.clip(w, 0.0, None)
+    root = (q * np.sqrt(w)) @ q.T
+    root = (root + root.T) / 2.0
+    err = float(np.linalg.norm(root @ root - s))
+    assert err <= matcore.SQRT_TOL * max(1.0, float(np.linalg.norm(s)))
+    return root
+
+
+def ref_spectral_norm(v):
+    v = np.asarray(v, dtype=float)
+    return float(np.sqrt(max(np.linalg.eigvalsh(v.T @ v)[-1], 0.0)))
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def spd_stacks(draw, max_dim=16):
+    """(stack, bad): a stack of SPD matrices, some made indefinite (``bad`` lists them)."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([(0.1, 3.0), (1e-6, 1.0), (1.0, 1e6)]))
+    stack = np.stack([random_spd(rng, d, *spread) for _ in range(n)])
+    # Round-off leaves the generated matrices slightly asymmetric; keep that.
+    bad = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    for i in bad:
+        stack[i] -= 2.0 * np.linalg.eigvalsh(stack[i])[-1] * np.eye(d)
+    return stack, sorted(bad)
+
+
+class TestStacks:
+    @settings(max_examples=80, deadline=None)
+    @given(data=spd_stacks())
+    def test_assert_spd_and_symmetrize_equal_loop(self, data):
+        stack, bad = data
+        assert same(matcore.symmetrize(stack), [matcore.symmetrize(a) for a in stack])
+        if bad:
+            with pytest.raises(DomainError) as stacked:
+                matcore.assert_spd(stack, "m")
+            with pytest.raises(DomainError) as single:
+                ref_assert_spd(stack[bad[0]], f"m[{bad[0]}]")
+            assert str(stacked.value) == str(single.value)
+            return
+        expected = [ref_assert_spd(a) for a in stack]
+        assert same(matcore.assert_spd(stack), expected)
+        assert all(same(matcore.assert_spd(a), e) for a, e in zip(stack, expected))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=spd_stacks())
+    def test_principal_sqrt_equals_loop(self, data):
+        stack, bad = data
+        if bad:
+            with pytest.raises(DomainError, match=rf"^matrix\[{bad[0]}\] is not positive semi"):
+                matcore.principal_sqrt(stack)
+            return
+        expected = [ref_principal_sqrt(a) for a in stack]
+        assert same(matcore.principal_sqrt(stack), expected)
+        assert all(same(matcore.principal_sqrt(a), e) for a, e in zip(stack, expected))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), rows=st.integers(1, 16), cols=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_spectral_and_vector_norms_equal_loop(self, n, rows, cols, seed):
+        stack = np.random.default_rng(seed).normal(size=(n, rows, cols))
+        expected = [ref_spectral_norm(a) for a in stack]
+        assert same(matcore.spectral_norm(stack), expected)
+        assert all(matcore.spectral_norm(a) == e for a, e in zip(stack, expected))
+        vectors = stack[:, 0, :]
+        expected = [float(np.linalg.norm(v)) for v in vectors]
+        assert same(matcore.vector_norm(vectors), expected)
+        assert all(matcore.vector_norm(v) == e for v, e in zip(vectors, expected))
+
+    def test_non_finite_entry_names_its_matrix(self):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(DomainError, match=r"^m\[1\] has non-finite entries"):
+            matcore.assert_spd(stack, "m")
+        with pytest.raises(DomainError, match=r"^matrix\[1\] has non-finite entries"):
+            matcore.spectral_norm(stack)
