@@ -28,6 +28,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _size(text: str) -> tuple[int, ...]:
+    """A ``gen --size``: one positive integer ``N`` or a pair ``NX,NY``."""
+    sides = tuple(_positive_int(side) for side in text.split(","))
+    if len(sides) > 2:
+        raise argparse.ArgumentTypeError(f"expected N or NX,NY, got {text!r}")
+    return sides
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgelab",
@@ -56,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a seeded profile instance to a file")
     gen.add_argument("--regime", choices=("discrete", "gaussian"), required=True)
     gen.add_argument("--profile", required=True)
-    gen.add_argument("--size", required=True,
+    gen.add_argument("--size", type=_size, required=True,
                      help="dimension (gaussian) or NX,NY (discrete)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output instance JSON path")
@@ -130,13 +138,14 @@ def _dispatch_run(args, command: str) -> int:
 
 def _dispatch_gen(args) -> int:
     if args.regime == "discrete":
-        size = tuple(int(s) for s in str(args.size).split(","))
-        if len(size) == 1:
-            size = (size[0], size[0])
+        size = args.size if len(args.size) == 2 else args.size * 2  # N means N,N
         model = harness.generate_instance("discrete", size, args.seed, args.profile)
         payload = harness.discrete.model_to_json(model)
     else:
-        instance = harness.generate_instance("gaussian", int(args.size), args.seed, args.profile)
+        if len(args.size) != 1:
+            raise BridgeLabError(f"argument --size: the gaussian regime takes one dimension N, "
+                                 f"got {','.join(map(str, args.size))!r}")
+        instance = harness.generate_instance("gaussian", args.size[0], args.seed, args.profile)
         payload = harness.gaussian.instance_to_json(instance)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,11 @@ along broadcast leading axes; :func:`burg_divergence` takes stacks too.
 :func:`gaussian_kl` and :func:`gaussian_w2` call the kernels with one pair,
 and the Gaussian diagnostics call them once per chunk of states.  A stacked
 value equals the one-pair value bit for bit (see :mod:`bridgelab.matcore`).
+
+On finite spaces, :func:`phi_entropy` takes an ``(N, m)`` stack of measures
+and :func:`relative_entropy_rows` an ``(N, m)`` stack of weight vectors; the
+discrete diagnostics call them once per chunk of iterates, and each row equals
+the one-vector value bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,28 @@ from .errors import DomainError, NumericalError
 _NORM_TOL = 1e-12
 
 
+def _normalized(w: np.ndarray, name: str) -> np.ndarray:
+    """``w`` scaled to total mass 1, per row for an ``(N, m)`` stack, after validation.
+
+    An error names the first failing row of a stack and that row's first
+    failing test (``mu1[3] weights must be finite``), and ``name`` itself for
+    one vector.
+    """
+    if w.shape[-1] == 0:
+        raise DomainError(f"{name} needs a nonempty support")
+    total = w.sum(axis=-1, keepdims=True)
+    checks = (
+        (~np.isfinite(w).all(axis=-1), "must be finite"),
+        ((w < 0).any(axis=-1), "must be nonnegative"),
+        (total[..., 0] <= 0, "must have positive total mass"),
+    )
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    if failed.any():
+        index, label = matcore._first(failed, name)
+        raise DomainError(f"{label} weights {next(what for bad, what in checks if bad[index])}")
+    return w / total
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A probability vector on a finite support, normalized on construction."""
@@ -37,16 +64,7 @@ class DiscreteMeasure:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0:
-            raise DomainError("measure needs a nonempty support")
-        if not np.all(np.isfinite(w)):
-            raise DomainError("measure weights must be finite")
-        if np.any(w < 0):
-            raise DomainError("measure weights must be nonnegative")
-        total = float(w.sum())
-        if total <= 0:
-            raise DomainError("measure weights must have positive total mass")
-        object.__setattr__(self, "weights", matcore._frozen(w / total))
+        object.__setattr__(self, "weights", matcore._frozen(_normalized(w, "measure")))
 
     @property
     def support_size(self) -> int:
@@ -62,34 +80,71 @@ def as_measure(mu) -> DiscreteMeasure:
     return DiscreteMeasure(np.asarray(mu, dtype=float))
 
 
+def _measure_rows(mu1) -> np.ndarray:
+    """Normalized weights of ``mu1``: one measure, or each row of an ``(N, m)`` stack."""
+    if isinstance(mu1, DiscreteMeasure):
+        return mu1.weights
+    w = np.asarray(mu1, dtype=float)
+    if w.ndim > 2:
+        raise DomainError(f"mu1 must be a weight vector or an (N, m) stack, got shape {w.shape}")
+    return _normalized(w if w.ndim == 2 else w.reshape(-1), "mu1")
+
+
 @dataclass(frozen=True)
 class PhiFunction:
-    """A 1-homogeneous convex integrand with value 0 on the diagonal."""
+    """A 1-homogeneous convex integrand with value 0 on the diagonal.
+
+    ``evaluate(u, v)`` applies it entrywise to broadcast arrays (or scalars).
+    """
 
     name: str
-    evaluate: Callable[[float, float], float]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _phi_kl(u: float, v: float) -> float:
-    if u == 0.0:
-        return 0.0
-    if v == 0.0:
-        return math.inf
-    return u * math.log(u / v)
+# The integrands round every entry exactly as the scalar formulas
+# ``u * math.log(u / v)`` and ``(...) ** 2`` do: ``np.log`` differs from libm's
+# ``log`` in the last bit on some inputs, and Python's float ``** 2`` is libm's
+# ``pow``, which differs from ``x * x`` (numpy's square) on some inputs.  Both go
+# through ``math``, one entry at a time; a memoryview hands out the entries as
+# floats without building a list of them.
 
 
-def _phi_tv(u: float, v: float) -> float:
-    return abs(u - v) / 2.0
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry of a contiguous 1-D array."""
+    return np.fromiter(map(math.log, memoryview(x)), dtype=float, count=x.size)
 
 
-def _phi_hellinger(u: float, v: float) -> float:
-    return (math.sqrt(u) - math.sqrt(v)) ** 2
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``math.pow(entry, 2)`` of each entry of a contiguous 1-D array."""
+    return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(2.0)), dtype=float,
+                       count=x.size)
 
 
-def _phi_chi2(u: float, v: float) -> float:
-    if v == 0.0:
-        return 0.0 if u == 0.0 else math.inf
-    return (u - v) ** 2 / v
+def _phi_kl(u, v) -> np.ndarray:
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.where(u > 0.0, math.inf, 0.0)  # 0 log 0 = 0; u > 0 = v diverges
+    live = (u > 0.0) & (v > 0.0)
+    u_live = u[live]
+    out[live] = u_live * _logs(u_live / v[live])
+    return out
+
+
+def _phi_tv(u, v) -> np.ndarray:
+    return np.abs(np.subtract(u, v, dtype=float)) / 2.0
+
+
+def _phi_hellinger(u, v) -> np.ndarray:
+    diff = np.sqrt(np.asarray(u, dtype=float)) - np.sqrt(np.asarray(v, dtype=float))
+    return _squares(diff.reshape(-1)).reshape(diff.shape)
+
+
+def _phi_chi2(u, v) -> np.ndarray:
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.where(u == 0.0, 0.0, math.inf)  # the value where v = 0
+    live = v != 0.0
+    v_live = v[live]
+    out[live] = _squares(u[live] - v_live) / v_live
+    return out
 
 
 KL = PhiFunction("kl", _phi_kl)
@@ -104,25 +159,47 @@ PHI_CATALOG = {
 }
 
 
-def phi_entropy(phi: PhiFunction, mu1, mu2) -> float:
+def phi_entropy(phi: PhiFunction, mu1, mu2) -> float | np.ndarray:
     """Entropy ``sum_x Phi(mu1(x), mu2(x))`` under the counting dominating measure.
 
     By 1-homogeneity the value does not depend on the dominating measure.
     Returns ``+inf`` when the integrand diverges (e.g. KL without absolute
     continuity).
+
+    ``mu1`` may also be an ``(N, m)`` stack of weight vectors, each normalized
+    and validated on its own (an error names the row: ``mu1[3] ...``); the
+    result is then an ``(N,)`` array with one entropy per row, and a float for
+    one vector.  A 2-D ``mu1`` is a stack, not a flattened measure.  Each row's
+    value equals the one-vector value bit for bit: the terms are summed in
+    support order (``np.cumsum``), as a running Python sum adds them.
     """
-    m1, m2 = as_measure(mu1), as_measure(mu2)
-    if m1.support_size != m2.support_size:
-        raise DomainError(
-            f"support mismatch: {m1.support_size} vs {m2.support_size}"
-        )
-    total = 0.0
-    for u, v in zip(m1.weights, m2.weights):
-        term = phi.evaluate(float(u), float(v))
-        if math.isinf(term):
-            return math.inf
-        total += term
-    return total
+    w1 = _measure_rows(mu1)
+    w2 = as_measure(mu2).weights
+    if w1.shape[-1] != w2.size:
+        raise DomainError(f"support mismatch: {w1.shape[-1]} vs {w2.size}")
+    total = np.cumsum(phi.evaluate(w1, w2), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL of each row of ``p`` against the same row of ``q`` (equal ``(N, m)`` shapes).
+
+    Rows where ``p > 0`` everywhere sum their terms in one call; a row where
+    ``p`` vanishes sums its compacted positive entries on its own, since the
+    zeros would change numpy's pairwise summation tree.
+    """
+    pos = p > 0
+    if pos.all() and q.all():
+        return np.sum(p * np.log(p / q), axis=-1)
+    out = np.full(p.shape[0], math.inf)
+    finite = ~(pos & (q == 0)).any(axis=-1)
+    full = finite & pos.all(axis=-1)
+    p_full, q_full = p[full], q[full]
+    out[full] = np.sum(p_full * np.log(p_full / q_full), axis=-1)
+    for i in np.flatnonzero(finite & ~full):
+        p_pos, q_pos = p[i][pos[i]], q[i][pos[i]]
+        out[i] = np.sum(p_pos * np.log(p_pos / q_pos))
+    return out
 
 
 def relative_entropy(p, q) -> float:
@@ -132,14 +209,27 @@ def relative_entropy(p, q) -> float:
     matrices (flattened).  Uses 0 log 0 = 0 and returns ``+inf`` when ``p``
     charges a point that ``q`` does not.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float).reshape(1, -1)
+    q = np.asarray(q, dtype=float).reshape(1, -1)
     if p.shape != q.shape:
         raise DomainError("support mismatch in relative_entropy")
-    pos = p > 0
-    if np.any(q[pos] == 0):
-        return math.inf
-    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+    return float(_kl_rows(p, q)[0])
+
+
+def relative_entropy_rows(p, q) -> np.ndarray:
+    """:func:`relative_entropy` of each row of an ``(N, m)`` stack, as an ``(N,)`` array.
+
+    Either argument may be one ``(m,)`` vector, which is paired with every row
+    of the other; each value equals the one-row value bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if not (1 <= p.ndim <= 2 and 1 <= q.ndim <= 2 and max(p.ndim, q.ndim) == 2):
+        raise DomainError(f"relative_entropy_rows needs an (N, m) stack, got {p.shape} and {q.shape}")
+    if p.shape[-1] != q.shape[-1] or (p.ndim == q.ndim == 2 and p.shape[0] != q.shape[0]):
+        raise DomainError(f"support mismatch in relative_entropy_rows: {p.shape} vs {q.shape}")
+    p, q = np.broadcast_arrays(p, q)
+    return _kl_rows(p, q)
 
 
 def weighted_tv(mu1, mu2, g) -> float:

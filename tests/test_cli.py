@@ -145,6 +145,33 @@ def test_gen_discrete_and_gaussian(tmp_path):
     assert len(payload["m"]) == 3
 
 
+@pytest.mark.parametrize("regime, profile, size, message", [
+    ("discrete", "bounded", "3,x", "expected an integer, got 'x'"),
+    ("discrete", "bounded", "", "expected an integer, got ''"),
+    ("discrete", "bounded", "2.5", "expected an integer, got '2.5'"),
+    ("discrete", "bounded", "0,4", "must be at least 1, got 0"),
+    ("discrete", "bounded", "3,4,5", "expected N or NX,NY, got '3,4,5'"),
+    ("gaussian", "gaussian-random-spd", "2.5", "expected an integer, got '2.5'"),
+    ("gaussian", "gaussian-random-spd", "3,4", "the gaussian regime takes one dimension N, got '3,4'"),
+])
+def test_gen_size_errors_name_the_argument(tmp_path, capsys, regime, profile, size, message):
+    out = tmp_path / "inst.json"
+    assert cli.parse_and_dispatch([
+        "gen", "--regime", regime, "--profile", profile, "--size", size, "--out", str(out),
+    ]) == 2
+    assert f"argument --size: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_single_side_is_square(tmp_path):
+    out = tmp_path / "model.json"
+    assert cli.parse_and_dispatch([
+        "gen", "--regime", "discrete", "--profile", "bounded", "--size", "3", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["nx"], payload["ny"]) == (3, 3)
+
+
 def test_gen_then_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     cli.parse_and_dispatch([

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,104 @@ class TestPhiEntropy:
             assert dv.phi_entropy(dv.KL, m1, m2) == pytest.approx(
                 dv.relative_entropy(m1.weights, m2.weights), abs=1e-13
             )
+
+
+# Scalar integrands and the running sum, as phi_entropy evaluated them one
+# entry at a time before it took stacks.
+SCALAR_PHIS = {
+    "kl": lambda u, v: 0.0 if u == 0.0 else (math.inf if v == 0.0 else u * math.log(u / v)),
+    "tv": lambda u, v: abs(u - v) / 2.0,
+    "hellinger-sq": lambda u, v: (math.sqrt(u) - math.sqrt(v)) ** 2,
+    "chi-square": lambda u, v: ((0.0 if u == 0.0 else math.inf) if v == 0.0
+                                else (u - v) ** 2 / v),
+}
+
+
+def scalar_phi_entropy(name, w1, w2):
+    total = 0.0
+    for u, v in zip((w1 / float(w1.sum())).tolist(), (w2 / float(w2.sum())).tolist()):
+        term = SCALAR_PHIS[name](u, v)
+        if math.isinf(term):
+            return math.inf
+        total += term
+    return total
+
+
+def scalar_relative_entropy(p, q):
+    pos = p > 0
+    if np.any(q[pos] == 0):
+        return math.inf
+    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+
+
+def weights_with_zeros(rng, shape, zero_frac, spread):
+    """Nonnegative weights spread over many binades, with exact zeros."""
+    w = rng.uniform(0.0, 1.0, size=shape) ** spread
+    w[rng.uniform(size=shape) < zero_frac] = 0.0
+    return w
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), m=st.integers(1, 70),
+           zero_frac=st.sampled_from([0.0, 0.2, 0.6]), spread=st.sampled_from([1.0, 30.0]))
+    def test_stacked_phi_entropy_equals_scalar_loop(self, seed, rows, m, zero_frac, spread):
+        rng = np.random.default_rng(seed)
+        w1 = weights_with_zeros(rng, (rows, m), zero_frac, spread)
+        w1[:, 0] += 0.5  # every row keeps positive mass
+        w2 = weights_with_zeros(rng, m, zero_frac, spread)  # v = 0 where w2 vanishes
+        w2[-1] += 0.5
+        for name, phi in dv.PHI_CATALOG.items():
+            stacked = dv.phi_entropy(phi, w1, w2)
+            assert stacked.shape == (rows,)
+            expected = [scalar_phi_entropy(name, row, w2) for row in w1]
+            assert stacked.tolist() == expected
+            assert [math.copysign(1.0, x) for x in stacked.tolist()] == [
+                math.copysign(1.0, x) for x in expected]
+            one = dv.phi_entropy(phi, w1[0], w2)
+            assert type(one) is float and one == expected[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), m=st.integers(0, 70),
+           zero_frac=st.sampled_from([0.0, 0.1, 0.5]), shared=st.sampled_from([None, "p", "q"]))
+    def test_relative_entropy_rows_equal_scalar(self, seed, rows, m, zero_frac, shared):
+        # Zeros in p compact the pairwise sum; zeros in q under p give +inf.
+        rng = np.random.default_rng(seed)
+        p = weights_with_zeros(rng, (rows, m), zero_frac, 1.0)
+        q = weights_with_zeros(rng, (rows, m), zero_frac, 1.0)
+        if shared == "p":
+            p = p[0]
+        elif shared == "q":
+            q = q[0]
+        pairs = [(p if p.ndim == 1 else p[i], q if q.ndim == 1 else q[i]) for i in range(rows)]
+        expected = [scalar_relative_entropy(a, b) for a, b in pairs]
+        assert dv.relative_entropy_rows(p, q).tolist() == expected
+        assert [dv.relative_entropy(a, b) for a, b in pairs] == expected
+
+    def test_two_dimensional_mu1_is_a_stack(self):
+        stack = np.array([[1.0, 3.0], [2.0, 2.0]])
+        values = dv.phi_entropy(dv.TOTAL_VARIATION, stack, [0.5, 0.5])
+        assert values.tolist() == [0.25, 0.0]
+
+    @pytest.mark.parametrize("row, message", [
+        ([1.0, -0.5], "mu1[2] weights must be nonnegative"),
+        ([np.nan, 1.0], "mu1[2] weights must be finite"),
+        ([0.0, 0.0], "mu1[2] weights must have positive total mass"),
+    ])
+    def test_stack_errors_name_the_row(self, row, message):
+        stack = np.array([[1.0, 1.0], [2.0, 1.0], row, [1.0, np.inf]])
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            dv.phi_entropy(dv.KL, stack, [0.5, 0.5])
+
+    def test_stack_shapes_rejected(self):
+        with pytest.raises(DomainError, match="mu1 must be a weight vector or an"):
+            dv.phi_entropy(dv.KL, np.ones((2, 2, 2)), np.ones(2))
+        with pytest.raises(DomainError, match="support mismatch: 3 vs 2"):
+            dv.phi_entropy(dv.KL, np.ones((2, 3)), np.ones(2))
+        for p, q in ((np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones((3, 3))),
+                     (np.ones((2, 3)), np.ones(2))):
+            with pytest.raises(DomainError):
+                dv.relative_entropy_rows(p, q)
 
 
 class TestWeightedTv:
