@@ -1,9 +1,12 @@
 """Contraction-coefficient toolkit on finite spaces.
 
 Dobrushin coefficients and weighted Kantorovich-Lipschitz operator norms are
-computed exactly (finite sups over state pairs); drift and minorization
-conditions are verified entrywise; a grid search over the weight-mixing
-parameter realizes a contraction certificate when one exists.
+computed exactly (finite sups over state pairs).  A contraction certificate is
+a pair (a, rho): at the weights ``0.5 + a * g`` and ``0.5 + a * h`` every
+kernel has Lipschitz norm at most rho < 1, which on a finite space with
+bounded weights is the weighted Kantorovich/Dobrushin contraction itself.  A
+grid search over the mixing level a finds the best certificate when one
+exists, and :func:`reverify` re-computes rho at the certificate's a.
 
 Every sup over state pairs goes through one primitive, :func:`_pair_chunks`,
 which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks small
@@ -40,6 +43,8 @@ def _as_kernel(k, name: str = "kernel") -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.ndim != 2:
         raise DomainError(f"{name} must be a matrix")
+    if k.shape[0] == 0:
+        raise DomainError(f"{name} must have at least one row")
     if np.any(k < -KERNEL_TOL) or not np.all(np.isfinite(k)):
         raise DomainError(f"{name} must have nonnegative finite entries")
     rows = k.sum(axis=1)
@@ -48,36 +53,31 @@ def _as_kernel(k, name: str = "kernel") -> np.ndarray:
     return k
 
 
-def _as_kernel_list(kernels, name: str) -> list[np.ndarray]:
-    if isinstance(kernels, (list, tuple)):
-        return [_as_kernel(k, f"{name}[{i}]") for i, k in enumerate(kernels)]
-    return [_as_kernel(kernels, name)]
-
-
-def _as_weights(w, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"{name} must be finite")
-    return w
+def _as_kernel_list(kernels, name: str) -> list[tuple[str, np.ndarray]]:
+    """``(label, kernel)`` pairs: ``name[i]`` for a sequence, ``name`` for one matrix."""
+    if not isinstance(kernels, (list, tuple)):
+        return [(name, _as_kernel(kernels, name))]
+    if not kernels:
+        raise DomainError(f"{name} must hold at least one kernel")
+    return [(f"{name}[{i}]", _as_kernel(k, f"{name}[{i}]")) for i, k in enumerate(kernels)]
 
 
 def _as_positive_weights(w, name: str) -> np.ndarray:
-    w = _as_weights(w, name)
+    w = np.asarray(w, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"{name} must be finite")
     if np.any(w <= 0):
         raise DomainError(f"{name} must be strictly positive")
     return w
 
 
-def _check_pair_shapes(k: np.ndarray, l_mat: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
-    """Raise naming the first of g, h, kernel_l whose size does not fit kernel_k."""
-    if g.size != k.shape[0]:
-        raise DomainError(f"g has {g.size} entries but kernel_k has {k.shape[0]} rows")
-    if h.size != k.shape[1]:
-        raise DomainError(f"h has {h.size} entries but kernel_k has {k.shape[1]} columns")
-    if l_mat.shape != (h.size, g.size):
-        raise DomainError(
-            f"kernel_l has shape {l_mat.shape}, expected {(h.size, g.size)} from h and g"
-        )
+def _check_weight_sizes(k: np.ndarray, name: str, src: np.ndarray, src_name: str,
+                        tgt: np.ndarray, tgt_name: str) -> None:
+    """Raise naming the first of the source, target weights that does not fit ``k``."""
+    if src.size != k.shape[0]:
+        raise DomainError(f"{src_name} has {src.size} entries but {name} has {k.shape[0]} rows")
+    if tgt.size != k.shape[1]:
+        raise DomainError(f"{tgt_name} has {tgt.size} entries but {name} has {k.shape[1]} columns")
 
 
 def _pair_chunks(k: np.ndarray, width: int = 1):
@@ -198,8 +198,7 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     k = _as_kernel(kernel)
     g = _as_positive_weights(source_weight, "source_weight")
     h = _as_positive_weights(target_weight, "target_weight")
-    if g.size != k.shape[0] or h.size != k.shape[1]:
-        raise DomainError("weight dimensions do not match the kernel")
+    _check_weight_sizes(k, "kernel", g, "source_weight", h, "target_weight")
     return float(_lip_norms(k, g[None], h[None])[0])
 
 
@@ -229,99 +228,9 @@ class WeightPair:
 
 
 @dataclass(frozen=True)
-class DriftReport:
-    passed: bool
-    worst_slack: float
-    worst_state: tuple[str, int]
-    rescaled_passed: bool
-    rescaled_slack: float
-
-
-def drift_check(kernel_k, kernel_l, g, h, epsilon: float, c: float) -> DriftReport:
-    """Verify the coupled drift inequalities K(h) <= eps g + c, L(g) <= eps h + c."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not c > 0:
-        raise DomainError("c must be positive")
-    k = _as_kernel(kernel_k, "kernel_k")
-    l = _as_kernel(kernel_l, "kernel_l")
-    g = _as_weights(g, "g")
-    h = _as_weights(h, "h")
-    _check_pair_shapes(k, l, g, h)
-    slack_k = k @ h - (epsilon * g + c)
-    slack_l = l @ g - (epsilon * h + c)
-    worst = max(float(slack_k.max()), float(slack_l.max()))
-    if float(slack_k.max()) >= float(slack_l.max()):
-        state = ("K", int(np.argmax(slack_k)))
-    else:
-        state = ("L", int(np.argmax(slack_l)))
-    # Rescaled form: with g = 1/2 + (eps/2c) g, h likewise, the constant drops to 1/2.
-    g_bar = 0.5 + (epsilon / (2.0 * c)) * g
-    h_bar = 0.5 + (epsilon / (2.0 * c)) * h
-    rescaled = max(
-        float((k @ h_bar - (epsilon * g_bar + 0.5)).max()),
-        float((l @ g_bar - (epsilon * h_bar + 0.5)).max()),
-    )
-    return DriftReport(
-        passed=worst <= 1e-12,
-        worst_slack=worst,
-        worst_state=state,
-        rescaled_passed=rescaled <= 1e-12,
-        rescaled_slack=rescaled,
-    )
-
-
-@dataclass(frozen=True)
-class MinorizationRow:
-    level: float
-    iota_k: float
-    iota_l: float
-    iota: float
-    skipped: bool
-    note: str = ""
-
-
-def minorization_table(kernel_k, kernel_l, g, h, levels) -> tuple[MinorizationRow, ...]:
-    """Largest sublevel-set minorization mass per level, by entrywise minima.
-
-    For each level l the mass is the total of the entrywise row minimum over
-    sources in {g <= l}, restricted to targets in the companion sublevel set;
-    this is the largest iota such that every such row dominates iota times a
-    common probability measure on the set.
-    """
-    k = _as_kernel(kernel_k, "kernel_k")
-    l_mat = _as_kernel(kernel_l, "kernel_l")
-    g = _as_weights(g, "g")
-    h = _as_weights(h, "h")
-    _check_pair_shapes(k, l_mat, g, h)
-    rows: list[MinorizationRow] = []
-    for level in levels:
-        src_k = g <= level
-        tgt_k = h <= level
-        src_l = h <= level
-        tgt_l = g <= level
-        if not (src_k.any() and tgt_k.any() and src_l.any() and tgt_l.any()):
-            rows.append(MinorizationRow(
-                level=float(level), iota_k=0.0, iota_l=0.0, iota=0.0,
-                skipped=True, note="empty sublevel set",
-            ))
-            continue
-        iota_k = float(k[np.ix_(src_k, tgt_k)].min(axis=0).sum())
-        iota_l = float(l_mat[np.ix_(src_l, tgt_l)].min(axis=0).sum())
-        rows.append(MinorizationRow(
-            level=float(level), iota_k=iota_k, iota_l=iota_l,
-            iota=min(iota_k, iota_l), skipped=False,
-        ))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
 class ContractionCertificate:
     a: float
     rho: float
-    epsilon: float
-    c: float
-    iota_table: tuple[MinorizationRow, ...]
 
 
 @dataclass(frozen=True)
@@ -331,77 +240,61 @@ class SearchFailure:
     reason: str
 
 
-def _drift_constants(kernels_k, kernels_l, g, h, epsilon: float = 0.5):
-    """Verified-by-construction drift constants for the given weight vectors."""
-    worst = 0.0
-    for k in kernels_k:
-        worst = max(worst, float((k @ h - epsilon * g).max()))
-    for l_mat in kernels_l:
-        worst = max(worst, float((l_mat @ g - epsilon * h).max()))
-    return epsilon, max(worst, 1e-12)
-
-
-def _rhos(kernels_k, kernels_l, g, h, grid) -> np.ndarray:
+def _rhos(kernel_k, kernel_l, g, h, grid) -> np.ndarray:
     """Worst Lipschitz norm over all kernels at each mixing level of ``grid``.
 
-    The weights of every level are built at once, row w being
+    Validates every argument first; an error names the one at fault.  The
+    weights of every level are built at once, row w being
     ``g_a = 0.5 + a[w] * g`` and ``h_a = 0.5 + a[w] * h`` (the arithmetic of
     :class:`WeightPair`).  Each kernel's pair differences are built once and
     scored against every level; K kernels take source weight g_a and target
     weight h_a, L kernels the reverse.
     """
+    ks = _as_kernel_list(kernel_k, "kernel_k")
+    ls = _as_kernel_list(kernel_l, "kernel_l")
+    g = _as_positive_weights(g, "g")
+    h = _as_positive_weights(h, "h")
     a = np.asarray(grid, dtype=float)
+    if a.size == 0:
+        raise DomainError("grid must hold at least one mixing level")
     if not np.all((a > 0) & (a < math.inf)):
         raise DomainError("mixing level a must be positive and finite")
+    _check_weight_sizes(ks[0][1], ks[0][0], g, "g", h, "h")
+    for kernels, shape, order in ((ks, (g.size, h.size), "g and h"),
+                                  (ls, (h.size, g.size), "h and g")):
+        for name, k in kernels:
+            if k.shape != shape:
+                raise DomainError(f"{name} has shape {k.shape}, expected {shape} from {order}")
     g_a = 0.5 + a[:, None] * g
     h_a = 0.5 + a[:, None] * h
     rho = np.zeros(a.size)
-    for kernels, shape, src, tgt in ((kernels_k, (g.size, h.size), g_a, h_a),
-                                     (kernels_l, (h.size, g.size), h_a, g_a)):
-        for k in kernels:
-            if k.shape != shape:
-                raise DomainError("weight dimensions do not match the kernel")
+    for kernels, src, tgt in ((ks, g_a, h_a), (ls, h_a, g_a)):
+        for _, k in kernels:
             np.maximum(rho, _lip_norms(k, src, tgt), out=rho)
     return rho
 
 
 def lyapunov_search(kernel_k, kernel_l, g, h, grid=None) -> ContractionCertificate | SearchFailure:
-    """Scan mixing levels for a weighted-norm contraction certificate.
+    """Scan mixing levels for a weighted-norm contraction certificate (a, rho).
 
-    ``kernel_k`` / ``kernel_l`` may be single kernels or sequences; with
-    sequences the certificate bounds every pair, which is what time-varying
-    iterations need.  Returns the best (a, rho) with rho < 1, ties broken
-    toward the earliest grid point, or a :class:`SearchFailure` when no grid
-    point contracts.  The certificate's minorization table is taken at the
-    50/75/90/100% quantiles of the combined weights ``g`` and ``h``.
+    ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty sequences;
+    with sequences the certificate bounds every pair, which is what
+    time-varying iterations need.  Returns the best (a, rho) with rho < 1,
+    ties broken toward the earliest grid point, or a :class:`SearchFailure`
+    when no grid point contracts.
     """
-    ks = _as_kernel_list(kernel_k, "kernel_k")
-    ls = _as_kernel_list(kernel_l, "kernel_l")
-    g = _as_positive_weights(g, "g")
-    h = _as_positive_weights(h, "h")
     grid = DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
     best_a = math.nan
     best_rho = math.inf
-    for a, rho in zip(grid, _rhos(ks, ls, g, h, grid)):
+    for a, rho in zip(grid, _rhos(kernel_k, kernel_l, g, h, grid)):
         if rho < best_rho:
             best_rho, best_a = rho, a
     if not best_rho < 1.0:
         return SearchFailure(best_a=float(best_a), best_rho=float(best_rho),
                              reason="no grid point produced rho < 1")
-    epsilon, c = _drift_constants(ks, ls, g, h)
-    levels = np.quantile(np.concatenate([g, h]), [0.5, 0.75, 0.9, 1.0])
-    table = minorization_table(ks[0], ls[0], g, h, levels)
-    return ContractionCertificate(
-        a=float(best_a), rho=float(best_rho), epsilon=epsilon, c=c, iota_table=table,
-    )
+    return ContractionCertificate(a=float(best_a), rho=float(best_rho))
 
 
 def reverify(cert: ContractionCertificate, kernel_k, kernel_l, g, h) -> bool:
-    """Re-check every inequality a certificate asserts."""
-    ks = _as_kernel_list(kernel_k, "kernel_k")
-    ls = _as_kernel_list(kernel_l, "kernel_l")
-    g = _as_positive_weights(g, "g")
-    h = _as_positive_weights(h, "h")
-    if _rhos(ks, ls, g, h, [cert.a])[0] > cert.rho + 1e-12:
-        return False
-    return drift_check(ks[0], ls[0], g, h, cert.epsilon, cert.c).passed
+    """Re-compute rho at ``cert.a`` and check it does not exceed ``cert.rho``."""
+    return bool(_rhos(kernel_k, kernel_l, g, h, [cert.a])[0] <= cert.rho + 1e-12)

@@ -31,8 +31,6 @@ import numpy as np
 from . import matcore
 from .errors import DomainError, NumericalError
 
-_NORM_TOL = 1e-12
-
 
 def _normalized(w: np.ndarray, name: str) -> np.ndarray:
     """``w`` scaled to total mass 1, per row for an ``(N, m)`` stack, after validation.

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -126,75 +127,6 @@ class TestLipNorm:
             assert lhs <= rhs + 1e-12
 
 
-class TestDrift:
-    def test_constructed_pass(self):
-        k = np.tile(np.array([0.5, 0.5]), (2, 1))
-        h = np.array([1.0, 2.0])
-        report = contraction.drift_check(k, k.T, h, h, epsilon=0.6, c=1.0)
-        assert report.passed
-        assert report.rescaled_passed
-        assert report.worst_slack <= 0.0
-
-    def test_violation_locates_worst_state(self):
-        k = np.tile(np.array([0.5, 0.5]), (2, 1))
-        h = np.array([1.0, 10.0])
-        report = contraction.drift_check(k, k, h, h, epsilon=0.01, c=0.5)
-        assert not report.passed
-        assert report.worst_state == ("K", 0)
-
-    def test_sinkhorn_kernels_satisfy_drift(self):
-        rng = np.random.default_rng(11)
-        model = discrete.build_model(
-            rng.uniform(0.0, 1.0, size=(8, 8)),
-            rng.uniform(0.5, 1.5, 8), rng.uniform(0.5, 1.5, 8),
-            rng.uniform(0.0, 1.0, 8), rng.uniform(0.0, 1.0, 8),
-        )
-        it = discrete.run_sinkhorn(model, 2)[1]
-        g = np.exp(0.25 * model.u_potential)
-        h = np.exp(0.25 * model.v_potential)
-        c = max(float(np.max(it.kernel_even @ h)), float(np.max(it.kernel_odd @ g)))
-        report = contraction.drift_check(it.kernel_even, it.kernel_odd, g, h, 0.5, c)
-        assert report.passed
-
-    def test_parameter_validation(self):
-        k = np.eye(2)
-        with pytest.raises(DomainError):
-            contraction.drift_check(k, k, np.ones(2), np.ones(2), 1.5, 1.0)
-        with pytest.raises(DomainError):
-            contraction.drift_check(k, k, np.ones(2), np.ones(2), 0.5, 0.0)
-
-
-class TestMinorization:
-    def test_rank_one_full_level(self):
-        k = np.tile(np.array([0.3, 0.7]), (2, 1))
-        g = np.array([1.0, 2.0])
-        rows = contraction.minorization_table(k, k, g, g, levels=[2.0])
-        assert rows[0].iota == pytest.approx(1.0)
-
-    def test_monotone_in_level(self):
-        rng = np.random.default_rng(12)
-        k = random_kernel(rng, 5, 5)
-        g = rng.uniform(0.5, 3.0, size=5)
-        rows = contraction.minorization_table(k, k, g, g, levels=[1.0, 2.0, 3.0])
-        feasible = [r for r in rows if not r.skipped]
-        # larger level -> more rows in the min - mass can only wiggle, but the
-        # full-level value is what the contraction argument consumes
-        assert all(0.0 <= r.iota <= 1.0 for r in feasible)
-
-    def test_zero_entry_gives_zero_mass(self):
-        rows = contraction.minorization_table(
-            np.eye(2), np.eye(2), np.ones(2), np.ones(2), levels=[1.0]
-        )
-        assert rows[0].iota == 0.0
-
-    def test_empty_level_skipped(self):
-        k = np.tile(np.array([0.5, 0.5]), (2, 1))
-        rows = contraction.minorization_table(
-            k, k, np.array([2.0, 3.0]), np.array([2.0, 3.0]), levels=[1.0]
-        )
-        assert rows[0].skipped
-
-
 class TestLyapunovSearch:
     def test_rank_one_kernels_give_zero_rho(self):
         k = np.tile(np.array([0.3, 0.7]), (2, 1))
@@ -223,6 +155,8 @@ class TestLyapunovSearch:
         assert isinstance(cert, contraction.ContractionCertificate)
         assert cert.rho < 1.0
         assert contraction.reverify(cert, evens, odds, g, h)
+        tighter = dataclasses.replace(cert, rho=cert.rho - 1e-9)
+        assert not contraction.reverify(tighter, evens, odds, g, h)
         # certificate implies weighted-TV decay of the loop iterates
         pair = contraction.WeightPair(g=g, h=h, a=cert.a)
         rng2 = np.random.default_rng(14)
@@ -268,18 +202,6 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError, match="finite"):
             contraction.lyapunov_search(self.k, self.l, np.ones(3), [1.0, bad])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_drift_check(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            contraction.drift_check(self.k, self.l, [bad, 1.0, 1.0], np.ones(2), 0.5, 1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_minorization_table(self, bad):
-        with pytest.raises(DomainError, match="finite"):
-            contraction.minorization_table(self.k, self.l, [bad, 1.0, 1.0], np.ones(2), [1.0])
-        with pytest.raises(DomainError, match="finite"):
-            contraction.minorization_table(self.k, self.l, np.ones(3), [1.0, bad], [1.0])
-
     @pytest.mark.parametrize("g_len, h_len, l_shape, name", [
         (2, 2, (2, 3), "g"),
         (3, 3, (2, 3), "h"),
@@ -289,9 +211,23 @@ class TestNonFiniteWeights:
         l_mat = np.full(l_shape, 1.0 / l_shape[1])
         g, h = np.ones(g_len), np.ones(h_len)
         with pytest.raises(DomainError, match=f"^{name} "):
-            contraction.drift_check(self.k, l_mat, g, h, 0.5, 1.0)
+            contraction.lyapunov_search(self.k, l_mat, g, h)
+
+    @pytest.mark.parametrize("ks, ls, grid, name", [
+        ([], [l], None, "kernel_k"),
+        ([k], [], None, "kernel_l"),
+        ([k], [l], [], "grid"),
+    ])
+    def test_empty_argument_is_named(self, ks, ls, grid, name):
+        # With no kernels every level scores rho = 0: a certificate from nothing.
         with pytest.raises(DomainError, match=f"^{name} "):
-            contraction.minorization_table(self.k, l_mat, g, h, [1.0])
+            contraction.lyapunov_search(ks, ls, np.ones(3), np.ones(2), grid=grid)
+
+    def test_kernel_without_rows(self):
+        with pytest.raises(DomainError, match="^kernel must have at least one row"):
+            contraction.dobrushin(np.empty((0, 3)))
+        with pytest.raises(DomainError, match="^kernel_k must have at least one row"):
+            contraction.lyapunov_search(np.empty((0, 3)), np.empty((3, 0)), [], np.ones(3))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_grid_levels(self, bad):
