@@ -13,10 +13,10 @@ which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks small
 enough that each per-chunk table holds at most ``matcore.CHUNK_ELEMENTS``
 floats (64 KB), so memory stays bounded at any kernel size.  :func:`_lip_norms`
 scores a chunk against a whole matrix of weights at once: one matrix product
-screens every (pair, weight) ratio, and the exact per-pair sum runs only where
-the screen says the maximum can be.  The grid, the exact arithmetic per pair
-and the tie rule (first strict minimum: the earliest of equal-rho grid points)
-are those of a plain per-pair loop, and the results are bit-identical to it.
+gives every (pair, weight) ratio, and a norm is the largest of them.  It
+agrees with a plain per-pair loop to within ``2 * (n_cols + 4) * eps``
+(relative); the tie rule is the first strict minimum (the earliest of
+equal-rho grid points).
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .matcore import _frozen
 
 KERNEL_TOL = 1e-9
 DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
-# Relative margin of the pair screen in _lip_norms; far above its rounding error.
-_SCREEN_MARGIN = 1e-9
-_FMAX = float(np.finfo(float).max)
-_TINY = float(np.finfo(float).tiny)
 
 
 def _as_kernel(k, name: str = "kernel") -> np.ndarray:
@@ -99,41 +95,17 @@ def _lip_norms(k: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """``lip_norm(k, src[w], tgt[w])`` for every row w of the weight matrices.
 
     ``src`` is (W, n_rows) and ``tgt`` is (W, n_cols).  Per chunk of pairs, one
-    matrix product gives a screen ``(diff @ tgt.T) / den`` of every ratio.  The
-    exact ratio ``np.sum(diff[p] * tgt[w]) / den[p, w]`` (the arithmetic of a
-    per-pair loop) is computed only for the (p, w) whose screen is not below
-
-        bar[w] = max(max_p screen[p, w], worst[w]) * (1 - _SCREEN_MARGIN) - slack.
-
-    All terms are nonnegative, so the screen and the exact ratio each lie
-    within ``(n_cols + 4) * eps`` (relative) of the same real number, plus an
-    absolute underflow error below ``slack`` (``tiny``, divided by the smallest
-    denominator when that is below 1).  A dropped ratio is therefore strictly
-    below a kept one or below ``worst``, so the max is the loop's max bit for
-    bit (while ``n_cols`` is far below ``_SCREEN_MARGIN / eps``, ~10^6).
-    Weights large enough that a sum could overflow make ``slack`` infinite,
-    and every pair is scored exactly.  NaN screens are kept, so a NaN ratio
-    still reaches ``worst`` and raises.  Kept ratios are scored in slices of
-    at most ``matcore.CHUNK_ELEMENTS // n_cols`` rows, so memory stays bounded
-    even when every pair ties.
+    matrix product scores every ratio ``(diff @ tgt.T) / den`` at once, and
+    the norms are the running maxima of those scores.  All terms are
+    nonnegative, so each score lies within ``(n_cols + 4) * eps`` (relative)
+    of the exact ratio, and so does each norm; a per-pair loop summing
+    ``np.sum(diff[p] * tgt[w]) / den[p, w]`` lies within the same bound, so
+    the two agree to ``2 * (n_cols + 4) * eps`` (relative).
     """
     worst = np.zeros(src.shape[0])
-    slice_rows = max(1, matcore.CHUNK_ELEMENTS // max(1, tgt.shape[1]))
-    # Row differences sum to at most 2, so below _FMAX / 4 no sum overflows.
-    if max(src.max(initial=0.0), tgt.max(initial=0.0)) < _FMAX / 4:
-        slack = _TINY / min(1.0, 2.0 * src.min(initial=np.inf))
-    else:
-        slack = np.inf
     for diff, i, j in _pair_chunks(k, src.shape[0]):
         den = (src[:, i] + src[:, j]).T
-        screen = (diff @ tgt.T) / den
-        bar = np.maximum(screen.max(axis=0), worst) * (1.0 - _SCREEN_MARGIN) - slack
-        p, w = np.nonzero(~(screen < bar))
-        for start in range(0, p.size, slice_rows):
-            ps = p[start:start + slice_rows]
-            ws = w[start:start + slice_rows]
-            ratio = np.sum(diff[ps] * tgt[ws], axis=1) / den[ps, ws]
-            np.maximum.at(worst, ws, ratio)
+        worst = np.maximum(worst, np.max((diff @ tgt.T) / den, axis=0))
     if np.isnan(worst).any():
         raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
     return worst

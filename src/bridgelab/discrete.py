@@ -17,26 +17,17 @@ marginal KL gaps and chains, the phi-entropies, the identities' ratios,
 maxima and tolerance tests, the rate report's sup and sandwich terms) are
 computed on ``(N, m)`` stacks of at most ``matcore.CHUNK_ELEMENTS //
 max(nx, ny)`` iterates, one numpy call per quantity per chunk.  What stays
-per iterate: every matrix product (each keeps its expression, so BLAS
-rounds it as before), the joint-matrix sums and KLs, and the sequential
-recursion.  Rows keep their order.
+per iterate: every matrix-vector product, the joint-matrix sums and KLs,
+and the sequential recursion.  Rows keep their order.
 
-Bit-identity.  A stacked value equals the per-iterate value bit for bit,
-because three rules hold (counts measured with numpy 2.4.6 on x86-64):
-
-- phi-entropy logs go through ``math.log``: ``np.log`` differs from it on
-  4221 of 2 M uniform inputs in (0, 4);
-- squares go through ``math.pow``, as Python's float ``** 2`` does: numpy's
-  ``x * x`` differs from it on 1704 of 2 M uniform inputs in (-1, 1);
-- a phi-entropy sums its terms in support order (``np.cumsum`` along the
-  row), as the running sum did; a KL row is reduced by ``np.sum`` along the
-  row, which builds the same pairwise tree as on the row alone, and a row
-  where ``p`` vanishes sums its compacted positive entries on its own.
+One evaluator.  Every KL and phi-entropy goes through
+:mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
+sums each row by ``np.sum`` along it.  A row of a stack is summed as the row
+alone would be, so a stacked value equals the per-iterate value bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -184,11 +175,9 @@ def model_to_json(model: DiscreteModel) -> dict:
     }
 
 
-def model_from_json(payload: dict | str) -> DiscreteModel:
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    nx, ny = int(payload["nx"]), int(payload["ny"])
-    cost = np.asarray(payload["W"], dtype=float).reshape(nx, ny)
+def model_from_json(payload: dict) -> DiscreteModel:
+    payload = matcore._payload(payload, "discrete", ("nx", "ny", "W", "lambda", "nu"))
+    cost = matcore._payload_array(payload, "W", (int(payload["nx"]), int(payload["ny"])))
     return build_model(cost, payload["lambda"], payload["nu"], payload.get("U"), payload.get("V"))
 
 
@@ -663,10 +652,10 @@ def identity_suite(model: DiscreteModel, iterates) -> DiagnosticsReport:
             _close_rows("commute-odd-backward", at,
                         [it.kernel_odd @ (prev.pi_odd / mu) for prev, it in pairs], eta / pi_even),
             _close_rows("semigroup-even", at,
-                        [(prev.kernel_odd @ it.kernel_even) @ (prev.pi_even / eta)
+                        [prev.kernel_odd @ (it.kernel_even @ (prev.pi_even / eta))
                          for prev, it in pairs], pi_even / eta),
             _close_rows("semigroup-odd", at,
-                        [(it.kernel_even @ it.kernel_odd) @ (prev.pi_odd / mu)
+                        [it.kernel_even @ (it.kernel_odd @ (prev.pi_odd / mu))
                          for prev, it in pairs], pi_odd / mu),
         )
 

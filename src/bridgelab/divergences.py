@@ -99,32 +99,10 @@ class PhiFunction:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-# The integrands round every entry exactly as the scalar formulas
-# ``u * math.log(u / v)`` and ``(...) ** 2`` do: ``np.log`` differs from libm's
-# ``log`` in the last bit on some inputs, and Python's float ``** 2`` is libm's
-# ``pow``, which differs from ``x * x`` (numpy's square) on some inputs.  Both go
-# through ``math``, one entry at a time; a memoryview hands out the entries as
-# floats without building a list of them.
-
-
-def _logs(x: np.ndarray) -> np.ndarray:
-    """``math.log`` of each entry of a contiguous 1-D array."""
-    return np.fromiter(map(math.log, memoryview(x)), dtype=float, count=x.size)
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """``math.pow(entry, 2)`` of each entry of a contiguous 1-D array."""
-    return np.fromiter(map(math.pow, memoryview(x), itertools.repeat(2.0)), dtype=float,
-                       count=x.size)
-
-
 def _phi_kl(u, v) -> np.ndarray:
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    out = np.where(u > 0.0, math.inf, 0.0)  # 0 log 0 = 0; u > 0 = v diverges
-    live = (u > 0.0) & (v > 0.0)
-    u_live = u[live]
-    out[live] = u_live * _logs(u_live / v[live])
-    return out
+    # 0 log 0 = 0; u > 0 = v gives u * log(inf) = inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u > 0, u * np.log(np.divide(u, v)), 0.0)
 
 
 def _phi_tv(u, v) -> np.ndarray:
@@ -132,17 +110,14 @@ def _phi_tv(u, v) -> np.ndarray:
 
 
 def _phi_hellinger(u, v) -> np.ndarray:
-    diff = np.sqrt(np.asarray(u, dtype=float)) - np.sqrt(np.asarray(v, dtype=float))
-    return _squares(diff.reshape(-1)).reshape(diff.shape)
+    return np.square(np.sqrt(np.asarray(u, dtype=float)) - np.sqrt(np.asarray(v, dtype=float)))
 
 
 def _phi_chi2(u, v) -> np.ndarray:
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    out = np.where(u == 0.0, 0.0, math.inf)  # the value where v = 0
-    live = v != 0.0
-    v_live = v[live]
-    out[live] = _squares(u[live] - v_live) / v_live
-    return out
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    # Where v = 0 the value is 0 if u = 0 and +inf otherwise.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v != 0.0, np.square(u - v) / v, np.where(u == 0.0, 0.0, math.inf))
 
 
 KL = PhiFunction("kl", _phi_kl)
@@ -167,51 +142,32 @@ def phi_entropy(phi: PhiFunction, mu1, mu2) -> float | np.ndarray:
     ``mu1`` may also be an ``(N, m)`` stack of weight vectors, each normalized
     and validated on its own (an error names the row: ``mu1[3] ...``); the
     result is then an ``(N,)`` array with one entropy per row, and a float for
-    one vector.  A 2-D ``mu1`` is a stack, not a flattened measure.  Each row's
-    value equals the one-vector value bit for bit: the terms are summed in
-    support order (``np.cumsum``), as a running Python sum adds them.
+    one vector.  A 2-D ``mu1`` is a stack, not a flattened measure.  The terms
+    are summed by ``np.sum`` along the row, which adds a row of a stack as it
+    adds the row alone, so each row's value equals the one-vector value bit
+    for bit.  ``phi_entropy(KL, ...)`` of normalized weights is
+    :func:`relative_entropy` of them: both sum the same ``KL`` terms.
     """
     w1 = _measure_rows(mu1)
     w2 = as_measure(mu2).weights
     if w1.shape[-1] != w2.size:
         raise DomainError(f"support mismatch: {w1.shape[-1]} vs {w2.size}")
-    total = np.cumsum(phi.evaluate(w1, w2), axis=-1)[..., -1]
+    total = np.sum(phi.evaluate(w1, w2), axis=-1)
     return float(total) if total.ndim == 0 else total
-
-
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL of each row of ``p`` against the same row of ``q`` (equal ``(N, m)`` shapes).
-
-    Rows where ``p > 0`` everywhere sum their terms in one call; a row where
-    ``p`` vanishes sums its compacted positive entries on its own, since the
-    zeros would change numpy's pairwise summation tree.
-    """
-    pos = p > 0
-    if pos.all() and q.all():
-        return np.sum(p * np.log(p / q), axis=-1)
-    out = np.full(p.shape[0], math.inf)
-    finite = ~(pos & (q == 0)).any(axis=-1)
-    full = finite & pos.all(axis=-1)
-    p_full, q_full = p[full], q[full]
-    out[full] = np.sum(p_full * np.log(p_full / q_full), axis=-1)
-    for i in np.flatnonzero(finite & ~full):
-        p_pos, q_pos = p[i][pos[i]], q[i][pos[i]]
-        out[i] = np.sum(p_pos * np.log(p_pos / q_pos))
-    return out
 
 
 def relative_entropy(p, q) -> float:
     """KL divergence between two nonnegative weight arrays of equal total mass.
 
-    Vectorized companion of ``phi_entropy(KL, ...)`` that also accepts joint
+    Unnormalized companion of ``phi_entropy(KL, ...)`` that also accepts joint
     matrices (flattened).  Uses 0 log 0 = 0 and returns ``+inf`` when ``p``
     charges a point that ``q`` does not.
     """
-    p = np.asarray(p, dtype=float).reshape(1, -1)
-    q = np.asarray(q, dtype=float).reshape(1, -1)
+    p = np.asarray(p, dtype=float).reshape(-1)
+    q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise DomainError("support mismatch in relative_entropy")
-    return float(_kl_rows(p, q)[0])
+    return float(np.sum(_phi_kl(p, q)))
 
 
 def relative_entropy_rows(p, q) -> np.ndarray:
@@ -226,8 +182,7 @@ def relative_entropy_rows(p, q) -> np.ndarray:
         raise DomainError(f"relative_entropy_rows needs an (N, m) stack, got {p.shape} and {q.shape}")
     if p.shape[-1] != q.shape[-1] or (p.ndim == q.ndim == 2 and p.shape[0] != q.shape[0]):
         raise DomainError(f"support mismatch in relative_entropy_rows: {p.shape} vs {q.shape}")
-    p, q = np.broadcast_arrays(p, q)
-    return _kl_rows(p, q)
+    return np.sum(_phi_kl(p, q), axis=-1)
 
 
 def weighted_tv(mu1, mu2, g) -> float:

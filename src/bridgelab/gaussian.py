@@ -20,7 +20,6 @@ stay per-state: each step needs the one before.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -103,11 +102,11 @@ def instance_to_json(instance: GaussianInstance) -> dict:
     }
 
 
-def instance_from_json(payload: dict | str) -> GaussianInstance:
-    if isinstance(payload, str):
-        payload = json.loads(payload)
+def instance_from_json(payload: dict) -> GaussianInstance:
+    payload = matcore._payload(payload, "gaussian",
+                               ("m", "sigma", "m_bar", "sigma_bar", "alpha", "beta", "tau"))
     d = int(payload.get("d") or len(payload["m"]))
-    mat = lambda key: np.asarray(payload[key], dtype=float).reshape(d, d)
+    mat = lambda key: matcore._payload_array(payload, key, (d, d))
     return GaussianInstance(
         mu=Gaussian(np.asarray(payload["m"], dtype=float), mat("sigma")),
         eta=Gaussian(np.asarray(payload["m_bar"], dtype=float), mat("sigma_bar")),

@@ -132,6 +132,9 @@ class ExperimentConfig:
         if not isinstance(self.instance, dict):
             raise DomainError(f"instance must be an object, got {self.instance!r}")
         object.__setattr__(self, "instance", dict(self.instance))
+        seed = self.instance.get("seed", 0)
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
+            raise DomainError(f"instance.seed must be an int in [0, 2**128), got {seed!r}")
         if not isinstance(self.checks, (list, tuple)):
             raise DomainError(f"checks must be a list of check identifiers, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -227,7 +230,7 @@ def _load_instance(config: ExperimentConfig):
         return generate_instance(
             config.regime,
             spec.get("size", regime.default_size),
-            int(spec.get("seed", config.seed)),
+            spec.get("seed", config.seed),
             spec["profile"],
             **extra,
         )

@@ -52,6 +52,25 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _payload(payload, what: str, keys: tuple[str, ...]) -> dict:
+    """A decoded instance payload, checked to be an object that holds every key of ``keys``."""
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what} instance must be an object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise DomainError(f"{what} instance is missing key {key!r}")
+    return payload
+
+
+def _payload_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``payload[key]`` as a float array of ``shape``; a wrong entry count names ``key``."""
+    a = np.asarray(payload[key], dtype=float)
+    size = int(np.prod(shape))
+    if a.size != size:
+        raise DomainError(f"{key} has {a.size} entries, expected {size} for shape {shape}")
+    return a.reshape(shape)
+
+
 def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
     """Index of the first True entry of ``bad`` and ``name`` labelled with it.
 

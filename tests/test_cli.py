@@ -75,6 +75,50 @@ def test_negative_seed_exits_two(tmp_path, capsys):
     assert not (tmp_path / "inst.json").exists()
 
 
+DISCRETE_INLINE = {"nx": 2, "ny": 3, "W": [0.0, 1.0, 2.0, 1.0, 0.0, 1.0],
+                   "lambda": [1.0, 1.0], "nu": [1.0, 1.0, 1.0]}
+GAUSSIAN_INLINE = {"d": 1, "m": [0.0], "sigma": [1.0], "m_bar": [0.0], "sigma_bar": [1.0],
+                   "alpha": [0.0], "beta": [1.0], "tau": [1.0]}
+
+
+def without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize("regime, instance, message", [
+    ("discrete", without(DISCRETE_INLINE, "W"), "discrete instance is missing key 'W'"),
+    ("discrete", {**DISCRETE_INLINE, "W": [0.0] * 5},
+     "W has 5 entries, expected 6 for shape (2, 3)"),
+    ("discrete", [1.0, 2.0], "discrete instance must be an object, got list"),
+    ("gaussian", without(GAUSSIAN_INLINE, "sigma"), "gaussian instance is missing key 'sigma'"),
+    ("gaussian", without(GAUSSIAN_INLINE, "m"), "gaussian instance is missing key 'm'"),
+    ("gaussian", {**GAUSSIAN_INLINE, "beta": [1.0, 0.0]},
+     "beta has 2 entries, expected 1 for shape (1, 1)"),
+])
+@pytest.mark.parametrize("source", ["inline", "path"])
+def test_malformed_instance_exits_two(tmp_path, capsys, regime, instance, message, source):
+    if source == "path":
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+        spec = {"path": str(tmp_path / "inst.json")}
+    else:
+        spec = {"inline": instance}
+    path = write_config(tmp_path / "bad.json", {"regime": regime, "instance": spec,
+                                                 "iterations": 12})
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [2.5, "x"])
+def test_malformed_instance_seed_exits_two(tmp_path, capsys, seed):
+    path = write_config(tmp_path / "seed.json", {
+        "regime": "discrete", "instance": {"profile": "bounded", "size": [3, 4], "seed": seed},
+        "iterations": 5,
+    })
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert f"error: instance.seed must be an int in [0, 2**128), got {seed!r}" in (
+        capsys.readouterr().err)
+
+
 def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
     argv = ["verify", "--config", golden_config, "--out", str(tmp_path / "out")]
     assert cli.parse_and_dispatch(argv + ["--iterations", "100000000"]) == 2

@@ -265,10 +265,9 @@ def loop_lip_norm(k, g, h):
     return worst
 
 
-def loop_search(ks, ls, g, h, grid):
-    """(best_a, best_rho) of the per-grid-point, per-pair search."""
-    best_a = float("nan")
-    best_rho = float("inf")
+def loop_rhos(ks, ls, g, h, grid):
+    """The per-pair loop's rho at each grid point."""
+    rhos = []
     for a in grid:
         g_a = 0.5 + a * g
         h_a = 0.5 + a * h
@@ -277,24 +276,43 @@ def loop_search(ks, ls, g, h, grid):
             rho = max(rho, loop_lip_norm(k, g_a, h_a))
         for l_mat in ls:
             rho = max(rho, loop_lip_norm(l_mat, h_a, g_a))
-        if rho < best_rho:
-            best_rho, best_a = rho, a
-    return best_a, best_rho
+        rhos.append(rho)
+    return rhos
+
+
+def lip_tolerance(n_cols):
+    """Relative distance allowed between ``_lip_norms`` and the per-pair loop.
+
+    Each sums n_cols nonnegative products; both lie within (n_cols + 4) eps
+    (relative) of the exact ratio, as the ``_lip_norms`` docstring derives.
+    """
+    return 2 * (n_cols + 4) * np.finfo(float).eps
+
+
+def assert_near_loop(value, reference, n_cols):
+    assert abs(value - reference) <= lip_tolerance(n_cols) * reference
 
 
 def assert_search_matches_loop(ks, ls, g, h, grid=None):
+    """lyapunov_search against the loop: rho and the loop's rho at the returned a
+    both lie within the tolerance of the loop's best rho (a tie within the
+    tolerance may go to another level)."""
     result = contraction.lyapunov_search(ks, ls, g, h, grid=grid)
     ks = [ks] if isinstance(ks, np.ndarray) else list(ks)
     ls = [ls] if isinstance(ls, np.ndarray) else list(ls)
     loop_grid = contraction.DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
-    best_a, best_rho = loop_search(ks, ls, g, h, loop_grid)
-    if best_rho < 1.0:
-        assert isinstance(result, contraction.ContractionCertificate)
-        assert (result.a, result.rho) == (float(best_a), float(best_rho))
+    rhos = loop_rhos(ks, ls, g, h, loop_grid)
+    best = min(rhos)
+    n_cols = max(g.size, h.size)
+    if isinstance(result, contraction.ContractionCertificate):
+        a, rho = result.a, result.rho
+        assert rho < 1.0
     else:
-        assert isinstance(result, contraction.SearchFailure)
-        assert (result.best_a, result.best_rho) == (best_a, best_rho)
+        a, rho = result.best_a, result.best_rho
         assert result.reason == "no grid point produced rho < 1"
+        assert rho >= 1.0
+    assert_near_loop(rho, best, n_cols)
+    assert_near_loop(rhos[loop_grid.index(a)], best, n_cols)
 
 
 @st.composite
@@ -354,11 +372,12 @@ class TestChunkedOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcore, "CHUNK_ELEMENTS", chunk)
             for k in ks + ls:
-                assert contraction.dobrushin(k) == loop_dobrushin(k)
+                assert_near_loop(contraction.dobrushin(k), loop_dobrushin(k), k.shape[1])
             for k in ks:
-                assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
+                assert_near_loop(contraction.lip_norm(k, g, h), loop_lip_norm(k, g, h), h.size)
             for l_mat in ls:
-                assert contraction.lip_norm(l_mat, h, g) == loop_lip_norm(l_mat, h, g)
+                assert_near_loop(contraction.lip_norm(l_mat, h, g), loop_lip_norm(l_mat, h, g),
+                                 g.size)
 
     @settings(max_examples=60, deadline=None)
     @given(data=weighted_kernels(), grid=grids, chunk=chunk_sizes,
@@ -375,8 +394,8 @@ class TestChunkedOracle:
 
     def test_last_bit_ties_equal_loop(self):
         # Rows from two bases plus noise in the last bits: pairs across the
-        # bases tie to within an ulp, and the matrix product of the screen and
-        # the per-pair sum often round them in opposite orders.
+        # bases tie to within an ulp, and the matrix product and the per-pair
+        # sum often round them in opposite orders.
         rng = np.random.default_rng(20)
         for _ in range(100):
             n, m = int(rng.integers(3, 7)), int(rng.integers(9, 40))
@@ -384,7 +403,7 @@ class TestChunkedOracle:
             k = bases[rng.integers(0, 2, size=n)] + rng.uniform(0.0, 1e-16, size=(n, m))
             k /= k.sum(axis=1, keepdims=True)
             g, h = np.ones(n), np.ones(m)
-            assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
+            assert_near_loop(contraction.lip_norm(k, g, h), loop_lip_norm(k, g, h), m)
 
     def test_one_row_kernel_has_no_pairs(self):
         k = np.array([[0.25, 0.25, 0.5]])
@@ -400,13 +419,14 @@ class TestChunkedOracle:
         l = random_kernel(rng, 40, 40)
         g = rng.uniform(0.5, 5.0, size=40)
         h = rng.uniform(0.5, 5.0, size=40)
-        assert contraction.dobrushin(k) == loop_dobrushin(k)
-        assert contraction.lip_norm(k, g, h) == loop_lip_norm(k, g, h)
+        assert_near_loop(contraction.dobrushin(k), loop_dobrushin(k), 40)
+        assert_near_loop(contraction.lip_norm(k, g, h), loop_lip_norm(k, g, h), 40)
         assert_search_matches_loop(k, l, g, h)
         wide = random_kernel(rng, 40, 500)
         h_wide = rng.uniform(0.5, 5.0, size=500)
-        assert contraction.dobrushin(wide) == loop_dobrushin(wide)
-        assert contraction.lip_norm(wide, g, h_wide) == loop_lip_norm(wide, g, h_wide)
+        assert_near_loop(contraction.dobrushin(wide), loop_dobrushin(wide), 500)
+        assert_near_loop(contraction.lip_norm(wide, g, h_wide), loop_lip_norm(wide, g, h_wide),
+                         500)
 
     def test_chunks_are_bounded_and_in_triu_order(self):
         k = random_kernel(np.random.default_rng(16), 40, 500)
@@ -432,7 +452,7 @@ class TestChunkedOracle:
 class TestScreenResources:
     def test_all_ties_memory_is_bounded(self):
         # Every pair of a permutation kernel ties at every level under unit
-        # weights, so the screen keeps all 2016 x 50 ratios of each kernel.
+        # weights; the per-chunk table of 2016 pairs x 50 levels stays bounded.
         rng = np.random.default_rng(19)
         perms = [np.eye(64)[rng.permutation(64)] for _ in range(2)]
         ones = np.ones(64)

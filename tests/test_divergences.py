@@ -105,21 +105,55 @@ SCALAR_PHIS = {
 }
 
 
-def scalar_phi_entropy(name, w1, w2):
+def scalar_terms(name, p, q):
+    return [SCALAR_PHIS[name](u, v) for u, v in zip(p.tolist(), q.tolist())]
+
+
+def running_sum(terms):
+    """The scalar loop's value: a running sum in support order, +inf on a divergent term."""
     total = 0.0
-    for u, v in zip((w1 / float(w1.sum())).tolist(), (w2 / float(w2.sum())).tolist()):
-        term = SCALAR_PHIS[name](u, v)
+    for term in terms:
         if math.isinf(term):
             return math.inf
         total += term
     return total
 
 
-def scalar_relative_entropy(p, q):
-    pos = p > 0
-    if np.any(q[pos] == 0):
-        return math.inf
-    return float(np.sum(p[pos] * np.log(p[pos] / q[pos])))
+def assert_near_scalar_loop(value, terms):
+    """``value`` is within 4 m eps sum|terms| of the scalar loop over the m ``terms``.
+
+    The bound is set from the arithmetic, not measured: each term differs from
+    its scalar twin by at most 2 ulps (``np.log`` against ``math.log``, or
+    ``np.square`` against ``pow``), and numpy's pairwise sum and the running
+    sum each lie within (m - 1) eps sum|terms| of the exact sum of the terms.
+    """
+    expected = running_sum(terms)
+    if math.isinf(expected):
+        assert value == math.inf
+        return
+    bound = 4 * max(1, len(terms)) * np.finfo(float).eps * math.fsum(map(abs, terms))
+    assert abs(value - expected) <= bound
+
+
+# The integrands and the per-row sum of phi_entropy, applied to one row: a
+# stacked value must equal these bit for bit.
+ROW_PHIS = {
+    "kl": lambda u, v: np.where(u > 0, u * np.log(u / v), 0.0),
+    "tv": lambda u, v: np.abs(u - v) / 2.0,
+    "hellinger-sq": lambda u, v: np.square(np.sqrt(u) - np.sqrt(v)),
+    "chi-square": lambda u, v: np.where(v != 0, np.square(u - v) / v,
+                                        np.where(u == 0, 0.0, math.inf)),
+}
+
+
+def row_phi_entropy(name, w1, w2):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(ROW_PHIS[name](w1 / w1.sum(), w2 / w2.sum())))
+
+
+def row_relative_entropy(p, q):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.sum(ROW_PHIS["kl"](p, q)))
 
 
 def weights_with_zeros(rng, shape, zero_frac, spread):
@@ -139,32 +173,56 @@ class TestStacks:
         w1[:, 0] += 0.5  # every row keeps positive mass
         w2 = weights_with_zeros(rng, m, zero_frac, spread)  # v = 0 where w2 vanishes
         w2[-1] += 0.5
+        u, v = w1 / w1.sum(axis=-1, keepdims=True), w2 / w2.sum()
         for name, phi in dv.PHI_CATALOG.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert phi.evaluate(u, v).tobytes() == ROW_PHIS[name](u, v).tobytes()
             stacked = dv.phi_entropy(phi, w1, w2)
             assert stacked.shape == (rows,)
-            expected = [scalar_phi_entropy(name, row, w2) for row in w1]
+            expected = [row_phi_entropy(name, row, w2) for row in w1]
             assert stacked.tolist() == expected
             assert [math.copysign(1.0, x) for x in stacked.tolist()] == [
                 math.copysign(1.0, x) for x in expected]
             one = dv.phi_entropy(phi, w1[0], w2)
             assert type(one) is float and one == expected[0]
+            for row, value in zip(w1, stacked.tolist()):
+                assert_near_scalar_loop(
+                    value, scalar_terms(name, row / float(row.sum()), w2 / float(w2.sum())))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), m=st.integers(0, 70),
-           zero_frac=st.sampled_from([0.0, 0.1, 0.5]), shared=st.sampled_from([None, "p", "q"]))
-    def test_relative_entropy_rows_equal_scalar(self, seed, rows, m, zero_frac, shared):
-        # Zeros in p compact the pairwise sum; zeros in q under p give +inf.
+           zero_frac=st.sampled_from([0.0, 0.1, 0.5]), shared=st.sampled_from([None, "p", "q"]),
+           zeros_in_q=st.booleans())
+    def test_relative_entropy_rows_equal_scalar(self, seed, rows, m, zero_frac, shared,
+                                                zeros_in_q):
+        # Zeros in p add 0 log 0 = 0 terms; zeros in q under p give +inf.
         rng = np.random.default_rng(seed)
         p = weights_with_zeros(rng, (rows, m), zero_frac, 1.0)
-        q = weights_with_zeros(rng, (rows, m), zero_frac, 1.0)
+        q = weights_with_zeros(rng, (rows, m), zero_frac if zeros_in_q else 0.0, 1.0)
         if shared == "p":
             p = p[0]
         elif shared == "q":
             q = q[0]
         pairs = [(p if p.ndim == 1 else p[i], q if q.ndim == 1 else q[i]) for i in range(rows)]
-        expected = [scalar_relative_entropy(a, b) for a, b in pairs]
+        expected = [row_relative_entropy(a, b) for a, b in pairs]
         assert dv.relative_entropy_rows(p, q).tolist() == expected
         assert [dv.relative_entropy(a, b) for a, b in pairs] == expected
+        for (a, b), value in zip(pairs, expected):
+            assert_near_scalar_loop(value, scalar_terms("kl", a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 70),
+           zero_frac=st.sampled_from([0.0, 0.2, 0.6]), spread=st.sampled_from([1.0, 30.0]))
+    def test_one_kl_evaluator(self, seed, m, zero_frac, spread):
+        rng = np.random.default_rng(seed)
+        w1 = weights_with_zeros(rng, m, zero_frac, spread)
+        w2 = weights_with_zeros(rng, m, zero_frac, spread)
+        w1[0] += 0.5
+        w2[-1] += 0.5
+        m1, m2 = dv.DiscreteMeasure(w1), dv.DiscreteMeasure(w2)
+        value = dv.phi_entropy(dv.KL, m1, m2)
+        assert value == dv.relative_entropy(m1.weights, m2.weights)
+        assert dv.phi_entropy(dv.KL, np.stack([w1, w1]), m2).tolist() == [value, value]
 
     def test_two_dimensional_mu1_is_a_stack(self):
         stack = np.array([[1.0, 3.0], [2.0, 2.0]])

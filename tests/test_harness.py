@@ -128,6 +128,17 @@ class TestConfig:
         with pytest.raises(DomainError, match=f"^{field} must be"):
             harness.ExperimentConfig(**payload)
 
+    @pytest.mark.parametrize("seed", [2.5, "x", None, [2], -1, 2 ** 128])
+    def test_instance_seed_validated_like_seed(self, seed):
+        payload = {"regime": "discrete", "iterations": 5,
+                   "instance": {"profile": "bounded", "size": [3, 4], "seed": seed}}
+        with pytest.raises(DomainError, match=r"^instance\.seed must be an int in \[0, 2\*\*128\)"):
+            harness.ExperimentConfig.from_json(payload)
+        payload["instance"]["seed"] = 2
+        config = harness.ExperimentConfig.from_json(payload)
+        assert harness._load_instance(config).cost.tobytes() == harness.generate_instance(
+            "discrete", (3, 4), 2, "bounded").cost.tobytes()
+
     def test_riccati_rate_needs_enough_iterations(self):
         payload = {"regime": "gaussian", "seed": 0,
                    "instance": {"profile": "gaussian-random-spd", "size": 2}}

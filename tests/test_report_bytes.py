@@ -20,13 +20,13 @@ CASES = {
     "discrete-bounded-5x7": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
          "seed": 0, "iterations": 12},
-        "cff4faadb45c05706613a3e0bb446f8aae2e90c8f4c3733e9a8db37b0c72d46c",
+        "e5c8007d839fcfb9d3e4aa3ef18ffad8a09a2c10e2277809e7b57d5b17421301",
         "5d6fb77b380a4e501227a8308a726b490c5e3037206af342b360ccca296e6180",
     ),
     "discrete-bounded-16x16": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
          "seed": 1, "iterations": 12},
-        "ca5dd3903e34ea5805275b02f42ce2bb5f3e2142d140fa45ce39ab487b890862",
+        "669d253518ba332675b17d8d1b37883c069c0d2976f5ebd488c0d354294a2e3a",
         "945b3bc52756b949224b6c3869724f958393db21a61635013c5b660c4c155b82",
     ),
     "gaussian-d2": (
