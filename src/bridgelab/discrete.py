@@ -5,12 +5,13 @@ kernel built from a cost matrix.  All potential updates run in the log domain
 (log-sum-exp), so large cost oscillations cannot overflow; kernels, marginals
 and joint matrices are exponentiated only when materialized for reporting.
 
-Log-integrals once.  Each potential update is the row log-sum-exp of one log
-kernel (:func:`_log_kernel`), and that log-sum-exp is also the normalizer of
-the kernel the iterate materializes: :func:`run_sinkhorn` builds K_{2n} and
-K_{2n+1} from the log-integrals its sweep has just taken, and
-:func:`solve_bridge` reads the system residual off the sweep (two
-log-integrals per sweep, not four).
+One recursion.  Sinkhorn is one potential recursion, a V half step then a
+U half step, and :func:`_sweeps` is its only code path.  Each half step is
+the row log-sum-exp of one log kernel (:func:`_log_kernel`), and that
+log-sum-exp is also the normalizer of the kernel the iterate materializes:
+:func:`run_sinkhorn` builds K_{2n} and K_{2n+1} from the log-integrals its
+sweep has just taken, and :func:`solve_bridge` reads the system residual
+off the same sweeps (two log-integrals per sweep, not four).
 
 Stacked diagnostics.  The per-iterate series behind the diagnostics (the
 marginal KL gaps and chains, the phi-entropies, the identities' ratios,
@@ -28,6 +29,7 @@ alone would be, so a stacked value equals the per-iterate value bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,16 +93,6 @@ class DiscreteModel:
     def eps_w(self) -> float:
         """Uniform cross-ratio bound exp(-2 osc(W)) of the reference cost."""
         return math.exp(-2.0 * self.cost_oscillation)
-
-    # Log-domain integral operators of the reference kernel pair.
-
-    def k_log_integral(self, v_vec: np.ndarray) -> np.ndarray:
-        """log K(exp(-v))(x) for the Markov reference kernel K."""
-        return _even_kernel(self, v_vec)[1]
-
-    def kflat_log_integral(self, u_vec: np.ndarray) -> np.ndarray:
-        """log K_flat(exp(-u))(y) for the reversed reference operator."""
-        return _odd_kernel(self, u_vec)[1]
 
 
 def _log_kernel(log_k: np.ndarray, log_w: np.ndarray, pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,62 +169,18 @@ def model_to_json(model: DiscreteModel) -> dict:
 
 def model_from_json(payload: dict) -> DiscreteModel:
     payload = matcore._payload(payload, "discrete", ("nx", "ny", "W", "lambda", "nu"))
-    cost = matcore._payload_array(payload, "W", (int(payload["nx"]), int(payload["ny"])))
+    shape = (matcore._integer(payload["nx"], "nx", 1), matcore._integer(payload["ny"], "ny", 1))
+    cost = matcore._payload_array(payload, "W", shape)
     return build_model(cost, payload["lambda"], payload["nu"], payload.get("U"), payload.get("V"))
 
 
 @dataclass(frozen=True)
-class SinkhornPotentials:
-    """Potential pair (U_n, V_n) at a half-step index n."""
-
-    step: int
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _frozen(self.u))
-        object.__setattr__(self, "v", _frozen(self.v))
-
-
-def initial_potentials(model: DiscreteModel) -> SinkhornPotentials:
-    """Start of the iteration: (U_0, V_0) = (U, 0)."""
-    return SinkhornPotentials(step=0, u=model.u_potential.copy(), v=np.zeros(model.ny))
-
-
-def _advance(model: DiscreteModel, potentials: SinkhornPotentials, lse: np.ndarray) -> SinkhornPotentials:
-    """Half step n -> n + 1 from the log-integral ``lse`` it adds.
-
-    ``lse`` is log K_flat(exp(-U_n)) at an even n and log K(exp(-V_n)) at an
-    odd n; either way it is the row normalizer of K_{n+1}.
-    """
-    n = potentials.step
-    if n % 2 == 0:
-        u_next, v_next = potentials.u, model.v_potential + lse
-    else:
-        u_next, v_next = model.u_potential + lse, potentials.v
-    if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
-        raise NumericalError(f"non-finite potential produced at step {n + 1}")
-    return SinkhornPotentials(step=n + 1, u=u_next, v=v_next)
-
-
-def half_step(model: DiscreteModel, potentials: SinkhornPotentials) -> SinkhornPotentials:
-    """Advance the potential recursion by one half step (log domain)."""
-    if potentials.step % 2 == 0:
-        return _advance(model, potentials, model.kflat_log_integral(potentials.u))
-    return _advance(model, potentials, model.k_log_integral(potentials.v))
-
-
-def sweep(model: DiscreteModel, potentials: SinkhornPotentials) -> SinkhornPotentials:
-    """One full Sinkhorn sweep: a V update followed by a U update."""
-    return half_step(model, half_step(model, potentials))
-
-
-@dataclass(frozen=True)
 class SinkhornIterate:
-    """Materialized kernels, marginals and joints for one pair index n."""
+    """Materialized potentials, kernels, marginals and joints for one pair index n."""
 
     step: int
-    potentials: SinkhornPotentials
+    u: np.ndarray            # U_{2n}
+    v: np.ndarray            # V_{2n} = V_{2n-1}
     kernel_even: np.ndarray  # K_{2n}: nx x ny, row stochastic
     kernel_odd: np.ndarray   # K_{2n+1}: ny x nx, row stochastic
     pi_even: np.ndarray      # pi_{2n} = mu K_{2n} on Y
@@ -247,27 +195,39 @@ def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return np.exp(log_p - lse[:, None])
 
 
-def _even_kernel(model: DiscreteModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_log_kernel` of K_{2n} from V_{2n}; its ``lse`` gives U_{2n}."""
-    return _log_kernel(model.log_k, model.log_nu, v)
+def _finite(pot: np.ndarray, step: int) -> np.ndarray:
+    """``pot`` read-only, or a NumericalError naming the half ``step`` that produced it."""
+    if not np.all(np.isfinite(pot)):
+        raise NumericalError(f"non-finite potential produced at step {step}")
+    return _frozen(pot)
 
 
-def _odd_kernel(model: DiscreteModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_log_kernel` of K_{2n+1} from U_{2n}; its ``lse`` gives V_{2n+1}."""
-    return _log_kernel(model.log_k.T, model.log_lambda, u)
+def _sweeps(model: DiscreteModel):
+    """``(u, v, log_even, log_odd)`` at steps 0, 2, 4, ... of the potential recursion.
+
+    The recursion starts from (U_0, V_0) = (U, 0).  ``log_even`` and
+    ``log_odd`` are the :func:`_log_kernel` pairs of K_{2n} (from V_{2n})
+    and K_{2n+1} (from U_{2n}).  A sweep takes their log-integrals as the
+    next half steps: V_{2n+1} = V + lse(log_odd), whose kernel K_{2n+2}
+    gives U_{2n+2} = U + lse(log_even).  U is carried over on the V step
+    and V on the U step.
+    """
+    u, v = model.u_potential, _frozen(np.zeros(model.ny))
+    log_even = _log_kernel(model.log_k, model.log_nu, v)
+    step = 0
+    while True:
+        log_odd = _log_kernel(model.log_k.T, model.log_lambda, u)
+        yield u, v, log_even, log_odd
+        v = _finite(model.v_potential + log_odd[1], step + 1)
+        log_even = _log_kernel(model.log_k, model.log_nu, v)
+        u = _finite(model.u_potential + log_even[1], step + 2)
+        step += 2
 
 
-def materialize(model: DiscreteModel, potentials: SinkhornPotentials) -> SinkhornIterate:
-    """Exponentiate the potentials at an even step into kernels and marginals."""
-    if potentials.step % 2 != 0:
-        raise DomainError("materialize requires potentials at an even step")
-    return _materialize(model, potentials, _even_kernel(model, potentials.v),
-                        _odd_kernel(model, potentials.u))
-
-
-def _materialize(model: DiscreteModel, potentials: SinkhornPotentials,
-                 log_even: tuple[np.ndarray, np.ndarray],
-                 log_odd: tuple[np.ndarray, np.ndarray]) -> SinkhornIterate:
+def _iterate(model: DiscreteModel, n: int, u: np.ndarray, v: np.ndarray,
+             log_even: tuple[np.ndarray, np.ndarray],
+             log_odd: tuple[np.ndarray, np.ndarray]) -> SinkhornIterate:
+    """Iterate n, exponentiated from the potentials and log kernels of one :func:`_sweeps` yield."""
     kernel_even = _stochastic(log_even)
     kernel_odd = _stochastic(log_odd)
     pi_even = model.mu @ kernel_even
@@ -275,8 +235,9 @@ def _materialize(model: DiscreteModel, potentials: SinkhornPotentials,
     joint_even = model.mu[:, None] * kernel_even
     joint_odd = (model.eta[:, None] * kernel_odd).T
     return SinkhornIterate(
-        step=potentials.step // 2,
-        potentials=potentials,
+        step=n,
+        u=u,
+        v=v,
         kernel_even=_frozen(kernel_even),
         kernel_odd=_frozen(kernel_odd),
         pi_even=_frozen(pi_even),
@@ -295,17 +256,8 @@ def run_sinkhorn(model: DiscreteModel, pairs: int) -> list[SinkhornIterate]:
     """
     if pairs < 0:
         raise DomainError("pairs must be nonnegative")
-    potentials = initial_potentials(model)
-    log_even = _even_kernel(model, potentials.v)
-    iterates = []
-    while True:
-        log_odd = _odd_kernel(model, potentials.u)
-        iterates.append(_materialize(model, potentials, log_even, log_odd))
-        if len(iterates) > pairs:
-            return iterates
-        half = _advance(model, potentials, log_odd[1])
-        log_even = _even_kernel(model, half.v)
-        potentials = _advance(model, half, log_even[1])
+    return [_iterate(model, n, *sweep)
+            for n, sweep in enumerate(itertools.islice(_sweeps(model), pairs + 1))]
 
 
 def dual_kernel(kernel, mu) -> np.ndarray:
@@ -420,10 +372,8 @@ def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StoppingRule:
-    potential_tol: float = 1e-12
-    max_sweeps: int = 10_000
+POTENTIAL_TOL = 1e-12
+MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -441,45 +391,35 @@ def _defect(fixed: np.ndarray, lse: np.ndarray, pot: np.ndarray) -> float:
     return float(np.max(np.abs(fixed + lse - pot)))
 
 
-def system_residual(model: DiscreteModel, u: np.ndarray, v: np.ndarray) -> float:
-    """Max-norm violation of the two coupled fixed-point equations."""
-    return max(_defect(model.u_potential, model.k_log_integral(v), u),
-               _defect(model.v_potential, model.kflat_log_integral(u), v))
+def solve_bridge(model: DiscreteModel) -> BridgeSolution:
+    """Sweep until the potential change or the system residual is at most ``POTENTIAL_TOL``.
 
-
-def solve_bridge(model: DiscreteModel, stop: StoppingRule | None = None) -> BridgeSolution:
-    """Iterate sweeps until the potential change (hence the system) converges.
-
-    The returned potentials keep the gauge pinned by the initial condition
-    (U_0, V_0) = (U, 0); no re-centering is applied.  A sweep takes two
-    log-integrals: after it the U equation holds exactly (U_{2n+2} is its own
-    right side), and the V equation's right side is the next sweep's V step.
+    Reads :func:`_sweeps`, at most ``MAX_SWEEPS`` sweeps past the start.  The
+    returned potentials keep the gauge pinned by the initial condition
+    (U_0, V_0) = (U, 0); no re-centering is applied.  The start's residual
+    takes both fixed-point equations from the first yield's log-integrals.
+    After a sweep the U equation holds exactly (U_{2n+2} is its own right
+    side), so the residual is the V equation's defect, whose right side is
+    the ``log_odd`` of the same yield.
     """
-    stop = stop or StoppingRule()
-    potentials = initial_potentials(model)
-    residual = system_residual(model, potentials.u, potentials.v)
-    converged = residual <= stop.potential_tol
-    log_even = _even_kernel(model, potentials.v)
-    v_step = model.kflat_log_integral(potentials.u)
-    sweeps = 0
-    while not converged and sweeps < stop.max_sweeps:
-        sweeps += 1
-        half = _advance(model, potentials, v_step)
-        log_even = _even_kernel(model, half.v)
-        nxt = _advance(model, half, log_even[1])
-        delta = max(
-            float(np.max(np.abs(nxt.u - potentials.u))),
-            float(np.max(np.abs(nxt.v - potentials.v))),
-        )
-        potentials = nxt
-        v_step = model.kflat_log_integral(potentials.u)
-        residual = _defect(model.v_potential, v_step, potentials.v)
-        converged = delta <= stop.potential_tol or residual <= stop.potential_tol
+    sweeps = _sweeps(model)
+    u, v, log_even, log_odd = next(sweeps)
+    residual = max(_defect(model.u_potential, log_even[1], u),
+                   _defect(model.v_potential, log_odd[1], v))
+    converged = residual <= POTENTIAL_TOL
+    used = 0
+    while not converged and used < MAX_SWEEPS:
+        used += 1
+        u_prev, v_prev = u, v
+        u, v, log_even, log_odd = next(sweeps)
+        delta = max(float(np.max(np.abs(u - u_prev))), float(np.max(np.abs(v - v_prev))))
+        residual = _defect(model.v_potential, log_odd[1], v)
+        converged = delta <= POTENTIAL_TOL or residual <= POTENTIAL_TOL
     return BridgeSolution(
-        u=potentials.u,
-        v=potentials.v,
+        u=u,
+        v=v,
         bridge=_frozen(model.mu[:, None] * _stochastic(log_even)),
-        iterations_used=sweeps,
+        iterations_used=used,
         residual=residual,
         converged=converged,
     )
@@ -692,7 +632,6 @@ class RatioRow:
     value_next: float   # H_phi(pi_{2(n+1)}, eta)
     ratio: float
     saturated: bool
-    within_bound: bool
 
 
 @dataclass(frozen=True)
@@ -734,11 +673,9 @@ def geometric_rate_report(model: DiscreteModel, iterates) -> DiscreteRateReport:
     for it, row, row_next in zip(iterates, values, values[1:]):
         for phi, value, value_next in zip(RATE_PHIS, row, row_next):
             saturated = value < SATURATION_GUARD
-            ratio = math.nan if saturated else value_next / value
-            within = True if saturated else ratio <= bound + 1e-10
             ratio_rows.append(RatioRow(
                 n=it.step, phi_name=phi.name, value=value, value_next=value_next,
-                ratio=ratio, saturated=saturated, within_bound=within,
+                ratio=math.nan if saturated else value_next / value, saturated=saturated,
             ))
     sup_series = tuple(zip((it.step for it in iterates), sup))
     sup_fit = fitting.fit_rate(sup_series)

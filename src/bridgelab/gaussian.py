@@ -105,7 +105,8 @@ def instance_to_json(instance: GaussianInstance) -> dict:
 def instance_from_json(payload: dict) -> GaussianInstance:
     payload = matcore._payload(payload, "gaussian",
                                ("m", "sigma", "m_bar", "sigma_bar", "alpha", "beta", "tau"))
-    d = int(payload.get("d") or len(payload["m"]))
+    d = payload.get("d")
+    d = len(payload["m"]) if d is None else matcore._integer(d, "d", 1)
     mat = lambda key: matcore._payload_array(payload, key, (d, d))
     return GaussianInstance(
         mu=Gaussian(np.asarray(payload["m"], dtype=float), mat("sigma")),

@@ -22,6 +22,7 @@ from . import contraction, discrete, gaussian
 from .divergences import Gaussian
 from .errors import DomainError
 from .fitting import fit_rate  # noqa: F401  (fit_rate is part of this module's API)
+from .matcore import _integer, _real
 
 MAX_DISCRETE_SIDE = 64
 MAX_GAUSSIAN_DIM = 16
@@ -41,17 +42,14 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
     """Deterministic desk-scale instance for (seed, profile)."""
     rng = _rng(seed)
     if regime == "discrete":
-        sides = (size, size) if isinstance(size, numbers.Integral) else size
-        if not (isinstance(sides, (list, tuple)) and len(sides) == 2
-                and all(isinstance(s, numbers.Integral) for s in sides)):
+        sides = size if isinstance(size, (list, tuple)) else (size, size)
+        if len(sides) != 2:
             raise DomainError(f"size must be an int or a pair of ints, got {size!r}")
-        nx, ny = (int(s) for s in sides)
-        if nx < 1 or ny < 1:
-            raise DomainError(f"size must be >= 1 on each side, got {(nx, ny)}")
+        nx, ny = (_integer(s, "size", 1) for s in sides)
         if nx > MAX_DISCRETE_SIDE or ny > MAX_DISCRETE_SIDE:
             raise DomainError(f"discrete supports are capped at {MAX_DISCRETE_SIDE}")
         if profile == "bounded":
-            osc_cap = float(params.pop("osc_cap", math.log(2.0)))
+            osc_cap = _real(params.pop("osc_cap", math.log(2.0)), "osc_cap")
             if not 0.0 <= osc_cap < math.inf:
                 raise DomainError(f"osc_cap must be finite and >= 0, got {osc_cap}")
             if nx * ny < 2:
@@ -61,7 +59,7 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
             # Affine rescale so osc(W) equals the cap exactly.
             cost = (cost - lo) / (hi - lo) * osc_cap
         elif profile == "quadratic-grid":
-            t = float(params.pop("t", 0.25))
+            t = _real(params.pop("t", 0.25), "t")
             if not t > 0.0:
                 raise DomainError(f"t must be > 0, got {t}")
             xs = np.linspace(0.0, 1.0, nx)
@@ -77,11 +75,7 @@ def generate_instance(regime: str, size, seed: int, profile: str, **params):
         v = rng.uniform(0.0, 1.0, size=ny)
         return discrete.build_model(cost, lam, nu, u, v)
     if regime == "gaussian":
-        if not isinstance(size, numbers.Integral):
-            raise DomainError(f"size must be an int, got {size!r}")
-        d = int(size)
-        if d < 1:
-            raise DomainError(f"size must be >= 1, got {d}")
+        d = _integer(size, "size", 1)
         if d > MAX_GAUSSIAN_DIM:
             raise DomainError(f"gaussian dimension is capped at {MAX_GAUSSIAN_DIM}")
         if profile != "gaussian-random-spd":
@@ -120,21 +114,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         known = _regime(self.regime).checks
-        for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.iterations < 1:
-            raise DomainError("iterations must be >= 1")
+        object.__setattr__(self, "iterations", _integer(self.iterations, "iterations", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.iterations > MAX_ITERATIONS:
             raise DomainError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if not isinstance(self.instance, dict):
             raise DomainError(f"instance must be an object, got {self.instance!r}")
         object.__setattr__(self, "instance", dict(self.instance))
         seed = self.instance.get("seed", 0)
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral)
+                                          and 0 <= seed < 2 ** 128):
             raise DomainError(f"instance.seed must be an int in [0, 2**128), got {seed!r}")
+        if not isinstance(self.instance.get("path", ""), str):
+            raise DomainError(f"instance.path must be a path, got {self.instance['path']!r}")
         if not isinstance(self.checks, (list, tuple)):
             raise DomainError(f"checks must be a list of check identifiers, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -288,7 +280,9 @@ def _check_geometric(model, iterates, solution):
     ok = True
     for row in report.ratio_rows:
         rows.append((row.n, f"ratio_{row.phi_name}", row.ratio))
-        if row.saturated or row.value < 1e-14:
+        # KL is summed from u log(u / v), which leaves about eps of rounding per
+        # unit of mass, so a value near 1e-16 may be that floor, not the KL.
+        if min(row.value, row.value_next) < 1e-14:
             continue
         worst = max(worst, row.ratio - report.bound)
         ok = ok and row.ratio <= report.bound + 1e-10

@@ -30,6 +30,8 @@ any length.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError, NumericalError
@@ -50,6 +52,22 @@ def _frozen(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum`` names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool or a non-number names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _payload(payload, what: str, keys: tuple[str, ...]) -> dict:

@@ -119,6 +119,32 @@ def test_malformed_instance_seed_exits_two(tmp_path, capsys, seed):
         capsys.readouterr().err)
 
 
+BOUNDED = {"profile": "bounded", "size": [3, 4]}
+GRID = {"profile": "quadratic-grid", "size": [3, 4]}
+
+
+@pytest.mark.parametrize("regime, instance, extra, message", [
+    ("discrete", {"path": 5}, {}, "instance.path must be a path, got 5"),
+    ("discrete", {**GRID, "t": None}, {}, "t must be a real number, got None"),
+    ("discrete", {**BOUNDED, "osc_cap": [1]}, {}, "osc_cap must be a real number, got [1]"),
+    ("discrete", {**BOUNDED, "osc_cap": "x"}, {}, "osc_cap must be a real number, got 'x'"),
+    ("discrete", {**BOUNDED, "size": [3, True]}, {}, "size must be an int, got True"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "nx": 2.5}}, {}, "nx must be an int, got 2.5"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "ny": "3"}}, {}, "ny must be an int, got '3'"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "d": 0}}, {}, "d must be >= 1, got 0"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "d": 1.5}}, {}, "d must be an int, got 1.5"),
+    ("discrete", BOUNDED, {"iterations": True}, "iterations must be an int, got True"),
+    ("discrete", {**BOUNDED, "seed": True}, {},
+     "instance.seed must be an int in [0, 2**128), got True"),
+])
+def test_mistyped_input_exits_two_naming_the_field(tmp_path, capsys, regime, instance, extra,
+                                                   message):
+    path = write_config(tmp_path / "typed.json", {"regime": regime, "instance": instance,
+                                                   "iterations": 12, **extra})
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
     argv = ["verify", "--config", golden_config, "--out", str(tmp_path / "out")]
     assert cli.parse_and_dispatch(argv + ["--iterations", "100000000"]) == 2

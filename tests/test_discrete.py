@@ -56,7 +56,7 @@ class TestBuildModel:
         cost = (xs[:, None] - ys[None, :]) ** 2 / (2 * t)
         nu = np.full(6, 1.0 / 6.0)
         model = discrete.build_model(cost, np.ones(5), nu)
-        it = discrete.materialize(model, discrete.initial_potentials(model))
+        it = discrete.run_sinkhorn(model, 0)[0]
         for i in range(5):
             expected = np.exp(-((xs[i] - ys) ** 2) / (2 * t)) * nu
             expected /= expected.sum()
@@ -81,20 +81,21 @@ class TestPotentialRecursion:
     def test_parity_copies(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 5, 7)
-        p0 = discrete.initial_potentials(model)
-        p1 = discrete.half_step(model, p0)
-        p2 = discrete.half_step(model, p1)
-        # U is copied on the even->odd move, V on the odd->even move.
-        np.testing.assert_array_equal(p1.u, p0.u)
-        np.testing.assert_array_equal(p2.v, p1.v)
+        iterates = discrete.run_sinkhorn(model, 3)
+        for it, nxt in zip(iterates, iterates[1:]):
+            # U is copied on the even->odd move: K_{2n+1} is the Bayes dual of K_{2n}.
+            np.testing.assert_allclose(
+                it.kernel_odd, discrete.dual_kernel(it.kernel_even, model.mu), atol=1e-13)
+            # V is copied on the odd->even move: K_{2n+2} is the Bayes dual of K_{2n+1}.
+            np.testing.assert_allclose(
+                nxt.kernel_even, discrete.dual_kernel(it.kernel_odd, model.eta), atol=1e-13)
 
     def test_stationary_when_already_bridged(self):
         rng = np.random.default_rng(4)
         model = self_bridged_model(rng, 4, 5)
-        p0 = discrete.initial_potentials(model)
-        p2 = discrete.sweep(model, p0)
-        assert float(np.max(np.abs(p2.u - p0.u))) < 1e-12
-        assert float(np.max(np.abs(p2.v - p0.v))) < 1e-12
+        first, second = discrete.run_sinkhorn(model, 1)
+        assert float(np.max(np.abs(second.u - first.u))) < 1e-12
+        assert float(np.max(np.abs(second.v - first.v))) < 1e-12
 
     def test_zero_cost_product_bridge_in_one_sweep(self):
         rng = np.random.default_rng(5)
@@ -114,10 +115,10 @@ class TestPotentialRecursion:
         model = random_model(rng, 5, 7)
         iterates = discrete.run_sinkhorn(model, 4)
         for prev, nxt in zip(iterates, iterates[1:]):
-            expected = prev.potentials.v - np.log(model.eta / prev.pi_even)
-            np.testing.assert_allclose(nxt.potentials.v, expected, atol=1e-12)
-            expected_u = prev.potentials.u - np.log(model.mu / prev.pi_odd)
-            np.testing.assert_allclose(nxt.potentials.u, expected_u, atol=1e-12)
+            expected = prev.v - np.log(model.eta / prev.pi_even)
+            np.testing.assert_allclose(nxt.v, expected, atol=1e-12)
+            expected_u = prev.u - np.log(model.mu / prev.pi_odd)
+            np.testing.assert_allclose(nxt.u, expected_u, atol=1e-12)
 
     def test_potential_series_and_mean_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -128,11 +129,11 @@ class TestPotentialRecursion:
         means_v = []
         for it in iterates:
             np.testing.assert_allclose(
-                it.potentials.u - iterates[0].potentials.u, -acc, atol=1e-10
+                it.u - iterates[0].u, -acc, atol=1e-10
             )
             acc = acc + np.log(model.mu / it.pi_odd)
-            means_u.append(float(model.mu @ it.potentials.u))
-            means_v.append(float(model.eta @ it.potentials.v))
+            means_u.append(float(model.mu @ it.u))
+            means_v.append(float(model.eta @ it.v))
         assert means_v[0] == 0.0
         for a, b in zip(means_v, means_v[1:]):
             assert b <= a + 1e-12
@@ -145,7 +146,7 @@ class TestMaterialize:
     def test_step_zero_kernel_is_reference(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, 4, 6)
-        it = discrete.materialize(model, discrete.initial_potentials(model))
+        it = discrete.run_sinkhorn(model, 0)[0]
         np.testing.assert_allclose(
             it.kernel_even, np.exp(model.log_k + model.log_nu[None, :]), atol=1e-13
         )
@@ -167,22 +168,23 @@ class TestMaterialize:
             np.testing.assert_allclose(it.pi_odd, [0.5, 0.5], atol=1e-14)
 
     def test_joint_density_product_form(self):
-        # P_n factorizes as exp(-U_n) k exp(-V_n) against the base masses.
+        # P_n factorizes as exp(-U_n) k exp(-V_n) against the base masses.  The
+        # odd joint is P_{2n+1} at (U_{2n+1}, V_{2n+1}) = (U_{2n}, V_{2n+2}):
+        # U is carried over on the V step, V on the U step.
         rng = np.random.default_rng(30)
         model = random_model(rng, 4, 6)
-        for it in discrete.run_sinkhorn(model, 3):
-            pot = it.potentials
+        iterates = discrete.run_sinkhorn(model, 4)
+        for it, nxt in zip(iterates, iterates[1:]):
             log_even = (
-                (model.log_lambda - pot.u)[:, None]
+                (model.log_lambda - it.u)[:, None]
                 + model.log_k
-                + (model.log_nu - pot.v)[None, :]
+                + (model.log_nu - it.v)[None, :]
             )
             np.testing.assert_allclose(it.joint_even, np.exp(log_even), atol=1e-13)
-            odd = discrete.half_step(model, pot)
             log_odd = (
-                (model.log_lambda - odd.u)[:, None]
+                (model.log_lambda - it.u)[:, None]
                 + model.log_k
-                + (model.log_nu - odd.v)[None, :]
+                + (model.log_nu - nxt.v)[None, :]
             )
             np.testing.assert_allclose(it.joint_odd, np.exp(log_odd), atol=1e-13)
 
@@ -192,13 +194,6 @@ class TestMaterialize:
         for it in discrete.run_sinkhorn(model, 2):
             np.testing.assert_allclose(it.joint_even.sum(axis=1), model.mu, atol=1e-14)
             np.testing.assert_allclose(it.joint_odd.sum(axis=0), model.eta, atol=1e-14)
-
-    def test_requires_even_step(self):
-        rng = np.random.default_rng(11)
-        model = random_model(rng, 3, 3)
-        odd = discrete.half_step(model, discrete.initial_potentials(model))
-        with pytest.raises(DomainError):
-            discrete.materialize(model, odd)
 
 
 class TestDualKernel:
@@ -304,11 +299,12 @@ class TestSolveBridge:
         np.testing.assert_allclose(solution.bridge.sum(axis=1), model.mu, atol=1e-10)
         np.testing.assert_allclose(solution.bridge.sum(axis=0), model.eta, atol=1e-10)
 
-    def test_iteration_cap_flags_nonconvergence(self):
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
         rng = np.random.default_rng(19)
         model = random_model(rng, 6, 6, osc=8.0)
         for cap in (2, 0):
-            solution = discrete.solve_bridge(model, discrete.StoppingRule(max_sweeps=cap))
+            monkeypatch.setattr(discrete, "MAX_SWEEPS", cap)
+            solution = discrete.solve_bridge(model)
             assert not solution.converged
             assert solution.iterations_used == cap
 
@@ -345,7 +341,7 @@ class TestGeometricRate:
         iterates = discrete.run_sinkhorn(model, 3)
         report = discrete.geometric_rate_report(model, iterates)
         assert report.bound == pytest.approx(0.0)
-        assert all(row.within_bound for row in report.ratio_rows)
+        assert all(row.saturated for row in report.ratio_rows)
 
     def test_log_two_oscillation_bound(self):
         rng = np.random.default_rng(23)
@@ -411,7 +407,7 @@ class TestConvergenceSeries:
         iterates = discrete.run_sinkhorn(model, 60)
         decay = 1.0 - model.eps_w
         errors = [
-            float(np.max(np.abs(it.potentials.v - solution.v))) for it in iterates
+            float(np.max(np.abs(it.v - solution.v))) for it in iterates
         ]
         # fit the constant on the first few steps, then demand domination
         c = max(errors[n] / decay ** (2 * n) for n in range(5)) * (1.0 + 1e-9)
@@ -538,7 +534,7 @@ def ref_sweep(model, u, v):
 def ref_iterate(model, n, u, v):
     kernel_even = ref_stochastic(model.log_k, model.log_nu, v)
     kernel_odd = ref_stochastic(model.log_k.T, model.log_lambda, u)
-    return (n, (2 * n, u, v), kernel_even, kernel_odd,
+    return (n, u, v, kernel_even, kernel_odd,
             model.mu @ kernel_even, model.eta @ kernel_odd,
             model.mu[:, None] * kernel_even, (model.eta[:, None] * kernel_odd).T)
 
@@ -558,17 +554,16 @@ def ref_system_residual(model, u, v):
     return max(float(np.max(np.abs(u_fix))), float(np.max(np.abs(v_fix))))
 
 
-def ref_solve_bridge(model, stop):
+def ref_solve_bridge(model, max_sweeps, tol):
     u, v = model.u_potential.copy(), np.zeros(model.ny)
-    converged = ref_system_residual(model, u, v) <= stop.potential_tol
+    converged = ref_system_residual(model, u, v) <= tol
     sweeps = 0
-    while not converged and sweeps < stop.max_sweeps:
+    while not converged and sweeps < max_sweeps:
         sweeps += 1
         u_next, v_next = ref_sweep(model, u, v)
         delta = max(float(np.max(np.abs(u_next - u))), float(np.max(np.abs(v_next - v))))
         u, v = u_next, v_next
-        converged = delta <= stop.potential_tol or (
-            ref_system_residual(model, u, v) <= stop.potential_tol)
+        converged = delta <= tol or ref_system_residual(model, u, v) <= tol
     bridge = model.mu[:, None] * ref_stochastic(model.log_k, model.log_nu, v)
     return (u, v, bridge, sweeps, ref_system_residual(model, u, v), converged)
 
@@ -685,9 +680,8 @@ def ref_rate_report(model, iterates):
         for phi, value, value_next in zip(discrete.RATE_PHIS, row, row_next):
             saturated = value < discrete.SATURATION_GUARD
             ratio = math.nan if saturated else value_next / value
-            within = True if saturated else ratio <= bound + 1e-10
             ratio_rows.append(discrete.RatioRow(it.step, phi.name, value, value_next, ratio,
-                                                saturated, within))
+                                                saturated))
     sup_series = tuple(
         (it.step, float(np.max(np.abs(it.pi_even / model.eta - 1.0)))) for it in iterates)
     sup_fit = fitting.fit_rate(sup_series)
@@ -747,15 +741,15 @@ def northwest_corner(mu, eta):
     return plan
 
 
-def assert_engine_equals_reference(model, pairs, stop):
+def assert_engine_equals_reference(model, pairs):
     iterates = discrete.run_sinkhorn(model, pairs)
-    assert bits([(it.step, (it.potentials.step, it.potentials.u, it.potentials.v),
-                  it.kernel_even, it.kernel_odd, it.pi_even, it.pi_odd,
+    assert bits([(it.step, it.u, it.v, it.kernel_even, it.kernel_odd, it.pi_even, it.pi_odd,
                   it.joint_even, it.joint_odd) for it in iterates]) == bits(
         ref_run_sinkhorn(model, pairs))
-    solution = discrete.solve_bridge(model, stop)
+    solution = discrete.solve_bridge(model)
     assert bits((solution.u, solution.v, solution.bridge, solution.iterations_used,
-                 solution.residual, solution.converged)) == bits(ref_solve_bridge(model, stop))
+                 solution.residual, solution.converged)) == bits(
+        ref_solve_bridge(model, discrete.MAX_SWEEPS, discrete.POTENTIAL_TOL))
     assert bits(discrete.identity_suite(model, iterates).rows) == bits(
         ref_identity_rows(model, iterates))
     for q in (solution.bridge, np.outer(model.mu, model.eta),
@@ -782,11 +776,12 @@ class TestStackedOracle:
         if name == "bounded" and nx * ny < 2:
             ny = 2
         model = harness.generate_instance("discrete", (nx, ny), seed, name, **params)
-        stop = discrete.StoppingRule(max_sweeps=300) if params else discrete.StoppingRule()
         with pytest.MonkeyPatch.context() as mp:
+            if params:
+                mp.setattr(discrete, "MAX_SWEEPS", 300)
             if per_chunk is not None:
                 mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * max(nx, ny))
-            assert_engine_equals_reference(model, pairs, stop)
+            assert_engine_equals_reference(model, pairs)
 
     @pytest.mark.parametrize("name, params, size", [
         ("quadratic-grid", {"t": 0.05}, (64, 64)),
@@ -794,24 +789,10 @@ class TestStackedOracle:
         ("bounded", {"osc_cap": 400.0}, (16, 16)),
         ("bounded", {}, (3, 4)),
     ])
-    def test_reference_sizes_equal_per_iterate_code(self, name, params, size):
+    def test_reference_sizes_equal_per_iterate_code(self, name, params, size, monkeypatch):
         model = harness.generate_instance("discrete", size, 3, name, **params)
-        stop = discrete.StoppingRule(max_sweeps=300)
-        assert_engine_equals_reference(model, 30, stop)
-
-    def test_half_step_and_materialize_equal_per_iterate_code(self):
-        model = harness.generate_instance("discrete", (6, 5), 4, "bounded", osc_cap=3.0)
-        pot = discrete.initial_potentials(model)
-        u, v = pot.u, pot.v
-        for n in range(1, 5):
-            pot = discrete.sweep(model, pot)
-            u, v = ref_sweep(model, u, v)
-            assert bits((pot.u, pot.v)) == bits((u, v))
-            it = discrete.materialize(model, pot)
-            assert bits((it.kernel_even, it.kernel_odd, it.joint_odd)) == bits(
-                ref_iterate(model, n, u, v)[2:4] + ref_iterate(model, n, u, v)[7:])
-            assert discrete.system_residual(model, pot.u, pot.v) == ref_system_residual(
-                model, u, v)
+        monkeypatch.setattr(discrete, "MAX_SWEEPS", 300)
+        assert_engine_equals_reference(model, 30)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_row_helpers_treat_nan_and_inf_as_python_max_does(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -244,6 +245,33 @@ class TestRunExperiment:
         config = _discrete_config(tmp_path, ["geometric-rate"], osc_cap=math.log(2.0))
         report = harness.run_experiment(config)
         assert report.all_passed
+
+    def test_geometric_rate_skips_a_ratio_at_the_kl_floor(self):
+        # KL at n = 2 reads 2.35e-16, rounding of u log(u / v) with u / v near 1;
+        # TV 1.05e-12 puts the true KL near 1e-24.  The ratio 0.0075 would
+        # exceed the bound 1.04e-3.
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete",
+            "instance": {"profile": "bounded", "size": [4, 12],
+                         "osc_cap": 0.016419049185149026, "seed": 3188695707},
+            "iterations": 12, "checks": ["geometric-rate"],
+        })
+        report = harness.run_experiment(config)
+        assert report.all_passed, report.verdicts
+        assert (1, "ratio_kl", pytest.approx(0.0075, rel=0.05)) in report.rows
+
+    def test_geometric_rate_fails_a_ratio_above_the_bound(self, monkeypatch):
+        model = harness.generate_instance("discrete", (3, 4), 1, "bounded")
+        iterates = discrete.run_sinkhorn(model, 3)
+        report = discrete.geometric_rate_report(model, iterates)
+        row = discrete.RatioRow(n=1, phi_name="kl", value=1e-13, value_next=1e-13 * 0.9,
+                                ratio=0.9, saturated=False)
+        assert row.ratio > report.bound + 1e-10
+        monkeypatch.setattr(discrete, "geometric_rate_report", lambda model, iterates: (
+            dataclasses.replace(report, ratio_rows=(row,))))
+        rows, verdict = harness._check_geometric(model, iterates, None)
+        assert not verdict.passed
+        assert verdict.worst_residual == 0.9 - report.bound
 
     def test_discrete_full_suite_passes(self, tmp_path):
         config = _discrete_config(tmp_path, harness.DISCRETE_CHECKS, iterations=21)
