@@ -4,19 +4,13 @@ Dobrushin coefficients and weighted Kantorovich-Lipschitz operator norms are
 computed exactly (finite sups over state pairs).  A contraction certificate is
 a pair (a, rho): at the weights ``0.5 + a * g`` and ``0.5 + a * h`` every
 kernel has Lipschitz norm at most rho < 1, which on a finite space with
-bounded weights is the weighted Kantorovich/Dobrushin contraction itself.  A
-grid search over the mixing level a finds the best certificate when one
-exists, and :func:`reverify` re-computes rho at the certificate's a.
+bounded weights is the weighted Kantorovich/Dobrushin contraction itself.
 
-Every sup over state pairs goes through one primitive, :func:`_pair_chunks`,
-which yields the row differences ``|k[i] - k[j]|`` for i < j in chunks small
-enough that each per-chunk table holds at most ``matcore.CHUNK_ELEMENTS``
-floats (64 KB), so memory stays bounded at any kernel size.  :func:`_lip_norms`
-scores a chunk against a whole matrix of weights at once: one matrix product
-gives every (pair, weight) ratio, and a norm is the largest of them.  It
-agrees with a plain per-pair loop to within ``2 * (n_cols + 4) * eps``
-(relative); the tie rule is the first strict minimum (the earliest of
-equal-rho grid points).
+Every sup over state pairs reads one primitive, :func:`_pair_sums`: per row
+pair, sums alpha, beta, gamma such that the pair's Lipschitz ratio at mixing
+level a is the term ``(alpha + a * beta) / (1 + a * gamma)``, monotone in a.
+:func:`lyapunov_search` drops every term whose sup on ``[0, A_MAX]`` is below
+the largest inf, and takes the exact minimum over a of the max of the rest.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
 KERNEL_TOL = 1e-9
-DEFAULT_GRID = tuple(np.logspace(-4.0, 4.0, 50))
+A_MAX = 1e4  # the certificate search scans the mixing levels [0, A_MAX]
 
 
 def _as_kernel(k, name: str = "kernel") -> np.ndarray:
@@ -41,7 +35,7 @@ def _as_kernel(k, name: str = "kernel") -> np.ndarray:
         raise DomainError(f"{name} must be a matrix")
     if k.shape[0] == 0:
         raise DomainError(f"{name} must have at least one row")
-    if np.any(k < -KERNEL_TOL) or not np.all(np.isfinite(k)):
+    if k.size and not (k.min() >= -KERNEL_TOL and k.max() < math.inf):
         raise DomainError(f"{name} must have nonnegative finite entries")
     rows = k.sum(axis=1)
     if float(np.max(np.abs(rows - 1.0))) > KERNEL_TOL:
@@ -76,46 +70,31 @@ def _check_weight_sizes(k: np.ndarray, name: str, src: np.ndarray, src_name: str
         raise DomainError(f"{tgt_name} has {tgt.size} entries but {name} has {k.shape[1]} columns")
 
 
-def _pair_chunks(k: np.ndarray, width: int = 1):
-    """Yield ``(|k[i] - k[j]|, i, j)`` over the row pairs i < j of ``k``.
+def _pair_sums(kernels, src: np.ndarray, tgt: np.ndarray):
+    """Yield (3, n) chunks of ``alpha = 0.5 * sum |k[i] - k[j]|``, ``beta = sum tgt
+    * |k[i] - k[j]|`` and ``gamma = src[i] + src[j]`` over the row pairs i < j.
 
-    Pairs come in ``np.triu_indices`` (row-major) order, at most
-    ``matcore.CHUNK_ELEMENTS // max(n_cols, width)`` pairs (and at least one) per
-    chunk, so both the differences and a pairs x ``width`` table fit the bound.
+    One two-column product per chunk of at most ``matcore.CHUNK_ELEMENTS //
+    n_cols`` pairs (at least one), in ``np.triu_indices`` order.  Each sum is of
+    nonnegative products, so it is within ``n_cols * eps`` (relative) of exact.
     """
-    rows, cols = np.triu_indices(k.shape[0], 1)
-    step = max(1, matcore.CHUNK_ELEMENTS // max(1, k.shape[1], width))
-    for start in range(0, rows.size, step):
-        i = rows[start:start + step]
-        j = cols[start:start + step]
-        yield np.abs(k[i] - k[j]), i, j
-
-
-def _lip_norms(k: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """``lip_norm(k, src[w], tgt[w])`` for every row w of the weight matrices.
-
-    ``src`` is (W, n_rows) and ``tgt`` is (W, n_cols).  Per chunk of pairs, one
-    matrix product scores every ratio ``(diff @ tgt.T) / den`` at once, and
-    the norms are the running maxima of those scores.  All terms are
-    nonnegative, so each score lies within ``(n_cols + 4) * eps`` (relative)
-    of the exact ratio, and so does each norm; a per-pair loop summing
-    ``np.sum(diff[p] * tgt[w]) / den[p, w]`` lies within the same bound, so
-    the two agree to ``2 * (n_cols + 4) * eps`` (relative).
-    """
-    worst = np.zeros(src.shape[0])
-    for diff, i, j in _pair_chunks(k, src.shape[0]):
-        den = (src[:, i] + src[:, j]).T
-        worst = np.maximum(worst, np.max((diff @ tgt.T) / den, axis=0))
-    if np.isnan(worst).any():
-        raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
-    return worst
+    rows, cols = np.triu_indices(src.size, 1)
+    gamma = src[rows] + src[cols]
+    weights = np.stack([np.full(tgt.size, 0.5), tgt], axis=1)
+    step = max(1, matcore.CHUNK_ELEMENTS // tgt.size)
+    for k in kernels:
+        for start in range(0, rows.size, step):
+            i, j = rows[start:start + step], cols[start:start + step]
+            diff = k.take(i, axis=0)
+            diff -= k.take(j, axis=0)
+            sums = np.abs(diff, out=diff) @ weights
+            yield np.concatenate([sums.T, gamma[None, start:start + step]])
 
 
 def dobrushin(kernel) -> float:
-    """Worst-case total variation distance between two rows of the kernel."""
+    """Worst-case total variation between two rows: the Lipschitz norm at weights 0.5."""
     k = _as_kernel(kernel)
-    ones_x, ones_y = np.ones((1, k.shape[0])), np.ones((1, k.shape[1]))
-    return min(float(_lip_norms(k, ones_x, ones_y)[0]), 1.0)
+    return min(lip_norm(k, np.full(k.shape[0], 0.5), np.full(k.shape[1], 0.5)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -165,13 +144,16 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     """Exact Kantorovich-Lipschitz norm of a kernel between weighted spaces.
 
     Supremum over state pairs of the target-weighted total variation between
-    rows divided by the source weight sum g(x1) + g(x2).
+    rows divided by the source weight sum g(x1) + g(x2): max beta / gamma.
     """
     k = _as_kernel(kernel)
     g = _as_positive_weights(source_weight, "source_weight")
     h = _as_positive_weights(target_weight, "target_weight")
     _check_weight_sizes(k, "kernel", g, "source_weight", h, "target_weight")
-    return float(_lip_norms(k, g[None], h[None])[0])
+    worst = np.max([np.max(c[1] / c[2]) for c in _pair_sums([k], g, h)], initial=0.0)
+    if np.isnan(worst):
+        raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -185,8 +167,8 @@ class WeightPair:
     def __post_init__(self) -> None:
         g = _as_positive_weights(self.g, "g")
         h = _as_positive_weights(self.h, "h")
-        if not 0 < self.a < math.inf:
-            raise DomainError("mixing level a must be positive and finite")
+        if not 0 <= self.a < math.inf:
+            raise DomainError("mixing level a must be nonnegative and finite")
         object.__setattr__(self, "g", _frozen(g))
         object.__setattr__(self, "h", _frozen(h))
 
@@ -212,61 +194,84 @@ class SearchFailure:
     reason: str
 
 
-def _rhos(kernel_k, kernel_l, g, h, grid) -> np.ndarray:
-    """Worst Lipschitz norm over all kernels at each mixing level of ``grid``.
+def _ratios(terms: np.ndarray, a) -> np.ndarray:
+    """Each term's ratio ``(alpha + a * beta) / (1 + a * gamma)``; ``a`` may be a column."""
+    alpha, beta, gamma = terms
+    return (alpha + a * beta) / (1.0 + a * gamma)
 
-    Validates every argument first; an error names the one at fault.  The
-    weights of every level are built at once, row w being
-    ``g_a = 0.5 + a[w] * g`` and ``h_a = 0.5 + a[w] * h`` (the arithmetic of
-    :class:`WeightPair`).  Each kernel's pair differences are built once and
-    scored against every level; K kernels take source weight g_a and target
-    weight h_a, L kernels the reverse.
+
+def _drop(terms: np.ndarray) -> np.ndarray:
+    """The terms whose sup on [0, A_MAX] is not below the largest inf there, a lower
+    bound on rho; the margin 2**-46 exceeds the rounding of two evaluations, so
+    no dropped term tops the reported rho at any level."""
+    ends = _ratios(terms, A_MAX)
+    if not np.all(np.isfinite(ends)):
+        raise NumericalError("Lipschitz ratio is not finite: the weights overflow")
+    lower = np.minimum(terms[0], ends).max(initial=0.0)
+    return terms[:, np.maximum(terms[0], ends) > lower * (1.0 - 2.0 ** -46)]
+
+
+def _exact_minimum(terms: np.ndarray) -> tuple[float, float]:
+    """The smallest a in [0, A_MAX] that minimizes the max of the terms, and that max.
+
+    As each term is monotone, a minimizer is 0, A_MAX or a crossing of two
+    terms.  Cutting planes keep the crossings few: the best level of an active
+    set bounds the minimum from below, and the term largest there joins the set
+    until none tops the set's max.  Terms p, q with ``f_p(0) < f_q(0)`` and
+    ``f_p(A_MAX) > f_q(A_MAX)`` cross once, at a quadratic's root (no cancelling).
+    """
+    active = [int(np.argmax(terms[0])), int(np.argmax(_ratios(terms, A_MAX)))]
+    while True:
+        alpha, beta, gamma = terms[:, active]
+        ends = _ratios(terms[:, active], A_MAX)
+        p, q = np.nonzero((alpha[:, None] < alpha) & (ends[:, None] > ends))
+        c0 = alpha[p] - alpha[q]
+        c1 = beta[p] - beta[q] + alpha[p] * gamma[q] - alpha[q] * gamma[p]
+        c2 = beta[p] * gamma[q] - beta[q] * gamma[p]
+        with np.errstate(all="ignore"):
+            root = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+            cross = np.where(c1 >= 0, -2.0 * c0 / (c1 + root), (root - c1) / (2.0 * c2))
+        levels = np.append([0.0, A_MAX], np.clip(cross[np.isfinite(cross)], 0.0, A_MAX))
+        worst = _ratios(terms[:, active], levels[:, None]).max(axis=1)
+        level = levels[worst == worst.min()].min()  # ties go to the smallest a
+        values = _ratios(terms, level)
+        top = int(np.argmax(values))
+        if values[top] <= worst.min():
+            return float(level), float(values[top])
+        active.append(top)
+
+
+def lyapunov_search(kernel_k, kernel_l, g, h) -> ContractionCertificate | SearchFailure:
+    """The exact best weighted-norm contraction certificate (a, rho), a in [0, A_MAX].
+
+    ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty sequences;
+    with sequences the certificate bounds every pair, which is what
+    time-varying iterations need.  K kernels take source weight g_a and target
+    weight h_a, L kernels the reverse.  rho, the max over all pairs of the
+    Lipschitz ratio at a, is minimized over a (ties go to the smallest a); a
+    minimum not below 1 gives a :class:`SearchFailure`.  a = 0 is the unweighted
+    (total variation) certificate; a = A_MAX means the minimum lies at or beyond.
     """
     ks = _as_kernel_list(kernel_k, "kernel_k")
     ls = _as_kernel_list(kernel_l, "kernel_l")
     g = _as_positive_weights(g, "g")
     h = _as_positive_weights(h, "h")
-    a = np.asarray(grid, dtype=float)
-    if a.size == 0:
-        raise DomainError("grid must hold at least one mixing level")
-    if not np.all((a > 0) & (a < math.inf)):
-        raise DomainError("mixing level a must be positive and finite")
-    _check_weight_sizes(ks[0][1], ks[0][0], g, "g", h, "h")
-    for kernels, shape, order in ((ks, (g.size, h.size), "g and h"),
-                                  (ls, (h.size, g.size), "h and g")):
-        for name, k in kernels:
-            if k.shape != shape:
-                raise DomainError(f"{name} has shape {k.shape}, expected {shape} from {order}")
-    g_a = 0.5 + a[:, None] * g
-    h_a = 0.5 + a[:, None] * h
-    rho = np.zeros(a.size)
-    for kernels, src, tgt in ((ks, g_a, h_a), (ls, h_a, g_a)):
-        for _, k in kernels:
-            np.maximum(rho, _lip_norms(k, src, tgt), out=rho)
-    return rho
-
-
-def lyapunov_search(kernel_k, kernel_l, g, h, grid=None) -> ContractionCertificate | SearchFailure:
-    """Scan mixing levels for a weighted-norm contraction certificate (a, rho).
-
-    ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty sequences;
-    with sequences the certificate bounds every pair, which is what
-    time-varying iterations need.  Returns the best (a, rho) with rho < 1,
-    ties broken toward the earliest grid point, or a :class:`SearchFailure`
-    when no grid point contracts.
-    """
-    grid = DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
-    best_a = math.nan
-    best_rho = math.inf
-    for a, rho in zip(grid, _rhos(kernel_k, kernel_l, g, h, grid)):
-        if rho < best_rho:
-            best_rho, best_a = rho, a
-    if not best_rho < 1.0:
-        return SearchFailure(best_a=float(best_a), best_rho=float(best_rho),
-                             reason="no grid point produced rho < 1")
-    return ContractionCertificate(a=float(best_a), rho=float(best_rho))
-
-
-def reverify(cert: ContractionCertificate, kernel_k, kernel_l, g, h) -> bool:
-    """Re-compute rho at ``cert.a`` and check it does not exceed ``cert.rho``."""
-    return bool(_rhos(kernel_k, kernel_l, g, h, [cert.a])[0] <= cert.rho + 1e-12)
+    for name, k in ks:
+        _check_weight_sizes(k, name, g, "g", h, "h")
+    for name, k in ls:
+        if k.shape != (h.size, g.size):
+            raise DomainError(f"{name} has shape {k.shape}, expected {h.size, g.size} "
+                              "from h and g")
+    kept, batch, size = np.empty((3, 0)), [], 0
+    for chunk in (c for kernels, src, tgt in ((ks, g, h), (ls, h, g))
+                  for c in _pair_sums([k for _, k in kernels], src, tgt)):
+        batch.append(chunk)
+        size += chunk.shape[1]
+        if 3 * size >= matcore.CHUNK_ELEMENTS:  # a batch holds about a chunk of floats
+            kept, batch, size = _drop(np.hstack([kept, *batch])), [], 0
+    kept = _drop(np.hstack([kept, *batch]))
+    a, rho = _exact_minimum(kept) if kept.size else (0.0, 0.0)
+    if not rho < 1.0:
+        return SearchFailure(best_a=a, best_rho=rho,
+                             reason=f"no mixing level in [0, {A_MAX:g}] gives rho < 1")
+    return ContractionCertificate(a=a, rho=rho)

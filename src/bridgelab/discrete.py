@@ -169,9 +169,11 @@ def model_to_json(model: DiscreteModel) -> dict:
 
 def model_from_json(payload: dict) -> DiscreteModel:
     payload = matcore._payload(payload, "discrete", ("nx", "ny", "W", "lambda", "nu"))
-    shape = (matcore._integer(payload["nx"], "nx", 1), matcore._integer(payload["ny"], "ny", 1))
-    cost = matcore._payload_array(payload, "W", shape)
-    return build_model(cost, payload["lambda"], payload["nu"], payload.get("U"), payload.get("V"))
+    nx, ny = matcore._integer(payload["nx"], "nx", 1), matcore._integer(payload["ny"], "ny", 1)
+    array = lambda key, shape: matcore._payload_array(payload, key, shape)
+    potential = lambda key, n: None if payload.get(key) is None else array(key, (n,))
+    return build_model(array("W", (nx, ny)), array("lambda", (nx,)), array("nu", (ny,)),
+                       potential("U", nx), potential("V", ny))
 
 
 @dataclass(frozen=True)

@@ -106,13 +106,13 @@ def instance_from_json(payload: dict) -> GaussianInstance:
     payload = matcore._payload(payload, "gaussian",
                                ("m", "sigma", "m_bar", "sigma_bar", "alpha", "beta", "tau"))
     d = payload.get("d")
-    d = len(payload["m"]) if d is None else matcore._integer(d, "d", 1)
+    d = matcore._integer(matcore._payload_array(payload, "m").size if d is None else d, "d", 1)
+    vec = lambda key: matcore._payload_array(payload, key, (d,))
     mat = lambda key: matcore._payload_array(payload, key, (d, d))
     return GaussianInstance(
-        mu=Gaussian(np.asarray(payload["m"], dtype=float), mat("sigma")),
-        eta=Gaussian(np.asarray(payload["m_bar"], dtype=float), mat("sigma_bar")),
-        kernel=LinearGaussianKernel(np.asarray(payload["alpha"], dtype=float),
-                                    mat("beta"), mat("tau")),
+        mu=Gaussian(vec("m"), mat("sigma")),
+        eta=Gaussian(vec("m_bar"), mat("sigma_bar")),
+        kernel=LinearGaussianKernel(vec("alpha"), mat("beta"), mat("tau")),
     )
 
 

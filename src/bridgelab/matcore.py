@@ -30,7 +30,9 @@ any length.
 
 from __future__ import annotations
 
+import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -80,12 +82,29 @@ def _payload(payload, what: str, keys: tuple[str, ...]) -> dict:
     return payload
 
 
-def _payload_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``payload[key]`` as a float array of ``shape``; a wrong entry count names ``key``."""
-    a = np.asarray(payload[key], dtype=float)
-    size = int(np.prod(shape))
-    if a.size != size:
-        raise DomainError(f"{key} has {a.size} entries, expected {size} for shape {shape}")
+def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``payload[key]``, a (nested) list of finite numbers, as a float array of
+    ``shape`` (a vector of any length when ``shape`` is None).
+
+    A non-numeric value (a string, a bool, null, ragged lists), a scalar, a NaN
+    or an infinity, or a wrong entry count raises a :class:`DomainError` that
+    names ``key``.
+    """
+    value = payload[key]
+    try:
+        a = np.asarray(value)  # ragged nesting raises ValueError
+        if a.ndim == 0 or a.dtype.kind in "bSU":
+            raise ValueError
+        a = a.astype(float)  # an entry that is no number raises TypeError; null gives NaN
+        if not np.all(np.isfinite(a)):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise DomainError(f"{key} must be a list of finite numbers, "
+                          f"got {reprlib.repr(value)}") from None
+    shape = (a.size,) if shape is None else shape
+    if a.size != math.prod(shape):
+        raise DomainError(f"{key} has {a.size} entries, expected {math.prod(shape)} "
+                          f"for shape {shape}")
     return a.reshape(shape)
 
 

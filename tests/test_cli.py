@@ -136,6 +136,33 @@ GRID = {"profile": "quadratic-grid", "size": [3, 4]}
     ("discrete", BOUNDED, {"iterations": True}, "iterations must be an int, got True"),
     ("discrete", {**BOUNDED, "seed": True}, {},
      "instance.seed must be an int in [0, 2**128), got True"),
+    # Array fields: non-numeric or null, a scalar where a list is due, ragged, wrongly sized.
+    ("gaussian", {"inline": without({**GAUSSIAN_INLINE, "m": 5}, "d")}, {},
+     "m must be a list of finite numbers, got 5"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "sigma": "x"}}, {},
+     "sigma must be a list of finite numbers, got 'x'"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "alpha": "x"}}, {},
+     "alpha must be a list of finite numbers, got 'x'"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "m_bar": 0.0}}, {},
+     "m_bar must be a list of finite numbers, got 0.0"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "m_bar": [0.0, 1.0]}}, {},
+     "m_bar has 2 entries, expected 1 for shape (1,)"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "tau": [True]}}, {},
+     "tau must be a list of finite numbers, got [True]"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "W": "ab"}}, {},
+     "W must be a list of finite numbers, got 'ab'"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "W": [[0.0, 1.0, 2.0], [1.0, 0.0]]}}, {},
+     "W must be a list of finite numbers, got [[0.0, 1.0, 2.0], [1.0, 0.0]]"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "lambda": "x"}}, {},
+     "lambda must be a list of finite numbers, got 'x'"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "nu": [1.0]}}, {},
+     "nu has 1 entries, expected 3 for shape (3,)"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "U": [0.0, "a"]}}, {},
+     "U must be a list of finite numbers, got [0.0, 'a']"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "V": 1.0}}, {},
+     "V must be a list of finite numbers, got 1.0"),
+    ("gaussian", {"inline": {**GAUSSIAN_INLINE, "m": [None]}}, {},
+     "m must be a list of finite numbers, got [None]"),
 ])
 def test_mistyped_input_exits_two_naming_the_field(tmp_path, capsys, regime, instance, extra,
                                                    message):

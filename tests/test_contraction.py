@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -154,11 +153,14 @@ class TestLyapunovSearch:
         cert = contraction.lyapunov_search(evens, odds, g, h)
         assert isinstance(cert, contraction.ContractionCertificate)
         assert cert.rho < 1.0
-        assert contraction.reverify(cert, evens, odds, g, h)
-        tighter = dataclasses.replace(cert, rho=cert.rho - 1e-9)
-        assert not contraction.reverify(tighter, evens, odds, g, h)
-        # certificate implies weighted-TV decay of the loop iterates
+        # Oracle: every kernel's Lipschitz norm at (g_a, h_a) is at most rho,
+        # and rho - 1e-9 is not a bound.
         pair = contraction.WeightPair(g=g, h=h, a=cert.a)
+        worst = max([contraction.lip_norm(k, pair.g_a, pair.h_a) for k in evens]
+                    + [contraction.lip_norm(l_mat, pair.h_a, pair.g_a) for l_mat in odds])
+        assert worst <= cert.rho + 1e-12
+        assert not worst <= cert.rho - 1e-9 + 1e-12
+        # certificate implies weighted-TV decay of the loop iterates
         rng2 = np.random.default_rng(14)
         for _ in range(5):
             m1 = rng2.dirichlet(np.ones(10))
@@ -188,12 +190,15 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError, match="finite"):
             contraction.lip_norm(self.k, np.ones(3), [1.0, bad])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
     def test_weight_pair(self, bad):
         with pytest.raises(DomainError):
             contraction.WeightPair(g=np.array([bad, 1.0]), h=np.ones(2), a=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="mixing level"):
             contraction.WeightPair(g=np.ones(2), h=np.ones(2), a=bad)
+        # a = 0 is the unweighted total variation certificate.
+        pair = contraction.WeightPair(g=np.ones(2), h=np.ones(2), a=0.0)
+        assert np.array_equal(pair.g_a, [0.5, 0.5]) and np.array_equal(pair.h_a, [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lyapunov_search(self, bad):
@@ -213,26 +218,22 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError, match=f"^{name} "):
             contraction.lyapunov_search(self.k, l_mat, g, h)
 
-    @pytest.mark.parametrize("ks, ls, grid, name", [
+    @pytest.mark.parametrize("ks, ls, g, name", [
         ([], [l], None, "kernel_k"),
         ([k], [], None, "kernel_l"),
-        ([k], [l], [], "grid"),
+        ([k], [l], [], "g"),
     ])
-    def test_empty_argument_is_named(self, ks, ls, grid, name):
+    def test_empty_argument_is_named(self, ks, ls, g, name):
         # With no kernels every level scores rho = 0: a certificate from nothing.
+        g = np.ones(3) if g is None else g
         with pytest.raises(DomainError, match=f"^{name} "):
-            contraction.lyapunov_search(ks, ls, np.ones(3), np.ones(2), grid=grid)
+            contraction.lyapunov_search(ks, ls, g, np.ones(2))
 
     def test_kernel_without_rows(self):
         with pytest.raises(DomainError, match="^kernel must have at least one row"):
             contraction.dobrushin(np.empty((0, 3)))
         with pytest.raises(DomainError, match="^kernel_k must have at least one row"):
             contraction.lyapunov_search(np.empty((0, 3)), np.empty((3, 0)), [], np.ones(3))
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_grid_levels(self, bad):
-        with pytest.raises(DomainError, match="mixing level"):
-            contraction.lyapunov_search(self.k, self.l, np.ones(3), np.ones(2), grid=[1.0, bad])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weights_raise_numerical_error(self):
@@ -242,9 +243,13 @@ class TestNonFiniteWeights:
 
 
 # --------------------------------------------------------------------------
-# Oracle: the per-pair loops that the chunked pair primitive replaced.  The
-# chunked code must agree with them exactly (==, not approx).
+# Oracle: plain per-pair loops that share no code with the chunked pair
+# primitive.  The chunked code must agree with them to a tolerance derived from
+# the rounding of each side.
 # --------------------------------------------------------------------------
+
+# The 50 mixing levels the certificate search used to score.
+OLD_GRID = tuple(np.logspace(-4.0, 4.0, 50))
 
 
 def loop_dobrushin(k):
@@ -265,54 +270,55 @@ def loop_lip_norm(k, g, h):
     return worst
 
 
-def loop_rhos(ks, ls, g, h, grid):
-    """The per-pair loop's rho at each grid point."""
-    rhos = []
-    for a in grid:
-        g_a = 0.5 + a * g
-        h_a = 0.5 + a * h
-        rho = 0.0
-        for k in ks:
-            rho = max(rho, loop_lip_norm(k, g_a, h_a))
-        for l_mat in ls:
-            rho = max(rho, loop_lip_norm(l_mat, h_a, g_a))
-        rhos.append(rho)
+def loop_rhos(ks, ls, g, h, levels):
+    """The per-pair loop's rho at each mixing level: per pair, every level's
+    ``sum(h_a * |k[i] - k[j]|) / (g_a[i] + g_a[j])`` with ``g_a = 0.5 + a * g``."""
+    a = np.asarray(levels, dtype=float)[:, None]
+    g_a, h_a = 0.5 + a * g, 0.5 + a * h
+    rhos = np.zeros(a.shape[0])
+    for kernels, src, tgt in ((ks, g_a, h_a), (ls, h_a, g_a)):
+        for k in kernels:
+            for i in range(k.shape[0]):
+                for j in range(i + 1, k.shape[0]):
+                    num = np.sum(tgt * np.abs(k[i] - k[j]), axis=1)
+                    rhos = np.maximum(rhos, num / (src[:, i] + src[:, j]))
     return rhos
 
 
 def lip_tolerance(n_cols):
-    """Relative distance allowed between ``_lip_norms`` and the per-pair loop.
+    """Relative distance allowed between the chunked code and the per-pair loop.
 
-    Each sums n_cols nonnegative products; both lie within (n_cols + 4) eps
-    (relative) of the exact ratio, as the ``_lip_norms`` docstring derives.
+    Each sums n_cols nonnegative products.  The loop's ratio lies within
+    (n_cols + 4) eps (relative) of the exact one; the search's
+    ``(alpha + a beta) / (1 + a gamma)`` within (n_cols + 6) eps; the norms'
+    ``beta / gamma`` within (n_cols + 2) eps.
     """
-    return 2 * (n_cols + 4) * np.finfo(float).eps
+    return (2 * n_cols + 10) * np.finfo(float).eps
 
 
 def assert_near_loop(value, reference, n_cols):
     assert abs(value - reference) <= lip_tolerance(n_cols) * reference
 
 
-def assert_search_matches_loop(ks, ls, g, h, grid=None):
-    """lyapunov_search against the loop: rho and the loop's rho at the returned a
-    both lie within the tolerance of the loop's best rho (a tie within the
-    tolerance may go to another level)."""
-    result = contraction.lyapunov_search(ks, ls, g, h, grid=grid)
+def assert_search_is_exact(ks, ls, g, h, levels=()):
+    """lyapunov_search against the loop: the loop's rho at the returned a is the
+    returned rho, and no level of the old grid or of ``levels`` does better."""
+    result = contraction.lyapunov_search(ks, ls, g, h)
     ks = [ks] if isinstance(ks, np.ndarray) else list(ks)
     ls = [ls] if isinstance(ls, np.ndarray) else list(ls)
-    loop_grid = contraction.DEFAULT_GRID if grid is None else tuple(float(a) for a in grid)
-    rhos = loop_rhos(ks, ls, g, h, loop_grid)
-    best = min(rhos)
-    n_cols = max(g.size, h.size)
     if isinstance(result, contraction.ContractionCertificate):
         a, rho = result.a, result.rho
         assert rho < 1.0
     else:
         a, rho = result.best_a, result.best_rho
-        assert result.reason == "no grid point produced rho < 1"
+        assert result.reason == "no mixing level in [0, 10000] gives rho < 1"
         assert rho >= 1.0
-    assert_near_loop(rho, best, n_cols)
-    assert_near_loop(rhos[loop_grid.index(a)], best, n_cols)
+    assert 0.0 <= a <= contraction.A_MAX
+    n_cols = max(g.size, h.size)
+    assert_near_loop(rho, loop_rhos(ks, ls, g, h, [a])[0], n_cols)
+    others = loop_rhos(ks, ls, g, h, OLD_GRID + tuple(levels))
+    assert np.all(rho <= others * (1.0 + lip_tolerance(n_cols)))
+    return result
 
 
 @st.composite
@@ -355,11 +361,8 @@ def weighted_kernels(draw):
     return ks, ls, g, h
 
 
-# A few fixed levels so that drawn grids contain ties.
-GRID_LEVELS = (1e-4, 0.01, 0.5, 1.0, 3.0, 1e4)
-grids = st.none() | st.lists(
-    st.sampled_from(GRID_LEVELS) | st.floats(1e-5, 1e5), min_size=1, max_size=8,
-)
+# Random levels, with the ends of the search range among them.
+mixing_levels = st.lists(st.sampled_from([0.0, 1e4]) | st.floats(0.0, 1e4), max_size=8)
 # 8192 is the default; the small sizes put chunk boundaries inside every kernel.
 chunk_sizes = st.sampled_from([1, 5, 16, 8192])
 
@@ -380,9 +383,9 @@ class TestChunkedOracle:
                                  g.size)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=weighted_kernels(), grid=grids, chunk=chunk_sizes,
+    @given(data=weighted_kernels(), levels=mixing_levels, chunk=chunk_sizes,
            as_single=st.booleans())
-    def test_lyapunov_search_equals_loop(self, data, grid, chunk, as_single):
+    def test_lyapunov_search_equals_loop(self, data, levels, chunk, as_single):
         ks, ls, g, h = data
         if as_single:
             ks, ls = ks[0], ls[0]
@@ -390,7 +393,7 @@ class TestChunkedOracle:
             ks, ls = tuple(ks), list(ls)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcore, "CHUNK_ELEMENTS", chunk)
-            assert_search_matches_loop(ks, ls, g, h, grid)
+            assert_search_is_exact(ks, ls, g, h, levels)
 
     def test_last_bit_ties_equal_loop(self):
         # Rows from two bases plus noise in the last bits: pairs across the
@@ -410,7 +413,8 @@ class TestChunkedOracle:
         l = np.ones((3, 1))
         assert contraction.dobrushin(k) == 0.0
         assert contraction.lip_norm(k, np.ones(1), np.ones(3)) == 0.0
-        assert_search_matches_loop(k, l, np.ones(1), np.array([1.0, 2.0, 3.0]))
+        cert = assert_search_is_exact(k, l, np.ones(1), np.array([1.0, 2.0, 3.0]))
+        assert (cert.a, cert.rho) == (0.0, 0.0)
 
     def test_pair_count_across_default_chunks(self):
         # 40 x 40: 780 pairs in 4 default-size chunks; 40 x 500: 49 chunks.
@@ -421,7 +425,7 @@ class TestChunkedOracle:
         h = rng.uniform(0.5, 5.0, size=40)
         assert_near_loop(contraction.dobrushin(k), loop_dobrushin(k), 40)
         assert_near_loop(contraction.lip_norm(k, g, h), loop_lip_norm(k, g, h), 40)
-        assert_search_matches_loop(k, l, g, h)
+        assert_search_is_exact(k, l, g, h)
         wide = random_kernel(rng, 40, 500)
         h_wide = rng.uniform(0.5, 5.0, size=500)
         assert_near_loop(contraction.dobrushin(wide), loop_dobrushin(wide), 500)
@@ -429,13 +433,19 @@ class TestChunkedOracle:
                          500)
 
     def test_chunks_are_bounded_and_in_triu_order(self):
-        k = random_kernel(np.random.default_rng(16), 40, 500)
-        chunks = list(contraction._pair_chunks(k))
-        assert len(chunks) == 49
-        assert all(diff.size <= matcore.CHUNK_ELEMENTS for diff, _, _ in chunks)
-        rows, cols = np.triu_indices(40, 1)
-        assert np.array_equal(np.concatenate([i for _, i, _ in chunks]), rows)
-        assert np.array_equal(np.concatenate([j for _, _, j in chunks]), cols)
+        rng = np.random.default_rng(16)
+        k = random_kernel(rng, 40, 500)
+        g, h = rng.uniform(0.5, 5.0, size=40), rng.uniform(0.5, 5.0, size=500)
+        chunks = list(contraction._pair_sums([k, k], g, h))
+        assert len(chunks) == 98
+        assert all(chunk.shape[1] * 500 <= matcore.CHUNK_ELEMENTS for chunk in chunks)
+        alpha, beta, gamma = np.hstack(chunks[:49])
+        for p, (i, j) in enumerate(zip(*np.triu_indices(40, 1))):
+            diff = np.abs(k[i] - k[j])
+            assert_near_loop(alpha[p], 0.5 * np.sum(diff), 500)
+            assert_near_loop(beta[p], np.sum(h * diff), 500)
+            assert gamma[p] == g[i] + g[j]
+        assert np.array_equal(np.hstack(chunks[49:]), np.hstack(chunks[:49]))
 
     def test_mismatched_weight_length_raises(self):
         rng = np.random.default_rng(17)
@@ -452,7 +462,7 @@ class TestChunkedOracle:
 class TestScreenResources:
     def test_all_ties_memory_is_bounded(self):
         # Every pair of a permutation kernel ties at every level under unit
-        # weights; the per-chunk table of 2016 pairs x 50 levels stays bounded.
+        # weights, so no term is dropped: all 8064 of them are kept.
         rng = np.random.default_rng(19)
         perms = [np.eye(64)[rng.permutation(64)] for _ in range(2)]
         ones = np.ones(64)
@@ -464,6 +474,24 @@ class TestScreenResources:
             tracemalloc.stop()
         assert isinstance(result, contraction.SearchFailure)
         assert result.best_rho == 1.0
+        assert peak <= 1 << 20
+
+    def test_memory_does_not_grow_with_kernel_count(self):
+        # 200 kernels of 64 x 64 hold 403 200 pair terms (9.7 MB as triples);
+        # the search keeps batches of chunk size and the few undropped terms.
+        model = harness.generate_instance("discrete", (64, 64), 0, "bounded")
+        iterates = discrete.run_sinkhorn(model, 100)
+        g = np.exp(0.25 * model.u_potential)
+        h = np.exp(0.25 * model.v_potential)
+        evens = [it.kernel_even for it in iterates[1:]]
+        odds = [it.kernel_odd for it in iterates[1:]]
+        tracemalloc.start()
+        try:
+            cert = contraction.lyapunov_search(evens, odds, g, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, contraction.ContractionCertificate)
         assert peak <= 1 << 20
 
     def test_bounded_64x64_search_warns_nothing(self):

@@ -20,14 +20,14 @@ CASES = {
     "discrete-bounded-5x7": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
          "seed": 0, "iterations": 12},
-        "e5c8007d839fcfb9d3e4aa3ef18ffad8a09a2c10e2277809e7b57d5b17421301",
-        "5d6fb77b380a4e501227a8308a726b490c5e3037206af342b360ccca296e6180",
+        "f80140ceed4c8cd0443e13fbf9c14aa58887a2176909abb9c3a9a1aee0a44be5",
+        "0f5a690c94c7815946cc0d3a211d45b9e2310702f70f0fe8c15751c000ceaf61",
     ),
     "discrete-bounded-16x16": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
          "seed": 1, "iterations": 12},
-        "669d253518ba332675b17d8d1b37883c069c0d2976f5ebd488c0d354294a2e3a",
-        "945b3bc52756b949224b6c3869724f958393db21a61635013c5b660c4c155b82",
+        "7bb20225ed2de437e2269fa1088640d0c61dd72386550f07ef9dc76b5c43c350",
+        "00b5b159495735f498404f718791d8ab4ee0126644d6be5fc33c23ef75b0b4f3",
     ),
     "gaussian-d2": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
