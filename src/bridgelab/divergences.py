@@ -205,6 +205,8 @@ class Gaussian:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float).reshape(-1)
+        if not np.isfinite(m).all():
+            raise DomainError("mean has non-finite entries")
         c = matcore.assert_spd(self.covariance, "covariance")
         if c.shape[0] != m.size:
             raise DomainError(

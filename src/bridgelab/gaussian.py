@@ -15,6 +15,15 @@ chunk, and :func:`sinkhorn_joint` and :func:`marginal` pass it one state.
 Every value equals the per-state arithmetic bit for bit (the rules are in
 :mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
 stay per-state: each step needs the one before.
+
+Each SPD matrix on these paths is factorized once: :func:`sinkhorn_step`,
+the two inversions of :func:`riccati_apply` and the marginal roots of
+:func:`envelope_report` validate from the ``eigh`` they invert or root by
+(``matcore.spd_eigh``).  Matrices built from validated parts are not
+validated again: a joint ``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S,
+C) L'`` and so SPD, and the state covariances are inverses of validated
+matrices.  The diagnostics only symmetrize them, and the log-det sign check
+of the Burg kernel catches a joint too ill-conditioned to resolve.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting, matcore
-from .divergences import Gaussian, _gaussian_kl, _gaussian_w2, burg_divergence
-from .divergences import gaussian_kl, gaussian_w2  # noqa: F401  (part of this module's API)
+from .divergences import Gaussian, _burg, _gaussian_kl, _gaussian_w2
+# Re-exported as part of this module's API.
+from .divergences import burg_divergence, gaussian_kl, gaussian_w2  # noqa: F401
 from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
@@ -209,9 +219,10 @@ def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
     n = state.step
     source, target, chi = (mu, eta, kernel.chi) if n % 2 == 0 else (eta, mu, kernel.chi.T)
     try:
-        cov_next = matcore.spd_inverse(source.precision + chi.T @ state.cov @ chi)
+        _, w, q = matcore.spd_eigh(source.precision + chi.T @ state.cov @ chi)
     except DomainError as exc:
         raise NumericalError(f"covariance lost positivity at step {n + 1}: {exc}") from exc
+    cov_next = matcore.eigh_inverse(w, q)
     gain_next = cov_next @ chi.T
     return GaussianSinkhornState(
         step=n + 1,
@@ -325,16 +336,10 @@ def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
     v = matcore.symmetrize(v, "v")
     if float(np.linalg.eigvalsh(v)[0]) < matcore.SQRT_CLAMP:
         raise DomainError("riccati_apply needs a positive semi-definite argument")
-    d = v.shape[0]
-    inner = matcore.spd_inverse(problem.varpi + v)
-    return matcore.spd_inverse(np.eye(d) + inner)
-
-
-def riccati_iterates(problem: RiccatiProblem, v0, count: int) -> list[np.ndarray]:
-    out = [matcore.symmetrize(v0)]
-    for _ in range(count):
-        out.append(riccati_apply(problem, out[-1]))
-    return out
+    _, w, q = matcore.spd_eigh(problem.varpi + v)
+    inner = matcore.eigh_inverse(w, q)
+    _, w, q = matcore.spd_eigh(np.eye(v.shape[0]) + inner)
+    return matcore.eigh_inverse(w, q)
 
 
 def fixed_point_residuals(problem: RiccatiProblem, r) -> dict[str, float]:
@@ -434,7 +439,7 @@ def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
     mean_term = np.sum(shift ** 2, axis=(-2, -1))
     cross = isq @ (cov - bridge.noise_cov) @ kernel.chi @ mu.root
     cross_term = np.sum(cross ** 2, axis=(-2, -1))
-    return 0.5 * (burg_divergence(cov, bridge.noise_cov) + mean_term + cross_term)
+    return 0.5 * (_burg(cov, bridge.noise_cov) + mean_term + cross_term)
 
 
 def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
@@ -461,7 +466,7 @@ def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta:
         mean, gain, cov = _stack(run, "mean", "gain", "cov")
         formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
-        oracle[index] = _gaussian_kl(j_mean, matcore.assert_spd(j_cov, "covariance"),
+        oracle[index] = _gaussian_kl(j_mean, matcore.symmetrize(j_cov, "covariance"),
                                      b_joint.mean, b_joint.covariance)
     return [(s.step // 2, f, o) for s, f, o in zip(even, formula.tolist(), oracle.tolist())]
 
@@ -639,11 +644,11 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
         mean, gain, cov = _stack(run, "mean", "gain", "cov")
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
         values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
-                                     j_mean, matcore.assert_spd(j_cov, "covariance"))
+                                     j_mean, matcore.symmetrize(j_cov, "covariance"))
         image = _image(mu.dim, odd)
-        marg = matcore.assert_spd(j_cov[:, image, image], "covariance")
+        marg, w, q = matcore.spd_eigh(j_cov[:, image, image], "covariance")
         target = mu if odd else eta
-        dist[index] = _gaussian_w2(mean, marg, matcore.principal_sqrt(marg),
+        dist[index] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
                                    target.mean, target.covariance)
     values = values.tolist()
     dist = dist.tolist()

@@ -6,7 +6,19 @@ Loewner order, the spectral norm and the Euclidean norm.  All
 decompositions go through the symmetric eigensolver so results stay
 exactly symmetric.
 
-Stacks.  :func:`symmetrize`, :func:`assert_spd`, :func:`principal_sqrt`,
+Validated factorization.  :func:`spd_eigh` symmetrizes, takes one ``eigh``
+and holds its eigenvalues to :func:`assert_spd`'s ``SPD_RTOL`` floor, with
+the same message; it returns ``(s, w, q)``.  :func:`eigh_inverse` and
+:func:`eigh_sqrt` turn a factorization into the inverse and the principal
+root; they are the one copy of each formula, which :func:`spd_inverse` and
+:func:`principal_sqrt` call too, so a matrix that is validated and then
+inverted or rooted costs one ``eigh`` and gives the same bits as the
+two-call routines.  :func:`spd_inverse` still validates with
+:func:`assert_spd` (an ``eigvalsh``) before its ``eigh``: the benchmark's
+self-test pins that count.
+
+Stacks.  :func:`symmetrize`, :func:`assert_spd`, :func:`spd_eigh`,
+:func:`eigh_inverse`, :func:`eigh_sqrt`, :func:`principal_sqrt`,
 :func:`spectral_norm` and :func:`vector_norm` also take an ``(..., d, d)``
 (or ``(..., k)``) stack and make one ``eigvalsh``/``eigh`` call for all of
 it; an error names the first failing index.  A 2-D input keeps its single
@@ -158,17 +170,61 @@ def symmetrize(a, name: str = "matrix") -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def assert_spd(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` (or each matrix of a stack) is SPD; return it symmetrized."""
-    s = symmetrize(a, name)
-    w = np.linalg.eigvalsh(s)
+def _spd_floor(w: np.ndarray, name: str) -> None:
+    """Reject unless each eigenvalue row ``w`` (ascending) clears the ``SPD_RTOL`` floor."""
     bad = w[..., 0] <= SPD_RTOL * np.abs(w).max(axis=-1, initial=0.0)
     if bad.any():
         index, label = _first(bad, name)
         raise DomainError(
             f"{label} is not positive definite: smallest eigenvalue {w[index][0]:.6e}"
         )
+
+
+def assert_spd(a, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` (or each matrix of a stack) is SPD; return it symmetrized."""
+    s = symmetrize(a, name)
+    _spd_floor(np.linalg.eigvalsh(s), name)
     return s
+
+
+def spd_eigh(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated factorization ``(s, w, q)`` of an SPD matrix or stack.
+
+    ``s`` is ``a`` symmetrized (what :func:`assert_spd` returns) and ``w, q =
+    eigh(s)``.  The eigenvalues ``w`` are held to :func:`assert_spd`'s floor,
+    with its message, so validation costs no second factorization.
+    """
+    s = symmetrize(a, name)
+    w, q = np.linalg.eigh(s)
+    _spd_floor(w, name)
+    return s, w, q
+
+
+def eigh_inverse(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The inverse ``q diag(1/w) q'``, symmetrized, of each factorized matrix."""
+    inv = (q / w[..., None, :]) @ q.swapaxes(-1, -2)
+    return (inv + inv.swapaxes(-1, -2)) / 2.0
+
+
+def eigh_sqrt(s: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The principal root ``q diag(w^{1/2}) q'`` of each factorized PSD matrix ``s``.
+
+    Negative eigenvalues are clamped to zero and the root is symmetrized;
+    a root whose square misses ``s`` by more than ``SQRT_TOL`` (relative)
+    raises a :class:`NumericalError`.
+    """
+    w = np.clip(w, 0.0, None)
+    root = (q * np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
+    root = (root + root.swapaxes(-1, -2)) / 2.0
+    err = _frobenius(root @ root - s)
+    bad = err > SQRT_TOL * np.maximum(1.0, _frobenius(s))
+    if bad.any():
+        index, label = _first(bad, "matrix")
+        where = f" for {label}" if index else ""
+        raise NumericalError(
+            f"square root residual {err[index]:.3e} exceeds tolerance{where}"
+        )
+    return root
 
 
 def principal_sqrt(v) -> np.ndarray:
@@ -186,26 +242,13 @@ def principal_sqrt(v) -> np.ndarray:
         raise DomainError(
             f"{label} is not positive semi-definite: eigenvalue {w[index][0]:.6e}"
         )
-    w = np.clip(w, 0.0, None)
-    root = (q * np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
-    root = (root + root.swapaxes(-1, -2)) / 2.0
-    err = _frobenius(root @ root - s)
-    bad = err > SQRT_TOL * np.maximum(1.0, _frobenius(s))
-    if bad.any():
-        index, label = _first(bad, "matrix")
-        where = f" for {label}" if index else ""
-        raise NumericalError(
-            f"square root residual {err[index]:.3e} exceeds tolerance{where}"
-        )
-    return root
+    return eigh_sqrt(s, w, q)
 
 
 def spd_inverse(v, name: str = "matrix") -> np.ndarray:
     """Inverse of an SPD matrix via symmetric eigendecomposition."""
     s = assert_spd(_one_matrix(v, name), name)
-    w, q = np.linalg.eigh(s)
-    inv = (q / w) @ q.T
-    return (inv + inv.T) / 2.0
+    return eigh_inverse(*np.linalg.eigh(s))
 
 
 def inv_sqrt(v, name: str = "matrix") -> np.ndarray:

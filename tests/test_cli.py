@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from bridgelab import cli
+from bridgelab import cli, harness
+from bridgelab.errors import BridgeLabError
 
 
 def write_config(path, payload):
@@ -170,6 +171,20 @@ def test_mistyped_input_exits_two_naming_the_field(tmp_path, capsys, regime, ins
                                                    "iterations": 12, **extra})
     assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_ill_conditioned_instance_exits_two(tmp_path, capsys):
+    # sigma_bar = 1e-4 against beta = 1e4 puts the condition number of the
+    # reference joint near 1e16: the diagnostics cannot resolve it and raise,
+    # so the run ends as a bad input, not as a failed verdict.
+    config = {"regime": "gaussian", "iterations": 12, "instance": {"inline": {
+        **GAUSSIAN_INLINE, "sigma_bar": [1e-4], "beta": [1e4]}}}
+    with pytest.raises(BridgeLabError):
+        harness.run_experiment(harness.ExperimentConfig.from_json(config))
+    path = write_config(tmp_path / "extreme.json", config)
+    assert cli.parse_and_dispatch(["verify", "--config", path,
+                                   "--out", str(tmp_path / "out")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
@@ -339,8 +354,6 @@ def test_jobs_below_one_rejected(golden_config, capsys, jobs):
 
 
 def test_failing_verdict_exits_one(golden_config, monkeypatch):
-    from bridgelab import harness
-
     failing = harness.ExperimentReport(
         rows=((0, "x", 1.0),),
         verdicts=(harness.Verdict(check="golden-fixed-point", passed=False,

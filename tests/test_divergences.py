@@ -388,6 +388,11 @@ class TestGaussianFactors:
         np.testing.assert_allclose(g.precision @ g.covariance, np.eye(3), atol=1e-5)
         assert np.linalg.eigvalsh(g.precision)[-1] == pytest.approx(1.0 / (2.0 * floor), rel=1e-5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        with pytest.raises(DomainError, match="^mean has non-finite entries"):
+            dv.Gaussian(np.array([0.0, bad]), np.eye(2))
+
 
 # --- exact OT against a basic-solution enumeration oracle ---------------------
 

@@ -33,6 +33,30 @@ def random_instance(rng, d):
     )
 
 
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Names of the ``np.linalg`` eigen-solvers called, in call order."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(a):
+            calls.append(name)
+            return original(a)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def riccati_iterates(problem, v0, count):
+    """v0 and its first ``count`` images under ``riccati_apply``."""
+    out = [matcore.symmetrize(v0)]
+    for _ in range(count):
+        out.append(gs.riccati_apply(problem, out[-1]))
+    return out
+
+
 def self_bridged_instance(rng, d):
     inst = random_instance(rng, d)
     return gs.GaussianInstance(
@@ -179,23 +203,13 @@ class TestSinkhornFlow:
             np.testing.assert_allclose(fwd.mean, inst.eta.mean, atol=1e-10)
             np.testing.assert_allclose(fwd.covariance, inst.eta.covariance, atol=1e-10)
 
-    def test_one_factorization_pair_per_step_from_the_third(self, monkeypatch):
+    def test_one_factorization_per_step_from_the_third(self, linalg_calls):
         inst = random_instance(np.random.default_rng(8), 4)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
-        calls = []
-
-        def counting(name, original):
-            def wrapper(a):
-                calls.append(name)
-                return original(a)
-            return wrapper
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         for _ in range(5):
-            calls.clear()
+            linalg_calls.clear()
             states.append(gs.sinkhorn_step(states[-1], inst.mu, inst.eta, inst.kernel))
-            assert sorted(calls) == ["eigh", "eigvalsh"]
+            assert linalg_calls == ["eigh"]
 
     def test_uniform_covariance_sandwich(self):
         rng = np.random.default_rng(6)
@@ -223,6 +237,14 @@ class TestRiccati:
     def test_scalar_apply(self):
         problem = gs.RiccatiProblem.from_gamma(np.array([[1.0]]))
         assert gs.riccati_apply(problem, np.zeros((1, 1)))[0, 0] == pytest.approx(0.5)
+
+    def test_psd_check_and_two_factorizations_per_apply(self, linalg_calls):
+        rng = np.random.default_rng(9)
+        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        v = random_spd(rng, 3)
+        linalg_calls.clear()
+        gs.riccati_apply(problem, v)
+        assert linalg_calls == ["eigvalsh", "eigh", "eigh"]
 
     def test_fixed_point_is_stationary(self):
         rng = np.random.default_rng(7)
@@ -270,9 +292,9 @@ class TestRiccati:
         assert matcore.loewner_leq(
             gs.riccati_apply(problem, v1), gs.riccati_apply(problem, v2), tol=1e-12
         )
-        zero_chain = gs.riccati_iterates(problem, np.zeros((3, 3)), 6)
-        eye_chain = gs.riccati_iterates(problem, np.eye(3), 6)
-        v_chain = gs.riccati_iterates(problem, v1, 6)
+        zero_chain = riccati_iterates(problem, np.zeros((3, 3)), 6)
+        eye_chain = riccati_iterates(problem, np.eye(3), 6)
+        v_chain = riccati_iterates(problem, v1, 6)
         for n in range(1, 6):
             assert matcore.loewner_leq(zero_chain[n], zero_chain[n + 1], tol=1e-12)
             assert matcore.loewner_leq(zero_chain[n], v_chain[n], tol=1e-12)

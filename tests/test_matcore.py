@@ -131,6 +131,23 @@ def test_spd_inverse_and_inv_sqrt():
     np.testing.assert_allclose(isq @ v @ isq, np.eye(4), atol=1e-10)
 
 
+def test_validated_factorization_holds_the_spd_floor():
+    # The near-singular boundary of test_divergences: smallest eigenvalue
+    # half of, then twice, the SPD_RTOL floor.
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
+    floor = matcore.SPD_RTOL * 2.0
+    below = (q * [2.0, 1.0, 0.5 * floor]) @ q.T
+    above = (q * [2.0, 1.0, 2.0 * floor]) @ q.T
+    message = "^covariance is not positive definite: smallest eigenvalue "
+    for validate in (matcore.assert_spd, matcore.spd_eigh):
+        with pytest.raises(DomainError, match=message):
+            validate(below, "covariance")
+    with pytest.raises(DomainError, match=r"^covariance\[1\] is not positive definite"):
+        matcore.spd_eigh(np.stack([above, below, below]), "covariance")
+    s, w, _ = matcore.spd_eigh(above, "covariance")
+    assert w[0] > 0 and same(s, matcore.assert_spd(above))
+
+
 def test_single_matrix_routines_reject_stacks():
     stack = np.stack([np.eye(2)] * 2)
     for call in (matcore.spd_inverse, matcore.inv_sqrt,
@@ -223,6 +240,23 @@ class TestStacks:
         expected = [ref_principal_sqrt(a) for a in stack]
         assert same(matcore.principal_sqrt(stack), expected)
         assert all(same(matcore.principal_sqrt(a), e) for a, e in zip(stack, expected))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=spd_stacks())
+    def test_validated_factorization_equals_the_two_call_routines(self, data):
+        # spd_eigh validates from the eigh it returns, and its inverse and
+        # root equal spd_inverse and principal_sqrt bit for bit.
+        stack, bad = data
+        if bad:
+            with pytest.raises(DomainError, match=rf"^m\[{bad[0]}\] is not positive definite"):
+                matcore.spd_eigh(stack, "m")
+            return
+        for a in (stack, *stack):
+            s, w, q = matcore.spd_eigh(a)
+            assert same(s, matcore.assert_spd(a))
+            inverse = matcore.spd_inverse(a) if a.ndim == 2 else [matcore.spd_inverse(m) for m in a]
+            assert same(matcore.eigh_inverse(w, q), inverse)
+            assert same(matcore.eigh_sqrt(s, w, q), matcore.principal_sqrt(a))
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 6), rows=st.integers(1, 16), cols=st.integers(1, 16),
