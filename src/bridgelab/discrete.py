@@ -178,7 +178,11 @@ def model_from_json(payload: dict) -> DiscreteModel:
 
 @dataclass(frozen=True)
 class SinkhornIterate:
-    """Materialized potentials, kernels, marginals and joints for one pair index n."""
+    """Materialized potentials, kernels and marginals for one pair index n.
+
+    The joints are scalings of the kernels, derived on each read, so an
+    iterate stores two matrices, not four.
+    """
 
     step: int
     u: np.ndarray            # U_{2n}
@@ -187,8 +191,18 @@ class SinkhornIterate:
     kernel_odd: np.ndarray   # K_{2n+1}: ny x nx, row stochastic
     pi_even: np.ndarray      # pi_{2n} = mu K_{2n} on Y
     pi_odd: np.ndarray       # pi_{2n+1} = eta K_{2n+1} on X
-    joint_even: np.ndarray   # P_{2n} on X x Y
-    joint_odd: np.ndarray    # P_{2n+1} on X x Y
+    mu: np.ndarray           # the model's mu, shared by every iterate
+    eta: np.ndarray          # the model's eta, shared by every iterate
+
+    @property
+    def joint_even(self) -> np.ndarray:
+        """P_{2n} on X x Y."""
+        return self.mu[:, None] * self.kernel_even
+
+    @property
+    def joint_odd(self) -> np.ndarray:
+        """P_{2n+1} on X x Y."""
+        return (self.eta[:, None] * self.kernel_odd).T
 
 
 def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -234,8 +248,6 @@ def _iterate(model: DiscreteModel, n: int, u: np.ndarray, v: np.ndarray,
     kernel_odd = _stochastic(log_odd)
     pi_even = model.mu @ kernel_even
     pi_odd = model.eta @ kernel_odd
-    joint_even = model.mu[:, None] * kernel_even
-    joint_odd = (model.eta[:, None] * kernel_odd).T
     return SinkhornIterate(
         step=n,
         u=u,
@@ -244,8 +256,8 @@ def _iterate(model: DiscreteModel, n: int, u: np.ndarray, v: np.ndarray,
         kernel_odd=_frozen(kernel_odd),
         pi_even=_frozen(pi_even),
         pi_odd=_frozen(pi_odd),
-        joint_even=_frozen(joint_even),
-        joint_odd=_frozen(joint_odd),
+        mu=model.mu,
+        eta=model.eta,
     )
 
 

@@ -27,7 +27,7 @@ from .matcore import _integer, _real
 MAX_DISCRETE_SIDE = 64
 MAX_GAUSSIAN_DIM = 16
 # A run keeps every iterate of its 2 * iterations half steps, so this caps its
-# time and memory (a 64x64 discrete iterate holds 128 KB).
+# time and memory (a 64x64 discrete iterate holds its two 32 KB kernels).
 MAX_ITERATIONS = 1000
 
 
