@@ -492,7 +492,6 @@ class GaussianRateReport:
     rows: tuple[GaussianRateRow, ...]
     fit: fitting.RateFit | None
     theoretical_slope: float
-    slope_within: bool | None
 
 
 def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
@@ -562,16 +561,10 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
         ))
     r = bridge.fixed_point
     rate_base = 1.0 + float(np.linalg.eigvalsh(matcore.symmetrize(r + bridge.problem.varpi))[0])
-    theoretical_slope = -2.0 * math.log(rate_base)
-    fit = fitting.fit_rate([(row.n, row.cov_error) for row in rows if row.n >= 1])
-    slope_within = None
-    if fit is not None:
-        slope_within = fit.slope <= theoretical_slope + 0.05 * abs(theoretical_slope)
     return GaussianRateReport(
         rows=tuple(rows),
-        fit=fit,
-        theoretical_slope=theoretical_slope,
-        slope_within=slope_within,
+        fit=fitting.fit_rate([(row.n, row.cov_error) for row in rows if row.n >= 1]),
+        theoretical_slope=-2.0 * math.log(rate_base),
     )
 
 
@@ -581,42 +574,21 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
 
 
 @dataclass(frozen=True)
-class EntropyEnvelopeRow:
+class EnvelopeRow:
     n: int
-    value: float                 # H(bridge | P_n)
-    bound: float
-    within: bool
-    refined_bound: float | None
-    refined_within: bool | None
-
-
-@dataclass(frozen=True)
-class W2Row:
-    n: int
-    value: float
-    bound: float
-    within: bool
+    value: float   # H(bridge | P_n), or a W2 distance
+    bound: float   # its envelope
 
 
 @dataclass(frozen=True)
 class EnvelopeReport:
     kappa: float
-    rho: float
-    rho_bar: float
     eps: float
-    refined_factor: float
-    vacuous: bool
+    refined_factor: float  # refined entropy bound at even n >= 2: H_0 refined_factor^-(n/2 - 1)
     gate_contractive: bool
-    entropy_rows: tuple[EntropyEnvelopeRow, ...]
-    w2_rows: tuple[W2Row, ...]
-    chained_w2_rows: tuple[W2Row, ...]
-
-    @property
-    def all_within(self) -> bool:
-        ok = all(r.within for r in self.entropy_rows)
-        ok = ok and all(r.refined_within for r in self.entropy_rows if r.refined_within is not None)
-        ok = ok and all(r.within for r in self.w2_rows)
-        return ok and all(r.within for r in self.chained_w2_rows)
+    entropy_rows: tuple[EnvelopeRow, ...]
+    w2_rows: tuple[EnvelopeRow, ...]
+    chained_w2_rows: tuple[EnvelopeRow, ...]
 
 
 def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
@@ -653,49 +625,19 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
     values = values.tolist()
     dist = dist.tolist()
     h0 = values[0]
-    tol = 1e-12 * max(1.0, h0 if math.isfinite(h0) else 1.0)
     base = 1.0 + 1.0 / eps if not vacuous else 1.0
     one_over_eps_bar = (1.0 + math.sqrt(1.0 + 4.0 / eps)) / 2.0 - 1.0 if not vacuous else 0.0
-    refined_factor = base + one_over_eps_bar
-
-    entropy_rows: list[EntropyEnvelopeRow] = []
-    for state, value in zip(trajectory, values):
-        m = state.step
-        bound = h0 * base ** (-(m // 2))
-        within = True if vacuous else value <= bound + tol
-        refined_bound = None
-        refined_within = None
-        if not vacuous and m >= 2 and m % 2 == 0:
-            refined_bound = h0 * refined_factor ** (-(m // 2 - 1))
-            refined_within = value <= refined_bound + tol
-        entropy_rows.append(EntropyEnvelopeRow(
-            n=m, value=value, bound=bound, within=within,
-            refined_bound=refined_bound, refined_within=refined_within,
-        ))
-
-    w2_rows: list[W2Row] = []
-    chained: list[W2Row] = []
-
-    def w2_within(lhs: float, rhs: float) -> bool:
-        # Squared distances carry the double-precision noise of covariance
-        # arithmetic, so compare at squared scale once values saturate.
-        return lhs <= rhs + 1e-12 or lhs ** 2 <= rhs ** 2 + 1e-14
-
-    for state, lhs, prev in zip(trajectory[1:], dist[1:], dist):
-        m = state.step
-        spread = rho_bar if m % 2 == 0 else rho
-        rhs = kappa * spread * prev
-        w2_rows.append(W2Row(n=m, value=lhs, bound=rhs, within=w2_within(lhs, rhs)))
+    entropy_rows = [EnvelopeRow(state.step, value, h0 * base ** (-(state.step // 2)))
+                    for state, value in zip(trajectory, values)]
+    w2_rows = [EnvelopeRow(s.step, lhs, kappa * (rho_bar if s.step % 2 == 0 else rho) * prev)
+               for s, lhs, prev in zip(trajectory[1:], dist[1:], dist)]
     gate = kappa * math.sqrt(rho * rho_bar) < 1.0
-    if gate:
-        for state, lhs in zip(trajectory, dist):
-            if state.step % 2 == 0 and state.step > 0:
-                bound = eps ** (state.step // 2) * dist[0]
-                chained.append(W2Row(n=state.step, value=lhs, bound=bound,
-                                     within=w2_within(lhs, bound)))
+    chained = [EnvelopeRow(state.step, lhs, eps ** (state.step // 2) * dist[0])
+               for state, lhs in zip(trajectory, dist)
+               if gate and state.step % 2 == 0 and state.step > 0]
     return EnvelopeReport(
-        kappa=kappa, rho=rho, rho_bar=rho_bar, eps=eps,
-        refined_factor=refined_factor, vacuous=vacuous, gate_contractive=gate,
+        kappa=kappa, eps=eps,
+        refined_factor=base + one_over_eps_bar, gate_contractive=gate,
         entropy_rows=tuple(entropy_rows), w2_rows=tuple(w2_rows),
         chained_w2_rows=tuple(chained),
     )

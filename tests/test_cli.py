@@ -61,6 +61,15 @@ def test_malformed_config_field_exits_two(tmp_path, capsys):
     assert "checks must be a list" in capsys.readouterr().err
 
 
+def test_check_listed_twice_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path / "twice.json", {
+        "regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
+        "checks": ["ladder", "ladder"],
+    })
+    assert cli.parse_and_dispatch(["verify", "--config", path]) == 2
+    assert "['ladder'] more than once" in capsys.readouterr().err
+
+
 def test_negative_seed_exits_two(tmp_path, capsys):
     path = write_config(tmp_path / "neg.json", {
         "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},

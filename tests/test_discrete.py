@@ -22,6 +22,12 @@ def random_model(rng, nx, ny, osc=1.0):
     return discrete.build_model(cost, lam, nu, u, v)
 
 
+def check_passes(name, model, iterates, solution=None):
+    """Whether the harness rule of discrete check ``name`` passes on the rows it builds."""
+    check = harness.REGIMES["discrete"].checks[name]
+    return check.rule(check.rows(model, iterates, solution))[0]
+
+
 def self_bridged_model(rng, nx, ny):
     """A model whose target eta equals mu K, so the reference is already the bridge."""
     base = random_model(rng, nx, ny)
@@ -240,8 +246,7 @@ class TestEntropyLadder:
             model = random_model(rng, 5, 7)
             solution = discrete.solve_bridge(model)
             iterates = discrete.run_sinkhorn(model, 30)
-            report = discrete.entropy_ladder(model, iterates, solution.bridge)
-            assert report.max_residual <= 1e-9
+            assert check_passes("ladder", model, iterates, solution)
 
     def test_telescoping(self):
         rng = np.random.default_rng(15)
@@ -314,18 +319,20 @@ class TestIdentitySuite:
         rng = np.random.default_rng(20)
         model = random_model(rng, 5, 7)
         iterates = discrete.run_sinkhorn(model, 6)
-        report = discrete.identity_suite(model, iterates)
-        assert report.all_passed, report.failures()
-        assert not any("half-bridge" in row.name for row in report.rows)
+        rows = discrete.identity_suite(model, iterates)
+        assert check_passes("identities", model, iterates), rows
+        assert not any("half-bridge" in row.name for row in rows)
 
     def test_half_bridge_oracle_on_small_support(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, 3, 3)
         iterates = discrete.run_sinkhorn(model, 3)
-        report = discrete.identity_suite(model, iterates)
-        half_rows = [row for row in report.rows if "half-bridge" in row.name]
+        half_rows = [row for row in discrete.identity_suite(model, iterates)
+                     if "half-bridge" in row.name]
         assert len(half_rows) == 6
-        assert all(row.passed for row in half_rows), half_rows
+        passed, _ = harness.REGIMES["discrete"].checks["identities"].rule(
+            [(row.index, f"identity_{row.name}", row.residual) for row in half_rows])
+        assert passed, half_rows
 
     def test_needs_two_iterates(self):
         rng = np.random.default_rng(22)
@@ -341,7 +348,8 @@ class TestGeometricRate:
         iterates = discrete.run_sinkhorn(model, 3)
         report = discrete.geometric_rate_report(model, iterates)
         assert report.bound == pytest.approx(0.0)
-        assert all(row.saturated for row in report.ratio_rows)
+        assert all(value < harness.KL_FLOOR for _, _, value in report.entropies)
+        assert harness.rate_ratios(harness._geometric_rows(model, iterates, None)) == []
 
     def test_log_two_oscillation_bound(self):
         rng = np.random.default_rng(23)
@@ -355,17 +363,16 @@ class TestGeometricRate:
         iterates = discrete.run_sinkhorn(model, 40)
         report = discrete.geometric_rate_report(model, iterates)
         assert report.bound == pytest.approx(0.5625)
-        for row in report.ratio_rows:
-            if not row.saturated and row.value >= 1e-14:
-                assert row.ratio <= report.bound + 1e-10
-        assert report.sandwich_ok
-        assert report.slope_within
+        # every ratio above the KL floor within the bound, and the sandwich
+        assert check_passes("geometric-rate", model, iterates)
+        slope = 2.0 * math.log(1.0 - model.eps_w)
+        assert report.sup_fit.slope <= slope + 0.05 * abs(slope)
 
     def test_sandwich_bounds(self):
         rng = np.random.default_rng(24)
         model = random_model(rng, 4, 5, osc=2.0)
         report = discrete.geometric_rate_report(model, discrete.run_sinkhorn(model, 10))
-        assert report.sandwich_ok
+        assert report.sandwich_residual <= harness.IDENTITY_TOL
 
     def test_each_iterate_scored_once_per_phi(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -373,11 +380,8 @@ class TestGeometricRate:
         iterates = discrete.run_sinkhorn(model, 8)
         calls = []
         original = discrete.phi_entropy
-        expected = [
-            (it.step, phi.name, original(phi, it.pi_even, model.eta),
-             original(phi, nxt.pi_even, model.eta))
-            for it, nxt in zip(iterates, iterates[1:]) for phi in discrete.RATE_PHIS
-        ]
+        expected = [(it.step, phi.name, original(phi, it.pi_even, model.eta))
+                    for it in iterates for phi in discrete.RATE_PHIS]
 
         def counting(phi, mu, eta):
             calls.append((phi.name, len(mu)))
@@ -395,8 +399,7 @@ class TestGeometricRate:
             size = per_chunk or len(iterates)
             chunks = [len(iterates[i:i + size]) for i in range(0, len(iterates), size)]
             assert calls == [(phi.name, n) for n in chunks for phi in discrete.RATE_PHIS]
-            assert [(r.n, r.phi_name, r.value, r.value_next)
-                    for r in report.ratio_rows] == expected
+            assert list(report.entropies) == expected
 
 
 class TestConvergenceSeries:
@@ -592,17 +595,17 @@ def ref_phi_entropy(name, mu1, mu2):
     return float(np.sum(REF_PHIS[name](w1 / w1.sum(), w2 / w2.sum())))
 
 
-def ref_close_row(name, index, lhs, rhs, tol=discrete.IDENTITY_TOL):
+def ref_close_row(name, index, lhs, rhs):
     scale = max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     residual = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    return discrete.CheckRow(name, index, residual <= tol * scale, residual)
+    return discrete.CheckRow(name, index, residual / scale)
 
 
-def ref_chain_row(name, index, chain, tol=discrete.IDENTITY_TOL):
+def ref_chain_row(name, index, chain):
     worst = 0.0
     for lo, hi in zip(chain, chain[1:]):
         worst = max(worst, lo - hi)
-    return discrete.CheckRow(name, index, worst <= tol, max(worst, 0.0))
+    return discrete.CheckRow(name, index, max(worst, 0.0))
 
 
 def ref_identity_rows(model, iterates):
@@ -673,30 +676,17 @@ def ref_ladder(model, iterates, q):
 def ref_rate_report(model, iterates):
     eps_w = model.eps_w
     bound = (1.0 - eps_w) ** 2
-    values = [[ref_phi_entropy(phi.name, it.pi_even, model.eta) for phi in discrete.RATE_PHIS]
-              for it in iterates]
-    ratio_rows = []
-    for it, row, row_next in zip(iterates, values, values[1:]):
-        for phi, value, value_next in zip(discrete.RATE_PHIS, row, row_next):
-            saturated = value < discrete.SATURATION_GUARD
-            ratio = math.nan if saturated else value_next / value
-            ratio_rows.append(discrete.RatioRow(it.step, phi.name, value, value_next, ratio,
-                                                saturated))
+    entropies = tuple((it.step, phi.name, ref_phi_entropy(phi.name, it.pi_even, model.eta))
+                      for it in iterates for phi in discrete.RATE_PHIS)
     sup_series = tuple(
         (it.step, float(np.max(np.abs(it.pi_even / model.eta - 1.0)))) for it in iterates)
-    sup_fit = fitting.fit_rate(sup_series)
-    slope = 2.0 * math.log(1.0 - eps_w) if eps_w < 1.0 else -math.inf
-    slope_within = None
-    if sup_fit is not None and math.isfinite(slope):
-        slope_within = sup_fit.slope <= slope + 0.05 * abs(slope)
     sandwich = 0.0
     for it in iterates[1:]:
         sandwich = max(sandwich, float(np.max(eps_w * model.eta - it.pi_even, initial=0.0)))
         if eps_w > 0.0:
             sandwich = max(sandwich, float(np.max(it.pi_even - model.eta / eps_w, initial=0.0)))
-    return discrete.DiscreteRateReport(eps_w, bound, tuple(ratio_rows), sup_series, sup_fit,
-                                       slope, slope_within, sandwich <= discrete.IDENTITY_TOL,
-                                       sandwich)
+    return discrete.DiscreteRateReport(eps_w, bound, entropies, sup_series,
+                                       fitting.fit_rate(sup_series), sandwich)
 
 
 def ref_linear_decay(model, iterates, bridge):
@@ -750,7 +740,7 @@ def assert_engine_equals_reference(model, pairs):
     assert bits((solution.u, solution.v, solution.bridge, solution.iterations_used,
                  solution.residual, solution.converged)) == bits(
         ref_solve_bridge(model, discrete.MAX_SWEEPS, discrete.POTENTIAL_TOL))
-    assert bits(discrete.identity_suite(model, iterates).rows) == bits(
+    assert bits(discrete.identity_suite(model, iterates)) == bits(
         ref_identity_rows(model, iterates))
     for q in (solution.bridge, np.outer(model.mu, model.eta),
               northwest_corner(model.mu, model.eta)):
@@ -758,7 +748,8 @@ def assert_engine_equals_reference(model, pairs):
             lambda: ref_ladder(model, iterates, q))
     assert bits(discrete.geometric_rate_report(model, iterates)) == bits(
         ref_rate_report(model, iterates))
-    assert bits(harness._check_linear_decay(model, iterates, solution)) == bits(
+    rows = harness._linear_decay_rows(model, iterates, solution)
+    assert bits((rows, harness.Verdict("linear-decay", *harness._linear_decay_rule(rows)))) == bits(
         ref_linear_decay(model, iterates, solution.bridge))
 
 
@@ -817,5 +808,5 @@ class TestStackedOracle:
         first = iterates[0].pi_even
         assert np.max(model.eps_w * model.eta - first) > 1e-3
         report = discrete.geometric_rate_report(model, iterates)
-        assert report.sandwich_ok
+        assert report.sandwich_residual <= harness.IDENTITY_TOL
         assert bits(report) == bits(ref_rate_report(model, iterates))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab import gaussian as gs
-from bridgelab import matcore
+from bridgelab import harness, matcore
 from bridgelab.divergences import Gaussian, _gaussian_w2, gaussian_kl
 from bridgelab.errors import DomainError
 
@@ -55,6 +55,12 @@ def riccati_iterates(problem, v0, count):
     for _ in range(count):
         out.append(gs.riccati_apply(problem, out[-1]))
     return out
+
+
+def check_passes(name, inst, states, bridge):
+    """Whether the harness rule of Gaussian check ``name`` passes on the rows it builds."""
+    check = harness.REGIMES["gaussian"].checks[name]
+    return check.rule(check.rows(inst, states, bridge))[0]
 
 
 def self_bridged_instance(rng, d):
@@ -458,7 +464,7 @@ class TestRateReport:
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 80)
         report = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
         assert report.fit is not None
-        assert report.slope_within
+        assert check_passes("riccati-rate", inst, states, bridge)
         assert max(row.directed_residual for row in report.rows) <= 1e-10
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-10
 
@@ -485,20 +491,17 @@ class TestEnvelopes:
         rng = np.random.default_rng(21)
         inst = self_bridged_instance(rng, 2)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
-        report = gs.envelope_report(
-            states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
-            inst.mu, inst.eta, inst.kernel)
-        assert report.all_within
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        assert check_passes("envelope", inst, states, bridge)
 
     def test_scalar_contractive_instance(self):
         inst = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9, beta=1.0, tau=2.0)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-        report = gs.envelope_report(
-            states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
-            inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
         assert report.kappa == pytest.approx(0.5)
         assert report.gate_contractive
-        assert report.all_within
+        assert check_passes("envelope", inst, states, bridge)
         assert len(report.chained_w2_rows) > 0
 
     def test_one_w2_distance_per_state(self, monkeypatch):
@@ -535,15 +538,12 @@ class TestEnvelopes:
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
             states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
-            report = gs.envelope_report(
-                states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
-                inst.mu, inst.eta, inst.kernel)
+            bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+            report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
             for row in report.entropy_rows:
                 assert row.value <= row.bound + 1e-10
-                if row.refined_bound is not None:
-                    assert row.value <= row.refined_bound + 1e-10
-            for row in report.w2_rows:
-                assert row.within
+            # the refined entropy bounds and the W2 steps too
+            assert check_passes("envelope", inst, states, bridge)
 
 
 # --------------------------------------------------------------------------

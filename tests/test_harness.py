@@ -103,11 +103,11 @@ class TestGenerateInstance:
 
 class TestConfig:
     def test_unknown_check_rejected(self):
-        with pytest.raises(DomainError):
-            harness.ExperimentConfig(
-                regime="discrete", instance={}, iterations=5, seed=1,
-                checks=("no-such-check",),
-            )
+        for checks in (("no-such-check",), (["ladder"],), ({"ladder": 1},)):
+            with pytest.raises(DomainError, match="^unknown check identifiers"):
+                harness.ExperimentConfig(
+                    regime="discrete", instance={}, iterations=5, seed=1, checks=checks,
+                )
         with pytest.raises(DomainError, match="^checks must be a list"):
             harness.ExperimentConfig.from_json(
                 {"regime": "discrete", "instance": {}, "checks": "ladder"}
@@ -162,6 +162,13 @@ class TestConfig:
             with pytest.raises(DomainError, match=f"^iterations must be <= {cap}, got"):
                 harness.ExperimentConfig.from_json({**payload, "iterations": iterations})
 
+    def test_check_listed_twice_rejected(self):
+        payload = {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
+                   "checks": ["ladder", "identities", "ladder"]}
+        with pytest.raises(DomainError, match=r"^checks must name each check once, "
+                                              r"got \['ladder'\] more than once"):
+            harness.ExperimentConfig.from_json(payload)
+
     def test_config_must_be_an_object(self):
         with pytest.raises(DomainError, match="^config must be an object"):
             harness.ExperimentConfig.from_json("[1]")
@@ -211,6 +218,16 @@ class TestConfig:
         )
 
 
+def assert_verdicts_rederive(report, out_dir=None):
+    """The rule table, applied to the report.csv text alone, gives verdicts.json bit for bit."""
+    csv_text, verdicts_text = report.csv_text(), report.verdicts_json()
+    if out_dir is not None:
+        csv_text = (out_dir / "report.csv").read_text()
+        verdicts_text = (out_dir / "verdicts.json").read_text()
+    derived = harness.verdicts_from_csv(csv_text)
+    assert dataclasses.replace(report, verdicts=derived).verdicts_json() == verdicts_text
+
+
 def _discrete_config(tmp_path, checks, iterations=25, seed=2, **instance_extra):
     instance = {"profile": "bounded", "size": [5, 7], "osc_cap": 1.0}
     instance.update(instance_extra)
@@ -258,20 +275,29 @@ class TestRunExperiment:
         })
         report = harness.run_experiment(config)
         assert report.all_passed, report.verdicts
-        assert (1, "ratio_kl", pytest.approx(0.0075, rel=0.05)) in report.rows
+        kl = {n: value for n, metric, value in report.rows if metric == "h_kl"}
+        bound = harness._scalars(report.rows)["rate_bound"]
+        assert bound == pytest.approx(1.04e-3, rel=0.01)
+        assert kl[2] / kl[1] == pytest.approx(0.0075, rel=0.05)
+        # The rows show why the ratio is skipped: H_KL at n = 2 is below the floor.
+        assert kl[2] < harness.KL_FLOOR <= kl[1]
+        assert_verdicts_rederive(report)
 
-    def test_geometric_rate_fails_a_ratio_above_the_bound(self, monkeypatch):
-        model = harness.generate_instance("discrete", (3, 4), 1, "bounded")
-        iterates = discrete.run_sinkhorn(model, 3)
-        report = discrete.geometric_rate_report(model, iterates)
-        row = discrete.RatioRow(n=1, phi_name="kl", value=1e-13, value_next=1e-13 * 0.9,
-                                ratio=0.9, saturated=False)
-        assert row.ratio > report.bound + 1e-10
+    def test_geometric_rate_fails_a_ratio_above_the_bound(self, monkeypatch, tmp_path):
+        original = discrete.geometric_rate_report
         monkeypatch.setattr(discrete, "geometric_rate_report", lambda model, iterates: (
-            dataclasses.replace(report, ratio_rows=(row,))))
-        rows, verdict = harness._check_geometric(model, iterates, None)
+            dataclasses.replace(original(model, iterates),
+                                entropies=((1, "kl", 1e-13), (2, "kl", 1e-13 * 0.9)))))
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete", "instance": {"profile": "bounded", "size": [3, 4], "seed": 1},
+            "iterations": 3, "checks": ["geometric-rate"],
+        })
+        report = harness.run_experiment(config, tmp_path)
+        bound = harness._scalars(report.rows)["rate_bound"]
+        (verdict,) = report.verdicts
         assert not verdict.passed
-        assert verdict.worst_residual == 0.9 - report.bound
+        assert verdict.worst_residual == (1e-13 * 0.9) / 1e-13 - bound
+        assert_verdicts_rederive(report, tmp_path)
 
     def test_discrete_full_suite_passes(self, tmp_path):
         config = _discrete_config(tmp_path, harness.DISCRETE_CHECKS, iterations=21)
@@ -373,6 +399,8 @@ class TestRunExperiment:
         assert [row for row in report.rows if row[1].startswith("ladder")] == [
             (0, "ladder_bridge_marginal_error", ladder.worst_residual)
         ]
+        assert (0, "bridge_converged", 0.0) in report.rows
+        assert_verdicts_rederive(report)
 
     def test_verdicts_recomputable_from_rows(self, tmp_path):
         config = _discrete_config(tmp_path, ["ladder"])
@@ -396,6 +424,7 @@ class TestRunExperiment:
         assert [line.split(",")[1] for line in lines[1:]] == ["lyapunov_best_rho"]
         for line in lines[1:]:
             float(line.split(",")[2])
+        assert_verdicts_rederive(report, tmp_path)
 
     def test_plots_written(self, tmp_path):
         config = harness.ExperimentConfig(
@@ -429,3 +458,43 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0e6
+
+
+class TestRuleTable:
+    def test_metric_names_are_disjoint(self):
+        seen: dict[str, str] = {}
+        for regime in harness.REGIMES.values():
+            for name, check in regime.checks.items():
+                assert len(set(check.metrics.split())) == len(check.metrics.split()), name
+                for metric in check.metrics.split():
+                    assert seen.setdefault(metric, name) == name, metric
+
+    @pytest.mark.parametrize("payload", [
+        # 4x4 writes the half-bridge identity rows.
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [4, 4]}, "seed": 3,
+         "iterations": 12},
+        {"regime": "discrete", "instance": {"profile": "quadratic-grid", "size": [5, 7]},
+         "seed": 1, "iterations": 12},
+        # a stalled bridge solve and a failed certificate search
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16],
+                                            "osc_cap": 400.0}, "seed": 0},
+        {"regime": "discrete", "instance": {"profile": "quadratic-grid", "size": [5, 7],
+                                            "t": 0.001}, "seed": 0, "iterations": 12},
+        # d = 1 writes fixed_point and the chained W2 rows.
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 1},
+         "seed": 1, "iterations": 12},
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 3},
+         "seed": 0, "iterations": 12},
+    ])
+    def test_each_check_writes_only_its_metrics_and_verdicts_rederive(self, payload):
+        config = harness.ExperimentConfig.from_json(payload)
+        instance = harness._load_instance(config)
+        regime = harness.REGIMES[config.regime]
+        trajectory, bridge = regime.run(instance, config.iterations)
+        for name, check in regime.checks.items():
+            written = {metric for _, metric, _ in check.rows(instance, trajectory, bridge)}
+            assert written <= set(check.metrics.split()), (name, written - set(check.metrics.split()))
+        report = harness.run_experiment(config)
+        assert_verdicts_rederive(report)
+        if payload["instance"]["size"] == [4, 4]:
+            assert any(m.startswith("identity_half-bridge") for _, m, _ in report.rows)

@@ -1,4 +1,7 @@
-"""Property tests: every default verdict passes across seeds, sizes and profiles."""
+"""Property tests: every default verdict passes across seeds, sizes and profiles,
+and the rule table re-derives each verdict from the report.csv text alone."""
+
+import dataclasses
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,9 @@ DISCRETE_PROFILES = st.one_of(
 
 def failed_verdicts(config):
     report = harness.run_experiment(harness.ExperimentConfig.from_json(config))
+    derived = harness.verdicts_from_csv(report.csv_text())
+    # bit for bit: the verdicts.json bytes the derived verdicts would write
+    assert dataclasses.replace(report, verdicts=derived).verdicts_json() == report.verdicts_json()
     return [verdict for verdict in report.verdicts if not verdict.passed]
 
 

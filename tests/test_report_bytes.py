@@ -20,14 +20,14 @@ CASES = {
     "discrete-bounded-5x7": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
          "seed": 0, "iterations": 12},
-        "f80140ceed4c8cd0443e13fbf9c14aa58887a2176909abb9c3a9a1aee0a44be5",
-        "0f5a690c94c7815946cc0d3a211d45b9e2310702f70f0fe8c15751c000ceaf61",
+        "fb364bcf21dca2e6cc6a8002da091435c14875ba3696fff2a135c7e7b3924128",
+        "73bfc4da3a65ef70ccfbdcac5d3acc7834f88b6d5c5f90538bb6d30e1dcb3575",
     ),
     "discrete-bounded-16x16": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
          "seed": 1, "iterations": 12},
-        "7bb20225ed2de437e2269fa1088640d0c61dd72386550f07ef9dc76b5c43c350",
-        "00b5b159495735f498404f718791d8ab4ee0126644d6be5fc33c23ef75b0b4f3",
+        "e402dffef989236a3f401907702bf8e636173bfa1bf037d5439f107b228e091b",
+        "cb58290ee81de247a578707012a4c2027d310470452ab0ff085bddecee546532",
     ),
     "gaussian-d2": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
