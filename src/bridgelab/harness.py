@@ -10,8 +10,8 @@ function of that check's own ``(step, metric, value)`` rows that returns
 ``(passed, worst_residual)``.  :func:`run_experiment` applies each rule to
 the rows its check just wrote, and :func:`verdicts_from_csv` to the rows of
 a ``report.csv`` text, so every verdict is recomputable from the rows bit
-for bit.  The rules hold every tolerance; the engines compute no pass flag.
-README.md lists each check's metrics and rule.
+for bit.  Every verdict tolerance is in a rule, and no engine report decides
+a verdict.  README.md lists each check's metrics and rule.
 """
 
 from __future__ import annotations
@@ -317,8 +317,8 @@ def _geometric_rows(model, iterates, solution):
     return rows + [(0, "sandwich_residual", report.sandwich_residual)]
 
 
-def rate_ratios(rows) -> list[float]:
-    """H_phi(pi_{2n+2}, eta) / H_phi(pi_{2n}, eta) per phi and n, where neither is below KL_FLOOR."""
+def _rate_ratios(rows) -> list[float]:
+    """H_phi(pi_{2n+2}, eta) / H_phi(pi_{2n}, eta) per phi and n, both at least KL_FLOOR."""
     ratios = []
     for phi in discrete.RATE_PHIS:
         values = _column(rows, f"h_{phi.name}")
@@ -329,7 +329,7 @@ def rate_ratios(rows) -> list[float]:
 def _geometric_rule(rows):
     value = _scalars(rows)
     bound, sandwich = value["rate_bound"], value["sandwich_residual"]
-    ratios = rate_ratios(rows)
+    ratios = _rate_ratios(rows)
     passed = all(r <= bound + 1e-10 for r in ratios) and sandwich <= IDENTITY_TOL
     return passed, _peak([*(r - bound for r in ratios), sandwich])
 
@@ -587,6 +587,8 @@ def verdicts_from_csv(csv_text: str) -> tuple[Verdict, ...]:
     rows: dict[str, list[tuple[int, str, float]]] = {}
     for line in csv_text.splitlines()[1:]:
         step, metric, value = line.split(",")
+        if metric not in owner:
+            raise DomainError(f"no check writes the metric {metric!r}")
         rows.setdefault(owner[metric], []).append((int(step), metric, float(value)))
     return tuple(Verdict(name, *checks[name].rule(check_rows)) for name, check_rows in rows.items())
 

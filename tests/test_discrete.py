@@ -349,7 +349,7 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, iterates)
         assert report.bound == pytest.approx(0.0)
         assert all(value < harness.KL_FLOOR for _, _, value in report.entropies)
-        assert harness.rate_ratios(harness._geometric_rows(model, iterates, None)) == []
+        assert harness._rate_ratios(harness._geometric_rows(model, iterates, None)) == []
 
     def test_log_two_oscillation_bound(self):
         rng = np.random.default_rng(23)

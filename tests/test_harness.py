@@ -465,9 +465,14 @@ class TestRuleTable:
         seen: dict[str, str] = {}
         for regime in harness.REGIMES.values():
             for name, check in regime.checks.items():
-                assert len(set(check.metrics.split())) == len(check.metrics.split()), name
-                for metric in check.metrics.split():
+                metrics = check.metrics.split()
+                assert len(set(metrics)) == len(metrics), name
+                for metric in metrics:
                     assert seen.setdefault(metric, name) == name, metric
+
+    def test_metric_no_check_writes_rejected(self):
+        with pytest.raises(DomainError, match="^no check writes the metric 'ratio_kl'"):
+            harness.verdicts_from_csv("step,metric,value\n0,ratio_kl,0.5\n")
 
     @pytest.mark.parametrize("payload", [
         # 4x4 writes the half-bridge identity rows.
@@ -493,7 +498,7 @@ class TestRuleTable:
         trajectory, bridge = regime.run(instance, config.iterations)
         for name, check in regime.checks.items():
             written = {metric for _, metric, _ in check.rows(instance, trajectory, bridge)}
-            assert written <= set(check.metrics.split()), (name, written - set(check.metrics.split()))
+            assert written <= set(check.metrics.split()), (name, written)
         report = harness.run_experiment(config)
         assert_verdicts_rederive(report)
         if payload["instance"]["size"] == [4, 4]:
