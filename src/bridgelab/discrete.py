@@ -439,6 +439,17 @@ def solve_bridge(model: DiscreteModel) -> BridgeSolution:
 # --------------------------------------------------------------------------
 
 
+# The names of identity_suite's rows, and of the half-bridge rows it adds on a
+# support of at most 4 x 4.
+IDENTITY_NAMES = (
+    "monotone-eta-chain", "monotone-mu-chain", "commute-even-forward", "commute-even-backward",
+    "fixed-point-mu", "fixed-point-eta", "joint-marginal-even", "joint-marginal-odd",
+    "commute-odd-forward", "commute-odd-backward", "semigroup-even", "semigroup-odd",
+)
+HALF_BRIDGE_NAMES = tuple(f"half-bridge-{side}-{kind}" for side in ("odd", "even")
+                          for kind in ("forward-argmin", "reverse-argmin", "argmin-location"))
+
+
 @dataclass(frozen=True)
 class CheckRow:
     name: str
@@ -495,9 +506,11 @@ def _simplex_descent(fn, dim: int, mass: float, start=None, min_step: float = 1e
     return t, best
 
 
-def _half_bridge_rows(name: str, index: int, reference: np.ndarray, candidate: np.ndarray,
+def _half_bridge_rows(names, index: int, reference: np.ndarray, candidate: np.ndarray,
                       fixed_marginal: np.ndarray, axis: int) -> list[CheckRow]:
     """Brute-force argmin checks of the two half-bridge variational identities.
+
+    ``names`` name the forward-argmin, reverse-argmin and argmin-location rows.
 
     ``axis`` is the coordinate whose marginal is pinned (0 for mu-side, 1 for
     eta-side); each slice of the polytope is an independent scaled simplex, so
@@ -531,11 +544,8 @@ def _half_bridge_rows(name: str, index: int, reference: np.ndarray, candidate: n
             float(np.max(np.abs(t_fwd - cand))),
             float(np.max(np.abs(t_rev - cand))),
         )
-    return [
-        CheckRow(f"{name}-forward-argmin", index, max(worst_forward, 0.0)),
-        CheckRow(f"{name}-reverse-argmin", index, max(worst_reverse, 0.0)),
-        CheckRow(f"{name}-argmin-location", index, worst_dist),
-    ]
+    worst = (max(worst_forward, 0.0), max(worst_reverse, 0.0), worst_dist)
+    return [CheckRow(name, index, value) for name, value in zip(names, worst)]
 
 
 def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
@@ -601,10 +611,10 @@ def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
     if model.nx <= 4 and model.ny <= 4:
         it, nxt = iterates[0], iterates[1]
         rows.extend(_half_bridge_rows(
-            "half-bridge-odd", it.step, it.joint_even, it.joint_odd, eta, axis=1,
+            HALF_BRIDGE_NAMES[:3], it.step, it.joint_even, it.joint_odd, eta, axis=1,
         ))
         rows.extend(_half_bridge_rows(
-            "half-bridge-even", it.step, it.joint_odd, nxt.joint_even, mu, axis=0,
+            HALF_BRIDGE_NAMES[3:], it.step, it.joint_odd, nxt.joint_even, mu, axis=0,
         ))
     return tuple(rows)
 

@@ -204,14 +204,24 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def csv_text(self) -> str:
-        # repr round-trips a float, so a rule reads the same bits back from the text.
-        return "step,metric,value\n" + "".join(f"{s},{m},{v!r}\n" for s, m, v in self.rows)
+        lines = ["step,metric,value"]
+        for step, metric, value in self.rows:
+            # repr round-trips a float, so a rule reads the same bits back from the text.
+            lines.append(f"{step},{metric},{value!r}")
+        return "\n".join(lines) + "\n"
 
     def verdicts_json(self) -> str:
-        verdicts = [{"check": v.check, "passed": v.passed, "worst_residual": v.worst_residual}
-                    for v in self.verdicts]
-        return json.dumps({"provenance": self.provenance, "verdicts": verdicts},
-                          sort_keys=True, indent=2) + "\n"
+        return json.dumps(
+            {
+                "provenance": self.provenance,
+                "verdicts": [
+                    {"check": v.check, "passed": v.passed, "worst_residual": v.worst_residual}
+                    for v in self.verdicts
+                ],
+            },
+            sort_keys=True,
+            indent=2,
+        ) + "\n"
 
 
 def _load_instance(config: ExperimentConfig):
@@ -280,9 +290,12 @@ def _ladder_rows(model, iterates, solution):
     err = max(_marginal_errors(model, solution.bridge))
     if err > discrete.MARGINAL_TOL:
         return [(0, "ladder_bridge_marginal_error", err)]
-    return [row for r in discrete.entropy_ladder(model, iterates, solution.bridge).rows
-            for row in ((r.n, "ladder_residual", r.residual),
-                        (r.n, "entropy_to_bridge", r.entropy_to_bridge))]
+    report = discrete.entropy_ladder(model, iterates, solution.bridge)
+    rows = []
+    for row in report.rows:
+        rows.append((row.n, "ladder_residual", row.residual))
+        rows.append((row.n, "entropy_to_bridge", row.entropy_to_bridge))
+    return rows
 
 
 def _ladder_rule(rows):
@@ -296,9 +309,12 @@ def _ladder_rule(rows):
 
 def _linear_decay_rows(model, iterates, solution):
     total = discrete.relative_entropy(solution.bridge, iterates[0].joint_even)
-    gaps = zip(iterates, *discrete.marginal_gaps(model, iterates))
-    return [(it.step, "linear_decay_lhs", (it.step + 1) * (gap_eta + gap_mu))
-            for it, gap_eta, gap_mu in gaps] + [(0, "bridge_entropy_total", total)]
+    rows = []
+    for it, gap_eta, gap_mu in zip(iterates, *discrete.marginal_gaps(model, iterates)):
+        lhs = (it.step + 1) * (gap_eta + gap_mu)
+        rows.append((it.step, "linear_decay_lhs", lhs))
+    rows.append((0, "bridge_entropy_total", total))
+    return rows
 
 
 def _linear_decay_rule(rows):
@@ -310,11 +326,15 @@ def _linear_decay_rule(rows):
 def _geometric_rows(model, iterates, solution):
     report = discrete.geometric_rate_report(model, iterates)
     rows = [(0, "eps_w", report.eps_w), (0, "rate_bound", report.bound)]
-    rows += [(n, f"h_{phi}", value) for n, phi, value in report.entropies]
-    rows += [(n, "sup_ratio_gap", value) for n, value in report.sup_series]
+    for n, phi_name, value in report.entropies:
+        rows.append((n, f"h_{phi_name}", value))
+    for n, value in report.sup_series:
+        rows.append((n, "sup_ratio_gap", value))
     if report.sup_fit is not None:
-        rows += [(0, "sup_fit_slope", report.sup_fit.slope), (0, "sup_fit_r2", report.sup_fit.r2)]
-    return rows + [(0, "sandwich_residual", report.sandwich_residual)]
+        rows.append((0, "sup_fit_slope", report.sup_fit.slope))
+        rows.append((0, "sup_fit_r2", report.sup_fit.r2))
+    rows.append((0, "sandwich_residual", report.sandwich_residual))
+    return rows
 
 
 def _rate_ratios(rows) -> list[float]:
@@ -339,24 +359,27 @@ def _identity_rows(model, iterates, solution):
             for row in discrete.identity_suite(model, iterates)]
 
 
-def _identity_tol(metric: str) -> float:
-    # The half-bridge rows compare against a coordinate descent, not an identity.
-    if metric.endswith("-argmin-location"):
-        return 2e-3
-    return 1e-9 if metric.endswith("-argmin") else IDENTITY_TOL
+# Metric -> tolerance.  The half-bridge rows compare against a coordinate
+# descent, not an identity.
+_IDENTITY_TOLS = {f"identity_{name}": IDENTITY_TOL for name in discrete.IDENTITY_NAMES} | {
+    f"identity_{name}": 2e-3 if name.endswith("-argmin-location") else 1e-9
+    for name in discrete.HALF_BRIDGE_NAMES}
 
 
 def _identities_rule(rows):
-    passed = all(value <= _identity_tol(name) for _, name, value in rows)
+    passed = all(value <= _IDENTITY_TOLS[name] for _, name, value in rows)
     return passed, max((value for _, _, value in rows), default=0.0)
 
 
 def _feasibility_rows(model, iterates, solution):
     marg_x, marg_y = _marginal_errors(model, solution.bridge)
-    return [(0, "bridge_residual", solution.residual), (0, "bridge_marginal_x_error", marg_x),
-            (0, "bridge_marginal_y_error", marg_y),
-            (0, "bridge_iterations", float(solution.iterations_used)),
-            (0, "bridge_converged", float(solution.converged))]
+    return [
+        (0, "bridge_residual", solution.residual),
+        (0, "bridge_marginal_x_error", marg_x),
+        (0, "bridge_marginal_y_error", marg_y),
+        (0, "bridge_iterations", float(solution.iterations_used)),
+        (0, "bridge_converged", float(solution.converged)),
+    ]
 
 
 def _feasibility_rule(rows):
@@ -373,13 +396,20 @@ def _lyapunov_rows(model, iterates, solution):
     evens = [it.kernel_even for it in iterates[1:]]
     odds = [it.kernel_odd for it in iterates[1:]]
     result = contraction.lyapunov_search(evens, odds, g, h)
+    rows = []
     if isinstance(result, contraction.SearchFailure):
-        return [(0, "lyapunov_best_rho", result.best_rho)]
+        rows.append((0, "lyapunov_best_rho", result.best_rho))
+        return rows
+    rows.append((0, "lyapunov_a", result.a))
+    rows.append((0, "lyapunov_rho", result.rho))
     pair = contraction.WeightPair(g=g, h=h, a=result.a)
-    return [(0, "lyapunov_a", result.a), (0, "lyapunov_rho", result.rho)] + [
-        row for it in iterates[1:] for row in (
-            (it.step, "weighted_tv_even", float(np.sum(pair.h_a * np.abs(it.pi_even - model.eta)))),
-            (it.step, "weighted_tv_odd", float(np.sum(pair.g_a * np.abs(it.pi_odd - model.mu)))))]
+    for it in iterates[1:]:
+        n = it.step
+        dist_even = float(np.sum(pair.h_a * np.abs(it.pi_even - model.eta)))
+        dist_odd = float(np.sum(pair.g_a * np.abs(it.pi_odd - model.mu)))
+        rows.append((n, "weighted_tv_even", dist_even))
+        rows.append((n, "weighted_tv_odd", dist_odd))
+    return rows
 
 
 def _lyapunov_rule(rows):
@@ -400,7 +430,9 @@ def _lyapunov_rule(rows):
 def _riccati_equivalence_rows(instance, trajectory, bridge):
     rows = []
     current = trajectory[0].rescaled_cov
-    for state in (s for s in trajectory if s.step % 2 == 0):
+    for state in trajectory:
+        if state.step % 2 != 0:
+            continue
         if state.step > 0:
             current = gaussian.riccati_apply(bridge.problem, current)
         diff = float(np.max(np.abs(state.rescaled_cov - current)))
@@ -413,7 +445,8 @@ def _golden_rows(instance, trajectory, bridge):
     eig_varpi = np.linalg.eigvalsh(bridge.problem.varpi)
     eig_r = np.linalg.eigvalsh(r)
     scalar = (-eig_varpi + np.sqrt(eig_varpi ** 2 + 4.0 * eig_varpi)) / 2.0
-    rows = [(0, "fixed_point_eig_error", float(np.max(np.abs(np.sort(eig_r) - np.sort(scalar)))))]
+    worst = float(np.max(np.abs(np.sort(eig_r) - np.sort(scalar))))
+    rows = [(0, "fixed_point_eig_error", worst)]
     if instance.mu.dim == 1:
         rows.append((0, "fixed_point", float(r[0, 0])))
     return rows
@@ -421,29 +454,38 @@ def _golden_rows(instance, trajectory, bridge):
 
 def _transport_rows(instance, trajectory, bridge):
     pushed = gaussian.push_forward(instance.mu, bridge.kernel)
-    return [(0, "transport_mean_error", float(np.linalg.norm(pushed.mean - instance.eta.mean))),
-            (0, "transport_cov_error",
-             float(np.linalg.norm(pushed.covariance - instance.eta.covariance)))]
+    mean_err = float(np.linalg.norm(pushed.mean - instance.eta.mean))
+    cov_err = float(np.linalg.norm(pushed.covariance - instance.eta.covariance))
+    return [(0, "transport_mean_error", mean_err), (0, "transport_cov_error", cov_err)]
 
 
 def _entropy_formula_rows(instance, trajectory, bridge):
     table = gaussian.entropy_formula_table(trajectory, bridge, instance.mu, instance.eta,
                                            instance.kernel)
-    return [row for n, formula, oracle in table for row in (
-        (n, "entropy_formula", formula), (n, "entropy_formula_error", abs(formula - oracle)))]
+    rows = []
+    for n, formula, oracle in table:
+        rows.append((n, "entropy_formula", formula))
+        rows.append((n, "entropy_formula_error", abs(formula - oracle)))
+    return rows
 
 
 def _riccati_rate_rows(instance, trajectory, bridge):
     report = gaussian.rate_report(trajectory, bridge, instance.mu, instance.eta, instance.kernel)
-    rows = [(r.n, metric, value) for r in report.rows for metric, value in (
-        ("cov_error", r.cov_error), ("sqrt_error", r.sqrt_error), ("mean_error", r.mean_error),
-        ("directed_product_norm", r.product_norm))]
-    structure = max(max((r.directed_residual for r in report.rows), default=0.0),
-                    max((r.loop_gain_residual for r in report.rows), default=0.0))
-    rows += [(0, "theoretical_slope", report.theoretical_slope),
-             (0, "directed_structure_residual", structure)]
+    rows = []
+    for row in report.rows:
+        rows.append((row.n, "cov_error", row.cov_error))
+        rows.append((row.n, "sqrt_error", row.sqrt_error))
+        rows.append((row.n, "mean_error", row.mean_error))
+        rows.append((row.n, "directed_product_norm", row.product_norm))
+    rows.append((0, "theoretical_slope", report.theoretical_slope))
+    structure = max(
+        max((row.directed_residual for row in report.rows), default=0.0),
+        max((row.loop_gain_residual for row in report.rows), default=0.0),
+    )
+    rows.append((0, "directed_structure_residual", structure))
     if report.fit is not None:
-        rows += [(0, "fitted_slope", report.fit.slope), (0, "fit_r2", report.fit.r2)]
+        rows.append((0, "fitted_slope", report.fit.slope))
+        rows.append((0, "fit_r2", report.fit.r2))
     return rows
 
 
@@ -464,11 +506,20 @@ _ENVELOPE_PAIRS = (("entropy_to_iterate", "entropy_envelope"), ("w2_step_value",
 def _envelope_rows(instance, trajectory, bridge):
     report = gaussian.envelope_report(trajectory, bridge, instance.mu, instance.eta,
                                       instance.kernel)
-    rows = [(0, "kappa", report.kappa), (0, "eps", report.eps),
-            (0, "refined_factor", report.refined_factor)]
-    for kind, (value, bound) in zip(
-            (report.entropy_rows, report.w2_rows, report.chained_w2_rows), _ENVELOPE_PAIRS):
-        rows += [row for r in kind for row in ((r.n, value, r.value), (r.n, bound, r.bound))]
+    rows = [
+        (0, "kappa", report.kappa),
+        (0, "eps", report.eps),
+        (0, "refined_factor", report.refined_factor),
+    ]
+    for row in report.entropy_rows:
+        rows.append((row.n, "entropy_to_iterate", row.value))
+        rows.append((row.n, "entropy_envelope", row.bound))
+    for row in report.w2_rows:
+        rows.append((row.n, "w2_step_value", row.value))
+        rows.append((row.n, "w2_step_bound", row.bound))
+    for row in report.chained_w2_rows:
+        rows.append((row.n, "w2_chained_value", row.value))
+        rows.append((row.n, "w2_chained_bound", row.bound))
     return rows
 
 
@@ -494,7 +545,7 @@ def _envelope_rule(rows):
 class _Check:
     rows: Callable  # (instance, trajectory, bridge) -> [(step, metric, value)]
     rule: Callable  # this check's rows -> (passed, worst_residual)
-    metrics: str  # every metric its rows may carry, separated by spaces
+    metrics: tuple[str, ...]  # every metric its rows may carry
 
 
 @dataclass(frozen=True)
@@ -505,12 +556,6 @@ class _Regime:
     default_size: object  # profile size when the config gives none
 
 
-_HALF_BRIDGE = [f"half-bridge-{side}-{kind}" for side in ("odd", "even")
-                for kind in ("forward-argmin", "reverse-argmin", "argmin-location")]
-_IDENTITIES = """monotone-eta-chain monotone-mu-chain commute-even-forward commute-even-backward
-    fixed-point-mu fixed-point-eta joint-marginal-even joint-marginal-odd commute-odd-forward
-    commute-odd-backward semigroup-even semigroup-odd""".split() + _HALF_BRIDGE
-
 # Engine calls look the function up on its module at call time, so anything
 # that rebinds module functions (a profiler, a span tracer) sees them.
 REGIMES = {
@@ -519,21 +564,20 @@ REGIMES = {
             discrete.run_sinkhorn(model, iterations), discrete.solve_bridge(model)
         ),
         checks={
-            "ladder": _Check(_ladder_rows, _ladder_rule,
-                             "ladder_residual entropy_to_bridge ladder_bridge_marginal_error"),
+            "ladder": _Check(_ladder_rows, _ladder_rule, (
+                "ladder_residual", "entropy_to_bridge", "ladder_bridge_marginal_error")),
             "linear-decay": _Check(_linear_decay_rows, _linear_decay_rule,
-                                   "linear_decay_lhs bridge_entropy_total"),
-            "geometric-rate": _Check(_geometric_rows, _geometric_rule,
-                                     "eps_w rate_bound h_kl h_tv h_hellinger-sq sup_ratio_gap "
-                                     "sup_fit_slope sup_fit_r2 sandwich_residual"),
-            "identities": _Check(_identity_rows, _identities_rule,
-                                 " ".join(f"identity_{name}" for name in _IDENTITIES)),
-            "bridge-feasibility": _Check(_feasibility_rows, _feasibility_rule,
-                                         "bridge_residual bridge_marginal_x_error "
-                                         "bridge_marginal_y_error bridge_iterations "
-                                         "bridge_converged"),
-            "lyapunov": _Check(_lyapunov_rows, _lyapunov_rule, "lyapunov_best_rho lyapunov_a "
-                               "lyapunov_rho weighted_tv_even weighted_tv_odd"),
+                                   ("linear_decay_lhs", "bridge_entropy_total")),
+            "geometric-rate": _Check(_geometric_rows, _geometric_rule, (
+                "eps_w", "rate_bound", "h_kl", "h_tv", "h_hellinger-sq", "sup_ratio_gap",
+                "sup_fit_slope", "sup_fit_r2", "sandwich_residual")),
+            "identities": _Check(_identity_rows, _identities_rule, tuple(_IDENTITY_TOLS)),
+            "bridge-feasibility": _Check(_feasibility_rows, _feasibility_rule, (
+                "bridge_residual", "bridge_marginal_x_error", "bridge_marginal_y_error",
+                "bridge_iterations", "bridge_converged")),
+            "lyapunov": _Check(_lyapunov_rows, _lyapunov_rule, (
+                "lyapunov_best_rho", "lyapunov_a", "lyapunov_rho", "weighted_tv_even",
+                "weighted_tv_odd")),
         },
         decode=lambda payload: discrete.model_from_json(payload),
         default_size=5,
@@ -546,22 +590,22 @@ REGIMES = {
         checks={
             "riccati-equivalence": _Check(_riccati_equivalence_rows,
                                           _at_most(1e-10, "riccati_equiv_error"),
-                                          "riccati_equiv_error"),
+                                          ("riccati_equiv_error",)),
             "golden-fixed-point": _Check(_golden_rows,
                                          _at_most(1e-9, "fixed_point_eig_error", start=None),
-                                         "fixed_point_eig_error fixed_point"),
+                                         ("fixed_point_eig_error", "fixed_point")),
             "bridge-transport": _Check(_transport_rows, _at_most(
                 1e-10, "transport_mean_error", "transport_cov_error", start=None),
-                "transport_mean_error transport_cov_error"),
+                ("transport_mean_error", "transport_cov_error")),
             "entropy-formula": _Check(_entropy_formula_rows,
                                       _at_most(1e-9, "entropy_formula_error"),
-                                      "entropy_formula entropy_formula_error"),
-            "riccati-rate": _Check(_riccati_rate_rows, _riccati_rate_rule,
-                                   "cov_error sqrt_error mean_error directed_product_norm "
-                                   "theoretical_slope directed_structure_residual fitted_slope "
-                                   "fit_r2"),
-            "envelope": _Check(_envelope_rows, _envelope_rule, "kappa eps refined_factor "
-                               + " ".join(name for pair in _ENVELOPE_PAIRS for name in pair)),
+                                      ("entropy_formula", "entropy_formula_error")),
+            "riccati-rate": _Check(_riccati_rate_rows, _riccati_rate_rule, (
+                "cov_error", "sqrt_error", "mean_error", "directed_product_norm",
+                "theoretical_slope", "directed_structure_residual", "fitted_slope", "fit_r2")),
+            "envelope": _Check(_envelope_rows, _envelope_rule, (
+                "kappa", "eps", "refined_factor",
+                *(name for pair in _ENVELOPE_PAIRS for name in pair))),
         },
         decode=lambda payload: gaussian.instance_from_json(payload),
         default_size=2,
@@ -583,7 +627,7 @@ def verdicts_from_csv(csv_text: str) -> tuple[Verdict, ...]:
     Each row goes to the one check whose metrics name it, and each rule reads its own rows.
     """
     checks = {name: check for regime in REGIMES.values() for name, check in regime.checks.items()}
-    owner = {metric: name for name, check in checks.items() for metric in check.metrics.split()}
+    owner = {metric: name for name, check in checks.items() for metric in check.metrics}
     rows: dict[str, list[tuple[int, str, float]]] = {}
     for line in csv_text.splitlines()[1:]:
         step, metric, value = line.split(",")

@@ -465,7 +465,7 @@ class TestRuleTable:
         seen: dict[str, str] = {}
         for regime in harness.REGIMES.values():
             for name, check in regime.checks.items():
-                metrics = check.metrics.split()
+                metrics = check.metrics
                 assert len(set(metrics)) == len(metrics), name
                 for metric in metrics:
                     assert seen.setdefault(metric, name) == name, metric
@@ -498,7 +498,7 @@ class TestRuleTable:
         trajectory, bridge = regime.run(instance, config.iterations)
         for name, check in regime.checks.items():
             written = {metric for _, metric, _ in check.rows(instance, trajectory, bridge)}
-            assert written <= set(check.metrics.split()), (name, written)
+            assert written <= set(check.metrics), (name, written)
         report = harness.run_experiment(config)
         assert_verdicts_rederive(report)
         if payload["instance"]["size"] == [4, 4]:
