@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -198,22 +198,24 @@ def weighted_tv(mu1, mu2, g) -> float:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """A Gaussian measure on R^d with SPD covariance."""
+    """A Gaussian measure on R^d with SPD covariance, validated from the one
+    ``eigh`` that its precision and both square roots are read from."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float).reshape(-1)
         if not np.isfinite(m).all():
             raise DomainError("mean has non-finite entries")
-        c = matcore.assert_spd(self.covariance, "covariance")
+        c, w, q = matcore.spd_eigh(matcore._one_matrix(self.covariance, "covariance"),
+                                   "covariance")
         if c.shape[0] != m.size:
-            raise DomainError(
-                f"mean dimension {m.size} does not match covariance {c.shape}"
-            )
-        object.__setattr__(self, "mean", matcore._frozen(m))
-        object.__setattr__(self, "covariance", matcore._frozen(c))
+            raise DomainError(f"mean dimension {m.size} does not match covariance {c.shape}")
+        for name, value in (("mean", m), ("covariance", c), ("_w", w), ("_q", q)):
+            object.__setattr__(self, name, matcore._frozen(value))
 
     @property
     def dim(self) -> int:
@@ -222,17 +224,17 @@ class Gaussian:
     @functools.cached_property
     def precision(self) -> np.ndarray:
         """covariance^{-1} (computed once)."""
-        return matcore._frozen(matcore.spd_inverse(self.covariance))
+        return matcore._frozen(matcore.eigh_inverse(self._w, self._q))
 
     @functools.cached_property
     def root(self) -> np.ndarray:
         """covariance^{1/2}, the principal square root (computed once)."""
-        return matcore._frozen(matcore.principal_sqrt(self.covariance))
+        return matcore._frozen(matcore.eigh_sqrt(self.covariance, self._w, self._q))
 
     @functools.cached_property
     def inv_root(self) -> np.ndarray:
         """covariance^{-1/2} (computed once)."""
-        return matcore._frozen(matcore.inv_sqrt(self.covariance))
+        return matcore._frozen(matcore.eigh_inverse(np.sqrt(self._w), self._q))
 
 
 def _burg(s: np.ndarray, sb: np.ndarray) -> np.ndarray:

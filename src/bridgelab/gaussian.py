@@ -16,21 +16,21 @@ Every value equals the per-state arithmetic bit for bit (the rules are in
 :mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
 stay per-state: each step needs the one before.
 
-Each SPD matrix on these paths is factorized once: :func:`sinkhorn_step`,
-the two inversions of :func:`riccati_apply` and the marginal roots of
-:func:`envelope_report` validate from the ``eigh`` they invert or root by
-(``matcore.spd_eigh``).  Matrices built from validated parts are not
-validated again: a joint ``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S,
-C) L'`` and so SPD, and the state covariances are inverses of validated
-matrices.  The diagnostics only symmetrize them, and the log-det sign check
-of the Burg kernel catches a joint too ill-conditioned to resolve.
+Each SPD matrix on these paths is validated from one ``eigh``
+(``matcore.spd_eigh``), and every inverse, root and spectrum of it is read
+from that factorization: a ``Gaussian`` and a :class:`RiccatiProblem` keep
+theirs.  The state covariances are inverses of validated matrices.  A joint
+``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S, C) L'``, SPD but possibly
+too ill-conditioned to resolve: :func:`entropy_formula_table` holds its
+joints to the SPD floor, and :func:`envelope_report` relies on the log-det
+sign check of the Burg kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,34 +53,39 @@ class LinearGaussianKernel:
     alpha: np.ndarray
     beta: np.ndarray
     tau: np.ndarray
+    # The transition noise N(0, tau): it validates tau and carries its factors.
+    noise: Gaussian = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
         beta = np.asarray(self.beta, dtype=float)
-        tau = matcore.assert_spd(self.tau, "tau")
         d = alpha.size
-        if beta.shape != (d, d) or tau.shape != (d, d):
+        if beta.shape != (d, d) or np.shape(self.tau) != (d, d):
             raise DomainError("kernel parameter dimensions are inconsistent")
+        noise = _centred(self.tau, "tau")
         sv = np.linalg.svd(beta, compute_uv=False)
         if sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise DomainError(f"beta is numerically singular (min singular value {sv[-1]:.3e})")
-        object.__setattr__(self, "alpha", _frozen(alpha))
-        object.__setattr__(self, "beta", _frozen(beta))
-        object.__setattr__(self, "tau", _frozen(tau))
+        for name, value in (("alpha", _frozen(alpha)), ("beta", _frozen(beta)),
+                            ("tau", noise.covariance), ("noise", noise)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.alpha.size
 
     @functools.cached_property
-    def noise(self) -> Gaussian:
-        """The transition noise N(0, tau), which carries tau's cached factors."""
-        return Gaussian(np.zeros(self.dim), self.tau)
-
-    @functools.cached_property
     def chi(self) -> np.ndarray:
         """tau^{-1} beta, the kernel's Fisher-Lipschitz matrix (computed once)."""
         return _frozen(self.noise.precision @ self.beta)
+
+
+def _centred(cov, name: str) -> Gaussian:
+    """N(0, cov), whose construction validates ``cov``; an error names ``name``."""
+    try:
+        return Gaussian(np.zeros(np.shape(cov)[-1:]), cov)
+    except DomainError as exc:
+        raise DomainError(f"{name}: {exc}") from None
 
 
 def kernel_to_json(kernel: LinearGaussianKernel) -> dict:
@@ -305,20 +310,27 @@ class RiccatiProblem:
 
     varpi: np.ndarray
     gamma: np.ndarray
+    # varpi = q diag(w) q', the one eigh varpi is validated from.
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
+    varpi_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gamma = np.asarray(self.gamma, dtype=float)
-        varpi = matcore.assert_spd(self.varpi, "varpi")
-        residual = float(np.max(np.abs(matcore.spd_inverse(varpi) - gamma @ gamma.T)))
+        varpi, w, q = matcore.spd_eigh(self.varpi, "varpi")
+        varpi_inv = matcore.eigh_inverse(w, q)
+        residual = float(np.max(np.abs(varpi_inv - gamma @ gamma.T)))
         if residual > 1e-10 * max(1.0, float(np.max(np.abs(gamma @ gamma.T)))):
             raise DomainError(f"varpi^-1 != gamma gamma' (residual {residual:.3e})")
-        object.__setattr__(self, "varpi", _frozen(varpi))
-        object.__setattr__(self, "gamma", _frozen(gamma))
+        for name, value in (("varpi", varpi), ("gamma", gamma), ("w", w), ("q", q),
+                            ("varpi_inv", varpi_inv)):
+            object.__setattr__(self, name, _frozen(value))
 
     @classmethod
     def from_gamma(cls, gamma) -> "RiccatiProblem":
         gamma = np.asarray(gamma, dtype=float)
-        return cls(varpi=matcore.spd_inverse(gamma @ gamma.T), gamma=gamma)
+        _, w, q = matcore.spd_eigh(gamma @ gamma.T, "gamma gamma'")
+        return cls(varpi=matcore.eigh_inverse(w, q), gamma=gamma)
 
     @classmethod
     def from_instance(cls, mu: Gaussian, eta: Gaussian,
@@ -332,44 +344,41 @@ class RiccatiProblem:
 
 
 def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
-    """One application of v -> (I + (varpi + v)^{-1})^{-1}."""
+    """One application of v -> (I + (varpi + v)^{-1})^{-1}.
+
+    With varpi + v = Q W Q' (one ``eigh``), the map is Q W (W + I)^{-1} Q'.
+    """
     v = matcore.symmetrize(v, "v")
     if float(np.linalg.eigvalsh(v)[0]) < matcore.SQRT_CLAMP:
         raise DomainError("riccati_apply needs a positive semi-definite argument")
     _, w, q = matcore.spd_eigh(problem.varpi + v)
-    inner = matcore.eigh_inverse(w, q)
-    _, w, q = matcore.spd_eigh(np.eye(v.shape[0]) + inner)
-    return matcore.eigh_inverse(w, q)
+    return matcore.eigh_inverse(1.0 + 1.0 / w, q)
 
 
 def fixed_point_residuals(problem: RiccatiProblem, r) -> dict[str, float]:
     """Residuals of every equivalent formulation of the fixed-point equation."""
     varpi = problem.varpi
-    d = varpi.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(varpi.shape[0])
     r = matcore.symmetrize(r)
     r_inv = matcore.spd_inverse(r)
-    varpi_inv = matcore.spd_inverse(varpi)
     return {
         "map": float(np.max(np.abs(riccati_apply(problem, r) - r))),
         "inverse": float(np.max(np.abs(r_inv - eye - matcore.spd_inverse(varpi + r)))),
         "varpi": float(np.max(np.abs(varpi @ r_inv - varpi - r))),
-        "linear": float(np.max(np.abs(r_inv - eye - varpi_inv @ r))),
-        "quadratic": float(np.max(np.abs(r + r @ varpi_inv @ r - eye))),
+        "linear": float(np.max(np.abs(r_inv - eye - problem.varpi_inv @ r))),
+        "quadratic": float(np.max(np.abs(r + r @ problem.varpi_inv @ r - eye))),
     }
 
 
 def riccati_fixed_point(problem: RiccatiProblem) -> np.ndarray:
     """Unique positive definite fixed point -varpi/2 + (varpi + (varpi/2)^2)^{1/2}.
 
-    Evaluated eigenvalue-wise in the conjugate form 2 w / (w + sqrt(w (w + 4)))
+    Evaluated on varpi's eigenvalues in the conjugate form 2 w / (w + sqrt(w (w + 4)))
     to avoid the cancellation the subtraction suffers for large varpi.
     """
-    varpi = problem.varpi
-    w, q = np.linalg.eigh(varpi)
-    vals = 2.0 * w / (w + np.sqrt(w * (w + 4.0)))
-    r = matcore.symmetrize((q * vals) @ q.T)
-    scale = max(1.0, float(np.max(np.abs(varpi))))
+    w, q = problem.w, problem.q
+    r = matcore.symmetrize((q * (2.0 * w / (w + np.sqrt(w * (w + 4.0))))) @ q.T)
+    scale = max(1.0, float(np.max(np.abs(problem.varpi))))
     worst = max(fixed_point_residuals(problem, r).values())
     if worst > 1e-12 * scale:
         raise NumericalError(f"riccati fixed point residual {worst:.3e} too large")
@@ -466,8 +475,13 @@ def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta:
         mean, gain, cov = _stack(run, "mean", "gain", "cov")
         formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
-        oracle[index] = _gaussian_kl(j_mean, matcore.symmetrize(j_cov, "covariance"),
-                                     b_joint.mean, b_joint.covariance)
+        try:
+            j_cov = matcore.assert_spd(j_cov)
+        except DomainError:  # name the joint by its n, not by its place in the chunk
+            for s, c in zip(run, j_cov):
+                matcore.assert_spd(c, f"joint P_2n at n={s.step // 2}")
+            raise
+        oracle[index] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
     return [(s.step // 2, f, o) for s, f, o in zip(even, formula.tolist(), oracle.tolist())]
 
 
@@ -510,7 +524,8 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     eta_mean = bridge.intercept + bridge.gain @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
-    inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
+    problem = bridge.problem
+    inv_gap = matcore.eigh_inverse(1.0 + problem.w, problem.q)  # (I + varpi)^{-1}
 
     errors = np.empty((3, len(even)))
     for index, _, run in _chunks(even, d):
@@ -559,8 +574,10 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
             directed_residual=directed_residual,
             loop_gain_residual=loop_residual,
         ))
-    r = bridge.fixed_point
-    rate_base = 1.0 + float(np.linalg.eigvalsh(matcore.symmetrize(r + bridge.problem.varpi))[0])
+    # r and varpi share eigenvectors, so the least eigenvalue of r + varpi is
+    # w + (-w + sqrt(w (w + 4))) / 2 at varpi's least eigenvalue w.
+    w0 = float(problem.w[0])
+    rate_base = 1.0 + (w0 + math.sqrt(w0 * (w0 + 4.0))) / 2.0
     return GaussianRateReport(
         rows=tuple(rows),
         fit=fitting.fit_rate([(row.n, row.cov_error) for row in rows if row.n >= 1]),
@@ -652,13 +669,8 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
 class CovarianceEnvelope:
     upper: tuple[np.ndarray, ...]    # tau_n
     lower: tuple[np.ndarray, ...]    # tau_{n-}
-    varpi_minus: np.ndarray
     sandwich_residuals: tuple[float, ...]
     rescaled_residuals: tuple[float, ...]
-
-    @property
-    def sandwich_ok(self) -> bool:
-        return max(self.sandwich_residuals, default=0.0) <= 1e-10
 
 
 def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar_minus,
@@ -669,26 +681,21 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     With sigma_minus = sigma and sigma_bar_minus = sigma_bar both envelopes
     collapse onto the exact covariance flow.
     """
-    sigma = matcore.assert_spd(sigma, "sigma")
-    sigma_minus = matcore.assert_spd(sigma_minus, "sigma_minus")
-    sigma_bar = matcore.assert_spd(sigma_bar, "sigma_bar")
-    sigma_bar_minus = matcore.assert_spd(sigma_bar_minus, "sigma_bar_minus")
-    if not matcore.loewner_leq(sigma_minus, sigma, 1e-12):
+    s, s_minus = _centred(sigma, "sigma"), _centred(sigma_minus, "sigma_minus")
+    sb, sb_minus = _centred(sigma_bar, "sigma_bar"), _centred(sigma_bar_minus, "sigma_bar_minus")
+    if not matcore.loewner_leq(s_minus.covariance, s.covariance, 1e-12):
         raise DomainError("need sigma_minus <= sigma in the Loewner order")
-    if not matcore.loewner_leq(sigma_bar_minus, sigma_bar, 1e-12):
+    if not matcore.loewner_leq(sb_minus.covariance, sb.covariance, 1e-12):
         raise DomainError("need sigma_bar_minus <= sigma_bar in the Loewner order")
     chi = kernel.chi
-    inv_s, inv_s_minus = matcore.spd_inverse(sigma), matcore.spd_inverse(sigma_minus)
-    inv_sb, inv_sb_minus = matcore.spd_inverse(sigma_bar), matcore.spd_inverse(sigma_bar_minus)
 
     upper = [kernel.tau.copy()]
     lower = [kernel.tau.copy()]
     for n in range(n_max):
         # Odd steps are even steps with the sigma_bar pair and chi transposed.
-        even = n % 2 == 0
-        inv, inv_minus, c = (inv_s, inv_s_minus, chi) if even else (inv_sb, inv_sb_minus, chi.T)
-        up = matcore.spd_inverse(inv + c.T @ lower[-1] @ c)
-        low = matcore.spd_inverse(inv_minus + c.T @ upper[-1] @ c)
+        law, law_minus, c = (s, s_minus, chi) if n % 2 == 0 else (sb, sb_minus, chi.T)
+        up = matcore.spd_inverse(law.precision + c.T @ lower[-1] @ c)
+        low = matcore.spd_inverse(law_minus.precision + c.T @ upper[-1] @ c)
         upper.append(up)
         lower.append(low)
 
@@ -697,10 +704,8 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
         for up, low in zip(upper, lower)
     )
     # The rescaled upper even flow is a Riccati iteration for the shrunk mixing matrix.
-    root_bar = matcore.principal_sqrt(sigma_bar)
-    isq_bar = matcore.inv_sqrt(sigma_bar)
-    gamma_minus = root_bar @ chi @ matcore.principal_sqrt(sigma_minus)
-    problem_minus = RiccatiProblem.from_gamma(gamma_minus)
+    isq_bar = sb.inv_root
+    problem_minus = RiccatiProblem.from_gamma(sb.root @ chi @ s_minus.root)
     rescaled_residuals = []
     for n in range(0, n_max - 1, 2):
         current = isq_bar @ upper[n] @ isq_bar
@@ -711,7 +716,6 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     return CovarianceEnvelope(
         upper=tuple(_frozen(u) for u in upper),
         lower=tuple(_frozen(l) for l in lower),
-        varpi_minus=_frozen(problem_minus.varpi),
         sandwich_residuals=sandwich,
         rescaled_residuals=tuple(rescaled_residuals),
     )

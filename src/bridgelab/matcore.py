@@ -11,9 +11,10 @@ and holds its eigenvalues to :func:`assert_spd`'s ``SPD_RTOL`` floor, with
 the same message; it returns ``(s, w, q)``.  :func:`eigh_inverse` and
 :func:`eigh_sqrt` turn a factorization into the inverse and the principal
 root; they are the one copy of each formula, which :func:`spd_inverse` and
-:func:`principal_sqrt` call too, so a matrix that is validated and then
-inverted or rooted costs one ``eigh`` and gives the same bits as the
-two-call routines.  :func:`spd_inverse` still validates with
+:func:`principal_sqrt` call too.  Other spectral functions are
+``eigh_inverse`` of a function of ``w`` (the inverse root is
+``eigh_inverse(sqrt(w), q)``), so a validated matrix costs one ``eigh`` for
+all of them.  :func:`spd_inverse` still validates with
 :func:`assert_spd` (an ``eigvalsh``) before its ``eigh``: the benchmark's
 self-test pins that count.
 
@@ -22,8 +23,8 @@ Stacks.  :func:`symmetrize`, :func:`assert_spd`, :func:`spd_eigh`,
 :func:`spectral_norm` and :func:`vector_norm` also take an ``(..., d, d)``
 (or ``(..., k)``) stack and make one ``eigvalsh``/``eigh`` call for all of
 it; an error names the first failing index.  A 2-D input keeps its single
-call and its messages.  :func:`spd_inverse`, :func:`inv_sqrt` and
-:func:`loewner_leq` take single matrices only.
+call and its messages.  :func:`spd_inverse` and :func:`loewner_leq` take
+single matrices only.
 
 Bit-identity.  A stacked result equals a loop of 2-D calls bit for bit,
 because every operation used on a stack rounds each matrix exactly as it
@@ -249,14 +250,6 @@ def spd_inverse(v, name: str = "matrix") -> np.ndarray:
     """Inverse of an SPD matrix via symmetric eigendecomposition."""
     s = assert_spd(_one_matrix(v, name), name)
     return eigh_inverse(*np.linalg.eigh(s))
-
-
-def inv_sqrt(v, name: str = "matrix") -> np.ndarray:
-    """Inverse principal square root of an SPD matrix."""
-    s = assert_spd(_one_matrix(v, name), name)
-    w, q = np.linalg.eigh(s)
-    r = (q / np.sqrt(w)) @ q.T
-    return (r + r.T) / 2.0
 
 
 def loewner_leq(a, b, tol: float = 0.0) -> bool:

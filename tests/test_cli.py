@@ -196,6 +196,17 @@ def test_ill_conditioned_instance_exits_two(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_ill_conditioned_entropy_formula_alone_exits_two(tmp_path, capsys):
+    # The entropy-formula check holds the even joints to the SPD floor itself,
+    # so the instance above is a bad input without the envelope check too.
+    config = {"regime": "gaussian", "iterations": 12, "checks": ["entropy-formula"],
+              "instance": {"inline": {**GAUSSIAN_INLINE, "sigma_bar": [1e-4], "beta": [1e4]}}}
+    path = write_config(tmp_path / "extreme.json", config)
+    assert cli.parse_and_dispatch(["verify", "--config", path,
+                                   "--out", str(tmp_path / "out")]) == 2
+    assert "error: joint P_2n at n=0 is not positive definite" in capsys.readouterr().err
+
+
 def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
     argv = ["verify", "--config", golden_config, "--out", str(tmp_path / "out")]
     assert cli.parse_and_dispatch(argv + ["--iterations", "100000000"]) == 2

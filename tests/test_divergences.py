@@ -331,23 +331,35 @@ class TestGaussianFactors:
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         return dv.Gaussian(rng.normal(size=d), (q * rng.uniform(0.2, 2.0, d)) @ q.T)
 
+    @staticmethod
+    def inv_sqrt(v):
+        """The inverse principal root as the retired ``matcore.inv_sqrt`` computed it."""
+        w, q = np.linalg.eigh(matcore.assert_spd(v))
+        r = (q / np.sqrt(w)) @ q.T
+        return (r + r.T) / 2.0
+
     @pytest.mark.parametrize("factor, routine", [
         ("precision", "spd_inverse"), ("root", "principal_sqrt"), ("inv_root", "inv_sqrt"),
     ])
-    def test_computed_once_and_read_only(self, monkeypatch, factor, routine):
+    def test_computed_once_and_read_only(self, factor, routine):
+        # Each factor is read from the covariance's one eigh, bit for bit what
+        # the stand-alone routine gives.
         g = self.gaussian()
-        calls = []
-        original = getattr(matcore, routine)
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        monkeypatch.setattr(matcore, routine, counting)
+        reference = self.inv_sqrt if routine == "inv_sqrt" else getattr(matcore, routine)
         value = getattr(g, factor)
-        assert getattr(g, factor) is value and len(calls) == 1
+        assert getattr(g, factor) is value
         assert not value.flags.writeable
-        assert value.tobytes() == original(g.covariance).tobytes()
+        assert value.tobytes() == reference(g.covariance).tobytes()
+
+    def test_one_eigh_for_validation_and_every_factor(self, linalg_calls):
+        g = self.gaussian()
+        for factor in ("precision", "root", "inv_root"):
+            getattr(g, factor)
+        assert linalg_calls == ["eigh"]
+
+    def test_rejects_a_stacked_covariance(self):
+        with pytest.raises(DomainError, match=r"^covariance must be square, got shape \(2, 2, 2\)"):
+            dv.Gaussian(np.zeros(2), np.stack([np.eye(2)] * 2))
 
     def test_kl_trusts_validated_covariances(self, monkeypatch):
         p, q = self.gaussian(seed=5), self.gaussian(seed=6)

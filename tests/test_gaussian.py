@@ -13,6 +13,9 @@ from bridgelab.divergences import Gaussian, _gaussian_w2, gaussian_kl
 from bridgelab.errors import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# riccati_apply against two inversions: spectral-norm error per unit of
+# max(1, ||varpi + v||_2).  The worst of 4000 random cases was 3.6e-14.
+RICCATI_RTOL = 1e-12
 
 
 def random_spd(rng, d, lo=0.1, hi=1.2):
@@ -31,22 +34,6 @@ def random_instance(rng, d):
         eta=Gaussian(rng.normal(size=d), random_spd(rng, d)),
         kernel=gs.LinearGaussianKernel(rng.normal(size=d), invertible(), random_spd(rng, d)),
     )
-
-
-@pytest.fixture()
-def linalg_calls(monkeypatch):
-    """Names of the ``np.linalg`` eigen-solvers called, in call order."""
-    calls = []
-
-    def counting(name, original):
-        def wrapper(a):
-            calls.append(name)
-            return original(a)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    return calls
 
 
 def riccati_iterates(problem, v0, count):
@@ -101,20 +88,18 @@ class TestPushForward:
 
 
 class TestKernelChi:
-    def test_computed_once_and_read_only(self, monkeypatch):
+    def test_computed_once_and_read_only(self, linalg_calls):
         kernel = random_instance(np.random.default_rng(3), 3).kernel
-        calls = []
-        original = matcore.spd_inverse
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        monkeypatch.setattr(matcore, "spd_inverse", counting)
+        # tau's one eigh was taken when its noise Gaussian validated it.
+        linalg_calls.clear()
         chi = kernel.chi
-        assert kernel.chi is chi and len(calls) == 1
+        assert kernel.chi is chi and linalg_calls == []
         assert not chi.flags.writeable
-        assert chi.tobytes() == (original(kernel.tau) @ kernel.beta).tobytes()
+        assert chi.tobytes() == (matcore.spd_inverse(kernel.tau) @ kernel.beta).tobytes()
+
+    def test_tau_is_validated_by_the_noise_gaussian(self):
+        with pytest.raises(DomainError, match="^tau: covariance is not positive definite"):
+            gs.LinearGaussianKernel(np.zeros(2), np.eye(2), np.diag([1.0, -1.0]))
 
     def test_noise_is_built_once_and_read_only(self):
         kernel = random_instance(np.random.default_rng(4), 3).kernel
@@ -244,13 +229,56 @@ class TestRiccati:
         problem = gs.RiccatiProblem.from_gamma(np.array([[1.0]]))
         assert gs.riccati_apply(problem, np.zeros((1, 1)))[0, 0] == pytest.approx(0.5)
 
-    def test_psd_check_and_two_factorizations_per_apply(self, linalg_calls):
+    def test_psd_check_and_one_factorization_per_apply(self, linalg_calls):
         rng = np.random.default_rng(9)
         problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
         v = random_spd(rng, 3)
         linalg_calls.clear()
         gs.riccati_apply(problem, v)
-        assert linalg_calls == ["eigvalsh", "eigh", "eigh"]
+        assert linalg_calls == ["eigvalsh", "eigh"]
+
+    def test_varpi_is_factorized_once(self, linalg_calls, monkeypatch):
+        rng = np.random.default_rng(10)
+        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        factorized = []
+
+        def recording(original):
+            def wrapper(a):
+                factorized.append(a)
+                return original(a)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        linalg_calls.clear()
+        r = gs.riccati_fixed_point(problem)
+        gs.fixed_point_residuals(problem, r)
+        # Each call checks its residuals: the PSD check and eigh of riccati_apply
+        # (on r and varpi + r), then spd_inverse of r and of varpi + r.
+        assert linalg_calls == ["eigvalsh", "eigh"] * 3 * 2
+        assert not any(np.array_equal(a, problem.varpi) for a in factorized)
+        np.testing.assert_array_equal(problem.varpi_inv, matcore.spd_inverse(problem.varpi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           top=st.floats(-2.0, 8.0), spread=st.floats(0.0, 3.0), rank=st.integers(0, 6))
+    def test_apply_matches_two_inversions(self, d, seed, top, spread, rank):
+        # varpi has eigenvalues log-uniform in [10^(top - spread), 10^top], up
+        # to 1e8 (a wider spread fails RiccatiProblem's varpi^-1 = gamma gamma'
+        # check); v is PSD of rank min(rank, d), so singular whenever rank < d.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        vals = 10.0 ** rng.uniform(top - spread, top, size=d)
+        problem = gs.RiccatiProblem.from_gamma(q / np.sqrt(vals))
+        factor = rng.normal(size=(d, min(rank, d)))
+        v = factor @ factor.T
+        reference = np.linalg.inv(np.eye(d) + np.linalg.inv(problem.varpi + v))
+        # Both sides are (varpi + v) (varpi + v + I)^{-1}, a map with Frechet
+        # derivative at most 1, so each rounds to within a few ulps of
+        # ||varpi + v|| of the exact value.
+        scale = matcore.spectral_norm(problem.varpi + v)
+        error = matcore.spectral_norm(gs.riccati_apply(problem, v) - reference)
+        assert error <= RICCATI_RTOL * max(1.0, scale)
 
     def test_fixed_point_is_stationary(self):
         rng = np.random.default_rng(7)
@@ -361,9 +389,12 @@ class TestBridge:
         assert not kernel.tau.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             bridge.kernel = kernel
-        # the noise factors are the ones matcore derives from noise_cov
+        # the noise factors are the principal root and the inverse root
+        # q diag(w^{-1/2}) q' of noise_cov's eigh, bit for bit
         assert kernel.noise.root.tobytes() == matcore.principal_sqrt(bridge.noise_cov).tobytes()
-        assert kernel.noise.inv_root.tobytes() == matcore.inv_sqrt(bridge.noise_cov).tobytes()
+        w, q = np.linalg.eigh(bridge.noise_cov)
+        inv_sqrt = (q / np.sqrt(w)) @ q.T
+        assert kernel.noise.inv_root.tobytes() == ((inv_sqrt + inv_sqrt.T) / 2.0).tobytes()
 
     def test_carries_the_riccati_problem_it_solved(self):
         rng = np.random.default_rng(25)
@@ -434,6 +465,17 @@ class TestBridgeEntropy:
         for state in states[2::2]:
             gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
         assert calls == []
+
+    def test_table_names_an_unresolvable_joint_by_n(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(29), 2)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
+        # A conditional covariance far below the SPD floor of its joint P_6.
+        states[6] = dataclasses.replace(states[6], cov=np.diag([1e-13, 1.0]))
+        # Two even states per chunk: P_6 is the second joint of its chunk.
+        monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
+        with pytest.raises(DomainError, match=r"^joint P_2n at n=3 is not positive definite"):
+            gs.entropy_formula_table(states, bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_monotone_decay(self):
         rng = np.random.default_rng(17)
@@ -734,7 +776,7 @@ class TestCovarianceEnvelope:
             inst.eta.covariance, inst.eta.covariance,
             inst.kernel, 10,
         )
-        assert envelope.sandwich_ok
+        assert max(envelope.sandwich_residuals) <= 1e-10
         for n in range(1, 11):
             gap = np.linalg.eigvalsh(envelope.upper[n] - envelope.lower[n])[0]
             assert gap > 0.0

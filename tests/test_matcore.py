@@ -123,12 +123,10 @@ def test_assert_spd_rejects_indefinite():
         matcore.assert_spd(np.diag([1.0, -1.0]), "m")
 
 
-def test_spd_inverse_and_inv_sqrt():
+def test_spd_inverse():
     rng = np.random.default_rng(23)
     v = random_spd(rng, 4)
     np.testing.assert_allclose(matcore.spd_inverse(v) @ v, np.eye(4), atol=1e-10)
-    isq = matcore.inv_sqrt(v)
-    np.testing.assert_allclose(isq @ v @ isq, np.eye(4), atol=1e-10)
 
 
 def test_validated_factorization_holds_the_spd_floor():
@@ -150,8 +148,7 @@ def test_validated_factorization_holds_the_spd_floor():
 
 def test_single_matrix_routines_reject_stacks():
     stack = np.stack([np.eye(2)] * 2)
-    for call in (matcore.spd_inverse, matcore.inv_sqrt,
-                 lambda m: matcore.loewner_leq(m, m)):
+    for call in (matcore.spd_inverse, lambda m: matcore.loewner_leq(m, m)):
         with pytest.raises(DomainError, match="must be square"):
             call(stack)
 

@@ -5,6 +5,16 @@ configs that pass every check of their regime.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
 differently in their BLAS or ufunc loops, so the test skips there.
+
+The gaussian-d2, -d8 and -d16 digests were re-pinned once when each SPD
+matrix of the Gaussian engine came to be factorized by one ``eigh``:
+``riccati_apply`` became Q W (W + I)^{-1} Q' of one ``eigh`` (it was two
+inversions), and the rate diagnostics read (I + varpi)^{-1} and the rate
+base 1 + (w + sqrt(w (w + 4))) / 2 from varpi's ``eigh`` (they were an
+inversion and an ``eigvalsh`` of r + varpi).  Those values move in the last
+ulps at d >= 2; at d = 1 every formula rounds as before, so gaussian-d1
+holds, and the discrete digests hold.  No verdict flipped on a 96-config
+Gaussian sweep.
 """
 
 import hashlib
@@ -32,14 +42,14 @@ CASES = {
     "gaussian-d2": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
          "seed": 0, "iterations": 12},
-        "e9f493f288ffe34632941316f2439bf1496629b5d01a976e3c0b7b8c6663f4b3",
+        "92ce447ce1d704f6b76d40dc37b4064a846e47cfd17d3644fd8acb082b31c8fb",
         "23f7406ff0b92f280dca1a6bfe0483008a46ff1f6c974198a746c9bf3cac3c3d",
     ),
     "gaussian-d8": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 8},
          "seed": 1, "iterations": 12},
-        "cd0b5ca1122c9efa8b8ec6b75fe2487116246d901fca6c732cdbac04c3e71fb7",
-        "4d4c5494ab6b282934932818a96406f0fe682ecec843bc3be1a4790c60cf0f64",
+        "34c36749d3dc3e26f8a39254b206bb060242e8dd31365f36a0024c5b0f6da9c4",
+        "211ce583de5f9128e9e45e83ca42f18fb49e3a93bf3d8d3f3f94b83fba8580bd",
     ),
     # gate-contractive: the only case whose envelope check writes the 12
     # chained W2 rows.
@@ -53,8 +63,8 @@ CASES = {
     "gaussian-d16": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
          "seed": 0, "iterations": 12},
-        "e20813959b4ad4e6fbf61313e5c2a34f82d823fd4515a6a546d0a733385f7639",
-        "2bf83a563794e20219c95f75688da3058f28fa20adfbe9e2b6529891b570cef4",
+        "d47723eb9e6625bf6215262999179445cf6d251b589469906cd01648774c12c5",
+        "e1f1bf2b8ea90982479650fa6cc7808bdee77e409e85addc9a7eabe391e4f986",
     ),
 }
 
