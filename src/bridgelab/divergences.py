@@ -362,11 +362,15 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     """Exact Kantorovich semi-distance on finite supports.
 
     Solves ``min_{Q in Pi(mu1, mu2)} sum cost * Q`` with a transportation
-    simplex (Bland's entering rule, deterministic tie-breaking).  The basis
-    tree keeps each node's dual, parent and depth; the parent pointers give
-    the pivot cycle, and a pivot re-derives these only on the subtree it
-    moves.  ``max_pivots`` bounds the number of pivots.  Intended for
-    desk-scale supports (<= 64 x 64).
+    simplex.  The entering cell has the most negative reduced cost (Dantzig's
+    rule, first row-major cell among ties); after a degenerate pivot it is
+    the first row-major cell with a negative reduced cost (Bland's rule)
+    until a pivot moves mass again.  The leaving cell is the smallest flat
+    index among the ties, so degenerate runs cannot cycle and every other
+    pivot strictly lowers the cost.  The basis tree keeps each node's dual,
+    parent and depth; the parent pointers give the pivot cycle, and a pivot
+    re-derives these only on the subtree it moves.  ``max_pivots`` bounds
+    the number of pivots.  Intended for desk-scale supports (<= 64 x 64).
     """
     cost = np.asarray(cost, dtype=float)
     m1, m2 = as_measure(mu1), as_measure(mu2)
@@ -403,12 +407,22 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     if min(depth) < 0:
         raise NumericalError("transport basis is not a spanning tree")
 
+    degenerate = False
     for pivots in itertools.count():
-        reduced = cost - np.array(u)[:, None] - np.array(v)[None, :]
-        # Bland's rule: first (row-major) cell with negative reduced cost.
-        candidates = (reduced.reshape(-1) < -tol) & outside
-        entering = int(candidates.argmax())
-        if not candidates[entering]:
+        reduced = (cost - np.array(u)[:, None] - np.array(v)[None, :]).reshape(-1)
+        # Dantzig's rule: the most negative reduced cost, first in row-major
+        # order among ties.  After a degenerate pivot, Bland's rule (the first
+        # row-major cell below -tol) until a pivot moves mass, so a run of
+        # degenerate pivots cannot cycle.
+        if degenerate:
+            candidates = (reduced < -tol) & outside
+            entering = int(candidates.argmax())
+            optimal = not candidates[entering]
+        else:
+            priced = np.where(outside, reduced, np.inf)
+            entering = int(priced.argmin())
+            optimal = not priced[entering] < -tol
+        if optimal:
             plan = np.array(flat_plan).reshape(nx, ny)
             return TransportPlan(value=float(np.sum(plan * cost)), plan=plan)
         if pivots >= max_pivots:
@@ -429,6 +443,7 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
         minus = cycle[1::2]
         theta = min(flat_plan[c] for c in minus)
         leaving = min(c for c in minus if flat_plan[c] <= theta)
+        degenerate = theta == 0.0
         for k, cell in enumerate(cycle):
             flat_plan[cell] += theta if k % 2 == 0 else -theta
         flat_plan[leaving] = 0.0

@@ -80,12 +80,17 @@ class LinearGaussianKernel:
         return _frozen(self.noise.precision @ self.beta)
 
 
-def _centred(cov, name: str) -> Gaussian:
-    """N(0, cov), whose construction validates ``cov``; an error names ``name``."""
+def _named(mean, cov, name: str) -> Gaussian:
+    """N(mean, cov), whose construction validates ``cov``; an error names ``name``."""
     try:
-        return Gaussian(np.zeros(np.shape(cov)[-1:]), cov)
+        return Gaussian(mean, cov)
     except DomainError as exc:
         raise DomainError(f"{name}: {exc}") from None
+
+
+def _centred(cov, name: str) -> Gaussian:
+    """N(0, cov), validated as :func:`_named` does."""
+    return _named(np.zeros(np.shape(cov)[-1:]), cov, name)
 
 
 def kernel_to_json(kernel: LinearGaussianKernel) -> dict:
@@ -125,8 +130,8 @@ def instance_from_json(payload: dict) -> GaussianInstance:
     vec = lambda key: matcore._payload_array(payload, key, (d,))
     mat = lambda key: matcore._payload_array(payload, key, (d, d))
     return GaussianInstance(
-        mu=Gaussian(vec("m"), mat("sigma")),
-        eta=Gaussian(vec("m_bar"), mat("sigma_bar")),
+        mu=_named(vec("m"), mat("sigma"), "sigma"),
+        eta=_named(vec("m_bar"), mat("sigma_bar"), "sigma_bar"),
         kernel=LinearGaussianKernel(vec("alpha"), mat("beta"), mat("tau")),
     )
 
@@ -635,7 +640,13 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
         values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
                                      j_mean, matcore.symmetrize(j_cov, "covariance"))
         image = _image(mu.dim, odd)
-        marg, w, q = matcore.spd_eigh(j_cov[:, image, image], "covariance")
+        marg = j_cov[:, image, image]
+        try:
+            marg, w, q = matcore.spd_eigh(marg, "covariance")
+        except DomainError:  # name the marginal by its step, not by its place in the chunk
+            for s, c in zip(run, marg):
+                matcore.spd_eigh(c, f"marginal pi_m at m={s.step}")
+            raise
         target = mu if odd else eta
         dist[index] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
                                    target.mean, target.covariance)

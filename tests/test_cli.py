@@ -182,6 +182,18 @@ def test_mistyped_input_exits_two_naming_the_field(tmp_path, capsys, regime, ins
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_non_spd_sigma_bar_exits_two_naming_the_key(tmp_path, capsys):
+    instance = {**GAUSSIAN_INLINE, "d": 2, "m": [0.0, 0.0], "m_bar": [0.0, 0.0],
+                "alpha": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+                "sigma_bar": [1.0, 0.0, 0.0, -1.0], "beta": [1.0, 0.0, 0.0, 1.0],
+                "tau": [1.0, 0.0, 0.0, 1.0]}
+    path = write_config(tmp_path / "spd.json", {"regime": "gaussian", "iterations": 12,
+                                                 "instance": {"inline": instance}})
+    assert cli.parse_and_dispatch(["verify", "--config", path,
+                                   "--out", str(tmp_path / "out")]) == 2
+    assert "error: sigma_bar: covariance is not positive definite" in capsys.readouterr().err
+
+
 def test_ill_conditioned_instance_exits_two(tmp_path, capsys):
     # sigma_bar = 1e-4 against beta = 1e4 puts the condition number of the
     # reference joint near 1e16: the diagnostics cannot resolve it and raise,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -501,8 +502,8 @@ class TestKantorovich:
             dv.kantorovich_discrete(np.array([[0.0, -1.0], [1.0, 0.0]]), m, m)
 
     def test_degenerate_instances_match_oracle(self):
-        # Tied masses and tied costs force degenerate pivots; Bland's rule must
-        # still terminate at the optimum.
+        # Tied masses and tied costs force degenerate pivots; the first-match
+        # scan after each one must still reach the optimum.
         rng = np.random.default_rng(16)
         for _ in range(20):
             nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -523,8 +524,8 @@ class TestKantorovich:
 # --------------------------------------------------------------------------
 # Oracle: the list-basis transportation simplex (a list plus a set for the
 # basis, two adjacency builds and two DFS walks per pivot, and a Python double
-# loop for Bland's rule).  The mask-and-subtree-walk solver must return the
-# same plan bytes and the same value (==, not approx).
+# loop for the entering rule).  The mask-and-subtree-walk solver must return
+# the same plan bytes and the same value (==, not approx).
 # --------------------------------------------------------------------------
 
 
@@ -580,8 +581,20 @@ def _reference_cycle(basis, entering, nx, ny):
     return [entering] + path_cells[::-1]
 
 
-def reference_kantorovich(cost, mu1, mu2):
-    """(plan, value, pivots) of the list-basis simplex with a Python Bland scan."""
+class Reference(NamedTuple):
+    plan: np.ndarray
+    value: float
+    pivots: int
+    degenerate: int
+
+
+def reference_kantorovich(cost, mu1, mu2, rule="dantzig"):
+    """The list-basis simplex with a Python scan for the entering cell.
+
+    ``rule="dantzig"`` is the solver's rule: the most negative reduced cost
+    (first row-major cell among ties), and the first match after a degenerate
+    pivot.  ``rule="bland"`` takes the first match at every pivot.
+    """
     cost = np.asarray(cost, dtype=float)
     a, b = dv.as_measure(mu1).weights.copy(), dv.as_measure(mu2).weights.copy()
     nx, ny = a.size, b.size
@@ -603,24 +616,28 @@ def reference_kantorovich(cost, mu1, mu2):
             j += 1
     basis_set = set(basis)
     tol = 1e-13 * (1.0 + float(np.abs(cost).max(initial=0.0)))
-    pivots = 0
+    pivots = degenerate = 0
+    first_match = rule == "bland"
     while True:
         u, v = _reference_duals(basis, cost, nx, ny)
         reduced = cost - u[:, None] - v[None, :]
-        entering = None
+        entering, best = None, -tol
         for i in range(nx):
             for j in range(ny):
-                if (i, j) not in basis_set and reduced[i, j] < -tol:
-                    entering = (i, j)
-                    break
-            if entering is not None:
+                if (i, j) not in basis_set and reduced[i, j] < best:
+                    entering, best = (i, j), reduced[i, j]
+                    if first_match:
+                        break
+            if first_match and entering is not None:
                 break
         if entering is None:
-            return plan, float(np.sum(plan * cost)), pivots
+            return Reference(plan, float(np.sum(plan * cost)), pivots, degenerate)
         cycle = _reference_cycle(basis, entering, nx, ny)
         minus = cycle[1::2]
         theta = min(plan[c] for c in minus)
         leaving = min(c for c in minus if plan[c] <= theta)
+        degenerate += theta == 0.0
+        first_match = rule == "bland" or theta == 0.0
         for k, cell in enumerate(cycle):
             plan[cell] += theta if k % 2 == 0 else -theta
         plan[leaving] = 0.0
@@ -632,9 +649,9 @@ def reference_kantorovich(cost, mu1, mu2):
 
 def assert_matches_reference(cost, mu1, mu2):
     result = dv.kantorovich_discrete(cost, mu1, mu2)
-    plan, value, _ = reference_kantorovich(cost, mu1, mu2)
-    assert result.plan.tobytes() == plan.tobytes()
-    assert result.value == value
+    reference = reference_kantorovich(cost, mu1, mu2)
+    assert result.plan.tobytes() == reference.plan.tobytes()
+    assert result.value == reference.value
 
 
 @st.composite
@@ -668,7 +685,35 @@ class TestSimplexOracle:
         model = harness.generate_instance("discrete", (side, side), seed, "bounded")
         assert_matches_reference(model.cost, model.mu, model.eta)
 
-    @pytest.mark.parametrize("side", [16, 32, 48])
+    @settings(max_examples=100, deadline=None)
+    @given(problem=transport_problems())
+    def test_value_equals_bland_reference(self, problem):
+        cost, a, b = problem
+        value = dv.kantorovich_discrete(cost, a, b).value
+        bland = reference_kantorovich(cost, a, b, rule="bland").value
+        assert abs(value - bland) <= 1e-12 * (1.0 + float(cost.max()))
+
+    def test_degenerate_pivot_falls_back_to_first_match(self):
+        # Two of the reference's five pivots move no mass.  Had the solver
+        # kept the most negative reduced cost after them, it would end at
+        # another optimal plan with other bytes.
+        a, b = np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0, 1.0, 1.0])
+        cost = np.array([[0.0, 1.0, 0.0, 2.0], [0.0, 3.0, 0.0, 2.0], [2.0, 1.0, 2.0, 3.0]])
+        reference = reference_kantorovich(cost, a, b)
+        assert reference.degenerate >= 1
+        result = dv.kantorovich_discrete(cost, a, b)
+        assert result.plan.tobytes() == reference.plan.tobytes()
+        m1, m2 = dv.as_measure(a), dv.as_measure(b)
+        oracle = lp_enumeration_oracle(cost, m1.weights, m2.weights)
+        assert result.value == pytest.approx(oracle, abs=1e-12)
+
+    def test_bounded_32_solves_within_300_pivots(self):
+        # About 129 pivots; Bland's rule at every pivot takes 1383 here.
+        model = harness.generate_instance("discrete", (32, 32), 0, "bounded")
+        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=300)
+        assert result.value == reference_kantorovich(model.cost, model.mu, model.eta).value
+
+    @pytest.mark.parametrize("side", [16, 32, 48, 64])
     def test_matches_linprog(self, side):
         optimize = pytest.importorskip("scipy.optimize")
         model = harness.generate_instance("discrete", (side, side), side, "bounded")
@@ -685,13 +730,13 @@ class TestSimplexOracle:
 
     def test_zero_pivots_raises_when_corner_not_optimal(self):
         model = harness.generate_instance("discrete", (6, 6), 0, "bounded")
-        assert reference_kantorovich(model.cost, model.mu, model.eta)[2] > 0
+        assert reference_kantorovich(model.cost, model.mu, model.eta).pivots > 0
         with pytest.raises(NumericalError, match="did not terminate"):
             dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
 
     def test_zero_pivots_returns_optimal_corner(self):
         model = harness.generate_instance("discrete", (8, 8), 0, "quadratic-grid")
-        plan, value, pivots = reference_kantorovich(model.cost, model.mu, model.eta)
+        plan, value, pivots, _ = reference_kantorovich(model.cost, model.mu, model.eta)
         assert pivots == 0
         result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
         assert result.plan.tobytes() == plan.tobytes()
@@ -699,7 +744,7 @@ class TestSimplexOracle:
 
     def test_max_pivots_bounds_pivot_count(self):
         model = harness.generate_instance("discrete", (7, 9), 3, "bounded")
-        plan, value, pivots = reference_kantorovich(model.cost, model.mu, model.eta)
+        plan, value, pivots, _ = reference_kantorovich(model.cost, model.mu, model.eta)
         result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=pivots)
         assert result.plan.tobytes() == plan.tobytes()
         assert result.value == value

@@ -575,6 +575,19 @@ class TestEnvelopes:
                 assert len(measured) == len(means)
                 assert all(np.array_equal(a, b) for (a, _), b in zip(measured, means))
 
+    def test_names_an_unresolvable_marginal_by_step(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(29), 2)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
+        # With zero gain the marginal pi_6 is the conditional covariance,
+        # far below the SPD floor.
+        states[6] = dataclasses.replace(states[6], cov=np.diag([1e-13, 1.0]),
+                                        gain=np.zeros((2, 2)))
+        # Two even states per chunk: pi_6 is the second marginal of its chunk.
+        monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
+        with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
+            gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
         for d in (1, 2, 3):
@@ -815,3 +828,10 @@ class TestInstanceJson:
         np.testing.assert_allclose(clone.mu.mean, inst.mu.mean)
         np.testing.assert_allclose(clone.mu.covariance, inst.mu.covariance)
         np.testing.assert_allclose(clone.kernel.beta, inst.kernel.beta)
+
+    @pytest.mark.parametrize("key", ["sigma", "sigma_bar", "tau"])
+    def test_non_spd_covariance_is_named_by_its_key(self, key):
+        payload = gs.instance_to_json(random_instance(np.random.default_rng(30), 2))
+        payload[key] = [1.0, 0.0, 0.0, -1.0]
+        with pytest.raises(DomainError, match=f"^{key}: covariance is not positive definite"):
+            gs.instance_from_json(payload)
