@@ -439,15 +439,15 @@ def solve_bridge(model: DiscreteModel) -> BridgeSolution:
 # --------------------------------------------------------------------------
 
 
-# The names of identity_suite's rows, and of the half-bridge rows it adds on a
-# support of at most 4 x 4.
+# The names of identity_suite's rows.  The last four are the I-projection
+# identities of the first pair's half steps, the eta side and then the mu side.
 IDENTITY_NAMES = (
     "monotone-eta-chain", "monotone-mu-chain", "commute-even-forward", "commute-even-backward",
     "fixed-point-mu", "fixed-point-eta", "joint-marginal-even", "joint-marginal-odd",
     "commute-odd-forward", "commute-odd-backward", "semigroup-even", "semigroup-odd",
+    "projection-eta-pythagorean", "projection-eta-chain-rule",
+    "projection-mu-pythagorean", "projection-mu-chain-rule",
 )
-HALF_BRIDGE_NAMES = tuple(f"half-bridge-{side}-{kind}" for side in ("odd", "even")
-                          for kind in ("forward-argmin", "reverse-argmin", "argmin-location"))
 
 
 @dataclass(frozen=True)
@@ -483,69 +483,33 @@ def _chain_rows(name: str, steps, chain) -> list[CheckRow]:
     return [CheckRow(name, n, value) for n, value in zip(steps, worst.tolist())]
 
 
-def _simplex_descent(fn, dim: int, mass: float, start=None, min_step: float = 1e-7):
-    """Coordinate-exchange descent over the scaled simplex {t >= 0, sum t = mass}."""
-    t = np.full(dim, mass / dim) if start is None else np.asarray(start, dtype=float).copy()
-    best = fn(t)
-    step = mass / 4.0
-    while step > min_step * mass:
-        improved = True
-        while improved:
-            improved = False
-            for i in range(dim):
-                for j in range(dim):
-                    if i == j or t[j] < step:
-                        continue
-                    cand = t.copy()
-                    cand[i] += step
-                    cand[j] -= step
-                    val = fn(cand)
-                    if val < best:
-                        best, t, improved = val, cand, True
-        step /= 4.0
-    return t, best
+def _projection_rows(names, index: int, p: np.ndarray, p_proj: np.ndarray,
+                     weights: np.ndarray) -> list[CheckRow]:
+    """Rows of the two identities of the I-projection ``p_proj`` of ``p``.
 
-
-def _half_bridge_rows(names, index: int, reference: np.ndarray, candidate: np.ndarray,
-                      fixed_marginal: np.ndarray, axis: int) -> list[CheckRow]:
-    """Brute-force argmin checks of the two half-bridge variational identities.
-
-    ``names`` name the forward-argmin, reverse-argmin and argmin-location rows.
-
-    ``axis`` is the coordinate whose marginal is pinned (0 for mu-side, 1 for
-    eta-side); each slice of the polytope is an independent scaled simplex, so
-    the oracle minimizes slice by slice with a coordinate-exchange descent.
+    Each row of ``p`` is one slice of the pinned marginal, and ``p_proj``
+    rescales every slice of ``p`` to its pinned mass.  R reweights each slice
+    of ``p_proj`` by ``weights`` and keeps the slice's mass, so R lies in the
+    pinned family.  For it, KL(R | P) = KL(R | P') + KL(P' | P) (``names[0]``)
+    and KL(P | R) = KL(P | P') + sum_s |p_s| KL(p_s / |p_s| | r_s / |r_s|)
+    (``names[1]``).  A row is the gap between the two sides, relative to
+    max(1, the largest term).  Kernel entries that underflow to 0 in only one
+    of the matrices are left out: the identities are taken on the common
+    support of P, P' and R, and a slice with no mass there is dropped.
     """
-    if axis == 0:
-        reference, candidate = reference.T, candidate.T
-    dim = reference.shape[0]
-    worst_forward = 0.0
-    worst_reverse = 0.0
-    worst_dist = 0.0
-    for col in range(reference.shape[1]):
-        p = reference[:, col]
-        cand = candidate[:, col]
-        mass = float(fixed_marginal[col])
-        if mass <= 0:
-            continue
-
-        def forward(t, p=p):
-            return relative_entropy(t, p)
-
-        def reverse(t, p=p):
-            return relative_entropy(p, t)
-
-        t_fwd, best_fwd = _simplex_descent(forward, dim, mass)
-        t_rev, best_rev = _simplex_descent(reverse, dim, mass)
-        worst_forward = max(worst_forward, forward(cand) - best_fwd)
-        worst_reverse = max(worst_reverse, reverse(cand) - best_rev)
-        worst_dist = max(
-            worst_dist,
-            float(np.max(np.abs(t_fwd - cand))),
-            float(np.max(np.abs(t_rev - cand))),
-        )
-    worst = (max(worst_forward, 0.0), max(worst_reverse, 0.0), worst_dist)
-    return [CheckRow(name, index, value) for name, value in zip(names, worst)]
+    support = (p > 0.0) & (p_proj * weights > 0.0)
+    keep = support.any(axis=1)
+    p = np.where(support, p, 0.0)[keep]
+    p_proj = np.where(support, p_proj, 0.0)[keep]
+    tilted = p_proj * weights
+    r_hat = tilted / tilted.sum(axis=1)[:, None]
+    r = p_proj.sum(axis=1)[:, None] * r_hat
+    mass = p.sum(axis=1)
+    slices = float(np.sum(mass * relative_entropy_rows(p / mass[:, None], r_hat)))
+    forward = (relative_entropy(r, p), relative_entropy(r, p_proj), relative_entropy(p_proj, p))
+    reverse = (relative_entropy(p, r), relative_entropy(p, p_proj), slices)
+    return [CheckRow(name, index, abs(lhs - (a + b)) / max(1.0, abs(lhs), abs(a), abs(b)))
+            for name, (lhs, a, b) in zip(names, (forward, reverse))]
 
 
 def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
@@ -553,7 +517,8 @@ def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
 
     Each matrix product is taken per iterate; the KL chains, ratios and
     maxima run on stacks of one chunk of iterates.  Rows come step by step,
-    in the order of the identities below.
+    in the order of the identities below; the I-projection rows of the first
+    pair's two half steps come last.
     """
     if len(iterates) < 2:
         raise DomainError("identity_suite needs at least two consecutive iterates")
@@ -608,14 +573,9 @@ def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
         rows += [eta_row, mu_row, *close]
     for close in _per_chunk(pairs, model, backward):
         rows += close
-    if model.nx <= 4 and model.ny <= 4:
-        it, nxt = iterates[0], iterates[1]
-        rows.extend(_half_bridge_rows(
-            HALF_BRIDGE_NAMES[:3], it.step, it.joint_even, it.joint_odd, eta, axis=1,
-        ))
-        rows.extend(_half_bridge_rows(
-            HALF_BRIDGE_NAMES[3:], it.step, it.joint_odd, nxt.joint_even, mu, axis=0,
-        ))
+    it, nxt = iterates[0], iterates[1]
+    rows += _projection_rows(IDENTITY_NAMES[-4:-2], it.step, it.joint_even.T, it.joint_odd.T, mu)
+    rows += _projection_rows(IDENTITY_NAMES[-2:], it.step, it.joint_odd, nxt.joint_even, eta)
     return tuple(rows)
 
 

@@ -359,15 +359,9 @@ def _identity_rows(model, iterates, solution):
             for row in discrete.identity_suite(model, iterates)]
 
 
-# Metric -> tolerance.  The half-bridge rows compare against a coordinate
-# descent, not an identity.
-_IDENTITY_TOLS = {f"identity_{name}": IDENTITY_TOL for name in discrete.IDENTITY_NAMES} | {
-    f"identity_{name}": 2e-3 if name.endswith("-argmin-location") else 1e-9
-    for name in discrete.HALF_BRIDGE_NAMES}
-
-
 def _identities_rule(rows):
-    passed = all(value <= _IDENTITY_TOLS[name] for _, name, value in rows)
+    # A NaN row fails: it is not <= the tolerance.
+    passed = all(value <= IDENTITY_TOL for _, _, value in rows)
     return passed, max((value for _, _, value in rows), default=0.0)
 
 
@@ -571,7 +565,8 @@ REGIMES = {
             "geometric-rate": _Check(_geometric_rows, _geometric_rule, (
                 "eps_w", "rate_bound", "h_kl", "h_tv", "h_hellinger-sq", "sup_ratio_gap",
                 "sup_fit_slope", "sup_fit_r2", "sandwich_residual")),
-            "identities": _Check(_identity_rows, _identities_rule, tuple(_IDENTITY_TOLS)),
+            "identities": _Check(_identity_rows, _identities_rule, tuple(
+                f"identity_{name}" for name in discrete.IDENTITY_NAMES)),
             "bridge-feasibility": _Check(_feasibility_rows, _feasibility_rule, (
                 "bridge_residual", "bridge_marginal_x_error", "bridge_marginal_y_error",
                 "bridge_iterations", "bridge_converged")),

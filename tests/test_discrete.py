@@ -323,16 +323,51 @@ class TestIdentitySuite:
         assert check_passes("identities", model, iterates), rows
         assert {row.name for row in rows} == set(discrete.IDENTITY_NAMES)
 
-    def test_half_bridge_oracle_on_small_support(self):
-        rng = np.random.default_rng(21)
-        model = random_model(rng, 3, 3)
-        iterates = discrete.run_sinkhorn(model, 3)
-        half_rows = [row for row in discrete.identity_suite(model, iterates)
-                     if "half-bridge" in row.name]
-        assert [row.name for row in half_rows] == list(discrete.HALF_BRIDGE_NAMES)
-        passed, _ = harness.REGIMES["discrete"].checks["identities"].rule(
-            [(row.index, f"identity_{row.name}", row.residual) for row in half_rows])
-        assert passed, half_rows
+    # P_{2n+1} is the I-projection of P_{2n} onto the couplings with Y-marginal
+    # eta, and P_{2n+2} that of P_{2n+1} onto those with X-marginal mu: each
+    # minimizes KL(R | P) and KL(P | R) over R in its family.  Each R is the
+    # engine's projection times exp(spread * Z), Z standard normal, with its
+    # slices rescaled to the pinned marginal; at spread 3 it is far from it.
+    @settings(max_examples=60, deadline=None)
+    @given(profile=st.sampled_from(["bounded", "quadratic-grid"]),
+           seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(2, 6), ny=st.integers(2, 6),
+           spread=st.sampled_from([1e-6, 1e-3, 0.3, 3.0]))
+    def test_each_half_step_is_the_argmin_of_its_family(self, profile, seed, nx, ny, spread):
+        model = harness.generate_instance("discrete", (nx, ny), seed, profile)
+        it, nxt = discrete.run_sinkhorn(model, 1)
+        rng = np.random.default_rng(seed)
+        h = ref_relative_entropy
+        for p, p_proj, pinned_axis, pinned in ((it.joint_even, it.joint_odd, 0, model.eta),
+                                               (it.joint_odd, nxt.joint_even, 1, model.mu)):
+            for _ in range(4):
+                r = p_proj * np.exp(spread * rng.standard_normal(p.shape))
+                r *= np.expand_dims(pinned / r.sum(axis=pinned_axis), pinned_axis)
+                assert h(r, p) >= h(p_proj, p) - 1e-12
+                assert h(p, r) >= h(p, p_proj) - 1e-12
+
+    def test_projection_rows_catch_a_step_that_is_not_the_projection(self):
+        rng = np.random.default_rng(23)
+        model = random_model(rng, 4, 5)
+        it, nxt = discrete.run_sinkhorn(model, 1)
+        names = discrete.IDENTITY_NAMES[-2:]
+        exact = discrete._projection_rows(names, 0, it.joint_odd, nxt.joint_even, model.eta)
+        assert max(row.residual for row in exact) <= harness.IDENTITY_TOL
+        # Reversing one slice keeps it in the mu family but breaks proportionality.
+        wrong = nxt.joint_even.copy()
+        wrong[0] = wrong[0, ::-1]
+        rows = discrete._projection_rows(names, 0, it.joint_odd, wrong, model.eta)
+        assert min(row.residual for row in rows) > 1e-6, rows
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_projection_rows_skip_a_slice_that_underflows(self):
+        # A column of P_0 underflows to 0 where P_1 keeps the mass eta(y).
+        model = harness.generate_instance("discrete", (2, 2), 8, "bounded", osc_cap=1000.0)
+        iterates = discrete.run_sinkhorn(model, 1)
+        assert not np.all(iterates[0].joint_even.any(axis=0))
+        rows = [row for row in discrete.identity_suite(model, iterates)
+                if row.name in discrete.IDENTITY_NAMES[-4:]]
+        assert len(rows) == 4
+        assert all(row.residual <= harness.IDENTITY_TOL for row in rows), rows
 
     def test_needs_two_iterates(self):
         rng = np.random.default_rng(22)
@@ -608,7 +643,27 @@ def ref_chain_row(name, index, chain):
     return discrete.CheckRow(name, index, max(worst, 0.0))
 
 
-HALF_BRIDGE_KINDS = ("forward-argmin", "reverse-argmin", "argmin-location")
+def ref_projection_rows(names, index, p, p_proj, weights):
+    """The I-projection identity rows of ``p`` -> ``p_proj``, one slice (row) at a time."""
+    slices = []  # (p_s, p'_s, r_hat_s, r_s) on the common support, for slices with mass
+    for p_s, q_s in zip(p, p_proj):
+        support = (p_s > 0.0) & (q_s * weights > 0.0)
+        if not support.any():
+            continue
+        p_s, q_s = np.where(support, p_s, 0.0), np.where(support, q_s, 0.0)
+        tilted = q_s * weights
+        r_hat = tilted / np.sum(tilted)
+        slices.append((p_s, q_s, r_hat, np.sum(q_s) * r_hat))
+    p, q, _, r = (np.array(part) for part in zip(*slices))
+    h = ref_relative_entropy
+    chain = np.sum(np.array([np.sum(p_s) * h(p_s / np.sum(p_s), r_hat)
+                             for p_s, _, r_hat, _ in slices]))
+    rows = []
+    for name, (lhs, a, b) in zip(names, ((h(r, p), h(r, q), h(q, p)),
+                                         (h(p, r), h(p, q), float(chain)))):
+        scale = max(1.0, abs(lhs), abs(a), abs(b))
+        rows.append(discrete.CheckRow(name, index, abs(lhs - (a + b)) / scale))
+    return rows
 
 
 def ref_identity_rows(model, iterates):
@@ -644,16 +699,11 @@ def ref_identity_rows(model, iterates):
                           it.kernel_even @ (it.kernel_odd @ (prev.pi_odd / mu)),
                           it.pi_odd / mu),
         ]
-    if model.nx <= 4 and model.ny <= 4:
-        it, nxt = iterates[0], iterates[1]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(discrete, "relative_entropy", ref_relative_entropy)
-            rows += discrete._half_bridge_rows(
-                [f"half-bridge-odd-{kind}" for kind in HALF_BRIDGE_KINDS],
-                it.step, it.joint_even, it.joint_odd, eta, axis=1)
-            rows += discrete._half_bridge_rows(
-                [f"half-bridge-even-{kind}" for kind in HALF_BRIDGE_KINDS],
-                it.step, it.joint_odd, nxt.joint_even, mu, axis=0)
+    it, nxt = iterates[0], iterates[1]
+    rows += ref_projection_rows(["projection-eta-pythagorean", "projection-eta-chain-rule"],
+                                it.step, it.joint_even.T, it.joint_odd.T, mu)
+    rows += ref_projection_rows(["projection-mu-pythagorean", "projection-mu-chain-rule"],
+                                it.step, it.joint_odd, nxt.joint_even, eta)
     return rows
 
 

@@ -470,12 +470,20 @@ class TestRuleTable:
                 for metric in metrics:
                     assert seen.setdefault(metric, name) == name, metric
 
+    def test_identities_rule_fails_on_a_nan_row(self):
+        rule = harness.REGIMES["discrete"].checks["identities"].rule
+        rows = [(0, "identity_semigroup-odd", 0.0),
+                (0, "identity_projection-mu-chain-rule", 1e-13)]
+        assert rule(rows)[0]
+        for bad in (math.nan, 2e-12, math.inf):
+            assert not rule([*rows, (0, "identity_projection-eta-pythagorean", bad)])[0], bad
+
     def test_metric_no_check_writes_rejected(self):
         with pytest.raises(DomainError, match="^no check writes the metric 'ratio_kl'"):
             harness.verdicts_from_csv("step,metric,value\n0,ratio_kl,0.5\n")
 
     @pytest.mark.parametrize("payload", [
-        # 4x4 writes the half-bridge identity rows.
+        # 4x4 is the size whose identity rows used to differ.
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [4, 4]}, "seed": 3,
          "iterations": 12},
         {"regime": "discrete", "instance": {"profile": "quadratic-grid", "size": [5, 7]},
@@ -490,6 +498,12 @@ class TestRuleTable:
          "seed": 1, "iterations": 12},
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 3},
          "seed": 0, "iterations": 12},
+        # Kernel entries underflow to 0, and P_{2n} and P_{2n+1} differ in their
+        # zero pattern.
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [8, 8],
+                                            "osc_cap": 1000.0}, "seed": 0, "iterations": 12},
+        {"regime": "discrete", "instance": {"profile": "quadratic-grid", "size": [64, 64],
+                                            "t": 0.0005}, "seed": 0, "iterations": 12},
     ])
     def test_each_check_writes_only_its_metrics_and_verdicts_rederive(self, payload):
         config = harness.ExperimentConfig.from_json(payload)
@@ -501,5 +515,9 @@ class TestRuleTable:
             assert written <= set(check.metrics), (name, written)
         report = harness.run_experiment(config)
         assert_verdicts_rederive(report)
-        if payload["instance"]["size"] == [4, 4]:
-            assert any(m.startswith("identity_half-bridge") for _, m, _ in report.rows)
+        if config.regime == "discrete":
+            # Every size writes the I-projection rows, and every identity row is finite.
+            identity = [(m, v) for _, m, v in report.rows if m.startswith("identity_")]
+            assert {m for m, _ in identity} == set(regime.checks["identities"].metrics)
+            assert all(math.isfinite(v) for _, v in identity), identity
+            assert {v.check: v.passed for v in report.verdicts}["identities"]
