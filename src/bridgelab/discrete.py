@@ -338,6 +338,12 @@ class LadderReport:
     rows: tuple[LadderRow, ...]
 
 
+def marginal_errors(model: DiscreteModel, q) -> tuple[float, float]:
+    """Worst absolute error of coupling ``q``'s row sums against mu and column sums against eta."""
+    return (float(np.max(np.abs(q.sum(axis=1) - model.mu))),
+            float(np.max(np.abs(q.sum(axis=0) - model.eta))))
+
+
 def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
     """Decompose H(Q | P) into per-step marginal gaps plus H(Q | P_{2n}).
 
@@ -347,10 +353,7 @@ def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.nx, model.ny):
         raise DomainError("coupling shape does not match the model")
-    if (
-        float(np.max(np.abs(q.sum(axis=1) - model.mu))) > MARGINAL_TOL
-        or float(np.max(np.abs(q.sum(axis=0) - model.eta))) > MARGINAL_TOL
-    ):
+    if any(err > MARGINAL_TOL for err in marginal_errors(model, q)):
         raise DomainError("coupling marginals do not match (mu, eta)")
     to_bridge = [relative_entropy(q, it.joint_even) for it in iterates]
     total = to_bridge[0]

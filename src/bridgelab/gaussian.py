@@ -11,10 +11,14 @@ chunk holds states of one parity, at most ``matcore.CHUNK_ELEMENTS //
 (2d)^2`` of them (8 at d = 16, a whole 100-iteration run at d = 2), and makes
 one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity.  One
 builder, ``_iterate_blocks``, gives the joints P_n and marginals pi_n of a
-chunk, and :func:`sinkhorn_joint` and :func:`marginal` pass it one state.
+chunk, and :func:`sinkhorn_joint` passes it one state.
 Every value equals the per-state arithmetic bit for bit (the rules are in
 :mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
 stay per-state: each step needs the one before.
+
+Each object has one representation: a bridge is its kernel, a
+:class:`RiccatiProblem` is its mixing matrix gamma, and every half step of the
+flow and of the strongly convex envelopes is one ``_conditional_cov`` update.
 
 Each SPD matrix on these paths is validated from one ``eigh``
 (``matcore.spd_eigh``), and every inverse, root and spectrum of it is read
@@ -209,15 +213,13 @@ class GaussianSinkhornState:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-def initial_state(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel) -> GaussianSinkhornState:
-    """Step 0 state: the reference kernel itself, rescaled by the target covariance."""
-    return GaussianSinkhornState(
-        step=0,
-        mean=kernel.alpha + kernel.beta @ mu.mean,
-        gain=kernel.beta.copy(),
-        cov=kernel.tau.copy(),
-        rescaled_cov=eta.inv_root @ kernel.tau @ eta.inv_root,
-    )
+def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
+    """Half step ``step``'s Bayes update (precision + chi' cov chi)^{-1} from one validated eigh."""
+    try:
+        _, w, q = matcore.spd_eigh(precision + chi.T @ cov @ chi)
+    except DomainError as exc:
+        raise NumericalError(f"covariance lost positivity at step {step}: {exc}") from exc
+    return matcore.eigh_inverse(w, q)
 
 
 def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
@@ -228,11 +230,7 @@ def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
     """
     n = state.step
     source, target, chi = (mu, eta, kernel.chi) if n % 2 == 0 else (eta, mu, kernel.chi.T)
-    try:
-        _, w, q = matcore.spd_eigh(source.precision + chi.T @ state.cov @ chi)
-    except DomainError as exc:
-        raise NumericalError(f"covariance lost positivity at step {n + 1}: {exc}") from exc
-    cov_next = matcore.eigh_inverse(w, q)
+    cov_next = _conditional_cov(source.precision, chi, state.cov, n + 1)
     gain_next = cov_next @ chi.T
     return GaussianSinkhornState(
         step=n + 1,
@@ -245,16 +243,17 @@ def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
 
 def run_sinkhorn(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
                  half_steps: int) -> list[GaussianSinkhornState]:
-    """States 0..half_steps inclusive."""
-    states = [initial_state(mu, eta, kernel)]
+    """States 0..half_steps inclusive; state 0 is the reference kernel, rescaled by eta."""
+    states = [GaussianSinkhornState(
+        step=0,
+        mean=kernel.alpha + kernel.beta @ mu.mean,
+        gain=kernel.beta,
+        cov=kernel.tau,
+        rescaled_cov=eta.inv_root @ kernel.tau @ eta.inv_root,
+    )]
     for _ in range(half_steps):
         states.append(sinkhorn_step(states[-1], mu, eta, kernel))
     return states
-
-
-def _image(d: int, odd: bool) -> slice:
-    """The block of the coordinate the n-th kernel maps to: y at even n, x at odd n."""
-    return slice(None, d) if odd else slice(d, None)
 
 
 def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
@@ -262,20 +261,12 @@ def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
     """Unvalidated mean and covariance of the bridge iterates P_n on (x, y).
 
     ``mean``, ``gain`` and ``cov`` are the state fields of one half step, or
-    stacks of them from half steps of one parity (``odd``).  With ``image =
-    _image(d, odd)``, ``cov[..., image, image]`` is the covariance of the
-    marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
+    stacks of them from half steps of one parity (``odd``).  The block of the
+    coordinate the kernel maps to (y at even n, x at odd n) is the covariance of
+    the marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
     """
     source = eta if odd else mu
     return _affine_blocks(source, mean - gain @ source.mean, gain, cov, swap=odd)
-
-
-def marginal(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) -> Gaussian:
-    """The Sinkhorn marginal pi_n as a Gaussian."""
-    odd = state.step % 2 == 1
-    _, cov = _iterate_blocks(state.mean, state.gain, state.cov, odd, mu, eta)
-    image = _image(mu.dim, odd)
-    return Gaussian(state.mean, cov[image, image])
 
 
 def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) -> Gaussian:
@@ -284,24 +275,21 @@ def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) ->
                                      mu, eta))
 
 
-def _chunks(states, d: int):
-    """Yield ``(positions, odd, run)`` over ``states`` in runs of one parity.
+def _chunks(states, d: int, *fields: str):
+    """Yield ``(positions, odd, run, *stacks)`` over ``states`` in runs of one parity.
 
     Each run holds at most ``CHUNK_ELEMENTS // (2d)^2`` states (and at least
     one), so a stack of their 2d x 2d joint covariances stays within the chunk
-    budget.  Even runs come first; ``positions`` index ``states``.
+    budget.  Even runs come first; ``positions`` index ``states``, and each of
+    ``stacks`` is the named state field of ``run`` along a new leading axis.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in (False, True):
         positions = [i for i, s in enumerate(states) if s.step % 2 == odd]
         for start in range(0, len(positions), size):
             index = positions[start:start + size]
-            yield index, odd, [states[i] for i in index]
-
-
-def _stack(run, *fields: str) -> tuple[np.ndarray, ...]:
-    """The named state fields of ``run``, each stacked along a new leading axis."""
-    return tuple(np.stack([getattr(s, f) for s in run]) for f in fields)
+            run = [states[i] for i in index]
+            yield index, odd, run, *(np.stack([getattr(s, f) for s in run]) for f in fields)
 
 
 # --------------------------------------------------------------------------
@@ -311,10 +299,10 @@ def _stack(run, *fields: str) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """The rescaled-covariance flow data: mixing matrix gamma and varpi = (gamma gamma')^{-1}."""
+    """The flow of mixing matrix gamma, varpi = (gamma gamma')^{-1}; the odd chain's is gamma'."""
 
-    varpi: np.ndarray
     gamma: np.ndarray
+    varpi: np.ndarray = field(init=False, repr=False, compare=False)
     # varpi = q diag(w) q', the one eigh varpi is validated from.
     w: np.ndarray = field(init=False, repr=False, compare=False)
     q: np.ndarray = field(init=False, repr=False, compare=False)
@@ -322,30 +310,21 @@ class RiccatiProblem:
 
     def __post_init__(self) -> None:
         gamma = np.asarray(self.gamma, dtype=float)
-        varpi, w, q = matcore.spd_eigh(self.varpi, "varpi")
+        gram = gamma @ gamma.T
+        _, w, q = matcore.spd_eigh(gram, "gamma gamma'")
+        varpi, w, q = matcore.spd_eigh(matcore.eigh_inverse(w, q), "varpi")
         varpi_inv = matcore.eigh_inverse(w, q)
-        residual = float(np.max(np.abs(varpi_inv - gamma @ gamma.T)))
-        if residual > 1e-10 * max(1.0, float(np.max(np.abs(gamma @ gamma.T)))):
+        residual = float(np.max(np.abs(varpi_inv - gram)))
+        if residual > 1e-10 * max(1.0, float(np.max(np.abs(gram)))):
             raise DomainError(f"varpi^-1 != gamma gamma' (residual {residual:.3e})")
         for name, value in (("varpi", varpi), ("gamma", gamma), ("w", w), ("q", q),
                             ("varpi_inv", varpi_inv)):
             object.__setattr__(self, name, _frozen(value))
 
     @classmethod
-    def from_gamma(cls, gamma) -> "RiccatiProblem":
-        gamma = np.asarray(gamma, dtype=float)
-        _, w, q = matcore.spd_eigh(gamma @ gamma.T, "gamma gamma'")
-        return cls(varpi=matcore.eigh_inverse(w, q), gamma=gamma)
-
-    @classmethod
     def from_instance(cls, mu: Gaussian, eta: Gaussian,
                       kernel: LinearGaussianKernel) -> "RiccatiProblem":
-        return cls.from_gamma(eta.root @ kernel.chi @ mu.root)
-
-    @property
-    def flipped(self) -> "RiccatiProblem":
-        """The companion problem driving the odd-index chain."""
-        return RiccatiProblem.from_gamma(self.gamma.T)
+        return cls(eta.root @ kernel.chi @ mu.root)
 
 
 def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
@@ -397,25 +376,17 @@ def riccati_fixed_point(problem: RiccatiProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianBridge:
-    """Parameters of the limiting bridge kernel y = intercept + gain x + noise.
+    """The limiting bridge kernel y = alpha + beta x + noise(tau).
 
     ``problem`` is the Riccati problem whose fixed point the bridge is built on.
     """
 
+    kernel: LinearGaussianKernel
     fixed_point: np.ndarray
-    noise_cov: np.ndarray
-    gain: np.ndarray
-    intercept: np.ndarray
     problem: RiccatiProblem
 
     def __post_init__(self) -> None:
-        for name in ("fixed_point", "noise_cov", "gain", "intercept"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    @functools.cached_property
-    def kernel(self) -> LinearGaussianKernel:
-        """The bridge as a transition kernel (built and validated once)."""
-        return LinearGaussianKernel(alpha=self.intercept, beta=self.gain, tau=self.noise_cov)
+        object.__setattr__(self, "fixed_point", _frozen(self.fixed_point))
 
 
 def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
@@ -423,7 +394,11 @@ def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
     """Assemble the closed-form bridge from the Riccati fixed point."""
     if not (mu.dim == eta.dim == kernel.dim):
         raise DomainError("dimension mismatch in schrodinger_bridge_gaussian")
-    problem = RiccatiProblem.from_instance(mu, eta, kernel)
+    try:
+        problem = RiccatiProblem.from_instance(mu, eta, kernel)
+    except DomainError as exc:
+        raise DomainError("beta, sigma and sigma_bar give a numerically singular mixing matrix "
+                          f"gamma = sigma_bar^(1/2) tau^-1 beta sigma^(1/2): {exc}") from None
     r = riccati_fixed_point(problem)
     noise = matcore.symmetrize(eta.root @ r @ eta.root)
     gain = noise @ kernel.chi
@@ -431,29 +406,23 @@ def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
     scale = max(1.0, float(np.max(np.abs(eta.covariance))))
     if float(np.max(np.abs(transport - eta.covariance))) > 1e-10 * scale:
         raise NumericalError("bridge transport identity gain sigma gain' + noise = sigma_bar failed")
-    return GaussianBridge(
-        fixed_point=r,
-        noise_cov=noise,
-        gain=gain,
-        intercept=eta.mean - gain @ mu.mean,
-        problem=problem,
-    )
+    return GaussianBridge(LinearGaussianKernel(eta.mean - gain @ mu.mean, gain, noise), r, problem)
 
 
 def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
-    return affine_joint(mu, bridge.intercept, bridge.gain, bridge.noise_cov)
+    return affine_joint(mu, bridge.kernel.alpha, bridge.kernel.beta, bridge.kernel.tau)
 
 
 def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
                       kernel: LinearGaussianKernel) -> np.ndarray:
     """Closed-form H(P_{2n} | bridge) from even-state means and covariances (or stacks)."""
-    eta_mean = bridge.intercept + bridge.gain @ mu.mean
-    isq = bridge.kernel.noise.inv_root
-    shift = isq @ (mean - eta_mean)[..., None]
+    b = bridge.kernel
+    isq = b.noise.inv_root
+    shift = isq @ (mean - (b.alpha + b.beta @ mu.mean))[..., None]
     mean_term = np.sum(shift ** 2, axis=(-2, -1))
-    cross = isq @ (cov - bridge.noise_cov) @ kernel.chi @ mu.root
+    cross = isq @ (cov - b.tau) @ kernel.chi @ mu.root
     cross_term = np.sum(cross ** 2, axis=(-2, -1))
-    return 0.5 * (_burg(cov, bridge.noise_cov) + mean_term + cross_term)
+    return 0.5 * (_burg(cov, b.tau) + mean_term + cross_term)
 
 
 def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
@@ -476,8 +445,7 @@ def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta:
     b_joint = bridge_joint(mu, bridge)
     formula = np.empty(len(even))
     oracle = np.empty(len(even))
-    for index, _, run in _chunks(even, mu.dim):
-        mean, gain, cov = _stack(run, "mean", "gain", "cov")
+    for index, _, run, mean, gain, cov in _chunks(even, mu.dim, "mean", "gain", "cov"):
         formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
         try:
@@ -498,8 +466,8 @@ def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta:
 @dataclass(frozen=True)
 class GaussianRateRow:
     n: int
-    cov_error: float            # ||tau_{2n} - noise_cov||_2
-    sqrt_error: float           # ||tau_{2n}^{1/2} - noise_cov^{1/2}||_2
+    cov_error: float            # ||tau_{2n} - tau||_2 (tau: the bridge's)
+    sqrt_error: float           # ||tau_{2n}^{1/2} - tau^{1/2}||_2
     mean_error: float
     product_norm: float         # ||sbar^{-1/2} directed-product sbar^{1/2}||_2
     directed_residual: float    # defect of the marginal-covariance product formula
@@ -525,25 +493,23 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     prev_odd = [by_step.get(s.step - 1) for s in looped]
     if any(s is None for s in prev_odd):
         raise DomainError("rate_report needs a trajectory of consecutive half steps")
-    noise_root = bridge.kernel.noise.root
-    eta_mean = bridge.intercept + bridge.gain @ mu.mean
+    b = bridge.kernel
+    eta_mean = b.alpha + b.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
     problem = bridge.problem
     inv_gap = matcore.eigh_inverse(1.0 + problem.w, problem.q)  # (I + varpi)^{-1}
 
     errors = np.empty((3, len(even)))
-    for index, _, run in _chunks(even, d):
-        mean, cov = _stack(run, "mean", "cov")
+    for index, _, _, mean, cov in _chunks(even, d, "mean", "cov"):
         errors[:, index] = (
-            matcore.spectral_norm(cov - bridge.noise_cov),
-            matcore.spectral_norm(matcore.principal_sqrt(cov) - noise_root),
+            matcore.spectral_norm(cov - b.tau),
+            matcore.spectral_norm(matcore.principal_sqrt(cov) - b.noise.root),
             matcore.vector_norm(mean - eta_mean),
         )
     loops = np.empty((5, len(looped)))
     product = np.eye(d)
-    for index, _, run in _chunks(looped, d):
-        gain, cov, rescaled = _stack(run, "gain", "cov", "rescaled_cov")
+    for index, _, _, gain, cov, rescaled in _chunks(looped, d, "gain", "cov", "rescaled_cov"):
         loop_gain = gain @ np.stack([prev_odd[i].gain for i in index])
         products = np.empty_like(loop_gain)
         for k, step_gain in enumerate(loop_gain):
@@ -634,12 +600,11 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
     b_joint = bridge_joint(mu, bridge)
     values = np.empty(len(trajectory))
     dist = np.empty(len(trajectory))
-    for index, odd, run in _chunks(trajectory, mu.dim):
-        mean, gain, cov = _stack(run, "mean", "gain", "cov")
+    for index, odd, run, mean, gain, cov in _chunks(trajectory, mu.dim, "mean", "gain", "cov"):
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
         values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
                                      j_mean, matcore.symmetrize(j_cov, "covariance"))
-        image = _image(mu.dim, odd)
+        image = slice(None, mu.dim) if odd else slice(mu.dim, None)  # the block of pi_m
         marg = j_cov[:, image, image]
         try:
             marg, w, q = matcore.spd_eigh(marg, "covariance")
@@ -705,10 +670,8 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     for n in range(n_max):
         # Odd steps are even steps with the sigma_bar pair and chi transposed.
         law, law_minus, c = (s, s_minus, chi) if n % 2 == 0 else (sb, sb_minus, chi.T)
-        up = matcore.spd_inverse(law.precision + c.T @ lower[-1] @ c)
-        low = matcore.spd_inverse(law_minus.precision + c.T @ upper[-1] @ c)
-        upper.append(up)
-        lower.append(low)
+        upper.append(_conditional_cov(law.precision, c, lower[n], n + 1))
+        lower.append(_conditional_cov(law_minus.precision, c, upper[n], n + 1))
 
     sandwich = tuple(
         max(0.0, -float(np.linalg.eigvalsh(matcore.symmetrize(up - low))[0]))
@@ -716,7 +679,7 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     )
     # The rescaled upper even flow is a Riccati iteration for the shrunk mixing matrix.
     isq_bar = sb.inv_root
-    problem_minus = RiccatiProblem.from_gamma(sb.root @ chi @ s_minus.root)
+    problem_minus = RiccatiProblem(sb.root @ chi @ s_minus.root)
     rescaled_residuals = []
     for n in range(0, n_max - 1, 2):
         current = isq_bar @ upper[n] @ isq_bar

@@ -11,7 +11,8 @@ function of that check's own ``(step, metric, value)`` rows that returns
 the rows its check just wrote, and :func:`verdicts_from_csv` to the rows of
 a ``report.csv`` text, so every verdict is recomputable from the rows bit
 for bit.  Every verdict tolerance is in a rule, and no engine report decides
-a verdict.  README.md lists each check's metrics and rule.
+a verdict.  A NaN row fails its check with a NaN worst residual before the
+rule reads it.  README.md lists each check's metrics and rule.
 """
 
 from __future__ import annotations
@@ -265,29 +266,26 @@ def _scalars(rows) -> dict[str, float]:
 
 
 def _peak(values, start: float = 0.0) -> float:
-    """The largest of ``start`` and ``values``; as with Python's max, a NaN counts as none."""
+    """The largest of ``start`` and ``values``; as with Python's max, a NaN counts as none.
+
+    Rows reach a rule only when none is NaN, so a NaN here is one the rule
+    computed itself, such as inf - inf.
+    """
     return max([start, *values])
 
 
-def _at_most(tol: float, *metrics: str, start: float | None = 0.0) -> Callable:
-    """The rule: the largest value of ``metrics`` (Python's max, from ``start``) is <= ``tol``."""
+def _at_most(tol: float, *metrics: str) -> Callable:
+    """The rule: the largest value of ``metrics``, all >= 0, is <= ``tol``."""
     def rule(rows):
-        values = [value for _, name, value in rows if name in metrics]
-        worst = max(values if start is None else [start, *values])
+        worst = _peak(value for _, name, value in rows if name in metrics)
         return worst <= tol, worst
     return rule
-
-
-def _marginal_errors(model, bridge) -> tuple[float, float]:
-    """Worst absolute error of the bridge's row sums against mu and column sums against eta."""
-    return (float(np.max(np.abs(bridge.sum(axis=1) - model.mu))),
-            float(np.max(np.abs(bridge.sum(axis=0) - model.eta))))
 
 
 def _ladder_rows(model, iterates, solution):
     # The ladder decomposes H(Q | P) for a coupling Q of (mu, eta); a bridge
     # solve that stalled short of its marginals gets one row instead.
-    err = max(_marginal_errors(model, solution.bridge))
+    err = max(discrete.marginal_errors(model, solution.bridge))
     if err > discrete.MARGINAL_TOL:
         return [(0, "ladder_bridge_marginal_error", err)]
     report = discrete.entropy_ladder(model, iterates, solution.bridge)
@@ -302,8 +300,7 @@ def _ladder_rule(rows):
     stalled = _column(rows, "ladder_bridge_marginal_error")
     if stalled:
         return False, stalled[0]
-    # A NaN residual marks a step where Q is not absolutely continuous.
-    worst = _peak(math.inf if math.isnan(r) else r for r in _column(rows, "ladder_residual"))
+    worst = _peak(_column(rows, "ladder_residual"))
     return worst <= 1e-9, worst
 
 
@@ -354,19 +351,16 @@ def _geometric_rule(rows):
     return passed, _peak([*(r - bound for r in ratios), sandwich])
 
 
+_IDENTITY_METRICS = tuple(f"identity_{name}" for name in discrete.IDENTITY_NAMES)
+
+
 def _identity_rows(model, iterates, solution):
     return [(row.index, f"identity_{row.name}", row.residual)
             for row in discrete.identity_suite(model, iterates)]
 
 
-def _identities_rule(rows):
-    # A NaN row fails: it is not <= the tolerance.
-    passed = all(value <= IDENTITY_TOL for _, _, value in rows)
-    return passed, max((value for _, _, value in rows), default=0.0)
-
-
 def _feasibility_rows(model, iterates, solution):
-    marg_x, marg_y = _marginal_errors(model, solution.bridge)
+    marg_x, marg_y = discrete.marginal_errors(model, solution.bridge)
     return [
         (0, "bridge_residual", solution.residual),
         (0, "bridge_marginal_x_error", marg_x),
@@ -538,8 +532,18 @@ def _envelope_rule(rows):
 @dataclass(frozen=True)
 class _Check:
     rows: Callable  # (instance, trajectory, bridge) -> [(step, metric, value)]
-    rule: Callable  # this check's rows -> (passed, worst_residual)
+    rule: Callable  # this check's rows -> (passed, worst_residual); a NaN row fails it
     metrics: tuple[str, ...]  # every metric its rows may carry
+
+    def __post_init__(self) -> None:
+        rule = self.rule
+
+        def screened(rows):
+            # A NaN row is the worst value of all: it fails the check.
+            if any(math.isnan(value) for _, _, value in rows):
+                return False, math.nan
+            return rule(rows)
+        object.__setattr__(self, "rule", screened)
 
 
 @dataclass(frozen=True)
@@ -565,8 +569,8 @@ REGIMES = {
             "geometric-rate": _Check(_geometric_rows, _geometric_rule, (
                 "eps_w", "rate_bound", "h_kl", "h_tv", "h_hellinger-sq", "sup_ratio_gap",
                 "sup_fit_slope", "sup_fit_r2", "sandwich_residual")),
-            "identities": _Check(_identity_rows, _identities_rule, tuple(
-                f"identity_{name}" for name in discrete.IDENTITY_NAMES)),
+            "identities": _Check(_identity_rows, _at_most(IDENTITY_TOL, *_IDENTITY_METRICS),
+                                 _IDENTITY_METRICS),
             "bridge-feasibility": _Check(_feasibility_rows, _feasibility_rule, (
                 "bridge_residual", "bridge_marginal_x_error", "bridge_marginal_y_error",
                 "bridge_iterations", "bridge_converged")),
@@ -587,10 +591,10 @@ REGIMES = {
                                           _at_most(1e-10, "riccati_equiv_error"),
                                           ("riccati_equiv_error",)),
             "golden-fixed-point": _Check(_golden_rows,
-                                         _at_most(1e-9, "fixed_point_eig_error", start=None),
+                                         _at_most(1e-9, "fixed_point_eig_error"),
                                          ("fixed_point_eig_error", "fixed_point")),
             "bridge-transport": _Check(_transport_rows, _at_most(
-                1e-10, "transport_mean_error", "transport_cov_error", start=None),
+                1e-10, "transport_mean_error", "transport_cov_error"),
                 ("transport_mean_error", "transport_cov_error")),
             "entropy-formula": _Check(_entropy_formula_rows,
                                       _at_most(1e-9, "entropy_formula_error"),

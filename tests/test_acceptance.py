@@ -124,7 +124,7 @@ def _rate_fit_instances(count=10):
         problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
         lam = float(np.linalg.eigvalsh(bridge.fixed_point + problem.varpi)[0])
         slope = -2.0 * math.log(1.0 + lam)
-        initial = matcore.spectral_norm(inst.kernel.tau - bridge.noise_cov)
+        initial = matcore.spectral_norm(inst.kernel.tau - bridge.kernel.tau)
         if slope >= -5.0 and initial >= 1e-3:
             instances.append((inst, bridge))
         seed += 1

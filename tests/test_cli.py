@@ -219,6 +219,26 @@ def test_ill_conditioned_entropy_formula_alone_exits_two(tmp_path, capsys):
     assert "error: joint P_2n at n=0 is not positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("small, code", [(1e-7, 2), (1e-5, 0)])
+def test_nearly_singular_beta_names_the_inputs(tmp_path, capsys, small, code):
+    # beta = diag(1, 1e-7) clears the kernel's singular-value floor, but with
+    # sigma = sigma_bar = tau = I the mixing matrix gamma gamma' = diag(1, 1e-14)
+    # is below the SPD floor.  At 1e-5 every check passes.
+    instance = {**GAUSSIAN_INLINE, "d": 2, "m": [0.0, 0.0], "m_bar": [0.0, 0.0],
+                "alpha": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0],
+                "sigma_bar": [1.0, 0.0, 0.0, 1.0], "beta": [1.0, 0.0, 0.0, small],
+                "tau": [1.0, 0.0, 0.0, 1.0]}
+    path = write_config(tmp_path / "beta.json", {"regime": "gaussian", "iterations": 12,
+                                                  "instance": {"inline": instance}})
+    assert cli.parse_and_dispatch(["verify", "--config", path,
+                                   "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert ("error: beta, sigma and sigma_bar give a numerically singular mixing matrix "
+                "gamma = sigma_bar^(1/2) tau^-1 beta sigma^(1/2): gamma gamma' is not positive "
+                "definite: smallest eigenvalue 1.000000e-14") in err
+
+
 def test_iterations_override_above_cap_exits_two(golden_config, tmp_path, capsys):
     argv = ["verify", "--config", golden_config, "--out", str(tmp_path / "out")]
     assert cli.parse_and_dispatch(argv + ["--iterations", "100000000"]) == 2

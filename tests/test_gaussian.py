@@ -177,7 +177,7 @@ class TestSinkhornFlow:
         inst = random_instance(rng, 2)
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
         for even, odd in zip(states[::2], states[1::2]):
-            pi_even = gs.marginal(even, inst.mu, inst.eta)
+            pi_even = ref_marginal(even, inst.mu, inst.eta)
             odd_kernel = gs.LinearGaussianKernel(
                 alpha=odd.mean - odd.gain @ inst.eta.mean, beta=odd.gain, tau=odd.cov
             )
@@ -185,7 +185,7 @@ class TestSinkhornFlow:
             np.testing.assert_allclose(back.mean, inst.mu.mean, atol=1e-10)
             np.testing.assert_allclose(back.covariance, inst.mu.covariance, atol=1e-10)
         for odd, even_next in zip(states[1::2], states[2::2]):
-            pi_odd = gs.marginal(odd, inst.mu, inst.eta)
+            pi_odd = ref_marginal(odd, inst.mu, inst.eta)
             even_kernel = gs.LinearGaussianKernel(
                 alpha=even_next.mean - even_next.gain @ inst.mu.mean,
                 beta=even_next.gain, tau=even_next.cov,
@@ -212,7 +212,7 @@ class TestSinkhornFlow:
         ) @ root_bar
         root = matcore.principal_sqrt(inst.mu.covariance)
         lower_odd = root @ matcore.spd_inverse(
-            np.eye(3) + matcore.spd_inverse(problem.flipped.varpi)
+            np.eye(3) + matcore.spd_inverse(gs.RiccatiProblem(problem.gamma.T).varpi)
         ) @ root
         states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
         for state in states[2::2]:
@@ -226,12 +226,12 @@ class TestSinkhornFlow:
 
 class TestRiccati:
     def test_scalar_apply(self):
-        problem = gs.RiccatiProblem.from_gamma(np.array([[1.0]]))
+        problem = gs.RiccatiProblem(np.array([[1.0]]))
         assert gs.riccati_apply(problem, np.zeros((1, 1)))[0, 0] == pytest.approx(0.5)
 
     def test_psd_check_and_one_factorization_per_apply(self, linalg_calls):
         rng = np.random.default_rng(9)
-        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        problem = gs.RiccatiProblem(rng.normal(size=(3, 3)) + 2 * np.eye(3))
         v = random_spd(rng, 3)
         linalg_calls.clear()
         gs.riccati_apply(problem, v)
@@ -239,7 +239,7 @@ class TestRiccati:
 
     def test_varpi_is_factorized_once(self, linalg_calls, monkeypatch):
         rng = np.random.default_rng(10)
-        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        problem = gs.RiccatiProblem(rng.normal(size=(3, 3)) + 2 * np.eye(3))
         factorized = []
 
         def recording(original):
@@ -269,7 +269,7 @@ class TestRiccati:
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         vals = 10.0 ** rng.uniform(top - spread, top, size=d)
-        problem = gs.RiccatiProblem.from_gamma(q / np.sqrt(vals))
+        problem = gs.RiccatiProblem(q / np.sqrt(vals))
         factor = rng.normal(size=(d, min(rank, d)))
         v = factor @ factor.T
         reference = np.linalg.inv(np.eye(d) + np.linalg.inv(problem.varpi + v))
@@ -282,15 +282,15 @@ class TestRiccati:
 
     def test_fixed_point_is_stationary(self):
         rng = np.random.default_rng(7)
-        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        problem = gs.RiccatiProblem(rng.normal(size=(3, 3)) + 2 * np.eye(3))
         r = gs.riccati_fixed_point(problem)
         np.testing.assert_allclose(gs.riccati_apply(problem, r), r, atol=1e-12)
 
     def test_scalar_golden_and_large_varpi(self):
-        problem = gs.RiccatiProblem.from_gamma(np.array([[1.0]]))
+        problem = gs.RiccatiProblem(np.array([[1.0]]))
         r = gs.riccati_fixed_point(problem)
         assert r[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
-        big = gs.RiccatiProblem.from_gamma(np.array([[0.1]]))  # varpi = 100
+        big = gs.RiccatiProblem(np.array([[0.1]]))  # varpi = 100
         r_big = gs.riccati_fixed_point(big)
         assert r_big[0, 0] == pytest.approx(0.99019514, abs=1e-7)
         assert r_big[0, 0] >= 100.0 / 101.0
@@ -300,7 +300,7 @@ class TestRiccati:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         vals = rng.uniform(0.5, 5.0, size=4)
         varpi = (q * vals) @ q.T
-        problem = gs.RiccatiProblem(varpi=varpi, gamma=q @ np.diag(1.0 / np.sqrt(vals)) @ q.T)
+        problem = gs.RiccatiProblem(q @ np.diag(1.0 / np.sqrt(vals)) @ q.T)
         r = gs.riccati_fixed_point(problem)
         scalar = (-vals + np.sqrt(vals ** 2 + 4 * vals)) / 2.0
         np.testing.assert_allclose(r, (q * scalar) @ q.T, atol=1e-12)
@@ -308,7 +308,7 @@ class TestRiccati:
     def test_equivalence_residuals(self):
         rng = np.random.default_rng(9)
         for d in (1, 2, 3):
-            problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(d, d)) + 2 * np.eye(d))
+            problem = gs.RiccatiProblem(rng.normal(size=(d, d)) + 2 * np.eye(d))
             r = gs.riccati_fixed_point(problem)
             residuals = gs.fixed_point_residuals(problem, r)
             assert max(residuals.values()) <= 1e-12
@@ -320,7 +320,7 @@ class TestRiccati:
 
     def test_monotone_and_sandwich(self):
         rng = np.random.default_rng(10)
-        problem = gs.RiccatiProblem.from_gamma(rng.normal(size=(3, 3)) + 2 * np.eye(3))
+        problem = gs.RiccatiProblem(rng.normal(size=(3, 3)) + 2 * np.eye(3))
         v1 = random_spd(rng, 3, 0.1, 0.5)
         v2 = v1 + random_spd(rng, 3, 0.1, 0.5)
         assert matcore.loewner_leq(
@@ -346,7 +346,7 @@ class TestRiccati:
             for state in states[2::2]:
                 current = gs.riccati_apply(problem, current)
                 np.testing.assert_allclose(state.rescaled_cov, current, atol=1e-10)
-            flipped = problem.flipped
+            flipped = gs.RiccatiProblem(problem.gamma.T)
             current = states[1].rescaled_cov
             for state in states[3::2]:
                 current = gs.riccati_apply(flipped, current)
@@ -366,8 +366,8 @@ class TestBridge:
     def test_scalar_golden_bridge(self):
         inst = scalar_instance()
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        assert bridge.noise_cov[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
-        assert bridge.gain[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
+        assert bridge.kernel.tau[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
+        assert bridge.kernel.beta[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_transport_property(self):
         rng = np.random.default_rng(13)
@@ -382,17 +382,20 @@ class TestBridge:
         inst = random_instance(np.random.default_rng(26), 3)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
         kernel = bridge.kernel
-        assert bridge.kernel is kernel
-        assert kernel.alpha.tobytes() == bridge.intercept.tobytes()
-        assert kernel.beta.tobytes() == bridge.gain.tobytes()
-        assert kernel.tau.tobytes() == bridge.noise_cov.tobytes()
+        # tau is noise = symmetrize(sigma_bar^1/2 r sigma_bar^1/2), beta = noise chi
+        # and alpha = m_bar - beta m, bit for bit
+        root_bar = inst.eta.root
+        noise = matcore.symmetrize(root_bar @ bridge.fixed_point @ root_bar)
+        assert kernel.tau.tobytes() == noise.tobytes()
+        assert kernel.beta.tobytes() == (noise @ inst.kernel.chi).tobytes()
+        assert kernel.alpha.tobytes() == (inst.eta.mean - kernel.beta @ inst.mu.mean).tobytes()
         assert not kernel.tau.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
             bridge.kernel = kernel
         # the noise factors are the principal root and the inverse root
-        # q diag(w^{-1/2}) q' of noise_cov's eigh, bit for bit
-        assert kernel.noise.root.tobytes() == matcore.principal_sqrt(bridge.noise_cov).tobytes()
-        w, q = np.linalg.eigh(bridge.noise_cov)
+        # q diag(w^{-1/2}) q' of tau's eigh, bit for bit
+        assert kernel.noise.root.tobytes() == matcore.principal_sqrt(kernel.tau).tobytes()
+        w, q = np.linalg.eigh(kernel.tau)
         inv_sqrt = (q / np.sqrt(w)) @ q.T
         assert kernel.noise.inv_root.tobytes() == ((inv_sqrt + inv_sqrt.T) / 2.0).tobytes()
 
@@ -414,10 +417,10 @@ class TestBridge:
         # means contract once per pair at the base rate, covariances twice
         pairs = min(1500, int(math.ceil(math.log(1e12) / math.log(rate))) + 10)
         final = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * pairs)[-1]
-        np.testing.assert_allclose(final.cov, bridge.noise_cov, atol=1e-10)
-        np.testing.assert_allclose(
-            final.mean, bridge.intercept + bridge.gain @ inst.mu.mean, atol=1e-10
-        )
+        kernel = bridge.kernel
+        np.testing.assert_allclose(final.cov, kernel.tau, atol=1e-10)
+        np.testing.assert_allclose(final.mean, kernel.alpha + kernel.beta @ inst.mu.mean,
+                                   atol=1e-10)
 
 
 class TestBridgeEntropy:
@@ -425,11 +428,12 @@ class TestBridgeEntropy:
         rng = np.random.default_rng(15)
         inst = random_instance(rng, 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        kernel = bridge.kernel
         state = gs.GaussianSinkhornState(
             step=0,
-            mean=bridge.intercept + bridge.gain @ inst.mu.mean,
-            gain=bridge.gain,
-            cov=bridge.noise_cov,
+            mean=kernel.alpha + kernel.beta @ inst.mu.mean,
+            gain=kernel.beta,
+            cov=kernel.tau,
             rescaled_cov=np.eye(2),
         )
         assert gs.bridge_entropy(state, bridge, inst.mu, inst.kernel) == pytest.approx(
@@ -654,12 +658,13 @@ def ref_w2(p, q):
 
 
 def ref_bridge_entropy(state, bridge, mu, kernel):
-    eta_mean = bridge.intercept + bridge.gain @ mu.mean
-    isq = bridge.kernel.noise.inv_root
+    b = bridge.kernel
+    eta_mean = b.alpha + b.beta @ mu.mean
+    isq = b.noise.inv_root
     mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
-    cross = isq @ (state.cov - bridge.noise_cov) @ kernel.chi @ mu.root
+    cross = isq @ (state.cov - b.tau) @ kernel.chi @ mu.root
     cross_term = float(np.sum(cross ** 2))
-    burg = ref_burg(matcore.assert_spd(state.cov), matcore.assert_spd(bridge.noise_cov))
+    burg = ref_burg(matcore.assert_spd(state.cov), matcore.assert_spd(b.tau))
     return 0.5 * (burg + mean_term + cross_term)
 
 
@@ -667,7 +672,7 @@ def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
     even = [s for s in trajectory if s.step % 2 == 0]
     by_step = {s.step: s for s in trajectory}
     noise_root = bridge.kernel.noise.root
-    eta_mean = bridge.intercept + bridge.gain @ mu.mean
+    eta_mean = bridge.kernel.alpha + bridge.kernel.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
     inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
@@ -675,7 +680,7 @@ def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
     product = np.eye(d)
     for state in even:
         n = state.step // 2
-        cov_error = matcore.spectral_norm(state.cov - bridge.noise_cov)
+        cov_error = matcore.spectral_norm(state.cov - bridge.kernel.tau)
         sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(state.cov) - noise_root)
         mean_error = float(np.linalg.norm(state.mean - eta_mean))
         directed_residual = 0.0
@@ -719,11 +724,13 @@ def assert_chunks_equal_loops(inst, half_steps):
         (s.step // 2, ref_bridge_entropy(s, bridge, mu, kernel),
          ref_kl(ref_joint(s, mu, eta), b_joint)) for s in even]
     for s in states[:3]:
-        joint, pi = gs.sinkhorn_joint(s, mu, eta), gs.marginal(s, mu, eta)
-        ref, ref_pi = ref_joint(s, mu, eta), ref_marginal(s, mu, eta)
+        joint, ref = gs.sinkhorn_joint(s, mu, eta), ref_joint(s, mu, eta)
         assert joint.mean.tobytes() == ref.mean.tobytes()
         assert joint.covariance.tobytes() == ref.covariance.tobytes()
-        assert pi.covariance.tobytes() == ref_pi.covariance.tobytes()
+        # the joint's image block is the marginal pi_n: y at even n, x at odd n
+        image = slice(None, mu.dim) if s.step % 2 else slice(mu.dim, None)
+        pi = ref_marginal(s, mu, eta)
+        assert joint.covariance[image, image].tobytes() == pi.covariance.tobytes()
     if len(even) > gs.MIN_RATE_PAIRS:
         rows = gs.rate_report(states, bridge, mu, eta, kernel).rows
         assert list(rows) == ref_rate_rows(states, bridge, mu, eta, kernel)
@@ -807,6 +814,30 @@ class TestCovarianceEnvelope:
             matcore.spd_inverse(inst.mu.covariance) + chi.T @ inst.kernel.tau @ chi
         )
         np.testing.assert_allclose(envelope.upper[1], expected, atol=1e-12)
+
+    def test_one_conditional_covariance_update(self, monkeypatch):
+        # The flow and both envelope recursions make each half step through one
+        # update, numbered by the step it makes, and take no spd_inverse.
+        steps = []
+        update = gs._conditional_cov
+
+        def recording(precision, chi, cov, step):
+            steps.append(step)
+            return update(precision, chi, cov, step)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spd_inverse called")
+
+        monkeypatch.setattr(gs, "_conditional_cov", recording)
+        monkeypatch.setattr(matcore, "spd_inverse", forbidden)
+        inst = random_instance(np.random.default_rng(27), 3)
+        gs.strongly_convex_covariance_envelope(
+            inst.mu.covariance, inst.mu.covariance / 2.0,
+            inst.eta.covariance, inst.eta.covariance, inst.kernel, 4)
+        assert steps == [1, 1, 2, 2, 3, 3, 4, 4]
+        steps.clear()
+        gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 4)
+        assert steps == [1, 2, 3, 4]
 
     def test_ordering_validated(self):
         rng = np.random.default_rng(26)

@@ -477,6 +477,41 @@ class TestRuleTable:
         assert rule(rows)[0]
         for bad in (math.nan, 2e-12, math.inf):
             assert not rule([*rows, (0, "identity_projection-eta-pythagorean", bad)])[0], bad
+        assert math.isnan(rule([*rows, (0, "identity_semigroup-even", math.nan)])[1])
+
+    @pytest.mark.parametrize("payload", [
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]}, "seed": 0,
+         "iterations": 12},
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 1},
+         "seed": 1, "iterations": 12},
+    ])
+    def test_every_rule_fails_on_a_nan_row(self, payload):
+        # Each check passes on its rows; a NaN in any one of them, whichever
+        # metric it carries, fails the check with a NaN worst residual.
+        report = harness.run_experiment(harness.ExperimentConfig.from_json(payload))
+        for name, check in harness.REGIMES[payload["regime"]].checks.items():
+            rows = [row for row in report.rows if row[1] in check.metrics]
+            assert check.rule(rows)[0], name
+            for k, (step, metric, _) in enumerate(rows):
+                passed, worst = check.rule([*rows[:k], (step, metric, math.nan), *rows[k + 1:]])
+                assert not passed and math.isnan(worst), (name, step, metric)
+
+    def test_nan_identity_row_is_the_worst_residual(self, tmp_path):
+        # At osc_cap 1000 pi_0 has an exact 0, so eta / pi_even writes a NaN
+        # identity row at n = 0.  H(bridge | P_0) is infinite there, and the
+        # linear-decay gaps lhs - total = inf - inf that this leaves are no excess.
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete", "seed": 1, "iterations": 12,
+            "instance": {"profile": "bounded", "size": [2, 5], "osc_cap": 1000.0}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = harness.run_experiment(config, tmp_path)
+        assert any(math.isnan(v) for _, m, v in report.rows if m.startswith("identity_"))
+        verdicts = {v.check: v for v in report.verdicts}
+        assert not verdicts["identities"].passed
+        assert math.isnan(verdicts["identities"].worst_residual)
+        assert verdicts["linear-decay"].passed
+        assert_verdicts_rederive(report, tmp_path)
 
     def test_metric_no_check_writes_rejected(self):
         with pytest.raises(DomainError, match="^no check writes the metric 'ratio_kl'"):

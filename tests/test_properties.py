@@ -1,11 +1,19 @@
 """Property tests: every default verdict passes across seeds, sizes and profiles,
-and the rule table re-derives each verdict from the report.csv text alone."""
+the rule table re-derives each verdict from the report.csv text alone, and two
+processes write the same report bytes."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bridgelab
 from bridgelab import harness
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -47,3 +55,35 @@ def test_gaussian_default_verdicts_pass(d, seed):
     assert harness.ExperimentConfig.from_json(config).checks == harness.GAUSSIAN_CHECKS
     assert failed_verdicts(config) == []
 
+
+RUN_CONFIGS = st.one_of(
+    st.builds(lambda profile, nx, ny, seed: {
+        "regime": "discrete", "seed": seed,
+        # the bounded profile needs two cells to pin osc(W)
+        "instance": {"profile": profile, "size": [nx, ny if nx * ny > 1 else 2]}},
+        st.sampled_from(["bounded", "quadratic-grid"]), SIDES, SIDES, SEEDS),
+    st.builds(lambda d, seed: {
+        "regime": "gaussian", "seed": seed,
+        "instance": {"profile": "gaussian-random-spd", "size": d}}, SIDES, SEEDS),
+)
+
+
+@settings(max_examples=6, deadline=None)
+@example(config={"regime": "gaussian", "seed": 3,
+                 "instance": {"profile": "gaussian-random-spd", "size": 16}})
+@given(config=RUN_CONFIGS)
+def test_two_processes_write_the_same_report_bytes(config):
+    # One `verify` process after another, each with the default checks.
+    env = {**os.environ, "PYTHONPATH": str(Path(bridgelab.__file__).parents[1])}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**config, "iterations": 12}))
+        written = []
+        for run in ("a", "b"):
+            out = Path(tmp) / run
+            done = subprocess.run([sys.executable, "-m", "bridgelab.cli", "verify",
+                                   "--config", str(path), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode in (0, 1), done.stderr
+            written.append([(out / name).read_bytes() for name in ("report.csv", "verdicts.json")])
+        assert written[0] == written[1]
