@@ -302,29 +302,41 @@ class TransportPlan:
     plan: np.ndarray
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns (allocation, basis mask)."""
+def _initial_basis(a: np.ndarray, b: np.ndarray, order: np.ndarray):
+    """A basic feasible solution from walking the flat cells in ``order``.
+
+    Returns (allocation, basis mask).  At each cell whose row and column are
+    both open it allocates ``min(supply, demand)`` and closes one line: the
+    row if its supply is used up and another row is open, or if the column is
+    the last one open; else the column.  The last allocation closes both, so
+    the basis is a spanning tree of nx + ny - 1 cells even under degeneracy
+    (rounding can leave dust in a line it closes).  Walked row-major this is
+    the north-west-corner rule; walked from the cheapest cell, the least-cost
+    (matrix-minimum) rule.
+    """
     nx, ny = a.size, b.size
     plan = np.zeros((nx, ny))
     in_basis = np.zeros((nx, ny), dtype=bool)
-    supply = a.copy()
-    demand = b.copy()
-    i = j = 0
-    while True:
+    supply, demand = a.tolist(), b.tolist()
+    row_open, col_open = [True] * nx, [True] * ny
+    open_rows, open_cols = nx, ny
+    rows, cols = np.divmod(order, ny)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
         move = min(supply[i], demand[j])
         plan[i, j] = move
         in_basis[i, j] = True
         supply[i] -= move
         demand[j] -= move
-        if i == nx - 1 and j == ny - 1:
+        if open_rows == 1 and open_cols == 1:
             break
-        # Advance one index at a time so the basis stays a spanning tree of
-        # size nx + ny - 1 even under degeneracy; at a boundary the only legal
-        # move is along the other axis (rounding can leave dust either way).
-        if j == ny - 1 or (supply[i] <= demand[j] and i < nx - 1):
-            i += 1
+        if open_cols == 1 or (supply[i] <= demand[j] and open_rows > 1):
+            row_open[i] = False
+            open_rows -= 1
         else:
-            j += 1
+            col_open[j] = False
+            open_cols -= 1
     return plan, in_basis
 
 
@@ -362,15 +374,19 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     """Exact Kantorovich semi-distance on finite supports.
 
     Solves ``min_{Q in Pi(mu1, mu2)} sum cost * Q`` with a transportation
-    simplex.  The entering cell has the most negative reduced cost (Dantzig's
-    rule, first row-major cell among ties); after a degenerate pivot it is
-    the first row-major cell with a negative reduced cost (Bland's rule)
-    until a pivot moves mass again.  The leaving cell is the smallest flat
-    index among the ties, so degenerate runs cannot cycle and every other
-    pivot strictly lowers the cost.  The basis tree keeps each node's dual,
-    parent and depth; the parent pointers give the pivot cycle, and a pivot
-    re-derives these only on the subtree it moves.  ``max_pivots`` bounds
-    the number of pivots.  Intended for desk-scale supports (<= 64 x 64).
+    simplex.  It starts from the cheaper of the north-west-corner and the
+    least-cost (matrix-minimum) bases, the corner on a tie, so a Monge cost,
+    whose corner is optimal, takes no pivots.  The entering cell has the most
+    negative reduced cost (Dantzig's rule, first row-major cell among ties);
+    after a degenerate pivot it is the first row-major cell with a negative
+    reduced cost (Bland's rule) until a pivot moves mass again.  The leaving
+    cell is the smallest flat index among the ties, so degenerate runs cannot
+    cycle and every other pivot strictly lowers the cost.  The basis tree
+    keeps each node's dual, parent and depth; the parent pointers give the
+    pivot cycle, and a pivot re-derives these only on the subtree it moves.
+    ``max_pivots`` bounds the number of pivots; with ``max_pivots=0`` the
+    chosen start is returned when it is optimal.  Intended for desk-scale
+    supports (<= 64 x 64).
     """
     cost = np.asarray(cost, dtype=float)
     m1, m2 = as_measure(mu1), as_measure(mu2)
@@ -385,7 +401,10 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     if abs(a.sum() - b.sum()) > 1e-9:
         raise DomainError("marginals must carry equal total mass")
 
-    plan, in_basis = _northwest_corner(a, b)
+    plan, in_basis = _initial_basis(a, b, np.arange(nx * ny))
+    greedy, greedy_basis = _initial_basis(a, b, np.argsort(cost, axis=None, kind="stable"))
+    if float(np.sum(greedy * cost)) < float(np.sum(plan * cost)):
+        plan, in_basis = greedy, greedy_basis
     scale = 1.0 + float(np.abs(cost).max(initial=0.0))
     tol = 1e-13 * scale
     if max_pivots is None:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -426,6 +427,22 @@ def test_stalled_bridge_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL ladder" in out
     assert "FAIL bridge-feasibility" in out
+
+
+def test_nan_identity_row_fails_without_a_warning(tmp_path, capsys):
+    # At osc_cap 1000 pi_0 has an exact 0: the identity row it gives is NaN
+    # and fails its check, and numpy prints nothing about the division.
+    path = write_config(tmp_path / "zero.json", {
+        "regime": "discrete", "seed": 1, "iterations": 12,
+        "instance": {"profile": "bounded", "size": [2, 5], "osc_cap": 1000.0},
+        "output": str(tmp_path / "zero-out"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.parse_and_dispatch(["verify", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL identities (worst residual nan)" in captured.out
+    assert captured.err == ""
 
 
 def test_plot_flag(bounded_config, tmp_path):

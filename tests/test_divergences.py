@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgelab import divergences as dv
@@ -588,15 +588,8 @@ class Reference(NamedTuple):
     degenerate: int
 
 
-def reference_kantorovich(cost, mu1, mu2, rule="dantzig"):
-    """The list-basis simplex with a Python scan for the entering cell.
-
-    ``rule="dantzig"`` is the solver's rule: the most negative reduced cost
-    (first row-major cell among ties), and the first match after a degenerate
-    pivot.  ``rule="bland"`` takes the first match at every pivot.
-    """
-    cost = np.asarray(cost, dtype=float)
-    a, b = dv.as_measure(mu1).weights.copy(), dv.as_measure(mu2).weights.copy()
+def reference_northwest(a, b):
+    """The north-west-corner start as (plan, list of basis cells)."""
     nx, ny = a.size, b.size
     plan = np.zeros((nx, ny))
     basis = []
@@ -614,6 +607,55 @@ def reference_kantorovich(cost, mu1, mu2, rule="dantzig"):
             i += 1
         else:
             j += 1
+    return plan, basis
+
+
+def reference_least_cost(cost, a, b):
+    """The matrix-minimum start as (plan, list of basis cells).
+
+    Cells in (cost, row, column) order; each allocation closes the row if its
+    supply is used up and another row is open, else the column (the row when
+    only one column is open), and the last one closes both.
+    """
+    nx, ny = a.size, b.size
+    plan = np.zeros((nx, ny))
+    basis = []
+    supply, demand = a.copy(), b.copy()
+    rows, cols = set(range(nx)), set(range(ny))
+    for _, i, j in sorted((cost[i, j], i, j) for i in range(nx) for j in range(ny)):
+        if i not in rows or j not in cols:
+            continue
+        move = min(supply[i], demand[j])
+        plan[i, j] = move
+        basis.append((i, j))
+        supply[i] -= move
+        demand[j] -= move
+        if len(rows) == len(cols) == 1:
+            break
+        if len(cols) == 1 or (supply[i] <= demand[j] and len(rows) > 1):
+            rows.remove(i)
+        else:
+            cols.remove(j)
+    return plan, basis
+
+
+def reference_kantorovich(cost, mu1, mu2, rule="dantzig"):
+    """The list-basis simplex with a Python scan for the entering cell.
+
+    ``rule="dantzig"`` is the solver's: it starts from the cheaper of the
+    north-west-corner and least-cost starts (the corner on a tie), enters at
+    the most negative reduced cost (first row-major cell among ties), and at
+    the first match after a degenerate pivot.  ``rule="bland"`` starts from
+    the corner and takes the first match at every pivot.
+    """
+    cost = np.asarray(cost, dtype=float)
+    a, b = dv.as_measure(mu1).weights.copy(), dv.as_measure(mu2).weights.copy()
+    nx, ny = a.size, b.size
+    plan, basis = reference_northwest(a, b)
+    if rule == "dantzig":
+        greedy, greedy_basis = reference_least_cost(cost, a, b)
+        if float(np.sum(greedy * cost)) < float(np.sum(plan * cost)):
+            plan, basis = greedy, greedy_basis
     basis_set = set(basis)
     tol = 1e-13 * (1.0 + float(np.abs(cost).max(initial=0.0)))
     pivots = degenerate = 0
@@ -688,29 +730,64 @@ class TestSimplexOracle:
     @settings(max_examples=100, deadline=None)
     @given(problem=transport_problems())
     def test_value_equals_bland_reference(self, problem):
+        # The Bland reference starts from the corner, the solver from the
+        # cheaper start: two starts, one optimal value.
         cost, a, b = problem
         value = dv.kantorovich_discrete(cost, a, b).value
         bland = reference_kantorovich(cost, a, b, rule="bland").value
         assert abs(value - bland) <= 1e-12 * (1.0 + float(cost.max()))
 
+    @settings(max_examples=200, deadline=None)
+    @given(problem=transport_problems())
+    @example(problem=(np.array([[2.0, 0.0, 1.0, 0.0]]), np.array([3.0]),
+                      np.array([0.0, 2.0, 0.0, 1.0])))
+    @example(problem=(np.array([[1.0], [0.0], [1.0]]), np.array([1.0, 0.0, 2.0]),
+                      np.array([3.0])))
+    def test_both_starts_are_spanning_trees(self, problem):
+        # One walk makes both starts: row-major it is the north-west corner,
+        # cheapest first the least-cost start.
+        cost, a, b = problem
+        a, b = dv.as_measure(a).weights, dv.as_measure(b).weights
+        nx, ny = a.size, b.size
+        starts = [(np.arange(nx * ny), reference_northwest(a, b)),
+                  (np.argsort(cost, axis=None, kind="stable"), reference_least_cost(cost, a, b))]
+        for order, (reference, basis) in starts:
+            plan, in_basis = dv._initial_basis(a, b, order)
+            assert int(in_basis.sum()) == nx + ny - 1
+            adj = [set() for _ in range(nx + ny)]
+            for i, j in zip(*np.nonzero(in_basis)):
+                adj[i].add(nx + j)
+                adj[nx + j].add(i)
+            depth = [0] + [-1] * (nx + ny - 1)
+            dv._hang(adj, cost.reshape(-1).tolist(), [0.0] * nx, [0.0] * ny,
+                     [None] * (nx + ny), depth, [(0, other) for other in adj[0]])
+            assert min(depth) >= 0
+            assert np.all(plan >= 0.0)
+            assert np.all(plan[~in_basis] == 0.0)
+            assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+            assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+            assert plan.tobytes() == reference.tobytes()
+            assert sorted(basis) == list(zip(*np.nonzero(in_basis)))
+
     def test_degenerate_pivot_falls_back_to_first_match(self):
-        # Two of the reference's five pivots move no mass.  Had the solver
+        # Three of the reference's six pivots move no mass.  Had the solver
         # kept the most negative reduced cost after them, it would end at
         # another optimal plan with other bytes.
-        a, b = np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0, 1.0, 1.0])
-        cost = np.array([[0.0, 1.0, 0.0, 2.0], [0.0, 3.0, 0.0, 2.0], [2.0, 1.0, 2.0, 3.0]])
+        a, b = np.array([2.0, 2.0, 2.0]), np.array([2.0, 1.0, 2.0, 1.0])
+        cost = np.array([[0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 3.0, 2.0]])
         reference = reference_kantorovich(cost, a, b)
-        assert reference.degenerate >= 1
+        assert (reference.pivots, reference.degenerate) == (6, 3)
         result = dv.kantorovich_discrete(cost, a, b)
         assert result.plan.tobytes() == reference.plan.tobytes()
         m1, m2 = dv.as_measure(a), dv.as_measure(b)
         oracle = lp_enumeration_oracle(cost, m1.weights, m2.weights)
         assert result.value == pytest.approx(oracle, abs=1e-12)
 
-    def test_bounded_32_solves_within_300_pivots(self):
-        # About 129 pivots; Bland's rule at every pivot takes 1383 here.
+    def test_bounded_32_solves_within_100_pivots(self):
+        # 43 pivots from the least-cost start; 129 from the north-west
+        # corner, and 1383 with Bland's rule at every pivot from there.
         model = harness.generate_instance("discrete", (32, 32), 0, "bounded")
-        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=300)
+        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=100)
         assert result.value == reference_kantorovich(model.cost, model.mu, model.eta).value
 
     @pytest.mark.parametrize("side", [16, 32, 48, 64])
@@ -735,12 +812,17 @@ class TestSimplexOracle:
             dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
 
     def test_zero_pivots_returns_optimal_corner(self):
-        model = harness.generate_instance("discrete", (8, 8), 0, "quadratic-grid")
-        plan, value, pivots, _ = reference_kantorovich(model.cost, model.mu, model.eta)
-        assert pivots == 0
-        result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
-        assert result.plan.tobytes() == plan.tobytes()
-        assert result.value == value
+        # A Monge cost: the corner is optimal, and no start is cheaper.
+        for side in (8, 64):
+            model = harness.generate_instance("discrete", (side, side), 0, "quadratic-grid")
+            plan, value, pivots, _ = reference_kantorovich(model.cost, model.mu, model.eta)
+            assert pivots == 0
+            corner, _ = reference_northwest(dv.as_measure(model.mu).weights,
+                                            dv.as_measure(model.eta).weights)
+            assert plan.tobytes() == corner.tobytes()
+            result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
+            assert result.plan.tobytes() == plan.tobytes()
+            assert result.value == value
 
     def test_max_pivots_bounds_pivot_count(self):
         model = harness.generate_instance("discrete", (7, 9), 3, "bounded")

@@ -504,7 +504,7 @@ class TestRuleTable:
             "regime": "discrete", "seed": 1, "iterations": 12,
             "instance": {"profile": "bounded", "size": [2, 5], "osc_cap": 1000.0}})
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             report = harness.run_experiment(config, tmp_path)
         assert any(math.isnan(v) for _, m, v in report.rows if m.startswith("identity_"))
         verdicts = {v.check: v for v in report.verdicts}
