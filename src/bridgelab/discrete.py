@@ -15,11 +15,14 @@ off the same sweeps (two log-integrals per sweep, not four).
 
 Stacked diagnostics.  The per-iterate series behind the diagnostics (the
 marginal KL gaps and chains, the phi-entropies, the identities' ratios
-and maxima, the rate report's sup and sandwich terms) are
-computed on ``(N, m)`` stacks of at most ``matcore.CHUNK_ELEMENTS //
-max(nx, ny)`` iterates, one numpy call per quantity per chunk.  What stays
-per iterate: every matrix-vector product, the joint-matrix sums and KLs,
-and the sequential recursion.  Rows keep their order.
+and maxima, the rate report's sup and sandwich terms) are computed on
+``(N, m)`` stacks of the whole run, one numpy call per quantity.  A
+diagnostic stacks pi_{2n} and pi_{2n+1} once, and takes consecutive pairs
+as the slices ``[:-1]`` and ``[1:]``.  What stays per iterate: every
+matrix-vector product, the joint-matrix sums and KLs, and the sequential
+recursion.  Rows keep their order.  The run already holds two kernels of
+nx * ny floats per iterate, so its stacked marginals (nx + ny floats per
+iterate) add little memory.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -286,35 +289,19 @@ def dual_kernel(kernel, mu) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Per-iterate series, stacked in chunks.
+# Per-iterate series, stacked over the run.
 # --------------------------------------------------------------------------
 
 
-def _per_chunk(items, model: DiscreteModel, fn) -> list:
-    """``fn(chunk)`` over consecutive chunks of ``items``, concatenated into one list.
-
-    A chunk holds at most ``matcore.CHUNK_ELEMENTS // max(nx, ny)`` items, so a stack
-    of one marginal (or one identity's vector) per iterate fits the budget.
-    """
-    size = max(1, matcore.CHUNK_ELEMENTS // max(model.nx, model.ny))
-    out: list = []
-    for start in range(0, len(items), size):
-        out.extend(fn(items[start:start + size]))
-    return out
-
-
-def _stack(iterates, name: str) -> np.ndarray:
-    """The ``(N, m)`` stack of one marginal field of each iterate."""
-    return np.stack([getattr(it, name) for it in iterates])
+def _stack(iterates, name: str, width: int) -> np.ndarray:
+    """The ``(N, width)`` stack of one marginal field of each iterate, ``(0, width)`` for none."""
+    return np.array([getattr(it, name) for it in iterates]).reshape(-1, width)
 
 
 def marginal_gaps(model: DiscreteModel, iterates) -> tuple[list[float], list[float]]:
-    """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each iterate, one KL call per chunk."""
-    gap_eta = _per_chunk(iterates, model, lambda chunk: relative_entropy_rows(
-        model.eta, _stack(chunk, "pi_even")).tolist())
-    gap_mu = _per_chunk(iterates, model, lambda chunk: relative_entropy_rows(
-        model.mu, _stack(chunk, "pi_odd")).tolist())
-    return gap_eta, gap_mu
+    """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each iterate, one KL call per stack."""
+    return (relative_entropy_rows(model.eta, _stack(iterates, "pi_even", model.ny)).tolist(),
+            relative_entropy_rows(model.mu, _stack(iterates, "pi_odd", model.nx)).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -350,6 +337,8 @@ def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
     Rows where Q is not absolutely continuous w.r.t. the iterate carry
     infinite entries and a NaN residual; they are flagged, not fatal.
     """
+    if not iterates:
+        raise DomainError("entropy_ladder needs at least one iterate")
     q = np.asarray(q, dtype=float)
     if q.shape != (model.nx, model.ny):
         raise DomainError("coupling shape does not match the model")
@@ -519,71 +508,60 @@ def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
     """Evaluate every structural identity the iteration is supposed to satisfy.
 
     Each matrix product is taken per iterate; the KL chains, ratios and
-    maxima run on stacks of one chunk of iterates.  Rows come step by step,
-    in the order of the identities below; the I-projection rows of the first
+    maxima run on stacks of the whole run.  Rows come step by step, in the
+    order of the identities below; the I-projection rows of the first
     pair's two half steps come last.
     """
     if len(iterates) < 2:
         raise DomainError("identity_suite needs at least two consecutive iterates")
     mu, eta = model.mu, model.eta
     steps = [it.step for it in iterates]
-    gap_eta, gap_mu = marginal_gaps(model, iterates)  # H(eta | pi_2n), H(mu | pi_2n+1)
-    odd_mu = _per_chunk(iterates, model, lambda chunk: relative_entropy_rows(
-        _stack(chunk, "pi_odd"), mu).tolist())
-    even_eta = _per_chunk(iterates, model, lambda chunk: relative_entropy_rows(
-        _stack(chunk, "pi_even"), eta).tolist())
-    eta_chain = _chain_rows("monotone-eta-chain", steps[:-1],
-                            [gap_eta[1:], odd_mu[:-1], gap_eta[:-1]])
-    mu_chain = _chain_rows("monotone-mu-chain", steps[:-1],
-                           [even_eta[1:], gap_mu[:-1], even_eta[:-1]])
-
+    at, nxt_at = steps[:-1], steps[1:]
+    pairs = list(zip(iterates, iterates[1:]))
+    pi_even = _stack(iterates, "pi_even", model.ny)
+    pi_odd = _stack(iterates, "pi_odd", model.nx)
+    gap_eta = relative_entropy_rows(eta, pi_even)  # H(eta | pi_2n)
+    gap_mu = relative_entropy_rows(mu, pi_odd)     # H(mu | pi_2n+1)
+    odd_mu = relative_entropy_rows(pi_odd, mu)
+    even_eta = relative_entropy_rows(pi_even, eta)
     # A marginal with an exact 0 makes a ratio inf and its row NaN, which
     # fails the check; numpy need not print that too.
-    @np.errstate(divide="ignore", invalid="ignore")
-    def forward(pairs):
-        its = [it for it, _ in pairs]
-        at = [it.step for it in its]
-        pi_odd = _stack(its, "pi_odd")
-        return zip(
+    with np.errstate(divide="ignore", invalid="ignore"):
+        forward = (
+            _chain_rows("monotone-eta-chain", at, [gap_eta[1:], odd_mu[:-1], gap_eta[:-1]]),
+            _chain_rows("monotone-mu-chain", at, [even_eta[1:], gap_mu[:-1], even_eta[:-1]]),
             _close_rows("commute-even-forward", at,
-                        [it.kernel_even @ (eta / it.pi_even) for it in its], pi_odd / mu),
+                        [it.kernel_even @ (eta / it.pi_even) for it, _ in pairs], pi_odd[:-1] / mu),
             _close_rows("commute-even-backward", at,
-                        [nxt.kernel_even @ (it.pi_even / eta) for it, nxt in pairs], mu / pi_odd),
-            _close_rows("fixed-point-mu", at, [it.pi_even @ it.kernel_odd for it in its], mu),
+                        [nxt.kernel_even @ (it.pi_even / eta) for it, nxt in pairs],
+                        mu / pi_odd[:-1]),
+            _close_rows("fixed-point-mu", at, [it.pi_even @ it.kernel_odd for it, _ in pairs], mu),
             _close_rows("fixed-point-eta", at,
                         [it.pi_odd @ nxt.kernel_even for it, nxt in pairs], eta),
-            _close_rows("joint-marginal-even", at, [it.joint_even.sum(axis=1) for it in its], mu),
-            _close_rows("joint-marginal-odd", at, [it.joint_odd.sum(axis=0) for it in its], eta),
+            _close_rows("joint-marginal-even", at,
+                        [it.joint_even.sum(axis=1) for it, _ in pairs], mu),
+            _close_rows("joint-marginal-odd", at,
+                        [it.joint_odd.sum(axis=0) for it, _ in pairs], eta),
         )
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def backward(pairs):
-        at = [it.step for _, it in pairs]
-        pi_even = _stack([it for _, it in pairs], "pi_even")
-        pi_odd = _stack([it for _, it in pairs], "pi_odd")
-        return zip(
-            _close_rows("commute-odd-forward", at,
-                        [prev.kernel_odd @ (mu / prev.pi_odd) for prev, _ in pairs], pi_even / eta),
-            _close_rows("commute-odd-backward", at,
-                        [it.kernel_odd @ (prev.pi_odd / mu) for prev, it in pairs], eta / pi_even),
-            _close_rows("semigroup-even", at,
+        backward = (
+            _close_rows("commute-odd-forward", nxt_at,
+                        [prev.kernel_odd @ (mu / prev.pi_odd) for prev, _ in pairs],
+                        pi_even[1:] / eta),
+            _close_rows("commute-odd-backward", nxt_at,
+                        [it.kernel_odd @ (prev.pi_odd / mu) for prev, it in pairs],
+                        eta / pi_even[1:]),
+            _close_rows("semigroup-even", nxt_at,
                         [prev.kernel_odd @ (it.kernel_even @ (prev.pi_even / eta))
-                         for prev, it in pairs], pi_even / eta),
-            _close_rows("semigroup-odd", at,
+                         for prev, it in pairs], pi_even[1:] / eta),
+            _close_rows("semigroup-odd", nxt_at,
                         [it.kernel_even @ (it.kernel_odd @ (prev.pi_odd / mu))
-                         for prev, it in pairs], pi_odd / mu),
+                         for prev, it in pairs], pi_odd[1:] / mu),
         )
-
-    pairs = list(zip(iterates, iterates[1:]))
-    rows: list[CheckRow] = []
-    for eta_row, mu_row, close in zip(eta_chain, mu_chain, _per_chunk(pairs, model, forward)):
-        rows += [eta_row, mu_row, *close]
-    for close in _per_chunk(pairs, model, backward):
-        rows += close
     it, nxt = iterates[0], iterates[1]
-    rows += _projection_rows(IDENTITY_NAMES[-4:-2], it.step, it.joint_even.T, it.joint_odd.T, mu)
-    rows += _projection_rows(IDENTITY_NAMES[-2:], it.step, it.joint_odd, nxt.joint_even, eta)
-    return tuple(rows)
+    return (*itertools.chain.from_iterable(zip(*forward)),
+            *itertools.chain.from_iterable(zip(*backward)),
+            *_projection_rows(IDENTITY_NAMES[-4:-2], it.step, it.joint_even.T, it.joint_odd.T, mu),
+            *_projection_rows(IDENTITY_NAMES[-2:], it.step, it.joint_odd, nxt.joint_even, eta))
 
 
 # --------------------------------------------------------------------------
@@ -608,31 +586,22 @@ def geometric_rate_report(model: DiscreteModel, iterates) -> DiscreteRateReport:
     eps_w = model.eps_w
     bound = (1.0 - eps_w) ** 2
     eta = model.eta
-
-    def scores(chunk):
-        pi = _stack(chunk, "pi_even")
-        # H_phi(pi_2n, eta) once per iterate and phi.
-        values = zip(*(phi_entropy(phi, pi, eta).tolist() for phi in RATE_PHIS))
-        sup = np.max(np.abs(pi / eta - 1.0), axis=-1)
-        low = np.max(eps_w * eta - pi, axis=-1, initial=0.0)
-        # eps_w underflows to 0 for a large cost oscillation, and then the
-        # upper sandwich pi <= eta / eps_w holds vacuously.
-        if eps_w > 0.0:
-            high = np.max(pi - eta / eps_w, axis=-1, initial=0.0)
-        else:
-            high = np.zeros(len(chunk))
-        return zip(values, sup.tolist(), low.tolist(), high.tolist())
-
-    scored = _per_chunk(iterates, model, scores)
-    values, sup, low, high = zip(*scored) if scored else ((),) * 4
-    sup_series = tuple(zip((it.step for it in iterates), sup))
+    steps = [it.step for it in iterates]
+    pi = _stack(iterates, "pi_even", model.ny)
+    # H_phi(pi_2n, eta) once per iterate and phi.
+    values = zip(*(phi_entropy(phi, pi, eta).tolist() for phi in RATE_PHIS))
+    sup_series = tuple(zip(steps, np.max(np.abs(pi / eta - 1.0), axis=-1).tolist()))
+    low = np.max(eps_w * eta - pi, axis=-1, initial=0.0)
+    # eps_w underflows to 0 for a large cost oscillation, and then the
+    # upper sandwich pi <= eta / eps_w holds vacuously.
+    high = np.max(pi - eta / eps_w, axis=-1, initial=0.0) if eps_w > 0.0 else np.zeros(len(pi))
     # The sandwich is checked from n = 1; a NaN entry counts as no violation,
     # as in Python's max.
-    sandwich_residual = max([0.0, *low[1:], *high[1:]])
+    sandwich_residual = max([0.0, *low[1:].tolist(), *high[1:].tolist()])
     return DiscreteRateReport(
         eps_w=eps_w,
         bound=bound,
-        entropies=tuple((it.step, phi.name, value) for it, row in zip(iterates, values)
+        entropies=tuple((n, phi.name, value) for n, row in zip(steps, values)
                         for phi, value in zip(RATE_PHIS, row)),
         sup_series=sup_series,
         sup_fit=fitting.fit_rate(sup_series),

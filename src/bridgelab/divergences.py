@@ -14,8 +14,8 @@ value equals the one-pair value bit for bit (see :mod:`bridgelab.matcore`).
 
 On finite spaces, :func:`phi_entropy` takes an ``(N, m)`` stack of measures
 and :func:`relative_entropy_rows` an ``(N, m)`` stack of weight vectors; the
-discrete diagnostics call them once per chunk of iterates, and each row equals
-the one-vector value bit for bit.
+discrete diagnostics call them once per stack of a run's iterates, and each
+row equals the one-vector value bit for bit.
 """
 
 from __future__ import annotations

@@ -668,6 +668,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 # Minimal self-contained SVG plots (log-scale line per metric).
 # --------------------------------------------------------------------------
 
+PLOT_WIDTH, PLOT_HEIGHT = 640, 400  # SVG canvas, in pixels
+
 
 def _write_plots(report: ExperimentReport, plot_dir: Path) -> None:
     series: dict[str, list[tuple[int, float]]] = {}
@@ -682,7 +684,7 @@ def _write_plots(report: ExperimentReport, plot_dir: Path) -> None:
         (plot_dir / f"{metric}.svg").write_text(_svg_line(metric, points))
 
 
-def _svg_line(title: str, points: list[tuple[int, float]], width: int = 640, height: int = 400) -> str:
+def _svg_line(title: str, points: list[tuple[int, float]]) -> str:
     xs = [p[0] for p in points]
     ys = [math.log10(p[1]) for p in points]
     x0, x1 = min(xs), max(xs)
@@ -694,21 +696,21 @@ def _svg_line(title: str, points: list[tuple[int, float]], width: int = 640, hei
     margin = 40.0
 
     def sx(x: float) -> float:
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+        return margin + (x - x0) / (x1 - x0) * (PLOT_WIDTH - 2 * margin)
 
     def sy(y: float) -> float:
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+        return PLOT_HEIGHT - margin - (y - y0) / (y1 - y0) * (PLOT_HEIGHT - 2 * margin)
 
     path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'
         f'<text x="{margin}" y="20" font-family="monospace" font-size="13">{title} (log10)</text>\n'
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{path}"/>\n'
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>\n'
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>\n'
-        f'<text x="{margin}" y="{height - 10}" font-family="monospace" font-size="11">step {x0}..{x1}</text>\n'
+        f'<line x1="{margin}" y1="{PLOT_HEIGHT - margin}" x2="{PLOT_WIDTH - margin}" y2="{PLOT_HEIGHT - margin}" stroke="black"/>\n'
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{PLOT_HEIGHT - margin}" stroke="black"/>\n'
+        f'<text x="{margin}" y="{PLOT_HEIGHT - 10}" font-family="monospace" font-size="11">step {x0}..{x1}</text>\n'
         f'<text x="5" y="{margin}" font-family="monospace" font-size="11">1e{y1:.1f}</text>\n'
-        f'<text x="5" y="{height - margin}" font-family="monospace" font-size="11">1e{y0:.1f}</text>\n'
+        f'<text x="5" y="{PLOT_HEIGHT - margin}" font-family="monospace" font-size="11">1e{y0:.1f}</text>\n'
         "</svg>\n"
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bridgelab import discrete, fitting, harness, matcore
+from bridgelab import discrete, fitting, harness
 from bridgelab.divergences import relative_entropy
 from bridgelab.errors import DomainError
 
@@ -268,6 +268,12 @@ class TestEntropyLadder:
         with pytest.raises(DomainError):
             discrete.entropy_ladder(model, iterates, bad)
 
+    def test_needs_one_iterate(self):
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 3, 4)
+        with pytest.raises(DomainError, match="at least one iterate"):
+            discrete.entropy_ladder(model, [], np.outer(model.mu, model.eta))
+
     def test_half_step_entropy_decomposition(self):
         # H(Q | P_{2n}) = H(Q | P_{2n+1}) + H(eta | pi_{2n}) and its even twin.
         rng = np.random.default_rng(31)
@@ -409,6 +415,14 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, discrete.run_sinkhorn(model, 10))
         assert report.sandwich_residual <= harness.IDENTITY_TOL
 
+    def test_no_iterates_give_empty_series(self):
+        rng = np.random.default_rng(27)
+        model = random_model(rng, 3, 4)
+        assert discrete.marginal_gaps(model, []) == ([], [])
+        report = discrete.geometric_rate_report(model, [])
+        assert (report.entropies, report.sup_series, report.sup_fit) == ((), (), None)
+        assert report.sandwich_residual == 0.0
+
     def test_each_iterate_scored_once_per_phi(self, monkeypatch):
         rng = np.random.default_rng(25)
         model = random_model(rng, 4, 6)
@@ -423,18 +437,10 @@ class TestGeometricRate:
             return original(phi, mu, eta)
 
         monkeypatch.setattr(discrete, "phi_entropy", counting)
-        # One stacked call per phi per chunk, each chunk's iterates scored once:
-        # budgets of 1, 4 and 9 iterates per chunk, and the default (one chunk).
-        for per_chunk in (1, 4, 9, None):
-            calls.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                if per_chunk is not None:
-                    mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * max(model.nx, model.ny))
-                report = discrete.geometric_rate_report(model, iterates)
-            size = per_chunk or len(iterates)
-            chunks = [len(iterates[i:i + size]) for i in range(0, len(iterates), size)]
-            assert calls == [(phi.name, n) for n in chunks for phi in discrete.RATE_PHIS]
-            assert list(report.entropies) == expected
+        # One stacked call per phi over every iterate of the run.
+        report = discrete.geometric_rate_report(model, iterates)
+        assert calls == [(phi.name, len(iterates)) for phi in discrete.RATE_PHIS]
+        assert list(report.entropies) == expected
 
 
 class TestConvergenceSeries:
@@ -814,10 +820,8 @@ class TestStackedOracle:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(profile=st.sampled_from(ORACLE_PROFILES), seed=st.integers(0, 2 ** 32 - 1),
-           nx=st.integers(1, 9), ny=st.integers(1, 9), pairs=st.integers(1, 12),
-           per_chunk=st.sampled_from([1, 2, 5, None]))
-    def test_engine_and_diagnostics_equal_per_iterate_code(self, profile, seed, nx, ny, pairs,
-                                                           per_chunk):
+           nx=st.integers(1, 9), ny=st.integers(1, 9), pairs=st.integers(1, 12))
+    def test_engine_and_diagnostics_equal_per_iterate_code(self, profile, seed, nx, ny, pairs):
         name, params = profile
         if name == "bounded" and nx * ny < 2:
             ny = 2
@@ -825,20 +829,21 @@ class TestStackedOracle:
         with pytest.MonkeyPatch.context() as mp:
             if params:
                 mp.setattr(discrete, "MAX_SWEEPS", 300)
-            if per_chunk is not None:
-                mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * max(nx, ny))
             assert_engine_equals_reference(model, pairs)
 
+    # The 64x3 run has 141 iterates, so a stack of its 64-wide marginals is
+    # larger than one 64 KB chunk (matcore.CHUNK_ELEMENTS floats).
     @pytest.mark.parametrize("name, params, size", [
         ("quadratic-grid", {"t": 0.05}, (64, 64)),
         ("bounded", {"osc_cap": 5.0}, (64, 64)),
         ("bounded", {"osc_cap": 400.0}, (16, 16)),
         ("bounded", {}, (3, 4)),
+        ("bounded", {}, (64, 3)),
     ])
     def test_reference_sizes_equal_per_iterate_code(self, name, params, size, monkeypatch):
         model = harness.generate_instance("discrete", size, 3, name, **params)
         monkeypatch.setattr(discrete, "MAX_SWEEPS", 300)
-        assert_engine_equals_reference(model, 30)
+        assert_engine_equals_reference(model, 140 if size == (64, 3) else 30)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_row_helpers_treat_nan_and_inf_as_python_max_does(self):
