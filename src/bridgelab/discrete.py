@@ -342,30 +342,21 @@ def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
     q = np.asarray(q, dtype=float)
     if q.shape != (model.nx, model.ny):
         raise DomainError("coupling shape does not match the model")
+    if not np.all(np.isfinite(q)) or np.any(q < 0):
+        raise DomainError("coupling entries must be finite and nonnegative")
     if any(err > MARGINAL_TOL for err in marginal_errors(model, q)):
         raise DomainError("coupling marginals do not match (mu, eta)")
-    to_bridge = [relative_entropy(q, it.joint_even) for it in iterates]
+    to_bridge = np.array([relative_entropy(q, it.joint_even) for it in iterates])
     total = to_bridge[0]
-    rows = []
-    partial = 0.0
-    for it, h_q, gap_eta, gap_mu in zip(iterates, to_bridge, *marginal_gaps(model, iterates)):
-        n = it.step
-        if math.isinf(total) or math.isinf(h_q):
-            residual = math.nan
-        else:
-            residual = abs(total - h_q - partial)
-        rows.append(
-            LadderRow(
-                n=n,
-                entropy_to_bridge=h_q,
-                gap_eta=gap_eta,
-                gap_mu=gap_mu,
-                partial_sum=partial,
-                residual=residual,
-            )
-        )
-        partial += gap_eta + gap_mu
-    return LadderReport(total=total, rows=tuple(rows))
+    gap_eta, gap_mu = np.array(marginal_gaps(model, iterates))
+    # The gaps below n, added in step order from 0.0.
+    partial = np.cumsum(np.concatenate(([0.0], (gap_eta + gap_mu)[:-1])))
+    with np.errstate(invalid="ignore"):
+        residual = np.where(np.isinf(total) | np.isinf(to_bridge), np.nan,
+                            np.abs(total - to_bridge - partial))
+    columns = (a.tolist() for a in (to_bridge, gap_eta, gap_mu, partial, residual))
+    rows = tuple(LadderRow(it.step, *row) for it, *row in zip(iterates, *columns))
+    return LadderReport(total=float(total), rows=rows)
 
 
 # --------------------------------------------------------------------------

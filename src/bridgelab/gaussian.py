@@ -9,12 +9,15 @@ The per-state diagnostics (:func:`envelope_report`, :func:`rate_report` and
 :func:`entropy_formula_table`) run on stacked chunks of the trajectory: each
 chunk holds states of one parity, at most ``matcore.CHUNK_ELEMENTS //
 (2d)^2`` of them (8 at d = 16, a whole 100-iteration run at d = 2), and makes
-one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity.  One
-builder, ``_iterate_blocks``, gives the joints P_n and marginals pi_n of a
-chunk, and :func:`sinkhorn_joint` passes it one state.
-Every value equals the per-state arithmetic bit for bit (the rules are in
+one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in
+one walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
+P_n and marginals pi_n of a chunk, and :func:`sinkhorn_joint` passes it one
+state.  A stacked validation names a failing state by its step.  Every value
+equals the per-state arithmetic bit for bit (the rules are in
 :mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
-stay per-state: each step needs the one before.
+stay per-state: each step needs the one before.  :func:`rate_report` and
+:func:`envelope_report` read the trajectory by position: half steps 0, 1, 2,
+... in order, as :func:`run_sinkhorn` returns it, or a ``DomainError``.
 
 Each object has one representation: a bridge is its kernel, a
 :class:`RiccatiProblem` is its mixing matrix gamma, and every half step of the
@@ -276,20 +279,29 @@ def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) ->
 
 
 def _chunks(states, d: int, *fields: str):
-    """Yield ``(positions, odd, run, *stacks)`` over ``states`` in runs of one parity.
+    """Yield ``(positions, odd, *stacks)`` over ``states`` in runs of one parity.
 
     Each run holds at most ``CHUNK_ELEMENTS // (2d)^2`` states (and at least
     one), so a stack of their 2d x 2d joint covariances stays within the chunk
     budget.  Even runs come first; ``positions`` index ``states``, and each of
-    ``stacks`` is the named state field of ``run`` along a new leading axis.
+    ``stacks`` is the named state field of the run along a new leading axis.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in (False, True):
         positions = [i for i, s in enumerate(states) if s.step % 2 == odd]
         for start in range(0, len(positions), size):
             index = positions[start:start + size]
-            run = [states[i] for i in index]
-            yield index, odd, run, *(np.stack([getattr(s, f) for s in run]) for f in fields)
+            yield index, odd, *(np.stack([getattr(states[i], f) for i in index]) for f in fields)
+
+
+def _check_order(trajectory, caller: str) -> None:
+    """Reject unless ``trajectory`` is half steps 0, 1, 2, ... in order, as run_sinkhorn returns."""
+    for position, state in enumerate(trajectory):
+        if state.step != position:
+            raise DomainError(f"{caller} needs half steps 0, 1, 2, ... in order, "
+                              f"got step {state.step} at position {position}")
+    if not trajectory:
+        raise DomainError(f"{caller} needs a trajectory starting at step 0")
 
 
 # --------------------------------------------------------------------------
@@ -445,15 +457,10 @@ def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta:
     b_joint = bridge_joint(mu, bridge)
     formula = np.empty(len(even))
     oracle = np.empty(len(even))
-    for index, _, run, mean, gain, cov in _chunks(even, mu.dim, "mean", "gain", "cov"):
+    for index, _, mean, gain, cov in _chunks(even, mu.dim, "mean", "gain", "cov"):
         formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
-        try:
-            j_cov = matcore.assert_spd(j_cov)
-        except DomainError:  # name the joint by its n, not by its place in the chunk
-            for s, c in zip(run, j_cov):
-                matcore.assert_spd(c, f"joint P_2n at n={s.step // 2}")
-            raise
+        j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={even[i].step // 2}" for i in index])
         oracle[index] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
     return [(s.step // 2, f, o) for s, f, o in zip(even, formula.tolist(), oracle.tolist())]
 
@@ -483,16 +490,14 @@ class GaussianRateReport:
 
 def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                 kernel: LinearGaussianKernel) -> GaussianRateReport:
-    """Convergence table of the even-index flow against the closed-form bridge."""
-    even = [s for s in trajectory if s.step % 2 == 0]
+    """Convergence table of the even-index flow against the closed-form bridge.
+
+    Row n >= 1 closes the loop of pair n, whose odd gain is ``trajectory[2n - 1]``'s.
+    """
+    _check_order(trajectory, "rate_report")
+    even = trajectory[::2]
     if len(even) <= MIN_RATE_PAIRS:
         raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even-index states")
-    by_step = {s.step: s for s in trajectory}
-    # The loop rows n >= 1 close the pair (odd 2n - 1, even 2n).
-    looped = [s for s in even if s.step >= 2]
-    prev_odd = [by_step.get(s.step - 1) for s in looped]
-    if any(s is None for s in prev_odd):
-        raise DomainError("rate_report needs a trajectory of consecutive half steps")
     b = bridge.kernel
     eta_mean = b.alpha + b.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
@@ -500,58 +505,44 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     problem = bridge.problem
     inv_gap = matcore.eigh_inverse(1.0 + problem.w, problem.q)  # (I + varpi)^{-1}
 
-    errors = np.empty((3, len(even)))
-    for index, _, _, mean, cov in _chunks(even, d, "mean", "cov"):
-        errors[:, index] = (
+    # One column per even state, one row per GaussianRateRow field after n; n = 0 closes no loop.
+    table = np.empty((6, len(even)))
+    table[3:, 0] = (1.0, 0.0, 0.0)
+    product = np.eye(d)
+    for index, _, mean, gain, cov, rescaled in _chunks(even, d, "mean", "gain", "cov",
+                                                         "rescaled_cov"):
+        table[:3, index] = (
             matcore.spectral_norm(cov - b.tau),
             matcore.spectral_norm(matcore.principal_sqrt(cov) - b.noise.root),
             matcore.vector_norm(mean - eta_mean),
         )
-    loops = np.empty((5, len(looped)))
-    product = np.eye(d)
-    for index, _, _, gain, cov, rescaled in _chunks(looped, d, "gain", "cov", "rescaled_cov"):
-        loop_gain = gain @ np.stack([prev_odd[i].gain for i in index])
+        k = int(index[0] == 0)  # the loops start at n = 1
+        looped, gain, cov, gap = index[k:], gain[k:], cov[k:], np.eye(d) - rescaled[k:]
+        loop_gain = gain @ np.array([trajectory[2 * n - 1].gain for n in looped]).reshape(-1, d, d)
         products = np.empty_like(loop_gain)
-        for k, step_gain in enumerate(loop_gain):
+        for j, step_gain in enumerate(loop_gain):
             product = step_gain @ product
-            products[k] = product
-        gap = np.eye(d) - rescaled
+            products[j] = product
         sigma_2n = gain @ mu.covariance @ np.swapaxes(gain, 1, 2) + cov
         predicted = products @ (sigma0 - eta.covariance) @ np.swapaxes(products, 1, 2)
-        loops[:, index] = (
-            np.max(np.abs(eta.inv_root @ loop_gain @ eta.root - gap), axis=(1, 2)),
-            np.linalg.eigvalsh(matcore.symmetrize(gap))[:, 0],
-            np.linalg.eigvalsh(matcore.symmetrize(gap - inv_gap))[:, -1],
-            np.max(np.abs((sigma_2n - eta.covariance) - predicted), axis=(1, 2)),
+        # The loop-gain residual, raised to the bound defects -lowest and highest.
+        residual = np.max(np.abs(eta.inv_root @ loop_gain @ eta.root - gap), axis=(1, 2))
+        lowest = np.linalg.eigvalsh(matcore.symmetrize(gap))[:, 0]
+        highest = np.linalg.eigvalsh(matcore.symmetrize(gap - inv_gap))[:, -1]
+        residual = np.where(-lowest > residual, -lowest, residual)
+        table[3:, looped] = (
             matcore.spectral_norm(eta.inv_root @ products @ eta.root),
+            np.max(np.abs((sigma_2n - eta.covariance) - predicted), axis=(1, 2)),
+            np.where(highest > residual, highest, residual),
         )
-
-    rows: list[GaussianRateRow] = []
-    loop_rows = iter(loops.T.tolist())
-    for state, (cov_error, sqrt_error, mean_error) in zip(even, errors.T.tolist()):
-        n = state.step // 2
-        directed_residual = 0.0
-        loop_residual = 0.0
-        product_norm = 1.0
-        if n >= 1:
-            loop_residual, lowest, highest, directed_residual, product_norm = next(loop_rows)
-            loop_residual = max(loop_residual, max(0.0, -lowest), max(0.0, highest))
-        rows.append(GaussianRateRow(
-            n=n,
-            cov_error=cov_error,
-            sqrt_error=sqrt_error,
-            mean_error=mean_error,
-            product_norm=product_norm,
-            directed_residual=directed_residual,
-            loop_gain_residual=loop_residual,
-        ))
+    rows = tuple(GaussianRateRow(n, *values) for n, values in enumerate(table.T.tolist()))
     # r and varpi share eigenvectors, so the least eigenvalue of r + varpi is
     # w + (-w + sqrt(w (w + 4))) / 2 at varpi's least eigenvalue w.
     w0 = float(problem.w[0])
     rate_base = 1.0 + (w0 + math.sqrt(w0 * (w0 + 4.0))) / 2.0
     return GaussianRateReport(
-        rows=tuple(rows),
-        fit=fitting.fit_rate([(row.n, row.cov_error) for row in rows if row.n >= 1]),
+        rows=rows,
+        fit=fitting.fit_rate([(row.n, row.cov_error) for row in rows[1:]]),
         theoretical_slope=-2.0 * math.log(rate_base),
     )
 
@@ -583,12 +574,12 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
                     kernel: LinearGaussianKernel) -> EnvelopeReport:
     """Entropy and 2-Wasserstein decay envelopes from the transport inequalities.
 
+    ``trajectory`` is half steps 0, 1, 2, ... in order; row m reads state m.
     The log-Sobolev constants are exact here: the marginal potentials have
     constant Hessians sigma^{-1} and sigma_bar^{-1}, so rho = ||sigma||_2 and
     rho_bar = ||sigma_bar||_2.
     """
-    if not trajectory or trajectory[0].step != 0:
-        raise DomainError("envelope_report needs a trajectory starting at step 0")
+    _check_order(trajectory, "envelope_report")
     kappa = matcore.spectral_norm(kernel.chi)
     rho = matcore.spectral_norm(mu.covariance)
     rho_bar = matcore.spectral_norm(eta.covariance)
@@ -600,34 +591,27 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
     b_joint = bridge_joint(mu, bridge)
     values = np.empty(len(trajectory))
     dist = np.empty(len(trajectory))
-    for index, odd, run, mean, gain, cov in _chunks(trajectory, mu.dim, "mean", "gain", "cov"):
+    for index, odd, mean, gain, cov in _chunks(trajectory, mu.dim, "mean", "gain", "cov"):
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
         values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
                                      j_mean, matcore.symmetrize(j_cov, "covariance"))
         image = slice(None, mu.dim) if odd else slice(mu.dim, None)  # the block of pi_m
-        marg = j_cov[:, image, image]
-        try:
-            marg, w, q = matcore.spd_eigh(marg, "covariance")
-        except DomainError:  # name the marginal by its step, not by its place in the chunk
-            for s, c in zip(run, marg):
-                matcore.spd_eigh(c, f"marginal pi_m at m={s.step}")
-            raise
+        marg, w, q = matcore.spd_eigh(j_cov[:, image, image],
+                                      [f"marginal pi_m at m={m}" for m in index])
         target = mu if odd else eta
         dist[index] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
                                    target.mean, target.covariance)
-    values = values.tolist()
-    dist = dist.tolist()
+    values, dist = values.tolist(), dist.tolist()
     h0 = values[0]
     base = 1.0 + 1.0 / eps if not vacuous else 1.0
     one_over_eps_bar = (1.0 + math.sqrt(1.0 + 4.0 / eps)) / 2.0 - 1.0 if not vacuous else 0.0
-    entropy_rows = [EnvelopeRow(state.step, value, h0 * base ** (-(state.step // 2)))
-                    for state, value in zip(trajectory, values)]
-    w2_rows = [EnvelopeRow(s.step, lhs, kappa * (rho_bar if s.step % 2 == 0 else rho) * prev)
-               for s, lhs, prev in zip(trajectory[1:], dist[1:], dist)]
+    entropy_rows = [EnvelopeRow(m, value, h0 * base ** (-(m // 2)))
+                    for m, value in enumerate(values)]
+    w2_rows = [EnvelopeRow(m, lhs, kappa * (rho_bar if m % 2 == 0 else rho) * prev)
+               for m, (lhs, prev) in enumerate(zip(dist[1:], dist), start=1)]
     gate = kappa * math.sqrt(rho * rho_bar) < 1.0
-    chained = [EnvelopeRow(state.step, lhs, eps ** (state.step // 2) * dist[0])
-               for state, lhs in zip(trajectory, dist)
-               if gate and state.step % 2 == 0 and state.step > 0]
+    chained = [EnvelopeRow(m, lhs, eps ** (m // 2) * dist[0])
+               for m, lhs in enumerate(dist) if gate and m % 2 == 0 and m > 0]
     return EnvelopeReport(
         kappa=kappa, eps=eps,
         refined_factor=base + one_over_eps_bar, gate_contractive=gate,

@@ -265,6 +265,14 @@ def _scalars(rows) -> dict[str, float]:
     return {name: value for _, name, value in rows}
 
 
+def _require(rows, *metrics: str) -> None:
+    """Raise a :class:`DomainError` naming the first of ``metrics`` that no row carries."""
+    present = {name for _, name, _ in rows}
+    for metric in metrics:
+        if metric not in present:
+            raise DomainError(f"no {metric!r} row")
+
+
 def _peak(values, start: float = 0.0) -> float:
     """The largest of ``start`` and ``values``; as with Python's max, a NaN counts as none.
 
@@ -300,6 +308,7 @@ def _ladder_rule(rows):
     stalled = _column(rows, "ladder_bridge_marginal_error")
     if stalled:
         return False, stalled[0]
+    _require(rows, "ladder_residual")
     worst = _peak(_column(rows, "ladder_residual"))
     return worst <= 1e-9, worst
 
@@ -315,6 +324,7 @@ def _linear_decay_rows(model, iterates, solution):
 
 
 def _linear_decay_rule(rows):
+    _require(rows, "linear_decay_lhs", "bridge_entropy_total")
     total = _scalars(rows)["bridge_entropy_total"]
     worst = _peak((lhs - total for lhs in _column(rows, "linear_decay_lhs")), -math.inf)
     return worst <= 1e-8, worst
@@ -344,6 +354,7 @@ def _rate_ratios(rows) -> list[float]:
 
 
 def _geometric_rule(rows):
+    _require(rows, "rate_bound", "sandwich_residual")
     value = _scalars(rows)
     bound, sandwich = value["rate_bound"], value["sandwich_residual"]
     ratios = _rate_ratios(rows)
@@ -371,6 +382,8 @@ def _feasibility_rows(model, iterates, solution):
 
 
 def _feasibility_rule(rows):
+    _require(rows, "bridge_residual", "bridge_marginal_x_error", "bridge_marginal_y_error",
+             "bridge_converged")
     value = _scalars(rows)
     worst = max(value["bridge_residual"], value["bridge_marginal_x_error"],
                 value["bridge_marginal_y_error"])
@@ -381,22 +394,21 @@ def _lyapunov_rows(model, iterates, solution):
     delta = 0.25
     g = np.exp(delta * model.u_potential)
     h = np.exp(delta * model.v_potential)
-    evens = [it.kernel_even for it in iterates[1:]]
-    odds = [it.kernel_odd for it in iterates[1:]]
-    result = contraction.lyapunov_search(evens, odds, g, h)
-    rows = []
+    later = iterates[1:]
+    result = contraction.lyapunov_search([it.kernel_even for it in later],
+                                         [it.kernel_odd for it in later], g, h)
     if isinstance(result, contraction.SearchFailure):
-        rows.append((0, "lyapunov_best_rho", result.best_rho))
-        return rows
-    rows.append((0, "lyapunov_a", result.a))
-    rows.append((0, "lyapunov_rho", result.rho))
+        return [(0, "lyapunov_best_rho", result.best_rho)]
+    rows = [(0, "lyapunov_a", result.a), (0, "lyapunov_rho", result.rho)]
     pair = contraction.WeightPair(g=g, h=h, a=result.a)
-    for it in iterates[1:]:
-        n = it.step
-        dist_even = float(np.sum(pair.h_a * np.abs(it.pi_even - model.eta)))
-        dist_odd = float(np.sum(pair.g_a * np.abs(it.pi_odd - model.mu)))
-        rows.append((n, "weighted_tv_even", dist_even))
-        rows.append((n, "weighted_tv_odd", dist_odd))
+    # One weighted-TV series per marginal, one row sum per iterate.
+    tv_even = np.sum(pair.h_a * np.abs(discrete._stack(later, "pi_even", model.ny) - model.eta),
+                     axis=-1)
+    tv_odd = np.sum(pair.g_a * np.abs(discrete._stack(later, "pi_odd", model.nx) - model.mu),
+                    axis=-1)
+    for it, even, odd in zip(later, tv_even.tolist(), tv_odd.tolist()):
+        rows.append((it.step, "weighted_tv_even", even))
+        rows.append((it.step, "weighted_tv_odd", odd))
     return rows
 
 
@@ -404,6 +416,7 @@ def _lyapunov_rule(rows):
     value = _scalars(rows)
     if "lyapunov_best_rho" in value:
         return False, value["lyapunov_best_rho"]
+    _require(rows, "lyapunov_rho", "weighted_tv_even", "weighted_tv_odd")
     rho = value["lyapunov_rho"]
     # The first step's distances are the base that rho^(2 (n - base)) scales.
     (base_n, base_even), *even = [(n, v) for n, name, v in rows if name == "weighted_tv_even"]
@@ -478,6 +491,7 @@ def _riccati_rate_rows(instance, trajectory, bridge):
 
 
 def _riccati_rate_rule(rows):
+    _require(rows, "directed_structure_residual", "theoretical_slope")
     value = _scalars(rows)
     structure, slope = value["directed_structure_residual"], value["theoretical_slope"]
     if "fitted_slope" not in value:
@@ -512,6 +526,7 @@ def _envelope_rows(instance, trajectory, bridge):
 
 
 def _envelope_rule(rows):
+    _require(rows, "eps", "refined_factor", "entropy_to_iterate", "entropy_envelope")
     value = _scalars(rows)
     (entropy, w2_step, w2_chained) = (
         list(zip(_column(rows, v), _column(rows, b))) for v, b in _ENVELOPE_PAIRS)
@@ -624,16 +639,29 @@ def verdicts_from_csv(csv_text: str) -> tuple[Verdict, ...]:
     """The verdicts of a run from its ``report.csv`` text alone, in the order the checks ran.
 
     Each row goes to the one check whose metrics name it, and each rule reads its own rows.
+    A malformed line, or a check without a row its rule needs, raises a
+    :class:`DomainError` that names the line or the check and the metric.
     """
     checks = {name: check for regime in REGIMES.values() for name, check in regime.checks.items()}
     owner = {metric: name for name, check in checks.items() for metric in check.metrics}
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    for line in csv_text.splitlines()[1:]:
-        step, metric, value = line.split(",")
+    for number, line in enumerate(csv_text.splitlines()[1:], start=2):
+        try:
+            step, metric, value = line.split(",")
+            row = (int(step), metric, float(value))
+        except ValueError:
+            raise DomainError(f"report line {number}: expected step,metric,value with an integer "
+                              f"step and a float value, got {line!r}") from None
         if metric not in owner:
             raise DomainError(f"no check writes the metric {metric!r}")
-        rows.setdefault(owner[metric], []).append((int(step), metric, float(value)))
-    return tuple(Verdict(name, *checks[name].rule(check_rows)) for name, check_rows in rows.items())
+        rows.setdefault(owner[metric], []).append(row)
+    verdicts = []
+    for name, check_rows in rows.items():
+        try:
+            verdicts.append(Verdict(name, *checks[name].rule(check_rows)))
+        except DomainError as exc:
+            raise DomainError(f"check {name}: {exc}") from None
+    return tuple(verdicts)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:

@@ -22,9 +22,11 @@ Stacks.  :func:`symmetrize`, :func:`assert_spd`, :func:`spd_eigh`,
 :func:`eigh_inverse`, :func:`eigh_sqrt`, :func:`principal_sqrt`,
 :func:`spectral_norm` and :func:`vector_norm` also take an ``(..., d, d)``
 (or ``(..., k)``) stack and make one ``eigvalsh``/``eigh`` call for all of
-it; an error names the first failing index.  A 2-D input keeps its single
-call and its messages.  :func:`spd_inverse` and :func:`loewner_leq` take
-single matrices only.
+it; an error names the first failing index.  The ``name`` of a stack with one
+leading axis may instead be one label per matrix (a list), and an error then
+names the first failing matrix by its own label, such as the step it belongs
+to.  A 2-D input keeps its single call and its messages.
+:func:`spd_inverse` and :func:`loewner_leq` take single matrices only.
 
 Bit-identity.  A stacked result equals a loop of 2-D calls bit for bit,
 because every operation used on a stack rounds each matrix exactly as it
@@ -121,14 +123,18 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
     return a.reshape(shape)
 
 
-def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
+def _first(bad: np.ndarray, name) -> tuple[tuple[int, ...], str]:
     """Index of the first True entry of ``bad`` and ``name`` labelled with it.
 
-    A 0-d ``bad`` (one matrix) gives the empty index and ``name`` itself.
+    A 0-d ``bad`` (one matrix) gives the empty index and ``name`` itself.  A
+    ``name`` that is a sequence of labels, one per matrix of a stack with one
+    leading axis, gives the label of that matrix.
     """
     index = tuple(int(i) for i in np.argwhere(bad)[0])
     if not index:
         return index, name
+    if not isinstance(name, str):
+        return index, name[index[0]]
     return index, f"{name}[{', '.join(map(str, index))}]"
 
 

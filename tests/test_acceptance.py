@@ -34,15 +34,19 @@ def discrete_instances(count=20, size=(5, 7), osc=1.0):
 def test_criterion_01_entropy_ladder():
     start = time.perf_counter()
     worst = 0.0
+    passed = True
     ladder = harness.REGIMES["discrete"].checks["ladder"]
     for model in discrete_instances(20):
         solution = discrete.solve_bridge(model)
         iterates = discrete.run_sinkhorn(model, 50)
-        # the ladder rule's worst residual: the largest defect, a NaN one as inf
-        worst = max(worst, ladder.rule(ladder.rows(model, iterates, solution))[1])
+        # each instance must pass the ladder rule: a NaN residual fails it,
+        # though max() below would skip that NaN
+        ok, residual = ladder.rule(ladder.rows(model, iterates, solution))
+        passed = passed and ok
+        worst = max(worst, residual)
     elapsed = time.perf_counter() - start
     _verdict(
-        1, "entropy-ladder identity", worst <= 1e-9 and elapsed < 5.0,
+        1, "entropy-ladder identity", passed and worst <= 1e-9 and elapsed < 5.0,
         f"worst residual {worst:.3e}, {elapsed:.2f}s for 20 instances",
     )
 

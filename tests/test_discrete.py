@@ -268,6 +268,21 @@ class TestEntropyLadder:
         with pytest.raises(DomainError):
             discrete.entropy_ladder(model, iterates, bad)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "negative"])
+    def test_bad_coupling_entry_rejected(self, entry):
+        model = harness.generate_instance("discrete", (4, 5), 0, "bounded")
+        iterates = discrete.run_sinkhorn(model, 3)
+        q = discrete.solve_bridge(model).bridge.copy()
+        if entry == "negative":
+            # A +-t cycle on a 2 x 2 block keeps every row and column sum.
+            t = 2.0 * q[0, 0]
+            q[:2, :2] += np.array([[-t, t], [t, -t]])
+            assert q[0, 0] < 0 and max(discrete.marginal_errors(model, q)) <= discrete.MARGINAL_TOL
+        else:
+            q[0, 0] = float(entry)
+        with pytest.raises(DomainError, match="^coupling entries must be finite and nonnegative"):
+            discrete.entropy_ladder(model, iterates, q)
+
     def test_needs_one_iterate(self):
         rng = np.random.default_rng(17)
         model = random_model(rng, 3, 4)

@@ -44,6 +44,19 @@ def riccati_iterates(problem, v0, count):
     return out
 
 
+def count_calls(monkeypatch, name):
+    """The ``ndim`` of the first argument of each later call to ``matcore.<name>``."""
+    calls = []
+    original = getattr(matcore, name)
+
+    def counted(a, *args):
+        calls.append(np.ndim(a))
+        return original(a, *args)
+
+    monkeypatch.setattr(matcore, name, counted)
+    return calls
+
+
 def check_passes(name, inst, states, bridge):
     """Whether the harness rule of Gaussian check ``name`` passes on the rows it builds."""
     check = harness.REGIMES["gaussian"].checks[name]
@@ -478,8 +491,11 @@ class TestBridgeEntropy:
         states[6] = dataclasses.replace(states[6], cov=np.diag([1e-13, 1.0]))
         # Two even states per chunk: P_6 is the second joint of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
+        validated = count_calls(monkeypatch, "assert_spd")
         with pytest.raises(DomainError, match=r"^joint P_2n at n=3 is not positive definite"):
             gs.entropy_formula_table(states, bridge, inst.mu, inst.eta, inst.kernel)
+        # one stacked call per chunk: the failing chunk is not walked again
+        assert validated == [3, 3]
 
     def test_monotone_decay(self):
         rng = np.random.default_rng(17)
@@ -522,6 +538,24 @@ class TestRateReport:
         report = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
         assert max(row.directed_residual for row in report.rows) <= 1e-8
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-8
+
+    def test_one_walk_over_the_chunks(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(30), 2)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        # Three even states per chunk: seven chunks of even states.
+        monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 3 * 4 ** 2)
+        walks = []
+        chunks = gs._chunks
+
+        def walk(states, d, *fields):
+            walks.append(fields)
+            return chunks(states, d, *fields)
+
+        monkeypatch.setattr(gs, "_chunks", walk)
+        rows = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel).rows
+        assert walks == [("mean", "gain", "cov", "rescaled_cov")]
+        assert list(rows) == ref_rate_rows(states, bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_requires_enough_iterations(self):
         rng = np.random.default_rng(20)
@@ -589,8 +623,26 @@ class TestEnvelopes:
                                         gain=np.zeros((2, 2)))
         # Two even states per chunk: pi_6 is the second marginal of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
+        validated = count_calls(monkeypatch, "spd_eigh")
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
             gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        # the bridge joint, then one stacked call per chunk of marginals
+        assert validated == [2, 3, 3]
+
+    @pytest.mark.parametrize("diagnostic", [gs.envelope_report, gs.rate_report])
+    @pytest.mark.parametrize("reorder", [
+        lambda states: states[::-1],
+        lambda states: states[::2],
+        lambda states: states[:5] + states[6:],
+        lambda states: states[2:],
+    ], ids=["reversed", "even-states-only", "odd-state-missing", "shifted"])
+    def test_half_steps_out_of_order_rejected(self, diagnostic, reorder):
+        inst = harness.generate_instance("gaussian", 3, 5, "gaussian-random-spd")
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 24)
+        diagnostic(states, bridge, inst.mu, inst.eta, inst.kernel)
+        with pytest.raises(DomainError, match=r"needs half steps 0, 1, 2, \.\.\. in order"):
+            diagnostic(reorder(states), bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)

@@ -517,6 +517,37 @@ class TestRuleTable:
         with pytest.raises(DomainError, match="^no check writes the metric 'ratio_kl'"):
             harness.verdicts_from_csv("step,metric,value\n0,ratio_kl,0.5\n")
 
+    @pytest.mark.parametrize("line", ["0,bridge_residual", "x,bridge_residual,0.0",
+                                      "0,bridge_residual,abc", "0,bridge_residual,1.0,2.0"])
+    def test_malformed_line_named_by_number(self, line):
+        text = f"step,metric,value\n0,bridge_converged,1.0\n{line}\n"
+        with pytest.raises(DomainError, match=rf"^report line 3: .* got {line!r}$"):
+            harness.verdicts_from_csv(text)
+
+    @pytest.mark.parametrize("rows, check, metric", [
+        ("0,linear_decay_lhs,0.5", "linear-decay", "bridge_entropy_total"),
+        ("0,lyapunov_a,1.0\n0,lyapunov_rho,0.5", "lyapunov", "weighted_tv_even"),
+        ("0,entropy_envelope,1.0", "envelope", "eps"),
+        ("0,eps,1.0\n0,refined_factor,2.0\n0,entropy_envelope,1.0", "envelope",
+         "entropy_to_iterate"),
+        ("0,bridge_residual,0.0", "bridge-feasibility", "bridge_marginal_x_error"),
+    ])
+    def test_missing_metric_named_with_its_check(self, rows, check, metric):
+        with pytest.raises(DomainError, match=rf"^check {check}: no {metric!r} row$"):
+            harness.verdicts_from_csv(f"step,metric,value\n{rows}\n")
+
+    def test_truncated_report_raises_a_domain_error(self, tmp_path):
+        config = harness.ExperimentConfig.from_json(
+            {"regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
+             "seed": 3, "iterations": 12})
+        lines = harness.run_experiment(config).csv_text().splitlines()
+        cut = [*lines[:-1], ",".join(lines[-1].split(",")[:2])]
+        dropped = [line for line in lines if ",bridge_entropy_total," not in line]
+        assert len(dropped) == len(lines) - 1
+        for text in (cut, dropped):
+            with pytest.raises(DomainError):
+                harness.verdicts_from_csv("\n".join(text) + "\n")
+
     @pytest.mark.parametrize("payload", [
         # 4x4 is the size whose identity rows used to differ.
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [4, 4]}, "seed": 3,

@@ -275,3 +275,14 @@ class TestStacks:
             matcore.assert_spd(stack, "m")
         with pytest.raises(DomainError, match=r"^matrix\[1\] has non-finite entries"):
             matcore.spectral_norm(stack)
+
+    def test_one_label_per_matrix_names_the_failing_one(self):
+        labels = ["state 0", "state 2", "state 4"]
+        stack = np.stack([np.eye(2)] * 3)
+        stack[1] = np.diag([1.0, -1.0])
+        for validate in (matcore.assert_spd, matcore.spd_eigh):
+            with pytest.raises(DomainError, match=r"^state 2 is not positive definite"):
+                validate(stack, labels)
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(DomainError, match=r"^state 2 has non-finite entries"):
+            matcore.assert_spd(stack, labels)
