@@ -8,21 +8,20 @@ and joint matrices are exponentiated only when materialized for reporting.
 One recursion.  Sinkhorn is one potential recursion, a V half step then a
 U half step, and :func:`_sweeps` is its only code path.  Each half step is
 the row log-sum-exp of one log kernel (:func:`_log_kernel`), and that
-log-sum-exp is also the normalizer of the kernel the iterate materializes:
+log-sum-exp is also the normalizer of the kernel the run materializes:
 :func:`run_sinkhorn` builds K_{2n} and K_{2n+1} from the log-integrals its
 sweep has just taken, and :func:`solve_bridge` reads the system residual
 off the same sweeps (two log-integrals per sweep, not four).
 
-Stacked diagnostics.  The per-iterate series behind the diagnostics (the
+Stacked run.  :func:`run_sinkhorn` returns one :class:`SinkhornRun`, whose
+fields are whole-run stacks written in place, row n for pair n, so a
+pair's step is its row number.  The series behind the diagnostics (the
 marginal KL gaps and chains, the phi-entropies, the identities' ratios
-and maxima, the rate report's sup and sandwich terms) are computed on
-``(N, m)`` stacks of the whole run, one numpy call per quantity.  A
-diagnostic stacks pi_{2n} and pi_{2n+1} once, and takes consecutive pairs
-as the slices ``[:-1]`` and ``[1:]``.  What stays per iterate: every
+and maxima, the rate report's sup and sandwich terms) are read off the
+``(N, m)`` marginal stacks, one numpy call per quantity, with consecutive
+pairs as the slices ``[:-1]`` and ``[1:]``.  What stays per pair: every
 matrix-vector product, the joint-matrix sums and KLs, and the sequential
-recursion.  Rows keep their order.  The run already holds two kernels of
-nx * ny floats per iterate, so its stacked marginals (nx + ny floats per
-iterate) add little memory.
+recursion.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -179,38 +178,39 @@ def model_from_json(payload: dict) -> DiscreteModel:
 
 
 @dataclass(frozen=True)
-class SinkhornIterate:
-    """Materialized potentials, kernels and marginals for one pair index n.
+class SinkhornRun:
+    """Potentials, kernels and marginals of pairs 0..N-1, each field one whole-run stack.
 
-    The joints are scalings of the kernels, derived on each read, so an
-    iterate stores two matrices, not four.
+    Row n of every stack is pair n.  The joints are scalings of the kernels,
+    derived on each read, so a run stores two matrices per pair, not four.
     """
 
-    step: int
-    u: np.ndarray            # U_{2n}
-    v: np.ndarray            # V_{2n} = V_{2n-1}
-    kernel_even: np.ndarray  # K_{2n}: nx x ny, row stochastic
-    kernel_odd: np.ndarray   # K_{2n+1}: ny x nx, row stochastic
-    pi_even: np.ndarray      # pi_{2n} = mu K_{2n} on Y
-    pi_odd: np.ndarray       # pi_{2n+1} = eta K_{2n+1} on X
-    mu: np.ndarray           # the model's mu, shared by every iterate
-    eta: np.ndarray          # the model's eta, shared by every iterate
+    u: np.ndarray            # (N, nx): U_{2n}
+    v: np.ndarray            # (N, ny): V_{2n} = V_{2n-1}
+    kernel_even: np.ndarray  # (N, nx, ny): K_{2n}, row stochastic
+    kernel_odd: np.ndarray   # (N, ny, nx): K_{2n+1}, row stochastic
+    pi_even: np.ndarray      # (N, ny): pi_{2n} = mu K_{2n} on Y
+    pi_odd: np.ndarray       # (N, nx): pi_{2n+1} = eta K_{2n+1} on X
+    mu: np.ndarray           # the model's mu
+    eta: np.ndarray          # the model's eta
 
-    @property
-    def joint_even(self) -> np.ndarray:
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def joint_even(self, n: int) -> np.ndarray:
         """P_{2n} on X x Y."""
-        return self.mu[:, None] * self.kernel_even
+        return self.mu[:, None] * self.kernel_even[n]
 
-    @property
-    def joint_odd(self) -> np.ndarray:
+    def joint_odd(self, n: int) -> np.ndarray:
         """P_{2n+1} on X x Y."""
-        return (self.eta[:, None] * self.kernel_odd).T
+        return (self.eta[:, None] * self.kernel_odd[n]).T
 
 
-def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The row-stochastic kernel ``exp(log_p - lse)`` of a :func:`_log_kernel` pair."""
+def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray], out=None) -> np.ndarray:
+    """The row-stochastic kernel ``exp(log_p - lse)`` of a :func:`_log_kernel` pair, in ``out``."""
     log_p, lse = log_kernel
-    return np.exp(log_p - lse[:, None])
+    out = np.subtract(log_p, lse[:, None], out=out)
+    return np.exp(out, out=out)
 
 
 def _finite(pot: np.ndarray, step: int) -> np.ndarray:
@@ -242,38 +242,32 @@ def _sweeps(model: DiscreteModel):
         step += 2
 
 
-def _iterate(model: DiscreteModel, n: int, u: np.ndarray, v: np.ndarray,
-             log_even: tuple[np.ndarray, np.ndarray],
-             log_odd: tuple[np.ndarray, np.ndarray]) -> SinkhornIterate:
-    """Iterate n, exponentiated from the potentials and log kernels of one :func:`_sweeps` yield."""
-    kernel_even = _stochastic(log_even)
-    kernel_odd = _stochastic(log_odd)
-    pi_even = model.mu @ kernel_even
-    pi_odd = model.eta @ kernel_odd
-    return SinkhornIterate(
-        step=n,
-        u=u,
-        v=v,
-        kernel_even=_frozen(kernel_even),
-        kernel_odd=_frozen(kernel_odd),
-        pi_even=_frozen(pi_even),
-        pi_odd=_frozen(pi_odd),
-        mu=model.mu,
-        eta=model.eta,
-    )
+def run_sinkhorn(model: DiscreteModel, pairs: int) -> SinkhornRun:
+    """The run of pair indices 0..pairs inclusive, each stack written in place.
 
-
-def run_sinkhorn(model: DiscreteModel, pairs: int) -> list[SinkhornIterate]:
-    """Materialized iterates for pair indices 0..pairs inclusive.
-
-    Each iterate is built from the log-integrals its sweep has just taken:
-    the one behind V_{2n+1} normalizes K_{2n+1}, and the one behind U_{2n}
+    Each pair is built from the log-integrals its sweep has just taken: the
+    one behind V_{2n+1} normalizes K_{2n+1}, and the one behind U_{2n}
     normalizes K_{2n}.
     """
     if pairs < 0:
         raise DomainError("pairs must be nonnegative")
-    return [_iterate(model, n, *sweep)
-            for n, sweep in enumerate(itertools.islice(_sweeps(model), pairs + 1))]
+    count, nx, ny = pairs + 1, model.nx, model.ny
+    u, pi_odd = np.empty((count, nx)), np.empty((count, nx))
+    v, pi_even = np.empty((count, ny)), np.empty((count, ny))
+    # K_{2n+1} comes from the view log_k.T, so np.exp writes it column-major,
+    # and eta @ K rounds differently on a row-major copy: keep that layout.
+    # Both kernel stacks share one block: glibc keeps such a freed block for
+    # the next run, where it returned two half-size blocks to the OS and each
+    # run faulted their pages in afresh (1583 faults a run at 64x64 with 100
+    # iterations, against 20).
+    kernels = np.empty((2, count, nx, ny))
+    kernel_even, kernel_odd = kernels[0], kernels[1].transpose(0, 2, 1)
+    for n, (u_n, v_n, log_even, log_odd) in enumerate(itertools.islice(_sweeps(model), count)):
+        u[n], v[n] = u_n, v_n
+        pi_even[n] = model.mu @ _stochastic(log_even, out=kernel_even[n])
+        pi_odd[n] = model.eta @ _stochastic(log_odd, out=kernel_odd[n])
+    return SinkhornRun(*map(_frozen, (u, v, kernel_even, kernel_odd, pi_even, pi_odd)),
+                       mu=model.mu, eta=model.eta)
 
 
 def dual_kernel(kernel, mu) -> np.ndarray:
@@ -289,19 +283,14 @@ def dual_kernel(kernel, mu) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Per-iterate series, stacked over the run.
+# Per-pair series, read off the run's stacks.
 # --------------------------------------------------------------------------
 
 
-def _stack(iterates, name: str, width: int) -> np.ndarray:
-    """The ``(N, width)`` stack of one marginal field of each iterate, ``(0, width)`` for none."""
-    return np.array([getattr(it, name) for it in iterates]).reshape(-1, width)
-
-
-def marginal_gaps(model: DiscreteModel, iterates) -> tuple[list[float], list[float]]:
-    """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each iterate, one KL call per stack."""
-    return (relative_entropy_rows(model.eta, _stack(iterates, "pi_even", model.ny)).tolist(),
-            relative_entropy_rows(model.mu, _stack(iterates, "pi_odd", model.nx)).tolist())
+def marginal_gaps(model: DiscreteModel, run: SinkhornRun) -> tuple[list[float], list[float]]:
+    """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each pair, one KL call per stack."""
+    return (relative_entropy_rows(model.eta, run.pi_even).tolist(),
+            relative_entropy_rows(model.mu, run.pi_odd).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -331,14 +320,12 @@ def marginal_errors(model: DiscreteModel, q) -> tuple[float, float]:
             float(np.max(np.abs(q.sum(axis=0) - model.eta))))
 
 
-def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
+def entropy_ladder(model: DiscreteModel, run: SinkhornRun, q) -> LadderReport:
     """Decompose H(Q | P) into per-step marginal gaps plus H(Q | P_{2n}).
 
     Rows where Q is not absolutely continuous w.r.t. the iterate carry
     infinite entries and a NaN residual; they are flagged, not fatal.
     """
-    if not iterates:
-        raise DomainError("entropy_ladder needs at least one iterate")
     q = np.asarray(q, dtype=float)
     if q.shape != (model.nx, model.ny):
         raise DomainError("coupling shape does not match the model")
@@ -346,16 +333,16 @@ def entropy_ladder(model: DiscreteModel, iterates, q) -> LadderReport:
         raise DomainError("coupling entries must be finite and nonnegative")
     if any(err > MARGINAL_TOL for err in marginal_errors(model, q)):
         raise DomainError("coupling marginals do not match (mu, eta)")
-    to_bridge = np.array([relative_entropy(q, it.joint_even) for it in iterates])
+    to_bridge = np.array([relative_entropy(q, run.joint_even(n)) for n in range(len(run))])
     total = to_bridge[0]
-    gap_eta, gap_mu = np.array(marginal_gaps(model, iterates))
+    gap_eta, gap_mu = np.array(marginal_gaps(model, run))
     # The gaps below n, added in step order from 0.0.
     partial = np.cumsum(np.concatenate(([0.0], (gap_eta + gap_mu)[:-1])))
     with np.errstate(invalid="ignore"):
         residual = np.where(np.isinf(total) | np.isinf(to_bridge), np.nan,
                             np.abs(total - to_bridge - partial))
     columns = (a.tolist() for a in (to_bridge, gap_eta, gap_mu, partial, residual))
-    rows = tuple(LadderRow(it.step, *row) for it, *row in zip(iterates, *columns))
+    rows = tuple(LadderRow(n, *row) for n, row in enumerate(zip(*columns)))
     return LadderReport(total=float(total), rows=rows)
 
 
@@ -495,22 +482,19 @@ def _projection_rows(names, index: int, p: np.ndarray, p_proj: np.ndarray,
             for name, (lhs, a, b) in zip(names, (forward, reverse))]
 
 
-def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
+def identity_suite(model: DiscreteModel, run: SinkhornRun) -> tuple[CheckRow, ...]:
     """Evaluate every structural identity the iteration is supposed to satisfy.
 
-    Each matrix product is taken per iterate; the KL chains, ratios and
-    maxima run on stacks of the whole run.  Rows come step by step, in the
-    order of the identities below; the I-projection rows of the first
-    pair's two half steps come last.
+    Each matrix product is taken per pair; the KL chains, ratios and maxima
+    run on the run's stacks.  Rows come step by step, in the order of the
+    identities below; the I-projection rows of the first pair's two half
+    steps come last.
     """
-    if len(iterates) < 2:
+    if len(run) < 2:
         raise DomainError("identity_suite needs at least two consecutive iterates")
     mu, eta = model.mu, model.eta
-    steps = [it.step for it in iterates]
-    at, nxt_at = steps[:-1], steps[1:]
-    pairs = list(zip(iterates, iterates[1:]))
-    pi_even = _stack(iterates, "pi_even", model.ny)
-    pi_odd = _stack(iterates, "pi_odd", model.nx)
+    at, nxt_at = range(len(run) - 1), range(1, len(run))
+    k_even, k_odd, pi_even, pi_odd = run.kernel_even, run.kernel_odd, run.pi_even, run.pi_odd
     gap_eta = relative_entropy_rows(eta, pi_even)  # H(eta | pi_2n)
     gap_mu = relative_entropy_rows(mu, pi_odd)     # H(mu | pi_2n+1)
     odd_mu = relative_entropy_rows(pi_odd, mu)
@@ -518,41 +502,38 @@ def identity_suite(model: DiscreteModel, iterates) -> tuple[CheckRow, ...]:
     # A marginal with an exact 0 makes a ratio inf and its row NaN, which
     # fails the check; numpy need not print that too.
     with np.errstate(divide="ignore", invalid="ignore"):
+        even_to_eta, eta_to_even = pi_even / eta, eta / pi_even
+        odd_to_mu, mu_to_odd = pi_odd / mu, mu / pi_odd
         forward = (
             _chain_rows("monotone-eta-chain", at, [gap_eta[1:], odd_mu[:-1], gap_eta[:-1]]),
             _chain_rows("monotone-mu-chain", at, [even_eta[1:], gap_mu[:-1], even_eta[:-1]]),
             _close_rows("commute-even-forward", at,
-                        [it.kernel_even @ (eta / it.pi_even) for it, _ in pairs], pi_odd[:-1] / mu),
+                        [k @ r for k, r in zip(k_even, eta_to_even[:-1])], odd_to_mu[:-1]),
             _close_rows("commute-even-backward", at,
-                        [nxt.kernel_even @ (it.pi_even / eta) for it, nxt in pairs],
-                        mu / pi_odd[:-1]),
-            _close_rows("fixed-point-mu", at, [it.pi_even @ it.kernel_odd for it, _ in pairs], mu),
-            _close_rows("fixed-point-eta", at,
-                        [it.pi_odd @ nxt.kernel_even for it, nxt in pairs], eta),
+                        [k @ r for k, r in zip(k_even[1:], even_to_eta)], mu_to_odd[:-1]),
+            _close_rows("fixed-point-mu", at, [p @ k for p, k in zip(pi_even[:-1], k_odd)], mu),
+            _close_rows("fixed-point-eta", at, [p @ k for p, k in zip(pi_odd, k_even[1:])], eta),
             _close_rows("joint-marginal-even", at,
-                        [it.joint_even.sum(axis=1) for it, _ in pairs], mu),
-            _close_rows("joint-marginal-odd", at,
-                        [it.joint_odd.sum(axis=0) for it, _ in pairs], eta),
+                        [run.joint_even(n).sum(axis=1) for n in at], mu),
+            _close_rows("joint-marginal-odd", at, [run.joint_odd(n).sum(axis=0) for n in at], eta),
         )
         backward = (
             _close_rows("commute-odd-forward", nxt_at,
-                        [prev.kernel_odd @ (mu / prev.pi_odd) for prev, _ in pairs],
-                        pi_even[1:] / eta),
+                        [k @ r for k, r in zip(k_odd[:-1], mu_to_odd)], even_to_eta[1:]),
             _close_rows("commute-odd-backward", nxt_at,
-                        [it.kernel_odd @ (prev.pi_odd / mu) for prev, it in pairs],
-                        eta / pi_even[1:]),
+                        [k @ r for k, r in zip(k_odd[1:], odd_to_mu)], eta_to_even[1:]),
             _close_rows("semigroup-even", nxt_at,
-                        [prev.kernel_odd @ (it.kernel_even @ (prev.pi_even / eta))
-                         for prev, it in pairs], pi_even[1:] / eta),
+                        [ko @ (ke @ r) for ko, ke, r in zip(k_odd, k_even[1:], even_to_eta)],
+                        even_to_eta[1:]),
             _close_rows("semigroup-odd", nxt_at,
-                        [it.kernel_even @ (it.kernel_odd @ (prev.pi_odd / mu))
-                         for prev, it in pairs], pi_odd[1:] / mu),
+                        [ke @ (ko @ r) for ke, ko, r in zip(k_even[1:], k_odd[1:], odd_to_mu)],
+                        odd_to_mu[1:]),
         )
-    it, nxt = iterates[0], iterates[1]
     return (*itertools.chain.from_iterable(zip(*forward)),
             *itertools.chain.from_iterable(zip(*backward)),
-            *_projection_rows(IDENTITY_NAMES[-4:-2], it.step, it.joint_even.T, it.joint_odd.T, mu),
-            *_projection_rows(IDENTITY_NAMES[-2:], it.step, it.joint_odd, nxt.joint_even, eta))
+            *_projection_rows(IDENTITY_NAMES[-4:-2], 0, run.joint_even(0).T, run.joint_odd(0).T,
+                              mu),
+            *_projection_rows(IDENTITY_NAMES[-2:], 0, run.joint_odd(0), run.joint_even(1), eta))
 
 
 # --------------------------------------------------------------------------
@@ -572,14 +553,14 @@ class DiscreteRateReport:
     sandwich_residual: float
 
 
-def geometric_rate_report(model: DiscreteModel, iterates) -> DiscreteRateReport:
+def geometric_rate_report(model: DiscreteModel, run: SinkhornRun) -> DiscreteRateReport:
     """Per-step contraction diagnostics against the bounded-cost rate bound."""
     eps_w = model.eps_w
     bound = (1.0 - eps_w) ** 2
     eta = model.eta
-    steps = [it.step for it in iterates]
-    pi = _stack(iterates, "pi_even", model.ny)
-    # H_phi(pi_2n, eta) once per iterate and phi.
+    steps = range(len(run))
+    pi = run.pi_even
+    # H_phi(pi_2n, eta) once per pair and phi.
     values = zip(*(phi_entropy(phi, pi, eta).tolist() for phi in RATE_PHIS))
     sup_series = tuple(zip(steps, np.max(np.abs(pi / eta - 1.0), axis=-1).tolist()))
     low = np.max(eps_w * eta - pi, axis=-1, initial=0.0)

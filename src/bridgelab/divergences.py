@@ -100,8 +100,9 @@ class PhiFunction:
 
 
 def _phi_kl(u, v) -> np.ndarray:
-    # 0 log 0 = 0; u > 0 = v gives u * log(inf) = inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # 0 log 0 = 0; u > 0 = v gives u * log(inf) = inf, and so does a v so
+    # small that u / v overflows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(u > 0, u * np.log(np.divide(u, v)), 0.0)
 
 
@@ -161,12 +162,14 @@ def relative_entropy(p, q) -> float:
 
     Unnormalized companion of ``phi_entropy(KL, ...)`` that also accepts joint
     matrices (flattened).  Uses 0 log 0 = 0 and returns ``+inf`` when ``p``
-    charges a point that ``q`` does not.
+    charges a point that ``q`` does not.  A NaN, infinite or negative entry of
+    ``p`` is a :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise DomainError("support mismatch in relative_entropy")
+    _check_kl_weights(p, "relative_entropy")
     return float(np.sum(_phi_kl(p, q)))
 
 
@@ -182,7 +185,19 @@ def relative_entropy_rows(p, q) -> np.ndarray:
         raise DomainError(f"relative_entropy_rows needs an (N, m) stack, got {p.shape} and {q.shape}")
     if p.shape[-1] != q.shape[-1] or (p.ndim == q.ndim == 2 and p.shape[0] != q.shape[0]):
         raise DomainError(f"support mismatch in relative_entropy_rows: {p.shape} vs {q.shape}")
+    _check_kl_weights(p, "relative_entropy_rows")
     return np.sum(_phi_kl(p, q), axis=-1)
+
+
+def _check_kl_weights(p: np.ndarray, name: str) -> None:
+    """Raise a :class:`DomainError` from ``name`` if ``p`` has a NaN, infinite or negative entry.
+
+    ``_phi_kl`` maps a NaN or negative entry to a 0 term, which would drop it
+    from the sum without a word.
+    """
+    # min and max propagate a NaN, and a NaN compares False.
+    if p.size and not (p.min() >= 0.0 and p.max() < np.inf):
+        raise DomainError(f"{name}: entries of p must be finite and nonnegative")
 
 
 def weighted_tv(mu1, mu2, g) -> float:

@@ -36,7 +36,7 @@ from .matcore import _integer, _real
 MAX_DISCRETE_SIDE = 64
 MAX_GAUSSIAN_DIM = 16
 # A run keeps every iterate of its 2 * iterations half steps, so this caps its
-# time and memory (a 64x64 discrete iterate holds its two 32 KB kernels).
+# time and memory (a 64x64 discrete pair holds two 32 KB kernels).
 MAX_ITERATIONS = 1000
 
 
@@ -290,13 +290,13 @@ def _at_most(tol: float, *metrics: str) -> Callable:
     return rule
 
 
-def _ladder_rows(model, iterates, solution):
+def _ladder_rows(model, run, solution):
     # The ladder decomposes H(Q | P) for a coupling Q of (mu, eta); a bridge
     # solve that stalled short of its marginals gets one row instead.
     err = max(discrete.marginal_errors(model, solution.bridge))
     if err > discrete.MARGINAL_TOL:
         return [(0, "ladder_bridge_marginal_error", err)]
-    report = discrete.entropy_ladder(model, iterates, solution.bridge)
+    report = discrete.entropy_ladder(model, run, solution.bridge)
     rows = []
     for row in report.rows:
         rows.append((row.n, "ladder_residual", row.residual))
@@ -313,12 +313,10 @@ def _ladder_rule(rows):
     return worst <= 1e-9, worst
 
 
-def _linear_decay_rows(model, iterates, solution):
-    total = discrete.relative_entropy(solution.bridge, iterates[0].joint_even)
-    rows = []
-    for it, gap_eta, gap_mu in zip(iterates, *discrete.marginal_gaps(model, iterates)):
-        lhs = (it.step + 1) * (gap_eta + gap_mu)
-        rows.append((it.step, "linear_decay_lhs", lhs))
+def _linear_decay_rows(model, run, solution):
+    total = discrete.relative_entropy(solution.bridge, run.joint_even(0))
+    rows = [(n, "linear_decay_lhs", (n + 1) * (gap_eta + gap_mu))
+            for n, (gap_eta, gap_mu) in enumerate(zip(*discrete.marginal_gaps(model, run)))]
     rows.append((0, "bridge_entropy_total", total))
     return rows
 
@@ -330,8 +328,8 @@ def _linear_decay_rule(rows):
     return worst <= 1e-8, worst
 
 
-def _geometric_rows(model, iterates, solution):
-    report = discrete.geometric_rate_report(model, iterates)
+def _geometric_rows(model, run, solution):
+    report = discrete.geometric_rate_report(model, run)
     rows = [(0, "eps_w", report.eps_w), (0, "rate_bound", report.bound)]
     for n, phi_name, value in report.entropies:
         rows.append((n, f"h_{phi_name}", value))
@@ -365,12 +363,12 @@ def _geometric_rule(rows):
 _IDENTITY_METRICS = tuple(f"identity_{name}" for name in discrete.IDENTITY_NAMES)
 
 
-def _identity_rows(model, iterates, solution):
+def _identity_rows(model, run, solution):
     return [(row.index, f"identity_{row.name}", row.residual)
-            for row in discrete.identity_suite(model, iterates)]
+            for row in discrete.identity_suite(model, run)]
 
 
-def _feasibility_rows(model, iterates, solution):
+def _feasibility_rows(model, run, solution):
     marg_x, marg_y = discrete.marginal_errors(model, solution.bridge)
     return [
         (0, "bridge_residual", solution.residual),
@@ -390,25 +388,21 @@ def _feasibility_rule(rows):
     return worst <= 1e-10 and value["bridge_converged"] == 1.0, worst
 
 
-def _lyapunov_rows(model, iterates, solution):
+def _lyapunov_rows(model, run, solution):
     delta = 0.25
     g = np.exp(delta * model.u_potential)
     h = np.exp(delta * model.v_potential)
-    later = iterates[1:]
-    result = contraction.lyapunov_search([it.kernel_even for it in later],
-                                         [it.kernel_odd for it in later], g, h)
+    result = contraction.lyapunov_search(list(run.kernel_even[1:]), list(run.kernel_odd[1:]), g, h)
     if isinstance(result, contraction.SearchFailure):
         return [(0, "lyapunov_best_rho", result.best_rho)]
     rows = [(0, "lyapunov_a", result.a), (0, "lyapunov_rho", result.rho)]
     pair = contraction.WeightPair(g=g, h=h, a=result.a)
-    # One weighted-TV series per marginal, one row sum per iterate.
-    tv_even = np.sum(pair.h_a * np.abs(discrete._stack(later, "pi_even", model.ny) - model.eta),
-                     axis=-1)
-    tv_odd = np.sum(pair.g_a * np.abs(discrete._stack(later, "pi_odd", model.nx) - model.mu),
-                    axis=-1)
-    for it, even, odd in zip(later, tv_even.tolist(), tv_odd.tolist()):
-        rows.append((it.step, "weighted_tv_even", even))
-        rows.append((it.step, "weighted_tv_odd", odd))
+    # One weighted-TV series per marginal, one row sum per pair from n = 1.
+    tv_even = np.sum(pair.h_a * np.abs(run.pi_even[1:] - model.eta), axis=-1)
+    tv_odd = np.sum(pair.g_a * np.abs(run.pi_odd[1:] - model.mu), axis=-1)
+    for n, even, odd in zip(range(1, len(run)), tv_even.tolist(), tv_odd.tolist()):
+        rows.append((n, "weighted_tv_even", even))
+        rows.append((n, "weighted_tv_odd", odd))
     return rows
 
 

@@ -55,13 +55,13 @@ def test_criterion_02_linear_decay():
     worst = -math.inf
     for model in discrete_instances(20):
         solution = discrete.solve_bridge(model)
-        iterates = discrete.run_sinkhorn(model, 200)
-        total = relative_entropy(solution.bridge, iterates[0].joint_even)
-        for it in iterates:
-            gap = relative_entropy(model.eta, it.pi_even) + relative_entropy(
-                model.mu, it.pi_odd
+        run = discrete.run_sinkhorn(model, 200)
+        total = relative_entropy(solution.bridge, run.joint_even(0))
+        for n in range(len(run)):
+            gap = relative_entropy(model.eta, run.pi_even[n]) + relative_entropy(
+                model.mu, run.pi_odd[n]
             )
-            worst = max(worst, (it.step + 1) * gap - total)
+            worst = max(worst, (n + 1) * gap - total)
     _verdict(2, "linear decay bound", worst <= 1e-8, f"worst excess {worst:.3e}")
 
 
@@ -226,20 +226,19 @@ def test_criterion_08_envelope_domination():
 
 def test_criterion_09_lyapunov_certificate():
     model = harness.generate_instance("discrete", (10, 10), 17, "bounded", osc_cap=1.0)
-    iterates = discrete.run_sinkhorn(model, 21)
+    run = discrete.run_sinkhorn(model, 21)
     g = np.exp(0.25 * model.u_potential)
     h = np.exp(0.25 * model.v_potential)
-    evens = [it.kernel_even for it in iterates[1:]]
-    odds = [it.kernel_odd for it in iterates[1:]]
+    evens = list(run.kernel_even[1:])
+    odds = list(run.kernel_odd[1:])
     cert = contraction.lyapunov_search(evens, odds, g, h)
     assert isinstance(cert, contraction.ContractionCertificate), cert
     pair = contraction.WeightPair(g=g, h=h, a=cert.a)
     base_even = base_odd = None
     worst = 0.0
-    for it in iterates[1:21]:
-        n = it.step
-        dist_even = float(np.sum(pair.h_a * np.abs(it.pi_even - model.eta)))
-        dist_odd = float(np.sum(pair.g_a * np.abs(it.pi_odd - model.mu)))
+    for n in range(1, 21):
+        dist_even = float(np.sum(pair.h_a * np.abs(run.pi_even[n] - model.eta)))
+        dist_odd = float(np.sum(pair.g_a * np.abs(run.pi_odd[n] - model.mu)))
         if base_even is None:
             base_even, base_odd, base_n = dist_even, dist_odd, n
             continue

@@ -145,11 +145,11 @@ class TestLyapunovSearch:
             rng.uniform(0.5, 1.5, 10), rng.uniform(0.5, 1.5, 10),
             rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 1.0, 10),
         )
-        iterates = discrete.run_sinkhorn(model, 21)
+        run = discrete.run_sinkhorn(model, 21)
         g = np.exp(0.25 * model.u_potential)
         h = np.exp(0.25 * model.v_potential)
-        evens = [it.kernel_even for it in iterates[1:]]
-        odds = [it.kernel_odd for it in iterates[1:]]
+        evens = list(run.kernel_even[1:])
+        odds = list(run.kernel_odd[1:])
         cert = contraction.lyapunov_search(evens, odds, g, h)
         assert isinstance(cert, contraction.ContractionCertificate)
         assert cert.rho < 1.0
@@ -480,11 +480,11 @@ class TestScreenResources:
         # 200 kernels of 64 x 64 hold 403 200 pair terms (9.7 MB as triples);
         # the search keeps batches of chunk size and the few undropped terms.
         model = harness.generate_instance("discrete", (64, 64), 0, "bounded")
-        iterates = discrete.run_sinkhorn(model, 100)
+        run = discrete.run_sinkhorn(model, 100)
         g = np.exp(0.25 * model.u_potential)
         h = np.exp(0.25 * model.v_potential)
-        evens = [it.kernel_even for it in iterates[1:]]
-        odds = [it.kernel_odd for it in iterates[1:]]
+        evens = list(run.kernel_even[1:])
+        odds = list(run.kernel_odd[1:])
         tracemalloc.start()
         try:
             cert = contraction.lyapunov_search(evens, odds, g, h)
@@ -496,11 +496,11 @@ class TestScreenResources:
 
     def test_bounded_64x64_search_warns_nothing(self):
         model = harness.generate_instance("discrete", (64, 64), 0, "bounded")
-        iterates = discrete.run_sinkhorn(model, 5)
+        run = discrete.run_sinkhorn(model, 5)
         g = np.exp(0.25 * model.u_potential)
         h = np.exp(0.25 * model.v_potential)
-        evens = [it.kernel_even for it in iterates[1:]]
-        odds = [it.kernel_odd for it in iterates[1:]]
+        evens = list(run.kernel_even[1:])
+        odds = list(run.kernel_odd[1:])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cert = contraction.lyapunov_search(evens, odds, g, h)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -22,10 +23,10 @@ def random_model(rng, nx, ny, osc=1.0):
     return discrete.build_model(cost, lam, nu, u, v)
 
 
-def check_passes(name, model, iterates, solution=None):
+def check_passes(name, model, run, solution=None):
     """Whether the harness rule of discrete check ``name`` passes on the rows it builds."""
     check = harness.REGIMES["discrete"].checks[name]
-    return check.rule(check.rows(model, iterates, solution))[0]
+    return check.rule(check.rows(model, run, solution))[0]
 
 
 def self_bridged_model(rng, nx, ny):
@@ -62,11 +63,11 @@ class TestBuildModel:
         cost = (xs[:, None] - ys[None, :]) ** 2 / (2 * t)
         nu = np.full(6, 1.0 / 6.0)
         model = discrete.build_model(cost, np.ones(5), nu)
-        it = discrete.run_sinkhorn(model, 0)[0]
+        kernel = discrete.run_sinkhorn(model, 0).kernel_even[0]
         for i in range(5):
             expected = np.exp(-((xs[i] - ys) ** 2) / (2 * t)) * nu
             expected /= expected.sum()
-            np.testing.assert_allclose(it.kernel_even[i], expected, atol=1e-13)
+            np.testing.assert_allclose(kernel[i], expected, atol=1e-13)
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
@@ -87,21 +88,22 @@ class TestPotentialRecursion:
     def test_parity_copies(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, 5, 7)
-        iterates = discrete.run_sinkhorn(model, 3)
-        for it, nxt in zip(iterates, iterates[1:]):
+        run = discrete.run_sinkhorn(model, 3)
+        for n in range(len(run) - 1):
             # U is copied on the even->odd move: K_{2n+1} is the Bayes dual of K_{2n}.
             np.testing.assert_allclose(
-                it.kernel_odd, discrete.dual_kernel(it.kernel_even, model.mu), atol=1e-13)
+                run.kernel_odd[n], discrete.dual_kernel(run.kernel_even[n], model.mu), atol=1e-13)
             # V is copied on the odd->even move: K_{2n+2} is the Bayes dual of K_{2n+1}.
-            np.testing.assert_allclose(
-                nxt.kernel_even, discrete.dual_kernel(it.kernel_odd, model.eta), atol=1e-13)
+            np.testing.assert_allclose(run.kernel_even[n + 1],
+                                       discrete.dual_kernel(run.kernel_odd[n], model.eta),
+                                       atol=1e-13)
 
     def test_stationary_when_already_bridged(self):
         rng = np.random.default_rng(4)
         model = self_bridged_model(rng, 4, 5)
-        first, second = discrete.run_sinkhorn(model, 1)
-        assert float(np.max(np.abs(second.u - first.u))) < 1e-12
-        assert float(np.max(np.abs(second.v - first.v))) < 1e-12
+        run = discrete.run_sinkhorn(model, 1)
+        assert float(np.max(np.abs(run.u[1] - run.u[0]))) < 1e-12
+        assert float(np.max(np.abs(run.v[1] - run.v[0]))) < 1e-12
 
     def test_zero_cost_product_bridge_in_one_sweep(self):
         rng = np.random.default_rng(5)
@@ -119,27 +121,25 @@ class TestPotentialRecursion:
     def test_ratio_identity_between_even_potentials(self):
         rng = np.random.default_rng(6)
         model = random_model(rng, 5, 7)
-        iterates = discrete.run_sinkhorn(model, 4)
-        for prev, nxt in zip(iterates, iterates[1:]):
-            expected = prev.v - np.log(model.eta / prev.pi_even)
-            np.testing.assert_allclose(nxt.v, expected, atol=1e-12)
-            expected_u = prev.u - np.log(model.mu / prev.pi_odd)
-            np.testing.assert_allclose(nxt.u, expected_u, atol=1e-12)
+        run = discrete.run_sinkhorn(model, 4)
+        for n in range(len(run) - 1):
+            expected = run.v[n] - np.log(model.eta / run.pi_even[n])
+            np.testing.assert_allclose(run.v[n + 1], expected, atol=1e-12)
+            expected_u = run.u[n] - np.log(model.mu / run.pi_odd[n])
+            np.testing.assert_allclose(run.u[n + 1], expected_u, atol=1e-12)
 
     def test_potential_series_and_mean_monotonicity(self):
         rng = np.random.default_rng(7)
         model = random_model(rng, 5, 7)
-        iterates = discrete.run_sinkhorn(model, 8)
+        run = discrete.run_sinkhorn(model, 8)
         acc = np.zeros(model.nx)
         means_u = []
         means_v = []
-        for it in iterates:
-            np.testing.assert_allclose(
-                it.u - iterates[0].u, -acc, atol=1e-10
-            )
-            acc = acc + np.log(model.mu / it.pi_odd)
-            means_u.append(float(model.mu @ it.u))
-            means_v.append(float(model.eta @ it.v))
+        for u, v, pi_odd in zip(run.u, run.v, run.pi_odd):
+            np.testing.assert_allclose(u - run.u[0], -acc, atol=1e-10)
+            acc = acc + np.log(model.mu / pi_odd)
+            means_u.append(float(model.mu @ u))
+            means_v.append(float(model.eta @ v))
         assert means_v[0] == 0.0
         for a, b in zip(means_v, means_v[1:]):
             assert b <= a + 1e-12
@@ -149,29 +149,44 @@ class TestPotentialRecursion:
 
 
 class TestMaterialize:
+    def test_run_is_one_read_only_stack_per_field(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 3, 5)
+        run = discrete.run_sinkhorn(model, 4)
+        assert len(run) == 5
+        shapes = {"u": (5, 3), "v": (5, 5), "kernel_even": (5, 3, 5), "kernel_odd": (5, 5, 3),
+                  "pi_even": (5, 5), "pi_odd": (5, 3)}
+        for name, shape in shapes.items():
+            stack = getattr(run, name)
+            assert stack.shape == shape and not stack.flags.writeable, name
+        # K_{2n+1} keeps the column-major layout np.exp gives it from log_k.T.
+        assert run.kernel_odd[0].flags.f_contiguous and run.kernel_even[0].flags.c_contiguous
+        assert run.joint_even(2).shape == run.joint_odd(2).shape == (3, 5)
+        with pytest.raises(DomainError, match="pairs must be nonnegative"):
+            discrete.run_sinkhorn(model, -1)
+
     def test_step_zero_kernel_is_reference(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, 4, 6)
-        it = discrete.run_sinkhorn(model, 0)[0]
-        np.testing.assert_allclose(
-            it.kernel_even, np.exp(model.log_k + model.log_nu[None, :]), atol=1e-13
-        )
+        np.testing.assert_allclose(discrete.run_sinkhorn(model, 0).kernel_even[0],
+                                   np.exp(model.log_k + model.log_nu[None, :]), atol=1e-13)
 
     def test_fixed_point_equations(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, 5, 7)
-        iterates = discrete.run_sinkhorn(model, 3)
-        for it, nxt in zip(iterates, iterates[1:]):
-            np.testing.assert_allclose(it.pi_even @ it.kernel_odd, model.mu, atol=1e-12)
-            np.testing.assert_allclose(it.pi_odd @ nxt.kernel_even, model.eta, atol=1e-12)
+        run = discrete.run_sinkhorn(model, 3)
+        for n in range(len(run) - 1):
+            np.testing.assert_allclose(run.pi_even[n] @ run.kernel_odd[n], model.mu, atol=1e-12)
+            np.testing.assert_allclose(run.pi_odd[n] @ run.kernel_even[n + 1], model.eta,
+                                       atol=1e-12)
 
     def test_uniform_symmetric_model(self):
         model = discrete.build_model(
             np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), np.ones(2)
         )
-        for it in discrete.run_sinkhorn(model, 3):
-            np.testing.assert_allclose(it.pi_even, [0.5, 0.5], atol=1e-14)
-            np.testing.assert_allclose(it.pi_odd, [0.5, 0.5], atol=1e-14)
+        run = discrete.run_sinkhorn(model, 3)
+        np.testing.assert_allclose(run.pi_even, 0.5, atol=1e-14)
+        np.testing.assert_allclose(run.pi_odd, 0.5, atol=1e-14)
 
     def test_joint_density_product_form(self):
         # P_n factorizes as exp(-U_n) k exp(-V_n) against the base masses.  The
@@ -179,27 +194,28 @@ class TestMaterialize:
         # U is carried over on the V step, V on the U step.
         rng = np.random.default_rng(30)
         model = random_model(rng, 4, 6)
-        iterates = discrete.run_sinkhorn(model, 4)
-        for it, nxt in zip(iterates, iterates[1:]):
+        run = discrete.run_sinkhorn(model, 4)
+        for n in range(len(run) - 1):
             log_even = (
-                (model.log_lambda - it.u)[:, None]
+                (model.log_lambda - run.u[n])[:, None]
                 + model.log_k
-                + (model.log_nu - it.v)[None, :]
+                + (model.log_nu - run.v[n])[None, :]
             )
-            np.testing.assert_allclose(it.joint_even, np.exp(log_even), atol=1e-13)
+            np.testing.assert_allclose(run.joint_even(n), np.exp(log_even), atol=1e-13)
             log_odd = (
-                (model.log_lambda - it.u)[:, None]
+                (model.log_lambda - run.u[n])[:, None]
                 + model.log_k
-                + (model.log_nu - nxt.v)[None, :]
+                + (model.log_nu - run.v[n + 1])[None, :]
             )
-            np.testing.assert_allclose(it.joint_odd, np.exp(log_odd), atol=1e-13)
+            np.testing.assert_allclose(run.joint_odd(n), np.exp(log_odd), atol=1e-13)
 
     def test_joint_marginals_exact(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 6, 5)
-        for it in discrete.run_sinkhorn(model, 2):
-            np.testing.assert_allclose(it.joint_even.sum(axis=1), model.mu, atol=1e-14)
-            np.testing.assert_allclose(it.joint_odd.sum(axis=0), model.eta, atol=1e-14)
+        run = discrete.run_sinkhorn(model, 2)
+        for n in range(len(run)):
+            np.testing.assert_allclose(run.joint_even(n).sum(axis=1), model.mu, atol=1e-14)
+            np.testing.assert_allclose(run.joint_odd(n).sum(axis=0), model.eta, atol=1e-14)
 
 
 class TestDualKernel:
@@ -232,8 +248,8 @@ class TestEntropyLadder:
     def test_trivial_at_reference(self):
         rng = np.random.default_rng(13)
         model = self_bridged_model(rng, 4, 5)
-        iterates = discrete.run_sinkhorn(model, 3)
-        report = discrete.entropy_ladder(model, iterates, iterates[0].joint_even)
+        run = discrete.run_sinkhorn(model, 3)
+        report = discrete.entropy_ladder(model, run, run.joint_even(0))
         assert report.total == pytest.approx(0.0, abs=1e-12)
         for row in report.rows:
             assert row.entropy_to_bridge == pytest.approx(0.0, abs=1e-12)
@@ -245,15 +261,15 @@ class TestEntropyLadder:
         for _ in range(3):
             model = random_model(rng, 5, 7)
             solution = discrete.solve_bridge(model)
-            iterates = discrete.run_sinkhorn(model, 30)
-            assert check_passes("ladder", model, iterates, solution)
+            run = discrete.run_sinkhorn(model, 30)
+            assert check_passes("ladder", model, run, solution)
 
     def test_telescoping(self):
         rng = np.random.default_rng(15)
         model = random_model(rng, 4, 6)
         solution = discrete.solve_bridge(model)
-        iterates = discrete.run_sinkhorn(model, 10)
-        report = discrete.entropy_ladder(model, iterates, solution.bridge)
+        run = discrete.run_sinkhorn(model, 10)
+        report = discrete.entropy_ladder(model, run, solution.bridge)
         for p in range(0, 8, 2):
             for n in range(p + 1, 9):
                 lhs = report.rows[p].entropy_to_bridge - report.rows[n].entropy_to_bridge
@@ -263,15 +279,15 @@ class TestEntropyLadder:
     def test_marginal_validation(self):
         rng = np.random.default_rng(16)
         model = random_model(rng, 3, 3)
-        iterates = discrete.run_sinkhorn(model, 1)
+        run = discrete.run_sinkhorn(model, 1)
         bad = np.outer(model.mu, np.roll(model.eta, 1))
         with pytest.raises(DomainError):
-            discrete.entropy_ladder(model, iterates, bad)
+            discrete.entropy_ladder(model, run, bad)
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "negative"])
     def test_bad_coupling_entry_rejected(self, entry):
         model = harness.generate_instance("discrete", (4, 5), 0, "bounded")
-        iterates = discrete.run_sinkhorn(model, 3)
+        run = discrete.run_sinkhorn(model, 3)
         q = discrete.solve_bridge(model).bridge.copy()
         if entry == "negative":
             # A +-t cycle on a 2 x 2 block keeps every row and column sum.
@@ -281,29 +297,23 @@ class TestEntropyLadder:
         else:
             q[0, 0] = float(entry)
         with pytest.raises(DomainError, match="^coupling entries must be finite and nonnegative"):
-            discrete.entropy_ladder(model, iterates, q)
-
-    def test_needs_one_iterate(self):
-        rng = np.random.default_rng(17)
-        model = random_model(rng, 3, 4)
-        with pytest.raises(DomainError, match="at least one iterate"):
-            discrete.entropy_ladder(model, [], np.outer(model.mu, model.eta))
+            discrete.entropy_ladder(model, run, q)
 
     def test_half_step_entropy_decomposition(self):
         # H(Q | P_{2n}) = H(Q | P_{2n+1}) + H(eta | pi_{2n}) and its even twin.
         rng = np.random.default_rng(31)
         model = random_model(rng, 4, 5)
         q = discrete.solve_bridge(model).bridge
-        iterates = discrete.run_sinkhorn(model, 6)
-        for it, nxt in zip(iterates, iterates[1:]):
-            lhs = relative_entropy(q, it.joint_even)
-            rhs = relative_entropy(q, it.joint_odd) + relative_entropy(
-                model.eta, it.pi_even
+        run = discrete.run_sinkhorn(model, 6)
+        for n in range(len(run) - 1):
+            lhs = relative_entropy(q, run.joint_even(n))
+            rhs = relative_entropy(q, run.joint_odd(n)) + relative_entropy(
+                model.eta, run.pi_even[n]
             )
             assert lhs == pytest.approx(rhs, abs=1e-11)
-            lhs_odd = relative_entropy(q, it.joint_odd)
-            rhs_odd = relative_entropy(q, nxt.joint_even) + relative_entropy(
-                model.mu, it.pi_odd
+            lhs_odd = relative_entropy(q, run.joint_odd(n))
+            rhs_odd = relative_entropy(q, run.joint_even(n + 1)) + relative_entropy(
+                model.mu, run.pi_odd[n]
             )
             assert lhs_odd == pytest.approx(rhs_odd, abs=1e-11)
 
@@ -339,9 +349,9 @@ class TestIdentitySuite:
     def test_seeded_instance_passes(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, 5, 7)
-        iterates = discrete.run_sinkhorn(model, 6)
-        rows = discrete.identity_suite(model, iterates)
-        assert check_passes("identities", model, iterates), rows
+        run = discrete.run_sinkhorn(model, 6)
+        rows = discrete.identity_suite(model, run)
+        assert check_passes("identities", model, run), rows
         assert {row.name for row in rows} == set(discrete.IDENTITY_NAMES)
 
     # P_{2n+1} is the I-projection of P_{2n} onto the couplings with Y-marginal
@@ -355,11 +365,12 @@ class TestIdentitySuite:
            spread=st.sampled_from([1e-6, 1e-3, 0.3, 3.0]))
     def test_each_half_step_is_the_argmin_of_its_family(self, profile, seed, nx, ny, spread):
         model = harness.generate_instance("discrete", (nx, ny), seed, profile)
-        it, nxt = discrete.run_sinkhorn(model, 1)
+        run = discrete.run_sinkhorn(model, 1)
         rng = np.random.default_rng(seed)
         h = ref_relative_entropy
-        for p, p_proj, pinned_axis, pinned in ((it.joint_even, it.joint_odd, 0, model.eta),
-                                               (it.joint_odd, nxt.joint_even, 1, model.mu)):
+        for p, p_proj, pinned_axis, pinned in (
+                (run.joint_even(0), run.joint_odd(0), 0, model.eta),
+                (run.joint_odd(0), run.joint_even(1), 1, model.mu)):
             for _ in range(4):
                 r = p_proj * np.exp(spread * rng.standard_normal(p.shape))
                 r *= np.expand_dims(pinned / r.sum(axis=pinned_axis), pinned_axis)
@@ -369,23 +380,23 @@ class TestIdentitySuite:
     def test_projection_rows_catch_a_step_that_is_not_the_projection(self):
         rng = np.random.default_rng(23)
         model = random_model(rng, 4, 5)
-        it, nxt = discrete.run_sinkhorn(model, 1)
+        run = discrete.run_sinkhorn(model, 1)
         names = discrete.IDENTITY_NAMES[-2:]
-        exact = discrete._projection_rows(names, 0, it.joint_odd, nxt.joint_even, model.eta)
+        exact = discrete._projection_rows(names, 0, run.joint_odd(0), run.joint_even(1), model.eta)
         assert max(row.residual for row in exact) <= harness.IDENTITY_TOL
         # Reversing one slice keeps it in the mu family but breaks proportionality.
-        wrong = nxt.joint_even.copy()
+        wrong = run.joint_even(1)
         wrong[0] = wrong[0, ::-1]
-        rows = discrete._projection_rows(names, 0, it.joint_odd, wrong, model.eta)
+        rows = discrete._projection_rows(names, 0, run.joint_odd(0), wrong, model.eta)
         assert min(row.residual for row in rows) > 1e-6, rows
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_projection_rows_skip_a_slice_that_underflows(self):
         # A column of P_0 underflows to 0 where P_1 keeps the mass eta(y).
         model = harness.generate_instance("discrete", (2, 2), 8, "bounded", osc_cap=1000.0)
-        iterates = discrete.run_sinkhorn(model, 1)
-        assert not np.all(iterates[0].joint_even.any(axis=0))
-        rows = [row for row in discrete.identity_suite(model, iterates)
+        run = discrete.run_sinkhorn(model, 1)
+        assert not np.all(run.joint_even(0).any(axis=0))
+        rows = [row for row in discrete.identity_suite(model, run)
                 if row.name in discrete.IDENTITY_NAMES[-4:]]
         assert len(rows) == 4
         assert all(row.residual <= harness.IDENTITY_TOL for row in rows), rows
@@ -401,11 +412,11 @@ class TestGeometricRate:
     def test_constant_cost_saturates_immediately(self):
         model = discrete.build_model(np.full((3, 3), 2.5), np.ones(3), np.ones(3))
         assert model.eps_w == pytest.approx(1.0)
-        iterates = discrete.run_sinkhorn(model, 3)
-        report = discrete.geometric_rate_report(model, iterates)
+        run = discrete.run_sinkhorn(model, 3)
+        report = discrete.geometric_rate_report(model, run)
         assert report.bound == pytest.approx(0.0)
         assert all(value < 1e-300 for _, _, value in report.entropies)
-        assert harness._rate_ratios(harness._geometric_rows(model, iterates, None)) == []
+        assert harness._rate_ratios(harness._geometric_rows(model, run, None)) == []
 
     def test_log_two_oscillation_bound(self):
         rng = np.random.default_rng(23)
@@ -416,11 +427,11 @@ class TestGeometricRate:
             rng.uniform(0.0, 1.0, 5), rng.uniform(0.0, 1.0, 7),
         )
         assert model.eps_w == pytest.approx(0.25)
-        iterates = discrete.run_sinkhorn(model, 40)
-        report = discrete.geometric_rate_report(model, iterates)
+        run = discrete.run_sinkhorn(model, 40)
+        report = discrete.geometric_rate_report(model, run)
         assert report.bound == pytest.approx(0.5625)
         # every ratio above the KL floor within the bound, and the sandwich
-        assert check_passes("geometric-rate", model, iterates)
+        assert check_passes("geometric-rate", model, run)
         slope = 2.0 * math.log(1.0 - model.eps_w)
         assert report.sup_fit.slope <= slope + 0.05 * abs(slope)
 
@@ -430,22 +441,14 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, discrete.run_sinkhorn(model, 10))
         assert report.sandwich_residual <= harness.IDENTITY_TOL
 
-    def test_no_iterates_give_empty_series(self):
-        rng = np.random.default_rng(27)
-        model = random_model(rng, 3, 4)
-        assert discrete.marginal_gaps(model, []) == ([], [])
-        report = discrete.geometric_rate_report(model, [])
-        assert (report.entropies, report.sup_series, report.sup_fit) == ((), (), None)
-        assert report.sandwich_residual == 0.0
-
     def test_each_iterate_scored_once_per_phi(self, monkeypatch):
         rng = np.random.default_rng(25)
         model = random_model(rng, 4, 6)
-        iterates = discrete.run_sinkhorn(model, 8)
+        run = discrete.run_sinkhorn(model, 8)
         calls = []
         original = discrete.phi_entropy
-        expected = [(it.step, phi.name, original(phi, it.pi_even, model.eta))
-                    for it in iterates for phi in discrete.RATE_PHIS]
+        expected = [(n, phi.name, original(phi, pi, model.eta))
+                    for n, pi in enumerate(run.pi_even) for phi in discrete.RATE_PHIS]
 
         def counting(phi, mu, eta):
             calls.append((phi.name, len(mu)))
@@ -453,8 +456,8 @@ class TestGeometricRate:
 
         monkeypatch.setattr(discrete, "phi_entropy", counting)
         # One stacked call per phi over every iterate of the run.
-        report = discrete.geometric_rate_report(model, iterates)
-        assert calls == [(phi.name, len(iterates)) for phi in discrete.RATE_PHIS]
+        report = discrete.geometric_rate_report(model, run)
+        assert calls == [(phi.name, len(run)) for phi in discrete.RATE_PHIS]
         assert list(report.entropies) == expected
 
 
@@ -463,21 +466,19 @@ class TestConvergenceSeries:
         rng = np.random.default_rng(25)
         model = random_model(rng, 5, 7, osc=1.0)
         solution = discrete.solve_bridge(model)
-        iterates = discrete.run_sinkhorn(model, 60)
+        run = discrete.run_sinkhorn(model, 60)
         decay = 1.0 - model.eps_w
-        errors = [
-            float(np.max(np.abs(it.v - solution.v))) for it in iterates
-        ]
+        errors = [float(np.max(np.abs(v - solution.v))) for v in run.v]
         # fit the constant on the first few steps, then demand domination
         c = max(errors[n] / decay ** (2 * n) for n in range(5)) * (1.0 + 1e-9)
         for n, err in enumerate(errors):
             assert err <= c * decay ** (2 * n) + 1e-13
         gaps = [
-            relative_entropy(model.mu, it.pi_odd) + relative_entropy(model.eta, it.pi_even)
-            for it in iterates
+            relative_entropy(model.mu, pi_odd) + relative_entropy(model.eta, pi_even)
+            for pi_even, pi_odd in zip(run.pi_even, run.pi_odd)
         ]
         for n in range(0, 20, 4):
-            lhs = relative_entropy(solution.bridge, iterates[n].joint_even)
+            lhs = relative_entropy(solution.bridge, run.joint_even(n))
             rhs = sum(gaps[n:])
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -485,13 +486,13 @@ class TestConvergenceSeries:
         rng = np.random.default_rng(26)
         model = random_model(rng, 5, 7)
         solution = discrete.solve_bridge(model)
-        iterates = discrete.run_sinkhorn(model, 50)
-        total = relative_entropy(solution.bridge, iterates[0].joint_even)
-        for it in iterates:
-            gap = relative_entropy(model.eta, it.pi_even) + relative_entropy(
-                model.mu, it.pi_odd
+        run = discrete.run_sinkhorn(model, 50)
+        total = relative_entropy(solution.bridge, run.joint_even(0))
+        for n in range(len(run)):
+            gap = relative_entropy(model.eta, run.pi_even[n]) + relative_entropy(
+                model.mu, run.pi_odd[n]
             )
-            assert (it.step + 1) * gap <= total + 1e-8
+            assert (n + 1) * gap <= total + 1e-8
 
 
 class TestGaugeInvariance:
@@ -506,12 +507,12 @@ class TestGaugeInvariance:
             model.lambda_weights, model.nu_weights,
             model.u_potential, model.v_potential,
         )
-        for it, jt in zip(discrete.run_sinkhorn(model, 3), discrete.run_sinkhorn(shifted, 3)):
-            np.testing.assert_allclose(it.kernel_even, jt.kernel_even, atol=1e-12)
-            np.testing.assert_allclose(it.kernel_odd, jt.kernel_odd, atol=1e-12)
-            np.testing.assert_allclose(it.pi_even, jt.pi_even, atol=1e-12)
-            np.testing.assert_allclose(it.joint_even, jt.joint_even, atol=1e-12)
-            np.testing.assert_allclose(it.joint_odd, jt.joint_odd, atol=1e-12)
+        run, shifted_run = discrete.run_sinkhorn(model, 3), discrete.run_sinkhorn(shifted, 3)
+        for name in ("kernel_even", "kernel_odd", "pi_even"):
+            np.testing.assert_allclose(getattr(run, name), getattr(shifted_run, name), atol=1e-12)
+        for n in range(len(run)):
+            np.testing.assert_allclose(run.joint_even(n), shifted_run.joint_even(n), atol=1e-12)
+            np.testing.assert_allclose(run.joint_odd(n), shifted_run.joint_odd(n), atol=1e-12)
 
     def test_cost_column_shift_keeps_the_limit_bridge(self):
         # A shift by a function of y changes the reference kernel (hence the
@@ -542,7 +543,8 @@ class TestGaugeInvariance:
 
 # --------------------------------------------------------------------------
 # Bit-identity oracles: in-test copies of the per-iterate engine and
-# diagnostics, compared with == on the IEEE bytes of every float.
+# diagnostics, compared with == on the IEEE bytes of every float.  The
+# copies run on the copied engine's list of per-pair iterates.
 # --------------------------------------------------------------------------
 
 
@@ -590,12 +592,16 @@ def ref_sweep(model, u, v):
     return model.u_potential + ref_k_log_integral(model, v), v
 
 
+RefIterate = collections.namedtuple(
+    "RefIterate", "step u v kernel_even kernel_odd pi_even pi_odd joint_even joint_odd")
+
+
 def ref_iterate(model, n, u, v):
     kernel_even = ref_stochastic(model.log_k, model.log_nu, v)
     kernel_odd = ref_stochastic(model.log_k.T, model.log_lambda, u)
-    return (n, u, v, kernel_even, kernel_odd,
-            model.mu @ kernel_even, model.eta @ kernel_odd,
-            model.mu[:, None] * kernel_even, (model.eta[:, None] * kernel_odd).T)
+    return RefIterate(n, u, v, kernel_even, kernel_odd,
+                      model.mu @ kernel_even, model.eta @ kernel_odd,
+                      model.mu[:, None] * kernel_even, (model.eta[:, None] * kernel_odd).T)
 
 
 def ref_run_sinkhorn(model, pairs):
@@ -808,23 +814,24 @@ def northwest_corner(mu, eta):
 
 
 def assert_engine_equals_reference(model, pairs):
-    iterates = discrete.run_sinkhorn(model, pairs)
-    assert bits([(it.step, it.u, it.v, it.kernel_even, it.kernel_odd, it.pi_even, it.pi_odd,
-                  it.joint_even, it.joint_odd) for it in iterates]) == bits(
-        ref_run_sinkhorn(model, pairs))
+    run = discrete.run_sinkhorn(model, pairs)
+    iterates = ref_run_sinkhorn(model, pairs)
+    assert bits([(n, run.u[n], run.v[n], run.kernel_even[n], run.kernel_odd[n], run.pi_even[n],
+                  run.pi_odd[n], run.joint_even(n), run.joint_odd(n))
+                 for n in range(len(run))]) == bits(iterates)
     solution = discrete.solve_bridge(model)
     assert bits((solution.u, solution.v, solution.bridge, solution.iterations_used,
                  solution.residual, solution.converged)) == bits(
         ref_solve_bridge(model, discrete.MAX_SWEEPS, discrete.POTENTIAL_TOL))
-    assert bits(discrete.identity_suite(model, iterates)) == bits(
+    assert bits(discrete.identity_suite(model, run)) == bits(
         ref_identity_rows(model, iterates))
     for q in (solution.bridge, np.outer(model.mu, model.eta),
               northwest_corner(model.mu, model.eta)):
-        assert outcome(lambda: discrete.entropy_ladder(model, iterates, q)) == outcome(
+        assert outcome(lambda: discrete.entropy_ladder(model, run, q)) == outcome(
             lambda: ref_ladder(model, iterates, q))
-    assert bits(discrete.geometric_rate_report(model, iterates)) == bits(
+    assert bits(discrete.geometric_rate_report(model, run)) == bits(
         ref_rate_report(model, iterates))
-    rows = harness._linear_decay_rows(model, iterates, solution)
+    rows = harness._linear_decay_rows(model, run, solution)
     assert bits((rows, harness.Verdict("linear-decay", *harness._linear_decay_rule(rows)))) == bits(
         ref_linear_decay(model, iterates, solution.bridge))
 
@@ -846,7 +853,7 @@ class TestStackedOracle:
                 mp.setattr(discrete, "MAX_SWEEPS", 300)
             assert_engine_equals_reference(model, pairs)
 
-    # The 64x3 run has 141 iterates, so a stack of its 64-wide marginals is
+    # The 64x3 run has 141 pairs, so a stack of its 64-wide marginals is
     # larger than one 64 KB chunk (matcore.CHUNK_ELEMENTS floats).
     @pytest.mark.parametrize("name, params, size", [
         ("quadratic-grid", {"t": 0.05}, (64, 64)),
@@ -879,9 +886,8 @@ class TestStackedOracle:
         base = random_model(rng, 5, 6, osc=0.5)
         model = discrete.build_model(base.cost, base.lambda_weights, base.nu_weights,
                                      base.u_potential, np.linspace(0.0, 12.0, 6))
-        iterates = discrete.run_sinkhorn(model, 6)
-        first = iterates[0].pi_even
-        assert np.max(model.eps_w * model.eta - first) > 1e-3
-        report = discrete.geometric_rate_report(model, iterates)
+        run = discrete.run_sinkhorn(model, 6)
+        assert np.max(model.eps_w * model.eta - run.pi_even[0]) > 1e-3
+        report = discrete.geometric_rate_report(model, run)
         assert report.sandwich_residual <= harness.IDENTITY_TOL
-        assert bits(report) == bits(ref_rate_report(model, iterates))
+        assert bits(report) == bits(ref_rate_report(model, ref_run_sinkhorn(model, 6)))

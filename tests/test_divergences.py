@@ -240,6 +240,20 @@ class TestStacks:
         with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
             dv.phi_entropy(dv.KL, stack, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_kl_rejects_a_bad_entry_of_p(self, bad):
+        # _phi_kl maps a NaN or negative entry of p to a 0 term; the screen
+        # raises before it can drop one.
+        p, q = np.array([0.6, bad, 0.5]), np.array([0.3, 0.3, 0.4])
+        with pytest.raises(DomainError, match="^relative_entropy: entries of p must be finite"):
+            dv.relative_entropy(p, q)
+        with pytest.raises(DomainError, match="^relative_entropy: entries of p must be finite"):
+            dv.relative_entropy(np.stack([p, p]), np.stack([q, q]))
+        for stack, one in ((np.stack([[0.5, 0.2, 0.3], p]), q), (p, np.stack([q, q]))):
+            with pytest.raises(DomainError,
+                               match="^relative_entropy_rows: entries of p must be finite"):
+                dv.relative_entropy_rows(stack, one)
+
     def test_stack_shapes_rejected(self):
         with pytest.raises(DomainError, match="mu1 must be a weight vector or an"):
             dv.phi_entropy(dv.KL, np.ones((2, 2, 2)), np.ones(2))

@@ -285,8 +285,8 @@ class TestRunExperiment:
 
     def test_geometric_rate_fails_a_ratio_above_the_bound(self, monkeypatch, tmp_path):
         original = discrete.geometric_rate_report
-        monkeypatch.setattr(discrete, "geometric_rate_report", lambda model, iterates: (
-            dataclasses.replace(original(model, iterates),
+        monkeypatch.setattr(discrete, "geometric_rate_report", lambda model, run: (
+            dataclasses.replace(original(model, run),
                                 entropies=((1, "kl", 1e-13), (2, "kl", 1e-13 * 0.9)))))
         config = harness.ExperimentConfig.from_json({
             "regime": "discrete", "instance": {"profile": "bounded", "size": [3, 4], "seed": 1},
@@ -511,6 +511,20 @@ class TestRuleTable:
         assert not verdicts["identities"].passed
         assert math.isnan(verdicts["identities"].worst_residual)
         assert verdicts["linear-decay"].passed
+        assert_verdicts_rederive(report, tmp_path)
+
+    def test_kl_of_a_tiny_nonzero_mass_warns_nothing(self, tmp_path):
+        # At osc_cap 1000 some entries of P_{2n} are tiny but not 0, so u / v
+        # overflows in the ladder's and linear-decay's KLs; u log(inf) = inf
+        # either way, and numpy prints no warning.
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete", "seed": 4, "iterations": 12,
+            "instance": {"profile": "bounded", "size": [3, 12], "osc_cap": 1000.0}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = harness.run_experiment(config, tmp_path)
+        failed = [v.check for v in report.verdicts if not v.passed]
+        assert failed == ["ladder", "lyapunov"]
         assert_verdicts_rederive(report, tmp_path)
 
     def test_metric_no_check_writes_rejected(self):
