@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,9 @@ def _size(text: str) -> tuple[int, ...]:
     return sides
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="bridgelab",
         description="Run bridge experiments, verify identity suites, fit convergence rates.",
@@ -118,6 +121,17 @@ def _dispatch_run(args, command: str) -> int:
         expected = {"discrete-run": "discrete", "gaussian-run": "gaussian"}.get(command)
         if expected is not None and config.regime != expected:
             raise BridgeLabError(f"{command} requires a {expected} config, got {config.regime}")
+    # Two experiments writing one directory would leave only the last report
+    # (or, in parallel, race on its files); the same experiment twice writes
+    # the same bytes.
+    writers: dict[Path, tuple[str, harness.ExperimentConfig]] = {}
+    for path, config in zip(args.config, configs):
+        if config.output is None:
+            continue
+        first_path, first = writers.setdefault(Path(config.output).resolve(), (path, config))
+        if first.digest() != config.digest():
+            raise BridgeLabError(f"configs {first_path} and {path} are different experiments "
+                                 f"but both write to {config.output}")
     tasks = [(config, command == "rates") for config in configs]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

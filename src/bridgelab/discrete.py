@@ -10,8 +10,11 @@ U half step, and :func:`_sweeps` is its only code path.  Each half step is
 the row log-sum-exp of one log kernel (:func:`_log_kernel`), and that
 log-sum-exp is also the normalizer of the kernel the run materializes:
 :func:`run_sinkhorn` builds K_{2n} and K_{2n+1} from the log-integrals its
-sweep has just taken, and :func:`solve_bridge` reads the system residual
-off the same sweeps (two log-integrals per sweep, not four).
+sweep has just taken.  The bridge is the limit of the same recursion, so
+:func:`solve_bridge` continues the run rather than starting again: it reads
+its potential changes and residuals off the run's rows, and resumes
+:func:`_sweeps` at the run's last row only if the run stops short of
+convergence.  No sweep is taken twice.
 
 Stacked run.  :func:`run_sinkhorn` returns one :class:`SinkhornRun`, whose
 fields are whole-run stacks written in place, row n for pair n, so a
@@ -19,9 +22,9 @@ pair's step is its row number.  The series behind the diagnostics (the
 marginal KL gaps and chains, the phi-entropies, the identities' ratios
 and maxima, the rate report's sup and sandwich terms) are read off the
 ``(N, m)`` marginal stacks, one numpy call per quantity, with consecutive
-pairs as the slices ``[:-1]`` and ``[1:]``.  What stays per pair: every
-matrix-vector product, the joint-matrix sums and KLs, and the sequential
-recursion.
+pairs as the slices ``[:-1]`` and ``[1:]``; the identities' kernel
+products are stacked matmuls, one per identity.  What stays per pair: the
+joint-matrix sums and KLs, and the sequential recursion.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -220,19 +223,17 @@ def _finite(pot: np.ndarray, step: int) -> np.ndarray:
     return _frozen(pot)
 
 
-def _sweeps(model: DiscreteModel):
-    """``(u, v, log_even, log_odd)`` at steps 0, 2, 4, ... of the potential recursion.
+def _sweeps(model: DiscreteModel, u: np.ndarray, v: np.ndarray, step: int):
+    """``(u, v, log_even, log_odd)`` at steps ``step``, ``step + 2``, ... of the potential recursion.
 
-    The recursion starts from (U_0, V_0) = (U, 0).  ``log_even`` and
-    ``log_odd`` are the :func:`_log_kernel` pairs of K_{2n} (from V_{2n})
-    and K_{2n+1} (from U_{2n}).  A sweep takes their log-integrals as the
-    next half steps: V_{2n+1} = V + lse(log_odd), whose kernel K_{2n+2}
-    gives U_{2n+2} = U + lse(log_even).  U is carried over on the V step
-    and V on the U step.
+    The recursion resumes from (U_step, V_step) = (u, v); a run starts from
+    (U, 0) at step 0.  ``log_even`` and ``log_odd`` are the
+    :func:`_log_kernel` pairs of K_{2n} (from V_{2n}) and K_{2n+1} (from
+    U_{2n}).  A sweep takes their log-integrals as the next half steps:
+    V_{2n+1} = V + lse(log_odd), whose kernel K_{2n+2} gives U_{2n+2} =
+    U + lse(log_even).  U is carried over on the V step and V on the U step.
     """
-    u, v = model.u_potential, _frozen(np.zeros(model.ny))
     log_even = _log_kernel(model.log_k, model.log_nu, v)
-    step = 0
     while True:
         log_odd = _log_kernel(model.log_k.T, model.log_lambda, u)
         yield u, v, log_even, log_odd
@@ -262,7 +263,8 @@ def run_sinkhorn(model: DiscreteModel, pairs: int) -> SinkhornRun:
     # iterations, against 20).
     kernels = np.empty((2, count, nx, ny))
     kernel_even, kernel_odd = kernels[0], kernels[1].transpose(0, 2, 1)
-    for n, (u_n, v_n, log_even, log_odd) in enumerate(itertools.islice(_sweeps(model), count)):
+    sweeps = _sweeps(model, model.u_potential, _frozen(np.zeros(ny)), 0)
+    for n, (u_n, v_n, log_even, log_odd) in enumerate(itertools.islice(sweeps, count)):
         u[n], v[n] = u_n, v_n
         pi_even[n] = model.mu @ _stochastic(log_even, out=kernel_even[n])
         pi_odd[n] = model.eta @ _stochastic(log_odd, out=kernel_odd[n])
@@ -370,34 +372,59 @@ def _defect(fixed: np.ndarray, lse: np.ndarray, pot: np.ndarray) -> float:
     return float(np.max(np.abs(fixed + lse - pot)))
 
 
-def solve_bridge(model: DiscreteModel) -> BridgeSolution:
+def _system_defects(model: DiscreteModel, run: SinkhornRun):
+    """``(u, v, u_step, v_defect)`` at pairs 0, 1, ...: the run's rows, then its sweeps resumed.
+
+    ``u_step`` is max |U_{2n} - U_{2n-2}| (0.0 at pair 0).  ``v_defect`` is the
+    V equation's defect max |V + lse(log_odd) - V_{2n}|, and V + lse(log_odd)
+    is V_{2n+2} bit for bit, so the run holds it for every row but its last.
+    """
+    last = len(run) - 1
+    u_steps = np.max(np.abs(np.diff(run.u, axis=0)), axis=1).tolist()
+    v_defects = np.max(np.abs(np.diff(run.v, axis=0)), axis=1).tolist()
+    yield from zip(run.u[:last], run.v[:last], [0.0, *u_steps], v_defects)
+    u_prev = run.u[max(last - 1, 0)]
+    for u, v, _, log_odd in _sweeps(model, run.u[last], run.v[last], 2 * last):
+        yield u, v, float(np.max(np.abs(u - u_prev))), _defect(model.v_potential, log_odd[1], v)
+        u_prev = u
+
+
+def solve_bridge(model: DiscreteModel, run: SinkhornRun | None = None) -> BridgeSolution:
     """Sweep until the potential change or the system residual is at most ``POTENTIAL_TOL``.
 
-    Reads :func:`_sweeps`, at most ``MAX_SWEEPS`` sweeps past the start.  The
-    returned potentials keep the gauge pinned by the initial condition
-    (U_0, V_0) = (U, 0); no re-centering is applied.  The start's residual
-    takes both fixed-point equations from the first yield's log-integrals.
-    After a sweep the U equation holds exactly (U_{2n+2} is its own right
-    side), so the residual is the V equation's defect, whose right side is
-    the ``log_odd`` of the same yield.
+    The sweeps are those of ``run``, a :func:`run_sinkhorn` run of ``model``
+    (by default its one-row run ``run_sinkhorn(model, 0)``): the solve reads
+    them off the run's rows and resumes :func:`_sweeps` at its last row only
+    if it needs more, so no sweep is taken twice.  It stops at most
+    ``MAX_SWEEPS`` sweeps past the start.  The returned potentials keep the
+    gauge pinned by the initial condition (U_0, V_0) = (U, 0); no
+    re-centering is applied.  The start's residual takes both fixed-point
+    equations.  After a sweep the U equation holds exactly (U_{2n+2} is its
+    own right side), so the residual is the V equation's defect, the change
+    V_{2n+2} - V_{2n} of the next sweep.
     """
-    sweeps = _sweeps(model)
-    u, v, log_even, log_odd = next(sweeps)
-    residual = max(_defect(model.u_potential, log_even[1], u),
-                   _defect(model.v_potential, log_odd[1], v))
+    if run is None:
+        run = run_sinkhorn(model, 0)
+    states = _system_defects(model, run)
+    u, v, _, v_defect = next(states)
+    residual = max(_defect(model.u_potential, _log_kernel(model.log_k, model.log_nu, v)[1], u),
+                   v_defect)
     converged = residual <= POTENTIAL_TOL
     used = 0
     while not converged and used < MAX_SWEEPS:
         used += 1
-        u_prev, v_prev = u, v
-        u, v, log_even, log_odd = next(sweeps)
-        delta = max(float(np.max(np.abs(u - u_prev))), float(np.max(np.abs(v - v_prev))))
-        residual = _defect(model.v_potential, log_odd[1], v)
-        converged = delta <= POTENTIAL_TOL or residual <= POTENTIAL_TOL
+        v_step = v_defect  # the last pair's defect is this sweep's change of V
+        u, v, u_step, v_defect = next(states)
+        residual = v_defect
+        converged = max(u_step, v_step) <= POTENTIAL_TOL or residual <= POTENTIAL_TOL
+    if used < len(run):
+        bridge = run.joint_even(used)
+    else:
+        bridge = model.mu[:, None] * _stochastic(_log_kernel(model.log_k, model.log_nu, v))
     return BridgeSolution(
         u=u,
         v=v,
-        bridge=_frozen(model.mu[:, None] * _stochastic(log_even)),
+        bridge=_frozen(bridge),
         iterations_used=used,
         residual=residual,
         converged=converged,
@@ -482,11 +509,24 @@ def _projection_rows(names, index: int, p: np.ndarray, p_proj: np.ndarray,
             for name, (lhs, a, b) in zip(names, (forward, reverse))]
 
 
+def _apply(kernels: np.ndarray, functions: np.ndarray) -> np.ndarray:
+    """Row n is ``kernels[n] @ functions[n]``, all rows from one stacked matmul."""
+    return (kernels @ functions[:, :, None])[..., 0]
+
+
+def _push(measures: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Row n is ``measures[n] @ kernels[n]``, all rows from one stacked matmul."""
+    return (measures[:, None, :] @ kernels)[:, 0, :]
+
+
 def identity_suite(model: DiscreteModel, run: SinkhornRun) -> tuple[CheckRow, ...]:
     """Evaluate every structural identity the iteration is supposed to satisfy.
 
-    Each matrix product is taken per pair; the KL chains, ratios and maxima
-    run on the run's stacks.  Rows come step by step, in the order of the
+    Each identity's kernel products are one stacked matmul over the pairs,
+    and the KL chains, ratios and maxima run on the run's stacks; each row
+    rounds as it would alone.  The joint-matrix sums stay per pair: a
+    whole-run joint stack would be one more matrix per pair (3.3 MB at
+    64 x 64 with 100 pairs).  Rows come step by step, in the order of the
     identities below; the I-projection rows of the first pair's two half
     steps come last.
     """
@@ -508,26 +548,25 @@ def identity_suite(model: DiscreteModel, run: SinkhornRun) -> tuple[CheckRow, ..
             _chain_rows("monotone-eta-chain", at, [gap_eta[1:], odd_mu[:-1], gap_eta[:-1]]),
             _chain_rows("monotone-mu-chain", at, [even_eta[1:], gap_mu[:-1], even_eta[:-1]]),
             _close_rows("commute-even-forward", at,
-                        [k @ r for k, r in zip(k_even, eta_to_even[:-1])], odd_to_mu[:-1]),
+                        _apply(k_even[:-1], eta_to_even[:-1]), odd_to_mu[:-1]),
             _close_rows("commute-even-backward", at,
-                        [k @ r for k, r in zip(k_even[1:], even_to_eta)], mu_to_odd[:-1]),
-            _close_rows("fixed-point-mu", at, [p @ k for p, k in zip(pi_even[:-1], k_odd)], mu),
-            _close_rows("fixed-point-eta", at, [p @ k for p, k in zip(pi_odd, k_even[1:])], eta),
+                        _apply(k_even[1:], even_to_eta[:-1]), mu_to_odd[:-1]),
+            _close_rows("fixed-point-mu", at, _push(pi_even[:-1], k_odd[:-1]), mu),
+            _close_rows("fixed-point-eta", at, _push(pi_odd[:-1], k_even[1:]), eta),
             _close_rows("joint-marginal-even", at,
                         [run.joint_even(n).sum(axis=1) for n in at], mu),
             _close_rows("joint-marginal-odd", at, [run.joint_odd(n).sum(axis=0) for n in at], eta),
         )
         backward = (
             _close_rows("commute-odd-forward", nxt_at,
-                        [k @ r for k, r in zip(k_odd[:-1], mu_to_odd)], even_to_eta[1:]),
+                        _apply(k_odd[:-1], mu_to_odd[:-1]), even_to_eta[1:]),
             _close_rows("commute-odd-backward", nxt_at,
-                        [k @ r for k, r in zip(k_odd[1:], odd_to_mu)], eta_to_even[1:]),
+                        _apply(k_odd[1:], odd_to_mu[:-1]), eta_to_even[1:]),
             _close_rows("semigroup-even", nxt_at,
-                        [ko @ (ke @ r) for ko, ke, r in zip(k_odd, k_even[1:], even_to_eta)],
+                        _apply(k_odd[:-1], _apply(k_even[1:], even_to_eta[:-1])),
                         even_to_eta[1:]),
             _close_rows("semigroup-odd", nxt_at,
-                        [ke @ (ko @ r) for ke, ko, r in zip(k_even[1:], k_odd[1:], odd_to_mu)],
-                        odd_to_mu[1:]),
+                        _apply(k_even[1:], _apply(k_odd[1:], odd_to_mu[:-1])), odd_to_mu[1:]),
         )
     return (*itertools.chain.from_iterable(zip(*forward)),
             *itertools.chain.from_iterable(zip(*backward)),

@@ -565,11 +565,15 @@ class _Regime:
 
 # Engine calls look the function up on its module at call time, so anything
 # that rebinds module functions (a profiler, a span tracer) sees them.
+def _discrete_run(model, iterations):
+    """The run and the bridge solve that continues its sweeps."""
+    run = discrete.run_sinkhorn(model, iterations)
+    return run, discrete.solve_bridge(model, run)
+
+
 REGIMES = {
     "discrete": _Regime(
-        run=lambda model, iterations: (
-            discrete.run_sinkhorn(model, iterations), discrete.solve_bridge(model)
-        ),
+        run=_discrete_run,
         checks={
             "ladder": _Check(_ladder_rows, _ladder_rule, (
                 "ladder_residual", "entropy_to_bridge", "ladder_bridge_marginal_error")),

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -451,3 +452,53 @@ def test_plot_flag(bounded_config, tmp_path):
         "--out", str(tmp_path / "plotout"),
     ]) == 0
     assert list((tmp_path / "plotout" / "plots").glob("*.svg"))
+
+
+def test_one_parser_serves_every_call(golden_config, tmp_path, monkeypatch):
+    # The parser is built once per process; each call must still parse as a
+    # fresh process would, with no option or --config list left from the last.
+    other = write_config(tmp_path / "other.json", {
+        **json.loads((tmp_path / "golden.json").read_text()), "output": str(tmp_path / "o2")})
+    calls = [
+        ["gen", "--regime", "gaussian", "--profile", "gaussian-random-spd", "--size", "2",
+         "--out", str(tmp_path / "inst.json")],
+        ["verify", "--config", golden_config, "--plot", "off"],
+        ["verify", "--config", other, "--iterations", "20"],
+    ]
+    parsed = []
+
+    def recording(dispatch):
+        def recorded(args, *rest):
+            parsed.append(dict(vars(args)))
+            return dispatch(args, *rest)
+        return recorded
+
+    monkeypatch.setattr(cli, "_dispatch_gen", recording(cli._dispatch_gen))
+    monkeypatch.setattr(cli, "_dispatch_run", recording(cli._dispatch_run))
+    assert [cli.parse_and_dispatch(argv) for argv in calls] == [0, 0, 0]
+    assert parsed == [vars(cli._build_parser.__wrapped__().parse_args(argv)) for argv in calls]
+    assert parsed[2]["config"] == [other] and parsed[2]["plot"] is None
+    assert parsed[1]["iterations"] is None
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("source", ["--out", "output", "BRIDGELAB_OUT"])
+def test_two_experiments_into_one_directory_exit_two(golden_config, bounded_config, tmp_path,
+                                                     monkeypatch, capsys, jobs, source):
+    # Two configs with different digests resolve to one output directory.
+    shared = tmp_path / "shared"
+    argv = ["verify", "--config", bounded_config, "--config", golden_config, "--jobs", jobs]
+    if source == "--out":
+        argv += ["--out", str(shared)]
+    else:
+        for path in map(Path, (bounded_config, golden_config)):
+            payload = json.loads(path.read_text())
+            payload["output"] = str(shared) if source == "output" else None
+            write_config(path, payload)
+        if source == "BRIDGELAB_OUT":
+            monkeypatch.setenv("BRIDGELAB_OUT", str(shared))
+    assert cli.parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert bounded_config in err and golden_config in err and str(shared) in err
+    assert not shared.exists()

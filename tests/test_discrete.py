@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bridgelab import discrete, fitting, harness
 from bridgelab.divergences import relative_entropy
-from bridgelab.errors import DomainError
+from bridgelab.errors import DomainError, NumericalError
 
 
 def random_model(rng, nx, ny, osc=1.0):
@@ -343,6 +343,20 @@ class TestSolveBridge:
             solution = discrete.solve_bridge(model)
             assert not solution.converged
             assert solution.iterations_used == cap
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_resumed_solve_names_the_step_of_the_whole_recursion(self):
+        # An eta of mass exp(-1e307) drifts V by 1e307 a sweep, so a
+        # potential overflows at the same half step however the solve starts.
+        base = harness.generate_instance("discrete", (3, 4), 0, "bounded")
+        model = dataclasses.replace(base, v_potential=base.v_potential + 1e307)
+        message = "^non-finite potential produced at step 35$"
+        with pytest.raises(NumericalError, match=message):
+            discrete.run_sinkhorn(model, 40)
+        for pairs in (None, 0, 5, 16):
+            run = None if pairs is None else discrete.run_sinkhorn(model, pairs)
+            with pytest.raises(NumericalError, match=message):
+                discrete.solve_bridge(model, run)
 
 
 class TestIdentitySuite:
@@ -819,10 +833,21 @@ def assert_engine_equals_reference(model, pairs):
     assert bits([(n, run.u[n], run.v[n], run.kernel_even[n], run.kernel_odd[n], run.pi_even[n],
                   run.pi_odd[n], run.joint_even(n), run.joint_odd(n))
                  for n in range(len(run))]) == bits(iterates)
+    solved = lambda s: bits((s.u, s.v, s.bridge, s.iterations_used, s.residual, s.converged))
     solution = discrete.solve_bridge(model)
-    assert bits((solution.u, solution.v, solution.bridge, solution.iterations_used,
-                 solution.residual, solution.converged)) == bits(
-        ref_solve_bridge(model, discrete.MAX_SWEEPS, discrete.POTENTIAL_TOL))
+    expected = bits(ref_solve_bridge(model, discrete.MAX_SWEEPS, discrete.POTENTIAL_TOL))
+    assert solved(solution) == expected
+    # The solve continues any run: the run under test, and runs that end at
+    # the start, inside the solve, at the sweep where it stops and past it.
+    sweeps = solution.iterations_used
+    for p in {pairs, 0, 1, max(sweeps - 1, 0), sweeps, sweeps + 1}:
+        assert solved(discrete.solve_bridge(model, discrete.run_sinkhorn(model, p))) == expected, p
+    # A run longer than the sweep cap: the solve stops at the cap inside it.
+    cap = sweeps // 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "MAX_SWEEPS", cap)
+        assert solved(discrete.solve_bridge(model, discrete.run_sinkhorn(model, cap + 2))) == bits(
+            ref_solve_bridge(model, cap, discrete.POTENTIAL_TOL))
     assert bits(discrete.identity_suite(model, run)) == bits(
         ref_identity_rows(model, iterates))
     for q in (solution.bridge, np.outer(model.mu, model.eta),
@@ -866,6 +891,17 @@ class TestStackedOracle:
         model = harness.generate_instance("discrete", size, 3, name, **params)
         monkeypatch.setattr(discrete, "MAX_SWEEPS", 300)
         assert_engine_equals_reference(model, 140 if size == (64, 3) else 30)
+
+    # Each profile once at a fixed instance, so the capped (osc_cap 400) and
+    # underflowing (osc_cap 2000) bridge solves always run.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, params", ORACLE_PROFILES)
+    def test_each_profile_equals_per_iterate_code(self, name, params, monkeypatch):
+        model = harness.generate_instance("discrete", (6, 7), 5, name, **params)
+        monkeypatch.setattr(discrete, "MAX_SWEEPS", 300)
+        assert_engine_equals_reference(model, 8)
+        if params.get("osc_cap") == 400.0:
+            assert discrete.solve_bridge(model).iterations_used == discrete.MAX_SWEEPS
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_row_helpers_treat_nan_and_inf_as_python_max_does(self):

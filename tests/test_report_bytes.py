@@ -1,7 +1,7 @@
 """Byte-identity of experiment reports.
 
-Pins the sha256 of ``report.csv`` and ``verdicts.json`` for six
-configs that pass every check of their regime.  A refactor of the engines or
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for eight
+configs that pass every check they run.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
 differently in their BLAS or ufunc loops, so the test skips there.
@@ -23,6 +23,14 @@ rows now appear at every size; before, only supports of at most 4 x 4 wrote
 half-bridge rows, from a descent search.  Every other row keeps its bytes,
 both ``verdicts.json`` digests hold, and no verdict flipped on a 122-config
 discrete sweep.
+
+discrete-grid-64x64 and discrete-bounded-16x16-2 were added, with digests
+recorded before the bridge solve came to continue the run and the identity
+products came to run as stacked matmuls.  In the first (the discrete-engine
+benchmark's quadratic-grid shape, at the size cap, without ``lyapunov``)
+the solve stops inside the 100-pair run and the stacked products run at the
+size cap; in the second the 2-pair run ends before the solve does, so the
+solve resumes the sweeps at the run's last row.
 """
 
 import hashlib
@@ -67,6 +75,21 @@ CASES = {
         "1b4a7f98c0ad2262131a1bec9de2bc00711431400dc8d5d27bc2c69f12014ed1",
         "58acc52c403740bf89dff1777854b6c20cd89301a53022c310cdcfad7437607d",
     ),
+    "discrete-grid-64x64": (
+        {"regime": "discrete",
+         "instance": {"profile": "quadratic-grid", "size": [64, 64], "t": 0.05},
+         "seed": 0, "iterations": 100,
+         "checks": ["ladder", "linear-decay", "geometric-rate", "identities",
+                    "bridge-feasibility"]},
+        "568636aff4e36b379b2201ee84ed17f41b0ac8f9c3b6bf5ec884cc2c700c7ba3",
+        "ad11a2cf9709f5963143592bbb566826e2e0c2d48dc69c5419dfbb1251af18c5",
+    ),
+    "discrete-bounded-16x16-2": (
+        {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
+         "seed": 0, "iterations": 2},
+        "ed41c782b0da91b6e5eb43e93cc9d270fef609323c6759b9773c6ebd26d3e14e",
+        "902e11588cdee03e995ed682004aa24b24a51b95aa0b4ce7e020b1b2b1909088",
+    ),
     # The gaussian-riccati benchmark's large dimension.
     "gaussian-d16": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
@@ -85,7 +108,8 @@ CASES = {
 def test_report_bytes_pinned(name, tmp_path):
     payload, report_sha, verdicts_sha = CASES[name]
     config = harness.ExperimentConfig.from_json(payload)
-    assert config.checks == tuple(harness.REGIMES[payload["regime"]].checks)
+    default = harness.REGIMES[payload["regime"]].checks
+    assert config.checks == tuple(payload.get("checks", default))
     report = harness.run_experiment(config, tmp_path)
     assert report.all_passed, [v for v in report.verdicts if not v.passed]
     digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
