@@ -12,9 +12,9 @@ log-sum-exp is also the normalizer of the kernel the run materializes:
 :func:`run_sinkhorn` builds K_{2n} and K_{2n+1} from the log-integrals its
 sweep has just taken.  The bridge is the limit of the same recursion, so
 :func:`solve_bridge` continues the run rather than starting again: it reads
-its potential changes and residuals off the run's rows, and resumes
-:func:`_sweeps` at the run's last row only if the run stops short of
-convergence.  No sweep is taken twice.
+its residuals off the run's rows, and resumes :func:`_sweeps` at the run's
+last row only if the run stops short of convergence.  No sweep is taken
+twice.
 
 Stacked run.  :func:`run_sinkhorn` returns one :class:`SinkhornRun`, whose
 fields are whole-run stacks written in place, row n for pair n, so a
@@ -250,9 +250,7 @@ def run_sinkhorn(model: DiscreteModel, pairs: int) -> SinkhornRun:
     one behind V_{2n+1} normalizes K_{2n+1}, and the one behind U_{2n}
     normalizes K_{2n}.
     """
-    if pairs < 0:
-        raise DomainError("pairs must be nonnegative")
-    count, nx, ny = pairs + 1, model.nx, model.ny
+    count, nx, ny = matcore._integer(pairs, "pairs", 0) + 1, model.nx, model.ny
     u, pi_odd = np.empty((count, nx)), np.empty((count, nx))
     v, pi_even = np.empty((count, ny)), np.empty((count, ny))
     # K_{2n+1} comes from the view log_k.T, so np.exp writes it column-major,
@@ -373,24 +371,21 @@ def _defect(fixed: np.ndarray, lse: np.ndarray, pot: np.ndarray) -> float:
 
 
 def _system_defects(model: DiscreteModel, run: SinkhornRun):
-    """``(u, v, u_step, v_defect)`` at pairs 0, 1, ...: the run's rows, then its sweeps resumed.
+    """``(u, v, v_defect)`` at pairs 0, 1, ...: the run's rows, then its sweeps resumed.
 
-    ``u_step`` is max |U_{2n} - U_{2n-2}| (0.0 at pair 0).  ``v_defect`` is the
-    V equation's defect max |V + lse(log_odd) - V_{2n}|, and V + lse(log_odd)
-    is V_{2n+2} bit for bit, so the run holds it for every row but its last.
+    ``v_defect`` is the V equation's defect max |V + lse(log_odd) - V_{2n}|,
+    and V + lse(log_odd) is V_{2n+2} bit for bit, so the run holds it for
+    every row but its last.
     """
     last = len(run) - 1
-    u_steps = np.max(np.abs(np.diff(run.u, axis=0)), axis=1).tolist()
     v_defects = np.max(np.abs(np.diff(run.v, axis=0)), axis=1).tolist()
-    yield from zip(run.u[:last], run.v[:last], [0.0, *u_steps], v_defects)
-    u_prev = run.u[max(last - 1, 0)]
+    yield from zip(run.u[:last], run.v[:last], v_defects)
     for u, v, _, log_odd in _sweeps(model, run.u[last], run.v[last], 2 * last):
-        yield u, v, float(np.max(np.abs(u - u_prev))), _defect(model.v_potential, log_odd[1], v)
-        u_prev = u
+        yield u, v, _defect(model.v_potential, log_odd[1], v)
 
 
 def solve_bridge(model: DiscreteModel, run: SinkhornRun | None = None) -> BridgeSolution:
-    """Sweep until the potential change or the system residual is at most ``POTENTIAL_TOL``.
+    """Sweep until the system residual is at most ``POTENTIAL_TOL``.
 
     The sweeps are those of ``run``, a :func:`run_sinkhorn` run of ``model``
     (by default its one-row run ``run_sinkhorn(model, 0)``): the solve reads
@@ -406,17 +401,15 @@ def solve_bridge(model: DiscreteModel, run: SinkhornRun | None = None) -> Bridge
     if run is None:
         run = run_sinkhorn(model, 0)
     states = _system_defects(model, run)
-    u, v, _, v_defect = next(states)
+    u, v, residual = next(states)
     residual = max(_defect(model.u_potential, _log_kernel(model.log_k, model.log_nu, v)[1], u),
-                   v_defect)
+                   residual)
     converged = residual <= POTENTIAL_TOL
     used = 0
     while not converged and used < MAX_SWEEPS:
         used += 1
-        v_step = v_defect  # the last pair's defect is this sweep's change of V
-        u, v, u_step, v_defect = next(states)
-        residual = v_defect
-        converged = max(u_step, v_step) <= POTENTIAL_TOL or residual <= POTENTIAL_TOL
+        u, v, residual = next(states)
+        converged = residual <= POTENTIAL_TOL
     if used < len(run):
         bridge = run.joint_even(used)
     else:

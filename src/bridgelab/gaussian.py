@@ -5,19 +5,21 @@ The iteration state is the affine-map parameterization of the current kernel
 updates, equivalently by a rescaled Riccati matrix flow whose fixed point
 gives the bridge in closed form.
 
-The per-state diagnostics (:func:`envelope_report`, :func:`rate_report` and
-:func:`entropy_formula_table`) run on stacked chunks of the trajectory: each
-chunk holds states of one parity, at most ``matcore.CHUNK_ELEMENTS //
-(2d)^2`` of them (8 at d = 16, a whole 100-iteration run at d = 2), and makes
-one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in
-one walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
+Stacked run.  :func:`run_sinkhorn` returns one :class:`GaussianRun`, whose
+fields are whole-run stacks written in place, row m for half step m, so a
+half step is its row number and its parity is the row's.  The run is
+sequential, one :func:`sinkhorn_step` per half step: each needs the one
+before.  The diagnostics (:func:`envelope_report`, :func:`rate_report` and
+:func:`entropy_formula_table`) read it in chunks, slices of a parity view
+such as ``run.cov[0::2]`` of at most ``matcore.CHUNK_ELEMENTS // (2d)^2``
+rows (8 at d = 16, a whole 100-iteration run at d = 2), which bound their
+2d x 2d joint temporaries.  Each chunk makes one
+``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in one
+walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
 P_n and marginals pi_n of a chunk, and :func:`sinkhorn_joint` passes it one
-state.  A stacked validation names a failing state by its step.  Every value
-equals the per-state arithmetic bit for bit (the rules are in
-:mod:`bridgelab.matcore`).  :func:`run_sinkhorn` and the Riccati iteration
-stay per-state: each step needs the one before.  :func:`rate_report` and
-:func:`envelope_report` read the trajectory by position: half steps 0, 1, 2,
-... in order, as :func:`run_sinkhorn` returns it, or a ``DomainError``.
+row.  A stacked validation names a failing row by its step.  Every value
+equals the per-row arithmetic bit for bit (the rules are in
+:mod:`bridgelab.matcore`).
 
 Each object has one representation: a bridge is its kernel, a
 :class:`RiccatiProblem` is its mixing matrix gamma, and every half step of the
@@ -26,7 +28,7 @@ flow and of the strongly convex envelopes is one ``_conditional_cov`` update.
 Each SPD matrix on these paths is validated from one ``eigh``
 (``matcore.spd_eigh``), and every inverse, root and spectrum of it is read
 from that factorization: a ``Gaussian`` and a :class:`RiccatiProblem` keep
-theirs.  The state covariances are inverses of validated matrices.  A joint
+theirs.  The run's covariances are inverses of validated matrices.  A joint
 ``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S, C) L'``, SPD but possibly
 too ill-conditioned to resolve: :func:`entropy_formula_table` holds its
 joints to the SPD floor, and :func:`envelope_report` relies on the log-det
@@ -49,7 +51,7 @@ from .errors import DomainError, NumericalError
 from .matcore import _frozen
 
 GAIN_TOL = 1e-10
-# rate_report needs the even states n = 0..MIN_RATE_PAIRS: this many Sinkhorn pairs.
+# rate_report needs the even rows n = 0..MIN_RATE_PAIRS: this many Sinkhorn pairs.
 MIN_RATE_PAIRS = 9
 
 
@@ -202,18 +204,21 @@ def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
 
 
 @dataclass(frozen=True)
-class GaussianSinkhornState:
-    """Affine-map parameters of the n-th Sinkhorn kernel plus the rescaled covariance."""
+class GaussianRun:
+    """Kernels K_0..K_M of the flow plus their rescaled covariances, each field one whole-run stack.
 
-    step: int
-    mean: np.ndarray
-    gain: np.ndarray
-    cov: np.ndarray
-    rescaled_cov: np.ndarray
+    Row m of every stack is half step m.  An even kernel maps x to y and its
+    covariance is rescaled by sigma_bar; an odd kernel maps y to x, rescaled
+    by sigma.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("mean", "gain", "cov", "rescaled_cov"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+    mean: np.ndarray          # (M+1, d): the mean anchor, the mean of pi_m
+    gain: np.ndarray          # (M+1, d, d)
+    cov: np.ndarray           # (M+1, d, d): the noise covariance
+    rescaled_cov: np.ndarray  # (M+1, d, d)
+
+    def __len__(self) -> int:
+        return len(self.mean)
 
 
 def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
@@ -225,83 +230,79 @@ def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
     return matcore.eigh_inverse(w, q)
 
 
-def sinkhorn_step(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian,
-                  kernel: LinearGaussianKernel) -> GaussianSinkhornState:
-    """One conjugate Bayes half step of the mean/gain/covariance recursion.
+def sinkhorn_step(m: int, mean, cov, mu: Gaussian, eta: Gaussian,
+                  kernel: LinearGaussianKernel) -> tuple[np.ndarray, ...]:
+    """Row m + 1, ``(mean, gain, cov, rescaled_cov)``, from row m's mean and covariance.
 
-    An odd step is the even step with mu and eta swapped and chi transposed.
+    One conjugate Bayes half step of the mean/gain/covariance recursion.  An
+    odd step is the even step with mu and eta swapped and chi transposed.
     """
-    n = state.step
-    source, target, chi = (mu, eta, kernel.chi) if n % 2 == 0 else (eta, mu, kernel.chi.T)
-    cov_next = _conditional_cov(source.precision, chi, state.cov, n + 1)
+    source, target, chi = (mu, eta, kernel.chi) if m % 2 == 0 else (eta, mu, kernel.chi.T)
+    cov_next = _conditional_cov(source.precision, chi, cov, m + 1)
     gain_next = cov_next @ chi.T
-    return GaussianSinkhornState(
-        step=n + 1,
-        mean=source.mean + gain_next @ (target.mean - state.mean),
-        gain=gain_next,
-        cov=cov_next,
-        rescaled_cov=source.inv_root @ cov_next @ source.inv_root,
-    )
+    return (source.mean + gain_next @ (target.mean - mean), gain_next, cov_next,
+            source.inv_root @ cov_next @ source.inv_root)
 
 
 def run_sinkhorn(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
-                 half_steps: int) -> list[GaussianSinkhornState]:
-    """States 0..half_steps inclusive; state 0 is the reference kernel, rescaled by eta."""
-    states = [GaussianSinkhornState(
-        step=0,
-        mean=kernel.alpha + kernel.beta @ mu.mean,
-        gain=kernel.beta,
-        cov=kernel.tau,
-        rescaled_cov=eta.inv_root @ kernel.tau @ eta.inv_root,
-    )]
-    for _ in range(half_steps):
-        states.append(sinkhorn_step(states[-1], mu, eta, kernel))
-    return states
+                 half_steps: int) -> GaussianRun:
+    """The run of half steps 0..half_steps inclusive, each stack written in place.
+
+    Row 0 is the reference kernel, its covariance rescaled by eta.
+    """
+    count, d = matcore._integer(half_steps, "half_steps", 0) + 1, kernel.dim
+    mean, gain = np.empty((count, d)), np.empty((count, d, d))
+    cov, rescaled = np.empty((count, d, d)), np.empty((count, d, d))
+    mean[0], gain[0], cov[0] = kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau
+    rescaled[0] = eta.inv_root @ kernel.tau @ eta.inv_root
+    for m in range(count - 1):
+        mean[m + 1], gain[m + 1], cov[m + 1], rescaled[m + 1] = sinkhorn_step(
+            m, mean[m], cov[m], mu, eta, kernel)
+    return GaussianRun(*map(_frozen, (mean, gain, cov, rescaled)))
+
+
+def _row(run: GaussianRun, m) -> int:
+    """``m`` as a row of ``run``: a non-integer, negative or past-the-end ``m`` names itself."""
+    m = matcore._integer(m, "half step", 0)
+    if m >= len(run):
+        raise DomainError(f"half step {m} is past the run's last row {len(run) - 1}")
+    return m
 
 
 def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
                     eta: Gaussian) -> tuple[np.ndarray, np.ndarray]:
     """Unvalidated mean and covariance of the bridge iterates P_n on (x, y).
 
-    ``mean``, ``gain`` and ``cov`` are the state fields of one half step, or
-    stacks of them from half steps of one parity (``odd``).  The block of the
-    coordinate the kernel maps to (y at even n, x at odd n) is the covariance of
-    the marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
+    ``mean``, ``gain`` and ``cov`` are the run's fields at one row, or stacks
+    of them from rows of one parity (``odd``).  The block of the coordinate
+    the kernel maps to (y at even n, x at odd n) is the covariance of the
+    marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
     """
     source = eta if odd else mu
     return _affine_blocks(source, mean - gain @ source.mean, gain, cov, swap=odd)
 
 
-def sinkhorn_joint(state: GaussianSinkhornState, mu: Gaussian, eta: Gaussian) -> Gaussian:
-    """The bridge iterate P_n as a 2d-dimensional Gaussian on (x, y)."""
-    return Gaussian(*_iterate_blocks(state.mean, state.gain, state.cov, state.step % 2 == 1,
-                                     mu, eta))
+def sinkhorn_joint(run: GaussianRun, m: int, mu: Gaussian, eta: Gaussian) -> Gaussian:
+    """The bridge iterate P_m, row m of ``run``, as a 2d-dimensional Gaussian on (x, y)."""
+    m = _row(run, m)
+    return Gaussian(*_iterate_blocks(run.mean[m], run.gain[m], run.cov[m], m % 2 == 1, mu, eta))
 
 
-def _chunks(states, d: int, *fields: str):
-    """Yield ``(positions, odd, *stacks)`` over ``states`` in runs of one parity.
+def _chunks(d: int, *stacks, parities=(0, 1)):
+    """Yield ``(odd, at, *chunk)`` over the rows of ``stacks``, one parity at a time.
 
-    Each run holds at most ``CHUNK_ELEMENTS // (2d)^2`` states (and at least
-    one), so a stack of their 2d x 2d joint covariances stays within the chunk
-    budget.  Even runs come first; ``positions`` index ``states``, and each of
-    ``stacks`` is the named state field of the run along a new leading axis.
+    ``at`` slices the parity view ``[odd::2]``, whose row j is half step
+    2j + odd, and ``chunk`` holds each stack's view rows ``at``.  A slice
+    holds at most ``CHUNK_ELEMENTS // (2d)^2`` rows (and at least one), so a
+    stack of their 2d x 2d joint covariances stays within the chunk budget.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
-    for odd in (False, True):
-        positions = [i for i, s in enumerate(states) if s.step % 2 == odd]
-        for start in range(0, len(positions), size):
-            index = positions[start:start + size]
-            yield index, odd, *(np.stack([getattr(states[i], f) for i in index]) for f in fields)
-
-
-def _check_order(trajectory, caller: str) -> None:
-    """Reject unless ``trajectory`` is half steps 0, 1, 2, ... in order, as run_sinkhorn returns."""
-    for position, state in enumerate(trajectory):
-        if state.step != position:
-            raise DomainError(f"{caller} needs half steps 0, 1, 2, ... in order, "
-                              f"got step {state.step} at position {position}")
-    if not trajectory:
-        raise DomainError(f"{caller} needs a trajectory starting at step 0")
+    for odd in parities:
+        views = [stack[odd::2] for stack in stacks]
+        rows = len(views[0])
+        for start in range(0, rows, size):
+            at = slice(start, min(start + size, rows))
+            yield odd, at, *(view[at] for view in views)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +428,7 @@ def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
 
 def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
                       kernel: LinearGaussianKernel) -> np.ndarray:
-    """Closed-form H(P_{2n} | bridge) from even-state means and covariances (or stacks)."""
+    """Closed-form H(P_{2n} | bridge) from even rows' means and covariances (or stacks)."""
     b = bridge.kernel
     isq = b.noise.inv_root
     shift = isq @ (mean - (b.alpha + b.beta @ mu.mean))[..., None]
@@ -437,32 +438,31 @@ def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
     return 0.5 * (_burg(cov, b.tau) + mean_term + cross_term)
 
 
-def bridge_entropy(state: GaussianSinkhornState, bridge: GaussianBridge,
+def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge,
                    mu: Gaussian, kernel: LinearGaussianKernel) -> float:
-    """Closed-form H(P_{2n} | bridge) from means, covariances and gains."""
-    if state.step % 2 != 0:
-        raise DomainError("bridge_entropy expects an even-index state")
-    return float(_bridge_entropies(state.mean, state.cov, bridge, mu, kernel))
+    """Closed-form H(P_{2n} | bridge) from row 2n's mean and covariance."""
+    m = _row(run, 2 * matcore._integer(n, "n", 0))
+    return float(_bridge_entropies(run.mean[m], run.cov[m], bridge, mu, kernel))
 
 
-def entropy_formula_table(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
+def entropy_formula_table(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                           kernel: LinearGaussianKernel) -> list[tuple[int, float, float]]:
-    """``(n, formula, oracle)`` for each even state P_{2n} of the trajectory.
+    """``(n, formula, oracle)`` for each even row P_{2n} of the run.
 
     ``formula`` is :func:`bridge_entropy` and ``oracle`` is the same
     H(P_{2n} | bridge) as a Gaussian KL between the 2d-dimensional joints.
-    Both are evaluated on stacked chunks of states.
+    Both are evaluated on stacked chunks of rows.
     """
-    even = [s for s in trajectory if s.step % 2 == 0]
     b_joint = bridge_joint(mu, bridge)
-    formula = np.empty(len(even))
-    oracle = np.empty(len(even))
-    for index, _, mean, gain, cov in _chunks(even, mu.dim, "mean", "gain", "cov"):
-        formula[index] = _bridge_entropies(mean, cov, bridge, mu, kernel)
+    formula = np.empty((len(run) + 1) // 2)
+    oracle = np.empty_like(formula)
+    for _, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov, parities=(0,)):
+        formula[at] = _bridge_entropies(mean, cov, bridge, mu, kernel)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
-        j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={even[i].step // 2}" for i in index])
-        oracle[index] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
-    return [(s.step // 2, f, o) for s, f, o in zip(even, formula.tolist(), oracle.tolist())]
+        j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={n}"
+                                           for n in range(at.start, at.stop)])
+        oracle[at] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
+    return list(zip(range(len(formula)), formula.tolist(), oracle.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -488,16 +488,15 @@ class GaussianRateReport:
     theoretical_slope: float
 
 
-def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
+def rate_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                 kernel: LinearGaussianKernel) -> GaussianRateReport:
     """Convergence table of the even-index flow against the closed-form bridge.
 
-    Row n >= 1 closes the loop of pair n, whose odd gain is ``trajectory[2n - 1]``'s.
+    Row n >= 1 closes the loop of pair n, whose odd gain is the run's row 2n - 1.
     """
-    _check_order(trajectory, "rate_report")
-    even = trajectory[::2]
-    if len(even) <= MIN_RATE_PAIRS:
-        raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even-index states")
+    pairs = (len(run) + 1) // 2
+    if pairs <= MIN_RATE_PAIRS:
+        raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even rows")
     b = bridge.kernel
     eta_mean = b.alpha + b.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
@@ -505,20 +504,21 @@ def rate_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
     problem = bridge.problem
     inv_gap = matcore.eigh_inverse(1.0 + problem.w, problem.q)  # (I + varpi)^{-1}
 
-    # One column per even state, one row per GaussianRateRow field after n; n = 0 closes no loop.
-    table = np.empty((6, len(even)))
+    # One column per even row, one row per GaussianRateRow field after n; n = 0 closes no loop.
+    table = np.empty((6, pairs))
     table[3:, 0] = (1.0, 0.0, 0.0)
     product = np.eye(d)
-    for index, _, mean, gain, cov, rescaled in _chunks(even, d, "mean", "gain", "cov",
-                                                         "rescaled_cov"):
-        table[:3, index] = (
+    for _, at, mean, gain, cov, rescaled in _chunks(d, run.mean, run.gain, run.cov,
+                                                    run.rescaled_cov, parities=(0,)):
+        table[:3, at] = (
             matcore.spectral_norm(cov - b.tau),
             matcore.spectral_norm(matcore.principal_sqrt(cov) - b.noise.root),
             matcore.vector_norm(mean - eta_mean),
         )
-        k = int(index[0] == 0)  # the loops start at n = 1
-        looped, gain, cov, gap = index[k:], gain[k:], cov[k:], np.eye(d) - rescaled[k:]
-        loop_gain = gain @ np.array([trajectory[2 * n - 1].gain for n in looped]).reshape(-1, d, d)
+        k = int(at.start == 0)  # the loops start at n = 1
+        looped = slice(at.start + k, at.stop)
+        gain, cov, gap = gain[k:], cov[k:], np.eye(d) - rescaled[k:]
+        loop_gain = gain @ run.gain[2 * looped.start - 1:2 * looped.stop - 1:2]
         products = np.empty_like(loop_gain)
         for j, step_gain in enumerate(loop_gain):
             product = step_gain @ product
@@ -570,16 +570,14 @@ class EnvelopeReport:
     chained_w2_rows: tuple[EnvelopeRow, ...]
 
 
-def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
+def envelope_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
                     kernel: LinearGaussianKernel) -> EnvelopeReport:
     """Entropy and 2-Wasserstein decay envelopes from the transport inequalities.
 
-    ``trajectory`` is half steps 0, 1, 2, ... in order; row m reads state m.
-    The log-Sobolev constants are exact here: the marginal potentials have
-    constant Hessians sigma^{-1} and sigma_bar^{-1}, so rho = ||sigma||_2 and
-    rho_bar = ||sigma_bar||_2.
+    Report row m reads the run's row m.  The log-Sobolev constants are exact
+    here: the marginal potentials have constant Hessians sigma^{-1} and
+    sigma_bar^{-1}, so rho = ||sigma||_2 and rho_bar = ||sigma_bar||_2.
     """
-    _check_order(trajectory, "envelope_report")
     kappa = matcore.spectral_norm(kernel.chi)
     rho = matcore.spectral_norm(mu.covariance)
     rho_bar = matcore.spectral_norm(eta.covariance)
@@ -589,18 +587,19 @@ def envelope_report(trajectory, bridge: GaussianBridge, mu: Gaussian, eta: Gauss
     # W2(pi_m, mu) at odd m: the distance of each marginal to the target its
     # half step matches.
     b_joint = bridge_joint(mu, bridge)
-    values = np.empty(len(trajectory))
-    dist = np.empty(len(trajectory))
-    for index, odd, mean, gain, cov in _chunks(trajectory, mu.dim, "mean", "gain", "cov"):
+    values = np.empty(len(run))
+    dist = np.empty(len(run))
+    for odd, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov):
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
-        values[index] = _gaussian_kl(b_joint.mean, b_joint.covariance,
-                                     j_mean, matcore.symmetrize(j_cov, "covariance"))
+        values[odd::2][at] = _gaussian_kl(b_joint.mean, b_joint.covariance,
+                                          j_mean, matcore.symmetrize(j_cov, "covariance"))
         image = slice(None, mu.dim) if odd else slice(mu.dim, None)  # the block of pi_m
         marg, w, q = matcore.spd_eigh(j_cov[:, image, image],
-                                      [f"marginal pi_m at m={m}" for m in index])
+                                      [f"marginal pi_m at m={2 * j + odd}"
+                                       for j in range(at.start, at.stop)])
         target = mu if odd else eta
-        dist[index] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
-                                   target.mean, target.covariance)
+        dist[odd::2][at] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
+                                        target.mean, target.covariance)
     values, dist = values.tolist(), dist.tolist()
     h0 = values[0]
     base = 1.0 + 1.0 / eps if not vacuous else 1.0

@@ -245,7 +245,7 @@ def _load_instance(config: ExperimentConfig):
 
 
 # --------------------------------------------------------------------------
-# Checks.  Each has a row builder, (instance, trajectory, bridge) -> rows, and
+# Checks.  Each has a row builder, (instance, run, bridge) -> rows, and
 # a pass rule that reads only those rows.  The rules hold every tolerance.
 # --------------------------------------------------------------------------
 
@@ -422,20 +422,17 @@ def _lyapunov_rule(rows):
     return all(gap <= 1e-10 for gap in gaps) and rho < 1.0, _peak(gaps)
 
 
-def _riccati_equivalence_rows(instance, trajectory, bridge):
+def _riccati_equivalence_rows(instance, run, bridge):
     rows = []
-    current = trajectory[0].rescaled_cov
-    for state in trajectory:
-        if state.step % 2 != 0:
-            continue
-        if state.step > 0:
+    current = run.rescaled_cov[0]
+    for n, rescaled in enumerate(run.rescaled_cov[::2]):
+        if n > 0:
             current = gaussian.riccati_apply(bridge.problem, current)
-        diff = float(np.max(np.abs(state.rescaled_cov - current)))
-        rows.append((state.step // 2, "riccati_equiv_error", diff))
+        rows.append((n, "riccati_equiv_error", float(np.max(np.abs(rescaled - current)))))
     return rows
 
 
-def _golden_rows(instance, trajectory, bridge):
+def _golden_rows(instance, run, bridge):
     r = bridge.fixed_point
     eig_varpi = np.linalg.eigvalsh(bridge.problem.varpi)
     eig_r = np.linalg.eigvalsh(r)
@@ -447,15 +444,15 @@ def _golden_rows(instance, trajectory, bridge):
     return rows
 
 
-def _transport_rows(instance, trajectory, bridge):
+def _transport_rows(instance, run, bridge):
     pushed = gaussian.push_forward(instance.mu, bridge.kernel)
     mean_err = float(np.linalg.norm(pushed.mean - instance.eta.mean))
     cov_err = float(np.linalg.norm(pushed.covariance - instance.eta.covariance))
     return [(0, "transport_mean_error", mean_err), (0, "transport_cov_error", cov_err)]
 
 
-def _entropy_formula_rows(instance, trajectory, bridge):
-    table = gaussian.entropy_formula_table(trajectory, bridge, instance.mu, instance.eta,
+def _entropy_formula_rows(instance, run, bridge):
+    table = gaussian.entropy_formula_table(run, bridge, instance.mu, instance.eta,
                                            instance.kernel)
     rows = []
     for n, formula, oracle in table:
@@ -464,8 +461,8 @@ def _entropy_formula_rows(instance, trajectory, bridge):
     return rows
 
 
-def _riccati_rate_rows(instance, trajectory, bridge):
-    report = gaussian.rate_report(trajectory, bridge, instance.mu, instance.eta, instance.kernel)
+def _riccati_rate_rows(instance, run, bridge):
+    report = gaussian.rate_report(run, bridge, instance.mu, instance.eta, instance.kernel)
     rows = []
     for row in report.rows:
         rows.append((row.n, "cov_error", row.cov_error))
@@ -499,8 +496,8 @@ _ENVELOPE_PAIRS = (("entropy_to_iterate", "entropy_envelope"), ("w2_step_value",
                    ("w2_chained_value", "w2_chained_bound"))
 
 
-def _envelope_rows(instance, trajectory, bridge):
-    report = gaussian.envelope_report(trajectory, bridge, instance.mu, instance.eta,
+def _envelope_rows(instance, run, bridge):
+    report = gaussian.envelope_report(run, bridge, instance.mu, instance.eta,
                                       instance.kernel)
     rows = [
         (0, "kappa", report.kappa),
@@ -540,7 +537,7 @@ def _envelope_rule(rows):
 
 @dataclass(frozen=True)
 class _Check:
-    rows: Callable  # (instance, trajectory, bridge) -> [(step, metric, value)]
+    rows: Callable  # (instance, run, bridge) -> [(step, metric, value)]
     rule: Callable  # this check's rows -> (passed, worst_residual); a NaN row fails it
     metrics: tuple[str, ...]  # every metric its rows may carry
 
@@ -557,7 +554,10 @@ class _Check:
 
 @dataclass(frozen=True)
 class _Regime:
-    run: Callable  # (instance, iterations) -> (trajectory, bridge)
+    # (instance, iterations) -> (run, bridge): the engine's run of whole-run
+    # stacks, a SinkhornRun (row n is pair n) or a GaussianRun (row m is half
+    # step m), and its bridge.
+    run: Callable
     checks: dict[str, _Check]  # check id -> its row builder, rule and metrics, in default order
     decode: Callable  # JSON payload -> instance
     default_size: object  # profile size when the config gives none
@@ -666,12 +666,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """Run the configured loop, evaluate the checks, persist report + verdicts."""
     regime = REGIMES[config.regime]
     instance = _load_instance(config)
-    trajectory, bridge = regime.run(instance, config.iterations)
+    run, bridge = regime.run(instance, config.iterations)
     rows: list[tuple[int, str, float]] = []
     verdicts: list[Verdict] = []
     for name in config.checks:
         check = regime.checks[name]
-        check_rows = check.rows(instance, trajectory, bridge)
+        check_rows = check.rows(instance, run, bridge)
         rows.extend(check_rows)
         verdicts.append(Verdict(name, *check.rule(check_rows)))
     report = ExperimentReport(

@@ -90,11 +90,11 @@ def test_criterion_04_riccati_equivalence():
     for d in (1, 2, 3, 8):
         inst = harness.generate_instance("gaussian", d, d, "gaussian-random-spd")
         problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 400)
-        current = states[0].rescaled_cov
-        for state in states[2::2]:
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 400)
+        current = run.rescaled_cov[0]
+        for rescaled in run.rescaled_cov[2::2]:
             current = gs.riccati_apply(problem, current)
-            worst = max(worst, float(np.max(np.abs(state.rescaled_cov - current))))
+            worst = max(worst, float(np.max(np.abs(rescaled - current))))
     golden_inst = gs.GaussianInstance(
         mu=dv.Gaussian(np.zeros(1), np.eye(1)),
         eta=dv.Gaussian(np.zeros(1), np.eye(1)),
@@ -140,8 +140,8 @@ def test_criterion_05_riccati_rate():
     fits = []
     check = harness.REGIMES["gaussian"].checks["riccati-rate"]
     for inst, bridge in _rate_fit_instances(10):
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 160)
-        rows = check.rows(inst, states, bridge)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 160)
+        rows = check.rows(inst, run, bridge)
         assert any(metric == "fitted_slope" for _, metric, _ in rows), "no usable fit window"
         # the riccati-rate rule: the fitted slope within 5% of theory, structure <= 1e-8
         fits.append(check.rule(rows))
@@ -178,10 +178,10 @@ def test_criterion_07_entropy_formula_cross_check():
         inst = harness.generate_instance("gaussian", d, 200 + d, "gaussian-random-spd")
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
         b_joint = gs.bridge_joint(inst.mu, bridge)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-        for state in states[::2]:
-            formula = gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
-            oracle = dv.gaussian_kl(gs.sinkhorn_joint(state, inst.mu, inst.eta), b_joint)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        for n in range(21):
+            formula = gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
+            oracle = dv.gaussian_kl(gs.sinkhorn_joint(run, 2 * n, inst.mu, inst.eta), b_joint)
             worst = max(worst, abs(formula - oracle))
     _verdict(7, "entropy formula vs joint KL", worst <= 1e-9, f"worst gap {worst:.3e}")
 
@@ -196,28 +196,28 @@ def test_criterion_08_envelope_domination():
     cases = [(1, 300), (2, 301), (3, 302)]
     for d, seed in cases:
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         assert math.isfinite(report.eps)
         for row in report.entropy_rows:
             worst = max(worst, row.value - row.bound)
         gates += report.gate_contractive
-        rules_ok = rules_ok and envelope.rule(envelope.rows(inst, states, bridge))[0]
+        rules_ok = rules_ok and envelope.rule(envelope.rows(inst, run, bridge))[0]
     # a strongly regularized scalar instance exercises the contractive gate
     inst = gs.GaussianInstance(
         mu=dv.Gaussian(np.array([0.2]), np.array([[0.8]])),
         eta=dv.Gaussian(np.array([-0.1]), np.array([[0.9]])),
         kernel=gs.LinearGaussianKernel(np.array([0.0]), np.array([[1.0]]), np.array([[2.0]])),
     )
-    states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
+    run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
     bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-    report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+    report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
     assert report.gate_contractive
     gates += 1
     for row in report.entropy_rows:
         worst = max(worst, row.value - row.bound)
-    rules_ok = rules_ok and envelope.rule(envelope.rows(inst, states, bridge))[0]
+    rules_ok = rules_ok and envelope.rule(envelope.rows(inst, run, bridge))[0]
     _verdict(
         8, "transport-inequality envelopes", worst <= 1e-10 and rules_ok and gates >= 1,
         f"worst envelope excess {worst:.3e}, contractive gates {gates}",

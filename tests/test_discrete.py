@@ -162,8 +162,18 @@ class TestMaterialize:
         # K_{2n+1} keeps the column-major layout np.exp gives it from log_k.T.
         assert run.kernel_odd[0].flags.f_contiguous and run.kernel_even[0].flags.c_contiguous
         assert run.joint_even(2).shape == run.joint_odd(2).shape == (3, 5)
-        with pytest.raises(DomainError, match="pairs must be nonnegative"):
+        with pytest.raises(DomainError, match=r"^pairs must be >= 0, got -1$"):
             discrete.run_sinkhorn(model, -1)
+
+    @pytest.mark.parametrize("pairs, message", [
+        (-3, r"^pairs must be >= 0, got -3$"),
+        (2.5, r"^pairs must be an int, got 2\.5$"),
+        ("4", r"^pairs must be an int, got '4'$"),
+    ])
+    def test_pair_count_is_validated(self, pairs, message):
+        model = random_model(np.random.default_rng(11), 3, 5)
+        with pytest.raises(DomainError, match=message):
+            discrete.run_sinkhorn(model, pairs)
 
     def test_step_zero_kernel_is_reference(self):
         rng = np.random.default_rng(8)

@@ -57,10 +57,19 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def check_passes(name, inst, states, bridge):
+def check_passes(name, inst, run, bridge):
     """Whether the harness rule of Gaussian check ``name`` passes on the rows it builds."""
     check = harness.REGIMES["gaussian"].checks[name]
-    return check.rule(check.rows(inst, states, bridge))[0]
+    return check.rule(check.rows(inst, run, bridge))[0]
+
+
+def with_row(run, m, **fields):
+    """``run`` with row ``m`` of each named field replaced."""
+    stacks = {}
+    for name, value in fields.items():
+        stacks[name] = getattr(run, name).copy()
+        stacks[name][m] = value
+    return dataclasses.replace(run, **stacks)
 
 
 def self_bridged_instance(rng, d):
@@ -156,52 +165,85 @@ class TestConjugateKernel:
 
 
 class TestSinkhornFlow:
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_rows_equal_a_loop_of_steps(self, d):
+        inst = random_instance(np.random.default_rng(31 + d), d)
+        mu, eta, kernel = inst.mu, inst.eta, inst.kernel
+        run = gs.run_sinkhorn(mu, eta, kernel, 9)
+        fields = ("mean", "gain", "cov", "rescaled_cov")
+        shapes = ((10, d), (10, d, d), (10, d, d), (10, d, d))
+        for name, shape in zip(fields, shapes):
+            stack = getattr(run, name)
+            assert len(run) == 10 and stack.shape == shape, name
+            assert not stack.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.cov = run.cov.copy()
+        # row 0 is the reference kernel; row m + 1 is one sinkhorn_step of
+        # row m, each step fed the arrays the one before returned
+        row = (kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau,
+               eta.inv_root @ kernel.tau @ eta.inv_root)
+        for m in range(len(run)):
+            for name, value in zip(fields, row):
+                assert getattr(run, name)[m].tobytes() == value.tobytes(), (m, name)
+            row = gs.sinkhorn_step(m, row[0], row[2], mu, eta, kernel)
+
+    @pytest.mark.parametrize("half_steps, message", [
+        (-3, r"^half_steps must be >= 0, got -3$"),
+        (2.5, r"^half_steps must be an int, got 2\.5$"),
+        (True, r"^half_steps must be an int, got True$"),
+    ])
+    def test_half_step_count_is_validated(self, half_steps, message):
+        inst = random_instance(np.random.default_rng(3), 2)
+        with pytest.raises(DomainError, match=message):
+            gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, half_steps)
+
     def test_self_bridged_flow_is_stationary(self):
         rng = np.random.default_rng(3)
         inst = self_bridged_instance(rng, 2)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
-        for state in states[::2]:
-            np.testing.assert_allclose(state.cov, inst.kernel.tau, atol=1e-10)
-            np.testing.assert_allclose(state.mean, inst.eta.mean, atol=1e-10)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
+        for cov, mean in zip(run.cov[::2], run.mean[::2]):
+            np.testing.assert_allclose(cov, inst.kernel.tau, atol=1e-10)
+            np.testing.assert_allclose(mean, inst.eta.mean, atol=1e-10)
 
     def test_scalar_golden_recursion(self):
         inst = scalar_instance()
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 60)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 60)
         v = 1.0
-        for state in states[::2]:
-            assert state.rescaled_cov[0, 0] == pytest.approx(v, abs=1e-13)
+        for rescaled in run.rescaled_cov[::2]:
+            assert rescaled[0, 0] == pytest.approx(v, abs=1e-13)
             v = 1.0 / (1.0 + 1.0 / (1.0 + v))
-        assert states[-1].rescaled_cov[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
+        assert run.rescaled_cov[-1, 0, 0] == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_gain_identities(self):
         rng = np.random.default_rng(4)
         inst = random_instance(rng, 3)
         chi = inst.kernel.chi
-        for state in gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 9)[1:]:
-            if state.step % 2 == 0:
-                np.testing.assert_allclose(state.gain, state.cov @ chi, atol=1e-10)
-            else:
-                np.testing.assert_allclose(state.gain, state.cov @ chi.T, atol=1e-10)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 9)
+        np.testing.assert_allclose(run.gain[2::2], run.cov[2::2] @ chi, atol=1e-10)
+        np.testing.assert_allclose(run.gain[1::2], run.cov[1::2] @ chi.T, atol=1e-10)
 
     def test_marginal_fixed_points(self):
         # The odd/even maps are anchored at the target marginal means, which is
         # exactly what makes pi_{2n} K_{2n+1} = mu and pi_{2n+1} K_{2n+2} = eta.
         rng = np.random.default_rng(5)
         inst = random_instance(rng, 2)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
-        for even, odd in zip(states[::2], states[1::2]):
-            pi_even = ref_marginal(even, inst.mu, inst.eta)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
+        for m in range(0, len(run) - 1, 2):
+            pi_even = ref_marginal(run, m, inst.mu, inst.eta)
             odd_kernel = gs.LinearGaussianKernel(
-                alpha=odd.mean - odd.gain @ inst.eta.mean, beta=odd.gain, tau=odd.cov
+                alpha=run.mean[m + 1] - run.gain[m + 1] @ inst.eta.mean, beta=run.gain[m + 1],
+                tau=run.cov[m + 1],
             )
             back = gs.push_forward(pi_even, odd_kernel)
             np.testing.assert_allclose(back.mean, inst.mu.mean, atol=1e-10)
             np.testing.assert_allclose(back.covariance, inst.mu.covariance, atol=1e-10)
-        for odd, even_next in zip(states[1::2], states[2::2]):
-            pi_odd = ref_marginal(odd, inst.mu, inst.eta)
+        for m in range(1, len(run) - 1, 2):
+            pi_odd = ref_marginal(run, m, inst.mu, inst.eta)
             even_kernel = gs.LinearGaussianKernel(
-                alpha=even_next.mean - even_next.gain @ inst.mu.mean,
-                beta=even_next.gain, tau=even_next.cov,
+                alpha=run.mean[m + 1] - run.gain[m + 1] @ inst.mu.mean,
+                beta=run.gain[m + 1], tau=run.cov[m + 1],
             )
             fwd = gs.push_forward(pi_odd, even_kernel)
             np.testing.assert_allclose(fwd.mean, inst.eta.mean, atol=1e-10)
@@ -209,10 +251,11 @@ class TestSinkhornFlow:
 
     def test_one_factorization_per_step_from_the_third(self, linalg_calls):
         inst = random_instance(np.random.default_rng(8), 4)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
-        for _ in range(5):
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
+        mean, cov = run.mean[-1], run.cov[-1]
+        for m in range(2, 7):
             linalg_calls.clear()
-            states.append(gs.sinkhorn_step(states[-1], inst.mu, inst.eta, inst.kernel))
+            mean, _, cov, _ = gs.sinkhorn_step(m, mean, cov, inst.mu, inst.eta, inst.kernel)
             assert linalg_calls == ["eigh"]
 
     def test_uniform_covariance_sandwich(self):
@@ -227,14 +270,14 @@ class TestSinkhornFlow:
         lower_odd = root @ matcore.spd_inverse(
             np.eye(3) + matcore.spd_inverse(gs.RiccatiProblem(problem.gamma.T).varpi)
         ) @ root
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
-        for state in states[2::2]:
-            assert matcore.loewner_leq(state.cov, inst.eta.covariance, tol=1e-10)
-            assert matcore.loewner_leq(lower_even, state.cov, tol=1e-10)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        for cov in run.cov[2::2]:
+            assert matcore.loewner_leq(cov, inst.eta.covariance, tol=1e-10)
+            assert matcore.loewner_leq(lower_even, cov, tol=1e-10)
         # the odd-chain estimate starts at tau_3 (pair index >= 1)
-        for state in states[3::2]:
-            assert matcore.loewner_leq(state.cov, inst.mu.covariance, tol=1e-10)
-            assert matcore.loewner_leq(lower_odd, state.cov, tol=1e-10)
+        for cov in run.cov[3::2]:
+            assert matcore.loewner_leq(cov, inst.mu.covariance, tol=1e-10)
+            assert matcore.loewner_leq(lower_odd, cov, tol=1e-10)
 
 
 class TestRiccati:
@@ -354,16 +397,16 @@ class TestRiccati:
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
             problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
-            states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-            current = states[0].rescaled_cov
-            for state in states[2::2]:
+            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+            current = run.rescaled_cov[0]
+            for rescaled in run.rescaled_cov[2::2]:
                 current = gs.riccati_apply(problem, current)
-                np.testing.assert_allclose(state.rescaled_cov, current, atol=1e-10)
+                np.testing.assert_allclose(rescaled, current, atol=1e-10)
             flipped = gs.RiccatiProblem(problem.gamma.T)
-            current = states[1].rescaled_cov
-            for state in states[3::2]:
+            current = run.rescaled_cov[1]
+            for rescaled in run.rescaled_cov[3::2]:
                 current = gs.riccati_apply(flipped, current)
-                np.testing.assert_allclose(state.rescaled_cov, current, atol=1e-10)
+                np.testing.assert_allclose(rescaled, current, atol=1e-10)
 
 
 class TestBridge:
@@ -429,10 +472,10 @@ class TestBridge:
         rate = 1.0 + float(np.linalg.eigvalsh(bridge.fixed_point + problem.varpi)[0])
         # means contract once per pair at the base rate, covariances twice
         pairs = min(1500, int(math.ceil(math.log(1e12) / math.log(rate))) + 10)
-        final = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * pairs)[-1]
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * pairs)
         kernel = bridge.kernel
-        np.testing.assert_allclose(final.cov, kernel.tau, atol=1e-10)
-        np.testing.assert_allclose(final.mean, kernel.alpha + kernel.beta @ inst.mu.mean,
+        np.testing.assert_allclose(run.cov[-1], kernel.tau, atol=1e-10)
+        np.testing.assert_allclose(run.mean[-1], kernel.alpha + kernel.beta @ inst.mu.mean,
                                    atol=1e-10)
 
 
@@ -442,14 +485,13 @@ class TestBridgeEntropy:
         inst = random_instance(rng, 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
         kernel = bridge.kernel
-        state = gs.GaussianSinkhornState(
-            step=0,
-            mean=kernel.alpha + kernel.beta @ inst.mu.mean,
-            gain=kernel.beta,
-            cov=kernel.tau,
-            rescaled_cov=np.eye(2),
+        run = gs.GaussianRun(
+            mean=(kernel.alpha + kernel.beta @ inst.mu.mean)[None],
+            gain=kernel.beta[None],
+            cov=kernel.tau[None],
+            rescaled_cov=np.eye(2)[None],
         )
-        assert gs.bridge_entropy(state, bridge, inst.mu, inst.kernel) == pytest.approx(
+        assert gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -459,17 +501,17 @@ class TestBridgeEntropy:
             inst = random_instance(rng, d)
             bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
             b_joint = gs.bridge_joint(inst.mu, bridge)
-            states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
-            for state in states[::2]:
-                formula = gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
-                oracle = gaussian_kl(gs.sinkhorn_joint(state, inst.mu, inst.eta), b_joint)
+            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+            for n in range(7):
+                formula = gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
+                oracle = gaussian_kl(gs.sinkhorn_joint(run, 2 * n, inst.mu, inst.eta), b_joint)
                 assert formula == pytest.approx(oracle, abs=1e-9)
 
     def test_no_factorization_after_the_first_call(self, monkeypatch):
         inst = random_instance(np.random.default_rng(28), 3)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
-        first = gs.bridge_entropy(states[0], bridge, inst.mu, inst.kernel)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        first = gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel)
         calls = []
         original = np.linalg.eigh
 
@@ -478,33 +520,45 @@ class TestBridgeEntropy:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        assert gs.bridge_entropy(states[0], bridge, inst.mu, inst.kernel) == first
-        for state in states[2::2]:
-            gs.bridge_entropy(state, bridge, inst.mu, inst.kernel)
+        assert gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel) == first
+        for n in range(1, 7):
+            gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
         assert calls == []
 
     def test_table_names_an_unresolvable_joint_by_n(self, monkeypatch):
         inst = random_instance(np.random.default_rng(29), 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
         # A conditional covariance far below the SPD floor of its joint P_6.
-        states[6] = dataclasses.replace(states[6], cov=np.diag([1e-13, 1.0]))
-        # Two even states per chunk: P_6 is the second joint of its chunk.
+        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 6,
+                       cov=np.diag([1e-13, 1.0]))
+        # Two even rows per chunk: P_6 is the second joint of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
         validated = count_calls(monkeypatch, "assert_spd")
         with pytest.raises(DomainError, match=r"^joint P_2n at n=3 is not positive definite"):
-            gs.entropy_formula_table(states, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.entropy_formula_table(run, bridge, inst.mu, inst.eta, inst.kernel)
         # one stacked call per chunk: the failing chunk is not walked again
         assert validated == [3, 3]
+
+    def test_rows_out_of_the_run_are_rejected(self):
+        inst = random_instance(np.random.default_rng(15), 2)
+        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 4)
+        for m, message in ((5, r"^half step 5 is past the run's last row 4$"),
+                           (-1, r"^half step must be >= 0, got -1$"),
+                           (1.0, r"^half step must be an int, got 1\.0$")):
+            with pytest.raises(DomainError, match=message):
+                gs.sinkhorn_joint(run, m, inst.mu, inst.eta)
+        for n, message in ((3, r"^half step 6 is past the run's last row 4$"),
+                           (-1, r"^n must be >= 0, got -1$")):
+            with pytest.raises(DomainError, match=message):
+                gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
 
     def test_monotone_decay(self):
         rng = np.random.default_rng(17)
         inst = random_instance(rng, 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
-        values = [
-            gs.bridge_entropy(s, bridge, inst.mu, inst.kernel) for s in states[::2]
-        ]
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
+        values = [gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel) for n in range(11)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
@@ -514,8 +568,8 @@ class TestRateReport:
         rng = np.random.default_rng(18)
         inst = self_bridged_instance(rng, 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 24)
-        report = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 24)
+        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         for row in report.rows:
             assert row.cov_error <= 1e-10
             assert row.mean_error <= 1e-10
@@ -523,10 +577,10 @@ class TestRateReport:
     def test_scalar_slope_against_theory(self):
         inst = scalar_instance(m=0.3, sigma=1.5, m_bar=-0.4, sigma_bar=0.7, beta=1.2, tau=0.9)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 80)
-        report = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 80)
+        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         assert report.fit is not None
-        assert check_passes("riccati-rate", inst, states, bridge)
+        assert check_passes("riccati-rate", inst, run, bridge)
         assert max(row.directed_residual for row in report.rows) <= 1e-10
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-10
 
@@ -534,54 +588,56 @@ class TestRateReport:
         rng = np.random.default_rng(19)
         inst = random_instance(rng, 3)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
-        report = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
+        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         assert max(row.directed_residual for row in report.rows) <= 1e-8
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-8
 
     def test_one_walk_over_the_chunks(self, monkeypatch):
         inst = random_instance(np.random.default_rng(30), 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-        # Three even states per chunk: seven chunks of even states.
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        # Three even rows per chunk: seven chunks of even rows.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 3 * 4 ** 2)
         walks = []
         chunks = gs._chunks
 
-        def walk(states, d, *fields):
-            walks.append(fields)
-            return chunks(states, d, *fields)
+        def walk(d, *stacks, **kwargs):
+            walks.append(stacks)
+            return chunks(d, *stacks, **kwargs)
 
         monkeypatch.setattr(gs, "_chunks", walk)
-        rows = gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel).rows
-        assert walks == [("mean", "gain", "cov", "rescaled_cov")]
-        assert list(rows) == ref_rate_rows(states, bridge, inst.mu, inst.eta, inst.kernel)
+        rows = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel).rows
+        assert len(walks) == 1
+        assert all(a is b for a, b in zip(walks[0], (run.mean, run.gain, run.cov,
+                                                     run.rescaled_cov), strict=True))
+        assert list(rows) == ref_rate_rows(run, bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_requires_enough_iterations(self):
         rng = np.random.default_rng(20)
         inst = random_instance(rng, 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 6)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 6)
         with pytest.raises(DomainError):
-            gs.rate_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
 
 
 class TestEnvelopes:
     def test_self_bridge_trivial(self):
         rng = np.random.default_rng(21)
         inst = self_bridged_instance(rng, 2)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        assert check_passes("envelope", inst, states, bridge)
+        assert check_passes("envelope", inst, run, bridge)
 
     def test_scalar_contractive_instance(self):
         inst = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9, beta=1.0, tau=2.0)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+        report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         assert report.kappa == pytest.approx(0.5)
         assert report.gate_contractive
-        assert check_passes("envelope", inst, states, bridge)
+        assert check_passes("envelope", inst, run, bridge)
         assert len(report.chained_w2_rows) > 0
 
     def test_one_w2_distance_per_state(self, monkeypatch):
@@ -598,68 +654,60 @@ class TestEnvelopes:
         rng = np.random.default_rng(27)
         for inst in (contractive, random_instance(rng, 3)):
             calls.clear()
-            states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
+            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
             gs.envelope_report(
-                states, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
+                run, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
                 inst.mu, inst.eta, inst.kernel)
-            assert len(calls) == len(states)
-            # each marginal (its mean is the state's) is measured against the
-            # target its half step matches, once, in trajectory order per parity
+            assert len(calls) == len(run)
+            # each marginal (its mean is the row's) is measured against the
+            # target its half step matches, once, in row order per parity
             for parity, target in ((0, inst.eta), (1, inst.mu)):
                 measured = [(mean, q_mean) for mean, q_mean, q_cov in calls
                             if q_cov is target.covariance]
                 assert all(q_mean is target.mean for _, q_mean in measured)
-                means = [s.mean for s in states if s.step % 2 == parity]
+                means = run.mean[parity::2]
                 assert len(measured) == len(means)
                 assert all(np.array_equal(a, b) for (a, _), b in zip(measured, means))
 
     def test_names_an_unresolvable_marginal_by_step(self, monkeypatch):
         inst = random_instance(np.random.default_rng(29), 2)
         bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
         # With zero gain the marginal pi_6 is the conditional covariance,
         # far below the SPD floor.
-        states[6] = dataclasses.replace(states[6], cov=np.diag([1e-13, 1.0]),
-                                        gain=np.zeros((2, 2)))
-        # Two even states per chunk: pi_6 is the second marginal of its chunk.
+        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 6,
+                       cov=np.diag([1e-13, 1.0]), gain=np.zeros((2, 2)))
+        # Two even rows per chunk: pi_6 is the second marginal of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
         validated = count_calls(monkeypatch, "spd_eigh")
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
-            gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
         # the bridge joint, then one stacked call per chunk of marginals
         assert validated == [2, 3, 3]
-
-    @pytest.mark.parametrize("diagnostic", [gs.envelope_report, gs.rate_report])
-    @pytest.mark.parametrize("reorder", [
-        lambda states: states[::-1],
-        lambda states: states[::2],
-        lambda states: states[:5] + states[6:],
-        lambda states: states[2:],
-    ], ids=["reversed", "even-states-only", "odd-state-missing", "shifted"])
-    def test_half_steps_out_of_order_rejected(self, diagnostic, reorder):
-        inst = harness.generate_instance("gaussian", 3, 5, "gaussian-random-spd")
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 24)
-        diagnostic(states, bridge, inst.mu, inst.eta, inst.kernel)
-        with pytest.raises(DomainError, match=r"needs half steps 0, 1, 2, \.\.\. in order"):
-            diagnostic(reorder(states), bridge, inst.mu, inst.eta, inst.kernel)
+        # An odd row: pi_5 is the first marginal of the second odd chunk,
+        # walked after the three even chunks.
+        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 5,
+                       cov=np.diag([1e-13, 1.0]), gain=np.zeros((2, 2)))
+        validated.clear()
+        with pytest.raises(DomainError, match=r"^marginal pi_m at m=5 is not positive definite"):
+            gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        assert validated == [2, 3, 3, 3, 3, 3]
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
-            states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
+            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
             bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-            report = gs.envelope_report(states, bridge, inst.mu, inst.eta, inst.kernel)
+            report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
             for row in report.entropy_rows:
                 assert row.value <= row.bound + 1e-10
             # the refined entropy bounds and the W2 steps too
-            assert check_passes("envelope", inst, states, bridge)
+            assert check_passes("envelope", inst, run, bridge)
 
 
 # --------------------------------------------------------------------------
-# The stacked chunks against per-state loops.  The ref_* functions are the
-# per-state arithmetic that the chunked diagnostics replaced; every stacked
+# The stacked chunks against per-row loops.  The ref_* functions are the
+# per-row arithmetic that the chunked diagnostics replaced; every stacked
 # value must equal theirs bit for bit.
 # --------------------------------------------------------------------------
 
@@ -675,18 +723,19 @@ def ref_blocks(source, intercept, gain, noise):
     return mean, cov
 
 
-def ref_joint(state, mu, eta):
+def ref_joint(run, m, mu, eta):
     d = mu.dim
-    if state.step % 2 == 0:
-        return Gaussian(*ref_blocks(mu, state.mean - state.gain @ mu.mean, state.gain, state.cov))
-    mean, cov = ref_blocks(eta, state.mean - state.gain @ eta.mean, state.gain, state.cov)
+    mean, gain, noise = run.mean[m], run.gain[m], run.cov[m]
+    if m % 2 == 0:
+        return Gaussian(*ref_blocks(mu, mean - gain @ mu.mean, gain, noise))
+    mean, cov = ref_blocks(eta, mean - gain @ eta.mean, gain, noise)
     perm = np.concatenate([np.arange(d, 2 * d), np.arange(d)])
     return Gaussian(mean[perm], cov[np.ix_(perm, perm)])
 
 
-def ref_marginal(state, mu, eta):
-    source = mu if state.step % 2 == 0 else eta
-    return Gaussian(state.mean, state.gain @ source.covariance @ state.gain.T + state.cov)
+def ref_marginal(run, m, mu, eta):
+    source = mu if m % 2 == 0 else eta
+    return Gaussian(run.mean[m], run.gain[m] @ source.covariance @ run.gain[m].T + run.cov[m])
 
 
 def ref_burg(s, sb):
@@ -709,20 +758,18 @@ def ref_w2(p, q):
     return math.sqrt(max(mean_sq + bures, 0.0))
 
 
-def ref_bridge_entropy(state, bridge, mu, kernel):
+def ref_bridge_entropy(run, m, bridge, mu, kernel):
     b = bridge.kernel
     eta_mean = b.alpha + b.beta @ mu.mean
     isq = b.noise.inv_root
-    mean_term = float(np.sum((isq @ (state.mean - eta_mean)) ** 2))
-    cross = isq @ (state.cov - b.tau) @ kernel.chi @ mu.root
+    mean_term = float(np.sum((isq @ (run.mean[m] - eta_mean)) ** 2))
+    cross = isq @ (run.cov[m] - b.tau) @ kernel.chi @ mu.root
     cross_term = float(np.sum(cross ** 2))
-    burg = ref_burg(matcore.assert_spd(state.cov), matcore.assert_spd(b.tau))
+    burg = ref_burg(matcore.assert_spd(run.cov[m]), matcore.assert_spd(b.tau))
     return 0.5 * (burg + mean_term + cross_term)
 
 
-def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
-    even = [s for s in trajectory if s.step % 2 == 0]
-    by_step = {s.step: s for s in trajectory}
+def ref_rate_rows(run, bridge, mu, eta, kernel):
     noise_root = bridge.kernel.noise.root
     eta_mean = bridge.kernel.alpha + bridge.kernel.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
@@ -730,26 +777,26 @@ def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
     inv_gap = matcore.spd_inverse(np.eye(d) + bridge.problem.varpi)
     rows = []
     product = np.eye(d)
-    for state in even:
-        n = state.step // 2
-        cov_error = matcore.spectral_norm(state.cov - bridge.kernel.tau)
-        sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(state.cov) - noise_root)
-        mean_error = float(np.linalg.norm(state.mean - eta_mean))
+    for n in range((len(run) + 1) // 2):
+        gain, cov, rescaled = run.gain[2 * n], run.cov[2 * n], run.rescaled_cov[2 * n]
+        cov_error = matcore.spectral_norm(cov - bridge.kernel.tau)
+        sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(cov) - noise_root)
+        mean_error = float(np.linalg.norm(run.mean[2 * n] - eta_mean))
         directed_residual = 0.0
         loop_residual = 0.0
         if n >= 1:
-            loop_gain = state.gain @ by_step[state.step - 1].gain
+            loop_gain = gain @ run.gain[2 * n - 1]
             product = loop_gain @ product
             rescaled_loop = eta.inv_root @ loop_gain @ eta.root
-            loop_residual = float(np.max(np.abs(rescaled_loop - (np.eye(d) - state.rescaled_cov))))
+            loop_residual = float(np.max(np.abs(rescaled_loop - (np.eye(d) - rescaled))))
             loop_residual = max(
                 loop_residual,
                 max(0.0, -float(np.linalg.eigvalsh(
-                    matcore.symmetrize(np.eye(d) - state.rescaled_cov))[0])),
+                    matcore.symmetrize(np.eye(d) - rescaled))[0])),
                 max(0.0, float(np.linalg.eigvalsh(matcore.symmetrize(
-                    (np.eye(d) - state.rescaled_cov) - inv_gap))[-1])),
+                    (np.eye(d) - rescaled) - inv_gap))[-1])),
             )
-            sigma_2n = state.gain @ mu.covariance @ state.gain.T + state.cov
+            sigma_2n = gain @ mu.covariance @ gain.T + cov
             predicted = product @ (sigma0 - eta.covariance) @ product.T
             directed_residual = float(np.max(np.abs((sigma_2n - eta.covariance) - predicted)))
         rows.append(gs.GaussianRateRow(
@@ -763,41 +810,42 @@ def ref_rate_rows(trajectory, bridge, mu, eta, kernel):
 
 def assert_chunks_equal_loops(inst, half_steps):
     mu, eta, kernel = inst.mu, inst.eta, inst.kernel
-    states = gs.run_sinkhorn(mu, eta, kernel, half_steps)
+    run = gs.run_sinkhorn(mu, eta, kernel, half_steps)
     bridge = gs.schrodinger_bridge_gaussian(mu, eta, kernel)
     b_joint = gs.bridge_joint(mu, bridge)
-    report = gs.envelope_report(states, bridge, mu, eta, kernel)
+    report = gs.envelope_report(run, bridge, mu, eta, kernel)
+    rows = range(len(run))
     assert [r.value for r in report.entropy_rows] == [
-        ref_kl(b_joint, ref_joint(s, mu, eta)) for s in states]
-    dist = [ref_w2(ref_marginal(s, mu, eta), eta if s.step % 2 == 0 else mu) for s in states]
+        ref_kl(b_joint, ref_joint(run, m, mu, eta)) for m in rows]
+    dist = [ref_w2(ref_marginal(run, m, mu, eta), mu if m % 2 else eta) for m in rows]
     assert [r.value for r in report.w2_rows] == dist[1:]
-    even = states[::2]
-    assert gs.entropy_formula_table(states, bridge, mu, eta, kernel) == [
-        (s.step // 2, ref_bridge_entropy(s, bridge, mu, kernel),
-         ref_kl(ref_joint(s, mu, eta), b_joint)) for s in even]
-    for s in states[:3]:
-        joint, ref = gs.sinkhorn_joint(s, mu, eta), ref_joint(s, mu, eta)
+    even = rows[::2]
+    assert gs.entropy_formula_table(run, bridge, mu, eta, kernel) == [
+        (m // 2, ref_bridge_entropy(run, m, bridge, mu, kernel),
+         ref_kl(ref_joint(run, m, mu, eta), b_joint)) for m in even]
+    for m in rows[:3]:
+        joint, ref = gs.sinkhorn_joint(run, m, mu, eta), ref_joint(run, m, mu, eta)
         assert joint.mean.tobytes() == ref.mean.tobytes()
         assert joint.covariance.tobytes() == ref.covariance.tobytes()
         # the joint's image block is the marginal pi_n: y at even n, x at odd n
-        image = slice(None, mu.dim) if s.step % 2 else slice(mu.dim, None)
-        pi = ref_marginal(s, mu, eta)
+        image = slice(None, mu.dim) if m % 2 else slice(mu.dim, None)
+        pi = ref_marginal(run, m, mu, eta)
         assert joint.covariance[image, image].tobytes() == pi.covariance.tobytes()
     if len(even) > gs.MIN_RATE_PAIRS:
-        rows = gs.rate_report(states, bridge, mu, eta, kernel).rows
-        assert list(rows) == ref_rate_rows(states, bridge, mu, eta, kernel)
+        rows = gs.rate_report(run, bridge, mu, eta, kernel).rows
+        assert list(rows) == ref_rate_rows(run, bridge, mu, eta, kernel)
 
 
-def chunk_states(d):
-    """States per chunk of one parity under the current chunk budget."""
+def chunk_rows(d):
+    """Rows per chunk of one parity under the current chunk budget."""
     return max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
 
 
 class TestStackedOracle:
     @pytest.mark.parametrize("evens", [1, 7, 8, 9, 17])
     def test_default_budget_at_d16(self, evens):
-        # 8 states per chunk at d = 16; both parities cross the boundary.
-        assert chunk_states(16) == 8
+        # 8 rows per chunk at d = 16; both parities cross the boundary.
+        assert chunk_rows(16) == 8
         inst = random_instance(np.random.default_rng(40 + evens), 16)
         for half_steps in (2 * evens - 2, 2 * evens - 1):
             if half_steps >= 0:
@@ -811,7 +859,7 @@ class TestStackedOracle:
         evens = 2 * per_chunk + 1 if offset is None else max(1, per_chunk + offset)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcore, "CHUNK_ELEMENTS", per_chunk * (2 * d) ** 2)
-            assert chunk_states(d) == per_chunk
+            assert chunk_rows(d) == per_chunk
             inst = random_instance(np.random.default_rng(seed), d)
             assert_chunks_equal_loops(inst, max(0, 2 * evens - 2 + odd_tail))
 
@@ -834,10 +882,10 @@ class TestCovarianceEnvelope:
             inst.eta.covariance, inst.eta.covariance,
             inst.kernel, 12,
         )
-        states = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
-        for n, state in enumerate(states):
-            np.testing.assert_allclose(envelope.upper[n], state.cov, atol=1e-10)
-            np.testing.assert_allclose(envelope.lower[n], state.cov, atol=1e-10)
+        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        for n, cov in enumerate(run.cov):
+            np.testing.assert_allclose(envelope.upper[n], cov, atol=1e-10)
+            np.testing.assert_allclose(envelope.lower[n], cov, atol=1e-10)
         assert max(envelope.rescaled_residuals) <= 1e-10
 
     def test_widened_gap_gives_strict_sandwich(self):

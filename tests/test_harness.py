@@ -442,9 +442,9 @@ class TestRunExperiment:
         assert plots[0].read_text().startswith("<svg")
 
     def test_gaussian_d16_run_memory_is_bounded(self):
-        # The diagnostics stack at most a chunk of states at a time.  The run's
-        # 201 states hold about 1.4 MB; the peak is about 1.8 MB chunked and
-        # 4.6 MB with the whole trajectory in one stack.
+        # The diagnostics read at most a chunk of rows at a time.  The run's
+        # 201 rows hold about 1.3 MB; the peak is about 1.6 MB chunked and
+        # 4.6 MB with every joint of the run in one stack.
         config = harness.ExperimentConfig.from_json({
             "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
             "seed": 0, "iterations": 100,

@@ -1,6 +1,6 @@
 """Byte-identity of experiment reports.
 
-Pins the sha256 of ``report.csv`` and ``verdicts.json`` for eight
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for nine
 configs that pass every check they run.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
@@ -31,6 +31,14 @@ benchmark's quadratic-grid shape, at the size cap, without ``lyapunov``)
 the solve stops inside the 100-pair run and the stacked products run at the
 size cap; in the second the 2-pair run ends before the solve does, so the
 solve resumes the sweeps at the run's last row.
+
+gaussian-d16-100 was added, with digests recorded before the Gaussian run
+came to be whole-run stacks read in slices of a parity view.  It is the
+gaussian-riccati benchmark's large shape: d = 16 with 100 iterations and
+every check, so 201 half steps read at 8 rows per chunk, 13 chunks of even
+rows and 26 chunks in all.  gaussian-d16 runs 12 iterations, which fit in
+two chunks per parity, so a slip at a chunk boundary past the second, or in
+the odd gains the rate report slices across chunks, shows only here.
 """
 
 import hashlib
@@ -96,6 +104,12 @@ CASES = {
          "seed": 0, "iterations": 12},
         "d47723eb9e6625bf6215262999179445cf6d251b589469906cd01648774c12c5",
         "e1f1bf2b8ea90982479650fa6cc7808bdee77e409e85addc9a7eabe391e4f986",
+    ),
+    "gaussian-d16-100": (
+        {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
+         "seed": 0, "iterations": 100},
+        "f873e5f8ecf3d84edcb4453dec34e1ecd1c97977edc86021fed71479d611cfa1",
+        "407e1e20b67e76729e4fc01c2adfd6c5422ea0b545012f1e8cf38a0886cdfc60",
     ),
 }
 
