@@ -18,13 +18,15 @@ twice.
 
 Stacked run.  :func:`run_sinkhorn` returns one :class:`SinkhornRun`, whose
 fields are whole-run stacks written in place, row n for pair n, so a
-pair's step is its row number.  The series behind the diagnostics (the
-marginal KL gaps and chains, the phi-entropies, the identities' ratios
-and maxima, the rate report's sup and sandwich terms) are read off the
-``(N, m)`` marginal stacks, one numpy call per quantity, with consecutive
-pairs as the slices ``[:-1]`` and ``[1:]``; the identities' kernel
-products are stacked matmuls, one per identity.  What stays per pair: the
-joint-matrix sums and KLs, and the sequential recursion.
+pair's step is its row number.  The readers take mu and eta from
+``run.model``; one that takes the model too rejects another model's run.
+The series behind the diagnostics (the marginal KL gaps and chains, the
+phi-entropies, the identities' ratios and maxima, the rate report's sup
+and sandwich terms) are read off the ``(N, m)`` marginal stacks, one numpy
+call per quantity, with consecutive pairs as the slices ``[:-1]`` and
+``[1:]``; the identities' kernel products are stacked matmuls, one per
+identity.  What stays per pair: the joint-matrix sums and KLs, and the
+sequential recursion.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -194,19 +196,25 @@ class SinkhornRun:
     kernel_odd: np.ndarray   # (N, ny, nx): K_{2n+1}, row stochastic
     pi_even: np.ndarray      # (N, ny): pi_{2n} = mu K_{2n} on Y
     pi_odd: np.ndarray       # (N, nx): pi_{2n+1} = eta K_{2n+1} on X
-    mu: np.ndarray           # the model's mu
-    eta: np.ndarray          # the model's eta
+    model: DiscreteModel     # the model it was run on: the readers' mu and eta
 
     def __len__(self) -> int:
         return len(self.u)
 
     def joint_even(self, n: int) -> np.ndarray:
         """P_{2n} on X x Y."""
-        return self.mu[:, None] * self.kernel_even[n]
+        return self.model.mu[:, None] * self.kernel_even[matcore._row(n, len(self), "pair")]
 
     def joint_odd(self, n: int) -> np.ndarray:
         """P_{2n+1} on X x Y."""
-        return (self.eta[:, None] * self.kernel_odd[n]).T
+        return (self.model.eta[:, None] * self.kernel_odd[matcore._row(n, len(self), "pair")]).T
+
+
+def _own_run(model: DiscreteModel, run: SinkhornRun) -> SinkhornRun:
+    """``run``, or a :class:`DomainError` unless it was run on ``model`` itself."""
+    if run.model is not model:
+        raise DomainError("the run was run on another model")
+    return run
 
 
 def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray], out=None) -> np.ndarray:
@@ -266,8 +274,7 @@ def run_sinkhorn(model: DiscreteModel, pairs: int) -> SinkhornRun:
         u[n], v[n] = u_n, v_n
         pi_even[n] = model.mu @ _stochastic(log_even, out=kernel_even[n])
         pi_odd[n] = model.eta @ _stochastic(log_odd, out=kernel_odd[n])
-    return SinkhornRun(*map(_frozen, (u, v, kernel_even, kernel_odd, pi_even, pi_odd)),
-                       mu=model.mu, eta=model.eta)
+    return SinkhornRun(*map(_frozen, (u, v, kernel_even, kernel_odd, pi_even, pi_odd)), model)
 
 
 def dual_kernel(kernel, mu) -> np.ndarray:
@@ -287,10 +294,10 @@ def dual_kernel(kernel, mu) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def marginal_gaps(model: DiscreteModel, run: SinkhornRun) -> tuple[list[float], list[float]]:
+def marginal_gaps(run: SinkhornRun) -> tuple[list[float], list[float]]:
     """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each pair, one KL call per stack."""
-    return (relative_entropy_rows(model.eta, run.pi_even).tolist(),
-            relative_entropy_rows(model.mu, run.pi_odd).tolist())
+    return (relative_entropy_rows(run.model.eta, run.pi_even).tolist(),
+            relative_entropy_rows(run.model.mu, run.pi_odd).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -320,13 +327,13 @@ def marginal_errors(model: DiscreteModel, q) -> tuple[float, float]:
             float(np.max(np.abs(q.sum(axis=0) - model.eta))))
 
 
-def entropy_ladder(model: DiscreteModel, run: SinkhornRun, q) -> LadderReport:
+def entropy_ladder(run: SinkhornRun, q) -> LadderReport:
     """Decompose H(Q | P) into per-step marginal gaps plus H(Q | P_{2n}).
 
     Rows where Q is not absolutely continuous w.r.t. the iterate carry
     infinite entries and a NaN residual; they are flagged, not fatal.
     """
-    q = np.asarray(q, dtype=float)
+    model, q = run.model, np.asarray(q, dtype=float)
     if q.shape != (model.nx, model.ny):
         raise DomainError("coupling shape does not match the model")
     if not np.all(np.isfinite(q)) or np.any(q < 0):
@@ -335,7 +342,7 @@ def entropy_ladder(model: DiscreteModel, run: SinkhornRun, q) -> LadderReport:
         raise DomainError("coupling marginals do not match (mu, eta)")
     to_bridge = np.array([relative_entropy(q, run.joint_even(n)) for n in range(len(run))])
     total = to_bridge[0]
-    gap_eta, gap_mu = np.array(marginal_gaps(model, run))
+    gap_eta, gap_mu = np.array(marginal_gaps(run))
     # The gaps below n, added in step order from 0.0.
     partial = np.cumsum(np.concatenate(([0.0], (gap_eta + gap_mu)[:-1])))
     with np.errstate(invalid="ignore"):
@@ -388,18 +395,17 @@ def solve_bridge(model: DiscreteModel, run: SinkhornRun | None = None) -> Bridge
     """Sweep until the system residual is at most ``POTENTIAL_TOL``.
 
     The sweeps are those of ``run``, a :func:`run_sinkhorn` run of ``model``
-    (by default its one-row run ``run_sinkhorn(model, 0)``): the solve reads
-    them off the run's rows and resumes :func:`_sweeps` at its last row only
-    if it needs more, so no sweep is taken twice.  It stops at most
-    ``MAX_SWEEPS`` sweeps past the start.  The returned potentials keep the
-    gauge pinned by the initial condition (U_0, V_0) = (U, 0); no
-    re-centering is applied.  The start's residual takes both fixed-point
-    equations.  After a sweep the U equation holds exactly (U_{2n+2} is its
-    own right side), so the residual is the V equation's defect, the change
-    V_{2n+2} - V_{2n} of the next sweep.
+    (by default its one-row run ``run_sinkhorn(model, 0)``; another model's
+    run is a :class:`DomainError`): the solve reads them off the run's rows
+    and resumes :func:`_sweeps` at its last row only if it needs more, so no
+    sweep is taken twice.  It stops at most ``MAX_SWEEPS`` sweeps past the
+    start.  The returned potentials keep the gauge pinned by the initial
+    condition (U_0, V_0) = (U, 0); no re-centering is applied.  The start's
+    residual takes both fixed-point equations.  After a sweep the U equation
+    holds exactly (U_{2n+2} is its own right side), so the residual is the V
+    equation's defect, the change V_{2n+2} - V_{2n} of the next sweep.
     """
-    if run is None:
-        run = run_sinkhorn(model, 0)
+    run = run_sinkhorn(model, 0) if run is None else _own_run(model, run)
     states = _system_defects(model, run)
     u, v, residual = next(states)
     residual = max(_defect(model.u_potential, _log_kernel(model.log_k, model.log_nu, v)[1], u),
@@ -512,7 +518,7 @@ def _push(measures: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return (measures[:, None, :] @ kernels)[:, 0, :]
 
 
-def identity_suite(model: DiscreteModel, run: SinkhornRun) -> tuple[CheckRow, ...]:
+def identity_suite(run: SinkhornRun) -> tuple[CheckRow, ...]:
     """Evaluate every structural identity the iteration is supposed to satisfy.
 
     Each identity's kernel products are one stacked matmul over the pairs,
@@ -525,7 +531,7 @@ def identity_suite(model: DiscreteModel, run: SinkhornRun) -> tuple[CheckRow, ..
     """
     if len(run) < 2:
         raise DomainError("identity_suite needs at least two consecutive iterates")
-    mu, eta = model.mu, model.eta
+    mu, eta = run.model.mu, run.model.eta
     at, nxt_at = range(len(run) - 1), range(1, len(run))
     k_even, k_odd, pi_even, pi_odd = run.kernel_even, run.kernel_odd, run.pi_even, run.pi_odd
     gap_eta = relative_entropy_rows(eta, pi_even)  # H(eta | pi_2n)
@@ -586,12 +592,12 @@ class DiscreteRateReport:
 
 
 def geometric_rate_report(model: DiscreteModel, run: SinkhornRun) -> DiscreteRateReport:
-    """Per-step contraction diagnostics against the bounded-cost rate bound."""
+    """Per-step contraction diagnostics of a run of ``model`` against its bounded-cost bound."""
+    pi = _own_run(model, run).pi_even
     eps_w = model.eps_w
     bound = (1.0 - eps_w) ** 2
     eta = model.eta
     steps = range(len(run))
-    pi = run.pi_even
     # H_phi(pi_2n, eta) once per pair and phi.
     values = zip(*(phi_entropy(phi, pi, eta).tolist() for phi in RATE_PHIS))
     sup_series = tuple(zip(steps, np.max(np.abs(pi / eta - 1.0), axis=-1).tolist()))

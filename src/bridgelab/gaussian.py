@@ -6,14 +6,15 @@ updates, equivalently by a rescaled Riccati matrix flow whose fixed point
 gives the bridge in closed form.
 
 Stacked run.  :func:`run_sinkhorn` returns one :class:`GaussianRun`, whose
-fields are whole-run stacks written in place, row m for half step m, so a
-half step is its row number and its parity is the row's.  The run is
-sequential, one :func:`sinkhorn_step` per half step: each needs the one
-before.  The diagnostics (:func:`envelope_report`, :func:`rate_report` and
-:func:`entropy_formula_table`) read it in chunks, slices of a parity view
-such as ``run.cov[0::2]`` of at most ``matcore.CHUNK_ELEMENTS // (2d)^2``
+fields are whole-run stacks written in place, row m for half step m, and
+``run.instance``, which every reader takes mu, eta and the kernel from.  The
+run is sequential, one :func:`sinkhorn_step` per half step: each needs the
+one before.  The diagnostics (:func:`envelope_report`, :func:`rate_report`
+and :func:`entropy_formula_table`) read it in chunks, slices of a parity
+view such as ``run.cov[0::2]`` of at most ``matcore.CHUNK_ELEMENTS // (2d)^2``
 rows (8 at d = 16, a whole 100-iteration run at d = 2), which bound their
-2d x 2d joint temporaries.  Each chunk makes one
+2d x 2d joint temporaries and the d x d stacks of :func:`rate_report`, which
+builds no joint (see :func:`_chunks`).  Each chunk makes one
 ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in one
 walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
 P_n and marginals pi_n of a chunk, and :func:`sinkhorn_joint` passes it one
@@ -112,11 +113,16 @@ def kernel_to_json(kernel: LinearGaussianKernel) -> dict:
 
 @dataclass(frozen=True)
 class GaussianInstance:
-    """A full problem instance: two Gaussian marginals plus the reference kernel."""
+    """A problem instance: two Gaussian marginals and the reference kernel, of one dimension."""
 
     mu: Gaussian
     eta: Gaussian
     kernel: LinearGaussianKernel
+
+    def __post_init__(self) -> None:
+        if not self.mu.dim == self.eta.dim == self.kernel.dim:
+            raise DomainError(f"instance dimensions differ: mu {self.mu.dim}, "
+                              f"eta {self.eta.dim}, kernel {self.kernel.dim}")
 
 
 def instance_to_json(instance: GaussianInstance) -> dict:
@@ -216,6 +222,7 @@ class GaussianRun:
     gain: np.ndarray          # (M+1, d, d)
     cov: np.ndarray           # (M+1, d, d): the noise covariance
     rescaled_cov: np.ndarray  # (M+1, d, d)
+    instance: GaussianInstance  # the instance it was run on: the readers' mu, eta and kernel
 
     def __len__(self) -> int:
         return len(self.mean)
@@ -230,26 +237,26 @@ def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
     return matcore.eigh_inverse(w, q)
 
 
-def sinkhorn_step(m: int, mean, cov, mu: Gaussian, eta: Gaussian,
-                  kernel: LinearGaussianKernel) -> tuple[np.ndarray, ...]:
+def sinkhorn_step(m: int, mean, cov, instance: GaussianInstance) -> tuple[np.ndarray, ...]:
     """Row m + 1, ``(mean, gain, cov, rescaled_cov)``, from row m's mean and covariance.
 
     One conjugate Bayes half step of the mean/gain/covariance recursion.  An
     odd step is the even step with mu and eta swapped and chi transposed.
     """
-    source, target, chi = (mu, eta, kernel.chi) if m % 2 == 0 else (eta, mu, kernel.chi.T)
+    mu, eta, chi = instance.mu, instance.eta, instance.kernel.chi
+    source, target, chi = (mu, eta, chi) if m % 2 == 0 else (eta, mu, chi.T)
     cov_next = _conditional_cov(source.precision, chi, cov, m + 1)
     gain_next = cov_next @ chi.T
     return (source.mean + gain_next @ (target.mean - mean), gain_next, cov_next,
             source.inv_root @ cov_next @ source.inv_root)
 
 
-def run_sinkhorn(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
-                 half_steps: int) -> GaussianRun:
+def run_sinkhorn(instance: GaussianInstance, half_steps: int) -> GaussianRun:
     """The run of half steps 0..half_steps inclusive, each stack written in place.
 
     Row 0 is the reference kernel, its covariance rescaled by eta.
     """
+    mu, eta, kernel = instance.mu, instance.eta, instance.kernel
     count, d = matcore._integer(half_steps, "half_steps", 0) + 1, kernel.dim
     mean, gain = np.empty((count, d)), np.empty((count, d, d))
     cov, rescaled = np.empty((count, d, d)), np.empty((count, d, d))
@@ -257,20 +264,12 @@ def run_sinkhorn(mu: Gaussian, eta: Gaussian, kernel: LinearGaussianKernel,
     rescaled[0] = eta.inv_root @ kernel.tau @ eta.inv_root
     for m in range(count - 1):
         mean[m + 1], gain[m + 1], cov[m + 1], rescaled[m + 1] = sinkhorn_step(
-            m, mean[m], cov[m], mu, eta, kernel)
-    return GaussianRun(*map(_frozen, (mean, gain, cov, rescaled)))
+            m, mean[m], cov[m], instance)
+    return GaussianRun(*map(_frozen, (mean, gain, cov, rescaled)), instance)
 
 
-def _row(run: GaussianRun, m) -> int:
-    """``m`` as a row of ``run``: a non-integer, negative or past-the-end ``m`` names itself."""
-    m = matcore._integer(m, "half step", 0)
-    if m >= len(run):
-        raise DomainError(f"half step {m} is past the run's last row {len(run) - 1}")
-    return m
-
-
-def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
-                    eta: Gaussian) -> tuple[np.ndarray, np.ndarray]:
+def _iterate_blocks(mean, gain, cov, odd: bool,
+                    instance: GaussianInstance) -> tuple[np.ndarray, np.ndarray]:
     """Unvalidated mean and covariance of the bridge iterates P_n on (x, y).
 
     ``mean``, ``gain`` and ``cov`` are the run's fields at one row, or stacks
@@ -278,14 +277,14 @@ def _iterate_blocks(mean, gain, cov, odd: bool, mu: Gaussian,
     the kernel maps to (y at even n, x at odd n) is the covariance of the
     marginal pi_n.  An odd kernel runs y -> x, so its source block is y.
     """
-    source = eta if odd else mu
+    source = instance.eta if odd else instance.mu
     return _affine_blocks(source, mean - gain @ source.mean, gain, cov, swap=odd)
 
 
-def sinkhorn_joint(run: GaussianRun, m: int, mu: Gaussian, eta: Gaussian) -> Gaussian:
+def sinkhorn_joint(run: GaussianRun, m: int) -> Gaussian:
     """The bridge iterate P_m, row m of ``run``, as a 2d-dimensional Gaussian on (x, y)."""
-    m = _row(run, m)
-    return Gaussian(*_iterate_blocks(run.mean[m], run.gain[m], run.cov[m], m % 2 == 1, mu, eta))
+    m = matcore._row(m, len(run), "half step")
+    return Gaussian(*_iterate_blocks(run.mean[m], run.gain[m], run.cov[m], m % 2, run.instance))
 
 
 def _chunks(d: int, *stacks, parities=(0, 1)):
@@ -295,6 +294,9 @@ def _chunks(d: int, *stacks, parities=(0, 1)):
     2j + odd, and ``chunk`` holds each stack's view rows ``at``.  A slice
     holds at most ``CHUNK_ELEMENTS // (2d)^2`` rows (and at least one), so a
     stack of their 2d x 2d joint covariances stays within the chunk budget.
+    :func:`rate_report` builds no joint, but read whole its d x d stacks
+    raised the traced peak of a d = 16, 100-iteration all-checks run from 1.6
+    to 3.0 MB, past the 2.0 MB of ``test_gaussian_d16_run_memory_is_bounded``.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in parities:
@@ -335,9 +337,8 @@ class RiccatiProblem:
             object.__setattr__(self, name, _frozen(value))
 
     @classmethod
-    def from_instance(cls, mu: Gaussian, eta: Gaussian,
-                      kernel: LinearGaussianKernel) -> "RiccatiProblem":
-        return cls(eta.root @ kernel.chi @ mu.root)
+    def from_instance(cls, instance: GaussianInstance) -> "RiccatiProblem":
+        return cls(instance.eta.root @ instance.kernel.chi @ instance.mu.root)
 
 
 def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
@@ -402,19 +403,17 @@ class GaussianBridge:
         object.__setattr__(self, "fixed_point", _frozen(self.fixed_point))
 
 
-def schrodinger_bridge_gaussian(mu: Gaussian, eta: Gaussian,
-                                kernel: LinearGaussianKernel) -> GaussianBridge:
+def schrodinger_bridge_gaussian(instance: GaussianInstance) -> GaussianBridge:
     """Assemble the closed-form bridge from the Riccati fixed point."""
-    if not (mu.dim == eta.dim == kernel.dim):
-        raise DomainError("dimension mismatch in schrodinger_bridge_gaussian")
+    mu, eta = instance.mu, instance.eta
     try:
-        problem = RiccatiProblem.from_instance(mu, eta, kernel)
+        problem = RiccatiProblem.from_instance(instance)
     except DomainError as exc:
         raise DomainError("beta, sigma and sigma_bar give a numerically singular mixing matrix "
                           f"gamma = sigma_bar^(1/2) tau^-1 beta sigma^(1/2): {exc}") from None
     r = riccati_fixed_point(problem)
     noise = matcore.symmetrize(eta.root @ r @ eta.root)
-    gain = noise @ kernel.chi
+    gain = noise @ instance.kernel.chi
     transport = gain @ mu.covariance @ gain.T + noise
     scale = max(1.0, float(np.max(np.abs(eta.covariance))))
     if float(np.max(np.abs(transport - eta.covariance))) > 1e-10 * scale:
@@ -426,39 +425,38 @@ def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
     return affine_joint(mu, bridge.kernel.alpha, bridge.kernel.beta, bridge.kernel.tau)
 
 
-def _bridge_entropies(mean, cov, bridge: GaussianBridge, mu: Gaussian,
-                      kernel: LinearGaussianKernel) -> np.ndarray:
+def _bridge_entropies(mean, cov, bridge: GaussianBridge, instance: GaussianInstance) -> np.ndarray:
     """Closed-form H(P_{2n} | bridge) from even rows' means and covariances (or stacks)."""
-    b = bridge.kernel
+    b, mu = bridge.kernel, instance.mu
     isq = b.noise.inv_root
     shift = isq @ (mean - (b.alpha + b.beta @ mu.mean))[..., None]
     mean_term = np.sum(shift ** 2, axis=(-2, -1))
-    cross = isq @ (cov - b.tau) @ kernel.chi @ mu.root
+    cross = isq @ (cov - b.tau) @ instance.kernel.chi @ mu.root
     cross_term = np.sum(cross ** 2, axis=(-2, -1))
     return 0.5 * (_burg(cov, b.tau) + mean_term + cross_term)
 
 
-def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge,
-                   mu: Gaussian, kernel: LinearGaussianKernel) -> float:
+def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge) -> float:
     """Closed-form H(P_{2n} | bridge) from row 2n's mean and covariance."""
-    m = _row(run, 2 * matcore._integer(n, "n", 0))
-    return float(_bridge_entropies(run.mean[m], run.cov[m], bridge, mu, kernel))
+    m = matcore._row(2 * matcore._integer(n, "n", 0), len(run), "half step")
+    return float(_bridge_entropies(run.mean[m], run.cov[m], bridge, run.instance))
 
 
-def entropy_formula_table(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
-                          kernel: LinearGaussianKernel) -> list[tuple[int, float, float]]:
+def entropy_formula_table(run: GaussianRun,
+                          bridge: GaussianBridge) -> list[tuple[int, float, float]]:
     """``(n, formula, oracle)`` for each even row P_{2n} of the run.
 
     ``formula`` is :func:`bridge_entropy` and ``oracle`` is the same
     H(P_{2n} | bridge) as a Gaussian KL between the 2d-dimensional joints.
     Both are evaluated on stacked chunks of rows.
     """
+    mu = run.instance.mu
     b_joint = bridge_joint(mu, bridge)
     formula = np.empty((len(run) + 1) // 2)
     oracle = np.empty_like(formula)
     for _, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov, parities=(0,)):
-        formula[at] = _bridge_entropies(mean, cov, bridge, mu, kernel)
-        j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, mu, eta)
+        formula[at] = _bridge_entropies(mean, cov, bridge, run.instance)
+        j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, run.instance)
         j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={n}"
                                            for n in range(at.start, at.stop)])
         oracle[at] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
@@ -488,8 +486,7 @@ class GaussianRateReport:
     theoretical_slope: float
 
 
-def rate_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
-                kernel: LinearGaussianKernel) -> GaussianRateReport:
+def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
     """Convergence table of the even-index flow against the closed-form bridge.
 
     Row n >= 1 closes the loop of pair n, whose odd gain is the run's row 2n - 1.
@@ -497,6 +494,7 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gau
     pairs = (len(run) + 1) // 2
     if pairs <= MIN_RATE_PAIRS:
         raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even rows")
+    mu, eta, kernel = run.instance.mu, run.instance.eta, run.instance.kernel
     b = bridge.kernel
     eta_mean = b.alpha + b.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
@@ -570,15 +568,15 @@ class EnvelopeReport:
     chained_w2_rows: tuple[EnvelopeRow, ...]
 
 
-def envelope_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta: Gaussian,
-                    kernel: LinearGaussianKernel) -> EnvelopeReport:
+def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
     """Entropy and 2-Wasserstein decay envelopes from the transport inequalities.
 
     Report row m reads the run's row m.  The log-Sobolev constants are exact
     here: the marginal potentials have constant Hessians sigma^{-1} and
     sigma_bar^{-1}, so rho = ||sigma||_2 and rho_bar = ||sigma_bar||_2.
     """
-    kappa = matcore.spectral_norm(kernel.chi)
+    mu, eta = run.instance.mu, run.instance.eta
+    kappa = matcore.spectral_norm(run.instance.kernel.chi)
     rho = matcore.spectral_norm(mu.covariance)
     rho_bar = matcore.spectral_norm(eta.covariance)
     eps = kappa ** 2 * rho * rho_bar
@@ -590,7 +588,7 @@ def envelope_report(run: GaussianRun, bridge: GaussianBridge, mu: Gaussian, eta:
     values = np.empty(len(run))
     dist = np.empty(len(run))
     for odd, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov):
-        j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, mu, eta)
+        j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, run.instance)
         values[odd::2][at] = _gaussian_kl(b_joint.mean, b_joint.covariance,
                                           j_mean, matcore.symmetrize(j_cov, "covariance"))
         image = slice(None, mu.dim) if odd else slice(mu.dim, None)  # the block of pi_m

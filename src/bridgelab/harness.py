@@ -296,7 +296,7 @@ def _ladder_rows(model, run, solution):
     err = max(discrete.marginal_errors(model, solution.bridge))
     if err > discrete.MARGINAL_TOL:
         return [(0, "ladder_bridge_marginal_error", err)]
-    report = discrete.entropy_ladder(model, run, solution.bridge)
+    report = discrete.entropy_ladder(run, solution.bridge)
     rows = []
     for row in report.rows:
         rows.append((row.n, "ladder_residual", row.residual))
@@ -316,7 +316,7 @@ def _ladder_rule(rows):
 def _linear_decay_rows(model, run, solution):
     total = discrete.relative_entropy(solution.bridge, run.joint_even(0))
     rows = [(n, "linear_decay_lhs", (n + 1) * (gap_eta + gap_mu))
-            for n, (gap_eta, gap_mu) in enumerate(zip(*discrete.marginal_gaps(model, run)))]
+            for n, (gap_eta, gap_mu) in enumerate(zip(*discrete.marginal_gaps(run)))]
     rows.append((0, "bridge_entropy_total", total))
     return rows
 
@@ -365,7 +365,7 @@ _IDENTITY_METRICS = tuple(f"identity_{name}" for name in discrete.IDENTITY_NAMES
 
 def _identity_rows(model, run, solution):
     return [(row.index, f"identity_{row.name}", row.residual)
-            for row in discrete.identity_suite(model, run)]
+            for row in discrete.identity_suite(run)]
 
 
 def _feasibility_rows(model, run, solution):
@@ -452,17 +452,15 @@ def _transport_rows(instance, run, bridge):
 
 
 def _entropy_formula_rows(instance, run, bridge):
-    table = gaussian.entropy_formula_table(run, bridge, instance.mu, instance.eta,
-                                           instance.kernel)
     rows = []
-    for n, formula, oracle in table:
+    for n, formula, oracle in gaussian.entropy_formula_table(run, bridge):
         rows.append((n, "entropy_formula", formula))
         rows.append((n, "entropy_formula_error", abs(formula - oracle)))
     return rows
 
 
 def _riccati_rate_rows(instance, run, bridge):
-    report = gaussian.rate_report(run, bridge, instance.mu, instance.eta, instance.kernel)
+    report = gaussian.rate_report(run, bridge)
     rows = []
     for row in report.rows:
         rows.append((row.n, "cov_error", row.cov_error))
@@ -497,8 +495,7 @@ _ENVELOPE_PAIRS = (("entropy_to_iterate", "entropy_envelope"), ("w2_step_value",
 
 
 def _envelope_rows(instance, run, bridge):
-    report = gaussian.envelope_report(run, bridge, instance.mu, instance.eta,
-                                      instance.kernel)
+    report = gaussian.envelope_report(run, bridge)
     rows = [
         (0, "kappa", report.kappa),
         (0, "eps", report.eps),
@@ -595,10 +592,8 @@ REGIMES = {
         default_size=5,
     ),
     "gaussian": _Regime(
-        run=lambda inst, iterations: (
-            gaussian.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * iterations),
-            gaussian.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
-        ),
+        run=lambda inst, iterations: (gaussian.run_sinkhorn(inst, 2 * iterations),
+                                      gaussian.schrodinger_bridge_gaussian(inst)),
         checks={
             "riccati-equivalence": _Check(_riccati_equivalence_rows,
                                           _at_most(1e-10, "riccati_equiv_error"),

@@ -80,6 +80,14 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _row(index, rows: int, name: str) -> int:
+    """``index`` as a row below ``rows``; a non-integer, negative or later one names ``name``."""
+    index = _integer(index, name, 0)
+    if index >= rows:
+        raise DomainError(f"{name} {index} is past the run's last row {rows - 1}")
+    return index
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float; a bool or a non-number names ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

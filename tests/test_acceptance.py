@@ -89,8 +89,8 @@ def test_criterion_04_riccati_equivalence():
     worst = 0.0
     for d in (1, 2, 3, 8):
         inst = harness.generate_instance("gaussian", d, d, "gaussian-random-spd")
-        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 400)
+        problem = gs.RiccatiProblem.from_instance(inst)
+        run = gs.run_sinkhorn(inst, 400)
         current = run.rescaled_cov[0]
         for rescaled in run.rescaled_cov[2::2]:
             current = gs.riccati_apply(problem, current)
@@ -100,9 +100,7 @@ def test_criterion_04_riccati_equivalence():
         eta=dv.Gaussian(np.zeros(1), np.eye(1)),
         kernel=gs.LinearGaussianKernel(np.zeros(1), np.eye(1), np.eye(1)),
     )
-    problem = gs.RiccatiProblem.from_instance(
-        golden_inst.mu, golden_inst.eta, golden_inst.kernel
-    )
+    problem = gs.RiccatiProblem.from_instance(golden_inst)
     fixed = float(gs.riccati_fixed_point(problem)[0, 0])
     golden_err = abs(fixed - GOLDEN)
     _verdict(
@@ -124,8 +122,8 @@ def _rate_fit_instances(count=10):
     while len(instances) < count:
         d = 1 + seed % 3
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        problem = gs.RiccatiProblem.from_instance(inst)
         lam = float(np.linalg.eigvalsh(bridge.fixed_point + problem.varpi)[0])
         slope = -2.0 * math.log(1.0 + lam)
         initial = matcore.spectral_norm(inst.kernel.tau - bridge.kernel.tau)
@@ -140,7 +138,7 @@ def test_criterion_05_riccati_rate():
     fits = []
     check = harness.REGIMES["gaussian"].checks["riccati-rate"]
     for inst, bridge in _rate_fit_instances(10):
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 160)
+        run = gs.run_sinkhorn(inst, 160)
         rows = check.rows(inst, run, bridge)
         assert any(metric == "fitted_slope" for _, metric, _ in rows), "no usable fit window"
         # the riccati-rate rule: the fitted slope within 5% of theory, structure <= 1e-8
@@ -160,7 +158,7 @@ def test_criterion_06_bridge_transport():
     seeds = [(d, d) for d in (1, 2, 3, 8)] + [(1 + s % 3, 100 + s) for s in range(10)]
     for d, seed in seeds:
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         pushed = gs.push_forward(inst.mu, bridge.kernel)
         worst_mean = max(worst_mean, float(np.linalg.norm(pushed.mean - inst.eta.mean)))
         worst_cov = max(
@@ -176,12 +174,12 @@ def test_criterion_07_entropy_formula_cross_check():
     worst = 0.0
     for d in (1, 2, 3):
         inst = harness.generate_instance("gaussian", d, 200 + d, "gaussian-random-spd")
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         b_joint = gs.bridge_joint(inst.mu, bridge)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        run = gs.run_sinkhorn(inst, 40)
         for n in range(21):
-            formula = gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
-            oracle = dv.gaussian_kl(gs.sinkhorn_joint(run, 2 * n, inst.mu, inst.eta), b_joint)
+            formula = gs.bridge_entropy(run, n, bridge)
+            oracle = dv.gaussian_kl(gs.sinkhorn_joint(run, 2 * n), b_joint)
             worst = max(worst, abs(formula - oracle))
     _verdict(7, "entropy formula vs joint KL", worst <= 1e-9, f"worst gap {worst:.3e}")
 
@@ -196,9 +194,9 @@ def test_criterion_08_envelope_domination():
     cases = [(1, 300), (2, 301), (3, 302)]
     for d, seed in cases:
         inst = harness.generate_instance("gaussian", d, seed, "gaussian-random-spd")
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst, 200)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        report = gs.envelope_report(run, bridge)
         assert math.isfinite(report.eps)
         for row in report.entropy_rows:
             worst = max(worst, row.value - row.bound)
@@ -210,9 +208,9 @@ def test_criterion_08_envelope_domination():
         eta=dv.Gaussian(np.array([-0.1]), np.array([[0.9]])),
         kernel=gs.LinearGaussianKernel(np.array([0.0]), np.array([[1.0]]), np.array([[2.0]])),
     )
-    run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 200)
-    bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-    report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+    run = gs.run_sinkhorn(inst, 200)
+    bridge = gs.schrodinger_bridge_gaussian(inst)
+    report = gs.envelope_report(run, bridge)
     assert report.gate_contractive
     gates += 1
     for row in report.entropy_rows:

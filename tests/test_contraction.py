@@ -235,6 +235,17 @@ class TestNonFiniteWeights:
         with pytest.raises(DomainError, match="^kernel_k must have at least one row"):
             contraction.lyapunov_search(np.empty((0, 3)), np.empty((3, 0)), [], np.ones(3))
 
+    @pytest.mark.parametrize("kernel, message", [
+        (np.full(3, 1.0 / 3.0), r"^kernel must be a matrix$"),
+        ([[1.2, -0.2], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
+        ([[np.inf, 0.0], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
+        ([[np.nan, 1.0], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
+        ([[0.5, 0.4], [0.5, 0.5]], r"^kernel rows must sum to one$"),
+    ])
+    def test_malformed_kernel_is_named(self, kernel, message):
+        with pytest.raises(DomainError, match=message):
+            contraction.dobrushin(kernel)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_weights_raise_numerical_error(self):
         huge = np.full(2, 1e308)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import struct
@@ -175,6 +176,20 @@ class TestMaterialize:
         with pytest.raises(DomainError, match=message):
             discrete.run_sinkhorn(model, pairs)
 
+    # A row is one check for both runs: -1 once read the last pair, and
+    # len(run) and 2.5 raised a bare IndexError.
+    @pytest.mark.parametrize("n, message", [
+        (-1, r"^pair must be >= 0, got -1$"),
+        (4, r"^pair 4 is past the run's last row 3$"),
+        (2.5, r"^pair must be an int, got 2\.5$"),
+        (True, r"^pair must be an int, got True$"),
+    ])
+    def test_joint_rows_are_validated(self, n, message):
+        run = discrete.run_sinkhorn(random_model(np.random.default_rng(11), 3, 5), 3)
+        for joint in (run.joint_even, run.joint_odd):
+            with pytest.raises(DomainError, match=message):
+                joint(n)
+
     def test_step_zero_kernel_is_reference(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, 4, 6)
@@ -259,7 +274,7 @@ class TestEntropyLadder:
         rng = np.random.default_rng(13)
         model = self_bridged_model(rng, 4, 5)
         run = discrete.run_sinkhorn(model, 3)
-        report = discrete.entropy_ladder(model, run, run.joint_even(0))
+        report = discrete.entropy_ladder(run, run.joint_even(0))
         assert report.total == pytest.approx(0.0, abs=1e-12)
         for row in report.rows:
             assert row.entropy_to_bridge == pytest.approx(0.0, abs=1e-12)
@@ -279,7 +294,7 @@ class TestEntropyLadder:
         model = random_model(rng, 4, 6)
         solution = discrete.solve_bridge(model)
         run = discrete.run_sinkhorn(model, 10)
-        report = discrete.entropy_ladder(model, run, solution.bridge)
+        report = discrete.entropy_ladder(run, solution.bridge)
         for p in range(0, 8, 2):
             for n in range(p + 1, 9):
                 lhs = report.rows[p].entropy_to_bridge - report.rows[n].entropy_to_bridge
@@ -292,7 +307,7 @@ class TestEntropyLadder:
         run = discrete.run_sinkhorn(model, 1)
         bad = np.outer(model.mu, np.roll(model.eta, 1))
         with pytest.raises(DomainError):
-            discrete.entropy_ladder(model, run, bad)
+            discrete.entropy_ladder(run, bad)
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "negative"])
     def test_bad_coupling_entry_rejected(self, entry):
@@ -307,7 +322,7 @@ class TestEntropyLadder:
         else:
             q[0, 0] = float(entry)
         with pytest.raises(DomainError, match="^coupling entries must be finite and nonnegative"):
-            discrete.entropy_ladder(model, run, q)
+            discrete.entropy_ladder(run, q)
 
     def test_half_step_entropy_decomposition(self):
         # H(Q | P_{2n}) = H(Q | P_{2n+1}) + H(eta | pi_{2n}) and its even twin.
@@ -374,7 +389,7 @@ class TestIdentitySuite:
         rng = np.random.default_rng(20)
         model = random_model(rng, 5, 7)
         run = discrete.run_sinkhorn(model, 6)
-        rows = discrete.identity_suite(model, run)
+        rows = discrete.identity_suite(run)
         assert check_passes("identities", model, run), rows
         assert {row.name for row in rows} == set(discrete.IDENTITY_NAMES)
 
@@ -420,7 +435,7 @@ class TestIdentitySuite:
         model = harness.generate_instance("discrete", (2, 2), 8, "bounded", osc_cap=1000.0)
         run = discrete.run_sinkhorn(model, 1)
         assert not np.all(run.joint_even(0).any(axis=0))
-        rows = [row for row in discrete.identity_suite(model, run)
+        rows = [row for row in discrete.identity_suite(run)
                 if row.name in discrete.IDENTITY_NAMES[-4:]]
         assert len(rows) == 4
         assert all(row.residual <= harness.IDENTITY_TOL for row in rows), rows
@@ -429,7 +444,7 @@ class TestIdentitySuite:
         rng = np.random.default_rng(22)
         model = random_model(rng, 3, 3)
         with pytest.raises(DomainError):
-            discrete.identity_suite(model, discrete.run_sinkhorn(model, 0))
+            discrete.identity_suite(discrete.run_sinkhorn(model, 0))
 
 
 class TestGeometricRate:
@@ -517,6 +532,40 @@ class TestConvergenceSeries:
                 model.mu, run.pi_odd[n]
             )
             assert (n + 1) * gap <= total + 1e-8
+
+
+class TestRunRecordsItsModel:
+    """A run carries its model, so no reader pairs a run with another model's measures."""
+
+    def models(self, *sizes):
+        return [harness.generate_instance("discrete", size, seed, "bounded")
+                for seed, size in enumerate(sizes)]
+
+    def test_readers_take_mu_and_eta_from_the_run(self):
+        # Given another 4x5 model, identity_suite once read a worst residual of 1.04.
+        m1, m2 = self.models((4, 5), (4, 5))
+        run = discrete.run_sinkhorn(m1, 6)
+        assert run.model is m1
+        for reader in (discrete.identity_suite, discrete.marginal_gaps, discrete.entropy_ladder):
+            assert "model" not in inspect.signature(reader).parameters, reader
+        assert max(row.residual for row in discrete.identity_suite(run)) <= harness.IDENTITY_TOL
+
+    def test_bridge_solve_rejects_another_models_run(self):
+        # m1's bridge, solved from m1's run, is far from m2's marginals: a
+        # solve that took the pair would report it as m2's, converged.
+        m1, m2 = self.models((4, 5), (4, 5))
+        run = discrete.run_sinkhorn(m1, 30)
+        assert max(discrete.marginal_errors(m2, discrete.solve_bridge(m1, run).bridge)) > 0.1
+        with pytest.raises(DomainError, match="^the run was run on another model$"):
+            discrete.solve_bridge(m2, run)
+        # An equal model decoded afresh is another object: the run is not its run.
+        with pytest.raises(DomainError, match="^the run was run on another model$"):
+            discrete.solve_bridge(discrete.model_from_json(discrete.model_to_json(m1)), run)
+
+    def test_rate_report_rejects_another_models_run(self):
+        m1, m2 = self.models((4, 5), (3, 5))
+        with pytest.raises(DomainError, match="^the run was run on another model$"):
+            discrete.geometric_rate_report(m2, discrete.run_sinkhorn(m1, 4))
 
 
 class TestGaugeInvariance:
@@ -858,11 +907,11 @@ def assert_engine_equals_reference(model, pairs):
         mp.setattr(discrete, "MAX_SWEEPS", cap)
         assert solved(discrete.solve_bridge(model, discrete.run_sinkhorn(model, cap + 2))) == bits(
             ref_solve_bridge(model, cap, discrete.POTENTIAL_TOL))
-    assert bits(discrete.identity_suite(model, run)) == bits(
+    assert bits(discrete.identity_suite(run)) == bits(
         ref_identity_rows(model, iterates))
     for q in (solution.bridge, np.outer(model.mu, model.eta),
               northwest_corner(model.mu, model.eta)):
-        assert outcome(lambda: discrete.entropy_ladder(model, run, q)) == outcome(
+        assert outcome(lambda: discrete.entropy_ladder(run, q)) == outcome(
             lambda: ref_ladder(model, iterates, q))
     assert bits(discrete.geometric_rate_report(model, run)) == bits(
         ref_rate_report(model, iterates))

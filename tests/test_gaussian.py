@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -119,6 +120,15 @@ class TestKernelChi:
         assert not chi.flags.writeable
         assert chi.tobytes() == (matcore.spd_inverse(kernel.tau) @ kernel.beta).tobytes()
 
+    @pytest.mark.parametrize("beta, tau, message", [
+        (np.eye(3), np.eye(2), r"^kernel parameter dimensions are inconsistent$"),
+        (np.eye(2), np.eye(3), r"^kernel parameter dimensions are inconsistent$"),
+        (np.diag([1.0, 1e-13]), np.eye(2), r"^beta is numerically singular"),
+    ])
+    def test_malformed_parameters_are_rejected(self, beta, tau, message):
+        with pytest.raises(DomainError, match=message):
+            gs.LinearGaussianKernel(np.zeros(2), beta, tau)
+
     def test_tau_is_validated_by_the_noise_gaussian(self):
         with pytest.raises(DomainError, match="^tau: covariance is not positive definite"):
             gs.LinearGaussianKernel(np.zeros(2), np.eye(2), np.diag([1.0, -1.0]))
@@ -155,6 +165,11 @@ class TestConjugateKernel:
                 dual_joint.covariance, joint.covariance[np.ix_(perm, perm)], atol=1e-10
             )
 
+    def test_dimension_mismatch(self):
+        kernel = gs.LinearGaussianKernel(np.zeros(3), np.eye(3), np.eye(3))
+        with pytest.raises(DomainError, match="^dimension mismatch in conjugate_kernel$"):
+            gs.conjugate_kernel(Gaussian(np.zeros(2), np.eye(2)), kernel)
+
     def test_reversibility(self):
         rng = np.random.default_rng(2)
         inst = random_instance(rng, 3)
@@ -169,7 +184,7 @@ class TestSinkhornFlow:
     def test_rows_equal_a_loop_of_steps(self, d):
         inst = random_instance(np.random.default_rng(31 + d), d)
         mu, eta, kernel = inst.mu, inst.eta, inst.kernel
-        run = gs.run_sinkhorn(mu, eta, kernel, 9)
+        run = gs.run_sinkhorn(inst, 9)
         fields = ("mean", "gain", "cov", "rescaled_cov")
         shapes = ((10, d), (10, d, d), (10, d, d), (10, d, d))
         for name, shape in zip(fields, shapes):
@@ -187,7 +202,7 @@ class TestSinkhornFlow:
         for m in range(len(run)):
             for name, value in zip(fields, row):
                 assert getattr(run, name)[m].tobytes() == value.tobytes(), (m, name)
-            row = gs.sinkhorn_step(m, row[0], row[2], mu, eta, kernel)
+            row = gs.sinkhorn_step(m, row[0], row[2], inst)
 
     @pytest.mark.parametrize("half_steps, message", [
         (-3, r"^half_steps must be >= 0, got -3$"),
@@ -197,19 +212,19 @@ class TestSinkhornFlow:
     def test_half_step_count_is_validated(self, half_steps, message):
         inst = random_instance(np.random.default_rng(3), 2)
         with pytest.raises(DomainError, match=message):
-            gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, half_steps)
+            gs.run_sinkhorn(inst, half_steps)
 
     def test_self_bridged_flow_is_stationary(self):
         rng = np.random.default_rng(3)
         inst = self_bridged_instance(rng, 2)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8)
+        run = gs.run_sinkhorn(inst, 8)
         for cov, mean in zip(run.cov[::2], run.mean[::2]):
             np.testing.assert_allclose(cov, inst.kernel.tau, atol=1e-10)
             np.testing.assert_allclose(mean, inst.eta.mean, atol=1e-10)
 
     def test_scalar_golden_recursion(self):
         inst = scalar_instance()
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 60)
+        run = gs.run_sinkhorn(inst, 60)
         v = 1.0
         for rescaled in run.rescaled_cov[::2]:
             assert rescaled[0, 0] == pytest.approx(v, abs=1e-13)
@@ -220,7 +235,7 @@ class TestSinkhornFlow:
         rng = np.random.default_rng(4)
         inst = random_instance(rng, 3)
         chi = inst.kernel.chi
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 9)
+        run = gs.run_sinkhorn(inst, 9)
         np.testing.assert_allclose(run.gain[2::2], run.cov[2::2] @ chi, atol=1e-10)
         np.testing.assert_allclose(run.gain[1::2], run.cov[1::2] @ chi.T, atol=1e-10)
 
@@ -229,7 +244,7 @@ class TestSinkhornFlow:
         # exactly what makes pi_{2n} K_{2n+1} = mu and pi_{2n+1} K_{2n+2} = eta.
         rng = np.random.default_rng(5)
         inst = random_instance(rng, 2)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
+        run = gs.run_sinkhorn(inst, 10)
         for m in range(0, len(run) - 1, 2):
             pi_even = ref_marginal(run, m, inst.mu, inst.eta)
             odd_kernel = gs.LinearGaussianKernel(
@@ -251,17 +266,17 @@ class TestSinkhornFlow:
 
     def test_one_factorization_per_step_from_the_third(self, linalg_calls):
         inst = random_instance(np.random.default_rng(8), 4)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2)
+        run = gs.run_sinkhorn(inst, 2)
         mean, cov = run.mean[-1], run.cov[-1]
         for m in range(2, 7):
             linalg_calls.clear()
-            mean, _, cov, _ = gs.sinkhorn_step(m, mean, cov, inst.mu, inst.eta, inst.kernel)
+            mean, _, cov, _ = gs.sinkhorn_step(m, mean, cov, inst)
             assert linalg_calls == ["eigh"]
 
     def test_uniform_covariance_sandwich(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, 3)
-        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
+        problem = gs.RiccatiProblem.from_instance(inst)
         root_bar = matcore.principal_sqrt(inst.eta.covariance)
         lower_even = root_bar @ matcore.spd_inverse(
             np.eye(3) + matcore.spd_inverse(problem.varpi)
@@ -270,7 +285,7 @@ class TestSinkhornFlow:
         lower_odd = root @ matcore.spd_inverse(
             np.eye(3) + matcore.spd_inverse(gs.RiccatiProblem(problem.gamma.T).varpi)
         ) @ root
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        run = gs.run_sinkhorn(inst, 12)
         for cov in run.cov[2::2]:
             assert matcore.loewner_leq(cov, inst.eta.covariance, tol=1e-10)
             assert matcore.loewner_leq(lower_even, cov, tol=1e-10)
@@ -292,6 +307,12 @@ class TestRiccati:
         linalg_calls.clear()
         gs.riccati_apply(problem, v)
         assert linalg_calls == ["eigvalsh", "eigh"]
+
+    def test_rejects_a_v_that_is_not_psd(self):
+        # varpi = 100 I, so varpi + v is SPD and only the PSD check rejects v.
+        problem = gs.RiccatiProblem(0.1 * np.eye(2))
+        with pytest.raises(DomainError, match="^riccati_apply needs a positive semi-definite"):
+            gs.riccati_apply(problem, np.diag([1.0, -0.5]))
 
     def test_varpi_is_factorized_once(self, linalg_calls, monkeypatch):
         rng = np.random.default_rng(10)
@@ -396,8 +417,8 @@ class TestRiccati:
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
-            problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
-            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+            problem = gs.RiccatiProblem.from_instance(inst)
+            run = gs.run_sinkhorn(inst, 40)
             current = run.rescaled_cov[0]
             for rescaled in run.rescaled_cov[2::2]:
                 current = gs.riccati_apply(problem, current)
@@ -413,7 +434,7 @@ class TestBridge:
     def test_self_bridge_recovers_reference_kernel(self):
         rng = np.random.default_rng(12)
         inst = self_bridged_instance(rng, 3)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         kernel = bridge.kernel
         np.testing.assert_allclose(kernel.alpha, inst.kernel.alpha, atol=1e-10)
         np.testing.assert_allclose(kernel.beta, inst.kernel.beta, atol=1e-10)
@@ -421,7 +442,7 @@ class TestBridge:
 
     def test_scalar_golden_bridge(self):
         inst = scalar_instance()
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         assert bridge.kernel.tau[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
         assert bridge.kernel.beta[0, 0] == pytest.approx(GOLDEN, abs=1e-12)
 
@@ -429,14 +450,14 @@ class TestBridge:
         rng = np.random.default_rng(13)
         for d in (1, 2, 3, 8):
             inst = random_instance(rng, d)
-            bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+            bridge = gs.schrodinger_bridge_gaussian(inst)
             pushed = gs.push_forward(inst.mu, bridge.kernel)
             np.testing.assert_allclose(pushed.mean, inst.eta.mean, atol=1e-10)
             np.testing.assert_allclose(pushed.covariance, inst.eta.covariance, atol=1e-10)
 
     def test_kernel_is_built_once_and_read_only(self):
         inst = random_instance(np.random.default_rng(26), 3)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         kernel = bridge.kernel
         # tau is noise = symmetrize(sigma_bar^1/2 r sigma_bar^1/2), beta = noise chi
         # and alpha = m_bar - beta m, bit for bit
@@ -458,8 +479,8 @@ class TestBridge:
     def test_carries_the_riccati_problem_it_solved(self):
         rng = np.random.default_rng(25)
         inst = random_instance(rng, 3)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        problem = gs.RiccatiProblem.from_instance(inst)
         np.testing.assert_array_equal(bridge.problem.varpi, problem.varpi)
         np.testing.assert_array_equal(bridge.problem.gamma, problem.gamma)
         np.testing.assert_array_equal(gs.riccati_fixed_point(bridge.problem), bridge.fixed_point)
@@ -467,12 +488,12 @@ class TestBridge:
     def test_flow_converges_to_bridge(self):
         rng = np.random.default_rng(14)
         inst = random_instance(rng, 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        problem = gs.RiccatiProblem.from_instance(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        problem = gs.RiccatiProblem.from_instance(inst)
         rate = 1.0 + float(np.linalg.eigvalsh(bridge.fixed_point + problem.varpi)[0])
         # means contract once per pair at the base rate, covariances twice
         pairs = min(1500, int(math.ceil(math.log(1e12) / math.log(rate))) + 10)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 2 * pairs)
+        run = gs.run_sinkhorn(inst, 2 * pairs)
         kernel = bridge.kernel
         np.testing.assert_allclose(run.cov[-1], kernel.tau, atol=1e-10)
         np.testing.assert_allclose(run.mean[-1], kernel.alpha + kernel.beta @ inst.mu.mean,
@@ -483,15 +504,16 @@ class TestBridgeEntropy:
     def test_zero_at_bridge_parameters(self):
         rng = np.random.default_rng(15)
         inst = random_instance(rng, 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         kernel = bridge.kernel
         run = gs.GaussianRun(
             mean=(kernel.alpha + kernel.beta @ inst.mu.mean)[None],
             gain=kernel.beta[None],
             cov=kernel.tau[None],
             rescaled_cov=np.eye(2)[None],
+            instance=inst,
         )
-        assert gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel) == pytest.approx(
+        assert gs.bridge_entropy(run, 0, bridge) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -499,19 +521,19 @@ class TestBridgeEntropy:
         rng = np.random.default_rng(16)
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
-            bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+            bridge = gs.schrodinger_bridge_gaussian(inst)
             b_joint = gs.bridge_joint(inst.mu, bridge)
-            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+            run = gs.run_sinkhorn(inst, 12)
             for n in range(7):
-                formula = gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
-                oracle = gaussian_kl(gs.sinkhorn_joint(run, 2 * n, inst.mu, inst.eta), b_joint)
+                formula = gs.bridge_entropy(run, n, bridge)
+                oracle = gaussian_kl(gs.sinkhorn_joint(run, 2 * n), b_joint)
                 assert formula == pytest.approx(oracle, abs=1e-9)
 
     def test_no_factorization_after_the_first_call(self, monkeypatch):
         inst = random_instance(np.random.default_rng(28), 3)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
-        first = gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 12)
+        first = gs.bridge_entropy(run, 0, bridge)
         calls = []
         original = np.linalg.eigh
 
@@ -520,45 +542,45 @@ class TestBridgeEntropy:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        assert gs.bridge_entropy(run, 0, bridge, inst.mu, inst.kernel) == first
+        assert gs.bridge_entropy(run, 0, bridge) == first
         for n in range(1, 7):
-            gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
+            gs.bridge_entropy(run, n, bridge)
         assert calls == []
 
     def test_table_names_an_unresolvable_joint_by_n(self, monkeypatch):
         inst = random_instance(np.random.default_rng(29), 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         # A conditional covariance far below the SPD floor of its joint P_6.
-        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 6,
+        run = with_row(gs.run_sinkhorn(inst, 8), 6,
                        cov=np.diag([1e-13, 1.0]))
         # Two even rows per chunk: P_6 is the second joint of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
         validated = count_calls(monkeypatch, "assert_spd")
         with pytest.raises(DomainError, match=r"^joint P_2n at n=3 is not positive definite"):
-            gs.entropy_formula_table(run, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.entropy_formula_table(run, bridge)
         # one stacked call per chunk: the failing chunk is not walked again
         assert validated == [3, 3]
 
     def test_rows_out_of_the_run_are_rejected(self):
         inst = random_instance(np.random.default_rng(15), 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 4)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 4)
         for m, message in ((5, r"^half step 5 is past the run's last row 4$"),
                            (-1, r"^half step must be >= 0, got -1$"),
                            (1.0, r"^half step must be an int, got 1\.0$")):
             with pytest.raises(DomainError, match=message):
-                gs.sinkhorn_joint(run, m, inst.mu, inst.eta)
+                gs.sinkhorn_joint(run, m)
         for n, message in ((3, r"^half step 6 is past the run's last row 4$"),
                            (-1, r"^n must be >= 0, got -1$")):
             with pytest.raises(DomainError, match=message):
-                gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel)
+                gs.bridge_entropy(run, n, bridge)
 
     def test_monotone_decay(self):
         rng = np.random.default_rng(17)
         inst = random_instance(rng, 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
-        values = [gs.bridge_entropy(run, n, bridge, inst.mu, inst.kernel) for n in range(11)]
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 20)
+        values = [gs.bridge_entropy(run, n, bridge) for n in range(11)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
@@ -567,18 +589,18 @@ class TestRateReport:
     def test_self_bridge_zero_errors(self):
         rng = np.random.default_rng(18)
         inst = self_bridged_instance(rng, 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 24)
-        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 24)
+        report = gs.rate_report(run, bridge)
         for row in report.rows:
             assert row.cov_error <= 1e-10
             assert row.mean_error <= 1e-10
 
     def test_scalar_slope_against_theory(self):
         inst = scalar_instance(m=0.3, sigma=1.5, m_bar=-0.4, sigma_bar=0.7, beta=1.2, tau=0.9)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 80)
-        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 80)
+        report = gs.rate_report(run, bridge)
         assert report.fit is not None
         assert check_passes("riccati-rate", inst, run, bridge)
         assert max(row.directed_residual for row in report.rows) <= 1e-10
@@ -587,16 +609,16 @@ class TestRateReport:
     def test_structure_identities_multidim(self):
         rng = np.random.default_rng(19)
         inst = random_instance(rng, 3)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
-        report = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 30)
+        report = gs.rate_report(run, bridge)
         assert max(row.directed_residual for row in report.rows) <= 1e-8
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-8
 
     def test_one_walk_over_the_chunks(self, monkeypatch):
         inst = random_instance(np.random.default_rng(30), 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 40)
         # Three even rows per chunk: seven chunks of even rows.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 3 * 4 ** 2)
         walks = []
@@ -607,7 +629,7 @@ class TestRateReport:
             return chunks(d, *stacks, **kwargs)
 
         monkeypatch.setattr(gs, "_chunks", walk)
-        rows = gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel).rows
+        rows = gs.rate_report(run, bridge).rows
         assert len(walks) == 1
         assert all(a is b for a, b in zip(walks[0], (run.mean, run.gain, run.cov,
                                                      run.rescaled_cov), strict=True))
@@ -616,25 +638,25 @@ class TestRateReport:
     def test_requires_enough_iterations(self):
         rng = np.random.default_rng(20)
         inst = random_instance(rng, 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 6)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        run = gs.run_sinkhorn(inst, 6)
         with pytest.raises(DomainError):
-            gs.rate_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.rate_report(run, bridge)
 
 
 class TestEnvelopes:
     def test_self_bridge_trivial(self):
         rng = np.random.default_rng(21)
         inst = self_bridged_instance(rng, 2)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 10)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst, 10)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         assert check_passes("envelope", inst, run, bridge)
 
     def test_scalar_contractive_instance(self):
         inst = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9, beta=1.0, tau=2.0)
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 40)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-        report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+        run = gs.run_sinkhorn(inst, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        report = gs.envelope_report(run, bridge)
         assert report.kappa == pytest.approx(0.5)
         assert report.gate_contractive
         assert check_passes("envelope", inst, run, bridge)
@@ -654,10 +676,8 @@ class TestEnvelopes:
         rng = np.random.default_rng(27)
         for inst in (contractive, random_instance(rng, 3)):
             calls.clear()
-            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 20)
-            gs.envelope_report(
-                run, gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel),
-                inst.mu, inst.eta, inst.kernel)
+            run = gs.run_sinkhorn(inst, 20)
+            gs.envelope_report(run, gs.schrodinger_bridge_gaussian(inst))
             assert len(calls) == len(run)
             # each marginal (its mean is the row's) is measured against the
             # target its half step matches, once, in row order per parity
@@ -671,34 +691,34 @@ class TestEnvelopes:
 
     def test_names_an_unresolvable_marginal_by_step(self, monkeypatch):
         inst = random_instance(np.random.default_rng(29), 2)
-        bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
         # With zero gain the marginal pi_6 is the conditional covariance,
         # far below the SPD floor.
-        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 6,
+        run = with_row(gs.run_sinkhorn(inst, 8), 6,
                        cov=np.diag([1e-13, 1.0]), gain=np.zeros((2, 2)))
         # Two even rows per chunk: pi_6 is the second marginal of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
         validated = count_calls(monkeypatch, "spd_eigh")
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
-            gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.envelope_report(run, bridge)
         # the bridge joint, then one stacked call per chunk of marginals
         assert validated == [2, 3, 3]
         # An odd row: pi_5 is the first marginal of the second odd chunk,
         # walked after the three even chunks.
-        run = with_row(gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 8), 5,
+        run = with_row(gs.run_sinkhorn(inst, 8), 5,
                        cov=np.diag([1e-13, 1.0]), gain=np.zeros((2, 2)))
         validated.clear()
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=5 is not positive definite"):
-            gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+            gs.envelope_report(run, bridge)
         assert validated == [2, 3, 3, 3, 3, 3]
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
-            run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 30)
-            bridge = gs.schrodinger_bridge_gaussian(inst.mu, inst.eta, inst.kernel)
-            report = gs.envelope_report(run, bridge, inst.mu, inst.eta, inst.kernel)
+            run = gs.run_sinkhorn(inst, 30)
+            bridge = gs.schrodinger_bridge_gaussian(inst)
+            report = gs.envelope_report(run, bridge)
             for row in report.entropy_rows:
                 assert row.value <= row.bound + 1e-10
             # the refined entropy bounds and the W2 steps too
@@ -810,21 +830,21 @@ def ref_rate_rows(run, bridge, mu, eta, kernel):
 
 def assert_chunks_equal_loops(inst, half_steps):
     mu, eta, kernel = inst.mu, inst.eta, inst.kernel
-    run = gs.run_sinkhorn(mu, eta, kernel, half_steps)
-    bridge = gs.schrodinger_bridge_gaussian(mu, eta, kernel)
+    run = gs.run_sinkhorn(inst, half_steps)
+    bridge = gs.schrodinger_bridge_gaussian(inst)
     b_joint = gs.bridge_joint(mu, bridge)
-    report = gs.envelope_report(run, bridge, mu, eta, kernel)
+    report = gs.envelope_report(run, bridge)
     rows = range(len(run))
     assert [r.value for r in report.entropy_rows] == [
         ref_kl(b_joint, ref_joint(run, m, mu, eta)) for m in rows]
     dist = [ref_w2(ref_marginal(run, m, mu, eta), mu if m % 2 else eta) for m in rows]
     assert [r.value for r in report.w2_rows] == dist[1:]
     even = rows[::2]
-    assert gs.entropy_formula_table(run, bridge, mu, eta, kernel) == [
+    assert gs.entropy_formula_table(run, bridge) == [
         (m // 2, ref_bridge_entropy(run, m, bridge, mu, kernel),
          ref_kl(ref_joint(run, m, mu, eta), b_joint)) for m in even]
     for m in rows[:3]:
-        joint, ref = gs.sinkhorn_joint(run, m, mu, eta), ref_joint(run, m, mu, eta)
+        joint, ref = gs.sinkhorn_joint(run, m), ref_joint(run, m, mu, eta)
         assert joint.mean.tobytes() == ref.mean.tobytes()
         assert joint.covariance.tobytes() == ref.covariance.tobytes()
         # the joint's image block is the marginal pi_n: y at even n, x at odd n
@@ -832,7 +852,7 @@ def assert_chunks_equal_loops(inst, half_steps):
         pi = ref_marginal(run, m, mu, eta)
         assert joint.covariance[image, image].tobytes() == pi.covariance.tobytes()
     if len(even) > gs.MIN_RATE_PAIRS:
-        rows = gs.rate_report(run, bridge, mu, eta, kernel).rows
+        rows = gs.rate_report(run, bridge).rows
         assert list(rows) == ref_rate_rows(run, bridge, mu, eta, kernel)
 
 
@@ -882,7 +902,7 @@ class TestCovarianceEnvelope:
             inst.eta.covariance, inst.eta.covariance,
             inst.kernel, 12,
         )
-        run = gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 12)
+        run = gs.run_sinkhorn(inst, 12)
         for n, cov in enumerate(run.cov):
             np.testing.assert_allclose(envelope.upper[n], cov, atol=1e-10)
             np.testing.assert_allclose(envelope.lower[n], cov, atol=1e-10)
@@ -936,7 +956,7 @@ class TestCovarianceEnvelope:
             inst.eta.covariance, inst.eta.covariance, inst.kernel, 4)
         assert steps == [1, 1, 2, 2, 3, 3, 4, 4]
         steps.clear()
-        gs.run_sinkhorn(inst.mu, inst.eta, inst.kernel, 4)
+        gs.run_sinkhorn(inst, 4)
         assert steps == [1, 2, 3, 4]
 
     def test_ordering_validated(self):
@@ -948,6 +968,41 @@ class TestCovarianceEnvelope:
                 inst.eta.covariance, inst.eta.covariance,
                 inst.kernel, 4,
             )
+
+    def test_sigma_bar_ordering_validated(self):
+        inst = random_instance(np.random.default_rng(26), 2)
+        with pytest.raises(DomainError, match="^need sigma_bar_minus <= sigma_bar"):
+            gs.strongly_convex_covariance_envelope(
+                inst.mu.covariance, inst.mu.covariance,
+                inst.eta.covariance, inst.eta.covariance * 2.0,
+                inst.kernel, 4,
+            )
+
+
+class TestInstance:
+    def test_dimensions_must_agree(self):
+        inst = random_instance(np.random.default_rng(3), 3)
+        eta = random_instance(np.random.default_rng(4), 2).eta
+        message = r"^instance dimensions differ: mu 3, eta 2, kernel 3$"
+        with pytest.raises(DomainError, match=message):
+            gs.GaussianInstance(inst.mu, eta, inst.kernel)
+
+    def test_readers_take_the_instance_from_the_run(self):
+        # Given the measures of another d=3 instance, envelope_report once
+        # read H(bridge | P_3) = 31.75 instead of 3.00; now it takes none.
+        inst = random_instance(np.random.default_rng(3), 3)
+        run = gs.run_sinkhorn(inst, 4)
+        assert run.instance is inst
+        for reader, params in ((gs.sinkhorn_joint, ["run", "m"]),
+                               (gs.bridge_entropy, ["run", "n", "bridge"]),
+                               (gs.entropy_formula_table, ["run", "bridge"]),
+                               (gs.rate_report, ["run", "bridge"]),
+                               (gs.envelope_report, ["run", "bridge"])):
+            assert list(inspect.signature(reader).parameters) == params, reader
+        for builder in (gs.run_sinkhorn, gs.schrodinger_bridge_gaussian,
+                        gs.RiccatiProblem.from_instance, gs.sinkhorn_step):
+            assert "instance" in inspect.signature(builder).parameters, builder
+            assert "mu" not in inspect.signature(builder).parameters, builder
 
 
 class TestInstanceJson:

@@ -360,9 +360,9 @@ class TestRunExperiment:
         calls = []
         original = gaussian.schrodinger_bridge_gaussian
 
-        def counting(mu, eta, kernel):
-            calls.append(kernel)
-            return original(mu, eta, kernel)
+        def counting(instance):
+            calls.append(instance)
+            return original(instance)
 
         monkeypatch.setattr(gaussian, "schrodinger_bridge_gaussian", counting)
         config = harness.ExperimentConfig.from_json({
