@@ -9,8 +9,9 @@ Stacked run.  :func:`run_sinkhorn` returns one :class:`GaussianRun`, whose
 fields are whole-run stacks written in place, row m for half step m, and
 ``run.instance``, which every reader takes mu, eta and the kernel from.  The
 run is sequential, one :func:`sinkhorn_step` per half step: each needs the
-one before.  The diagnostics (:func:`envelope_report`, :func:`rate_report`
-and :func:`entropy_formula_table`) read it in chunks, slices of a parity
+one before.  The diagnostics (:func:`envelope_report`, :func:`rate_report`,
+:func:`entropy_formula_table` and :func:`riccati_equivalence_errors`) read
+it in chunks, slices of a parity
 view such as ``run.cov[0::2]`` of at most ``matcore.CHUNK_ELEMENTS // (2d)^2``
 rows (8 at d = 16, a whole 100-iteration run at d = 2), which bound their
 2d x 2d joint temporaries and the d x d stacks of :func:`rate_report`, which
@@ -25,6 +26,15 @@ equals the per-row arithmetic bit for bit (the rules are in
 Each object has one representation: a bridge is its kernel, a
 :class:`RiccatiProblem` is its mixing matrix gamma, and every half step of the
 flow and of the strongly convex envelopes is one ``_conditional_cov`` update.
+A bridge records the instance it was solved for, and a reader given a run
+and a bridge of different instances raises a ``DomainError``.
+
+The rescaled Riccati map v -> (I + (varpi + v)^{-1})^{-1} is linear-fractional,
+so its n-th iterate has a closed form: :func:`riccati_iterates` evaluates it
+in varpi's eigenbasis, one batched ``solve`` for a stack of n, and the
+riccati-equivalence check reads the run against it.  :func:`riccati_apply`,
+one step of one ``eigh``, stays the second route, which the fixed-point
+residuals and the envelope recursion use.
 
 Each SPD matrix on these paths is validated from one ``eigh``
 (``matcore.spd_eigh``), and every inverse, root and spectrum of it is read
@@ -340,17 +350,67 @@ class RiccatiProblem:
     def from_instance(cls, instance: GaussianInstance) -> "RiccatiProblem":
         return cls(instance.eta.root @ instance.kernel.chi @ instance.mu.root)
 
+    @functools.cached_property
+    def spread(self) -> np.ndarray:
+        """sqrt(w (w + 4)) at each eigenvalue w of varpi (computed once)."""
+        return _frozen(np.sqrt(self.w * (self.w + 4.0)))
+
+    @functools.cached_property
+    def growth(self) -> np.ndarray:
+        """lambda_+ - 1 = (w + sqrt(w (w + 4))) / 2 at each eigenvalue w of varpi.
+
+        lambda_+ = w + r_w + 1, with r_w the fixed point's eigenvalue, is the
+        larger root of lambda^2 - (2 + w) lambda + 1, and ``spread`` is
+        lambda_+ - 1 / lambda_+.  Along each eigenvector the flow's distance to
+        the fixed point contracts by 1 / lambda_+ per step.
+        """
+        return _frozen((self.w + self.spread) / 2.0)
+
+
+def _psd(v, caller: str) -> np.ndarray:
+    """``v`` symmetrized, or a :class:`DomainError` naming ``caller`` unless it is PSD."""
+    v = matcore.symmetrize(v, "v")
+    if float(np.linalg.eigvalsh(v)[0]) < matcore.SQRT_CLAMP:
+        raise DomainError(f"{caller} needs a positive semi-definite argument")
+    return v
+
 
 def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
     """One application of v -> (I + (varpi + v)^{-1})^{-1}.
 
     With varpi + v = Q W Q' (one ``eigh``), the map is Q W (W + I)^{-1} Q'.
     """
-    v = matcore.symmetrize(v, "v")
-    if float(np.linalg.eigvalsh(v)[0]) < matcore.SQRT_CLAMP:
-        raise DomainError("riccati_apply needs a positive semi-definite argument")
-    _, w, q = matcore.spd_eigh(problem.varpi + v)
+    _, w, q = matcore.spd_eigh(problem.varpi + _psd(v, "riccati_apply"))
     return matcore.eigh_inverse(1.0 + 1.0 / w, q)
+
+
+def riccati_iterates(problem: RiccatiProblem, v0, n) -> np.ndarray:
+    """The :func:`riccati_apply` iterates v_n of v0, one for each entry of ``n``, in closed form.
+
+    The map is linear-fractional.  In varpi's eigenbasis q the fixed point r
+    and Lambda = varpi + r + I are diagonal, and the error e_n = q'(v_n - r)q
+    follows e_{n+1}^{-1} = Lambda e_n^{-1} Lambda + Lambda.  So with
+    phi = 1 / lambda_+ and h_n = (1 - phi^(2n)) / sqrt(w (w + 4)),
+    e_n = diag(phi^n) (I + e_0 diag(h_n))^{-1} e_0 diag(phi^n): one batched
+    ``solve`` for all of ``n``, which holds for a singular e_0 too.
+    1 - phi^(2n) is taken as -expm1(-2n log1p(lambda_+ - 1)), so a small w
+    does not cancel.  r enters by its eigenvalues, as in
+    :func:`riccati_fixed_point`.  ``n`` is a non-negative integer array, and
+    the result has its shape followed by (d, d).  v0 is PSD-checked once.
+    """
+    v0 = _psd(v0, "riccati_iterates")
+    n = np.asarray(n)
+    if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
+        raise DomainError(f"riccati_iterates needs non-negative integer steps, got {n!r}")
+    w, q = problem.w, problem.q
+    r = w / problem.growth
+    e0 = q.T @ v0 @ q - np.diag(r)
+    log_phi_n = -n[..., None] * np.log1p(problem.growth)  # one column per eigenvector
+    h = -np.expm1(2.0 * log_phi_n) / problem.spread
+    error = np.linalg.solve(np.eye(len(w)) + e0 * h[..., None, :],
+                            np.broadcast_to(e0, h.shape + (len(w),)))
+    phi_n = np.exp(log_phi_n)
+    return q @ ((phi_n[..., :, None] * error * phi_n[..., None, :]) + np.diag(r)) @ q.T
 
 
 def fixed_point_residuals(problem: RiccatiProblem, r) -> dict[str, float]:
@@ -371,11 +431,12 @@ def fixed_point_residuals(problem: RiccatiProblem, r) -> dict[str, float]:
 def riccati_fixed_point(problem: RiccatiProblem) -> np.ndarray:
     """Unique positive definite fixed point -varpi/2 + (varpi + (varpi/2)^2)^{1/2}.
 
-    Evaluated on varpi's eigenvalues in the conjugate form 2 w / (w + sqrt(w (w + 4)))
-    to avoid the cancellation the subtraction suffers for large varpi.
+    Evaluated on varpi's eigenvalues in the conjugate form
+    w / growth = 2 w / (w + sqrt(w (w + 4))) to avoid the cancellation the
+    subtraction suffers for large varpi.
     """
     w, q = problem.w, problem.q
-    r = matcore.symmetrize((q * (2.0 * w / (w + np.sqrt(w * (w + 4.0))))) @ q.T)
+    r = matcore.symmetrize((q * (w / problem.growth)) @ q.T)
     scale = max(1.0, float(np.max(np.abs(problem.varpi))))
     worst = max(fixed_point_residuals(problem, r).values())
     if worst > 1e-12 * scale:
@@ -392,15 +453,25 @@ def riccati_fixed_point(problem: RiccatiProblem) -> np.ndarray:
 class GaussianBridge:
     """The limiting bridge kernel y = alpha + beta x + noise(tau).
 
-    ``problem`` is the Riccati problem whose fixed point the bridge is built on.
+    ``problem`` is the Riccati problem whose fixed point the bridge is built
+    on, and ``instance`` the instance it was solved for: a reader takes a run
+    and a bridge only of the same instance.
     """
 
     kernel: LinearGaussianKernel
     fixed_point: np.ndarray
     problem: RiccatiProblem
+    instance: GaussianInstance
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fixed_point", _frozen(self.fixed_point))
+
+
+def _own_bridge(run: GaussianRun, bridge: GaussianBridge) -> GaussianBridge:
+    """``bridge``, or a :class:`DomainError` unless it was solved for the run's own instance."""
+    if bridge.instance is not run.instance:
+        raise DomainError("the bridge was solved for another instance")
+    return bridge
 
 
 def schrodinger_bridge_gaussian(instance: GaussianInstance) -> GaussianBridge:
@@ -418,7 +489,8 @@ def schrodinger_bridge_gaussian(instance: GaussianInstance) -> GaussianBridge:
     scale = max(1.0, float(np.max(np.abs(eta.covariance))))
     if float(np.max(np.abs(transport - eta.covariance))) > 1e-10 * scale:
         raise NumericalError("bridge transport identity gain sigma gain' + noise = sigma_bar failed")
-    return GaussianBridge(LinearGaussianKernel(eta.mean - gain @ mu.mean, gain, noise), r, problem)
+    return GaussianBridge(LinearGaussianKernel(eta.mean - gain @ mu.mean, gain, noise), r, problem,
+                          instance)
 
 
 def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
@@ -439,7 +511,7 @@ def _bridge_entropies(mean, cov, bridge: GaussianBridge, instance: GaussianInsta
 def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge) -> float:
     """Closed-form H(P_{2n} | bridge) from row 2n's mean and covariance."""
     m = matcore._row(2 * matcore._integer(n, "n", 0), len(run), "half step")
-    return float(_bridge_entropies(run.mean[m], run.cov[m], bridge, run.instance))
+    return float(_bridge_entropies(run.mean[m], run.cov[m], _own_bridge(run, bridge), run.instance))
 
 
 def entropy_formula_table(run: GaussianRun,
@@ -451,7 +523,7 @@ def entropy_formula_table(run: GaussianRun,
     Both are evaluated on stacked chunks of rows.
     """
     mu = run.instance.mu
-    b_joint = bridge_joint(mu, bridge)
+    b_joint = bridge_joint(mu, _own_bridge(run, bridge))
     formula = np.empty((len(run) + 1) // 2)
     oracle = np.empty_like(formula)
     for _, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov, parities=(0,)):
@@ -461,6 +533,21 @@ def entropy_formula_table(run: GaussianRun,
                                            for n in range(at.start, at.stop)])
         oracle[at] = _gaussian_kl(j_mean, j_cov, b_joint.mean, b_joint.covariance)
     return list(zip(range(len(formula)), formula.tolist(), oracle.tolist()))
+
+
+def riccati_equivalence_errors(run: GaussianRun, bridge: GaussianBridge) -> list[float]:
+    """The largest entry of |R_2n - v_n| for each even row 2n of the run.
+
+    R_m is the run's rescaled covariance at row m, and v_n the n-th
+    :func:`riccati_apply` iterate of R_0, read from :func:`riccati_iterates`,
+    one call per chunk of even rows.
+    """
+    problem = _own_bridge(run, bridge).problem
+    errors = np.empty((len(run) + 1) // 2)
+    for _, at, rescaled in _chunks(problem.w.size, run.rescaled_cov, parities=(0,)):
+        flow = riccati_iterates(problem, run.rescaled_cov[0], np.arange(at.start, at.stop))
+        errors[at] = np.max(np.abs(rescaled - flow), axis=(1, 2))
+    return errors.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +582,7 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
     if pairs <= MIN_RATE_PAIRS:
         raise DomainError(f"rate_report needs at least {MIN_RATE_PAIRS + 1} even rows")
     mu, eta, kernel = run.instance.mu, run.instance.eta, run.instance.kernel
-    b = bridge.kernel
+    b = _own_bridge(run, bridge).kernel
     eta_mean = b.alpha + b.beta @ mu.mean
     sigma0 = kernel.beta @ mu.covariance @ kernel.beta.T + kernel.tau
     d = mu.dim
@@ -534,10 +621,9 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
             np.where(highest > residual, highest, residual),
         )
     rows = tuple(GaussianRateRow(n, *values) for n, values in enumerate(table.T.tolist()))
-    # r and varpi share eigenvectors, so the least eigenvalue of r + varpi is
-    # w + (-w + sqrt(w (w + 4))) / 2 at varpi's least eigenvalue w.
-    w0 = float(problem.w[0])
-    rate_base = 1.0 + (w0 + math.sqrt(w0 * (w0 + 4.0))) / 2.0
+    # r and varpi share eigenvectors, so the least eigenvalue of r + varpi + I is
+    # lambda_+ at varpi's least eigenvalue.
+    rate_base = 1.0 + float(problem.growth[0])
     return GaussianRateReport(
         rows=rows,
         fit=fitting.fit_rate([(row.n, row.cov_error) for row in rows[1:]]),
@@ -576,6 +662,7 @@ def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
     sigma_bar^{-1}, so rho = ||sigma||_2 and rho_bar = ||sigma_bar||_2.
     """
     mu, eta = run.instance.mu, run.instance.eta
+    _own_bridge(run, bridge)
     kappa = matcore.spectral_norm(run.instance.kernel.chi)
     rho = matcore.spectral_norm(mu.covariance)
     rho_bar = matcore.spectral_norm(eta.covariance)

@@ -423,13 +423,8 @@ def _lyapunov_rule(rows):
 
 
 def _riccati_equivalence_rows(instance, run, bridge):
-    rows = []
-    current = run.rescaled_cov[0]
-    for n, rescaled in enumerate(run.rescaled_cov[::2]):
-        if n > 0:
-            current = gaussian.riccati_apply(bridge.problem, current)
-        rows.append((n, "riccati_equiv_error", float(np.max(np.abs(rescaled - current)))))
-    return rows
+    return [(n, "riccati_equiv_error", error)
+            for n, error in enumerate(gaussian.riccati_equivalence_errors(run, bridge))]
 
 
 def _golden_rows(instance, run, bridge):

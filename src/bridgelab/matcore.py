@@ -73,7 +73,9 @@ def _frozen(a) -> np.ndarray:
 
 def _integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``minimum`` names ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # A plain int skips the ABC check (bool is a subclass, so it takes the slow path).
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")

@@ -37,7 +37,7 @@ def random_instance(rng, d):
     )
 
 
-def riccati_iterates(problem, v0, count):
+def riccati_chain(problem, v0, count):
     """v0 and its first ``count`` images under ``riccati_apply``."""
     out = [matcore.symmetrize(v0)]
     for _ in range(count):
@@ -403,9 +403,9 @@ class TestRiccati:
         assert matcore.loewner_leq(
             gs.riccati_apply(problem, v1), gs.riccati_apply(problem, v2), tol=1e-12
         )
-        zero_chain = riccati_iterates(problem, np.zeros((3, 3)), 6)
-        eye_chain = riccati_iterates(problem, np.eye(3), 6)
-        v_chain = riccati_iterates(problem, v1, 6)
+        zero_chain = riccati_chain(problem, np.zeros((3, 3)), 6)
+        eye_chain = riccati_chain(problem, np.eye(3), 6)
+        v_chain = riccati_chain(problem, v1, 6)
         for n in range(1, 6):
             assert matcore.loewner_leq(zero_chain[n], zero_chain[n + 1], tol=1e-12)
             assert matcore.loewner_leq(zero_chain[n], v_chain[n], tol=1e-12)
@@ -428,6 +428,102 @@ class TestRiccati:
             for rescaled in run.rescaled_cov[3::2]:
                 current = gs.riccati_apply(flipped, current)
                 np.testing.assert_allclose(rescaled, current, atol=1e-10)
+
+
+def random_problem(rng, d, top, spread):
+    """A problem whose varpi has eigenvalues log-uniform in [10^(top - spread), 10^top]."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return gs.RiccatiProblem(q / np.sqrt(10.0 ** rng.uniform(top - spread, top, size=d)))
+
+
+class TestRiccatiIterates:
+    def test_scalar_golden_values(self):
+        # varpi = 1 from v = 0: 1/2, 3/5 = (1/2 + 1)/(1/2 + 2), ..., towards (sqrt 5 - 1)/2.
+        problem = gs.RiccatiProblem(np.array([[1.0]]))
+        values = gs.riccati_iterates(problem, np.zeros((1, 1)), np.array([1, 2, 40]))[:, 0, 0]
+        np.testing.assert_allclose(values, [0.5, 0.6, GOLDEN], rtol=0, atol=1e-15)
+
+    def test_shape_follows_the_steps(self):
+        problem = random_problem(np.random.default_rng(1), 3, 0.0, 1.0)
+        v0 = np.eye(3)
+        assert gs.riccati_iterates(problem, v0, 2).shape == (3, 3)
+        assert gs.riccati_iterates(problem, v0, np.arange(5)).shape == (5, 3, 3)
+        assert gs.riccati_iterates(problem, v0, np.ones((2, 4), dtype=int)).shape == (2, 4, 3, 3)
+        np.testing.assert_allclose(gs.riccati_iterates(problem, v0, 0), v0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           top=st.floats(-2.0, 8.0), spread=st.floats(0.0, 3.0), rank=st.integers(0, 6),
+           steps=st.integers(0, 60))
+    def test_equals_a_chain_of_applies(self, d, seed, top, spread, rank, steps):
+        # v0 is PSD of rank min(rank, d): zero at rank 0, singular whenever rank < d.
+        # The worst of 3000 random cases (60 steps, v0 of norm up to 10) was
+        # 1.9e-14 per unit of max(1, ||v0||_2).
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, d, top, spread)
+        factor = rng.normal(size=(d, min(rank, d)))
+        v0 = factor @ factor.T
+        chain = np.array(riccati_chain(problem, v0, steps))
+        closed = gs.riccati_iterates(problem, v0, np.arange(steps + 1))
+        error = float(np.max(np.abs(closed - chain)))
+        assert error <= RICCATI_RTOL * max(1.0, matcore.spectral_norm(v0))
+
+    def test_engine_agreement_at_d16_over_1000_iterations(self):
+        # 2001 half steps of gaussian-random-spd d=16 seed 3.  Measured: the
+        # closed form is 6.8e-15 from the run and 1.1e-14 from the chain of
+        # 1000 applies; 1e-13 leaves a margin and is 1000x inside the check's 1e-10.
+        inst = harness.generate_instance("gaussian", 16, 3, "gaussian-random-spd")
+        run = gs.run_sinkhorn(inst, 2000)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        errors = gs.riccati_equivalence_errors(run, bridge)
+        assert len(errors) == 1001
+        assert max(errors) <= 1e-13
+        chain = np.array(riccati_chain(bridge.problem, run.rescaled_cov[0], 1000))
+        closed = gs.riccati_iterates(bridge.problem, run.rescaled_cov[0], np.arange(1001))
+        assert float(np.max(np.abs(closed - chain))) <= 1e-13
+
+    def test_one_eigvalsh_and_one_solve_per_chunk(self, linalg_calls, monkeypatch):
+        # 25 even rows at d = 16 are 4 chunks of at most 8.
+        inst = random_instance(np.random.default_rng(2), 16)
+        run = gs.run_sinkhorn(inst, 48)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        solved = []
+        original = np.linalg.solve
+
+        def counted(a, b):
+            solved.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        linalg_calls.clear()
+        errors = gs.riccati_equivalence_errors(run, bridge)
+        assert len(errors) == 25
+        assert linalg_calls == ["eigvalsh"] * 4
+        assert solved == [(8, 16, 16)] * 3 + [(1, 16, 16)]
+
+    def test_rejects_a_v0_that_is_not_psd(self):
+        # varpi = 100 I: the map is defined at v0, but v0 is not PSD.
+        problem = gs.RiccatiProblem(0.1 * np.eye(2))
+        with pytest.raises(DomainError,
+                           match="^riccati_iterates needs a positive semi-definite argument$"):
+            gs.riccati_iterates(problem, np.diag([1.0, -0.5]), np.arange(3))
+
+    @pytest.mark.parametrize("steps", [np.array([0, -1]), np.array([1.0, 2.0]),
+                                       np.array([True]), -2, 2.5])
+    def test_rejects_steps_that_are_not_non_negative_integers(self, steps):
+        problem = gs.RiccatiProblem(np.eye(2))
+        with pytest.raises(DomainError, match="^riccati_iterates needs non-negative integer steps"):
+            gs.riccati_iterates(problem, np.eye(2), steps)
+
+    def test_rate_base_is_the_flow_growth(self):
+        # rate_report's theoretical slope is -2 log lambda_+ at varpi's least eigenvalue.
+        inst = random_instance(np.random.default_rng(5), 3)
+        run = gs.run_sinkhorn(inst, 2 * gs.MIN_RATE_PAIRS)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        w0 = float(bridge.problem.w[0])
+        slope = -2.0 * math.log(1.0 + (w0 + math.sqrt(w0 * (w0 + 4.0))) / 2.0)
+        assert gs.rate_report(run, bridge).theoretical_slope == slope
+        assert slope == -2.0 * math.log(1.0 + float(bridge.problem.growth[0]))
 
 
 class TestBridge:
@@ -843,6 +939,10 @@ def assert_chunks_equal_loops(inst, half_steps):
     assert gs.entropy_formula_table(run, bridge) == [
         (m // 2, ref_bridge_entropy(run, m, bridge, mu, kernel),
          ref_kl(ref_joint(run, m, mu, eta), b_joint)) for m in even]
+    # one closed-form iterate per even row, bit for bit
+    assert gs.riccati_equivalence_errors(run, bridge) == [
+        float(np.max(np.abs(run.rescaled_cov[m] - gs.riccati_iterates(
+            bridge.problem, run.rescaled_cov[0], m // 2)))) for m in even]
     for m in rows[:3]:
         joint, ref = gs.sinkhorn_joint(run, m), ref_joint(run, m, mu, eta)
         assert joint.mean.tobytes() == ref.mean.tobytes()
@@ -997,12 +1097,36 @@ class TestInstance:
                                (gs.bridge_entropy, ["run", "n", "bridge"]),
                                (gs.entropy_formula_table, ["run", "bridge"]),
                                (gs.rate_report, ["run", "bridge"]),
-                               (gs.envelope_report, ["run", "bridge"])):
+                               (gs.envelope_report, ["run", "bridge"]),
+                               (gs.riccati_equivalence_errors, ["run", "bridge"])):
             assert list(inspect.signature(reader).parameters) == params, reader
         for builder in (gs.run_sinkhorn, gs.schrodinger_bridge_gaussian,
                         gs.RiccatiProblem.from_instance, gs.sinkhorn_step):
             assert "instance" in inspect.signature(builder).parameters, builder
             assert "mu" not in inspect.signature(builder).parameters, builder
+
+    def test_readers_reject_a_bridge_of_another_instance(self):
+        # With the run of d=3 seed 0 and seed 1's bridge, envelope_report once
+        # read H(bridge | P_3) = 17.83 instead of 3.00, and rate_report's last
+        # cov_error 0.839 instead of 1.1e-7.
+        insts = [harness.generate_instance("gaussian", 3, seed, "gaussian-random-spd")
+                 for seed in (0, 1)]
+        run = gs.run_sinkhorn(insts[0], 40)
+        own, other = map(gs.schrodinger_bridge_gaussian, insts)
+        assert own.instance is insts[0] and other.instance is insts[1]
+        assert gs.envelope_report(run, own).entropy_rows[3].value == pytest.approx(3.00, abs=0.01)
+        assert gs.rate_report(run, own).rows[-1].cov_error < 1.2e-7
+        # An equal instance built again is another instance too, as a discrete model is.
+        again = gs.schrodinger_bridge_gaussian(dataclasses.replace(insts[0]))
+        message = "^the bridge was solved for another instance$"
+        for bridge in (other, again):
+            for read in (lambda b: gs.bridge_entropy(run, 2, b),
+                         lambda b: gs.entropy_formula_table(run, b),
+                         lambda b: gs.rate_report(run, b),
+                         lambda b: gs.envelope_report(run, b),
+                         lambda b: gs.riccati_equivalence_errors(run, b)):
+                with pytest.raises(DomainError, match=message):
+                    read(bridge)
 
 
 class TestInstanceJson:

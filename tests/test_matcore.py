@@ -117,6 +117,28 @@ def test_symmetrize_returns_symmetric_part():
         matcore.symmetrize(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("value", [0, 7, np.int64(7), np.int32(7), np.uint8(7)])
+def test_integer_takes_plain_and_numpy_ints(value):
+    # A plain int takes the fast path; numpy integers the numbers.Integral check.
+    assert matcore._integer(value, "n", 0) == int(value)
+    assert type(matcore._integer(value, "n", 0)) is int
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, r"^n must be an int, got True$"),
+    (False, r"^n must be an int, got False$"),
+    (np.bool_(True), r"^n must be an int, got (np\.)?True_?$"),
+    (2.5, r"^n must be an int, got 2\.5$"),
+    (np.float64(2.0), r"^n must be an int, got (np\.float64\()?2\.0\)?$"),
+    ("4", r"^n must be an int, got '4'$"),
+    (-1, r"^n must be >= 0, got -1$"),
+    (np.int64(-1), r"^n must be >= 0, got -1$"),
+])
+def test_integer_rejects_bools_non_integers_and_small_values(value, message):
+    with pytest.raises(DomainError, match=message):
+        matcore._integer(value, "n", 0)
+
+
 def test_assert_spd_rejects_indefinite():
     np.testing.assert_array_equal(matcore.assert_spd(np.eye(2)), np.eye(2))
     with pytest.raises(DomainError, match="^m is not positive definite"):

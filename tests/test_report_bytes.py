@@ -39,6 +39,18 @@ every check, so 201 half steps read at 8 rows per chunk, 13 chunks of even
 rows and 26 chunks in all.  gaussian-d16 runs 12 iterations, which fit in
 two chunks per parity, so a slip at a chunk boundary past the second, or in
 the odd gains the rate report slices across chunks, shows only here.
+
+The five Gaussian digests (gaussian-d1, -d2, -d8, -d16 and -d16-100) were
+re-pinned once when the riccati-equivalence check came to compare each even
+row with the closed-form iterate of ``gaussian.riccati_iterates`` (one
+batched ``solve`` per chunk of even rows), not with a chain of
+``riccati_apply`` calls.  Only the ``riccati_equiv_error`` rows of
+``report.csv`` and that check's ``worst_residual`` in ``verdicts.json``
+move, in the last ulps; row n = 0 now holds the closed form's rounding at
+n = 0, where the chain started from the row itself and read 0.  Every other
+row keeps its bytes, the four discrete digests hold, and no verdict flipped
+on the 198-config sweep grid of ROADMAP Measured or on gaussian d = 16,
+seed 3, 1000 iterations.
 """
 
 import hashlib
@@ -66,22 +78,22 @@ CASES = {
     "gaussian-d2": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 2},
          "seed": 0, "iterations": 12},
-        "92ce447ce1d704f6b76d40dc37b4064a846e47cfd17d3644fd8acb082b31c8fb",
-        "23f7406ff0b92f280dca1a6bfe0483008a46ff1f6c974198a746c9bf3cac3c3d",
+        "3d4512b6497e74a091da41cb66730e5158c2a0492eef08e3568a1a6e1de87b49",
+        "a71b5e21adf0c1369c8805eab13ce74513e7057cb52d91de22d79a15f2a2db78",
     ),
     "gaussian-d8": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 8},
          "seed": 1, "iterations": 12},
-        "34c36749d3dc3e26f8a39254b206bb060242e8dd31365f36a0024c5b0f6da9c4",
-        "211ce583de5f9128e9e45e83ca42f18fb49e3a93bf3d8d3f3f94b83fba8580bd",
+        "c5a948c26d23ecae5ed2c7d9c6c54950d85cd293f5e8b8b5393f7570494a6eff",
+        "208ea06732cb556b60363e8f5afb07ea9bba02fbed9a7d978a682a6b3a4b2362",
     ),
     # gate-contractive: the only case whose envelope check writes the 12
     # chained W2 rows.
     "gaussian-d1": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 1},
          "seed": 1, "iterations": 12},
-        "1b4a7f98c0ad2262131a1bec9de2bc00711431400dc8d5d27bc2c69f12014ed1",
-        "58acc52c403740bf89dff1777854b6c20cd89301a53022c310cdcfad7437607d",
+        "34b4e34917b41eed5c9db68beb9644e692e6d0243ec201bee6485e1d3ade7865",
+        "baf7a9f6eb797c737b06eff63be3f7a8d83d67e4ab5f81f6090276401c84e43d",
     ),
     "discrete-grid-64x64": (
         {"regime": "discrete",
@@ -102,14 +114,14 @@ CASES = {
     "gaussian-d16": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
          "seed": 0, "iterations": 12},
-        "d47723eb9e6625bf6215262999179445cf6d251b589469906cd01648774c12c5",
-        "e1f1bf2b8ea90982479650fa6cc7808bdee77e409e85addc9a7eabe391e4f986",
+        "dfcfaf0ab8eab84f43ccf6f8a884925deab9fa62b3ee6c0294ee8890efdd4748",
+        "a6148777c859d200315e689d822f75f266ac85841ff0983a0db7f0e370efa5b6",
     ),
     "gaussian-d16-100": (
         {"regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
          "seed": 0, "iterations": 100},
-        "f873e5f8ecf3d84edcb4453dec34e1ecd1c97977edc86021fed71479d611cfa1",
-        "407e1e20b67e76729e4fc01c2adfd6c5422ea0b545012f1e8cf38a0886cdfc60",
+        "5a4671f72209f70bb3a097ee86fb9e1413220c6d8973e713c68b7360d18f8ef9",
+        "b5aaceb43fffa588d6cb44ed47e1fb7fa8a57e85ed1f03dc76cebc3267398697",
     ),
 }
 

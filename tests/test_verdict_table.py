@@ -24,6 +24,8 @@ NO_CERTIFICATE = "item 6: with zero kernel entries the best rho is not below 1"
 # Rounding floors set by constants (ROADMAP item 13).
 RATE_NOISE = "item 13: h_tv is rounding noise above KL_FLOOR, and one ratio exceeds rate_bound"
 W2_FLOOR = "item 13: a saturated W2 row exceeds the absolute squared-scale escape"
+SLOPE_FLOOR = ("item 13: cov_error saturates just above fitting.SATURATION_FLOOR, so the fit "
+               "takes the rounding noise and its slope misses the theory")
 
 # (regime, instance, seed, iterations, {failing check: reason}).
 TABLE = [
@@ -48,6 +50,9 @@ TABLE = [
     ("gaussian", {"profile": "gaussian-random-spd", "size": 2}, 1, 30, {}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 0, 100, {"envelope": W2_FLOOR}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 7919, 12, {}),
+    # 2001 half steps: riccati-equivalence passes on all 1001 even rows.
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 3, 1000, {
+        "riccati-rate": SLOPE_FLOOR, "envelope": W2_FLOOR}),
 ]
 
 
