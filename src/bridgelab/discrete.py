@@ -283,6 +283,9 @@ def dual_kernel(kernel, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if kernel.ndim != 2 or kernel.shape[0] != mu.size:
         raise DomainError("kernel rows must match the support of mu")
+    # min and max propagate a NaN, and a NaN compares False.
+    if mu.size and not (mu.min() >= 0.0 and mu.max() < np.inf):
+        raise DomainError("mu weights must be finite and nonnegative")
     pushed = mu @ kernel
     if np.any(pushed <= 0):
         raise DomainError("mu K vanishes somewhere: dual kernel undefined (absolute continuity fails)")

@@ -163,13 +163,13 @@ def relative_entropy(p, q) -> float:
     Unnormalized companion of ``phi_entropy(KL, ...)`` that also accepts joint
     matrices (flattened).  Uses 0 log 0 = 0 and returns ``+inf`` when ``p``
     charges a point that ``q`` does not.  A NaN, infinite or negative entry of
-    ``p`` is a :class:`DomainError`.
+    ``p`` or ``q`` is a :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise DomainError("support mismatch in relative_entropy")
-    _check_kl_weights(p, "relative_entropy")
+    _check_kl_weights("relative_entropy", p, q)
     return float(np.sum(_phi_kl(p, q)))
 
 
@@ -185,19 +185,21 @@ def relative_entropy_rows(p, q) -> np.ndarray:
         raise DomainError(f"relative_entropy_rows needs an (N, m) stack, got {p.shape} and {q.shape}")
     if p.shape[-1] != q.shape[-1] or (p.ndim == q.ndim == 2 and p.shape[0] != q.shape[0]):
         raise DomainError(f"support mismatch in relative_entropy_rows: {p.shape} vs {q.shape}")
-    _check_kl_weights(p, "relative_entropy_rows")
+    _check_kl_weights("relative_entropy_rows", p, q)
     return np.sum(_phi_kl(p, q), axis=-1)
 
 
-def _check_kl_weights(p: np.ndarray, name: str) -> None:
-    """Raise a :class:`DomainError` from ``name`` if ``p`` has a NaN, infinite or negative entry.
+def _check_kl_weights(name: str, p: np.ndarray, q: np.ndarray) -> None:
+    """Raise a :class:`DomainError` from ``name`` unless ``p`` and ``q`` are finite and nonnegative.
 
-    ``_phi_kl`` maps a NaN or negative entry to a 0 term, which would drop it
-    from the sum without a word.
+    ``_phi_kl`` maps a NaN or negative entry of p to a 0 term, which would
+    drop it from the sum without a word, and a bad entry of q gives a NaN or
+    -inf.  A 0 entry of q stays valid: where p charges it, the KL is +inf.
     """
-    # min and max propagate a NaN, and a NaN compares False.
-    if p.size and not (p.min() >= 0.0 and p.max() < np.inf):
-        raise DomainError(f"{name}: entries of p must be finite and nonnegative")
+    for label, w in (("p", p), ("q", q)):
+        # min and max propagate a NaN, and a NaN compares False.
+        if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
+            raise DomainError(f"{name}: entries of {label} must be finite and nonnegative")
 
 
 def weighted_tv(mu1, mu2, g) -> float:
@@ -206,8 +208,9 @@ def weighted_tv(mu1, mu2, g) -> float:
     g = np.asarray(g, dtype=float).reshape(-1)
     if m1.support_size != m2.support_size or g.size != m1.support_size:
         raise DomainError("support mismatch in weighted_tv")
-    if np.any(g <= 0):
-        raise DomainError("weight vector must be strictly positive")
+    # min and max propagate a NaN, and a NaN compares False.
+    if not (g.min() > 0.0 and g.max() < np.inf):
+        raise DomainError("weight vector must be finite and strictly positive")
     return float(np.sum(g * np.abs(m1.weights - m2.weights)))
 
 
@@ -415,6 +418,8 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     a, b = m1.weights.copy(), m2.weights.copy()
     if abs(a.sum() - b.sum()) > 1e-9:
         raise DomainError("marginals must carry equal total mass")
+    max_pivots = (200 * (nx + ny) * max(nx, ny) if max_pivots is None
+                  else matcore._integer(max_pivots, "max_pivots", 0))
 
     plan, in_basis = _initial_basis(a, b, np.arange(nx * ny))
     greedy, greedy_basis = _initial_basis(a, b, np.argsort(cost, axis=None, kind="stable"))
@@ -422,8 +427,6 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
         plan, in_basis = greedy, greedy_basis
     scale = 1.0 + float(np.abs(cost).max(initial=0.0))
     tol = 1e-13 * scale
-    if max_pivots is None:
-        max_pivots = 200 * (nx + ny) * max(nx, ny)
 
     # The basis tree hangs from row 0.  The pivots work on Python floats in
     # row-major flat lists, which round exactly as the arrays would.

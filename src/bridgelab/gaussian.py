@@ -7,13 +7,14 @@ gives the bridge in closed form.
 
 Stacked run.  :func:`run_sinkhorn` returns one :class:`GaussianRun`, whose
 fields are whole-run stacks written in place, row m for half step m, and
-``run.instance``, which every reader takes mu, eta and the kernel from.  The
-run is sequential, one :func:`sinkhorn_step` per half step: each needs the
-one before.  The diagnostics (:func:`envelope_report`, :func:`rate_report`,
-:func:`entropy_formula_table` and :func:`riccati_equivalence_errors`) read
-it in chunks, slices of a parity
-view such as ``run.cov[0::2]`` of at most ``matcore.CHUNK_ELEMENTS // (2d)^2``
-rows (8 at d = 16, a whole 100-iteration run at d = 2), which bound their
+``run.instance``, which every reader takes mu, eta and the kernel from.  A
+half step is stored once: :func:`_rescaled` derives its Riccati iterate on
+read.  The run is sequential, one :func:`sinkhorn_step` per half step.  The
+diagnostics (:func:`envelope_report`, :func:`rate_report`,
+:func:`entropy_formula_table` and :func:`riccati_equivalence_errors`) read it
+in chunks, slices of a parity view such as ``run.cov[0::2]`` of at most
+``matcore.CHUNK_ELEMENTS // (2d)^2`` rows (8 at d = 16, a whole 100-iteration
+run at d = 2), which bound their
 2d x 2d joint temporaries and the d x d stacks of :func:`rate_report`, which
 builds no joint (see :func:`_chunks`).  Each chunk makes one
 ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in one
@@ -221,17 +222,16 @@ def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
 
 @dataclass(frozen=True)
 class GaussianRun:
-    """Kernels K_0..K_M of the flow plus their rescaled covariances, each field one whole-run stack.
+    """Kernels K_0..K_M of the flow, each field one whole-run stack.
 
-    Row m of every stack is half step m.  An even kernel maps x to y and its
-    covariance is rescaled by sigma_bar; an odd kernel maps y to x, rescaled
-    by sigma.
+    Row m of every stack is half step m.  An even kernel maps x to y and an
+    odd kernel maps y to x; :func:`_rescaled` derives row m's rescaled
+    covariance on read, by sigma_bar at even m and by sigma at odd m.
     """
 
-    mean: np.ndarray          # (M+1, d): the mean anchor, the mean of pi_m
-    gain: np.ndarray          # (M+1, d, d)
-    cov: np.ndarray           # (M+1, d, d): the noise covariance
-    rescaled_cov: np.ndarray  # (M+1, d, d)
+    mean: np.ndarray  # (M+1, d): the mean anchor, the mean of pi_m
+    gain: np.ndarray  # (M+1, d, d)
+    cov: np.ndarray   # (M+1, d, d): the noise covariance
     instance: GaussianInstance  # the instance it was run on: the readers' mu, eta and kernel
 
     def __len__(self) -> int:
@@ -248,7 +248,7 @@ def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
 
 
 def sinkhorn_step(m: int, mean, cov, instance: GaussianInstance) -> tuple[np.ndarray, ...]:
-    """Row m + 1, ``(mean, gain, cov, rescaled_cov)``, from row m's mean and covariance.
+    """Row m + 1, ``(mean, gain, cov)``, from row m's mean and covariance.
 
     One conjugate Bayes half step of the mean/gain/covariance recursion.  An
     odd step is the even step with mu and eta swapped and chi transposed.
@@ -257,25 +257,26 @@ def sinkhorn_step(m: int, mean, cov, instance: GaussianInstance) -> tuple[np.nda
     source, target, chi = (mu, eta, chi) if m % 2 == 0 else (eta, mu, chi.T)
     cov_next = _conditional_cov(source.precision, chi, cov, m + 1)
     gain_next = cov_next @ chi.T
-    return (source.mean + gain_next @ (target.mean - mean), gain_next, cov_next,
-            source.inv_root @ cov_next @ source.inv_root)
+    return source.mean + gain_next @ (target.mean - mean), gain_next, cov_next
 
 
 def run_sinkhorn(instance: GaussianInstance, half_steps: int) -> GaussianRun:
     """The run of half steps 0..half_steps inclusive, each stack written in place.
 
-    Row 0 is the reference kernel, its covariance rescaled by eta.
+    Row 0 is the reference kernel.  The stacks take 0.85 MB at d = 16, 100 iterations.
     """
-    mu, eta, kernel = instance.mu, instance.eta, instance.kernel
+    mu, kernel = instance.mu, instance.kernel
     count, d = matcore._integer(half_steps, "half_steps", 0) + 1, kernel.dim
-    mean, gain = np.empty((count, d)), np.empty((count, d, d))
-    cov, rescaled = np.empty((count, d, d)), np.empty((count, d, d))
+    mean, gain, cov = np.empty((count, d)), np.empty((count, d, d)), np.empty((count, d, d))
     mean[0], gain[0], cov[0] = kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau
-    rescaled[0] = eta.inv_root @ kernel.tau @ eta.inv_root
     for m in range(count - 1):
-        mean[m + 1], gain[m + 1], cov[m + 1], rescaled[m + 1] = sinkhorn_step(
-            m, mean[m], cov[m], instance)
-    return GaussianRun(*map(_frozen, (mean, gain, cov, rescaled)), instance)
+        mean[m + 1], gain[m + 1], cov[m + 1] = sinkhorn_step(m, mean[m], cov[m], instance)
+    return GaussianRun(*map(_frozen, (mean, gain, cov)), instance)
+
+
+def _rescaled(source: Gaussian, cov) -> np.ndarray:
+    """source^{-1/2} cov source^{-1/2}, the rescaled Riccati iterate of a covariance or a stack."""
+    return source.inv_root @ cov @ source.inv_root
 
 
 def _iterate_blocks(mean, gain, cov, odd: bool,
@@ -307,6 +308,7 @@ def _chunks(d: int, *stacks, parities=(0, 1)):
     :func:`rate_report` builds no joint, but read whole its d x d stacks
     raised the traced peak of a d = 16, 100-iteration all-checks run from 1.6
     to 3.0 MB, past the 2.0 MB of ``test_gaussian_d16_run_memory_is_bounded``.
+    Chunked, with the rescaled rows derived per chunk, that peak is 1.2 MB.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in parities:
@@ -493,17 +495,19 @@ def schrodinger_bridge_gaussian(instance: GaussianInstance) -> GaussianBridge:
                           instance)
 
 
-def bridge_joint(mu: Gaussian, bridge: GaussianBridge) -> Gaussian:
-    return affine_joint(mu, bridge.kernel.alpha, bridge.kernel.beta, bridge.kernel.tau)
+def bridge_joint(bridge: GaussianBridge) -> Gaussian:
+    """The bridge's joint law on (x, y), x ~ mu of the instance it was solved for."""
+    return affine_joint(bridge.instance.mu, bridge.kernel.alpha, bridge.kernel.beta,
+                        bridge.kernel.tau)
 
 
-def _bridge_entropies(mean, cov, bridge: GaussianBridge, instance: GaussianInstance) -> np.ndarray:
+def _bridge_entropies(mean, cov, bridge: GaussianBridge) -> np.ndarray:
     """Closed-form H(P_{2n} | bridge) from even rows' means and covariances (or stacks)."""
-    b, mu = bridge.kernel, instance.mu
+    b, mu = bridge.kernel, bridge.instance.mu
     isq = b.noise.inv_root
     shift = isq @ (mean - (b.alpha + b.beta @ mu.mean))[..., None]
     mean_term = np.sum(shift ** 2, axis=(-2, -1))
-    cross = isq @ (cov - b.tau) @ instance.kernel.chi @ mu.root
+    cross = isq @ (cov - b.tau) @ bridge.instance.kernel.chi @ mu.root
     cross_term = np.sum(cross ** 2, axis=(-2, -1))
     return 0.5 * (_burg(cov, b.tau) + mean_term + cross_term)
 
@@ -511,7 +515,7 @@ def _bridge_entropies(mean, cov, bridge: GaussianBridge, instance: GaussianInsta
 def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge) -> float:
     """Closed-form H(P_{2n} | bridge) from row 2n's mean and covariance."""
     m = matcore._row(2 * matcore._integer(n, "n", 0), len(run), "half step")
-    return float(_bridge_entropies(run.mean[m], run.cov[m], _own_bridge(run, bridge), run.instance))
+    return float(_bridge_entropies(run.mean[m], run.cov[m], _own_bridge(run, bridge)))
 
 
 def entropy_formula_table(run: GaussianRun,
@@ -523,11 +527,11 @@ def entropy_formula_table(run: GaussianRun,
     Both are evaluated on stacked chunks of rows.
     """
     mu = run.instance.mu
-    b_joint = bridge_joint(mu, _own_bridge(run, bridge))
+    b_joint = bridge_joint(_own_bridge(run, bridge))
     formula = np.empty((len(run) + 1) // 2)
     oracle = np.empty_like(formula)
     for _, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov, parities=(0,)):
-        formula[at] = _bridge_entropies(mean, cov, bridge, run.instance)
+        formula[at] = _bridge_entropies(mean, cov, bridge)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, run.instance)
         j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={n}"
                                            for n in range(at.start, at.stop)])
@@ -538,15 +542,16 @@ def entropy_formula_table(run: GaussianRun,
 def riccati_equivalence_errors(run: GaussianRun, bridge: GaussianBridge) -> list[float]:
     """The largest entry of |R_2n - v_n| for each even row 2n of the run.
 
-    R_m is the run's rescaled covariance at row m, and v_n the n-th
+    R_m is row m's covariance rescaled by eta, derived on read, and v_n the n-th
     :func:`riccati_apply` iterate of R_0, read from :func:`riccati_iterates`,
     one call per chunk of even rows.
     """
-    problem = _own_bridge(run, bridge).problem
+    problem, eta = _own_bridge(run, bridge).problem, run.instance.eta
+    v0 = _rescaled(eta, run.cov[0])
     errors = np.empty((len(run) + 1) // 2)
-    for _, at, rescaled in _chunks(problem.w.size, run.rescaled_cov, parities=(0,)):
-        flow = riccati_iterates(problem, run.rescaled_cov[0], np.arange(at.start, at.stop))
-        errors[at] = np.max(np.abs(rescaled - flow), axis=(1, 2))
+    for _, at, cov in _chunks(eta.dim, run.cov, parities=(0,)):
+        flow = riccati_iterates(problem, v0, np.arange(at.start, at.stop))
+        errors[at] = np.max(np.abs(_rescaled(eta, cov) - flow), axis=(1, 2))
     return errors.tolist()
 
 
@@ -593,8 +598,7 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
     table = np.empty((6, pairs))
     table[3:, 0] = (1.0, 0.0, 0.0)
     product = np.eye(d)
-    for _, at, mean, gain, cov, rescaled in _chunks(d, run.mean, run.gain, run.cov,
-                                                    run.rescaled_cov, parities=(0,)):
+    for _, at, mean, gain, cov in _chunks(d, run.mean, run.gain, run.cov, parities=(0,)):
         table[:3, at] = (
             matcore.spectral_norm(cov - b.tau),
             matcore.spectral_norm(matcore.principal_sqrt(cov) - b.noise.root),
@@ -602,7 +606,7 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
         )
         k = int(at.start == 0)  # the loops start at n = 1
         looped = slice(at.start + k, at.stop)
-        gain, cov, gap = gain[k:], cov[k:], np.eye(d) - rescaled[k:]
+        gain, cov, gap = gain[k:], cov[k:], np.eye(d) - _rescaled(eta, cov[k:])
         loop_gain = gain @ run.gain[2 * looped.start - 1:2 * looped.stop - 1:2]
         products = np.empty_like(loop_gain)
         for j, step_gain in enumerate(loop_gain):
@@ -671,7 +675,7 @@ def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
     # values[m] = H(bridge | P_m); dist[m] = W2(pi_m, eta) at even m and
     # W2(pi_m, mu) at odd m: the distance of each marginal to the target its
     # half step matches.
-    b_joint = bridge_joint(mu, bridge)
+    b_joint = bridge_joint(bridge)
     values = np.empty(len(run))
     dist = np.empty(len(run))
     for odd, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov):
@@ -725,6 +729,7 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     With sigma_minus = sigma and sigma_bar_minus = sigma_bar both envelopes
     collapse onto the exact covariance flow.
     """
+    n_max = matcore._integer(n_max, "n_max", 0)
     s, s_minus = _centred(sigma, "sigma"), _centred(sigma_minus, "sigma_minus")
     sb, sb_minus = _centred(sigma_bar, "sigma_bar"), _centred(sigma_bar_minus, "sigma_bar_minus")
     if not matcore.loewner_leq(s_minus.covariance, s.covariance, 1e-12):
@@ -746,18 +751,12 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
         for up, low in zip(upper, lower)
     )
     # The rescaled upper even flow is a Riccati iteration for the shrunk mixing matrix.
-    isq_bar = sb.inv_root
     problem_minus = RiccatiProblem(sb.root @ chi @ s_minus.root)
-    rescaled_residuals = []
-    for n in range(0, n_max - 1, 2):
-        current = isq_bar @ upper[n] @ isq_bar
-        nxt = isq_bar @ upper[n + 2] @ isq_bar
-        rescaled_residuals.append(float(np.max(np.abs(
-            riccati_apply(problem_minus, current) - nxt
-        ))))
+    rescaled = [_rescaled(sb, u) for u in upper[0::2]]
     return CovarianceEnvelope(
         upper=tuple(_frozen(u) for u in upper),
         lower=tuple(_frozen(l) for l in lower),
         sandwich_residuals=sandwich,
-        rescaled_residuals=tuple(rescaled_residuals),
+        rescaled_residuals=tuple(float(np.max(np.abs(riccati_apply(problem_minus, v) - nxt)))
+                                 for v, nxt in zip(rescaled, rescaled[1:])),
     )

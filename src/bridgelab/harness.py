@@ -245,8 +245,8 @@ def _load_instance(config: ExperimentConfig):
 
 
 # --------------------------------------------------------------------------
-# Checks.  Each has a row builder, (instance, run, bridge) -> rows, and
-# a pass rule that reads only those rows.  The rules hold every tolerance.
+# Checks.  Each has a row builder, (run, bridge) -> rows, and a pass rule
+# that reads only those rows.  The rules hold every tolerance.
 # --------------------------------------------------------------------------
 
 IDENTITY_TOL = 1e-12
@@ -290,10 +290,10 @@ def _at_most(tol: float, *metrics: str) -> Callable:
     return rule
 
 
-def _ladder_rows(model, run, solution):
+def _ladder_rows(run, solution):
     # The ladder decomposes H(Q | P) for a coupling Q of (mu, eta); a bridge
     # solve that stalled short of its marginals gets one row instead.
-    err = max(discrete.marginal_errors(model, solution.bridge))
+    err = max(discrete.marginal_errors(run.model, solution.bridge))
     if err > discrete.MARGINAL_TOL:
         return [(0, "ladder_bridge_marginal_error", err)]
     report = discrete.entropy_ladder(run, solution.bridge)
@@ -313,7 +313,7 @@ def _ladder_rule(rows):
     return worst <= 1e-9, worst
 
 
-def _linear_decay_rows(model, run, solution):
+def _linear_decay_rows(run, solution):
     total = discrete.relative_entropy(solution.bridge, run.joint_even(0))
     rows = [(n, "linear_decay_lhs", (n + 1) * (gap_eta + gap_mu))
             for n, (gap_eta, gap_mu) in enumerate(zip(*discrete.marginal_gaps(run)))]
@@ -328,8 +328,8 @@ def _linear_decay_rule(rows):
     return worst <= 1e-8, worst
 
 
-def _geometric_rows(model, run, solution):
-    report = discrete.geometric_rate_report(model, run)
+def _geometric_rows(run, solution):
+    report = discrete.geometric_rate_report(run.model, run)
     rows = [(0, "eps_w", report.eps_w), (0, "rate_bound", report.bound)]
     for n, phi_name, value in report.entropies:
         rows.append((n, f"h_{phi_name}", value))
@@ -363,13 +363,13 @@ def _geometric_rule(rows):
 _IDENTITY_METRICS = tuple(f"identity_{name}" for name in discrete.IDENTITY_NAMES)
 
 
-def _identity_rows(model, run, solution):
+def _identity_rows(run, solution):
     return [(row.index, f"identity_{row.name}", row.residual)
             for row in discrete.identity_suite(run)]
 
 
-def _feasibility_rows(model, run, solution):
-    marg_x, marg_y = discrete.marginal_errors(model, solution.bridge)
+def _feasibility_rows(run, solution):
+    marg_x, marg_y = discrete.marginal_errors(run.model, solution.bridge)
     return [
         (0, "bridge_residual", solution.residual),
         (0, "bridge_marginal_x_error", marg_x),
@@ -388,8 +388,8 @@ def _feasibility_rule(rows):
     return worst <= 1e-10 and value["bridge_converged"] == 1.0, worst
 
 
-def _lyapunov_rows(model, run, solution):
-    delta = 0.25
+def _lyapunov_rows(run, solution):
+    model, delta = run.model, 0.25
     g = np.exp(delta * model.u_potential)
     h = np.exp(delta * model.v_potential)
     result = contraction.lyapunov_search(list(run.kernel_even[1:]), list(run.kernel_odd[1:]), g, h)
@@ -422,31 +422,32 @@ def _lyapunov_rule(rows):
     return all(gap <= 1e-10 for gap in gaps) and rho < 1.0, _peak(gaps)
 
 
-def _riccati_equivalence_rows(instance, run, bridge):
+def _riccati_equivalence_rows(run, bridge):
     return [(n, "riccati_equiv_error", error)
             for n, error in enumerate(gaussian.riccati_equivalence_errors(run, bridge))]
 
 
-def _golden_rows(instance, run, bridge):
+def _golden_rows(run, bridge):
     r = bridge.fixed_point
     eig_varpi = np.linalg.eigvalsh(bridge.problem.varpi)
     eig_r = np.linalg.eigvalsh(r)
     scalar = (-eig_varpi + np.sqrt(eig_varpi ** 2 + 4.0 * eig_varpi)) / 2.0
     worst = float(np.max(np.abs(np.sort(eig_r) - np.sort(scalar))))
     rows = [(0, "fixed_point_eig_error", worst)]
-    if instance.mu.dim == 1:
+    if run.instance.mu.dim == 1:
         rows.append((0, "fixed_point", float(r[0, 0])))
     return rows
 
 
-def _transport_rows(instance, run, bridge):
-    pushed = gaussian.push_forward(instance.mu, bridge.kernel)
-    mean_err = float(np.linalg.norm(pushed.mean - instance.eta.mean))
-    cov_err = float(np.linalg.norm(pushed.covariance - instance.eta.covariance))
+def _transport_rows(run, bridge):
+    eta = run.instance.eta
+    pushed = gaussian.push_forward(run.instance.mu, bridge.kernel)
+    mean_err = float(np.linalg.norm(pushed.mean - eta.mean))
+    cov_err = float(np.linalg.norm(pushed.covariance - eta.covariance))
     return [(0, "transport_mean_error", mean_err), (0, "transport_cov_error", cov_err)]
 
 
-def _entropy_formula_rows(instance, run, bridge):
+def _entropy_formula_rows(run, bridge):
     rows = []
     for n, formula, oracle in gaussian.entropy_formula_table(run, bridge):
         rows.append((n, "entropy_formula", formula))
@@ -454,7 +455,7 @@ def _entropy_formula_rows(instance, run, bridge):
     return rows
 
 
-def _riccati_rate_rows(instance, run, bridge):
+def _riccati_rate_rows(run, bridge):
     report = gaussian.rate_report(run, bridge)
     rows = []
     for row in report.rows:
@@ -489,7 +490,7 @@ _ENVELOPE_PAIRS = (("entropy_to_iterate", "entropy_envelope"), ("w2_step_value",
                    ("w2_chained_value", "w2_chained_bound"))
 
 
-def _envelope_rows(instance, run, bridge):
+def _envelope_rows(run, bridge):
     report = gaussian.envelope_report(run, bridge)
     rows = [
         (0, "kappa", report.kappa),
@@ -529,7 +530,7 @@ def _envelope_rule(rows):
 
 @dataclass(frozen=True)
 class _Check:
-    rows: Callable  # (instance, run, bridge) -> [(step, metric, value)]
+    rows: Callable  # (run, bridge) -> [(step, metric, value)]
     rule: Callable  # this check's rows -> (passed, worst_residual); a NaN row fails it
     metrics: tuple[str, ...]  # every metric its rows may carry
 
@@ -548,7 +549,7 @@ class _Check:
 class _Regime:
     # (instance, iterations) -> (run, bridge): the engine's run of whole-run
     # stacks, a SinkhornRun (row n is pair n) or a GaussianRun (row m is half
-    # step m), and its bridge.
+    # step m), which records its instance, and its bridge.
     run: Callable
     checks: dict[str, _Check]  # check id -> its row builder, rule and metrics, in default order
     decode: Callable  # JSON payload -> instance
@@ -655,13 +656,12 @@ def verdicts_from_csv(csv_text: str) -> tuple[Verdict, ...]:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentReport:
     """Run the configured loop, evaluate the checks, persist report + verdicts."""
     regime = REGIMES[config.regime]
-    instance = _load_instance(config)
-    run, bridge = regime.run(instance, config.iterations)
+    run, bridge = regime.run(_load_instance(config), config.iterations)
     rows: list[tuple[int, str, float]] = []
     verdicts: list[Verdict] = []
     for name in config.checks:
         check = regime.checks[name]
-        check_rows = check.rows(instance, run, bridge)
+        check_rows = check.rows(run, bridge)
         rows.extend(check_rows)
         verdicts.append(Verdict(name, *check.rule(check_rows)))
     report = ExperimentReport(

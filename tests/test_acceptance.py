@@ -41,7 +41,7 @@ def test_criterion_01_entropy_ladder():
         iterates = discrete.run_sinkhorn(model, 50)
         # each instance must pass the ladder rule: a NaN residual fails it,
         # though max() below would skip that NaN
-        ok, residual = ladder.rule(ladder.rows(model, iterates, solution))
+        ok, residual = ladder.rule(ladder.rows(iterates, solution))
         passed = passed and ok
         worst = max(worst, residual)
     elapsed = time.perf_counter() - start
@@ -91,8 +91,10 @@ def test_criterion_04_riccati_equivalence():
         inst = harness.generate_instance("gaussian", d, d, "gaussian-random-spd")
         problem = gs.RiccatiProblem.from_instance(inst)
         run = gs.run_sinkhorn(inst, 400)
-        current = run.rescaled_cov[0]
-        for rescaled in run.rescaled_cov[2::2]:
+        # R_2n = sigma_bar^-1/2 tau_2n sigma_bar^-1/2, derived from the run's covariances
+        rescaled_even = inst.eta.inv_root @ run.cov[0::2] @ inst.eta.inv_root
+        current = rescaled_even[0]
+        for rescaled in rescaled_even[1:]:
             current = gs.riccati_apply(problem, current)
             worst = max(worst, float(np.max(np.abs(rescaled - current))))
     golden_inst = gs.GaussianInstance(
@@ -139,7 +141,7 @@ def test_criterion_05_riccati_rate():
     check = harness.REGIMES["gaussian"].checks["riccati-rate"]
     for inst, bridge in _rate_fit_instances(10):
         run = gs.run_sinkhorn(inst, 160)
-        rows = check.rows(inst, run, bridge)
+        rows = check.rows(run, bridge)
         assert any(metric == "fitted_slope" for _, metric, _ in rows), "no usable fit window"
         # the riccati-rate rule: the fitted slope within 5% of theory, structure <= 1e-8
         fits.append(check.rule(rows))
@@ -175,7 +177,7 @@ def test_criterion_07_entropy_formula_cross_check():
     for d in (1, 2, 3):
         inst = harness.generate_instance("gaussian", d, 200 + d, "gaussian-random-spd")
         bridge = gs.schrodinger_bridge_gaussian(inst)
-        b_joint = gs.bridge_joint(inst.mu, bridge)
+        b_joint = gs.bridge_joint(bridge)
         run = gs.run_sinkhorn(inst, 40)
         for n in range(21):
             formula = gs.bridge_entropy(run, n, bridge)
@@ -201,7 +203,7 @@ def test_criterion_08_envelope_domination():
         for row in report.entropy_rows:
             worst = max(worst, row.value - row.bound)
         gates += report.gate_contractive
-        rules_ok = rules_ok and envelope.rule(envelope.rows(inst, run, bridge))[0]
+        rules_ok = rules_ok and envelope.rule(envelope.rows(run, bridge))[0]
     # a strongly regularized scalar instance exercises the contractive gate
     inst = gs.GaussianInstance(
         mu=dv.Gaussian(np.array([0.2]), np.array([[0.8]])),
@@ -215,7 +217,7 @@ def test_criterion_08_envelope_domination():
     gates += 1
     for row in report.entropy_rows:
         worst = max(worst, row.value - row.bound)
-    rules_ok = rules_ok and envelope.rule(envelope.rows(inst, run, bridge))[0]
+    rules_ok = rules_ok and envelope.rule(envelope.rows(run, bridge))[0]
     _verdict(
         8, "transport-inequality envelopes", worst <= 1e-10 and rules_ok and gates >= 1,
         f"worst envelope excess {worst:.3e}, contractive gates {gates}",

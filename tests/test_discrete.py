@@ -24,10 +24,10 @@ def random_model(rng, nx, ny, osc=1.0):
     return discrete.build_model(cost, lam, nu, u, v)
 
 
-def check_passes(name, model, run, solution=None):
+def check_passes(name, run, solution=None):
     """Whether the harness rule of discrete check ``name`` passes on the rows it builds."""
     check = harness.REGIMES["discrete"].checks[name]
-    return check.rule(check.rows(model, run, solution))[0]
+    return check.rule(check.rows(run, solution))[0]
 
 
 def self_bridged_model(rng, nx, ny):
@@ -268,6 +268,13 @@ class TestDualKernel:
         with pytest.raises(DomainError):
             discrete.dual_kernel(k, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_weight_of_mu_rejected(self, bad):
+        # A NaN entry of mu once gave an all-NaN dual kernel.
+        k = np.array([[0.2, 0.8], [0.8, 0.2]])
+        with pytest.raises(DomainError, match="^mu weights must be finite and nonnegative$"):
+            discrete.dual_kernel(k, np.array([0.5, bad]))
+
 
 class TestEntropyLadder:
     def test_trivial_at_reference(self):
@@ -287,7 +294,7 @@ class TestEntropyLadder:
             model = random_model(rng, 5, 7)
             solution = discrete.solve_bridge(model)
             run = discrete.run_sinkhorn(model, 30)
-            assert check_passes("ladder", model, run, solution)
+            assert check_passes("ladder", run, solution)
 
     def test_telescoping(self):
         rng = np.random.default_rng(15)
@@ -390,7 +397,7 @@ class TestIdentitySuite:
         model = random_model(rng, 5, 7)
         run = discrete.run_sinkhorn(model, 6)
         rows = discrete.identity_suite(run)
-        assert check_passes("identities", model, run), rows
+        assert check_passes("identities", run), rows
         assert {row.name for row in rows} == set(discrete.IDENTITY_NAMES)
 
     # P_{2n+1} is the I-projection of P_{2n} onto the couplings with Y-marginal
@@ -455,7 +462,7 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, run)
         assert report.bound == pytest.approx(0.0)
         assert all(value < 1e-300 for _, _, value in report.entropies)
-        assert harness._rate_ratios(harness._geometric_rows(model, run, None)) == []
+        assert harness._rate_ratios(harness._geometric_rows(run, None)) == []
 
     def test_log_two_oscillation_bound(self):
         rng = np.random.default_rng(23)
@@ -470,7 +477,7 @@ class TestGeometricRate:
         report = discrete.geometric_rate_report(model, run)
         assert report.bound == pytest.approx(0.5625)
         # every ratio above the KL floor within the bound, and the sandwich
-        assert check_passes("geometric-rate", model, run)
+        assert check_passes("geometric-rate", run)
         slope = 2.0 * math.log(1.0 - model.eps_w)
         assert report.sup_fit.slope <= slope + 0.05 * abs(slope)
 
@@ -915,7 +922,7 @@ def assert_engine_equals_reference(model, pairs):
             lambda: ref_ladder(model, iterates, q))
     assert bits(discrete.geometric_rate_report(model, run)) == bits(
         ref_rate_report(model, iterates))
-    rows = harness._linear_decay_rows(model, run, solution)
+    rows = harness._linear_decay_rows(run, solution)
     assert bits((rows, harness.Verdict("linear-decay", *harness._linear_decay_rule(rows)))) == bits(
         ref_linear_decay(model, iterates, solution.bridge))
 

@@ -254,6 +254,24 @@ class TestStacks:
                                match="^relative_entropy_rows: entries of p must be finite"):
                 dv.relative_entropy_rows(stack, one)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_kl_rejects_a_bad_entry_of_q(self, bad):
+        # A NaN or negative entry of q once gave NaN, and q = [inf, 1] gave -inf.
+        p, q = np.array([0.3, 0.3, 0.4]), np.array([0.6, bad, 0.5])
+        with pytest.raises(DomainError, match="^relative_entropy: entries of q must be finite"):
+            dv.relative_entropy(p, q)
+        for stack, one in ((np.stack([p, p]), q), (p, np.stack([[0.5, 0.2, 0.3], q]))):
+            with pytest.raises(DomainError,
+                               match="^relative_entropy_rows: entries of q must be finite"):
+                dv.relative_entropy_rows(stack, one)
+
+    def test_kl_of_q_inf_one_is_rejected_and_a_zero_of_q_is_infinite(self):
+        with pytest.raises(DomainError, match="^relative_entropy: entries of q must be finite"):
+            dv.relative_entropy([0.5, 0.5], [np.inf, 1.0])
+        assert dv.relative_entropy([0.5, 0.5], [0.0, 1.0]) == math.inf
+        assert dv.relative_entropy_rows([0.5, 0.5], [[0.0, 1.0], [0.5, 0.5]]).tolist() == [
+            math.inf, 0.0]
+
     def test_stack_shapes_rejected(self):
         with pytest.raises(DomainError, match="mu1 must be a weight vector or an"):
             dv.phi_entropy(dv.KL, np.ones((2, 2, 2)), np.ones(2))
@@ -288,6 +306,14 @@ class TestWeightedTv:
         m = dv.DiscreteMeasure(np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             dv.weighted_tv(m, m, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_weight(self, bad):
+        # A NaN weight once gave NaN and an infinite one inf.
+        m1 = dv.DiscreteMeasure(np.array([0.5, 0.5]))
+        m2 = dv.DiscreteMeasure(np.array([0.25, 0.75]))
+        with pytest.raises(DomainError, match="^weight vector must be finite and strictly positive$"):
+            dv.weighted_tv(m1, m2, np.array([1.0, bad]))
 
 
 class TestGaussianDivergences:
@@ -837,6 +863,16 @@ class TestSimplexOracle:
             result = dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=0)
             assert result.plan.tobytes() == plan.tobytes()
             assert result.value == value
+
+    @pytest.mark.parametrize("max_pivots, message", [
+        (-1, r"^max_pivots must be >= 0, got -1$"),
+        (2.5, r"^max_pivots must be an int, got 2\.5$"),
+    ])
+    def test_max_pivots_is_validated(self, max_pivots, message):
+        # Both were once accepted without a word.
+        model = harness.generate_instance("discrete", (4, 4), 0, "quadratic-grid")
+        with pytest.raises(DomainError, match=message):
+            dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=max_pivots)
 
     def test_max_pivots_bounds_pivot_count(self):
         model = harness.generate_instance("discrete", (7, 9), 3, "bounded")

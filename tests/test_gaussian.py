@@ -58,10 +58,10 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def check_passes(name, inst, run, bridge):
+def check_passes(name, run, bridge):
     """Whether the harness rule of Gaussian check ``name`` passes on the rows it builds."""
     check = harness.REGIMES["gaussian"].checks[name]
-    return check.rule(check.rows(inst, run, bridge))[0]
+    return check.rule(check.rows(run, bridge))[0]
 
 
 def with_row(run, m, **fields):
@@ -183,10 +183,10 @@ class TestSinkhornFlow:
     @pytest.mark.parametrize("d", [1, 2, 16])
     def test_rows_equal_a_loop_of_steps(self, d):
         inst = random_instance(np.random.default_rng(31 + d), d)
-        mu, eta, kernel = inst.mu, inst.eta, inst.kernel
+        mu, kernel = inst.mu, inst.kernel
         run = gs.run_sinkhorn(inst, 9)
-        fields = ("mean", "gain", "cov", "rescaled_cov")
-        shapes = ((10, d), (10, d, d), (10, d, d), (10, d, d))
+        fields = ("mean", "gain", "cov")
+        shapes = ((10, d), (10, d, d), (10, d, d))
         for name, shape in zip(fields, shapes):
             stack = getattr(run, name)
             assert len(run) == 10 and stack.shape == shape, name
@@ -197,12 +197,53 @@ class TestSinkhornFlow:
             run.cov = run.cov.copy()
         # row 0 is the reference kernel; row m + 1 is one sinkhorn_step of
         # row m, each step fed the arrays the one before returned
-        row = (kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau,
-               eta.inv_root @ kernel.tau @ eta.inv_root)
+        row = (kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau)
         for m in range(len(run)):
             for name, value in zip(fields, row):
                 assert getattr(run, name)[m].tobytes() == value.tobytes(), (m, name)
             row = gs.sinkhorn_step(m, row[0], row[2], inst)
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_derived_rescaled_rows_equal_per_step_products(self, d, monkeypatch):
+        # The run stores no rescaled covariance: R_m = s^-1/2 cov_m s^-1/2,
+        # s = sigma_bar at even m and sigma at odd m, is derived on read from
+        # stacked chunks, bit for bit the product of each step's covariance.
+        inst = random_instance(np.random.default_rng(31 + d), d)
+        run = gs.run_sinkhorn(inst, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        sources = (inst.eta, inst.mu)
+        mean, cov = run.mean[0], run.cov[0]
+        per_step = [inst.eta.inv_root @ cov @ inst.eta.inv_root]
+        for m in range(len(run) - 1):
+            mean, _, cov = gs.sinkhorn_step(m, mean, cov, inst)
+            source = sources[(m + 1) % 2]
+            per_step.append(source.inv_root @ cov @ source.inv_root)
+        per_step = np.array(per_step)
+        monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 3 * (2 * d) ** 2)  # three rows a chunk
+        for odd in (0, 1):
+            whole = gs._rescaled(sources[odd], run.cov[odd::2])
+            assert whole.tobytes() == per_step[odd::2].tobytes(), odd
+        chunks = list(gs._chunks(d, run.cov))
+        assert len(chunks) == 14
+        for odd, at, chunk in chunks:
+            derived = gs._rescaled(sources[odd], chunk)
+            assert derived.tobytes() == per_step[odd::2][at].tobytes(), (odd, at)
+        # Both readers derive the even rows, eta-rescaled, in the same chunks.
+        derived = []
+        rescaled = gs._rescaled
+
+        def record(source, cov):
+            value = rescaled(source, cov)
+            derived.append(value.reshape(-1, d, d))
+            return value
+
+        monkeypatch.setattr(gs, "_rescaled", record)
+        gs.riccati_equivalence_errors(run, bridge)
+        even = per_step[0::2]
+        assert np.concatenate(derived).tobytes() == np.concatenate([even[:1], even]).tobytes()
+        derived.clear()
+        gs.rate_report(run, bridge)
+        assert np.concatenate(derived).tobytes() == even[1:].tobytes()
 
     @pytest.mark.parametrize("half_steps, message", [
         (-3, r"^half_steps must be >= 0, got -3$"),
@@ -226,10 +267,11 @@ class TestSinkhornFlow:
         inst = scalar_instance()
         run = gs.run_sinkhorn(inst, 60)
         v = 1.0
-        for rescaled in run.rescaled_cov[::2]:
+        rescaled_even = inst.eta.inv_root @ run.cov[::2] @ inst.eta.inv_root
+        for rescaled in rescaled_even:
             assert rescaled[0, 0] == pytest.approx(v, abs=1e-13)
             v = 1.0 / (1.0 + 1.0 / (1.0 + v))
-        assert run.rescaled_cov[-1, 0, 0] == pytest.approx(GOLDEN, abs=1e-12)
+        assert rescaled_even[-1, 0, 0] == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_gain_identities(self):
         rng = np.random.default_rng(4)
@@ -270,7 +312,7 @@ class TestSinkhornFlow:
         mean, cov = run.mean[-1], run.cov[-1]
         for m in range(2, 7):
             linalg_calls.clear()
-            mean, _, cov, _ = gs.sinkhorn_step(m, mean, cov, inst)
+            mean, _, cov = gs.sinkhorn_step(m, mean, cov, inst)
             assert linalg_calls == ["eigh"]
 
     def test_uniform_covariance_sandwich(self):
@@ -419,13 +461,16 @@ class TestRiccati:
             inst = random_instance(rng, d)
             problem = gs.RiccatiProblem.from_instance(inst)
             run = gs.run_sinkhorn(inst, 40)
-            current = run.rescaled_cov[0]
-            for rescaled in run.rescaled_cov[2::2]:
+            # even rows rescaled by sigma_bar, odd rows by sigma
+            even = inst.eta.inv_root @ run.cov[0::2] @ inst.eta.inv_root
+            odd = inst.mu.inv_root @ run.cov[1::2] @ inst.mu.inv_root
+            current = even[0]
+            for rescaled in even[1:]:
                 current = gs.riccati_apply(problem, current)
                 np.testing.assert_allclose(rescaled, current, atol=1e-10)
             flipped = gs.RiccatiProblem(problem.gamma.T)
-            current = run.rescaled_cov[1]
-            for rescaled in run.rescaled_cov[3::2]:
+            current = odd[0]
+            for rescaled in odd[1:]:
                 current = gs.riccati_apply(flipped, current)
                 np.testing.assert_allclose(rescaled, current, atol=1e-10)
 
@@ -478,8 +523,9 @@ class TestRiccatiIterates:
         errors = gs.riccati_equivalence_errors(run, bridge)
         assert len(errors) == 1001
         assert max(errors) <= 1e-13
-        chain = np.array(riccati_chain(bridge.problem, run.rescaled_cov[0], 1000))
-        closed = gs.riccati_iterates(bridge.problem, run.rescaled_cov[0], np.arange(1001))
+        v0 = inst.eta.inv_root @ run.cov[0] @ inst.eta.inv_root
+        chain = np.array(riccati_chain(bridge.problem, v0, 1000))
+        closed = gs.riccati_iterates(bridge.problem, v0, np.arange(1001))
         assert float(np.max(np.abs(closed - chain))) <= 1e-13
 
     def test_one_eigvalsh_and_one_solve_per_chunk(self, linalg_calls, monkeypatch):
@@ -606,7 +652,6 @@ class TestBridgeEntropy:
             mean=(kernel.alpha + kernel.beta @ inst.mu.mean)[None],
             gain=kernel.beta[None],
             cov=kernel.tau[None],
-            rescaled_cov=np.eye(2)[None],
             instance=inst,
         )
         assert gs.bridge_entropy(run, 0, bridge) == pytest.approx(
@@ -618,7 +663,7 @@ class TestBridgeEntropy:
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
             bridge = gs.schrodinger_bridge_gaussian(inst)
-            b_joint = gs.bridge_joint(inst.mu, bridge)
+            b_joint = gs.bridge_joint(bridge)
             run = gs.run_sinkhorn(inst, 12)
             for n in range(7):
                 formula = gs.bridge_entropy(run, n, bridge)
@@ -698,7 +743,7 @@ class TestRateReport:
         run = gs.run_sinkhorn(inst, 80)
         report = gs.rate_report(run, bridge)
         assert report.fit is not None
-        assert check_passes("riccati-rate", inst, run, bridge)
+        assert check_passes("riccati-rate", run, bridge)
         assert max(row.directed_residual for row in report.rows) <= 1e-10
         assert max(row.loop_gain_residual for row in report.rows) <= 1e-10
 
@@ -727,8 +772,7 @@ class TestRateReport:
         monkeypatch.setattr(gs, "_chunks", walk)
         rows = gs.rate_report(run, bridge).rows
         assert len(walks) == 1
-        assert all(a is b for a, b in zip(walks[0], (run.mean, run.gain, run.cov,
-                                                     run.rescaled_cov), strict=True))
+        assert all(a is b for a, b in zip(walks[0], (run.mean, run.gain, run.cov), strict=True))
         assert list(rows) == ref_rate_rows(run, bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_requires_enough_iterations(self):
@@ -746,7 +790,7 @@ class TestEnvelopes:
         inst = self_bridged_instance(rng, 2)
         run = gs.run_sinkhorn(inst, 10)
         bridge = gs.schrodinger_bridge_gaussian(inst)
-        assert check_passes("envelope", inst, run, bridge)
+        assert check_passes("envelope", run, bridge)
 
     def test_scalar_contractive_instance(self):
         inst = scalar_instance(m=0.2, sigma=0.8, m_bar=-0.1, sigma_bar=0.9, beta=1.0, tau=2.0)
@@ -755,7 +799,7 @@ class TestEnvelopes:
         report = gs.envelope_report(run, bridge)
         assert report.kappa == pytest.approx(0.5)
         assert report.gate_contractive
-        assert check_passes("envelope", inst, run, bridge)
+        assert check_passes("envelope", run, bridge)
         assert len(report.chained_w2_rows) > 0
 
     def test_one_w2_distance_per_state(self, monkeypatch):
@@ -818,7 +862,7 @@ class TestEnvelopes:
             for row in report.entropy_rows:
                 assert row.value <= row.bound + 1e-10
             # the refined entropy bounds and the W2 steps too
-            assert check_passes("envelope", inst, run, bridge)
+            assert check_passes("envelope", run, bridge)
 
 
 # --------------------------------------------------------------------------
@@ -894,7 +938,8 @@ def ref_rate_rows(run, bridge, mu, eta, kernel):
     rows = []
     product = np.eye(d)
     for n in range((len(run) + 1) // 2):
-        gain, cov, rescaled = run.gain[2 * n], run.cov[2 * n], run.rescaled_cov[2 * n]
+        gain, cov = run.gain[2 * n], run.cov[2 * n]
+        rescaled = eta.inv_root @ cov @ eta.inv_root
         cov_error = matcore.spectral_norm(cov - bridge.kernel.tau)
         sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(cov) - noise_root)
         mean_error = float(np.linalg.norm(run.mean[2 * n] - eta_mean))
@@ -928,7 +973,7 @@ def assert_chunks_equal_loops(inst, half_steps):
     mu, eta, kernel = inst.mu, inst.eta, inst.kernel
     run = gs.run_sinkhorn(inst, half_steps)
     bridge = gs.schrodinger_bridge_gaussian(inst)
-    b_joint = gs.bridge_joint(mu, bridge)
+    b_joint = gs.bridge_joint(bridge)
     report = gs.envelope_report(run, bridge)
     rows = range(len(run))
     assert [r.value for r in report.entropy_rows] == [
@@ -940,9 +985,10 @@ def assert_chunks_equal_loops(inst, half_steps):
         (m // 2, ref_bridge_entropy(run, m, bridge, mu, kernel),
          ref_kl(ref_joint(run, m, mu, eta), b_joint)) for m in even]
     # one closed-form iterate per even row, bit for bit
+    rescaled = [eta.inv_root @ run.cov[m] @ eta.inv_root for m in rows]
     assert gs.riccati_equivalence_errors(run, bridge) == [
-        float(np.max(np.abs(run.rescaled_cov[m] - gs.riccati_iterates(
-            bridge.problem, run.rescaled_cov[0], m // 2)))) for m in even]
+        float(np.max(np.abs(rescaled[m] - gs.riccati_iterates(
+            bridge.problem, rescaled[0], m // 2)))) for m in even]
     for m in rows[:3]:
         joint, ref = gs.sinkhorn_joint(run, m), ref_joint(run, m, mu, eta)
         assert joint.mean.tobytes() == ref.mean.tobytes()
@@ -1058,6 +1104,18 @@ class TestCovarianceEnvelope:
         steps.clear()
         gs.run_sinkhorn(inst, 4)
         assert steps == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("n_max, message", [
+        (-1, r"^n_max must be >= 0, got -1$"),
+        (2.5, r"^n_max must be an int, got 2\.5$"),
+    ])
+    def test_step_count_is_validated(self, n_max, message):
+        # -1 once returned a one-row envelope, and 2.5 raised a bare TypeError.
+        inst = random_instance(np.random.default_rng(26), 2)
+        with pytest.raises(DomainError, match=message):
+            gs.strongly_convex_covariance_envelope(
+                inst.mu.covariance, inst.mu.covariance,
+                inst.eta.covariance, inst.eta.covariance, inst.kernel, n_max)
 
     def test_ordering_validated(self):
         rng = np.random.default_rng(26)

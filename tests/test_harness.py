@@ -443,8 +443,9 @@ class TestRunExperiment:
 
     def test_gaussian_d16_run_memory_is_bounded(self):
         # The diagnostics read at most a chunk of rows at a time.  The run's
-        # 201 rows hold about 1.3 MB; the peak is about 1.6 MB chunked and
-        # 4.6 MB with every joint of the run in one stack.
+        # 201 rows hold about 0.85 MB in three stacks, the rescaled rows being
+        # derived on read; the traced peak is about 1.2 MB chunked (1.6 MB
+        # when the run stored a fourth, rescaled stack).
         config = harness.ExperimentConfig.from_json({
             "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
             "seed": 0, "iterations": 100,
@@ -527,6 +528,42 @@ class TestRuleTable:
         assert failed == ["ladder", "lyapunov"]
         assert_verdicts_rederive(report, tmp_path)
 
+    # Each gate threshold with one synthetic case just inside it and one just
+    # outside, so that loosening it tenfold fails a test.
+
+    @pytest.mark.parametrize("fitted, passed", [(-0.96, True), (-0.94, False)])
+    def test_riccati_rate_fit_window_is_five_percent(self, fitted, passed):
+        # The fitted slope may fall short of the theoretical -1 by 5%: 4% passes, 6% fails.
+        rule = harness.REGIMES["gaussian"].checks["riccati-rate"].rule
+        rows = [(0, "theoretical_slope", -1.0), (0, "directed_structure_residual", 0.0),
+                (0, "fitted_slope", fitted), (0, "fit_r2", 1.0)]
+        assert rule(rows)[0] is passed
+
+    @pytest.mark.parametrize("structure, passed", [(0.5e-8, True), (2e-8, False)])
+    def test_riccati_rate_structure_bound_is_1e_8(self, structure, passed):
+        # With a fit inside its window and without a fit.
+        rule = harness.REGIMES["gaussian"].checks["riccati-rate"].rule
+        rows = [(0, "theoretical_slope", -1.0), (0, "directed_structure_residual", structure)]
+        assert rule(rows)[0] is passed
+        assert rule([*rows, (0, "fitted_slope", -1.0), (0, "fit_r2", 1.0)])[0] is passed
+
+    @pytest.mark.parametrize("error, passed", [(0.5e-9, True), (2e-9, False)])
+    def test_entropy_formula_bound_is_1e_9(self, error, passed):
+        rule = harness.REGIMES["gaussian"].checks["entropy-formula"].rule
+        rows = [(0, "entropy_formula", 1.0), (0, "entropy_formula_error", 0.0),
+                (1, "entropy_formula", 0.5), (1, "entropy_formula_error", error)]
+        assert rule(rows)[0] is passed
+
+    @pytest.mark.parametrize("excess, passed", [(0.5e-10, True), (2e-10, False)])
+    def test_envelope_tolerance_is_relative_to_h0(self, excess, passed):
+        # H_0 = 100 sets the tolerance to 1e-12 * 100 = 1e-10; at n = 1 no
+        # refined bound applies, and no W2 row is written.
+        rule = harness.REGIMES["gaussian"].checks["envelope"].rule
+        rows = [(0, "eps", 0.5), (0, "refined_factor", 3.0),
+                (0, "entropy_to_iterate", 100.0), (0, "entropy_envelope", 100.0),
+                (1, "entropy_to_iterate", 50.0 + excess), (1, "entropy_envelope", 50.0)]
+        assert rule(rows)[0] is passed
+
     def test_metric_no_check_writes_rejected(self):
         with pytest.raises(DomainError, match="^no check writes the metric 'ratio_kl'"):
             harness.verdicts_from_csv("step,metric,value\n0,ratio_kl,0.5\n")
@@ -591,7 +628,7 @@ class TestRuleTable:
         regime = harness.REGIMES[config.regime]
         trajectory, bridge = regime.run(instance, config.iterations)
         for name, check in regime.checks.items():
-            written = {metric for _, metric, _ in check.rows(instance, trajectory, bridge)}
+            written = {metric for _, metric, _ in check.rows(trajectory, bridge)}
             assert written <= set(check.metrics), (name, written)
         report = harness.run_experiment(config)
         assert_verdicts_rederive(report)
