@@ -14,15 +14,21 @@ diagnostics (:func:`envelope_report`, :func:`rate_report`,
 :func:`entropy_formula_table` and :func:`riccati_equivalence_errors`) read it
 in chunks, slices of a parity view such as ``run.cov[0::2]`` of at most
 ``matcore.CHUNK_ELEMENTS // (2d)^2`` rows (8 at d = 16, a whole 100-iteration
-run at d = 2), which bound their
-2d x 2d joint temporaries and the d x d stacks of :func:`rate_report`, which
-builds no joint (see :func:`_chunks`).  Each chunk makes one
-``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in one
-walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
-P_n and marginals pi_n of a chunk, and :func:`sinkhorn_joint` passes it one
-row.  A stacked validation names a failing row by its step.  Every value
-equals the per-row arithmetic bit for bit (the rules are in
-:mod:`bridgelab.matcore`).
+run at d = 2), which bound the 2d x 2d joints of the entropy-formula oracle
+and the d x d stacks of every reader (see :func:`_chunks`).  Each chunk makes
+one ``eigvalsh``/``eigh``/``solve``/``slogdet``/``@`` call per quantity, in
+one walk over the chunks.  One builder, ``_iterate_blocks``, gives the joints
+P_n of a chunk, and :func:`sinkhorn_joint` passes it one row.  A stacked
+validation names a failing row by its step.  Every value equals the per-row
+arithmetic bit for bit (the rules are in :mod:`bridgelab.matcore`).
+
+Joint entropies by the chain rule.  The bridge and an iterate P_m share the
+source marginal of row m's kernel, mu at even m and eta at odd m, where the
+bridge enters by its backward kernel ``conjugate_kernel(mu, bridge.kernel)``.
+So their relative entropy, either way round, is an expectation of d x d
+kernel divergences, :func:`_kernel_kl`.  :func:`envelope_report` and the
+closed form of :func:`entropy_formula_table` both read it, and neither builds
+a 2d x 2d joint; the 2d joint KL stays as the entropy-formula oracle.
 
 Each object has one representation: a bridge is its kernel, a
 :class:`RiccatiProblem` is its mixing matrix gamma, and every half step of the
@@ -42,9 +48,9 @@ Each SPD matrix on these paths is validated from one ``eigh``
 from that factorization: a ``Gaussian`` and a :class:`RiccatiProblem` keep
 theirs.  The run's covariances are inverses of validated matrices.  A joint
 ``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S, C) L'``, SPD but possibly
-too ill-conditioned to resolve: :func:`entropy_formula_table` holds its
-joints to the SPD floor, and :func:`envelope_report` relies on the log-det
-sign check of the Burg kernel.
+too ill-conditioned to resolve: :func:`entropy_formula_table` holds its oracle
+joints to the SPD floor.  :func:`_kernel_kl` keeps the log-det sign check of
+its Burg term, and :func:`envelope_report` validates each marginal pi_m.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitting, matcore
-from .divergences import Gaussian, _burg, _gaussian_kl, _gaussian_w2
+from .divergences import Gaussian, _gaussian_kl, _gaussian_w2
 # Re-exported as part of this module's API.
 from .divergences import burg_divergence, gaussian_kl, gaussian_w2  # noqa: F401
 from .errors import DomainError, NumericalError
@@ -304,11 +310,12 @@ def _chunks(d: int, *stacks, parities=(0, 1)):
     ``at`` slices the parity view ``[odd::2]``, whose row j is half step
     2j + odd, and ``chunk`` holds each stack's view rows ``at``.  A slice
     holds at most ``CHUNK_ELEMENTS // (2d)^2`` rows (and at least one), so a
-    stack of their 2d x 2d joint covariances stays within the chunk budget.
-    :func:`rate_report` builds no joint, but read whole its d x d stacks
-    raised the traced peak of a d = 16, 100-iteration all-checks run from 1.6
-    to 3.0 MB, past the 2.0 MB of ``test_gaussian_d16_run_memory_is_bounded``.
-    Chunked, with the rescaled rows derived per chunk, that peak is 1.2 MB.
+    stack of their 2d x 2d joint covariances, which only the entropy-formula
+    oracle builds, stays within the chunk budget.  The other readers build no
+    joint, but read whole the d x d stacks of :func:`rate_report` raised the
+    traced peak of a d = 16, 100-iteration all-checks run from 1.6 to 3.0 MB,
+    past the 2.0 MB of ``test_gaussian_d16_run_memory_is_bounded``.  Chunked,
+    with the rescaled rows derived per chunk, that peak is 1.1 MB.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in parities:
@@ -400,19 +407,35 @@ def riccati_iterates(problem: RiccatiProblem, v0, n) -> np.ndarray:
     :func:`riccati_fixed_point`.  ``n`` is a non-negative integer array, and
     the result has its shape followed by (d, d).  v0 is PSD-checked once.
     """
-    v0 = _psd(v0, "riccati_iterates")
-    n = np.asarray(n)
-    if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
-        raise DomainError(f"riccati_iterates needs non-negative integer steps, got {n!r}")
+    return _riccati_flow(problem, v0, "riccati_iterates")(n)
+
+
+def _riccati_flow(problem: RiccatiProblem, v0, caller: str):
+    """``n -> v_n``, the closed form of :func:`riccati_iterates` for one v0.
+
+    v0's PSD check (one ``eigvalsh``, an error naming ``caller``), e_0 and
+    the rates log1p(lambda_+ - 1) are computed here once, so a caller that
+    reads the iterates in chunks of ``n`` pays only a ``solve`` per chunk.
+    """
+    v0 = _psd(v0, caller)
     w, q = problem.w, problem.q
     r = w / problem.growth
     e0 = q.T @ v0 @ q - np.diag(r)
-    log_phi_n = -n[..., None] * np.log1p(problem.growth)  # one column per eigenvector
-    h = -np.expm1(2.0 * log_phi_n) / problem.spread
-    error = np.linalg.solve(np.eye(len(w)) + e0 * h[..., None, :],
-                            np.broadcast_to(e0, h.shape + (len(w),)))
-    phi_n = np.exp(log_phi_n)
-    return q @ ((phi_n[..., :, None] * error * phi_n[..., None, :]) + np.diag(r)) @ q.T
+    log_growth = np.log1p(problem.growth)
+    eye = np.eye(len(w))
+
+    def iterates(n) -> np.ndarray:
+        n = np.asarray(n)
+        if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
+            raise DomainError(f"riccati_iterates needs non-negative integer steps, got {n!r}")
+        log_phi_n = -n[..., None] * log_growth  # one column per eigenvector
+        h = -np.expm1(2.0 * log_phi_n) / problem.spread
+        error = np.linalg.solve(eye + e0 * h[..., None, :],
+                                np.broadcast_to(e0, h.shape + (len(w),)))
+        phi_n = np.exp(log_phi_n)
+        return q @ ((phi_n[..., :, None] * error * phi_n[..., None, :]) + np.diag(r)) @ q.T
+
+    return iterates
 
 
 def fixed_point_residuals(problem: RiccatiProblem, r) -> dict[str, float]:
@@ -501,21 +524,59 @@ def bridge_joint(bridge: GaussianBridge) -> Gaussian:
                         bridge.kernel.tau)
 
 
-def _bridge_entropies(mean, cov, bridge: GaussianBridge) -> np.ndarray:
-    """Closed-form H(P_{2n} | bridge) from even rows' means and covariances (or stacks)."""
-    b, mu = bridge.kernel, bridge.instance.mu
-    isq = b.noise.inv_root
-    shift = isq @ (mean - (b.alpha + b.beta @ mu.mean))[..., None]
-    mean_term = np.sum(shift ** 2, axis=(-2, -1))
-    cross = isq @ (cov - b.tau) @ bridge.instance.kernel.chi @ mu.root
-    cross_term = np.sum(cross ** 2, axis=(-2, -1))
-    return 0.5 * (_burg(cov, b.tau) + mean_term + cross_term)
+def _kernel_kl(source: Gaussian, k1, k2) -> np.ndarray:
+    """E_{x ~ source} KL(k1(x, .) | k2(x, .)) for two affine-Gaussian kernels.
+
+    Each kernel is ``(mean, gain, noise)``: its mean at the source mean, its
+    gain and its noise covariance, and each part may carry leading stack
+    axes, which broadcast.  By the chain rule this is the relative entropy of
+    the two joints that share the marginal ``source``.  With delta the mean
+    difference and dG the gain difference it is
+    1/2 [Burg(N1, N2) + delta' N2^{-1} delta + tr(dG' N2^{-1} dG sigma)]:
+    one ``solve`` of N2 against [N1 | delta | dG sigma^{1/2}] and one
+    ``slogdet`` of the ratio N2^{-1} N1, d x d work only.
+    """
+    (mean1, gain1, noise1), (mean2, gain2, noise2) = k1, k2
+    d = source.dim
+    delta = mean1 - mean2
+    spread = (gain1 - gain2) @ source.root
+    lead = np.broadcast_shapes(delta.shape[:-1], spread.shape[:-2], np.shape(noise1)[:-2],
+                               np.shape(noise2)[:-2])
+    rhs = np.empty(lead + (d, 2 * d + 1))
+    rhs[..., :d] = noise1
+    rhs[..., d] = delta
+    rhs[..., d + 1:] = spread
+    solved = np.linalg.solve(noise2, rhs)
+    ratio = solved[..., :d]
+    sign, logdet = np.linalg.slogdet(ratio)
+    if np.any(sign <= 0):
+        raise NumericalError("log-det of an SPD ratio came out non-positive")
+    burg = np.trace(ratio, axis1=-2, axis2=-1) - d - logdet
+    quad = (delta[..., None, :] @ solved[..., d:d + 1])[..., 0, 0]
+    cross = np.sum(spread * solved[..., d + 1:], axis=(-2, -1))
+    return 0.5 * (burg + quad + cross)
+
+
+def _kernel_at(kernel: LinearGaussianKernel, source: Gaussian) -> tuple[np.ndarray, ...]:
+    """``kernel`` as :func:`_kernel_kl` takes it on ``source``: mean at source's mean, gain, noise."""
+    return kernel.alpha + kernel.beta @ source.mean, kernel.beta, kernel.tau
+
+
+def _bridge_entropies(mean, gain, cov, bridge: GaussianBridge) -> np.ndarray:
+    """Closed-form H(P_{2n} | bridge) from even rows (or stacks of them), by :func:`_kernel_kl`.
+
+    P_{2n} and the bridge share the marginal mu, so this is E_mu of the KL of
+    row 2n's kernel to the bridge's.
+    """
+    mu = bridge.instance.mu
+    return _kernel_kl(mu, (mean, gain, cov), _kernel_at(bridge.kernel, mu))
 
 
 def bridge_entropy(run: GaussianRun, n: int, bridge: GaussianBridge) -> float:
     """Closed-form H(P_{2n} | bridge) from row 2n's mean and covariance."""
     m = matcore._row(2 * matcore._integer(n, "n", 0), len(run), "half step")
-    return float(_bridge_entropies(run.mean[m], run.cov[m], _own_bridge(run, bridge)))
+    return float(_bridge_entropies(run.mean[m], run.gain[m], run.cov[m],
+                                   _own_bridge(run, bridge)))
 
 
 def entropy_formula_table(run: GaussianRun,
@@ -531,7 +592,7 @@ def entropy_formula_table(run: GaussianRun,
     formula = np.empty((len(run) + 1) // 2)
     oracle = np.empty_like(formula)
     for _, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov, parities=(0,)):
-        formula[at] = _bridge_entropies(mean, cov, bridge)
+        formula[at] = _bridge_entropies(mean, gain, cov, bridge)
         j_mean, j_cov = _iterate_blocks(mean, gain, cov, False, run.instance)
         j_cov = matcore.assert_spd(j_cov, [f"joint P_2n at n={n}"
                                            for n in range(at.start, at.stop)])
@@ -543,15 +604,16 @@ def riccati_equivalence_errors(run: GaussianRun, bridge: GaussianBridge) -> list
     """The largest entry of |R_2n - v_n| for each even row 2n of the run.
 
     R_m is row m's covariance rescaled by eta, derived on read, and v_n the n-th
-    :func:`riccati_apply` iterate of R_0, read from :func:`riccati_iterates`,
-    one call per chunk of even rows.
+    :func:`riccati_apply` iterate of R_0, the closed form of
+    :func:`riccati_iterates`: its set-up once per call, one ``solve`` per
+    chunk of even rows.
     """
     problem, eta = _own_bridge(run, bridge).problem, run.instance.eta
-    v0 = _rescaled(eta, run.cov[0])
+    flow = _riccati_flow(problem, _rescaled(eta, run.cov[0]), "riccati_equivalence_errors")
     errors = np.empty((len(run) + 1) // 2)
     for _, at, cov in _chunks(eta.dim, run.cov, parities=(0,)):
-        flow = riccati_iterates(problem, v0, np.arange(at.start, at.stop))
-        errors[at] = np.max(np.abs(_rescaled(eta, cov) - flow), axis=(1, 2))
+        errors[at] = np.max(np.abs(_rescaled(eta, cov) - flow(np.arange(at.start, at.stop))),
+                            axis=(1, 2))
     return errors.tolist()
 
 
@@ -661,7 +723,11 @@ class EnvelopeReport:
 def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
     """Entropy and 2-Wasserstein decay envelopes from the transport inequalities.
 
-    Report row m reads the run's row m.  The log-Sobolev constants are exact
+    Report row m reads the run's row m.  H(bridge | P_m) is :func:`_kernel_kl`
+    over the marginal the two share: mu with the bridge kernel at even m, eta
+    with its backward kernel at odd m.  W2 reads the covariance of pi_m, built
+    as ``_affine_blocks`` builds its image block, after one validated ``eigh``.
+    No 2d x 2d joint is built.  The log-Sobolev constants are exact
     here: the marginal potentials have constant Hessians sigma^{-1} and
     sigma_bar^{-1}, so rho = ||sigma||_2 and rho_bar = ||sigma_bar||_2.
     """
@@ -675,18 +741,17 @@ def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
     # values[m] = H(bridge | P_m); dist[m] = W2(pi_m, eta) at even m and
     # W2(pi_m, mu) at odd m: the distance of each marginal to the target its
     # half step matches.
-    b_joint = bridge_joint(bridge)
+    bridge_kernels = (_kernel_at(bridge.kernel, mu),
+                      _kernel_at(conjugate_kernel(mu, bridge.kernel), eta))
     values = np.empty(len(run))
     dist = np.empty(len(run))
     for odd, at, mean, gain, cov in _chunks(mu.dim, run.mean, run.gain, run.cov):
-        j_mean, j_cov = _iterate_blocks(mean, gain, cov, odd, run.instance)
-        values[odd::2][at] = _gaussian_kl(b_joint.mean, b_joint.covariance,
-                                          j_mean, matcore.symmetrize(j_cov, "covariance"))
-        image = slice(None, mu.dim) if odd else slice(mu.dim, None)  # the block of pi_m
-        marg, w, q = matcore.spd_eigh(j_cov[:, image, image],
-                                      [f"marginal pi_m at m={2 * j + odd}"
-                                       for j in range(at.start, at.stop)])
-        target = mu if odd else eta
+        source, target = (eta, mu) if odd else (mu, eta)
+        # The covariance of pi_m, rounded as _affine_blocks rounds its image block.
+        marg = gain @ source.covariance @ np.swapaxes(gain, -1, -2) + cov
+        marg, w, q = matcore.spd_eigh(marg, [f"marginal pi_m at m={2 * j + odd}"
+                                             for j in range(at.start, at.stop)])
+        values[odd::2][at] = _kernel_kl(source, bridge_kernels[odd], (mean, gain, cov))
         dist[odd::2][at] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
                                         target.mean, target.covariance)
     values, dist = values.tolist(), dist.tolist()

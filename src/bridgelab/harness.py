@@ -688,19 +688,27 @@ PLOT_WIDTH, PLOT_HEIGHT = 640, 400  # SVG canvas, in pixels
 
 
 def _write_plots(report: ExperimentReport, plot_dir: Path) -> None:
+    """One log-scale SVG per metric with at least two finite positive rows.
+
+    A log scale has no place for a non-finite or non-positive row, so such
+    rows are left out, and each plot says how many of its metric's rows were.
+    """
     series: dict[str, list[tuple[int, float]]] = {}
+    dropped: dict[str, int] = {}
     for step, metric, value in report.rows:
         if math.isfinite(value) and value > 0:
             series.setdefault(metric, []).append((step, value))
+        else:
+            dropped[metric] = dropped.get(metric, 0) + 1
     plot_dir.mkdir(parents=True, exist_ok=True)
     for metric in sorted(series):
         points = sorted(series[metric])
         if len(points) < 2:
             continue
-        (plot_dir / f"{metric}.svg").write_text(_svg_line(metric, points))
+        (plot_dir / f"{metric}.svg").write_text(_svg_line(metric, points, dropped.get(metric, 0)))
 
 
-def _svg_line(title: str, points: list[tuple[int, float]]) -> str:
+def _svg_line(title: str, points: list[tuple[int, float]], dropped: int) -> str:
     xs = [p[0] for p in points]
     ys = [math.log10(p[1]) for p in points]
     x0, x1 = min(xs), max(xs)
@@ -722,6 +730,8 @@ def _svg_line(title: str, points: list[tuple[int, float]]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'
         f'<text x="{margin}" y="20" font-family="monospace" font-size="13">{title} (log10)</text>\n'
+        f'<text x="{PLOT_WIDTH - margin}" y="20" font-family="monospace" font-size="11" '
+        f'text-anchor="end">{dropped} non-finite or non-positive rows left out</text>\n'
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{path}"/>\n'
         f'<line x1="{margin}" y1="{PLOT_HEIGHT - margin}" x2="{PLOT_WIDTH - margin}" y2="{PLOT_HEIGHT - margin}" stroke="black"/>\n'
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{PLOT_HEIGHT - margin}" stroke="black"/>\n'

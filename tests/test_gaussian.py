@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bridgelab import gaussian as gs
 from bridgelab import harness, matcore
-from bridgelab.divergences import Gaussian, _gaussian_w2, gaussian_kl
-from bridgelab.errors import DomainError
+from bridgelab.divergences import Gaussian, _gaussian_kl, _gaussian_w2, gaussian_kl
+from bridgelab.errors import DomainError, NumericalError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # riccati_apply against two inversions: spectral-norm error per unit of
@@ -496,6 +496,12 @@ class TestRiccatiIterates:
         assert gs.riccati_iterates(problem, v0, np.ones((2, 4), dtype=int)).shape == (2, 4, 3, 3)
         np.testing.assert_allclose(gs.riccati_iterates(problem, v0, 0), v0, atol=1e-15)
 
+    def test_one_eigvalsh_per_call(self, linalg_calls):
+        problem = random_problem(np.random.default_rng(1), 3, 0.0, 1.0)
+        linalg_calls.clear()
+        gs.riccati_iterates(problem, np.eye(3), np.arange(40).reshape(4, 10))
+        assert linalg_calls == ["eigvalsh"]
+
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
            top=st.floats(-2.0, 8.0), spread=st.floats(0.0, 3.0), rank=st.integers(0, 6),
@@ -528,8 +534,9 @@ class TestRiccatiIterates:
         closed = gs.riccati_iterates(bridge.problem, v0, np.arange(1001))
         assert float(np.max(np.abs(closed - chain))) <= 1e-13
 
-    def test_one_eigvalsh_and_one_solve_per_chunk(self, linalg_calls, monkeypatch):
-        # 25 even rows at d = 16 are 4 chunks of at most 8.
+    def test_one_eigvalsh_per_call_and_one_solve_per_chunk(self, linalg_calls, monkeypatch):
+        # 25 even rows at d = 16 are 4 chunks of at most 8.  v0's PSD check
+        # and the rest of the closed form's set-up are made once per call.
         inst = random_instance(np.random.default_rng(2), 16)
         run = gs.run_sinkhorn(inst, 48)
         bridge = gs.schrodinger_bridge_gaussian(inst)
@@ -544,7 +551,7 @@ class TestRiccatiIterates:
         linalg_calls.clear()
         errors = gs.riccati_equivalence_errors(run, bridge)
         assert len(errors) == 25
-        assert linalg_calls == ["eigvalsh"] * 4
+        assert linalg_calls == ["eigvalsh"]
         assert solved == [(8, 16, 16)] * 3 + [(1, 16, 16)]
 
     def test_rejects_a_v0_that_is_not_psd(self):
@@ -726,6 +733,71 @@ class TestBridgeEntropy:
             assert b <= a + 1e-12
 
 
+def joint_kls(run, bridge):
+    """H(bridge | P_m) for every row and H(P_2n | bridge) for every even row, as 2d joint KLs."""
+    b_joint = gs.bridge_joint(bridge)
+    envelope, formula = [], []
+    for m in range(len(run)):
+        mean, cov = gs._iterate_blocks(run.mean[m], run.gain[m], run.cov[m], m % 2, run.instance)
+        envelope.append(float(_gaussian_kl(b_joint.mean, b_joint.covariance, mean, cov)))
+        if m % 2 == 0:
+            formula.append(float(_gaussian_kl(mean, cov, b_joint.mean, b_joint.covariance)))
+    return envelope, formula
+
+
+def assert_kernel_kls_match_joints(run, bridge):
+    """The chain-rule values of envelope and entropy-formula against the 2d joint KL."""
+    envelope, formula = joint_kls(run, bridge)
+    values = [row.value for row in gs.envelope_report(run, bridge).entropy_rows]
+    closed = [value for _, value, _ in gs.entropy_formula_table(run, bridge)]
+    assert len(values) == len(envelope) and len(closed) == len(formula)
+    for value, joint in zip(values + closed, envelope + formula):
+        assert abs(value - joint) <= 1e-9 * max(1.0, abs(joint))
+
+
+class TestKernelKL:
+    def test_scalar_closed_form(self):
+        source = Gaussian(np.array([0.3]), np.array([[0.7]]))
+        k1 = (np.array([0.5]), np.array([[1.4]]), np.array([[0.6]]))
+        k2 = (np.array([-0.2]), np.array([[0.9]]), np.array([[1.1]]))
+        ratio = 0.6 / 1.1
+        expected = 0.5 * (ratio - 1.0 - math.log(ratio) + 0.7 ** 2 / 1.1 + 0.5 ** 2 * 0.7 / 1.1)
+        assert float(gs._kernel_kl(source, k1, k2)) == pytest.approx(expected, rel=1e-14)
+
+    def test_a_non_positive_log_det_is_a_numerical_error(self):
+        source = Gaussian(np.zeros(1), np.eye(1))
+        k1 = (np.zeros(1), np.eye(1), -np.eye(1))
+        k2 = (np.zeros(1), np.eye(1), np.eye(1))
+        with pytest.raises(NumericalError, match="^log-det of an SPD ratio came out non-positive$"):
+            gs._kernel_kl(source, k1, k2)
+
+    def test_envelope_builds_no_joint(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(33), 3)
+        run = gs.run_sinkhorn(inst, 9)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        expected = gs.envelope_report(run, bridge)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("envelope_report built a 2d x 2d joint")
+
+        for name in ("_gaussian_kl", "_iterate_blocks", "_affine_blocks", "bridge_joint"):
+            monkeypatch.setattr(gs, name, forbidden)
+        assert gs.envelope_report(run, bridge) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), half_steps=st.integers(0, 41))
+    def test_matches_the_joint_kl(self, d, seed, half_steps):
+        # Both parities: odd rows compare the bridge's backward kernel on eta.
+        inst = random_instance(np.random.default_rng(seed), d)
+        assert_kernel_kls_match_joints(gs.run_sinkhorn(inst, half_steps),
+                                       gs.schrodinger_bridge_gaussian(inst))
+
+    def test_matches_the_joint_kl_at_d16_over_1000_iterations(self):
+        inst = harness.generate_instance("gaussian", 16, 3, "gaussian-random-spd")
+        assert_kernel_kls_match_joints(gs.run_sinkhorn(inst, 2000),
+                                       gs.schrodinger_bridge_gaussian(inst))
+
+
 class TestRateReport:
     def test_self_bridge_zero_errors(self):
         rng = np.random.default_rng(18)
@@ -841,8 +913,9 @@ class TestEnvelopes:
         validated = count_calls(monkeypatch, "spd_eigh")
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
             gs.envelope_report(run, bridge)
-        # the bridge joint, then one stacked call per chunk of marginals
-        assert validated == [2, 3, 3]
+        # the bridge's backward kernel (its pushed marginal and its noise),
+        # then one stacked call per chunk of marginals
+        assert validated == [2, 2, 3, 3]
         # An odd row: pi_5 is the first marginal of the second odd chunk,
         # walked after the three even chunks.
         run = with_row(gs.run_sinkhorn(inst, 8), 5,
@@ -850,7 +923,7 @@ class TestEnvelopes:
         validated.clear()
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=5 is not positive definite"):
             gs.envelope_report(run, bridge)
-        assert validated == [2, 3, 3, 3, 3, 3]
+        assert validated == [2, 2, 3, 3, 3, 3, 3]
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
@@ -918,15 +991,30 @@ def ref_w2(p, q):
     return math.sqrt(max(mean_sq + bures, 0.0))
 
 
-def ref_bridge_entropy(run, m, bridge, mu, kernel):
-    b = bridge.kernel
-    eta_mean = b.alpha + b.beta @ mu.mean
-    isq = b.noise.inv_root
-    mean_term = float(np.sum((isq @ (run.mean[m] - eta_mean)) ** 2))
-    cross = isq @ (run.cov[m] - b.tau) @ kernel.chi @ mu.root
-    cross_term = float(np.sum(cross ** 2))
-    burg = ref_burg(matcore.assert_spd(run.cov[m]), matcore.assert_spd(b.tau))
-    return 0.5 * (burg + mean_term + cross_term)
+def ref_kernel_kl(source, k1, k2):
+    (mean1, gain1, noise1), (mean2, gain2, noise2) = k1, k2
+    d = source.dim
+    delta = mean1 - mean2
+    spread = (gain1 - gain2) @ source.root
+    solved = np.linalg.solve(noise2, np.hstack([noise1, delta[:, None], spread]))
+    ratio = solved[:, :d]
+    sign, logdet = np.linalg.slogdet(ratio)
+    assert sign > 0
+    burg = float(np.trace(ratio) - d - logdet)
+    quad = float(delta @ solved[:, d])
+    cross = float(np.sum(spread * solved[:, d + 1:]))
+    return 0.5 * (burg + quad + cross)
+
+
+def ref_bridge_kernels(bridge, mu, eta):
+    """The bridge's forward kernel (source mu) and backward kernel (source eta), per parity."""
+    b, back = bridge.kernel, gs.conjugate_kernel(mu, bridge.kernel)
+    return ((b.alpha + b.beta @ mu.mean, b.beta, b.tau),
+            (back.alpha + back.beta @ eta.mean, back.beta, back.tau))
+
+
+def ref_row_kernel(run, m):
+    return run.mean[m], run.gain[m], run.cov[m]
 
 
 def ref_rate_rows(run, bridge, mu, eta, kernel):
@@ -974,15 +1062,16 @@ def assert_chunks_equal_loops(inst, half_steps):
     run = gs.run_sinkhorn(inst, half_steps)
     bridge = gs.schrodinger_bridge_gaussian(inst)
     b_joint = gs.bridge_joint(bridge)
+    kernels = ref_bridge_kernels(bridge, mu, eta)
     report = gs.envelope_report(run, bridge)
     rows = range(len(run))
     assert [r.value for r in report.entropy_rows] == [
-        ref_kl(b_joint, ref_joint(run, m, mu, eta)) for m in rows]
+        ref_kernel_kl(eta if m % 2 else mu, kernels[m % 2], ref_row_kernel(run, m)) for m in rows]
     dist = [ref_w2(ref_marginal(run, m, mu, eta), mu if m % 2 else eta) for m in rows]
     assert [r.value for r in report.w2_rows] == dist[1:]
     even = rows[::2]
     assert gs.entropy_formula_table(run, bridge) == [
-        (m // 2, ref_bridge_entropy(run, m, bridge, mu, kernel),
+        (m // 2, ref_kernel_kl(mu, ref_row_kernel(run, m), kernels[0]),
          ref_kl(ref_joint(run, m, mu, eta), b_joint)) for m in even]
     # one closed-form iterate per even row, bit for bit
     rescaled = [eta.inv_root @ run.cov[m] @ eta.inv_root for m in rows]

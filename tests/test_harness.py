@@ -441,11 +441,38 @@ class TestRunExperiment:
         assert plots
         assert plots[0].read_text().startswith("<svg")
 
+    def test_plot_points_and_dropped_rows_by_hand(self, tmp_path):
+        # Steps 0..4 span the 560 pixels from x = 40, log10 values 0..2 the
+        # 320 from y = 360 up; -1, NaN and 0 have no log and are left out.
+        rows = ((0, "x", 1.0), (1, "x", -1.0), (2, "x", 10.0), (3, "x", math.nan),
+                (4, "x", 100.0), (5, "x", 0.0), (0, "lone", 1.0), (1, "lone", -1.0),
+                (0, "none", 0.0), (1, "none", -2.0))
+        harness._write_plots(harness.ExperimentReport(rows, (), {}), tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["x.svg"]
+        svg = (tmp_path / "x.svg").read_text()
+        assert 'points="40.00,360.00 320.00,200.00 600.00,40.00"' in svg
+        assert ">3 non-finite or non-positive rows left out</text>" in svg
+
+    def test_plot_of_a_metric_with_negative_rows(self, tmp_path):
+        # h_kl of bounded 5x7, seed 0, reaches its rounding floor by step 5:
+        # 6 of its 13 rows are negative.
+        config = harness.ExperimentConfig.from_json({
+            "regime": "discrete", "instance": {"profile": "bounded", "size": [5, 7]},
+            "seed": 0, "iterations": 12, "checks": ["geometric-rate"], "plot": True})
+        harness.run_experiment(config, tmp_path)
+        svg = (tmp_path / "plots" / "h_kl.svg").read_text()
+        assert ('points="40.00,40.00 102.22,118.54 164.44,188.26 226.67,257.34 '
+                '288.89,329.36 413.33,350.94 600.00,360.00"') in svg
+        assert ">6 non-finite or non-positive rows left out</text>" in svg
+        for plot in (tmp_path / "plots").glob("*.svg"):
+            assert " non-finite or non-positive rows left out</text>" in plot.read_text()
+
     def test_gaussian_d16_run_memory_is_bounded(self):
         # The diagnostics read at most a chunk of rows at a time.  The run's
         # 201 rows hold about 0.85 MB in three stacks, the rescaled rows being
-        # derived on read; the traced peak is about 1.2 MB chunked (1.6 MB
-        # when the run stored a fourth, rescaled stack).
+        # derived on read; the traced peak is about 1.13 MB chunked (1.20 MB
+        # when envelope built 2d x 2d joints, 1.6 MB when the run stored a
+        # fourth, rescaled stack).
         config = harness.ExperimentConfig.from_json({
             "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
             "seed": 0, "iterations": 100,

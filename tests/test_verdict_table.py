@@ -21,6 +21,10 @@ STALLED = "item 6: the bridge solve stops at MAX_SWEEPS short of its marginals"
 ZERO_PI = "item 6: pi_0 has an exact 0, so a ratio row is NaN"
 INFINITE_KL = "item 6: the bridge charges entries where P_2n is 0, so the ladder residual is NaN"
 NO_CERTIFICATE = "item 6: with zero kernel entries the best rho is not below 1"
+# Short of the underflow corner, at osc_cap 400, kernel entries fall to 1e-190.
+SWEEP_CAP = ("item 6: the bridge solve stops at MAX_SWEEPS (10 000 sweeps, about 0.4 s) with "
+             "residual 1.25e-4, short of its marginals")
+TINY_KERNEL = "item 6: with kernel entries down to 1e-190 the best rho is not below 1"
 # Rounding floors set by constants (ROADMAP item 13).
 RATE_NOISE = "item 13: h_tv is rounding noise above KL_FLOOR, and one ratio exceeds rate_bound"
 W2_FLOOR = "item 13: a saturated W2 row exceeds the absolute squared-scale escape"
@@ -46,9 +50,13 @@ TABLE = [
         "ladder": INFINITE_KL, "geometric-rate": RATE_NOISE, "identities": ZERO_PI}),
     ("discrete", {"profile": "quadratic-grid", "size": [5, 7], "t": 0.0005}, 1, 30, {
         "lyapunov": NO_CERTIFICATE}),
+    ("discrete", {"profile": "bounded", "size": [16, 16], "osc_cap": 400.0}, 0, 30, {
+        "ladder": SWEEP_CAP, "bridge-feasibility": SWEEP_CAP, "lyapunov": TINY_KERNEL}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 1}, 4, 12, {}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 2}, 1, 30, {}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 0, 100, {"envelope": W2_FLOOR}),
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 4, 100, {"envelope": W2_FLOOR}),
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 8}, 4, 100, {"envelope": W2_FLOOR}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 7919, 12, {}),
     # 2001 half steps: riccati-equivalence passes on all 1001 even rows.
     ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 3, 1000, {
