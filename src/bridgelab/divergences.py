@@ -11,6 +11,9 @@ along broadcast leading axes; :func:`burg_divergence` takes stacks too.
 :func:`gaussian_kl` and :func:`gaussian_w2` call the kernels with one pair,
 and the Gaussian diagnostics call them once per chunk of states.  A stacked
 value equals the one-pair value bit for bit (see :mod:`bridgelab.matcore`).
+``_gaussian_w2`` takes the target q by the two roots a :class:`Gaussian`
+caches and sums the squares of a Bures gap, so it makes one ``eigh`` per
+pair and cancels no O(1) terms.
 
 On finite spaces, :func:`phi_entropy` takes an ``(N, m)`` stack of measures
 and :func:`relative_entropy_rows` an ``(N, m)`` stack of weight vectors; the
@@ -221,8 +224,9 @@ class Gaussian:
 
     mean: np.ndarray
     covariance: np.ndarray
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _q: np.ndarray = field(init=False, repr=False, compare=False)
+    # covariance = q diag(w) q', the one eigh it is validated from.
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -232,7 +236,7 @@ class Gaussian:
                                    "covariance")
         if c.shape[0] != m.size:
             raise DomainError(f"mean dimension {m.size} does not match covariance {c.shape}")
-        for name, value in (("mean", m), ("covariance", c), ("_w", w), ("_q", q)):
+        for name, value in (("mean", m), ("covariance", c), ("w", w), ("q", q)):
             object.__setattr__(self, name, matcore._frozen(value))
 
     @property
@@ -242,17 +246,17 @@ class Gaussian:
     @functools.cached_property
     def precision(self) -> np.ndarray:
         """covariance^{-1} (computed once)."""
-        return matcore._frozen(matcore.eigh_inverse(self._w, self._q))
+        return matcore._frozen(matcore.eigh_inverse(self.w, self.q))
 
     @functools.cached_property
     def root(self) -> np.ndarray:
         """covariance^{1/2}, the principal square root (computed once)."""
-        return matcore._frozen(matcore.eigh_sqrt(self.covariance, self._w, self._q))
+        return matcore._frozen(matcore.eigh_sqrt(self.covariance, self.w, self.q))
 
     @functools.cached_property
     def inv_root(self) -> np.ndarray:
         """covariance^{-1/2} (computed once)."""
-        return matcore._frozen(matcore.eigh_inverse(np.sqrt(self._w), self._q))
+        return matcore._frozen(matcore.eigh_inverse(np.sqrt(self.w), self.q))
 
 
 def _burg(s: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -293,20 +297,30 @@ def gaussian_kl(p: Gaussian, q: Gaussian) -> float:
     return float(_gaussian_kl(p.mean, p.covariance, q.mean, q.covariance))
 
 
-def _gaussian_w2(p_mean, p_cov, p_root, q_mean, q_cov) -> np.ndarray:
-    """W2(p, q) from validated parameters and ``p_root = p_cov^{1/2}``, stacked (broadcasting)."""
-    cross = matcore.principal_sqrt(p_root @ q_cov @ p_root)
-    trace = functools.partial(np.trace, axis1=-2, axis2=-1)
-    bures = trace(p_cov) + trace(q_cov) - 2.0 * trace(cross)
+def _gaussian_w2(p_mean, p_cov, q_mean, q_root, q_inv_root) -> np.ndarray:
+    """W2(p, q) from p's validated parameters and q's two roots, stacked (broadcasting).
+
+    With A = q_cov and C = (A^{1/2} p_cov A^{1/2})^{1/2}, the Bures term
+    tr p_cov + tr A - 2 tr C is ||A^{1/2} - A^{-1/2} C||_F^2, since C is
+    symmetric and tr(C A^{-1} C) = tr(A^{-1} C^2) = tr p_cov (Bhatia, Jain
+    and Lim 2019).  It is a sum of squares of entries that carry rounding of
+    order eps ||A^{1/2}||, so W2 is resolved down to that scale, where the
+    trace form, a difference of O(1) traces, stops at its square root.  One
+    ``eigh`` (the root C) per pair, and no root of p: q's roots are the ones
+    a :class:`Gaussian` caches.
+    """
+    cross = matcore.principal_sqrt(q_root @ p_cov @ q_root)
+    gap = q_root - q_inv_root @ cross
+    bures = matcore._dots(gap.reshape(gap.shape[:-2] + (-1,)))
     mean_sq = np.sum((p_mean - q_mean) ** 2, axis=-1)
-    return np.sqrt(np.maximum(mean_sq + bures, 0.0))
+    return np.sqrt(mean_sq + bures)
 
 
 def gaussian_w2(p: Gaussian, q: Gaussian) -> float:
     """2-Wasserstein distance between Gaussians (Bures closed form)."""
     if p.dim != q.dim:
         raise DomainError("dimension mismatch in gaussian_w2")
-    return float(_gaussian_w2(p.mean, p.covariance, p.root, q.mean, q.covariance))
+    return float(_gaussian_w2(p.mean, p.covariance, q.mean, q.root, q.inv_root))
 
 
 # --------------------------------------------------------------------------

@@ -46,11 +46,17 @@ residuals and the envelope recursion use.
 Each SPD matrix on these paths is validated from one ``eigh``
 (``matcore.spd_eigh``), and every inverse, root and spectrum of it is read
 from that factorization: a ``Gaussian`` and a :class:`RiccatiProblem` keep
-theirs.  The run's covariances are inverses of validated matrices.  A joint
+theirs, and so does a run.  The run's covariances are inverses of validated
+matrices, and the run keeps each one's eigenvalues and eigenvectors, read
+from the ``eigh`` of the matrix it inverts (row 0's from the kernel's noise):
+:func:`rate_report` takes tau_2n^{1/2} from them and factorizes nothing.  W2
+takes the target's cached roots (``divergences._gaussian_w2``), so
+:func:`envelope_report` makes one ``eigh`` per row, the W2 root, and
+validates each marginal pi_m by ``eigvalsh``.  A joint
 ``[[S, S G'], [G S, G S G' + C]]`` is ``L diag(S, C) L'``, SPD but possibly
 too ill-conditioned to resolve: :func:`entropy_formula_table` holds its oracle
 joints to the SPD floor.  :func:`_kernel_kl` keeps the log-det sign check of
-its Burg term, and :func:`envelope_report` validates each marginal pi_m.
+its Burg term.
 """
 
 from __future__ import annotations
@@ -232,52 +238,66 @@ class GaussianRun:
 
     Row m of every stack is half step m.  An even kernel maps x to y and an
     odd kernel maps y to x; :func:`_rescaled` derives row m's rescaled
-    covariance on read, by sigma_bar at even m and by sigma at odd m.
+    covariance on read, by sigma_bar at even m and by sigma at odd m.  At
+    d = 16, 100 iterations (201 rows) the five stacks take 1.29 MB, 0.44 MB of
+    it the covariance factors, which spare the rate report one ``eigh`` per
+    even row.
     """
 
     mean: np.ndarray  # (M+1, d): the mean anchor, the mean of pi_m
     gain: np.ndarray  # (M+1, d, d)
     cov: np.ndarray   # (M+1, d, d): the noise covariance
+    # cov[m] = cov_vecs[m] diag(cov_vals[m]) cov_vecs[m]', the factors its update computed
+    cov_vals: np.ndarray  # (M+1, d)
+    cov_vecs: np.ndarray  # (M+1, d, d)
     instance: GaussianInstance  # the instance it was run on: the readers' mu, eta and kernel
 
     def __len__(self) -> int:
         return len(self.mean)
 
 
-def _conditional_cov(precision, chi, cov, step: int) -> np.ndarray:
-    """Half step ``step``'s Bayes update (precision + chi' cov chi)^{-1} from one validated eigh."""
+def _conditional_cov(precision, chi, cov, step: int) -> tuple[np.ndarray, ...]:
+    """Half step ``step``'s Bayes update (precision + chi' cov chi)^{-1} from one validated eigh.
+
+    Returns the update and its factors ``(1 / w, q)``: its eigenvalues and
+    eigenvectors, read from the eigh of the matrix it inverts.
+    """
     try:
         _, w, q = matcore.spd_eigh(precision + chi.T @ cov @ chi)
     except DomainError as exc:
         raise NumericalError(f"covariance lost positivity at step {step}: {exc}") from exc
-    return matcore.eigh_inverse(w, q)
+    return matcore.eigh_inverse(w, q), 1.0 / w, q
 
 
 def sinkhorn_step(m: int, mean, cov, instance: GaussianInstance) -> tuple[np.ndarray, ...]:
-    """Row m + 1, ``(mean, gain, cov)``, from row m's mean and covariance.
+    """Row m + 1, ``(mean, gain, cov, cov_vals, cov_vecs)``, from row m's mean and covariance.
 
     One conjugate Bayes half step of the mean/gain/covariance recursion.  An
     odd step is the even step with mu and eta swapped and chi transposed.
     """
     mu, eta, chi = instance.mu, instance.eta, instance.kernel.chi
     source, target, chi = (mu, eta, chi) if m % 2 == 0 else (eta, mu, chi.T)
-    cov_next = _conditional_cov(source.precision, chi, cov, m + 1)
+    cov_next, vals, vecs = _conditional_cov(source.precision, chi, cov, m + 1)
     gain_next = cov_next @ chi.T
-    return source.mean + gain_next @ (target.mean - mean), gain_next, cov_next
+    return source.mean + gain_next @ (target.mean - mean), gain_next, cov_next, vals, vecs
 
 
 def run_sinkhorn(instance: GaussianInstance, half_steps: int) -> GaussianRun:
     """The run of half steps 0..half_steps inclusive, each stack written in place.
 
-    Row 0 is the reference kernel.  The stacks take 0.85 MB at d = 16, 100 iterations.
+    Row 0 is the reference kernel, factored as its noise is.  The stacks take
+    1.29 MB at d = 16, 100 iterations, 0.44 MB of it the factors.
     """
     mu, kernel = instance.mu, instance.kernel
     count, d = matcore._integer(half_steps, "half_steps", 0) + 1, kernel.dim
-    mean, gain, cov = np.empty((count, d)), np.empty((count, d, d)), np.empty((count, d, d))
+    mean, vals = np.empty((count, d)), np.empty((count, d))
+    gain, cov, vecs = (np.empty((count, d, d)) for _ in range(3))
     mean[0], gain[0], cov[0] = kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau
+    vals[0], vecs[0] = kernel.noise.w, kernel.noise.q
     for m in range(count - 1):
-        mean[m + 1], gain[m + 1], cov[m + 1] = sinkhorn_step(m, mean[m], cov[m], instance)
-    return GaussianRun(*map(_frozen, (mean, gain, cov)), instance)
+        mean[m + 1], gain[m + 1], cov[m + 1], vals[m + 1], vecs[m + 1] = sinkhorn_step(
+            m, mean[m], cov[m], instance)
+    return GaussianRun(*map(_frozen, (mean, gain, cov, vals, vecs)), instance)
 
 
 def _rescaled(source: Gaussian, cov) -> np.ndarray:
@@ -315,7 +335,8 @@ def _chunks(d: int, *stacks, parities=(0, 1)):
     joint, but read whole the d x d stacks of :func:`rate_report` raised the
     traced peak of a d = 16, 100-iteration all-checks run from 1.6 to 3.0 MB,
     past the 2.0 MB of ``test_gaussian_d16_run_memory_is_bounded``.  Chunked,
-    with the rescaled rows derived per chunk, that peak is 1.1 MB.
+    with the rescaled rows derived per chunk, that peak was 1.1 MB; with the
+    run's covariance factors kept it is 1.57 MB.
     """
     size = max(1, matcore.CHUNK_ELEMENTS // (2 * d) ** 2)
     for odd in parities:
@@ -660,10 +681,12 @@ def rate_report(run: GaussianRun, bridge: GaussianBridge) -> GaussianRateReport:
     table = np.empty((6, pairs))
     table[3:, 0] = (1.0, 0.0, 0.0)
     product = np.eye(d)
-    for _, at, mean, gain, cov in _chunks(d, run.mean, run.gain, run.cov, parities=(0,)):
+    for _, at, mean, gain, cov, vals, vecs in _chunks(d, run.mean, run.gain, run.cov,
+                                                      run.cov_vals, run.cov_vecs, parities=(0,)):
         table[:3, at] = (
             matcore.spectral_norm(cov - b.tau),
-            matcore.spectral_norm(matcore.principal_sqrt(cov) - b.noise.root),
+            matcore.spectral_norm(matcore.eigh_sqrt(cov, vals, vecs, [
+                f"tau_2n at n={n}" for n in range(at.start, at.stop)]) - b.noise.root),
             matcore.vector_norm(mean - eta_mean),
         )
         k = int(at.start == 0)  # the loops start at n = 1
@@ -749,11 +772,10 @@ def envelope_report(run: GaussianRun, bridge: GaussianBridge) -> EnvelopeReport:
         source, target = (eta, mu) if odd else (mu, eta)
         # The covariance of pi_m, rounded as _affine_blocks rounds its image block.
         marg = gain @ source.covariance @ np.swapaxes(gain, -1, -2) + cov
-        marg, w, q = matcore.spd_eigh(marg, [f"marginal pi_m at m={2 * j + odd}"
-                                             for j in range(at.start, at.stop)])
+        marg = matcore.assert_spd(marg, [f"marginal pi_m at m={2 * j + odd}"
+                                         for j in range(at.start, at.stop)])
         values[odd::2][at] = _kernel_kl(source, bridge_kernels[odd], (mean, gain, cov))
-        dist[odd::2][at] = _gaussian_w2(mean, marg, matcore.eigh_sqrt(marg, w, q),
-                                        target.mean, target.covariance)
+        dist[odd::2][at] = _gaussian_w2(mean, marg, target.mean, target.root, target.inv_root)
     values, dist = values.tolist(), dist.tolist()
     h0 = values[0]
     base = 1.0 + 1.0 / eps if not vacuous else 1.0
@@ -808,8 +830,8 @@ def strongly_convex_covariance_envelope(sigma, sigma_minus, sigma_bar, sigma_bar
     for n in range(n_max):
         # Odd steps are even steps with the sigma_bar pair and chi transposed.
         law, law_minus, c = (s, s_minus, chi) if n % 2 == 0 else (sb, sb_minus, chi.T)
-        upper.append(_conditional_cov(law.precision, c, lower[n], n + 1))
-        lower.append(_conditional_cov(law_minus.precision, c, upper[n], n + 1))
+        upper.append(_conditional_cov(law.precision, c, lower[n], n + 1)[0])
+        lower.append(_conditional_cov(law_minus.precision, c, upper[n], n + 1)[0])
 
     sandwich = tuple(
         max(0.0, -float(np.linalg.eigvalsh(matcore.symmetrize(up - low))[0]))

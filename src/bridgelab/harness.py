@@ -519,12 +519,10 @@ def _envelope_rule(rows):
     # The refined bound holds at even n >= 2.
     refined = [(v, h0 * value["refined_factor"] ** (-(n // 2 - 1)))
                for n, name, v in rows if name == "entropy_to_iterate" and n >= 2 and n % 2 == 0]
-    # Squared distances carry the double-precision noise of covariance
-    # arithmetic, so a W2 bound also holds at squared scale once values saturate.
-    w2_within = (v <= b + 1e-12 or v ** 2 <= b ** 2 + 1e-14 for v, b in w2_step + w2_chained)
     # eps = kappa^2 rho rho_bar; without a finite positive eps the bounds are vacuous.
     vacuous = not (math.isfinite(value["eps"]) and value["eps"] > 0)
-    passed = vacuous or (all(v <= b + tol for v, b in entropy + refined) and all(w2_within))
+    passed = vacuous or (all(v <= b + tol for v, b in entropy + refined)
+                         and all(v <= b + 1e-12 for v, b in w2_step + w2_chained))
     return passed, _peak(v - b for v, b in entropy + w2_step + w2_chained)
 
 

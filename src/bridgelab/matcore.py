@@ -223,12 +223,13 @@ def eigh_inverse(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
-def eigh_sqrt(s: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+def eigh_sqrt(s: np.ndarray, w: np.ndarray, q: np.ndarray, name="matrix") -> np.ndarray:
     """The principal root ``q diag(w^{1/2}) q'`` of each factorized PSD matrix ``s``.
 
     Negative eigenvalues are clamped to zero and the root is symmetrized;
     a root whose square misses ``s`` by more than ``SQRT_TOL`` (relative)
-    raises a :class:`NumericalError`.
+    raises a :class:`NumericalError`, which names a failing matrix of a stack
+    as the validations do.
     """
     w = np.clip(w, 0.0, None)
     root = (q * np.sqrt(w)[..., None, :]) @ q.swapaxes(-1, -2)
@@ -236,7 +237,7 @@ def eigh_sqrt(s: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     err = _frobenius(root @ root - s)
     bad = err > SQRT_TOL * np.maximum(1.0, _frobenius(s))
     if bad.any():
-        index, label = _first(bad, "matrix")
+        index, label = _first(bad, name)
         where = f" for {label}" if index else ""
         raise NumericalError(
             f"square root residual {err[index]:.3e} exceeds tolerance{where}"

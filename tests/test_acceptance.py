@@ -188,7 +188,7 @@ def test_criterion_07_entropy_formula_cross_check():
 
 def test_criterion_08_envelope_domination():
     # The envelope rule: the entropy and refined bounds to 1e-12 (relative to
-    # max(1, H_0)) and every step and chained W2 bound (squared to 1e-14).
+    # max(1, H_0)) and every step and chained W2 bound to 1e-12 absolute.
     envelope = harness.REGIMES["gaussian"].checks["envelope"]
     worst = -math.inf
     rules_ok = True

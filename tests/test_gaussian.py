@@ -65,11 +65,14 @@ def check_passes(name, run, bridge):
 
 
 def with_row(run, m, **fields):
-    """``run`` with row ``m`` of each named field replaced."""
+    """``run`` with row ``m`` of each named field replaced, a new covariance re-factored."""
     stacks = {}
     for name, value in fields.items():
         stacks[name] = getattr(run, name).copy()
         stacks[name][m] = value
+    if "cov" in fields:
+        stacks["cov_vals"], stacks["cov_vecs"] = run.cov_vals.copy(), run.cov_vecs.copy()
+        stacks["cov_vals"][m], stacks["cov_vecs"][m] = np.linalg.eigh(stacks["cov"][m])
     return dataclasses.replace(run, **stacks)
 
 
@@ -185,8 +188,8 @@ class TestSinkhornFlow:
         inst = random_instance(np.random.default_rng(31 + d), d)
         mu, kernel = inst.mu, inst.kernel
         run = gs.run_sinkhorn(inst, 9)
-        fields = ("mean", "gain", "cov")
-        shapes = ((10, d), (10, d, d), (10, d, d))
+        fields = ("mean", "gain", "cov", "cov_vals", "cov_vecs")
+        shapes = ((10, d), (10, d, d), (10, d, d), (10, d), (10, d, d))
         for name, shape in zip(fields, shapes):
             stack = getattr(run, name)
             assert len(run) == 10 and stack.shape == shape, name
@@ -195,9 +198,11 @@ class TestSinkhornFlow:
                 stack[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             run.cov = run.cov.copy()
-        # row 0 is the reference kernel; row m + 1 is one sinkhorn_step of
-        # row m, each step fed the arrays the one before returned
-        row = (kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau)
+        # row 0 is the reference kernel, factored as its noise is; row m + 1
+        # is one sinkhorn_step of row m, each step fed the arrays the one
+        # before returned
+        row = (kernel.alpha + kernel.beta @ mu.mean, kernel.beta, kernel.tau,
+               kernel.noise.w, kernel.noise.q)
         for m in range(len(run)):
             for name, value in zip(fields, row):
                 assert getattr(run, name)[m].tobytes() == value.tobytes(), (m, name)
@@ -215,7 +220,7 @@ class TestSinkhornFlow:
         mean, cov = run.mean[0], run.cov[0]
         per_step = [inst.eta.inv_root @ cov @ inst.eta.inv_root]
         for m in range(len(run) - 1):
-            mean, _, cov = gs.sinkhorn_step(m, mean, cov, inst)
+            mean, _, cov, *_ = gs.sinkhorn_step(m, mean, cov, inst)
             source = sources[(m + 1) % 2]
             per_step.append(source.inv_root @ cov @ source.inv_root)
         per_step = np.array(per_step)
@@ -312,7 +317,7 @@ class TestSinkhornFlow:
         mean, cov = run.mean[-1], run.cov[-1]
         for m in range(2, 7):
             linalg_calls.clear()
-            mean, _, cov = gs.sinkhorn_step(m, mean, cov, inst)
+            mean, _, cov, *_ = gs.sinkhorn_step(m, mean, cov, inst)
             assert linalg_calls == ["eigh"]
 
     def test_uniform_covariance_sandwich(self):
@@ -659,6 +664,8 @@ class TestBridgeEntropy:
             mean=(kernel.alpha + kernel.beta @ inst.mu.mean)[None],
             gain=kernel.beta[None],
             cov=kernel.tau[None],
+            cov_vals=kernel.noise.w[None],
+            cov_vecs=kernel.noise.q[None],
             instance=inst,
         )
         assert gs.bridge_entropy(run, 0, bridge) == pytest.approx(
@@ -798,6 +805,58 @@ class TestKernelKL:
                                        gs.schrodinger_bridge_gaussian(inst))
 
 
+class TestRunFactors:
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_factors_reproduce_each_row(self, d):
+        inst = random_instance(np.random.default_rng(50 + d), d)
+        run = gs.run_sinkhorn(inst, 40)
+        rebuilt = (run.cov_vecs * run.cov_vals[:, None, :]) @ np.swapaxes(run.cov_vecs, 1, 2)
+        error = np.max(np.abs(rebuilt - run.cov), axis=(1, 2))
+        assert np.all(error <= 1e-14 * np.max(np.abs(run.cov), axis=(1, 2)))
+
+    def test_rate_report_factors_nothing(self, linalg_calls):
+        # tau_2n^1/2 comes from the factors the run kept, so the rate report
+        # makes no eigh: its eigvalsh calls are the spectral norms and bounds.
+        inst = random_instance(np.random.default_rng(51), 3)
+        run = gs.run_sinkhorn(inst, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        linalg_calls.clear()
+        gs.rate_report(run, bridge)
+        assert linalg_calls and "eigh" not in linalg_calls
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_sqrt_error_agrees_with_a_fresh_root(self, d):
+        inst = random_instance(np.random.default_rng(52 + d), d)
+        run = gs.run_sinkhorn(inst, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        rows = gs.rate_report(run, bridge).rows
+        for row, cov in zip(rows, run.cov[0::2]):
+            fresh = matcore.spectral_norm(matcore.principal_sqrt(cov) - bridge.kernel.noise.root)
+            assert abs(row.sqrt_error - fresh) <= 1e-12 * max(1.0, fresh)
+
+    def test_with_row_refactors_the_rows_it_edits(self):
+        inst = random_instance(np.random.default_rng(53), 2)
+        run = gs.run_sinkhorn(inst, 8)
+        edited = with_row(run, 6, cov=np.diag([0.5, 2.0]))
+        vals, vecs = edited.cov_vals[6], edited.cov_vecs[6]
+        np.testing.assert_allclose((vecs * vals) @ vecs.T, np.diag([0.5, 2.0]), atol=1e-15)
+        for name in ("cov", "cov_vals", "cov_vecs"):
+            kept = np.arange(len(run)) != 6
+            assert getattr(edited, name)[kept].tobytes() == getattr(run, name)[kept].tobytes()
+
+    def test_a_stale_factor_is_a_numerical_error(self):
+        # A covariance row replaced without its factors: the root read from
+        # them misses the row, and the residual check of the root names it.
+        inst = random_instance(np.random.default_rng(54), 2)
+        run = gs.run_sinkhorn(inst, 40)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        cov = run.cov.copy()
+        cov[8] *= 2.0
+        with pytest.raises(NumericalError,
+                           match=r"^square root residual .* exceeds tolerance for tau_2n at n=4$"):
+            gs.rate_report(dataclasses.replace(run, cov=cov), bridge)
+
+
 class TestRateReport:
     def test_self_bridge_zero_errors(self):
         rng = np.random.default_rng(18)
@@ -844,7 +903,8 @@ class TestRateReport:
         monkeypatch.setattr(gs, "_chunks", walk)
         rows = gs.rate_report(run, bridge).rows
         assert len(walks) == 1
-        assert all(a is b for a, b in zip(walks[0], (run.mean, run.gain, run.cov), strict=True))
+        assert all(a is b for a, b in zip(
+            walks[0], (run.mean, run.gain, run.cov, run.cov_vals, run.cov_vecs), strict=True))
         assert list(rows) == ref_rate_rows(run, bridge, inst.mu, inst.eta, inst.kernel)
 
     def test_requires_enough_iterations(self):
@@ -877,9 +937,9 @@ class TestEnvelopes:
     def test_one_w2_distance_per_state(self, monkeypatch):
         calls = []
 
-        def counted(p_mean, p_cov, p_root, q_mean, q_cov):
-            calls.extend((mean, q_mean, q_cov) for mean in p_mean)
-            return _gaussian_w2(p_mean, p_cov, p_root, q_mean, q_cov)
+        def counted(p_mean, p_cov, q_mean, q_root, q_inv_root):
+            calls.extend((mean, q_mean, q_root, q_inv_root) for mean in p_mean)
+            return _gaussian_w2(p_mean, p_cov, q_mean, q_root, q_inv_root)
 
         monkeypatch.setattr(gs, "_gaussian_w2", counted)
         # The scalar instance is gate-contractive, so its chained rows count too.
@@ -892,14 +952,38 @@ class TestEnvelopes:
             gs.envelope_report(run, gs.schrodinger_bridge_gaussian(inst))
             assert len(calls) == len(run)
             # each marginal (its mean is the row's) is measured against the
-            # target its half step matches, once, in row order per parity
+            # target its half step matches, by the target's cached roots,
+            # once, in row order per parity
             for parity, target in ((0, inst.eta), (1, inst.mu)):
-                measured = [(mean, q_mean) for mean, q_mean, q_cov in calls
-                            if q_cov is target.covariance]
+                measured = [(mean, q_mean) for mean, q_mean, q_root, q_inv_root in calls
+                            if q_root is target.root and q_inv_root is target.inv_root]
                 assert all(q_mean is target.mean for _, q_mean in measured)
                 means = run.mean[parity::2]
                 assert len(measured) == len(means)
                 assert all(np.array_equal(a, b) for (a, _), b in zip(measured, means))
+
+    def test_one_eigh_per_row(self, monkeypatch):
+        # The W2 root C of each marginal; the marginals are validated by
+        # eigvalsh, and the targets' roots are the ones their Gaussians cache.
+        inst = random_instance(np.random.default_rng(55), 3)
+        run = gs.run_sinkhorn(inst, 20)
+        bridge = gs.schrodinger_bridge_gaussian(inst)
+        monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 4 * 6 ** 2)  # four rows a chunk
+        shapes = []
+        original = np.linalg.eigh
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        gs.envelope_report(run, bridge)
+        stacked = [shape[0] for shape in shapes if len(shape) == 3]
+        assert stacked == [4, 4, 3, 4, 4, 2]
+        assert sum(stacked) == len(run)
+        # The other three are single matrices of the bridge's backward kernel:
+        # its pushed marginal, the inverse of its noise's precision and its noise.
+        assert len(shapes) == len(stacked) + 3
 
     def test_names_an_unresolvable_marginal_by_step(self, monkeypatch):
         inst = random_instance(np.random.default_rng(29), 2)
@@ -910,12 +994,12 @@ class TestEnvelopes:
                        cov=np.diag([1e-13, 1.0]), gain=np.zeros((2, 2)))
         # Two even rows per chunk: pi_6 is the second marginal of its chunk.
         monkeypatch.setattr(matcore, "CHUNK_ELEMENTS", 2 * 4 ** 2)
-        validated = count_calls(monkeypatch, "spd_eigh")
+        validated = count_calls(monkeypatch, "assert_spd")
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=6 is not positive definite"):
             gs.envelope_report(run, bridge)
-        # the bridge's backward kernel (its pushed marginal and its noise),
+        # the bridge's backward kernel (the inverse of its noise's precision),
         # then one stacked call per chunk of marginals
-        assert validated == [2, 2, 3, 3]
+        assert validated == [2, 3, 3]
         # An odd row: pi_5 is the first marginal of the second odd chunk,
         # walked after the three even chunks.
         run = with_row(gs.run_sinkhorn(inst, 8), 5,
@@ -923,7 +1007,7 @@ class TestEnvelopes:
         validated.clear()
         with pytest.raises(DomainError, match=r"^marginal pi_m at m=5 is not positive definite"):
             gs.envelope_report(run, bridge)
-        assert validated == [2, 2, 3, 3, 3, 3, 3]
+        assert validated == [2, 3, 3, 3, 3, 3]
 
     def test_generic_instances_dominated(self):
         rng = np.random.default_rng(22)
@@ -985,10 +1069,10 @@ def ref_kl(p, q):
 
 
 def ref_w2(p, q):
-    cross = matcore.principal_sqrt(p.root @ q.covariance @ p.root)
-    bures = float(np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross))
+    cross = matcore.principal_sqrt(q.root @ p.covariance @ q.root)
+    gap = (q.root - q.inv_root @ cross).reshape(-1)
     mean_sq = float(np.sum((p.mean - q.mean) ** 2))
-    return math.sqrt(max(mean_sq + bures, 0.0))
+    return math.sqrt(mean_sq + float(np.dot(gap, gap)))
 
 
 def ref_kernel_kl(source, k1, k2):
@@ -1029,7 +1113,8 @@ def ref_rate_rows(run, bridge, mu, eta, kernel):
         gain, cov = run.gain[2 * n], run.cov[2 * n]
         rescaled = eta.inv_root @ cov @ eta.inv_root
         cov_error = matcore.spectral_norm(cov - bridge.kernel.tau)
-        sqrt_error = matcore.spectral_norm(matcore.principal_sqrt(cov) - noise_root)
+        root = matcore.eigh_sqrt(cov, run.cov_vals[2 * n], run.cov_vecs[2 * n])
+        sqrt_error = matcore.spectral_norm(root - noise_root)
         mean_error = float(np.linalg.norm(run.mean[2 * n] - eta_mean))
         directed_residual = 0.0
         loop_residual = 0.0

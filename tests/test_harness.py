@@ -469,10 +469,11 @@ class TestRunExperiment:
 
     def test_gaussian_d16_run_memory_is_bounded(self):
         # The diagnostics read at most a chunk of rows at a time.  The run's
-        # 201 rows hold about 0.85 MB in three stacks, the rescaled rows being
-        # derived on read; the traced peak is about 1.13 MB chunked (1.20 MB
-        # when envelope built 2d x 2d joints, 1.6 MB when the run stored a
-        # fourth, rescaled stack).
+        # 201 rows hold about 1.29 MB in five stacks: mean, gain and cov, and
+        # 0.44 MB of cov's eigenvalues and eigenvectors, which the rate
+        # report reads its roots from; the rescaled rows are derived on read.
+        # The traced peak is about 1.57 MB chunked (1.13 MB before the run
+        # kept the factors, 1.20 MB when envelope built 2d x 2d joints).
         config = harness.ExperimentConfig.from_json({
             "regime": "gaussian", "instance": {"profile": "gaussian-random-spd", "size": 16},
             "seed": 0, "iterations": 100,
@@ -589,6 +590,19 @@ class TestRuleTable:
         rows = [(0, "eps", 0.5), (0, "refined_factor", 3.0),
                 (0, "entropy_to_iterate", 100.0), (0, "entropy_envelope", 100.0),
                 (1, "entropy_to_iterate", 50.0 + excess), (1, "entropy_envelope", 50.0)]
+        assert rule(rows)[0] is passed
+
+    @pytest.mark.parametrize("metric", ["w2_step", "w2_chained"])
+    @pytest.mark.parametrize("value, bound, passed", [
+        (0.5 + 0.5e-12, 0.5, True), (0.5 + 2e-12, 0.5, False),
+        # A saturated row against a clamped bound of 0: the squared-scale
+        # escape v^2 <= b^2 + 1e-14, deleted, once passed it.
+        (5e-8, 0.0, False)])
+    def test_envelope_w2_bound_is_1e_12_absolute(self, metric, value, bound, passed):
+        rule = harness.REGIMES["gaussian"].checks["envelope"].rule
+        rows = [(0, "eps", 0.5), (0, "refined_factor", 3.0),
+                (0, "entropy_to_iterate", 1.0), (0, "entropy_envelope", 1.0),
+                (2, f"{metric}_value", value), (2, f"{metric}_bound", bound)]
         assert rule(rows)[0] is passed
 
     def test_metric_no_check_writes_rejected(self):

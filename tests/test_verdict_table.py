@@ -27,7 +27,6 @@ SWEEP_CAP = ("item 6: the bridge solve stops at MAX_SWEEPS (10 000 sweeps, about
 TINY_KERNEL = "item 6: with kernel entries down to 1e-190 the best rho is not below 1"
 # Rounding floors set by constants (ROADMAP item 13).
 RATE_NOISE = "item 13: h_tv is rounding noise above KL_FLOOR, and one ratio exceeds rate_bound"
-W2_FLOOR = "item 13: a saturated W2 row exceeds the absolute squared-scale escape"
 SLOPE_FLOOR = ("item 13: cov_error saturates just above fitting.SATURATION_FLOOR, so the fit "
                "takes the rounding noise and its slope misses the theory")
 
@@ -54,13 +53,17 @@ TABLE = [
         "ladder": SWEEP_CAP, "bridge-feasibility": SWEEP_CAP, "lyapunov": TINY_KERNEL}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 1}, 4, 12, {}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 2}, 1, 30, {}),
-    ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 0, 100, {"envelope": W2_FLOOR}),
-    ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 4, 100, {"envelope": W2_FLOOR}),
-    ("gaussian", {"profile": "gaussian-random-spd", "size": 8}, 4, 100, {"envelope": W2_FLOOR}),
+    # These three and d=16 seed 3 at 1000 iterations failed envelope while W2
+    # was a difference of traces: saturated W2 rows of up to 2.1e-7 were its
+    # rounding.  Read as the sum of squares ||A^1/2 - A^-1/2 C||_F^2, no W2
+    # row exceeds its bound by more than 1e-12 (ROADMAP item 13).
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 0, 100, {}),
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 4}, 4, 100, {}),
+    ("gaussian", {"profile": "gaussian-random-spd", "size": 8}, 4, 100, {}),
     ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 7919, 12, {}),
     # 2001 half steps: riccati-equivalence passes on all 1001 even rows.
     ("gaussian", {"profile": "gaussian-random-spd", "size": 16}, 3, 1000, {
-        "riccati-rate": SLOPE_FLOOR, "envelope": W2_FLOOR}),
+        "riccati-rate": SLOPE_FLOOR}),
 ]
 
 
