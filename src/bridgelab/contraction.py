@@ -6,6 +6,10 @@ a pair (a, rho): at the weights ``0.5 + a * g`` and ``0.5 + a * h`` every
 kernel has Lipschitz norm at most rho < 1, which on a finite space with
 bounded weights is the weighted Kantorovich/Dobrushin contraction itself.
 
+A kernel argument is one row-stochastic matrix; :func:`lyapunov_search`
+also takes a nonempty ``(N, n, m)`` stack of them (or a sequence), such as a
+run's kernel stacks, validated in one pass.
+
 Every sup over state pairs reads one primitive, :func:`_pair_sums`: per row
 pair, sums alpha, beta, gamma such that the pair's Lipschitz ratio at mixing
 level a is the term ``(alpha + a * beta) / (1 + a * gamma)``, monotone in a.
@@ -29,45 +33,24 @@ KERNEL_TOL = 1e-9
 A_MAX = 1e4  # the certificate search scans the mixing levels [0, A_MAX]
 
 
-def _as_kernel(k, name: str = "kernel") -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2:
-        raise DomainError(f"{name} must be a matrix")
-    if k.shape[0] == 0:
-        raise DomainError(f"{name} must have at least one row")
-    if k.size and not (k.min() >= -KERNEL_TOL and k.max() < math.inf):
-        raise DomainError(f"{name} must have nonnegative finite entries")
-    rows = k.sum(axis=1)
-    if float(np.max(np.abs(rows - 1.0))) > KERNEL_TOL:
-        raise DomainError(f"{name} rows must sum to one")
-    return k
+def _as_kernel(k, name: str = "kernel", stack: bool = False) -> np.ndarray:
+    """``k``, checked to be a Markov kernel: finite, nonnegative, rows summing to one.
 
-
-def _as_kernel_list(kernels, name: str) -> list[tuple[str, np.ndarray]]:
-    """``(label, kernel)`` pairs: ``name[i]`` for a sequence, ``name`` for one matrix."""
-    if not isinstance(kernels, (list, tuple)):
-        return [(name, _as_kernel(kernels, name))]
-    if not kernels:
+    With ``stack``, ``k`` may also be a nonempty ``(N, n, m)`` stack or
+    sequence of kernels, checked in one pass, and the result is always a
+    stack; an error names the first failing kernel, ``name[i]``.
+    """
+    k = matcore._array(k, name, floor="nonnegative")
+    if stack and k.ndim != 2 and k.shape[:1] == (0,):
         raise DomainError(f"{name} must hold at least one kernel")
-    return [(f"{name}[{i}]", _as_kernel(k, f"{name}[{i}]")) for i, k in enumerate(kernels)]
-
-
-def _as_positive_weights(w, name: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(w <= 0):
-        raise DomainError(f"{name} must be strictly positive")
-    return w
-
-
-def _check_weight_sizes(k: np.ndarray, name: str, src: np.ndarray, src_name: str,
-                        tgt: np.ndarray, tgt_name: str) -> None:
-    """Raise naming the first of the source, target weights that does not fit ``k``."""
-    if src.size != k.shape[0]:
-        raise DomainError(f"{src_name} has {src.size} entries but {name} has {k.shape[0]} rows")
-    if tgt.size != k.shape[1]:
-        raise DomainError(f"{tgt_name} has {tgt.size} entries but {name} has {k.shape[1]} columns")
+    if k.ndim != 2 and not (stack and k.ndim == 3):
+        raise DomainError(f"{name} must be a matrix" + (" or a stack of them" if stack else ""))
+    if k.shape[-2] == 0:
+        raise DomainError(f"{name} must have at least one row")
+    bad = np.abs(k.sum(axis=-1) - 1.0).max(axis=-1) > KERNEL_TOL
+    if bad.any():
+        raise DomainError(f"{matcore._first(bad, name)[1]} rows must sum to one")
+    return k.reshape((-1,) + k.shape[-2:]) if stack else k
 
 
 def _pair_sums(kernels, src: np.ndarray, tgt: np.ndarray):
@@ -147,9 +130,8 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     rows divided by the source weight sum g(x1) + g(x2): max beta / gamma.
     """
     k = _as_kernel(kernel)
-    g = _as_positive_weights(source_weight, "source_weight")
-    h = _as_positive_weights(target_weight, "target_weight")
-    _check_weight_sizes(k, "kernel", g, "source_weight", h, "target_weight")
+    g = matcore._array(source_weight, "source_weight", k.shape[:1], "strictly positive")
+    h = matcore._array(target_weight, "target_weight", k.shape[1:], "strictly positive")
     worst = np.max([np.max(c[1] / c[2]) for c in _pair_sums([k], g, h)], initial=0.0)
     if np.isnan(worst):
         raise NumericalError("Lipschitz ratio is NaN: the weights overflow")
@@ -165,12 +147,13 @@ class WeightPair:
     a: float
 
     def __post_init__(self) -> None:
-        g = _as_positive_weights(self.g, "g")
-        h = _as_positive_weights(self.h, "h")
-        if not 0 <= self.a < math.inf:
+        g = matcore._array(self.g, "g", (None,), "strictly positive")
+        h = matcore._array(self.h, "h", (None,), "strictly positive")
+        a = matcore._real(self.a, "mixing level a")
+        if not 0 <= a < math.inf:
             raise DomainError("mixing level a must be nonnegative and finite")
-        object.__setattr__(self, "g", _frozen(g))
-        object.__setattr__(self, "h", _frozen(h))
+        for name, value in (("g", _frozen(g)), ("h", _frozen(h)), ("a", a)):
+            object.__setattr__(self, name, value)
 
     @property
     def g_a(self) -> np.ndarray:
@@ -244,27 +227,25 @@ def _exact_minimum(terms: np.ndarray) -> tuple[float, float]:
 def lyapunov_search(kernel_k, kernel_l, g, h) -> ContractionCertificate | SearchFailure:
     """The exact best weighted-norm contraction certificate (a, rho), a in [0, A_MAX].
 
-    ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty sequences;
-    with sequences the certificate bounds every pair, which is what
-    time-varying iterations need.  K kernels take source weight g_a and target
-    weight h_a, L kernels the reverse.  rho, the max over all pairs of the
+    ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty ``(N, n, m)``
+    stacks (or sequences) of them, such as a run's ``kernel_even[1:]`` and
+    ``kernel_odd[1:]`` as they are; with stacks the certificate bounds every
+    pair, which is what time-varying iterations need.  K kernels take source
+    weight g_a and target weight h_a, L kernels the reverse.  rho, the max over all pairs of the
     Lipschitz ratio at a, is minimized over a (ties go to the smallest a); a
     minimum not below 1 gives a :class:`SearchFailure`.  a = 0 is the unweighted
     (total variation) certificate; a = A_MAX means the minimum lies at or beyond.
     """
-    ks = _as_kernel_list(kernel_k, "kernel_k")
-    ls = _as_kernel_list(kernel_l, "kernel_l")
-    g = _as_positive_weights(g, "g")
-    h = _as_positive_weights(h, "h")
-    for name, k in ks:
-        _check_weight_sizes(k, name, g, "g", h, "h")
-    for name, k in ls:
-        if k.shape != (h.size, g.size):
-            raise DomainError(f"{name} has shape {k.shape}, expected {h.size, g.size} "
-                              "from h and g")
+    ks = _as_kernel(kernel_k, "kernel_k", stack=True)
+    ls = _as_kernel(kernel_l, "kernel_l", stack=True)
+    g = matcore._array(g, "g", ks.shape[1:2], "strictly positive")
+    h = matcore._array(h, "h", ks.shape[2:], "strictly positive")
+    if ls.shape[1:] != (h.size, g.size):
+        raise DomainError(f"kernel_l must hold kernels of shape {h.size, g.size} from h and g, "
+                          f"got {ls.shape[1:]}")
     kept, batch, size = np.empty((3, 0)), [], 0
     for chunk in (c for kernels, src, tgt in ((ks, g, h), (ls, h, g))
-                  for c in _pair_sums([k for _, k in kernels], src, tgt)):
+                  for c in _pair_sums(kernels, src, tgt)):
         batch.append(chunk)
         size += chunk.shape[1]
         if 3 * size >= matcore.CHUNK_ELEMENTS:  # a batch holds about a chunk of floats

@@ -115,25 +115,21 @@ def _log_kernel(log_k: np.ndarray, log_w: np.ndarray, pot: np.ndarray) -> tuple[
 
 
 def build_model(cost, lambda_weights, nu_weights, u=None, v=None) -> DiscreteModel:
-    """Validate and assemble a :class:`DiscreteModel` from raw arrays."""
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise DomainError(f"cost must be a matrix, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
-        raise DomainError("cost matrix must be finite (zero kernel entries are not supported)")
+    """Validate and assemble a :class:`DiscreteModel` from raw arrays.
+
+    ``cost`` is a nonempty (nx, ny) matrix of finite entries (a zero kernel
+    entry is not supported), ``lambda_weights`` and ``nu_weights`` strictly
+    positive vectors of its sides, and ``u`` and ``v`` finite potentials on
+    them (zero by default).
+    """
+    cost = matcore._array(cost, "cost", (None, None))
+    if not cost.size:
+        raise DomainError(f"cost must have at least one row and one column, got {cost.shape}")
     nx, ny = cost.shape
-    lam = np.asarray(lambda_weights, dtype=float).reshape(-1)
-    nu = np.asarray(nu_weights, dtype=float).reshape(-1)
-    if lam.size != nx or nu.size != ny:
-        raise DomainError("reference weights do not match the cost dimensions")
-    if np.any(lam <= 0) or np.any(nu <= 0) or not (np.all(np.isfinite(lam)) and np.all(np.isfinite(nu))):
-        raise DomainError("reference weights must be strictly positive and finite")
-    u = np.zeros(nx) if u is None else np.asarray(u, dtype=float).reshape(-1)
-    v = np.zeros(ny) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if u.size != nx or v.size != ny:
-        raise DomainError("marginal potentials do not match the cost dimensions")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise DomainError("marginal potentials must be finite")
+    lam = matcore._array(lambda_weights, "lambda_weights", (nx,), "strictly positive")
+    nu = matcore._array(nu_weights, "nu_weights", (ny,), "strictly positive")
+    u = np.zeros(nx) if u is None else matcore._array(u, "u", (nx,))
+    v = np.zeros(ny) if v is None else matcore._array(v, "v", (ny,))
 
     log_lambda = np.log(lam)
     log_nu = np.log(nu)
@@ -279,13 +275,8 @@ def run_sinkhorn(model: DiscreteModel, pairs: int) -> SinkhornRun:
 
 def dual_kernel(kernel, mu) -> np.ndarray:
     """Bayes dual K*_mu(y, x) = mu(x) K(x, y) / (mu K)(y)."""
-    kernel = np.asarray(kernel, dtype=float)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if kernel.ndim != 2 or kernel.shape[0] != mu.size:
-        raise DomainError("kernel rows must match the support of mu")
-    # min and max propagate a NaN, and a NaN compares False.
-    if mu.size and not (mu.min() >= 0.0 and mu.max() < np.inf):
-        raise DomainError("mu weights must be finite and nonnegative")
+    kernel = matcore._array(kernel, "kernel", (None, None), "nonnegative")
+    mu = matcore._array(mu, "mu weights", kernel.shape[:1], "nonnegative")
     pushed = mu @ kernel
     if np.any(pushed <= 0):
         raise DomainError("mu K vanishes somewhere: dual kernel undefined (absolute continuity fails)")
@@ -336,11 +327,8 @@ def entropy_ladder(run: SinkhornRun, q) -> LadderReport:
     Rows where Q is not absolutely continuous w.r.t. the iterate carry
     infinite entries and a NaN residual; they are flagged, not fatal.
     """
-    model, q = run.model, np.asarray(q, dtype=float)
-    if q.shape != (model.nx, model.ny):
-        raise DomainError("coupling shape does not match the model")
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise DomainError("coupling entries must be finite and nonnegative")
+    model = run.model
+    q = matcore._array(q, "coupling entries", (model.nx, model.ny), "nonnegative")
     if any(err > MARGINAL_TOL for err in marginal_errors(model, q)):
         raise DomainError("coupling marginals do not match (mu, eta)")
     to_bridge = np.array([relative_entropy(q, run.joint_even(n)) for n in range(len(run))])

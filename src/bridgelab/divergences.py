@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,10 +62,11 @@ class DiscreteMeasure:
     """A probability vector on a finite support, normalized on construction."""
 
     weights: np.ndarray
+    name: InitVar[str] = "measure"  # what an error calls the weights
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        object.__setattr__(self, "weights", matcore._frozen(_normalized(w, "measure")))
+    def __post_init__(self, name: str) -> None:
+        w = matcore._array(self.weights, name, floor=None).reshape(-1)
+        object.__setattr__(self, "weights", matcore._frozen(_normalized(w, name)))
 
     @property
     def support_size(self) -> int:
@@ -75,17 +76,18 @@ class DiscreteMeasure:
         return np.asarray(self.weights, dtype=dtype)
 
 
-def as_measure(mu) -> DiscreteMeasure:
+def as_measure(mu, name: str = "measure") -> DiscreteMeasure:
+    """``mu`` as a :class:`DiscreteMeasure`; an error names it ``name``."""
     if isinstance(mu, DiscreteMeasure):
         return mu
-    return DiscreteMeasure(np.asarray(mu, dtype=float))
+    return DiscreteMeasure(mu, name)
 
 
 def _measure_rows(mu1) -> np.ndarray:
     """Normalized weights of ``mu1``: one measure, or each row of an ``(N, m)`` stack."""
     if isinstance(mu1, DiscreteMeasure):
         return mu1.weights
-    w = np.asarray(mu1, dtype=float)
+    w = matcore._array(mu1, "mu1", floor=None)
     if w.ndim > 2:
         raise DomainError(f"mu1 must be a weight vector or an (N, m) stack, got shape {w.shape}")
     return _normalized(w if w.ndim == 2 else w.reshape(-1), "mu1")
@@ -153,7 +155,7 @@ def phi_entropy(phi: PhiFunction, mu1, mu2) -> float | np.ndarray:
     :func:`relative_entropy` of them: both sum the same ``KL`` terms.
     """
     w1 = _measure_rows(mu1)
-    w2 = as_measure(mu2).weights
+    w2 = as_measure(mu2, "mu2").weights
     if w1.shape[-1] != w2.size:
         raise DomainError(f"support mismatch: {w1.shape[-1]} vs {w2.size}")
     total = np.sum(phi.evaluate(w1, w2), axis=-1)
@@ -166,13 +168,14 @@ def relative_entropy(p, q) -> float:
     Unnormalized companion of ``phi_entropy(KL, ...)`` that also accepts joint
     matrices (flattened).  Uses 0 log 0 = 0 and returns ``+inf`` when ``p``
     charges a point that ``q`` does not.  A NaN, infinite or negative entry of
-    ``p`` or ``q`` is a :class:`DomainError`.
+    ``p`` or ``q`` is a :class:`DomainError`: ``KL`` would drop a NaN or
+    negative entry of p as a 0 term, and give a NaN or -inf for one of q.  A
+    0 entry of q stays valid: where p charges it, the KL is +inf.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
+    p = matcore._array(p, "relative_entropy: entries of p", floor="nonnegative").reshape(-1)
+    q = matcore._array(q, "relative_entropy: entries of q", floor="nonnegative").reshape(-1)
     if p.shape != q.shape:
         raise DomainError("support mismatch in relative_entropy")
-    _check_kl_weights("relative_entropy", p, q)
     return float(np.sum(_phi_kl(p, q)))
 
 
@@ -182,38 +185,21 @@ def relative_entropy_rows(p, q) -> np.ndarray:
     Either argument may be one ``(m,)`` vector, which is paired with every row
     of the other; each value equals the one-row value bit for bit.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = matcore._array(p, "relative_entropy_rows: entries of p", floor="nonnegative")
+    q = matcore._array(q, "relative_entropy_rows: entries of q", floor="nonnegative")
     if not (1 <= p.ndim <= 2 and 1 <= q.ndim <= 2 and max(p.ndim, q.ndim) == 2):
         raise DomainError(f"relative_entropy_rows needs an (N, m) stack, got {p.shape} and {q.shape}")
     if p.shape[-1] != q.shape[-1] or (p.ndim == q.ndim == 2 and p.shape[0] != q.shape[0]):
         raise DomainError(f"support mismatch in relative_entropy_rows: {p.shape} vs {q.shape}")
-    _check_kl_weights("relative_entropy_rows", p, q)
     return np.sum(_phi_kl(p, q), axis=-1)
-
-
-def _check_kl_weights(name: str, p: np.ndarray, q: np.ndarray) -> None:
-    """Raise a :class:`DomainError` from ``name`` unless ``p`` and ``q`` are finite and nonnegative.
-
-    ``_phi_kl`` maps a NaN or negative entry of p to a 0 term, which would
-    drop it from the sum without a word, and a bad entry of q gives a NaN or
-    -inf.  A 0 entry of q stays valid: where p charges it, the KL is +inf.
-    """
-    for label, w in (("p", p), ("q", q)):
-        # min and max propagate a NaN, and a NaN compares False.
-        if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
-            raise DomainError(f"{name}: entries of {label} must be finite and nonnegative")
 
 
 def weighted_tv(mu1, mu2, g) -> float:
     """Weighted total variation ``|mu1 - mu2|(g) = sum_x g(x) |mu1(x) - mu2(x)|``."""
-    m1, m2 = as_measure(mu1), as_measure(mu2)
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if m1.support_size != m2.support_size or g.size != m1.support_size:
+    m1, m2 = as_measure(mu1, "mu1"), as_measure(mu2, "mu2")
+    if m1.support_size != m2.support_size:
         raise DomainError("support mismatch in weighted_tv")
-    # min and max propagate a NaN, and a NaN compares False.
-    if not (g.min() > 0.0 and g.max() < np.inf):
-        raise DomainError("weight vector must be finite and strictly positive")
+    g = matcore._array(g, "weight vector", (m1.support_size,), "strictly positive")
     return float(np.sum(g * np.abs(m1.weights - m2.weights)))
 
 
@@ -229,9 +215,7 @@ class Gaussian:
     q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mean, dtype=float).reshape(-1)
-        if not np.isfinite(m).all():
-            raise DomainError("mean has non-finite entries")
+        m = matcore._array(self.mean, "mean").reshape(-1)
         c, w, q = matcore.spd_eigh(matcore._one_matrix(self.covariance, "covariance"),
                                    "covariance")
         if c.shape[0] != m.size:
@@ -406,7 +390,9 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     """Exact Kantorovich semi-distance on finite supports.
 
     Solves ``min_{Q in Pi(mu1, mu2)} sum cost * Q`` with a transportation
-    simplex.  It starts from the cheaper of the north-west-corner and the
+    simplex, for ``mu1`` and ``mu2`` normalized to probabilities (as
+    :class:`DiscreteMeasure` does): scaling a marginal leaves the plan as it
+    is.  It starts from the cheaper of the north-west-corner and the
     least-cost (matrix-minimum) bases, the corner on a tie, so a Monge cost,
     whose corner is optimal, takes no pivots.  The entering cell has the most
     negative reduced cost (Dantzig's rule, first row-major cell among ties);
@@ -420,18 +406,10 @@ def kantorovich_discrete(cost, mu1, mu2, max_pivots: int | None = None) -> Trans
     chosen start is returned when it is optimal.  Intended for desk-scale
     supports (<= 64 x 64).
     """
-    cost = np.asarray(cost, dtype=float)
-    m1, m2 = as_measure(mu1), as_measure(mu2)
+    m1, m2 = as_measure(mu1, "mu1"), as_measure(mu2, "mu2")
     nx, ny = m1.support_size, m2.support_size
-    if cost.shape != (nx, ny):
-        raise DomainError(f"cost shape {cost.shape} does not match supports {(nx, ny)}")
-    if not np.all(np.isfinite(cost)):
-        raise DomainError("cost matrix must be finite")
-    if np.any(cost < 0):
-        raise DomainError("cost matrix must be nonnegative")
-    a, b = m1.weights.copy(), m2.weights.copy()
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise DomainError("marginals must carry equal total mass")
+    cost = matcore._array(cost, "cost", (nx, ny), "nonnegative")
+    a, b = m1.weights, m2.weights
     max_pivots = (200 * (nx + ny) * max(nx, ny) if max_pivots is None
                   else matcore._integer(max_pivots, "max_pivots", 0))
 

@@ -90,8 +90,8 @@ class LinearGaussianKernel:
     noise: Gaussian = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
-        beta = np.asarray(self.beta, dtype=float)
+        alpha = matcore._array(self.alpha, "alpha").reshape(-1)
+        beta = matcore._array(self.beta, "beta")
         d = alpha.size
         if beta.shape != (d, d) or np.shape(self.tau) != (d, d):
             raise DomainError("kernel parameter dimensions are inconsistent")
@@ -227,9 +227,10 @@ def _affine_blocks(source: Gaussian, intercept, gain, noise,
 
 def affine_joint(mu: Gaussian, intercept, gain, noise) -> Gaussian:
     """Joint law of (x, a + b x + noise) as a 2d-dimensional Gaussian."""
-    return Gaussian(*_affine_blocks(mu, np.asarray(intercept, dtype=float).reshape(-1),
-                                    np.asarray(gain, dtype=float),
-                                    np.asarray(noise, dtype=float)))
+    d = mu.dim
+    return Gaussian(*_affine_blocks(mu, matcore._array(intercept, "intercept", (d,)),
+                                    matcore._array(gain, "gain", (d, d)),
+                                    matcore._array(noise, "noise", (d, d))))
 
 
 @dataclass(frozen=True)
@@ -364,7 +365,7 @@ class RiccatiProblem:
     varpi_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=float)
+        gamma = matcore._array(self.gamma, "gamma", (None, None))
         gram = gamma @ gamma.T
         _, w, q = matcore.spd_eigh(gram, "gamma gamma'")
         varpi, w, q = matcore.spd_eigh(matcore.eigh_inverse(w, q), "varpi")
@@ -397,9 +398,13 @@ class RiccatiProblem:
         return _frozen((self.w + self.spread) / 2.0)
 
 
-def _psd(v, caller: str) -> np.ndarray:
-    """``v`` symmetrized, or a :class:`DomainError` naming ``caller`` unless it is PSD."""
-    v = matcore.symmetrize(v, "v")
+def _psd(problem: RiccatiProblem, v, name: str, caller: str) -> np.ndarray:
+    """``v`` symmetrized, or a :class:`DomainError`: naming ``name`` unless it has the
+    problem's dimension, and ``caller`` unless it is PSD."""
+    v = matcore.symmetrize(v, name)
+    d = problem.w.size
+    if v.shape != (d, d):
+        raise DomainError(f"{name} must have shape {(d, d)}, got {v.shape}")
     if float(np.linalg.eigvalsh(v)[0]) < matcore.SQRT_CLAMP:
         raise DomainError(f"{caller} needs a positive semi-definite argument")
     return v
@@ -410,7 +415,7 @@ def riccati_apply(problem: RiccatiProblem, v) -> np.ndarray:
 
     With varpi + v = Q W Q' (one ``eigh``), the map is Q W (W + I)^{-1} Q'.
     """
-    _, w, q = matcore.spd_eigh(problem.varpi + _psd(v, "riccati_apply"))
+    _, w, q = matcore.spd_eigh(problem.varpi + _psd(problem, v, "v", "riccati_apply"))
     return matcore.eigh_inverse(1.0 + 1.0 / w, q)
 
 
@@ -438,7 +443,7 @@ def _riccati_flow(problem: RiccatiProblem, v0, caller: str):
     the rates log1p(lambda_+ - 1) are computed here once, so a caller that
     reads the iterates in chunks of ``n`` pays only a ``solve`` per chunk.
     """
-    v0 = _psd(v0, caller)
+    v0 = _psd(problem, v0, "v0", caller)
     w, q = problem.w, problem.q
     r = w / problem.growth
     e0 = q.T @ v0 @ q - np.diag(r)

@@ -392,7 +392,7 @@ def _lyapunov_rows(run, solution):
     model, delta = run.model, 0.25
     g = np.exp(delta * model.u_potential)
     h = np.exp(delta * model.v_potential)
-    result = contraction.lyapunov_search(list(run.kernel_even[1:]), list(run.kernel_odd[1:]), g, h)
+    result = contraction.lyapunov_search(run.kernel_even[1:], run.kernel_odd[1:], g, h)
     if isinstance(result, contraction.SearchFailure):
         return [(0, "lyapunov_best_rho", result.best_rho)]
     rows = [(0, "lyapunov_a", result.a), (0, "lyapunov_rho", result.rho)]

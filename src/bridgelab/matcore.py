@@ -6,6 +6,13 @@ Loewner order, the spectral norm and the Euclidean norm.  All
 decompositions go through the symmetric eigensolver so results stay
 exactly symmetric.
 
+One array validator.  :func:`_array` reads the package's public array
+arguments, this module's matrices included: it converts to float,
+checks the shape and that the entries are finite (and, where asked,
+nonnegative or strictly positive), and raises a :class:`DomainError` that
+names the argument.  A decoded instance's arrays pass through it too, after
+:func:`_payload_array`'s JSON-specific rejections.
+
 Validated factorization.  :func:`spd_eigh` symmetrizes, takes one ``eigh``
 and holds its eigenvalues to :func:`assert_spd`'s ``SPD_RTOL`` floor, with
 the same message; it returns ``(s, w, q)``.  :func:`eigh_inverse` and
@@ -107,22 +114,55 @@ def _payload(payload, what: str, keys: tuple[str, ...]) -> dict:
     return payload
 
 
+def _array(value, name, shape: tuple[int | None, ...] | None = None,
+           floor: str | None = "finite") -> np.ndarray:
+    """``value`` as a float array, validated; each error is a :class:`DomainError` naming ``name``.
+
+    A value numpy cannot read as floats (a string, ragged nesting) is
+    rejected.  ``shape`` is the exact shape, ``None`` standing for an axis of
+    any length.  ``floor`` is what every entry must be: ``"finite"``, or
+    finite and ``"nonnegative"`` or ``"strictly positive"``; ``None`` checks
+    no entry.  The passing path is one ``min`` and one ``max``, and only a
+    failure looks for the bad entry: the error names the first failing
+    matrix of a stack (``name[i]``), as the SPD validations do.
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an array of numbers, "
+                          f"got {reprlib.repr(value)}") from None
+    if shape is not None and (a.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, a.shape))):
+        raise DomainError(f"{name} must have shape {str(shape).replace('None', '*')}, "
+                          f"got {a.shape}")
+    # min and max propagate a NaN, and a NaN compares False.
+    if floor is None or not a.size or (a.max() < np.inf and _above(a.min(), floor)):
+        return a
+    bad = ~(_above(a, floor) & (a < np.inf)).reshape(a.shape[:-2] + (-1,)).all(axis=-1)
+    what = "finite" if floor == "finite" else f"finite and {floor}"
+    raise DomainError(f"{_first(bad, name)[1]} must be {what}")
+
+
+def _above(x, floor: str):
+    """Whether ``x`` (elementwise) is above ``floor``; "finite" asks for above -inf."""
+    return (x > 0.0 if floor == "strictly positive" else
+            x >= 0.0 if floor == "nonnegative" else x > -np.inf)
+
+
 def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """``payload[key]``, a (nested) list of finite numbers, as a float array of
     ``shape`` (a vector of any length when ``shape`` is None).
 
-    A non-numeric value (a string, a bool, null, ragged lists), a scalar, a NaN
-    or an infinity, or a wrong entry count raises a :class:`DomainError` that
-    names ``key``.
+    A scalar, ragged lists, an entry that is a bool, a string, null or no
+    number, or a wrong entry count raises a :class:`DomainError` that names
+    ``key``; :func:`_array` rejects a NaN or an infinity.
     """
     value = payload[key]
     try:
         a = np.asarray(value)  # ragged nesting raises ValueError
-        if a.ndim == 0 or a.dtype.kind in "bSU":
+        if a.ndim == 0 or a.dtype.kind in "bSU" or (a.dtype.kind == "O" and None in a.flat):
             raise ValueError
-        a = a.astype(float)  # an entry that is no number raises TypeError; null gives NaN
-        if not np.all(np.isfinite(a)):
-            raise ValueError
+        a = a.astype(float)  # an entry that is no number raises TypeError
     except (TypeError, ValueError):
         raise DomainError(f"{key} must be a list of finite numbers, "
                           f"got {reprlib.repr(value)}") from None
@@ -130,7 +170,7 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
     if a.size != math.prod(shape):
         raise DomainError(f"{key} has {a.size} entries, expected {math.prod(shape)} "
                           f"for shape {shape}")
-    return a.reshape(shape)
+    return _array(a.reshape(shape), key)
 
 
 def _first(bad: np.ndarray, name) -> tuple[tuple[int, ...], str]:
@@ -158,24 +198,16 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(m.reshape(m.shape[:-2] + (-1,))))
 
 
-def _check_finite(a: np.ndarray, name: str) -> None:
-    """Reject non-finite entries, naming the first bad matrix of a stack."""
-    if not np.isfinite(a).all():
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        raise DomainError(f"{_first(~finite, name)[1]} has non-finite entries")
-
-
 def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = _array(a, name)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
-    _check_finite(a, name)
     return a
 
 
 def _one_matrix(a, name: str) -> np.ndarray:
     """``a`` as a float array, rejected unless it is a single 2-D matrix."""
-    a = np.asarray(a, dtype=float)
+    a = _array(a, name, floor=None)
     if a.ndim != 2:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -293,9 +325,8 @@ def spectral_norm(v):
     A 2-D input gives a float; an ``(..., m, n)`` stack gives an array of the
     norm of each matrix.
     """
-    v = np.asarray(v, dtype=float)
+    v = _array(v, "matrix")
     if v.ndim == 1:
         v = v[:, None]
-    _check_finite(v, "matrix")
     norms = np.sqrt(np.maximum(np.linalg.eigvalsh(v.swapaxes(-1, -2) @ v)[..., -1], 0.0))
     return float(norms) if norms.ndim == 0 else norms

@@ -200,6 +200,11 @@ class TestNonFiniteWeights:
         pair = contraction.WeightPair(g=np.ones(2), h=np.ones(2), a=0.0)
         assert np.array_equal(pair.g_a, [0.5, 0.5]) and np.array_equal(pair.h_a, [0.5, 0.5])
 
+    def test_weight_pair_mixing_level_is_a_number(self):
+        # A string once raised a bare TypeError from the comparison.
+        with pytest.raises(DomainError, match="^mixing level a must be a real number, got 'x'$"):
+            contraction.WeightPair(g=np.ones(2), h=np.ones(2), a="x")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lyapunov_search(self, bad):
         with pytest.raises(DomainError, match="finite"):
@@ -237,9 +242,9 @@ class TestNonFiniteWeights:
 
     @pytest.mark.parametrize("kernel, message", [
         (np.full(3, 1.0 / 3.0), r"^kernel must be a matrix$"),
-        ([[1.2, -0.2], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
-        ([[np.inf, 0.0], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
-        ([[np.nan, 1.0], [0.5, 0.5]], r"^kernel must have nonnegative finite entries$"),
+        ([[1.2, -0.2], [0.5, 0.5]], r"^kernel must be finite and nonnegative$"),
+        ([[np.inf, 0.0], [0.5, 0.5]], r"^kernel must be finite and nonnegative$"),
+        ([[np.nan, 1.0], [0.5, 0.5]], r"^kernel must be finite and nonnegative$"),
         ([[0.5, 0.4], [0.5, 0.5]], r"^kernel rows must sum to one$"),
     ])
     def test_malformed_kernel_is_named(self, kernel, message):
@@ -315,8 +320,8 @@ def assert_search_is_exact(ks, ls, g, h, levels=()):
     """lyapunov_search against the loop: the loop's rho at the returned a is the
     returned rho, and no level of the old grid or of ``levels`` does better."""
     result = contraction.lyapunov_search(ks, ls, g, h)
-    ks = [ks] if isinstance(ks, np.ndarray) else list(ks)
-    ls = [ls] if isinstance(ls, np.ndarray) else list(ls)
+    ks = [ks] if np.ndim(ks) == 2 else list(ks)
+    ls = [ls] if np.ndim(ls) == 2 else list(ls)
     if isinstance(result, contraction.ContractionCertificate):
         a, rho = result.a, result.rho
         assert rho < 1.0
@@ -395,13 +400,15 @@ class TestChunkedOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(data=weighted_kernels(), levels=mixing_levels, chunk=chunk_sizes,
-           as_single=st.booleans())
-    def test_lyapunov_search_equals_loop(self, data, levels, chunk, as_single):
+           form=st.sampled_from(["single", "sequence", "stack"]))
+    def test_lyapunov_search_equals_loop(self, data, levels, chunk, form):
         ks, ls, g, h = data
-        if as_single:
+        if form == "single":
             ks, ls = ks[0], ls[0]
-        else:
+        elif form == "sequence":
             ks, ls = tuple(ks), list(ls)
+        else:
+            ks, ls = np.stack(ks), np.stack(ls)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcore, "CHUNK_ELEMENTS", chunk)
             assert_search_is_exact(ks, ls, g, h, levels)
@@ -470,6 +477,55 @@ class TestChunkedOracle:
             contraction.lyapunov_search(k, random_kernel(rng, 4, 4), np.ones(4), np.ones(3))
 
 
+class TestRunStacks:
+    """lyapunov_search takes a run's kernel stacks as they are."""
+
+    def setup_method(self):
+        self.model = harness.generate_instance("discrete", (16, 16), 0, "bounded")
+        self.g = np.exp(0.25 * self.model.u_potential)
+        self.h = np.exp(0.25 * self.model.v_potential)
+
+    def test_stacks_give_the_list_form_bits(self):
+        run = discrete.run_sinkhorn(self.model, 5)
+        evens, odds = run.kernel_even[1:], run.kernel_odd[1:]
+        stacked = contraction.lyapunov_search(evens, odds, self.g, self.h)
+        listed = contraction.lyapunov_search(list(evens), list(odds), self.g, self.h)
+        assert isinstance(stacked, contraction.ContractionCertificate)
+        assert np.array([stacked.a, stacked.rho]).tobytes() == (
+            np.array([listed.a, listed.rho]).tobytes())
+
+    def test_lyapunov_rows_pass_the_stacks(self, monkeypatch):
+        run = discrete.run_sinkhorn(self.model, 3)
+        seen = []
+        search = contraction.lyapunov_search
+
+        def recording(kernel_k, kernel_l, g, h):
+            seen.append((kernel_k, kernel_l))
+            return search(kernel_k, kernel_l, g, h)
+
+        monkeypatch.setattr(contraction, "lyapunov_search", recording)
+        harness._lyapunov_rows(run, None)
+        [(evens, odds)] = seen
+        for passed, stack in ((evens, run.kernel_even), (odds, run.kernel_odd)):
+            assert isinstance(passed, np.ndarray) and passed.shape == stack[1:].shape
+            assert np.shares_memory(passed, stack)
+
+    def test_empty_stack_is_rejected(self):
+        run = discrete.run_sinkhorn(self.model, 0)
+        with pytest.raises(DomainError, match="^kernel_k must hold at least one kernel$"):
+            contraction.lyapunov_search(run.kernel_even[1:], run.kernel_odd[1:], self.g, self.h)
+
+    def test_a_failing_kernel_of_a_stack_is_named(self):
+        run = discrete.run_sinkhorn(self.model, 3)
+        odds = run.kernel_odd[1:].copy()
+        odds[2, 0, 0] = np.nan
+        with pytest.raises(DomainError, match=r"^kernel_l\[2\] must be finite and nonnegative$"):
+            contraction.lyapunov_search(run.kernel_even[1:], odds, self.g, self.h)
+        odds[2, 0, 0] = 0.5
+        with pytest.raises(DomainError, match=r"^kernel_l\[2\] rows must sum to one$"):
+            contraction.lyapunov_search(run.kernel_even[1:], odds, self.g, self.h)
+
+
 class TestScreenResources:
     def test_all_ties_memory_is_bounded(self):
         # Every pair of a permutation kernel ties at every level under unit
@@ -494,8 +550,9 @@ class TestScreenResources:
         run = discrete.run_sinkhorn(model, 100)
         g = np.exp(0.25 * model.u_potential)
         h = np.exp(0.25 * model.v_potential)
-        evens = list(run.kernel_even[1:])
-        odds = list(run.kernel_odd[1:])
+        # The run's stacks, as the lyapunov check passes them: a list of
+        # kernels would first be copied into one stack.
+        evens, odds = run.kernel_even[1:], run.kernel_odd[1:]
         tracemalloc.start()
         try:
             cert = contraction.lyapunov_search(evens, odds, g, h)

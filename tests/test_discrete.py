@@ -71,9 +71,9 @@ class TestBuildModel:
             np.testing.assert_allclose(kernel[i], expected, atol=1e-13)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^lambda_weights must be finite and strictly positive$"):
             discrete.build_model(np.zeros((2, 2)), np.array([1.0, 0.0]), np.ones(2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cost must be finite$"):
             discrete.build_model(np.array([[0.0, np.inf], [0.0, 0.0]]), np.ones(2), np.ones(2))
 
     def test_json_round_trip(self):

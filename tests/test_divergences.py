@@ -472,7 +472,7 @@ class TestGaussianFactors:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_mean(self, bad):
-        with pytest.raises(DomainError, match="^mean has non-finite entries"):
+        with pytest.raises(DomainError, match="^mean must be finite$"):
             dv.Gaussian(np.array([0.0, bad]), np.eye(2))
 
 
@@ -902,6 +902,17 @@ class TestSimplexOracle:
         model = harness.generate_instance("discrete", (4, 4), 0, "quadratic-grid")
         with pytest.raises(DomainError, match=message):
             dv.kantorovich_discrete(model.cost, model.mu, model.eta, max_pivots=max_pivots)
+
+    def test_marginals_are_normalized(self):
+        # Only the marginals' shapes matter: a mu1 of mass 2 gives the plan of mu1 / 2.
+        model = harness.generate_instance("discrete", (5, 7), 1, "bounded")
+        mu1 = 2.0 * model.mu
+        assert mu1.sum() == pytest.approx(2.0)
+        doubled = dv.kantorovich_discrete(model.cost, mu1, model.eta)
+        halved = dv.kantorovich_discrete(model.cost, mu1 / 2.0, model.eta)
+        assert doubled.plan.tobytes() == halved.plan.tobytes()
+        assert doubled.value == halved.value
+        assert doubled.plan.sum() == pytest.approx(1.0)
 
     def test_max_pivots_bounds_pivot_count(self):
         model = harness.generate_instance("discrete", (7, 9), 3, "bounded")

@@ -566,6 +566,14 @@ class TestRiccatiIterates:
                            match="^riccati_iterates needs a positive semi-definite argument$"):
             gs.riccati_iterates(problem, np.diag([1.0, -0.5]), np.arange(3))
 
+    def test_rejects_a_v_of_another_dimension(self):
+        # Both once raised numpy's broadcast ValueError.
+        problem = gs.RiccatiProblem(np.eye(2))
+        with pytest.raises(DomainError, match=r"^v must have shape \(2, 2\), got \(3, 3\)$"):
+            gs.riccati_apply(problem, np.eye(3))
+        with pytest.raises(DomainError, match=r"^v0 must have shape \(2, 2\), got \(1, 1\)$"):
+            gs.riccati_iterates(problem, np.eye(1), np.arange(3))
+
     @pytest.mark.parametrize("steps", [np.array([0, -1]), np.array([1.0, 2.0]),
                                        np.array([True]), -2, 2.5])
     def test_rejects_steps_that_are_not_non_negative_integers(self, steps):

@@ -293,9 +293,9 @@ class TestStacks:
     def test_non_finite_entry_names_its_matrix(self):
         stack = np.stack([np.eye(2)] * 3)
         stack[1, 0, 1] = np.nan
-        with pytest.raises(DomainError, match=r"^m\[1\] has non-finite entries"):
+        with pytest.raises(DomainError, match=r"^m\[1\] must be finite$"):
             matcore.assert_spd(stack, "m")
-        with pytest.raises(DomainError, match=r"^matrix\[1\] has non-finite entries"):
+        with pytest.raises(DomainError, match=r"^matrix\[1\] must be finite$"):
             matcore.spectral_norm(stack)
 
     def test_one_label_per_matrix_names_the_failing_one(self):
@@ -306,5 +306,5 @@ class TestStacks:
             with pytest.raises(DomainError, match=r"^state 2 is not positive definite"):
                 validate(stack, labels)
         stack[1, 0, 1] = np.inf
-        with pytest.raises(DomainError, match=r"^state 2 has non-finite entries"):
+        with pytest.raises(DomainError, match=r"^state 2 must be finite$"):
             matcore.assert_spd(stack, labels)
