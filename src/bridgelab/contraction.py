@@ -7,8 +7,8 @@ kernel has Lipschitz norm at most rho < 1, which on a finite space with
 bounded weights is the weighted Kantorovich/Dobrushin contraction itself.
 
 A kernel argument is one row-stochastic matrix; :func:`lyapunov_search`
-also takes a nonempty ``(N, n, m)`` stack of them (or a sequence), such as a
-run's kernel stacks, validated in one pass.
+also takes a nonempty ``(N, n, m)`` stack of them, such as a run's kernel
+stacks, validated in one pass, or a sequence, validated kernel by kernel.
 
 Every sup over state pairs reads one primitive, :func:`_pair_sums`: per row
 pair, sums alpha, beta, gamma such that the pair's Lipschitz ratio at mixing
@@ -33,13 +33,17 @@ KERNEL_TOL = 1e-9
 A_MAX = 1e4  # the certificate search scans the mixing levels [0, A_MAX]
 
 
-def _as_kernel(k, name: str = "kernel", stack: bool = False) -> np.ndarray:
+def _as_kernel(k, name: str = "kernel", stack: bool = False):
     """``k``, checked to be a Markov kernel: finite, nonnegative, rows summing to one.
 
     With ``stack``, ``k`` may also be a nonempty ``(N, n, m)`` stack or
-    sequence of kernels, checked in one pass, and the result is always a
-    stack; an error names the first failing kernel, ``name[i]``.
+    sequence of kernels, and an error names the first failing kernel,
+    ``name[i]``.  A stack (or one matrix, or nested lists) is checked in one
+    pass and returned as a stack; a sequence of arrays is checked kernel by
+    kernel and returned as a list, so that no kernel is copied.
     """
+    if stack and isinstance(k, (list, tuple)) and k and all(isinstance(m, np.ndarray) for m in k):
+        return [_as_kernel(m, f"{name}[{i}]") for i, m in enumerate(k)]
     k = matcore._array(k, name, floor="nonnegative")
     if stack and k.ndim != 2 and k.shape[:1] == (0,):
         raise DomainError(f"{name} must hold at least one kernel")
@@ -228,21 +232,25 @@ def lyapunov_search(kernel_k, kernel_l, g, h) -> ContractionCertificate | Search
     """The exact best weighted-norm contraction certificate (a, rho), a in [0, A_MAX].
 
     ``kernel_k`` / ``kernel_l`` may be single kernels or nonempty ``(N, n, m)``
-    stacks (or sequences) of them, such as a run's ``kernel_even[1:]`` and
-    ``kernel_odd[1:]`` as they are; with stacks the certificate bounds every
-    pair, which is what time-varying iterations need.  K kernels take source
-    weight g_a and target weight h_a, L kernels the reverse.  rho, the max over all pairs of the
+    stacks or sequences of them, such as a run's ``kernel_even[1:]`` and
+    ``kernel_odd[1:]`` as they are; neither form is copied.  With several
+    kernels the certificate bounds every pair, which is what time-varying
+    iterations need.  K kernels take source weight g_a and target weight
+    h_a, L kernels the reverse.  rho, the max over all pairs of the
     Lipschitz ratio at a, is minimized over a (ties go to the smallest a); a
     minimum not below 1 gives a :class:`SearchFailure`.  a = 0 is the unweighted
     (total variation) certificate; a = A_MAX means the minimum lies at or beyond.
     """
     ks = _as_kernel(kernel_k, "kernel_k", stack=True)
     ls = _as_kernel(kernel_l, "kernel_l", stack=True)
-    g = matcore._array(g, "g", ks.shape[1:2], "strictly positive")
-    h = matcore._array(h, "h", ks.shape[2:], "strictly positive")
-    if ls.shape[1:] != (h.size, g.size):
-        raise DomainError(f"kernel_l must hold kernels of shape {h.size, g.size} from h and g, "
-                          f"got {ls.shape[1:]}")
+    g = matcore._array(g, "g", ks[0].shape[:1], "strictly positive")
+    h = matcore._array(h, "h", ks[0].shape[1:], "strictly positive")
+    for name, kernels, shape in (("kernel_k", ks, (g.size, h.size)),
+                                 ("kernel_l", ls, (h.size, g.size))):
+        for k in kernels:
+            if k.shape != shape:
+                raise DomainError(f"{name} must hold kernels of shape {shape} from the weights, "
+                                  f"got {k.shape}")
     kept, batch, size = np.empty((3, 0)), [], 0
     for chunk in (c for kernels, src, tgt in ((ks, g, h), (ls, h, g))
                   for c in _pair_sums(kernels, src, tgt)):

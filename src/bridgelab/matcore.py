@@ -118,17 +118,17 @@ def _array(value, name, shape: tuple[int | None, ...] | None = None,
            floor: str | None = "finite") -> np.ndarray:
     """``value`` as a float array, validated; each error is a :class:`DomainError` naming ``name``.
 
-    A value numpy cannot read as floats (a string, ragged nesting) is
-    rejected.  ``shape`` is the exact shape, ``None`` standing for an axis of
-    any length.  ``floor`` is what every entry must be: ``"finite"``, or
-    finite and ``"nonnegative"`` or ``"strictly positive"``; ``None`` checks
-    no entry.  The passing path is one ``min`` and one ``max``, and only a
+    A value numpy cannot read as floats (a string, ragged nesting, an
+    integer past the float range) is rejected.  ``shape`` is the exact
+    shape, ``None`` standing for an axis of any length.  ``floor`` is what
+    every entry must be: ``"finite"``, or finite and ``"nonnegative"`` or
+    ``"strictly positive"``; ``None`` checks no entry.  The passing path is one ``min`` and one ``max``, and only a
     failure looks for the bad entry: the error names the first failing
     matrix of a stack (``name[i]``), as the SPD validations do.
     """
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be an array of numbers, "
                           f"got {reprlib.repr(value)}") from None
     if shape is not None and (a.ndim != len(shape) or any(
@@ -153,17 +153,18 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
     """``payload[key]``, a (nested) list of finite numbers, as a float array of
     ``shape`` (a vector of any length when ``shape`` is None).
 
-    A scalar, ragged lists, an entry that is a bool, a string, null or no
-    number, or a wrong entry count raises a :class:`DomainError` that names
-    ``key``; :func:`_array` rejects a NaN or an infinity.
+    A scalar, ragged lists, an entry that is a bool, a string, null, no
+    number or an integer past the float range, or a wrong entry count
+    raises a :class:`DomainError` that names ``key``; :func:`_array` rejects
+    a NaN or an infinity.
     """
     value = payload[key]
     try:
         a = np.asarray(value)  # ragged nesting raises ValueError
         if a.ndim == 0 or a.dtype.kind in "bSU" or (a.dtype.kind == "O" and None in a.flat):
             raise ValueError
-        a = a.astype(float)  # an entry that is no number raises TypeError
-    except (TypeError, ValueError):
+        a = a.astype(float)  # an entry that is no number or too large raises
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{key} must be a list of finite numbers, "
                           f"got {reprlib.repr(value)}") from None
     shape = (a.size,) if shape is None else shape

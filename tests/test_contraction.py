@@ -515,15 +515,25 @@ class TestRunStacks:
         with pytest.raises(DomainError, match="^kernel_k must hold at least one kernel$"):
             contraction.lyapunov_search(run.kernel_even[1:], run.kernel_odd[1:], self.g, self.h)
 
-    def test_a_failing_kernel_of_a_stack_is_named(self):
+    @pytest.mark.parametrize("form", [np.asarray, list])
+    def test_a_failing_kernel_of_a_stack_is_named(self, form):
         run = discrete.run_sinkhorn(self.model, 3)
         odds = run.kernel_odd[1:].copy()
         odds[2, 0, 0] = np.nan
         with pytest.raises(DomainError, match=r"^kernel_l\[2\] must be finite and nonnegative$"):
-            contraction.lyapunov_search(run.kernel_even[1:], odds, self.g, self.h)
+            contraction.lyapunov_search(run.kernel_even[1:], form(odds), self.g, self.h)
         odds[2, 0, 0] = 0.5
         with pytest.raises(DomainError, match=r"^kernel_l\[2\] rows must sum to one$"):
-            contraction.lyapunov_search(run.kernel_even[1:], odds, self.g, self.h)
+            contraction.lyapunov_search(run.kernel_even[1:], form(odds), self.g, self.h)
+
+    def test_a_kernel_of_another_shape_in_a_sequence_is_named(self):
+        run = discrete.run_sinkhorn(self.model, 3)
+        evens = [*run.kernel_even[1:], np.full((16, 15), 1.0 / 15.0)]
+        with pytest.raises(DomainError, match=r"^kernel_k must hold kernels of shape \(16, 16\) "):
+            contraction.lyapunov_search(evens, run.kernel_odd[1:], self.g, self.h)
+        with pytest.raises(DomainError, match=r"^kernel_k\[1\] must be a matrix$"):
+            contraction.lyapunov_search([evens[0], np.full(16, 1.0 / 16.0)], evens[:1],
+                                        self.g, self.h)
 
 
 class TestScreenResources:
@@ -546,21 +556,21 @@ class TestScreenResources:
     def test_memory_does_not_grow_with_kernel_count(self):
         # 200 kernels of 64 x 64 hold 403 200 pair terms (9.7 MB as triples);
         # the search keeps batches of chunk size and the few undropped terms.
+        # Neither a list of kernels nor a stack is copied (each copy is 3.2 MB).
         model = harness.generate_instance("discrete", (64, 64), 0, "bounded")
         run = discrete.run_sinkhorn(model, 100)
         g = np.exp(0.25 * model.u_potential)
         h = np.exp(0.25 * model.v_potential)
-        # The run's stacks, as the lyapunov check passes them: a list of
-        # kernels would first be copied into one stack.
-        evens, odds = run.kernel_even[1:], run.kernel_odd[1:]
-        tracemalloc.start()
-        try:
-            cert = contraction.lyapunov_search(evens, odds, g, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert isinstance(cert, contraction.ContractionCertificate)
-        assert peak <= 1 << 20
+        for form in (list, np.asarray):
+            evens, odds = form(run.kernel_even[1:]), form(run.kernel_odd[1:])
+            tracemalloc.start()
+            try:
+                cert = contraction.lyapunov_search(evens, odds, g, h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(cert, contraction.ContractionCertificate)
+            assert peak <= 1 << 20, form
 
     def test_bounded_64x64_search_warns_nothing(self):
         model = harness.generate_instance("discrete", (64, 64), 0, "bounded")

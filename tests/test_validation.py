@@ -237,9 +237,14 @@ class TestArray:
 
     def test_payload_arrays_pass_through_it(self):
         # A JSON NaN or overflowing number reaches _array; an integer past
-        # int64 is still a number.
-        payload = {"W": [1.0, float("nan")], "V": [1e308, float("inf")], "U": [10**20, 1]}
+        # int64 is still a number, one past the float range is not.
+        payload = {"W": [1.0, float("nan")], "V": [1e308, float("inf")], "U": [10**20, 1],
+                   "X": [10**400, 1]}
         for key in ("W", "V"):
             with pytest.raises(DomainError, match=f"^{key} must be finite$"):
                 matcore._payload_array(payload, key)
         assert matcore._payload_array(payload, "U").tolist() == [1e20, 1.0]
+        with pytest.raises(DomainError, match="^X must be a list of finite numbers, got "):
+            matcore._payload_array(payload, "X")
+        with pytest.raises(DomainError, match="^x must be an array of numbers, got "):
+            matcore._array([10**400, 1], "x")
