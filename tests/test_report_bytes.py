@@ -1,7 +1,8 @@
 """Byte-identity of experiment reports.
 
-Pins the sha256 of ``report.csv`` and ``verdicts.json`` for nine
-configs that pass every check they run.  A refactor of the engines or
+Pins the sha256 of ``report.csv`` and ``verdicts.json`` for ten
+configs that pass every check they run, and of the SVG plots of the two at
+64x64.  A refactor of the engines or
 the harness must keep every float, and so every byte, of these reports.  The
 digests were recorded under numpy 2.4.6; other numpy versions may round
 differently in their BLAS or ufunc loops, so the test skips there.
@@ -72,6 +73,15 @@ eigenvalues and eigenvectors the run kept.  Only the ``w2_step_value``,
 the four discrete digests hold, and on the 198-config grid and gaussian
 d = 16, seed 3, 1000 iterations the only flips are four ``envelope``
 failures that now pass.
+
+discrete-bounded-64x64-osc5 was added, and both 64x64 cases came to pin
+their SVG plots too, with every digest recorded before the discrete ladder
+and identity joints came to be read in chunks, the half steps in reused
+buffers, and the report and plot text in one join each.  It is the
+discrete-engine benchmark's minority config: bounded 64x64 at ``osc_cap``
+5, 100 iterations, every check but ``lyapunov``.  A plot digest is the
+sha256 of the plot manifest, one ``name sha256`` line per SVG in name
+order, so any byte of any plot, a plot gained or a plot lost moves it.
 """
 
 import hashlib
@@ -125,6 +135,16 @@ CASES = {
         "568636aff4e36b379b2201ee84ed17f41b0ac8f9c3b6bf5ec884cc2c700c7ba3",
         "ad11a2cf9709f5963143592bbb566826e2e0c2d48dc69c5419dfbb1251af18c5",
     ),
+    # The discrete-engine benchmark's minority config.
+    "discrete-bounded-64x64-osc5": (
+        {"regime": "discrete",
+         "instance": {"profile": "bounded", "size": [64, 64], "osc_cap": 5.0},
+         "seed": 0, "iterations": 100,
+         "checks": ["ladder", "linear-decay", "geometric-rate", "identities",
+                    "bridge-feasibility"]},
+        "9b7577cac2e364b7bb656fa693bee6d35cda756cee466a2f6647d88291fe06cb",
+        "c0636409cb939e1f0bb5d9946720ee9c5b0781dcca713a018b805d05f40373bf",
+    ),
     "discrete-bounded-16x16-2": (
         {"regime": "discrete", "instance": {"profile": "bounded", "size": [16, 16]},
          "seed": 0, "iterations": 2},
@@ -146,6 +166,22 @@ CASES = {
     ),
 }
 
+# Cases that also write their plots: the sha256 of the plot manifest.
+PLOTS = {
+    "discrete-grid-64x64": "5a5eaf72d7c542ecf615059501b738975f97cfe6e77740f2d2e8891764023309",
+    "discrete-bounded-64x64-osc5":
+        "2ea54bdeb8a594273243916c8b1a60dc3abbd370c6080f2c34418977ba8e625f",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _plot_manifest(plot_dir) -> str:
+    """One ``name sha256`` line per SVG of ``plot_dir``, in name order."""
+    return "".join(f"{p.name} {_sha(p.read_bytes())}\n" for p in sorted(plot_dir.glob("*.svg")))
+
 
 @pytest.mark.skipif(
     np.__version__ != RECORDED_NUMPY,
@@ -154,11 +190,13 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_pinned(name, tmp_path):
     payload, report_sha, verdicts_sha = CASES[name]
-    config = harness.ExperimentConfig.from_json(payload)
+    config = harness.ExperimentConfig.from_json({**payload, "plot": name in PLOTS})
     default = harness.REGIMES[payload["regime"]].checks
     assert config.checks == tuple(payload.get("checks", default))
     report = harness.run_experiment(config, tmp_path)
     assert report.all_passed, [v for v in report.verdicts if not v.passed]
-    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-    assert digest("report.csv") == report_sha
-    assert digest("verdicts.json") == verdicts_sha
+    assert _sha((tmp_path / "report.csv").read_bytes()) == report_sha
+    assert _sha((tmp_path / "verdicts.json").read_bytes()) == verdicts_sha
+    if name in PLOTS:
+        manifest = _plot_manifest(tmp_path / "plots")
+        assert _sha(manifest.encode()) == PLOTS[name], manifest
