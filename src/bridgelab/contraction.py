@@ -80,8 +80,12 @@ def _pair_sums(kernels, src: np.ndarray, tgt: np.ndarray):
 
 def dobrushin(kernel) -> float:
     """Worst-case total variation between two rows: the Lipschitz norm at weights 0.5."""
-    k = _as_kernel(kernel)
-    return min(lip_norm(k, np.full(k.shape[0], 0.5), np.full(k.shape[1], 0.5)), 1.0)
+    return _dobrushin(_as_kernel(kernel))
+
+
+def _dobrushin(k: np.ndarray) -> float:
+    """:func:`dobrushin` of a kernel :func:`_as_kernel` has checked."""
+    return min(_lip_norm(k, np.full(k.shape[0], 0.5), np.full(k.shape[1], 0.5)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def phi_contraction_probe(kernel, phi: PhiFunction, samples: int, seed: int) -> 
     (uncomputable) phi-contraction coefficient.
     """
     k = _as_kernel(kernel)
-    bound = dobrushin(k)
+    bound = _dobrushin(k)
     rng = np.random.Generator(np.random.Philox(key=seed))
     max_ratio = 0.0
     violations: list[int] = []
@@ -136,6 +140,11 @@ def lip_norm(kernel, source_weight, target_weight) -> float:
     k = _as_kernel(kernel)
     g = matcore._array(source_weight, "source_weight", k.shape[:1], "strictly positive")
     h = matcore._array(target_weight, "target_weight", k.shape[1:], "strictly positive")
+    return _lip_norm(k, g, h)
+
+
+def _lip_norm(k: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
+    """:func:`lip_norm` of a kernel :func:`_as_kernel` has checked, at checked weights."""
     worst = np.max([np.max(c[1] / c[2]) for c in _pair_sums([k], g, h)], initial=0.0)
     if np.isnan(worst):
         raise NumericalError("Lipschitz ratio is NaN: the weights overflow")

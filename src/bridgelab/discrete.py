@@ -25,8 +25,10 @@ phi-entropies, the identities' ratios and maxima, the rate report's sup
 and sandwich terms) are read off the ``(N, m)`` marginal stacks, one numpy
 call per quantity, with consecutive pairs as the slices ``[:-1]`` and
 ``[1:]``; the identities' kernel products are stacked matmuls, one per
-identity.  What stays per pair: the joint-matrix sums and KLs, and the
-sequential recursion.
+identity.  The joint-matrix sums and KLs are read a chunk of joints at a
+time, at most ``matcore.CHUNK_ELEMENTS`` floats (2 joints at 64 x 64), so
+no whole-run joint stack is made.  What stays per pair is the sequential
+recursion, whose half steps write into buffers made once per run.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,10 +60,12 @@ from .matcore import _frozen
 MARGINAL_TOL = 1e-10
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """log sum exp of ``a`` along ``axis``; ``work``, of ``a``'s shape and layout, takes exp(a - max)."""
     a = np.asarray(a, dtype=float)
     amax = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    work = np.subtract(a, amax, out=work)
+    out = np.log(np.sum(np.exp(work, out=work), axis=axis, keepdims=True)) + amax
     if axis is None:
         return out.reshape(())
     return np.squeeze(out, axis=axis)
@@ -101,17 +106,21 @@ class DiscreteModel:
         return math.exp(-2.0 * self.cost_oscillation)
 
 
-def _log_kernel(log_k: np.ndarray, log_w: np.ndarray, pot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_kernel(log_k: np.ndarray, log_w: np.ndarray, pot: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(log_p, lse)``: ``log_p = log_k(x, y) + log w(y) - pot(y)`` and its row log-sum-exp.
 
     ``(model.log_k, model.log_nu, v)`` gives log K(exp(-v)) as ``lse`` and
     K_{2n} as ``exp(log_p - lse)``; ``(model.log_k.T, model.log_lambda, u)``
     gives log K_flat(exp(-u)) and K_{2n+1}.  The rows of the transposed view
     are summed in the same order as the columns of ``log_k``, so both
-    integrals round as a column log-sum-exp of ``log_k`` would.
+    integrals round as a column log-sum-exp of ``log_k`` would.  ``out``, two
+    arrays of ``log_k``'s shape and memory layout, takes ``log_p`` and the
+    log-sum-exp's work in place of new arrays; the layout keeps the rounding.
     """
-    log_p = log_k + (log_w - pot)[None, :]
-    return log_p, _logsumexp(log_p, axis=1)
+    log_p, work = (None, None) if out is None else out
+    log_p = np.add(log_k, (log_w - pot)[None, :], out=log_p)
+    return log_p, _logsumexp(log_p, axis=1, work=work)
 
 
 def build_model(cost, lambda_weights, nu_weights, u=None, v=None) -> DiscreteModel:
@@ -221,10 +230,11 @@ def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray], out=None) -> np.ndarr
 
 
 def _finite(pot: np.ndarray, step: int) -> np.ndarray:
-    """``pot`` read-only, or a NumericalError naming the half ``step`` that produced it."""
-    if not np.all(np.isfinite(pot)):
+    """The fresh array ``pot``, made read-only, or a NumericalError naming the half ``step`` that produced it."""
+    if not np.isfinite(pot).all():
         raise NumericalError(f"non-finite potential produced at step {step}")
-    return _frozen(pot)
+    pot.flags.writeable = False
+    return pot
 
 
 def _sweeps(model: DiscreteModel, u: np.ndarray, v: np.ndarray, step: int):
@@ -236,13 +246,23 @@ def _sweeps(model: DiscreteModel, u: np.ndarray, v: np.ndarray, step: int):
     U_{2n}).  A sweep takes their log-integrals as the next half steps:
     V_{2n+1} = V + lse(log_odd), whose kernel K_{2n+2} gives U_{2n+2} =
     U + lse(log_even).  U is carried over on the V step and V on the U step.
+
+    Buffers.  Each half step writes its ``log_p`` and its log-sum-exp's work
+    into two buffers of its log kernel's own memory layout, made once per
+    generator, so the next sweep overwrites the ``log_p`` of both yielded
+    pairs.  Every reader uses a yielded log kernel before it resumes the
+    generator: :func:`run_sinkhorn` materializes K_{2n} and K_{2n+1} first,
+    and :func:`solve_bridge`'s resumed sweeps read only ``log_odd``'s
+    log-sum-exp, a new array each half step, as are ``u`` and ``v``.
     """
-    log_even = _log_kernel(model.log_k, model.log_nu, v)
+    even = (np.empty_like(model.log_k), np.empty_like(model.log_k))
+    odd = (np.empty_like(model.log_k.T), np.empty_like(model.log_k.T))
+    log_even = _log_kernel(model.log_k, model.log_nu, v, even)
     while True:
-        log_odd = _log_kernel(model.log_k.T, model.log_lambda, u)
+        log_odd = _log_kernel(model.log_k.T, model.log_lambda, u, odd)
         yield u, v, log_even, log_odd
         v = _finite(model.v_potential + log_odd[1], step + 1)
-        log_even = _log_kernel(model.log_k, model.log_nu, v)
+        log_even = _log_kernel(model.log_k, model.log_nu, v, even)
         u = _finite(model.u_potential + log_even[1], step + 2)
         step += 2
 
@@ -288,6 +308,15 @@ def dual_kernel(kernel, mu) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _pair_chunks(run: SinkhornRun, pairs: int) -> list[slice]:
+    """Pairs 0..pairs-1 as slices of at most ``CHUNK_ELEMENTS // (nx ny)`` pairs (at least one).
+
+    The joints of one slice, ``(k, nx, ny)``, fit in one chunk.
+    """
+    step = max(1, matcore.CHUNK_ELEMENTS // run.kernel_even[0].size)
+    return [slice(start, min(start + step, pairs)) for start in range(0, pairs, step)]
+
+
 def marginal_gaps(run: SinkhornRun) -> tuple[list[float], list[float]]:
     """H(eta | pi_{2n}) and H(mu | pi_{2n+1}) for each pair, one KL call per stack."""
     return (relative_entropy_rows(run.model.eta, run.pi_even).tolist(),
@@ -325,13 +354,18 @@ def entropy_ladder(run: SinkhornRun, q) -> LadderReport:
     """Decompose H(Q | P) into per-step marginal gaps plus H(Q | P_{2n}).
 
     Rows where Q is not absolutely continuous w.r.t. the iterate carry
-    infinite entries and a NaN residual; they are flagged, not fatal.
+    infinite entries and a NaN residual; they are flagged, not fatal.  The
+    KLs H(Q | P_{2n}) take one :func:`relative_entropy_rows` call per chunk of
+    joints (:func:`_pair_chunks`), each row rounding as the one joint would.
     """
     model = run.model
     q = matcore._array(q, "coupling entries", (model.nx, model.ny), "nonnegative")
     if any(err > MARGINAL_TOL for err in marginal_errors(model, q)):
         raise DomainError("coupling marginals do not match (mu, eta)")
-    to_bridge = np.array([relative_entropy(q, run.joint_even(n)) for n in range(len(run))])
+    mu = model.mu[:, None]
+    to_bridge = np.concatenate([
+        relative_entropy_rows(q.reshape(-1), (mu * run.kernel_even[at]).reshape(-1, q.size))
+        for at in _pair_chunks(run, len(run))])
     total = to_bridge[0]
     gap_eta, gap_mu = np.array(marginal_gaps(run))
     # The gaps below n, added in step order from 0.0.
@@ -439,8 +473,7 @@ IDENTITY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     index: int
     residual: float
@@ -449,8 +482,8 @@ class CheckRow:
 def _close_rows(name: str, steps, lhs, rhs) -> list[CheckRow]:
     """One row per step: how far ``lhs[i]`` is from ``rhs[i]``, relative to max(1, |rhs[i]|).
 
-    ``lhs`` is a list of vectors and ``rhs`` their ``(N, m)`` stack, or one
-    vector that every step shares.
+    ``lhs`` is an ``(N, m)`` stack (or a list of vectors) and ``rhs`` another,
+    or one vector that every step shares.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.broadcast_to(rhs, lhs.shape)
@@ -516,17 +549,21 @@ def identity_suite(run: SinkhornRun) -> tuple[CheckRow, ...]:
 
     Each identity's kernel products are one stacked matmul over the pairs,
     and the KL chains, ratios and maxima run on the run's stacks; each row
-    rounds as it would alone.  The joint-matrix sums stay per pair: a
-    whole-run joint stack would be one more matrix per pair (3.3 MB at
-    64 x 64 with 100 pairs).  Rows come step by step, in the order of the
-    identities below; the I-projection rows of the first pair's two half
-    steps come last.
+    rounds as it would alone.  The joint-matrix sums are read a chunk of
+    joints at a time (:func:`_pair_chunks`), so no whole-run joint stack,
+    one more matrix per pair (3.3 MB at 64 x 64 with 100 pairs), is made.
+    Rows come step by step, in the order of the identities below; the
+    I-projection rows of the first pair's two half steps come last.
     """
     if len(run) < 2:
         raise DomainError("identity_suite needs at least two consecutive iterates")
     mu, eta = run.model.mu, run.model.eta
     at, nxt_at = range(len(run) - 1), range(1, len(run))
     k_even, k_odd, pi_even, pi_odd = run.kernel_even, run.kernel_odd, run.pi_even, run.pi_odd
+    # The X marginals of P_2n and the Y marginals of P_2n+1, n < N - 1.
+    chunks = _pair_chunks(run, len(run) - 1)
+    joint_mu = np.concatenate([(mu[:, None] * k_even[c]).sum(axis=2) for c in chunks])
+    joint_eta = np.concatenate([(eta[:, None] * k_odd[c]).sum(axis=2) for c in chunks])
     gap_eta = relative_entropy_rows(eta, pi_even)  # H(eta | pi_2n)
     gap_mu = relative_entropy_rows(mu, pi_odd)     # H(mu | pi_2n+1)
     odd_mu = relative_entropy_rows(pi_odd, mu)
@@ -536,29 +573,28 @@ def identity_suite(run: SinkhornRun) -> tuple[CheckRow, ...]:
     with np.errstate(divide="ignore", invalid="ignore"):
         even_to_eta, eta_to_even = pi_even / eta, eta / pi_even
         odd_to_mu, mu_to_odd = pi_odd / mu, mu / pi_odd
+        # The commute-backward products, which the semigroup identities push on.
+        even_backward = _apply(k_even[1:], even_to_eta[:-1])
+        odd_backward = _apply(k_odd[1:], odd_to_mu[:-1])
         forward = (
             _chain_rows("monotone-eta-chain", at, [gap_eta[1:], odd_mu[:-1], gap_eta[:-1]]),
             _chain_rows("monotone-mu-chain", at, [even_eta[1:], gap_mu[:-1], even_eta[:-1]]),
             _close_rows("commute-even-forward", at,
                         _apply(k_even[:-1], eta_to_even[:-1]), odd_to_mu[:-1]),
-            _close_rows("commute-even-backward", at,
-                        _apply(k_even[1:], even_to_eta[:-1]), mu_to_odd[:-1]),
+            _close_rows("commute-even-backward", at, even_backward, mu_to_odd[:-1]),
             _close_rows("fixed-point-mu", at, _push(pi_even[:-1], k_odd[:-1]), mu),
             _close_rows("fixed-point-eta", at, _push(pi_odd[:-1], k_even[1:]), eta),
-            _close_rows("joint-marginal-even", at,
-                        [run.joint_even(n).sum(axis=1) for n in at], mu),
-            _close_rows("joint-marginal-odd", at, [run.joint_odd(n).sum(axis=0) for n in at], eta),
+            _close_rows("joint-marginal-even", at, joint_mu, mu),
+            _close_rows("joint-marginal-odd", at, joint_eta, eta),
         )
         backward = (
             _close_rows("commute-odd-forward", nxt_at,
                         _apply(k_odd[:-1], mu_to_odd[:-1]), even_to_eta[1:]),
-            _close_rows("commute-odd-backward", nxt_at,
-                        _apply(k_odd[1:], odd_to_mu[:-1]), eta_to_even[1:]),
-            _close_rows("semigroup-even", nxt_at,
-                        _apply(k_odd[:-1], _apply(k_even[1:], even_to_eta[:-1])),
+            _close_rows("commute-odd-backward", nxt_at, odd_backward, eta_to_even[1:]),
+            _close_rows("semigroup-even", nxt_at, _apply(k_odd[:-1], even_backward),
                         even_to_eta[1:]),
-            _close_rows("semigroup-odd", nxt_at,
-                        _apply(k_even[1:], _apply(k_odd[1:], odd_to_mu[:-1])), odd_to_mu[1:]),
+            _close_rows("semigroup-odd", nxt_at, _apply(k_even[1:], odd_backward),
+                        odd_to_mu[1:]),
         )
     return (*itertools.chain.from_iterable(zip(*forward)),
             *itertools.chain.from_iterable(zip(*backward)),

@@ -205,11 +205,9 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def csv_text(self) -> str:
-        lines = ["step,metric,value"]
-        for step, metric, value in self.rows:
-            # repr round-trips a float, so a rule reads the same bits back from the text.
-            lines.append(f"{step},{metric},{value!r}")
-        return "\n".join(lines) + "\n"
+        # repr round-trips a float, so a rule reads the same bits back from the text.
+        return "step,metric,value\n" + "".join(
+            [f"{step},{metric},{value!r}\n" for step, metric, value in self.rows])
 
     def verdicts_json(self) -> str:
         return json.dumps(
@@ -716,14 +714,12 @@ def _svg_line(title: str, points: list[tuple[int, float]], dropped: int) -> str:
     if y1 == y0:
         y1 = y0 + 1
     margin = 40.0
-
-    def sx(x: float) -> float:
-        return margin + (x - x0) / (x1 - x0) * (PLOT_WIDTH - 2 * margin)
-
-    def sy(y: float) -> float:
-        return PLOT_HEIGHT - margin - (y - y0) / (y1 - y0) * (PLOT_HEIGHT - 2 * margin)
-
-    path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    # Canvas x = margin + (x - x0) / (x1 - x0) * width, and canvas y =
+    # bottom - (y - y0) / (y1 - y0) * height, in that order of operations.
+    dx, width = x1 - x0, PLOT_WIDTH - 2 * margin
+    dy, height, bottom = y1 - y0, PLOT_HEIGHT - 2 * margin, PLOT_HEIGHT - margin
+    path = " ".join([f"{margin + (x - x0) / dx * width:.2f},{bottom - (y - y0) / dy * height:.2f}"
+                     for x, y in zip(xs, ys)])
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{PLOT_HEIGHT}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'

@@ -52,6 +52,7 @@ any length.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import reprlib
@@ -153,7 +154,8 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
     """``payload[key]``, a (nested) list of finite numbers, as a float array of
     ``shape`` (a vector of any length when ``shape`` is None).
 
-    A scalar, ragged lists, an entry that is a bool, a string, null, no
+    A scalar, ragged lists, an entry that is a bool (at any depth, also
+    among numbers, which numpy would read as 0 or 1), a string, null, no
     number or an integer past the float range, or a wrong entry count
     raises a :class:`DomainError` that names ``key``; :func:`_array` rejects
     a NaN or an infinity.
@@ -161,7 +163,8 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
     value = payload[key]
     try:
         a = np.asarray(value)  # ragged nesting raises ValueError
-        if a.ndim == 0 or a.dtype.kind in "bSU" or (a.dtype.kind == "O" and None in a.flat):
+        if (a.ndim == 0 or a.dtype.kind in "SU" or (a.dtype.kind == "O" and None in a.flat)
+                or _holds_bool(value)):
             raise ValueError
         a = a.astype(float)  # an entry that is no number or too large raises
     except (TypeError, ValueError, OverflowError):
@@ -172,6 +175,12 @@ def _payload_array(payload: dict, key: str, shape: tuple[int, ...] | None = None
         raise DomainError(f"{key} has {a.size} entries, expected {math.prod(shape)} "
                           f"for shape {shape}")
     return _array(a.reshape(shape), key)
+
+
+def _holds_bool(value) -> bool:
+    """Whether an entry of ``value``, nested lists that numpy reads as one array, is a bool."""
+    entries = np.asarray(value, dtype=object).flat
+    return any(map(isinstance, entries, itertools.repeat((bool, np.bool_))))
 
 
 def _first(bad: np.ndarray, name) -> tuple[tuple[int, ...], str]:
