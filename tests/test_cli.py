@@ -165,6 +165,11 @@ GRID = {"profile": "quadratic-grid", "size": [3, 4]}
      "W must be a list of finite numbers, got 'ab'"),
     ("discrete", {"inline": {**DISCRETE_INLINE, "W": [[0.0, 1.0, 2.0], [1.0, 0.0]]}}, {},
      "W must be a list of finite numbers, got [[0.0, 1.0, 2.0], [1.0, 0.0]]"),
+    # A bool among numbers, flat or nested, which numpy would read as 1.0.
+    ("discrete", {"inline": {**DISCRETE_INLINE, "W": [0.0, 1.0, True, 1.0, 0.0, 1.0]}}, {},
+     "W must be a list of finite numbers, got [0.0, 1.0, True, 1.0, 0.0, 1.0]"),
+    ("discrete", {"inline": {**DISCRETE_INLINE, "W": [[0.0, 1.0, 2.0], [1.0, True, 1.0]]}}, {},
+     "W must be a list of finite numbers, got [[0.0, 1.0, 2.0], [1.0, True, 1.0]]"),
     ("discrete", {"inline": {**DISCRETE_INLINE, "lambda": "x"}}, {},
      "lambda must be a list of finite numbers, got 'x'"),
     ("discrete", {"inline": {**DISCRETE_INLINE, "nu": [1.0]}}, {},

@@ -126,6 +126,23 @@ class TestLipNorm:
             assert lhs <= rhs + 1e-12
 
 
+def test_each_public_call_checks_its_kernel_once(monkeypatch):
+    calls = []
+    check = contraction._as_kernel
+    monkeypatch.setattr(contraction, "_as_kernel",
+                        lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    k = random_kernel(np.random.default_rng(8), 4, 3)
+    for call in (lambda: contraction.dobrushin(k),
+                 lambda: contraction.lip_norm(k, np.ones(4), np.ones(3)),
+                 lambda: contraction.phi_contraction_probe(k, KL, 5, 1)):
+        calls.clear()
+        call()
+        assert len(calls) == 1, call
+    bound = contraction.dobrushin(k)
+    assert bound == pytest.approx(brute_force_dobrushin(k), abs=1e-14)
+    assert contraction.phi_contraction_probe(k, KL, 5, 1).dobrushin_bound == bound
+
+
 class TestLyapunovSearch:
     def test_rank_one_kernels_give_zero_rho(self):
         k = np.tile(np.array([0.3, 0.7]), (2, 1))

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -993,3 +994,142 @@ class TestStackedOracle:
         report = discrete.geometric_rate_report(model, run)
         assert report.sandwich_residual <= harness.IDENTITY_TOL
         assert bits(report) == bits(ref_rate_report(model, ref_run_sinkhorn(model, 6)))
+
+
+# --------------------------------------------------------------------------
+# The chunk walk of the ladder and identity joints, and the half-step buffers.
+# --------------------------------------------------------------------------
+
+CHUNK_PROFILES = [
+    ("bounded", {}),
+    ("bounded", {"osc_cap": 5.0}),
+    ("quadratic-grid", {"t": 0.05}),
+    # Joints with exact zeros: infinite KLs and NaN residuals.
+    ("bounded", {"osc_cap": 2000.0}),
+]
+CHUNK_SIZES = [(1, 9), (2, 5), (4, 4), (3, 12), (16, 16), (64, 64)]
+
+
+def joints_per_chunk(nx, ny):
+    return max(1, discrete.matcore.CHUNK_ELEMENTS // (nx * ny))
+
+
+def loop_ladder(run, q):
+    """``entropy_ladder`` with one ``relative_entropy`` call per joint P_{2n}."""
+    model = run.model
+    total = relative_entropy(q, run.joint_even(0))
+    rows, partial = [], 0.0
+    for n in range(len(run)):
+        h_q = relative_entropy(q, run.joint_even(n))
+        gap_eta = relative_entropy(model.eta, run.pi_even[n])
+        gap_mu = relative_entropy(model.mu, run.pi_odd[n])
+        residual = math.nan if math.isinf(total) or math.isinf(h_q) else abs(total - h_q - partial)
+        rows.append(discrete.LadderRow(n, h_q, gap_eta, gap_mu, partial, residual))
+        partial += gap_eta + gap_mu
+    return discrete.LadderReport(total=total, rows=tuple(rows))
+
+
+def loop_joint_marginal_rows(run):
+    """The joint-marginal identity rows with one joint matrix per pair."""
+    mu, eta = run.model.mu, run.model.eta
+    at = range(len(run) - 1)
+    return ([ref_close_row("joint-marginal-even", n, run.joint_even(n).sum(axis=1), mu)
+             for n in at],
+            [ref_close_row("joint-marginal-odd", n, run.joint_odd(n).sum(axis=0), eta)
+             for n in at])
+
+
+class TestChunkWalk:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(profile=st.sampled_from(CHUNK_PROFILES), size=st.sampled_from(CHUNK_SIZES),
+           seed=st.integers(0, 2 ** 32 - 1), count=st.sampled_from(["1", "2", "3", "past"]))
+    def test_rows_equal_a_per_pair_loop(self, profile, size, seed, count):
+        name, params = profile
+        model = harness.generate_instance("discrete", size, seed, name, **params)
+        # "past" ends the identities' pairs (and the ladder's rows one later)
+        # one pair past a chunk boundary.
+        pairs = joints_per_chunk(*size) + 1 if count == "past" else int(count)
+        run = discrete.run_sinkhorn(model, pairs)
+        for q in (np.outer(model.mu, model.eta), northwest_corner(model.mu, model.eta)):
+            assert outcome(lambda: discrete.entropy_ladder(run, q)) == outcome(
+                lambda: loop_ladder(run, q))
+        rows = discrete.identity_suite(run)
+        even, odd = loop_joint_marginal_rows(run)
+        assert bits([r for r in rows if r.name == "joint-marginal-even"]) == bits(even)
+        assert bits([r for r in rows if r.name == "joint-marginal-odd"]) == bits(odd)
+        iterates = [collections.namedtuple("Iterate", RefIterate._fields)(
+            n, run.u[n], run.v[n], run.kernel_even[n], run.kernel_odd[n], run.pi_even[n],
+            run.pi_odd[n], run.joint_even(n), run.joint_odd(n)) for n in range(len(run))]
+        assert bits(rows) == bits(ref_identity_rows(model, iterates))
+
+    def test_joint_reads_do_not_grow_with_the_run(self, monkeypatch):
+        reads = collections.Counter()
+        for name in ("joint_even", "joint_odd"):
+            method = getattr(discrete.SinkhornRun, name)
+            monkeypatch.setattr(discrete.SinkhornRun, name,
+                                lambda run, n, name=name, method=method:
+                                    reads.update([name]) or method(run, n))
+        model = harness.generate_instance("discrete", (16, 16), 2, "bounded")
+        q = np.outer(model.mu, model.eta)
+        counts = []
+        for pairs in (1, 2, 33, 80):
+            run = discrete.run_sinkhorn(model, pairs)
+            reads.clear()
+            discrete.entropy_ladder(run, q)
+            discrete.identity_suite(run)
+            counts.append(dict(reads))
+        # Only the first pair's I-projection rows read joints.
+        assert counts == [{"joint_even": 2, "joint_odd": 2}] * 4
+
+    def test_ladder_and_identities_memory_is_bounded(self):
+        # A whole-run joint stack alone would be 3.3 MB here.
+        model = harness.generate_instance("discrete", (64, 64), 0, "quadratic-grid", t=0.05)
+        run = discrete.run_sinkhorn(model, 100)
+        q = np.outer(model.mu, model.eta)
+        tracemalloc.start()
+        try:
+            discrete.entropy_ladder(run, q)
+            discrete.identity_suite(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def fresh_sweeps(model, u, v, step):
+    """``discrete._sweeps`` with new arrays at every half step, no buffer reused."""
+    log_even = discrete._log_kernel(model.log_k, model.log_nu, v)
+    while True:
+        log_odd = discrete._log_kernel(model.log_k.T, model.log_lambda, u)
+        yield u, v, log_even, log_odd
+        v = discrete._finite(model.v_potential + log_odd[1], step + 1)
+        log_even = discrete._log_kernel(model.log_k, model.log_nu, v)
+        u = discrete._finite(model.u_potential + log_even[1], step + 2)
+        step += 2
+
+
+@pytest.mark.parametrize("name, params, size", [
+    ("quadratic-grid", {"t": 0.05}, (64, 64)),
+    ("bounded", {"osc_cap": 5.0}, (64, 64)),
+    ("bounded", {}, (3, 12)),
+    ("bounded", {}, (1, 9)),
+])
+def test_buffered_sweeps_equal_fresh_arrays(name, params, size):
+    model = harness.generate_instance("discrete", size, 1, name, **params)
+
+    def results():
+        run = discrete.run_sinkhorn(model, 12)
+        fields = [getattr(run, f.name) for f in dataclasses.fields(run) if f.name != "model"]
+        # Solves that end inside the run and that resume its sweeps.
+        return bits((fields, discrete.solve_bridge(model, run),
+                     discrete.solve_bridge(model, discrete.run_sinkhorn(model, 2)),
+                     discrete.solve_bridge(model)))
+
+    buffered = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "_sweeps", fresh_sweeps)
+        assert results() == buffered
+    # The buffers keep each log kernel's memory layout.
+    _, _, log_even, log_odd = next(discrete._sweeps(model, model.u_potential, np.zeros(size[1]), 0))
+    assert log_even[0].flags.c_contiguous and log_odd[0].flags.f_contiguous

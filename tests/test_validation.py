@@ -248,3 +248,14 @@ class TestArray:
             matcore._payload_array(payload, "X")
         with pytest.raises(DomainError, match="^x must be an array of numbers, got "):
             matcore._array([10**400, 1], "x")
+
+    @pytest.mark.parametrize("value", [
+        [True, 1.0], [1.0, False], [1, True], [[1.0, True], [2.0, 3.0]], [[[1.0], [True]]],
+        [True, 10**30], [np.True_, 1.0], [True, False],
+    ])
+    def test_payload_bool_entries_are_rejected_at_any_depth(self, value):
+        # numpy reads a bool among numbers as 0.0 or 1.0.
+        with pytest.raises(DomainError, match="^W must be a list of finite numbers, got "):
+            matcore._payload_array({"W": value}, "W")
+        assert matcore._payload_array({"W": [[1.0, 1], [2.0, 3.0]]}, "W").tolist() == [
+            1.0, 1.0, 2.0, 3.0]
