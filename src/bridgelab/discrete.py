@@ -28,7 +28,8 @@ call per quantity, with consecutive pairs as the slices ``[:-1]`` and
 identity.  The joint-matrix sums and KLs are read a chunk of joints at a
 time, at most ``matcore.CHUNK_ELEMENTS`` floats (2 joints at 64 x 64), so
 no whole-run joint stack is made.  What stays per pair is the sequential
-recursion, whose half steps write into buffers made once per run.
+recursion, whose half steps write into buffers made once per :func:`_sweeps`
+generator.
 
 One evaluator.  Every KL and phi-entropy goes through
 :mod:`bridgelab.divergences`, which evaluates the integrand with numpy and
@@ -60,15 +61,18 @@ from .matcore import _frozen
 MARGINAL_TOL = 1e-10
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """log sum exp of ``a`` along ``axis``; ``work``, of ``a``'s shape and layout, takes exp(a - max)."""
+def _logsumexp(a: np.ndarray, axis: int | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """log sum exp along ``axis``; ``work``, of ``a``'s shape and layout, gets exp(a - max).
+
+    The reductions are the ufunc reductions behind ``np.max`` and ``np.sum``,
+    called without those wrappers: the half steps call this twice a pair.
+    """
     a = np.asarray(a, dtype=float)
-    amax = np.max(a, axis=axis, keepdims=True)
+    amax = np.maximum.reduce(a, axis=axis, keepdims=True)
     work = np.subtract(a, amax, out=work)
-    out = np.log(np.sum(np.exp(work, out=work), axis=axis, keepdims=True)) + amax
-    if axis is None:
-        return out.reshape(())
-    return np.squeeze(out, axis=axis)
+    out = np.log(np.add.reduce(np.exp(work, out=work), axis=axis, keepdims=True)) + amax
+    return out.reshape(()) if axis is None else out.squeeze(axis=axis)
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def _stochastic(log_kernel: tuple[np.ndarray, np.ndarray], out=None) -> np.ndarr
 
 
 def _finite(pot: np.ndarray, step: int) -> np.ndarray:
-    """The fresh array ``pot``, made read-only, or a NumericalError naming the half ``step`` that produced it."""
+    """The new array ``pot``, made read-only, or a NumericalError naming its half ``step``."""
     if not np.isfinite(pot).all():
         raise NumericalError(f"non-finite potential produced at step {step}")
     pot.flags.writeable = False
