@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgelab import discrete, fitting, harness
@@ -1041,9 +1041,16 @@ def loop_joint_marginal_rows(run):
 
 class TestChunkWalk:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(profile=st.sampled_from(CHUNK_PROFILES), size=st.sampled_from(CHUNK_SIZES),
            seed=st.integers(0, 2 ** 32 - 1), count=st.sampled_from(["1", "2", "3", "past"]))
+    # Every size one pair past a chunk boundary, whatever the draws.
+    @example(profile=CHUNK_PROFILES[1], size=(1, 9), seed=0, count="past")
+    @example(profile=CHUNK_PROFILES[2], size=(2, 5), seed=0, count="past")
+    @example(profile=CHUNK_PROFILES[0], size=(4, 4), seed=0, count="past")
+    @example(profile=CHUNK_PROFILES[3], size=(3, 12), seed=0, count="past")
+    @example(profile=CHUNK_PROFILES[1], size=(16, 16), seed=0, count="past")
+    @example(profile=CHUNK_PROFILES[2], size=(64, 64), seed=0, count="past")
     def test_rows_equal_a_per_pair_loop(self, profile, size, seed, count):
         name, params = profile
         model = harness.generate_instance("discrete", size, seed, name, **params)
