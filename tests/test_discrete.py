@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bridgelab import discrete, fitting, harness
+from bridgelab import discrete, fitting, harness, matcore
 from bridgelab.divergences import relative_entropy
 from bridgelab.errors import DomainError, NumericalError
 
@@ -1011,7 +1011,7 @@ CHUNK_SIZES = [(1, 9), (2, 5), (4, 4), (3, 12), (16, 16), (64, 64)]
 
 
 def joints_per_chunk(nx, ny):
-    return max(1, discrete.matcore.CHUNK_ELEMENTS // (nx * ny))
+    return max(1, matcore.CHUNK_ELEMENTS // (nx * ny))
 
 
 def loop_ladder(run, q):
@@ -1027,16 +1027,6 @@ def loop_ladder(run, q):
         rows.append(discrete.LadderRow(n, h_q, gap_eta, gap_mu, partial, residual))
         partial += gap_eta + gap_mu
     return discrete.LadderReport(total=total, rows=tuple(rows))
-
-
-def loop_joint_marginal_rows(run):
-    """The joint-marginal identity rows with one joint matrix per pair."""
-    mu, eta = run.model.mu, run.model.eta
-    at = range(len(run) - 1)
-    return ([ref_close_row("joint-marginal-even", n, run.joint_even(n).sum(axis=1), mu)
-             for n in at],
-            [ref_close_row("joint-marginal-odd", n, run.joint_odd(n).sum(axis=0), eta)
-             for n in at])
 
 
 class TestChunkWalk:
@@ -1061,14 +1051,12 @@ class TestChunkWalk:
         for q in (np.outer(model.mu, model.eta), northwest_corner(model.mu, model.eta)):
             assert outcome(lambda: discrete.entropy_ladder(run, q)) == outcome(
                 lambda: loop_ladder(run, q))
-        rows = discrete.identity_suite(run)
-        even, odd = loop_joint_marginal_rows(run)
-        assert bits([r for r in rows if r.name == "joint-marginal-even"]) == bits(even)
-        assert bits([r for r in rows if r.name == "joint-marginal-odd"]) == bits(odd)
-        iterates = [collections.namedtuple("Iterate", RefIterate._fields)(
-            n, run.u[n], run.v[n], run.kernel_even[n], run.kernel_odd[n], run.pi_even[n],
-            run.pi_odd[n], run.joint_even(n), run.joint_odd(n)) for n in range(len(run))]
-        assert bits(rows) == bits(ref_identity_rows(model, iterates))
+        # The per-iterate identity code on the run's own rows: its joint
+        # marginals are run.joint_even(n).sum(axis=1) and run.joint_odd(n).sum(axis=0).
+        iterates = [RefIterate(n, run.u[n], run.v[n], run.kernel_even[n], run.kernel_odd[n],
+                               run.pi_even[n], run.pi_odd[n], run.joint_even(n), run.joint_odd(n))
+                    for n in range(len(run))]
+        assert bits(discrete.identity_suite(run)) == bits(ref_identity_rows(model, iterates))
 
     def test_joint_reads_do_not_grow_with_the_run(self, monkeypatch):
         reads = collections.Counter()
